@@ -7,16 +7,52 @@
 //! vertex deletion, greedy min-value peeling computes bicore numbers exactly
 //! (the same argument as for ordinary cores).
 //!
-//! The paper's Lemma 10 peeling tie-break (min `|N≤2|`, then min degree) is
-//! used to pick the next vertex; unlike the paper we do not *rely* on the
-//! lemma's "loses at most 1" claim for correctness — exact `|N≤2|` values
-//! are maintained through a common-neighbour multiplicity map, so removing a
-//! vertex that disconnects 2-hop paths decrements every affected count. The
-//! cost is `O(Σ deg² · log n)`, matching Lemma 9 up to the heap factor and
-//! common-neighbour multiplicity.
+//! # Construction
+//!
+//! Two same-side vertices stay 2-hop neighbours while they keep at least one
+//! surviving common neighbour, so the peel tracks exact `|N≤2|` values
+//! through one common-neighbour multiplicity per 2-hop pair. Unlike the
+//! paper we do not *rely* on Lemma 10's "loses at most 1" claim.
+//!
+//! 1. **Two-hop CSR.** Two passes over the wedges `a – m – b` with `a < b`
+//!    build a symmetric CSR of same-side 2-hop neighbours, with no hashing.
+//!    A dense stamp array (`stamp[b] = a`) dedups each source's wedges. The
+//!    first pass counts row lengths. The second visits sources in ascending
+//!    order, so every row fills already sorted. Each unordered pair `{a, b}`
+//!    (`a < b`) keeps its multiplicity in one slot, next to `b` in row `a`;
+//!    the entry for `a` in row `b` records where that slot is.
+//! 2. **Peel.** Repeatedly remove the surviving vertex with the smallest
+//!    `(|N≤2|, degree, id)`: Lemma 10's tie-break (min `|N≤2|`, then min
+//!    degree), made total by the global id. Removing `v`
+//!    * takes one from the degree and `|N≤2|` of each surviving neighbour;
+//!    * drops `v` from the `N2` of each surviving 2-hop neighbour whose pair
+//!      still has a common neighbour;
+//!    * takes one from the multiplicity of every pair `a < b` of `v`'s
+//!      surviving neighbours; a pair that reaches zero leaves both `N2`
+//!      sets. For a fixed `a` the partners `b` ascend, so each is found by
+//!      one galloping (exponential, then binary) search in the suffix of
+//!      row `a` past the previous partner.
+//!
+//!    A lazy min-heap holds the keys. Each vertex whose key changed during a
+//!    removal is pushed once, after the removal; older entries go stale.
+//!    When the heap outgrows `2n` entries it is rebuilt from the survivors,
+//!    so it stays `O(n)` and cache-resident.
+//!
+//! # Cost
+//!
+//! Let `P` be the number of 2-hop pairs (`P ≤ Σ_m deg(m)² / 2`) and `d₂` the
+//! largest 2-hop degree. The build visits each wedge twice: `O(Σ deg²)`, the
+//! Lemma 9 bound. The peel visits each wedge once more, with one search in
+//! a row of at most `d₂` entries: `O(Σ deg² · log d₂)`. Every heap push
+//! follows a key decrement, so heap work adds `O((|E| + P) · log n)`.
+//!
+//! Memory is 16 bytes per 2-hop pair: the pair appears in two rows, each
+//! entry a `u32` neighbour plus a `u32` holding the multiplicity (in the
+//! smaller end's row) or the slot's position (in the larger end's).
+//! Everything else is `O(n)`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::graph::BipartiteGraph;
 
@@ -31,10 +67,149 @@ pub struct BicoreDecomposition {
     pub bidegeneracy: u32,
 }
 
+/// Neighbours of global vertex `g` as global ids: the opposite side's local
+/// ids (sorted) plus the offset that globalises them.
+fn neighbors_global(graph: &BipartiteGraph, g: usize) -> (&[u32], usize) {
+    let nl = graph.num_left();
+    if g < nl {
+        (graph.neighbors_left(g as u32), nl)
+    } else {
+        (graph.neighbors_right((g - nl) as u32), 0)
+    }
+}
+
+/// Calls `visit(b)` for every wedge `a – m – b` with `b > a`, once per
+/// common neighbour `m`, so `b` repeats once per shared neighbour.
 #[inline]
-fn pair_key(a: u32, b: u32) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    ((hi as u64) << 32) | lo as u64
+fn for_each_upper_wedge(graph: &BipartiteGraph, a: usize, mut visit: impl FnMut(usize)) {
+    let (mids, mid_offset) = neighbors_global(graph, a);
+    for &m in mids {
+        let (ends, offset) = neighbors_global(graph, m as usize + mid_offset);
+        let local_a = (a - offset) as u32;
+        let above = ends.partition_point(|&x| x <= local_a);
+        for &b in &ends[above..] {
+            visit(b as usize + offset);
+        }
+    }
+}
+
+/// Same-side 2-hop adjacency in CSR form. Each unordered pair `{a, b}`,
+/// `a < b`, appears in both rows and keeps its multiplicity — the number of
+/// surviving common neighbours — in one slot: the `shared` word of `b`'s
+/// entry in row `a`.
+struct TwoHopPairs {
+    /// Row `g` is `neighbors[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<usize>,
+    /// 2-hop neighbours, ascending within each row.
+    neighbors: Vec<u32>,
+    /// Per entry `i` of row `g`, naming `w = neighbors[i]`: for `w > g`, the
+    /// pair's multiplicity; for `w < g`, the index of `g` within row `w`,
+    /// where the multiplicity lives.
+    shared: Vec<u32>,
+}
+
+impl TwoHopPairs {
+    fn build(graph: &BipartiteGraph) -> TwoHopPairs {
+        let n = graph.num_vertices();
+        let mut stamp = vec![u32::MAX; n];
+
+        // Pass 1: row lengths. Each pair is found from its smaller end a
+        // and counted into both rows.
+        let mut row_len = vec![0usize; n];
+        for a in 0..n {
+            for_each_upper_wedge(graph, a, |b| {
+                if stamp[b] != a as u32 {
+                    stamp[b] = a as u32;
+                    row_len[a] += 1;
+                    row_len[b] += 1;
+                }
+            });
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        for len in row_len {
+            offsets.push(offsets[offsets.len() - 1] + len);
+        }
+
+        // Pass 2: fill, sources ascending, so every row fills in sorted
+        // order. Source a first settles the pairs it closes: each lower
+        // entry b of row a holds the multiplicity counted when b ran; it
+        // moves to its slot, a new entry a in row b, and leaves that
+        // entry's index behind. Then a appends itself to the row of every
+        // larger 2-hop neighbour, counting wedges into the new entry.
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; offsets[n]];
+        let mut shared = vec![0u32; offsets[n]];
+        stamp.fill(u32::MAX);
+        for a in 0..n {
+            for i in offsets[a]..cursor[a] {
+                let b = neighbors[i] as usize;
+                let slot = cursor[b];
+                neighbors[slot] = a as u32;
+                shared[slot] = shared[i];
+                shared[i] = (slot - offsets[b]) as u32;
+                cursor[b] += 1;
+            }
+            for_each_upper_wedge(graph, a, |b| {
+                if stamp[b] == a as u32 {
+                    shared[cursor[b] - 1] += 1;
+                } else {
+                    stamp[b] = a as u32;
+                    neighbors[cursor[b]] = a as u32;
+                    shared[cursor[b]] = 1;
+                    cursor[b] += 1;
+                }
+            });
+        }
+        TwoHopPairs {
+            offsets,
+            neighbors,
+            shared,
+        }
+    }
+
+    fn row(&self, g: usize) -> std::ops::Range<usize> {
+        self.offsets[g]..self.offsets[g + 1]
+    }
+
+    /// Index of the multiplicity of the pair at entry `i` of row `g`.
+    fn slot(&self, g: usize, i: usize) -> usize {
+        let w = self.neighbors[i] as usize;
+        if w > g {
+            i
+        } else {
+            self.offsets[w] + self.shared[i] as usize
+        }
+    }
+}
+
+/// Smallest index `≥ from` of `row` holding a value `≥ target` (or
+/// `row.len()`): an exponential probe, then a binary search. Successive
+/// targets of one row cost `O(log gap)` each.
+fn gallop(row: &[u32], from: usize, target: u32) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < row.len() && row[hi] < target {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(row.len());
+    lo + row[lo..hi].partition_point(|&x| x < target)
+}
+
+/// The vertices whose key changed during one removal, each listed once.
+struct Changed {
+    list: Vec<u32>,
+    marked: Vec<bool>,
+}
+
+impl Changed {
+    fn touch(&mut self, w: usize) {
+        if !self.marked[w] {
+            self.marked[w] = true;
+            self.list.push(w as u32);
+        }
+    }
 }
 
 /// Runs the bicore decomposition (Algorithm 7).
@@ -47,126 +222,102 @@ fn pair_key(a: u32, b: u32) -> u64 {
 /// assert_eq!(d.bidegeneracy, 2);
 /// # Ok::<(), mbb_bigraph::graph::GraphError>(())
 /// ```
-#[allow(clippy::needless_range_loop)] // index loops mirror the array-based peeling
 pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
-    let nl = graph.num_left();
     let n = graph.num_vertices();
-    if n == 0 {
-        return BicoreDecomposition {
-            bicore: Vec::new(),
-            order: Vec::new(),
-            bidegeneracy: 0,
-        };
-    }
-
-    // Global-id adjacency accessor.
-    let neighbors_global = |g: usize| -> (&[u32], usize) {
-        // Returns (opposite-side local indices, offset to globalise them).
-        if g < nl {
-            (graph.neighbors_left(g as u32), nl)
-        } else {
-            (graph.neighbors_right((g - nl) as u32), 0)
-        }
-    };
-
-    // Common-neighbour multiplicities for same-side pairs at distance 2,
-    // plus the distinct 2-hop adjacency lists.
-    let mut cn: HashMap<u64, u32> = HashMap::new();
-    for mid in 0..n {
-        let (adj, offset) = neighbors_global(mid);
-        for i in 0..adj.len() {
-            for j in (i + 1)..adj.len() {
-                let a = adj[i] + offset as u32;
-                let b = adj[j] + offset as u32;
-                *cn.entry(pair_key(a, b)).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut two_hop_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &key in cn.keys() {
-        let a = (key & 0xffff_ffff) as u32;
-        let b = (key >> 32) as u32;
-        two_hop_adj[a as usize].push(b);
-        two_hop_adj[b as usize].push(a);
-    }
+    let mut pairs = TwoHopPairs::build(graph);
 
     let mut alive = vec![true; n];
-    let mut deg: Vec<usize> = (0..n).map(|g| neighbors_global(g).0.len()).collect();
-    let mut n2count: Vec<usize> = two_hop_adj.iter().map(|v| v.len()).collect();
-    let mut nle2: Vec<usize> = (0..n).map(|g| deg[g] + n2count[g]).collect();
-
-    // Lazy min-heap keyed by (|N≤2|, degree) per Lemma 10's tie-break.
-    let mut heap: BinaryHeap<Reverse<(usize, usize, u32)>> = (0..n)
-        .map(|g| Reverse((nle2[g], deg[g], g as u32)))
+    let mut deg: Vec<u32> = (0..n)
+        .map(|g| neighbors_global(graph, g).0.len() as u32)
         .collect();
+    // key[g] = |N≤2(g)| in the surviving graph.
+    let mut key: Vec<u32> = (0..n).map(|g| deg[g] + pairs.row(g).len() as u32).collect();
+    let entry = |g: usize, key: &[u32], deg: &[u32]| Reverse((key[g], deg[g], g as u32));
+    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> =
+        (0..n).map(|g| entry(g, &key, &deg)).collect();
 
     let mut bicore = vec![0u32; n];
     let mut order = Vec::with_capacity(n);
     let mut running_max = 0u32;
-    let mut scratch_alive_neighbors: Vec<u32> = Vec::new();
+    let mut alive_neighbors: Vec<u32> = Vec::new();
+    let mut changed = Changed {
+        list: Vec::new(),
+        marked: vec![false; n],
+    };
 
-    while let Some(Reverse((val, d, v))) = heap.pop() {
+    while let Some(Reverse((k, d, v))) = heap.pop() {
         let v = v as usize;
-        if !alive[v] || val != nle2[v] || d != deg[v] {
+        if !alive[v] || k != key[v] || d != deg[v] {
             continue; // stale entry
         }
         alive[v] = false;
-        running_max = running_max.max(nle2[v] as u32);
+        running_max = running_max.max(k);
         bicore[v] = running_max;
         order.push(v as u32);
 
-        // 1. Direct neighbours lose v from N(·).
-        let (adj, offset) = neighbors_global(v);
-        scratch_alive_neighbors.clear();
-        for &w_local in adj {
-            let w = w_local as usize + offset;
+        // 1. Surviving neighbours lose v from N(·).
+        let (adj, offset) = neighbors_global(graph, v);
+        alive_neighbors.clear();
+        for &w in adj {
+            let w = w as usize + offset;
             if alive[w] {
-                scratch_alive_neighbors.push(w as u32);
+                alive_neighbors.push(w as u32);
+                deg[w] -= 1;
+                key[w] -= 1;
+                changed.touch(w);
             }
         }
-        for &w in &scratch_alive_neighbors {
-            let w = w as usize;
-            deg[w] -= 1;
-            nle2[w] -= 1;
-            heap.push(Reverse((nle2[w], deg[w], w as u32)));
-        }
 
-        // 2. Same-side 2-hop neighbours lose v from N2(·).
-        for &w in &two_hop_adj[v] {
-            let w = w as usize;
+        // 2. Surviving 2-hop neighbours lose v from N2(·).
+        for i in pairs.row(v) {
+            let w = pairs.neighbors[i] as usize;
             if !alive[w] {
                 continue;
             }
-            let key = pair_key(v as u32, w as u32);
-            if cn.get(&key).copied().unwrap_or(0) > 0 {
-                cn.remove(&key);
-                n2count[w] -= 1;
-                nle2[w] -= 1;
-                heap.push(Reverse((nle2[w], deg[w], w as u32)));
+            let slot = pairs.slot(v, i);
+            if pairs.shared[slot] > 0 {
+                pairs.shared[slot] = 0;
+                key[w] -= 1;
+                changed.touch(w);
             }
         }
 
-        // 3. Pairs of v's surviving neighbours lose a common neighbour; a
-        // pair whose count hits zero falls out of each other's N2.
-        for i in 0..scratch_alive_neighbors.len() {
-            for j in (i + 1)..scratch_alive_neighbors.len() {
-                let a = scratch_alive_neighbors[i];
-                let b = scratch_alive_neighbors[j];
-                let key = pair_key(a, b);
-                if let Some(count) = cn.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        cn.remove(&key);
-                        let (a, b) = (a as usize, b as usize);
-                        n2count[a] -= 1;
-                        nle2[a] -= 1;
-                        n2count[b] -= 1;
-                        nle2[b] -= 1;
-                        heap.push(Reverse((nle2[a], deg[a], a as u32)));
-                        heap.push(Reverse((nle2[b], deg[b], b as u32)));
-                    }
+        // 3. Each pair of surviving neighbours a < b loses the common
+        // neighbour v; a pair left with none falls out of both N2 sets.
+        // The pair still shares v, so b is in a's row, past a's previous
+        // partner.
+        for (i, &a) in alive_neighbors.iter().enumerate() {
+            let a = a as usize;
+            let row = &pairs.neighbors[pairs.row(a)];
+            let base = pairs.offsets[a];
+            let mut from = row.partition_point(|&x| (x as usize) < a);
+            for &b in &alive_neighbors[i + 1..] {
+                let at = gallop(row, from, b);
+                debug_assert_eq!(row[at], b);
+                let multiplicity = &mut pairs.shared[base + at];
+                *multiplicity -= 1;
+                if *multiplicity == 0 {
+                    key[a] -= 1;
+                    key[b as usize] -= 1;
+                    changed.touch(a);
+                    changed.touch(b as usize);
                 }
+                from = at + 1;
             }
+        }
+
+        for w in changed.list.drain(..) {
+            let w = w as usize;
+            changed.marked[w] = false;
+            heap.push(entry(w, &key, &deg));
+        }
+        // Stale entries outnumber live ones: rebuild with one entry per
+        // surviving vertex, so the heap stays O(n) and cache-resident.
+        if heap.len() > 2 * n {
+            let mut entries = std::mem::take(&mut heap).into_vec();
+            entries.clear();
+            entries.extend((0..n).filter(|&g| alive[g]).map(|g| entry(g, &key, &deg)));
+            heap = BinaryHeap::from(entries);
         }
     }
 

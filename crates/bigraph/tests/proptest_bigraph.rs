@@ -1,9 +1,12 @@
 //! Property-based tests for the graph substrate.
 
+mod support;
+
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::complement::decompose_missing;
 use mbb_bigraph::core_decomp::core_decomposition;
+use mbb_bigraph::generators::{self, ChungLuParams};
 use mbb_bigraph::graph::{sorted_intersection, BipartiteGraph, Vertex};
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::matching::{hopcroft_karp, minimum_vertex_cover};
@@ -17,8 +20,49 @@ fn graph_strategy(max_side: u32) -> impl Strategy<Value = BipartiteGraph> {
     })
 }
 
+/// One graph from each family the bicore oracle test covers: uniform,
+/// Chung–Lu, Chung–Lu with a planted biclique, complete, a star centred on
+/// either side, and a uniform graph padded with isolated vertices.
+fn bicore_family_strategy() -> impl Strategy<Value = BipartiteGraph> {
+    (0..7u32, 1..=48u32, 1..=48u32, 0..1_000_000u64).prop_map(|(family, nl, nr, seed)| {
+        let edges = (seed % 5 + 1) as usize * (nl + nr) as usize;
+        let chung_lu = |seed| {
+            let params = ChungLuParams {
+                num_left: nl,
+                num_right: nr,
+                num_edges: edges,
+                left_exponent: 0.8,
+                right_exponent: 0.7,
+            };
+            generators::chung_lu_bipartite(&params, seed)
+        };
+        match family {
+            0 => generators::uniform_edges(nl, nr, edges, seed),
+            1 => chung_lu(seed),
+            2 => generators::plant_balanced_biclique(&chung_lu(seed), nl.min(nr) / 3 + 1).0,
+            3 => generators::complete(nl.min(12), nr.min(12)),
+            4 => BipartiteGraph::from_edges(1, nr, (0..nr).map(|v| (0, v))).unwrap(),
+            5 => BipartiteGraph::from_edges(nl, 1, (0..nl).map(|u| (u, 0))).unwrap(),
+            _ => {
+                let core = generators::uniform_edges(nl, nr, edges, seed);
+                let pad = (seed % 7) as u32 + 1;
+                BipartiteGraph::from_edges(nl + pad, nr + pad, core.edges()).unwrap()
+            }
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn bicore_peel_matches_hashmap_oracle(g in bicore_family_strategy()) {
+        let fast = bicore_decomposition(&g);
+        let oracle = support::hashmap_bicore_decomposition(&g);
+        prop_assert_eq!(&fast.order, &oracle.order);
+        prop_assert_eq!(&fast.bicore, &oracle.bicore);
+        prop_assert_eq!(fast.bidegeneracy, oracle.bidegeneracy);
+    }
 
     #[test]
     fn adjacency_is_symmetric(g in graph_strategy(12)) {

@@ -18,7 +18,9 @@ usage: mbb trace --shard <id>=<edge-list-file> [--shard ...]
 Replays the request file through the resident serve loop (same admission
 control as `mbb serve`) with span recording enabled, then prints one row
 per pipeline stage — parse, admission wait, queue, the solver stages,
-encode — with count, total, mean and max wall clock. Stage names match
+encode — with count, total, self, mean and max wall clock. Self time
+leaves out the same-thread spans nested inside a stage, so the self
+column adds up without counting nested work twice. Stage names match
 docs/OBSERVABILITY.md.
 
   --requests FILE    JSONL request/control lines, as `mbb serve` reads
@@ -76,12 +78,13 @@ impl TraceOptions {
 /// Renders the per-stage aggregation table.
 fn stage_table(aggregates: &[obs::StageAgg]) -> String {
     let ms = |nanos: u64| format!("{:.3}", nanos as f64 / 1e6);
-    let mut table = Table::new(&["stage", "count", "total ms", "mean ms", "max ms"]);
+    let mut table = Table::new(&["stage", "count", "total ms", "self ms", "mean ms", "max ms"]);
     for agg in aggregates {
         table.row(vec![
             agg.stage.label().to_string(),
             agg.count.to_string(),
             ms(agg.total_nanos),
+            ms(agg.self_nanos),
             ms(agg.mean_nanos()),
             ms(agg.max_nanos),
         ]);
@@ -190,6 +193,7 @@ mod tests {
         .unwrap();
         let out = run(&options).unwrap();
         assert!(out.contains("serve.execute"), "{out}");
+        assert!(out.contains("self ms"), "{out}");
         assert!(out.contains("solve.heuristic"), "{out}");
         assert!(out.contains("serve.queue"), "{out}");
         assert!(out.contains("2 completed"), "{out}");

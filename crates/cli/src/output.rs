@@ -46,7 +46,7 @@ pub fn render(report: &Report, options: &Options) -> String {
             timed_out: report.timed_out,
             stage: report.stats.as_ref().map(|s| s.stage.to_string()),
             degeneracy: report.stats.as_ref().map(|s| s.degeneracy),
-            bidegeneracy: report.stats.as_ref().map(|s| s.bidegeneracy),
+            bidegeneracy: report.stats.as_ref().and_then(|s| s.bidegeneracy),
         };
         let mut out = serde_json::to_string_pretty(&json).expect("report serialises");
         out.push('\n');
@@ -77,7 +77,9 @@ pub fn render(report: &Report, options: &Options) -> String {
                 "stage: {} | δ = {} | δ̈ = {} | subgraphs: {} generated, {} verified\n",
                 stats.stage,
                 stats.degeneracy,
-                stats.bidegeneracy,
+                stats
+                    .bidegeneracy
+                    .map_or_else(|| "n/a".to_string(), |d| d.to_string()),
                 stats.subgraphs_generated,
                 stats.subgraphs_verified
             ));

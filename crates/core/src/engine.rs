@@ -13,8 +13,11 @@
 //! lazily on first use and cached for the session:
 //!
 //! * the total **search order** for the configured [`SearchOrder`]
-//!   (projected onto each solve's reduced residual instead of re-peeled);
-//! * the **bicore decomposition** (bidegeneracy order + δ̈);
+//!   (projected onto each solve's reduced residual instead of re-peeled),
+//!   built on the first solve that enters stage 2 — a solve that stage 1
+//!   settles never peels;
+//! * the **bicore decomposition** (bidegeneracy order + δ̈), built with the
+//!   order;
 //! * the **two-hop index** (materialised once anchored queries repeat).
 //!
 //! Every query goes through one builder with shared budget plumbing:
@@ -32,7 +35,8 @@
 //!     .solve();
 //! assert!(result.termination.is_complete());
 //! assert!(result.value.is_valid(engine.graph()));
-//! // A second query reuses the cached order instead of recomputing it.
+//! // This graph reaches stage 2, so the solve built the order; a second
+//! // query reuses it instead of recomputing it.
 //! let again = engine.query().solve();
 //! assert_eq!(again.stats.index.orders_computed, 1);
 //! assert!(again.stats.index.orders_reused >= 1);
@@ -90,12 +94,12 @@ pub struct Enumeration {
     pub outcome: EnumOutcome,
 }
 
-/// Cached session order: the permutation, its rank table, and the session
+/// Cached session order: the permutation's rank table, and the session
 /// graph's bidegeneracy when the order is [`SearchOrder::Bidegeneracy`].
 #[derive(Debug)]
 struct OrderIndex {
     rank: Vec<u32>,
-    bidegeneracy: u32,
+    bidegeneracy: Option<u32>,
 }
 
 #[derive(Debug, Default)]
@@ -327,13 +331,13 @@ impl MbbEngine {
             let (order, bidegeneracy) = match self.config.order {
                 SearchOrder::Bidegeneracy => {
                     let bicore = self.bicore();
-                    (bicore.order.clone(), bicore.bidegeneracy)
+                    (bicore.order.clone(), Some(bicore.bidegeneracy))
                 }
                 other => {
                     let start = Instant::now();
                     let order = compute_order(&self.graph, other);
                     self.note_preprocess(start);
-                    (order, 0)
+                    (order, None)
                 }
             };
             let start = Instant::now();
@@ -478,7 +482,8 @@ impl<'e> QueryBuilder<'e> {
     // ---- Terminal methods: the nine query kinds. ----
 
     /// The maximum balanced biclique of the session graph (the `hbvMBB`
-    /// framework, Algorithm 4), reusing the session's cached order.
+    /// framework, Algorithm 4). The session's cached order is fetched —
+    /// built on first use — only if the solve enters stage 2.
     pub fn solve(self) -> QueryResult<Biclique> {
         let engine = self.engine;
         let budget = self.budget();
@@ -489,16 +494,18 @@ impl<'e> QueryBuilder<'e> {
         if let Some(mode) = self.parallel_mode {
             config.parallel_mode = mode;
         }
-        let order = engine.order_index();
-        let session = SessionOrder {
-            rank: &order.rank,
-            bidegeneracy: order.bidegeneracy,
+        let fetch_order = || {
+            let order = engine.order_index();
+            SessionOrder {
+                rank: &order.rank,
+                bidegeneracy: order.bidegeneracy,
+            }
         };
         let result = MbbSolver::with_config(config).solve_session(
             &engine.graph,
             self.incumbent,
             &budget,
-            Some(session),
+            Some(&fetch_order),
         );
         engine.finish(result.biclique, result.stats, &budget)
     }
@@ -615,6 +622,7 @@ impl<'e> QueryBuilder<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Stage;
     use mbb_bigraph::generators;
 
     #[test]
@@ -651,9 +659,57 @@ mod tests {
         assert!(third.stats.index.two_hops_reused >= 1);
     }
 
+    /// Reaches stage 3, so its solves build (then reuse) the order.
+    fn stage3_graph() -> BipartiteGraph {
+        generators::uniform_edges(30, 30, 260, 17)
+    }
+
+    #[test]
+    fn stage1_exit_never_builds_the_order() {
+        let engine = MbbEngine::new(generators::uniform_edges(40, 40, 200, 11));
+        let solved = engine.solve();
+        assert_eq!(solved.stats.stage, Stage::S1);
+        assert!(solved.termination.is_complete());
+        assert_eq!(solved.stats.bidegeneracy, None);
+        let index = solved.stats.index;
+        assert_eq!(index.orders_computed, 0);
+        assert_eq!(index.bicores_computed, 0);
+        assert_eq!(index.orders_reused + index.bicores_reused, 0);
+    }
+
+    #[test]
+    fn stage3_solve_builds_the_order_once_and_reuses_it() {
+        let engine = MbbEngine::new(stage3_graph());
+        let first = engine.solve();
+        assert_eq!(first.stats.stage, Stage::S3);
+        assert_eq!(first.stats.index.orders_computed, 1);
+        assert_eq!(first.stats.index.bicores_computed, 1);
+        let bidegeneracy = bicore_decomposition(engine.graph()).bidegeneracy;
+        assert_eq!(first.stats.bidegeneracy, Some(bidegeneracy));
+        let again = engine.solve();
+        assert_eq!(again.value.half_size(), first.value.half_size());
+        assert_eq!(again.stats.bidegeneracy, Some(bidegeneracy));
+        assert_eq!(again.stats.index.orders_computed, 1);
+        assert_eq!(again.stats.index.bicores_computed, 1);
+        assert!(again.stats.index.orders_reused >= 1);
+    }
+
+    #[test]
+    fn expired_deadline_skips_the_order_build() {
+        let engine = MbbEngine::new(stage3_graph());
+        let result = engine.query().deadline(Duration::ZERO).solve();
+        assert_eq!(result.termination, Termination::DeadlineExceeded);
+        assert!(result.value.is_valid(engine.graph()));
+        assert_eq!(result.stats.bidegeneracy, None);
+        assert_eq!(result.stats.index.orders_computed, 0);
+        assert_eq!(result.stats.index.bicores_computed, 0);
+        // Unbudgeted, the same graph does need the order.
+        assert_eq!(engine.solve().stats.index.orders_computed, 1);
+    }
+
     #[test]
     fn fork_shares_materialised_indices() {
-        let g = generators::uniform_edges(25, 25, 120, 4);
+        let g = stage3_graph();
         let engine = MbbEngine::new(g);
         let warm = engine.solve();
         let _ = engine.anchored(Vertex::left(0));

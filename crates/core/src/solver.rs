@@ -37,12 +37,16 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Lemma 4-reduced residual instead of recomputing a peel order — vertex-
 /// centred decomposition is correct under any total order, so this trades
 /// nothing but the (re-)peeling cost.
+///
+/// The solver receives it through a fetch callback and calls that only on
+/// the first entry to stage 2: an engine builds (or reuses) its cached
+/// order there, so solves that stage 1 settles never pay for the peel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SessionOrder<'a> {
     /// `rank[g]` = position of session global id `g` in the cached order.
     pub rank: &'a [u32],
-    /// δ̈ of the session graph (0 unless the order is bidegeneracy).
-    pub bidegeneracy: u32,
+    /// δ̈ of the session graph; `None` unless the order is bidegeneracy.
+    pub bidegeneracy: Option<u32>,
 }
 
 /// Configuration of the `hbvMBB` framework. The defaults are the paper's
@@ -191,14 +195,15 @@ impl MbbSolver {
     /// The full-control entry point behind the engine: warm start,
     /// [`SearchBudget`] (deadline / cancellation, checked at stage
     /// boundaries, per bridged centre and per `denseMBB` node), and an
-    /// optional cached session order. With an unlimited budget and no
-    /// session this is exactly [`solve_with_incumbent`](Self::solve_with_incumbent).
-    pub(crate) fn solve_session(
+    /// optional fetch of the cached session order, called once stage 2 is
+    /// entered. With an unlimited budget and no session this is exactly
+    /// [`solve_with_incumbent`](Self::solve_with_incumbent).
+    pub(crate) fn solve_session<'s>(
         &self,
         graph: &BipartiteGraph,
         incumbent: Biclique,
         budget: &SearchBudget,
-        session: Option<SessionOrder<'_>>,
+        session: Option<&dyn Fn() -> SessionOrder<'s>>,
     ) -> SolveResult {
         assert!(
             incumbent.is_empty() || incumbent.is_valid(graph),
@@ -258,21 +263,27 @@ impl MbbSolver {
         }
 
         // ---- Step 2: bridge to maximality (Algorithms 6 and 7). ----
+        // The session order is fetched only now that stage 1 has failed to
+        // settle the solve, and before the stage-2 timestamp, so a first
+        // fetch's `preprocess.*` build stays out of `solve.bridge`.
+        let session = session.map(|fetch| fetch());
         // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
         let stage2_start = Instant::now();
-        let order = match session {
+        let (order, bidegeneracy) = match session {
             // Session path: restrict the cached full-graph order to the
-            // residual instead of re-peeling it.
-            Some(shared) => project_order(shared.rank, graph.num_left(), &reduced),
-            None => compute_order(&reduced.graph, config.order),
+            // residual instead of re-peeling it. The session δ̈ bounds the
+            // residual's δ̈ from above.
+            Some(shared) => (
+                project_order(shared.rank, graph.num_left(), &reduced),
+                shared.bidegeneracy,
+            ),
+            None if config.order == SearchOrder::Bidegeneracy => {
+                let decomposition = bicore_decomposition(&reduced.graph);
+                (decomposition.order, Some(decomposition.bidegeneracy))
+            }
+            None => (compute_order(&reduced.graph, config.order), None),
         };
-        if config.order == SearchOrder::Bidegeneracy {
-            stats.bidegeneracy = match session {
-                // The session δ̈ bounds the residual's δ̈ from above.
-                Some(shared) => shared.bidegeneracy,
-                None => bicore_decomposition(&reduced.graph).bidegeneracy,
-            };
-        }
+        stats.bidegeneracy = bidegeneracy;
         // Translate the incumbent into reduced-graph ids for local pruning;
         // its vertices may have been reduced away, but only its *size*
         // matters for pruning, so a placeholder of equal size suffices.
@@ -394,6 +405,8 @@ impl MbbSolver {
             stats.subgraphs_verified += result.stats.subgraphs_verified;
             stats.stage = result.stats.stage;
             stats.degeneracy = stats.degeneracy.max(result.stats.degeneracy);
+            // `None < Some`: the merge keeps the largest δ̈ of any component
+            // that built an order, and stays `None` if all exited at S1.
             stats.bidegeneracy = stats.bidegeneracy.max(result.stats.bidegeneracy);
             if result.biclique.half_size() > best.half_size() {
                 best = map_to_parent(&result.biclique, component);

@@ -118,13 +118,15 @@ pub struct SolveStats {
     pub stage: Stage,
     /// Degeneracy `δ` of the (reduced) graph, if computed.
     pub degeneracy: u32,
-    /// Bidegeneracy `δ̈` under the bidegeneracy order (0 otherwise): the
+    /// Bidegeneracy `δ̈` of the bidegeneracy order stage 2 used: the
     /// Lemma 4-reduced residual's `δ̈` for a fresh
     /// [`MbbSolver`](crate::solver::MbbSolver) solve,
     /// or the *session graph's* cached `δ̈` (an upper bound on the
     /// residual's) when solving through an `MbbEngine`, which reuses its
-    /// decomposition instead of re-peeling the residual.
-    pub bidegeneracy: u32,
+    /// decomposition instead of re-peeling the residual. `None` when the
+    /// solve built no order (it ended in stage 1) or its order is not
+    /// bidegeneracy.
+    pub bidegeneracy: Option<u32>,
     /// Half-size found by the global heuristic (`heuGlobal` of Figure 4).
     pub heuristic_global_half: usize,
     /// Half-size after the bridging stage's local heuristics (`heuLocal`).
@@ -156,7 +158,7 @@ impl Default for SolveStats {
         SolveStats {
             stage: Stage::S3,
             degeneracy: 0,
-            bidegeneracy: 0,
+            bidegeneracy: None,
             heuristic_global_half: 0,
             heuristic_local_half: 0,
             optimum_half: 0,

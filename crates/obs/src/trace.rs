@@ -84,6 +84,13 @@ pub struct StageAgg {
     pub count: u64,
     /// Summed duration, nanoseconds.
     pub total_nanos: u64,
+    /// Summed self time, nanoseconds: each span's duration minus the
+    /// same-thread spans nested directly inside it. Self times of a
+    /// thread's spans never overlap, so they add up without counting a
+    /// nested span twice (e.g. `preprocess.bicore` inside
+    /// `preprocess.order`). `serve.queue` times a request's wait, not
+    /// its thread's work, so it neither nests nor holds nested spans.
+    pub self_nanos: u64,
     /// Longest single span, nanoseconds.
     pub max_nanos: u64,
 }
@@ -95,28 +102,74 @@ impl StageAgg {
     }
 }
 
+/// Self time of every record, by index: its duration minus the durations
+/// of the same-thread records nested directly inside it.
+///
+/// Per thread, records are visited by start time, outer before inner (a
+/// longer span first; at equal bounds the later-recorded one, since a span
+/// records when it closes and so after everything nested in it). A stack
+/// of open spans then names each record's direct parent.
+///
+/// `serve.queue` takes no part: the worker that dequeues a request records
+/// it, but it times the request's wait, which overlaps whatever that worker
+/// ran before. Its self time is its duration.
+fn self_times(records: &[SpanRecord]) -> Vec<u64> {
+    let end = |r: &SpanRecord| r.start_nanos.saturating_add(r.duration_nanos);
+    let mut visit: Vec<usize> = (0..records.len())
+        .filter(|&i| records[i].stage != Stage::QueueWait as u16)
+        .collect();
+    visit.sort_by_key(|&i| {
+        let r = &records[i];
+        (
+            r.thread,
+            r.start_nanos,
+            std::cmp::Reverse(end(r)),
+            std::cmp::Reverse(r.seq),
+        )
+    });
+    let mut self_nanos: Vec<u64> = records.iter().map(|r| r.duration_nanos).collect();
+    let mut open: Vec<usize> = Vec::new();
+    for i in visit {
+        let r = &records[i];
+        while let Some(&top) = open.last() {
+            let parent = &records[top];
+            if parent.thread == r.thread && end(r) <= end(parent) {
+                break;
+            }
+            open.pop();
+        }
+        if let Some(&parent) = open.last() {
+            self_nanos[parent] = self_nanos[parent].saturating_sub(r.duration_nanos);
+        }
+        open.push(i);
+    }
+    self_nanos
+}
+
 /// Rolls records up per stage, in [`Stage::ALL`] order, skipping
 /// stages with no spans.
 pub fn aggregate(records: &[SpanRecord]) -> Vec<StageAgg> {
-    let mut per_stage = [(0u64, 0u64, 0u64); Stage::ALL.len()];
-    for r in records {
-        if let Some(slot) = per_stage.get_mut(r.stage as usize) {
-            slot.0 += 1;
-            slot.1 = slot.1.saturating_add(r.duration_nanos);
-            slot.2 = slot.2.max(r.duration_nanos);
+    let self_nanos = self_times(records);
+    let mut per_stage: Vec<StageAgg> = Stage::ALL
+        .iter()
+        .map(|&stage| StageAgg {
+            stage,
+            count: 0,
+            total_nanos: 0,
+            self_nanos: 0,
+            max_nanos: 0,
+        })
+        .collect();
+    for (r, own) in records.iter().zip(self_nanos) {
+        if let Some(agg) = per_stage.get_mut(r.stage as usize) {
+            agg.count += 1;
+            agg.total_nanos = agg.total_nanos.saturating_add(r.duration_nanos);
+            agg.self_nanos = agg.self_nanos.saturating_add(own);
+            agg.max_nanos = agg.max_nanos.max(r.duration_nanos);
         }
     }
-    Stage::ALL
-        .iter()
-        .zip(per_stage)
-        .filter(|(_, (count, _, _))| *count > 0)
-        .map(|(&stage, (count, total_nanos, max_nanos))| StageAgg {
-            stage,
-            count,
-            total_nanos,
-            max_nanos,
-        })
-        .collect()
+    per_stage.retain(|agg| agg.count > 0);
+    per_stage
 }
 
 #[cfg(test)]
@@ -206,5 +259,59 @@ mod tests {
         );
         assert_eq!(agg[1].mean_nanos(), 20);
         assert!(aggregate(&[]).is_empty());
+    }
+
+    #[test]
+    fn self_time_subtracts_directly_nested_same_thread_spans() {
+        let on_thread = |stage, start, dur, seq, thread| SpanRecord {
+            seq,
+            thread,
+            ..rec(stage, start, dur)
+        };
+        let records = vec![
+            // A nested pair: bicore [10, 90) inside order [0, 100), which
+            // records last because it closes last.
+            on_thread(Stage::PreprocessBicore, 10, 80, 1, 2),
+            on_thread(Stage::PreprocessOrder, 0, 100, 2, 2),
+            // A sibling after the pair on the same thread: not nested.
+            on_thread(Stage::SolveHeuristic, 100, 30, 3, 2),
+            // Overlapping the order span on another thread: not nested.
+            on_thread(Stage::DenseSearch, 20, 50, 4, 3),
+        ];
+        let agg = aggregate(&records);
+        let of = |stage| *agg.iter().find(|a| a.stage == stage).unwrap();
+        let order = of(Stage::PreprocessOrder);
+        assert_eq!((order.total_nanos, order.self_nanos), (100, 20));
+        let bicore = of(Stage::PreprocessBicore);
+        assert_eq!((bicore.total_nanos, bicore.self_nanos), (80, 80));
+        let sibling = of(Stage::SolveHeuristic);
+        assert_eq!((sibling.total_nanos, sibling.self_nanos), (30, 30));
+        let other_thread = of(Stage::DenseSearch);
+        assert_eq!(other_thread.self_nanos, 50);
+        // Self times never double-count: they sum to the busy time.
+        let busy: u64 = agg.iter().map(|a| a.self_nanos).sum();
+        assert_eq!(busy, 100 + 30 + 50);
+    }
+
+    #[test]
+    fn queue_wait_neither_contains_nor_nests_in_worker_spans() {
+        let on_worker = |stage, start, dur, seq| SpanRecord {
+            seq,
+            ..rec(stage, start, dur)
+        };
+        let records = vec![
+            // Job 1 runs [10, 50) with its heuristic [12, 40) inside.
+            on_worker(Stage::SolveHeuristic, 12, 28, 1),
+            on_worker(Stage::Execute, 10, 40, 2),
+            // Job 2 was admitted at 20 and dequeued at 50 by the same
+            // worker, which records its wait then: [20, 50) overlaps job 1.
+            on_worker(Stage::QueueWait, 20, 30, 3),
+            on_worker(Stage::Execute, 50, 10, 4),
+        ];
+        let agg = aggregate(&records);
+        let of = |stage| *agg.iter().find(|a| a.stage == stage).unwrap();
+        assert_eq!(of(Stage::Execute).self_nanos, (40 - 28) + 10);
+        assert_eq!(of(Stage::SolveHeuristic).self_nanos, 28);
+        assert_eq!(of(Stage::QueueWait).self_nanos, 30);
     }
 }

@@ -544,14 +544,15 @@ pub struct BatchStats {
 /// use mbb_serve::{BatchExecutor, QueryKind, QueryRequest, ShardedFleet};
 ///
 /// let mut fleet = ShardedFleet::new();
-/// fleet.add_shard("only", mbb_bigraph::generators::uniform_edges(12, 12, 55, 9))?;
+/// fleet.add_shard("only", mbb_bigraph::generators::uniform_edges(15, 15, 70, 8))?;
 /// let executor = BatchExecutor::new(fleet, 1);
 /// let report = executor.run_batch(vec![
 ///     QueryRequest::new(0, QueryKind::Solve).on_graph("only"),
 ///     QueryRequest::new(1, QueryKind::Solve).on_graph("only"),
 /// ]);
-/// // The second solve reused the session's cached order: that is the
-/// // amortisation a batch buys, and the report shows it.
+/// // Both solves reach stage 2, where the first builds the session's
+/// // order and the second reuses it: that is the amortisation a batch
+/// // buys, and the report shows it.
 /// assert!(report.stats.index_reuse_hits >= 1);
 /// assert_eq!(report.stats.per_shard[0].requests, 2);
 /// assert_eq!(report.stats.rejected, 0);
@@ -742,7 +743,13 @@ mod tests {
 
     #[test]
     fn executor_survives_multiple_batches() {
-        let executor = BatchExecutor::new(small_fleet(), 2);
+        // A graph whose solve reaches stage 2, so the first batch builds
+        // the session order for the second to reuse.
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(15, 15, 70, 8))
+            .unwrap();
+        let executor = BatchExecutor::new(fleet, 2);
         let first = executor.run_batch(vec![QueryRequest::new(0, QueryKind::Solve).on_graph("a")]);
         let second = executor.run_batch(vec![QueryRequest::new(1, QueryKind::Solve).on_graph("a")]);
         assert_eq!(

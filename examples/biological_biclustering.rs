@@ -54,12 +54,14 @@ fn main() {
     );
     println!("genes:      {:?}", result.value.left);
     println!("conditions: {:?}", result.value.right);
+    // δ̈ exists only when the solve reached stage 2 and built the order.
+    let bidegeneracy = result
+        .stats
+        .bidegeneracy
+        .map_or_else(|| "n/a".to_string(), |d| d.to_string());
     println!(
-        "solver stopped at stage {} (δ = {}, δ̈ = {}, {} subgraphs verified)",
-        result.stats.stage,
-        result.stats.degeneracy,
-        result.stats.bidegeneracy,
-        result.stats.subgraphs_verified
+        "solver stopped at stage {} (δ = {}, δ̈ = {bidegeneracy}, {} subgraphs verified)",
+        result.stats.stage, result.stats.degeneracy, result.stats.subgraphs_verified
     );
 
     assert!(result.value.is_valid(&expression));
