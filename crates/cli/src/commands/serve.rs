@@ -18,10 +18,9 @@ usage: mbb serve --shard <id>=<edge-list-file> [--shard ...]
 
 Builds one engine session per --shard (routable by its <id>), then stays
 resident: one JSON request per stdin line, one JSON event per stdout
-line as requests complete, until stdin closes. Unlike `mbb serve-batch`
-(one file, one batch, exit), requests are admitted to a global
-deadline-soonest queue as they arrive — a later tight-deadline request
-overtakes queued slack ones — with:
+line as requests complete, until stdin closes. Requests are admitted to
+a global deadline-soonest queue as they arrive — a later tight-deadline
+request overtakes queued slack ones — with:
 
   backpressure   the queue holds at most --queue-depth requests
                  (default 1024); when full, reading stdin pauses
@@ -29,6 +28,9 @@ overtakes queued slack ones — with:
                  answered with {\"error_kind\": \"shed\"}, never executed
   fairness       one shard wins at most --fairness-burst consecutive
                  slots while another has queued work (default 8; 0 = off)
+
+`mbb serve-batch` runs one request file through this same queue and
+exits.
 
 Control lines manage the resident fleet without a restart:
 
@@ -52,16 +54,15 @@ until killed, so the trailing `]` may be missing — both viewers accept
 that. A `{\"control\": \"metrics\"}` line answers with latency histogram
 quantiles; see docs/OBSERVABILITY.md.
 
-Socket mode (requires a build with --features socket): --listen binds a
-TCP address (port 0 picks a free port), --unix a Unix-domain socket
-path; both may be given. Each client connection carries its own JSONL
-stream into the same shared admission queue — EDF, backpressure,
-shedding and fairness hold across connections — and responses return on
-the originating connection. At most --max-conns clients are served
-concurrently (default 64; later clients get one
-{\"error_kind\": \"overloaded\"} line). On startup a single
-{\"listening\": ...} line reports the resolved address; the server then
-runs until killed. stdin is not read in socket mode. See
+Socket mode: --listen binds a TCP address (port 0 picks a free port),
+--unix a Unix-domain socket path; both may be given. Each client
+connection carries its own JSONL stream into the same shared admission
+queue — EDF, backpressure, shedding and fairness hold across
+connections — and responses return on the originating connection. At
+most --max-conns clients are served concurrently (default 64; later
+clients get one {\"error_kind\": \"overloaded\"} line). On startup a
+single {\"listening\": ...} line reports the resolved address; the
+server then runs until killed. stdin is not read in socket mode. See
 docs/SERVING.md (\"Socket mode\").";
 
 /// Parsed `serve` options.
@@ -268,7 +269,6 @@ pub fn run_with<R: BufRead, W: Write + Send>(
 
 /// Socket mode: bind the configured listeners, announce them on one
 /// stdout line, and serve until killed.
-#[cfg(feature = "socket")]
 fn run_socket(options: &ServeOptions) -> Result<(), String> {
     use mbb_serve::socket::SocketFrontEnd;
     let server = build_server(options)?;
@@ -308,12 +308,6 @@ fn run_socket(options: &ServeOptions) -> Result<(), String> {
     // close the trace cleanly.
     tracer.map(TraceFileWorker::finish).transpose()?;
     Ok(())
-}
-
-#[cfg(not(feature = "socket"))]
-fn run_socket(_options: &ServeOptions) -> Result<(), String> {
-    Err("socket mode requires a build with --features socket (cargo build -p mbb-cli --features socket)"
-        .to_string())
 }
 
 /// Runs the subcommand: socket mode when `--listen`/`--unix` is given,
@@ -380,14 +374,6 @@ mod tests {
         assert_eq!(o.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.unix.as_deref(), Some("/tmp/mbb.sock"));
         assert_eq!(o.max_conns, 2);
-    }
-
-    #[cfg(not(feature = "socket"))]
-    #[test]
-    fn socket_mode_without_the_feature_is_a_clear_error() {
-        let options = parse("--shard a=x.txt --listen 127.0.0.1:0").unwrap();
-        let err = run(&options).unwrap_err();
-        assert!(err.contains("--features socket"), "{err}");
     }
 
     #[test]

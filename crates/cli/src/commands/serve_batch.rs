@@ -1,8 +1,8 @@
 //! `mbb serve-batch` — run a JSONL request batch against a sharded
-//! engine fleet.
+//! engine fleet, through the same admission queue as `mbb serve`.
 
-use mbb_serve::jsonl::{encode_report, parse_requests};
-use mbb_serve::{BatchExecutor, ShardedFleet};
+use mbb_serve::jsonl::{encode_stream_event, parse_requests};
+use mbb_serve::{ShardedFleet, StreamConfig, StreamEvent, StreamServer};
 use mbb_store::GraphStore;
 
 /// Usage text for the subcommand.
@@ -11,10 +11,15 @@ usage: mbb serve-batch --shard <id>=<edge-list-file> [--shard ...]
                        --requests <jsonl-file> [--workers <N>] [--stats]
 
 Builds one engine session per --shard (routable by its <id>), reads one
-JSON request per line from the --requests file, executes the batch on a
-worker pool (deadline-soonest first), and prints one JSON response per
-line in request order. --workers 0 uses one worker per core (default 1).
---stats appends a final {\"batch\": ...} summary line.
+JSON request per line from the --requests file, runs them through the
+admission queue `mbb serve` uses, and prints one JSON line per request
+in request order once all are done. Each request's deadline_ms starts
+at its admission; a request whose budget is 0, or runs out while it
+waits in the queue, is shed ({\"error_kind\": \"shed\"}) instead of
+executed. Deadline-soonest requests run first, and one shard wins at
+most 8 consecutive slots while another has queued work. --workers 0
+uses one worker per core (default 1). --stats appends the same final
+{\"stats\": ...} line as `mbb serve --stats`.
 
 Shards load through the graph store: a fresh .mbbg binary cache next to
 an edge list (see `mbb ingest`) is used instead of re-parsing, and a
@@ -103,9 +108,18 @@ pub fn run(options: &ServeBatchOptions) -> Result<String, String> {
     let text = std::fs::read_to_string(&options.requests)
         .map_err(|e| format!("{}: {e}", options.requests))?;
     let requests = parse_requests(&text).map_err(|e| e.to_string())?;
-    let executor = BatchExecutor::new(fleet, options.workers);
-    let report = executor.run_batch(requests);
-    Ok(encode_report(&report, options.stats))
+    let config = StreamConfig {
+        workers: options.workers,
+        ..StreamConfig::default()
+    };
+    let report = StreamServer::new(fleet, config).run_batch(requests);
+    let mut out = String::new();
+    let stats = options.stats.then_some(StreamEvent::Stats(report.stats));
+    for event in report.events.iter().chain(&stats) {
+        out.push_str(&encode_stream_event(event));
+        out.push('\n');
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -168,7 +182,10 @@ mod tests {
             "{output}"
         );
         assert!(lines[0].contains("\"half_size\":2"), "{output}");
-        assert!(lines[2].contains("\"batch\""), "{output}");
+        assert!(
+            lines[2].starts_with("{\"stats\":{\"admitted\":2"),
+            "{output}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -296,34 +296,37 @@ impl MbbEngine {
 
     // ---- Cached index accessors. ----
 
+    // Every accessor below counts a reuse whenever its call did not run
+    // the build, including a call that blocked on another query's
+    // in-flight build: that query is served from the cache too, so
+    // `computed + reused` equals the number of uses under any schedule.
+
     fn bicore(&self) -> &BicoreDecomposition {
-        if let Some(cached) = self.bicore.get() {
-            // relaxed: monotonic statistics counter; nothing reads it for
-            // synchronisation (the index itself synchronises via OnceLock).
-            self.counters.bicores_reused.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.bicore.get_or_init(|| {
+        let mut built = false;
+        let decomposition = self.bicore.get_or_init(|| {
+            built = true;
             let _span = mbb_obs::span(mbb_obs::Stage::PreprocessBicore);
             let start = Instant::now();
             let decomposition = bicore_decomposition(&self.graph);
             self.note_preprocess(start);
-            // relaxed: monotonic statistics counter (see above).
+            // relaxed: monotonic statistics counter (see below).
             self.counters
                 .bicores_computed
                 .fetch_add(1, Ordering::Relaxed);
             Arc::new(decomposition)
-        })
+        });
+        if !built {
+            // relaxed: monotonic statistics counter; nothing reads it for
+            // synchronisation (the index itself synchronises via OnceLock).
+            self.counters.bicores_reused.fetch_add(1, Ordering::Relaxed);
+        }
+        decomposition
     }
 
     fn order_index(&self) -> &OrderIndex {
-        if let Some(cached) = self.order.get() {
-            // relaxed: monotonic statistics counter; the cached index is
-            // published by OnceLock, not by this increment.
-            self.counters.orders_reused.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.order.get_or_init(|| {
+        let mut built = false;
+        let index = self.order.get_or_init(|| {
+            built = true;
             let _span = mbb_obs::span(mbb_obs::Stage::PreprocessOrder);
             // The bidegeneracy order *is* the bicore peel order: derive it
             // from the cached decomposition instead of re-peeling. Timing
@@ -351,7 +354,13 @@ impl MbbEngine {
                 .orders_computed
                 .fetch_add(1, Ordering::Relaxed);
             Arc::new(OrderIndex { rank, bidegeneracy })
-        })
+        });
+        if !built {
+            // relaxed: monotonic statistics counter; the cached index is
+            // published by OnceLock, not by this increment.
+            self.counters.orders_reused.fetch_add(1, Ordering::Relaxed);
+        }
+        index
     }
 
     /// The two-hop index, materialised adaptively: the first anchored
@@ -367,27 +376,30 @@ impl MbbEngine {
             .counters
             .anchored_queries
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(cached) = self.two_hop.get() {
+        let mut built = false;
+        let index = if prior == 0 {
+            self.two_hop.get()?
+        } else {
+            self.two_hop.get_or_init(|| {
+                built = true;
+                let _span = mbb_obs::span(mbb_obs::Stage::PreprocessTwoHop);
+                let start = Instant::now();
+                let index = TwoHopIndex::build(&self.graph);
+                self.note_preprocess(start);
+                // relaxed: monotonic statistics counter.
+                self.counters
+                    .two_hops_computed
+                    .fetch_add(1, Ordering::Relaxed);
+                Arc::new(index)
+            })
+        };
+        if !built {
             // relaxed: monotonic statistics counter.
             self.counters
                 .two_hops_reused
                 .fetch_add(1, Ordering::Relaxed);
-            return Some(&**cached);
         }
-        if prior == 0 {
-            return None;
-        }
-        Some(&**self.two_hop.get_or_init(|| {
-            let _span = mbb_obs::span(mbb_obs::Stage::PreprocessTwoHop);
-            let start = Instant::now();
-            let index = TwoHopIndex::build(&self.graph);
-            self.note_preprocess(start);
-            // relaxed: monotonic statistics counter.
-            self.counters
-                .two_hops_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Arc::new(index)
-        }))
+        Some(&**index)
     }
 
     fn note_preprocess(&self, start: Instant) {
@@ -692,6 +704,26 @@ mod tests {
         assert_eq!(again.stats.index.orders_computed, 1);
         assert_eq!(again.stats.index.bicores_computed, 1);
         assert!(again.stats.index.orders_reused >= 1);
+    }
+
+    #[test]
+    fn concurrent_solves_count_every_order_use() {
+        // Solves that start together race for the first order build; the
+        // losers block until it is published and must still count as
+        // reuses, whatever the schedule.
+        let engine = MbbEngine::new(stage3_graph());
+        let solves = 4;
+        std::thread::scope(|scope| {
+            for _ in 0..solves {
+                scope.spawn(|| assert_eq!(engine.solve().stats.stage, Stage::S3));
+            }
+        });
+        let index = engine.index_stats();
+        assert_eq!(index.orders_computed, 1);
+        assert_eq!(index.orders_computed + index.orders_reused, solves);
+        // Only the order build reads the bicore decomposition.
+        assert_eq!(index.bicores_computed, 1);
+        assert_eq!(index.bicores_reused, 0);
     }
 
     #[test]

@@ -25,13 +25,16 @@ use std::process::ExitCode;
 
 use rules::{Finding, LockClass};
 
-/// Wire-facing serve sources: a panic here kills a worker serving a
+/// Wire-facing serve sources, plus the request and routing code every
+/// admitted request runs: a panic here kills a worker serving a
 /// socket/stdin session instead of producing an error line.
-const WIRE_FILES: [&str; 4] = [
+const WIRE_FILES: [&str; 6] = [
     "crates/serve/src/jsonl.rs",
     "crates/serve/src/stream.rs",
     "crates/serve/src/socket.rs",
     "crates/serve/src/mux.rs",
+    "crates/serve/src/request.rs",
+    "crates/serve/src/fleet.rs",
 ];
 
 /// Solver hot-loop files: per-node work lives here, so raw wall-clock

@@ -105,7 +105,7 @@ impl Shard {
 
 /// A fixed set of graph shards, each served by one persistent
 /// [`MbbEngine`] session, with deterministic routing from requests to
-/// shards. The fleet is the state a [`BatchExecutor`](crate::BatchExecutor)
+/// shards. The fleet is the state a [`StreamServer`](crate::StreamServer)
 /// schedules over; it can also be queried directly (each engine is
 /// `Sync`).
 ///
@@ -326,8 +326,8 @@ impl ShardedFleet {
     }
 
     /// Per-shard snapshot of the engines' cumulative index-reuse
-    /// counters, in shard order. Batch reports diff two snapshots to
-    /// attribute reuse to one batch.
+    /// counters, in shard order. Serve stats diff two snapshots to
+    /// attribute reuse to one serve run or batch.
     pub fn index_stats(&self) -> Vec<IndexStats> {
         self.shards
             .iter()

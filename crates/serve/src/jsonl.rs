@@ -1,8 +1,8 @@
 //! The JSONL wire format: one JSON object per line, requests in,
 //! responses out. The full schema with a worked example lives in
 //! `docs/SERVING.md`; this module is the single implementation of it
-//! (the CLI `serve-batch` subcommand and the tests both go through
-//! here).
+//! (the CLI `serve` and `serve-batch` subcommands and the tests all go
+//! through here).
 //!
 //! Conventions, matching the rest of the `mbb` CLI:
 //!
@@ -586,50 +586,6 @@ fn metrics_value(report: &MetricsReport) -> Value {
         ),
         ("spans_dropped".into(), Value::UInt(report.spans_dropped)),
     ])
-}
-
-/// Encodes a whole [`BatchReport`](crate::BatchReport): one line per
-/// response (request order), plus, when `include_stats` is set, one
-/// trailing `{"batch": …}` summary line.
-pub fn encode_report(report: &crate::BatchReport, include_stats: bool) -> String {
-    let mut out = String::new();
-    for response in &report.responses {
-        out.push_str(&encode_response(response));
-        out.push('\n');
-    }
-    if include_stats {
-        let stats = &report.stats;
-        let shards = Value::Array(
-            stats
-                .per_shard
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("graph".into(), Value::String(s.shard.clone())),
-                        ("requests".into(), Value::UInt(s.requests as u64)),
-                        ("search_nodes".into(), Value::UInt(s.search_nodes)),
-                        ("index_reuse_hits".into(), Value::UInt(s.index_reuse_hits)),
-                    ])
-                })
-                .collect(),
-        );
-        let batch = Value::Object(vec![
-            ("requests".into(), Value::UInt(stats.requests as u64)),
-            ("rejected".into(), Value::UInt(stats.rejected as u64)),
-            ("wall_clock_ms".into(), millis(stats.wall_clock)),
-            ("total_queue_wait_ms".into(), millis(stats.total_queue_wait)),
-            ("max_queue_wait_ms".into(), millis(stats.max_queue_wait)),
-            ("total_service_ms".into(), millis(stats.total_service)),
-            (
-                "index_reuse_hits".into(),
-                Value::UInt(stats.index_reuse_hits),
-            ),
-            ("shards".into(), shards),
-        ]);
-        out.push_str(&Value::Object(vec![("batch".into(), batch)]).to_string());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]

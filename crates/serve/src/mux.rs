@@ -27,12 +27,11 @@
 //!   and discards the outbox — the abrupt-disconnect path (a failed
 //!   write marks the connection dead from the pump itself).
 //!
-//! The module is compiled unconditionally (not gated behind the
-//! `socket` feature): the `conc_models` suite model-checks these exact
-//! types under `RUSTFLAGS="--cfg mbb_conc"`, where the `socket` feature
-//! is off. All synchronisation goes through the `mbb-conc` facade for
-//! that reason, and the file is in `mbb-lint`'s wire-panic scope — a
-//! panic here would kill a pump or worker thread mid-session.
+//! The `conc_models` suite model-checks these exact types under
+//! `RUSTFLAGS="--cfg mbb_conc"`. All synchronisation goes through the
+//! `mbb-conc` facade for that reason, and the file is in `mbb-lint`'s
+//! wire-panic scope — a panic here would kill a pump or worker thread
+//! mid-session.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;

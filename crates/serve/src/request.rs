@@ -1,18 +1,25 @@
-//! Typed batch requests and responses.
+//! Typed requests and responses, and the per-request work every serve
+//! path shares.
 //!
 //! A [`QueryRequest`] names one of the engine's nine query kinds
 //! ([`QueryKind`]) plus the service-level envelope around it: which graph
 //! shard it targets, its deadline, its thread budget, and an optional
 //! cancellation token. The matching [`QueryResponse`] carries the typed
 //! payload ([`QueryOutcome`]), the query's [`Termination`], and the two
-//! service-side timings a batch caller needs — queue wait and service
-//! time.
+//! service-side timings a caller needs — queue wait and service time.
+//!
+//! The admission checks (`validate`, with the [`MAX_REQUEST_THREADS`]
+//! and [`MAX_REQUEST_TOPK`] limits) and the dispatch onto an engine
+//! session (`execute_guarded`) live here too: every request the
+//! [`StreamServer`](crate::StreamServer) admits runs through them.
 
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
-use mbb_bigraph::graph::Vertex;
+use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
 use mbb_core::budget::{CancelToken, Termination};
-use mbb_core::engine::Enumeration;
+use mbb_core::engine::{Enumeration, MbbEngine};
+use mbb_core::enumerate::EnumConfig;
 use mbb_core::frontier::SizeFrontier;
 use mbb_core::meb::EdgeBiclique;
 use mbb_core::size_constrained::SizeConstrainedBiclique;
@@ -113,7 +120,7 @@ impl QueryKind {
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     /// Caller-chosen request id, echoed in the response. Need not be
-    /// unique; responses are also returned in request order.
+    /// unique; a batch returns its events in request order.
     pub id: u64,
     /// Target shard by graph id. `None` routes deterministically by
     /// hashing the request id (see
@@ -121,9 +128,11 @@ pub struct QueryRequest {
     pub graph: Option<String>,
     /// The query itself.
     pub kind: QueryKind,
-    /// Per-request deadline, measured **from batch submission** — it
-    /// covers queue wait plus service time, and doubles as the request's
-    /// scheduling priority (deadline-soonest first).
+    /// Per-request deadline, measured **from admission** — it covers
+    /// queue wait plus service time, and doubles as the request's
+    /// scheduling priority (deadline-soonest first). A zero budget, or
+    /// one that runs out while the request is queued, gets the request
+    /// shed instead of executed.
     pub deadline: Option<Duration>,
     /// Worker threads for the query's parallel stages (`0` = one per
     /// core). `None` = the shard engine's configured default.
@@ -153,7 +162,7 @@ impl QueryRequest {
         self
     }
 
-    /// Sets the deadline (from batch submission; also the scheduling
+    /// Sets the deadline (from admission; also the scheduling
     /// priority).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -261,8 +270,7 @@ pub struct QueryResponse {
     /// [`Termination::Complete`] (they consumed no budget); check
     /// [`QueryOutcome::is_rejected`] first.
     pub termination: Termination,
-    /// Time between batch submission and a worker picking the request
-    /// up.
+    /// Time between admission and a worker picking the request up.
     pub queue_wait: Duration,
     /// Time the worker spent executing the query.
     pub service: Duration,
@@ -276,6 +284,185 @@ impl QueryResponse {
     /// `stats.search.nodes`).
     pub fn search_nodes(&self) -> u64 {
         self.stats.search.nodes
+    }
+}
+
+/// A request may not ask for more worker threads than this. The engine
+/// takes non-zero thread counts literally (`0` = one per core is fine),
+/// so an unchecked wire value could ask a serving endpoint to spawn
+/// millions of OS threads.
+pub const MAX_REQUEST_THREADS: usize = 256;
+
+/// A `topk` request may not ask for more than this many results. The
+/// ranker pre-allocates a heap of `k + 1` entries, so an unchecked wire
+/// value would turn one request line into a multi-gigabyte allocation
+/// (and allocation failure aborts, which `catch_unwind` cannot contain).
+pub const MAX_REQUEST_TOPK: usize = 100_000;
+
+/// The parameter checks that would otherwise panic inside the engine
+/// (anchors out of range, mismatched weight vectors) or abuse the host
+/// (absurd thread counts, allocation-sized `k`). Applied at admission,
+/// before a request takes a queue slot.
+pub(crate) fn validate(graph: &BipartiteGraph, request: &QueryRequest) -> Result<(), String> {
+    if request.threads.is_some_and(|t| t > MAX_REQUEST_THREADS) {
+        return Err(format!(
+            "threads: at most {MAX_REQUEST_THREADS} per request (0 = one per core)"
+        ));
+    }
+    match &request.kind {
+        QueryKind::Topk { k } if *k == 0 => Err("topk: k must be positive".into()),
+        QueryKind::Topk { k } if *k > MAX_REQUEST_TOPK => {
+            Err(format!("topk: k at most {MAX_REQUEST_TOPK} per request"))
+        }
+        QueryKind::Anchored { vertex } => {
+            let bound = match vertex.side {
+                Side::Left => graph.num_left(),
+                Side::Right => graph.num_right(),
+            };
+            if vertex.index as usize >= bound {
+                return Err(format!(
+                    "anchored: vertex index {} out of range (side has {bound})",
+                    vertex.index
+                ));
+            }
+            Ok(())
+        }
+        QueryKind::AnchoredEdge { u, v }
+            if *u as usize >= graph.num_left() || *v as usize >= graph.num_right() =>
+        {
+            Err(format!(
+                "anchored_edge: ({u}, {v}) out of range for {}x{} graph",
+                graph.num_left(),
+                graph.num_right()
+            ))
+        }
+        QueryKind::Weighted { weights } if weights.len() != graph.num_vertices() => Err(format!(
+            "weighted: {} weights for {} vertices",
+            weights.len(),
+            graph.num_vertices()
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The response to a request that never reached an engine. `shard` is
+/// the routed shard's id for validation failures, `None` when routing
+/// itself failed (matching `QueryResponse::shard`'s contract — never the
+/// unroutable graph id the request named).
+pub(crate) fn rejected(
+    request: &QueryRequest,
+    shard: Option<String>,
+    reason: String,
+) -> QueryResponse {
+    QueryResponse {
+        id: request.id,
+        shard,
+        kind: request.kind.label(),
+        outcome: QueryOutcome::Rejected { reason },
+        termination: Termination::Complete,
+        queue_wait: Duration::ZERO,
+        service: Duration::ZERO,
+        stats: SolveStats::default(),
+    }
+}
+
+/// [`execute`] behind a panic guard: a panicking query must not kill a
+/// worker — it is reported as a rejection and the worker keeps draining
+/// the queue.
+pub(crate) fn execute_guarded(
+    engine: &MbbEngine,
+    request: &QueryRequest,
+    deadline: Option<Instant>,
+) -> (QueryOutcome, Termination, SolveStats) {
+    match catch_unwind(AssertUnwindSafe(|| execute(engine, request, deadline))) {
+        Ok(result) => result,
+        Err(panic) => {
+            let reason = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "query panicked".to_string());
+            (
+                QueryOutcome::Rejected {
+                    reason: format!("query panicked: {reason}"),
+                },
+                Termination::Complete,
+                SolveStats::default(),
+            )
+        }
+    }
+}
+
+/// Dispatches one request on one engine session.
+fn execute(
+    engine: &MbbEngine,
+    request: &QueryRequest,
+    deadline: Option<Instant>,
+) -> (QueryOutcome, Termination, SolveStats) {
+    let builder = || {
+        let mut q = engine.query();
+        if let Some(at) = deadline {
+            q = q.deadline_at(at);
+        }
+        if let Some(threads) = request.threads {
+            q = q.threads(threads);
+        }
+        if let Some(token) = &request.cancel {
+            q = q.cancel_token(token.clone());
+        }
+        q
+    };
+    match &request.kind {
+        QueryKind::Solve => {
+            let r = builder().solve();
+            (QueryOutcome::Solve(r.value), r.termination, r.stats)
+        }
+        QueryKind::Topk { k } => {
+            let r = builder().topk(*k);
+            (QueryOutcome::Topk(r.value), r.termination, r.stats)
+        }
+        QueryKind::Anchored { vertex } => {
+            let r = builder().anchored(*vertex);
+            (QueryOutcome::Anchored(r.value), r.termination, r.stats)
+        }
+        QueryKind::AnchoredEdge { u, v } => {
+            let r = builder().anchored_edge(*u, *v);
+            (QueryOutcome::AnchoredEdge(r.value), r.termination, r.stats)
+        }
+        QueryKind::Weighted { weights } => {
+            let r = builder().weighted(weights);
+            (QueryOutcome::Weighted(r.value), r.termination, r.stats)
+        }
+        QueryKind::Meb => {
+            let r = builder().meb();
+            (QueryOutcome::Meb(r.value), r.termination, r.stats)
+        }
+        QueryKind::Frontier => {
+            let r = builder().frontier();
+            (QueryOutcome::Frontier(r.value), r.termination, r.stats)
+        }
+        QueryKind::SizeConstrained { a, b } => {
+            let r = builder().size_constrained(*a, *b);
+            (
+                QueryOutcome::SizeConstrained(r.value),
+                r.termination,
+                r.stats,
+            )
+        }
+        QueryKind::Enumerate {
+            min_left,
+            min_right,
+            max_results,
+        } => {
+            let config = EnumConfig {
+                min_left: *min_left,
+                min_right: *min_right,
+                max_results: *max_results,
+                budget: None,
+            };
+            let r = builder().enumerate(config);
+            (QueryOutcome::Enumerate(r.value), r.termination, r.stats)
+        }
     }
 }
 

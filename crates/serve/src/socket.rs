@@ -1,5 +1,4 @@
-//! Socket front-end (`--features socket`): resident mode over real
-//! connections.
+//! Socket front-end: resident mode over real connections.
 //!
 //! A [`SocketFrontEnd`] binds a TCP listener (and, on Unix, optionally a
 //! Unix-domain listener) in front of a

@@ -1,23 +1,22 @@
-//! The resident serve loop: a long-running request stream with
-//! cross-batch EDF admission control, per-tenant fairness, bounded-depth
-//! backpressure, load-shedding, and graceful drain/reload.
+//! The one scheduler of the service: an EDF admission queue with
+//! per-tenant fairness, bounded-depth backpressure, load-shedding, and
+//! graceful drain/reload, and the [`StreamServer`] that feeds it.
 //!
-//! # How it differs from [`BatchExecutor`](crate::BatchExecutor)
-//!
-//! `run_batch` drains one `Vec` of requests and returns; deadline order
-//! only exists *within* that call. A [`StreamServer`] stays up: requests
-//! arrive one JSONL line at a time (from stdin, or from N concurrent
-//! socket clients behind the `socket` feature — see `crate::socket`),
-//! enter one **global admission queue** shared by every request ever
-//! admitted, and responses are emitted as they complete. The admission
-//! queue is where the service semantics live:
+//! Every request enters the same way — through the server's admission
+//! path into one [`Admission`] queue drained by [`worker_loop`]
+//! threads — whether it arrives as a JSONL line on stdin
+//! ([`StreamServer::serve`]), on one of N concurrent socket connections
+//! ([`crate::socket`]), or as one element of a finite batch
+//! ([`StreamServer::run_batch`]). Responses are emitted as they
+//! complete; the socket mux and `run_batch` route each one back to its
+//! origin by the job's connection key. The admission queue is where the
+//! service semantics live:
 //!
 //! * **Cross-batch EDF.** The queue is ordered by absolute deadline
 //!   (admission instant + `deadline_ms`), earliest first; deadline-free
 //!   requests run after every deadlined one, FIFO among themselves. A
 //!   tight-deadline request admitted *later* overtakes slack requests
-//!   already queued — the property `run_batch` could only give within
-//!   one batch.
+//!   already queued.
 //! * **Per-tenant fairness.** EDF alone lets one hot shard starve the
 //!   rest (its requests can always carry the soonest deadlines). The
 //!   queue therefore keys sub-queues by shard and caps how many
@@ -58,10 +57,9 @@ use mbb_obs as obs;
 use mbb_store::GraphStore;
 use std::sync::Arc;
 
-use crate::batch::{execute_guarded, rejected, validate};
 use crate::fleet::ShardedFleet;
 use crate::jsonl::{encode_stream_event, parse_stream_line, ControlRequest, StreamLine};
-use crate::request::{QueryRequest, QueryResponse};
+use crate::request::{execute_guarded, rejected, validate, QueryRequest, QueryResponse};
 
 // ---------------------------------------------------------------------
 // Configuration.
@@ -107,7 +105,7 @@ pub struct ReloadOutcome {
     pub forked: bool,
 }
 
-/// One output event of the resident loop — each becomes exactly one
+/// One output event of a serve run or batch — each becomes exactly one
 /// JSONL line on the wire ([`crate::jsonl::encode_stream_event`]).
 #[derive(Debug, Clone)]
 pub enum StreamEvent {
@@ -191,10 +189,10 @@ pub struct ShardServeStats {
     pub reloads: u64,
 }
 
-/// Snapshot of the resident loop's counters — the stream-mode analogue
-/// of [`BatchStats`](crate::BatchStats), built from the same sources
-/// (engine index counters, per-request queue-wait/service timings,
-/// search-node totals).
+/// Snapshot of one serve run's counters: the `stats` control verb, the
+/// final `--stats` line, and a [`BatchReport`] all carry this, built
+/// from the same sources (engine index counters, per-request
+/// queue-wait/service timings, search-node totals).
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Requests admitted to the queue (excludes rejects and sheds at
@@ -258,6 +256,38 @@ pub struct MetricsReport {
     pub spans_dropped: u64,
 }
 
+/// Everything [`StreamServer::run_batch`] returns.
+///
+/// ```
+/// use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamServer};
+///
+/// let mut fleet = ShardedFleet::new();
+/// fleet.add_shard("only", mbb_bigraph::generators::uniform_edges(15, 15, 70, 8))?;
+/// let server = StreamServer::new(fleet, StreamConfig::default());
+/// let report = server.run_batch(vec![
+///     QueryRequest::new(0, QueryKind::Solve).on_graph("only"),
+///     QueryRequest::new(1, QueryKind::Solve).on_graph("only"),
+/// ]);
+/// // Both solves reach stage 2, where the first builds the session's
+/// // order and the second reuses it: that is the amortisation a batch
+/// // buys, and the report shows it.
+/// assert!(report.stats.index_reuse_hits >= 1);
+/// assert_eq!(report.stats.per_shard[0].served, 2);
+/// assert_eq!(report.stats.rejected, 0);
+/// # Ok::<(), mbb_serve::ServeError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct BatchReport {
+    /// One event per request, in request order: a
+    /// [`StreamEvent::Response`] (executed, or rejected by routing or
+    /// validation) or a [`StreamEvent::Shed`] (budget exhausted before
+    /// execution).
+    pub events: Vec<StreamEvent>,
+    /// The batch's counters, exactly as the `stats` verb reports them.
+    /// Index-reuse hits count from the start of this call.
+    pub stats: ServeStats,
+}
+
 // ---------------------------------------------------------------------
 // The admission queue.
 
@@ -277,7 +307,8 @@ pub struct StreamJob {
     admitted: Instant,
     seq: u64,
     /// The originating connection ([`crate::mux::LOCAL_CONN`] for the
-    /// local stdin stream) — the response mux routes by this.
+    /// local stdin stream, the batch position under `run_batch`) — the
+    /// response sink routes by this.
     conn: u64,
 }
 
@@ -882,27 +913,90 @@ impl StreamServer {
         input: R,
         sink: impl Fn(StreamEvent) + Sync,
     ) -> ServeStats {
-        let admission = self.new_admission();
-        let baselines = self.baselines();
-        let workers = resolve_threads(self.config.workers);
-        // Local mode: one implicit always-alive connection.
+        // Local mode: one implicit connection.
         let conn_sink = |_conn: u64, event: StreamEvent| sink(event);
-        let alive = |_conn: u64| true;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| worker_loop(&admission, &conn_sink, &alive));
-            }
-            self.reader_loop(input, &admission, &baselines, &conn_sink);
-            admission.close();
-            // Scope exit joins the workers: they drain the queue first.
+        let stats = self.run_queue(&conn_sink, |admission, baselines| {
+            self.reader_loop(input, admission, baselines, &conn_sink)
         });
-
-        let stats = self.snapshot(&admission, &baselines);
         if self.config.stats_on_exit {
             sink(StreamEvent::Stats(stats.clone()));
         }
         stats
+    }
+
+    /// Runs a finite batch through the admission queue and waits for all
+    /// of it: each request is admitted in order (routing, validation and
+    /// shedding as for a stream line), the configured workers drain the
+    /// queue, and the call returns once every request has retired. Each
+    /// request's batch position is its connection key, so its event
+    /// lands in its own slot — [`BatchReport::events`] is in request
+    /// order even when ids repeat. Workers live for this call only;
+    /// [`StreamConfig::stats_on_exit`] is ignored (the stats are in the
+    /// report).
+    ///
+    /// ```
+    /// use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamEvent, StreamServer};
+    ///
+    /// let mut fleet = ShardedFleet::new();
+    /// fleet
+    ///     .add_shard("west", mbb_bigraph::generators::uniform_edges(15, 15, 70, 3))?
+    ///     .add_shard("east", mbb_bigraph::generators::uniform_edges(15, 15, 70, 4))?;
+    /// let config = StreamConfig { workers: 2, ..StreamConfig::default() };
+    /// let server = StreamServer::new(fleet, config);
+    ///
+    /// let report = server.run_batch(vec![
+    ///     QueryRequest::new(0, QueryKind::Solve).on_graph("west"),
+    ///     QueryRequest::new(1, QueryKind::Topk { k: 2 }).on_graph("east"),
+    ///     QueryRequest::new(2, QueryKind::Frontier), // hash-routed
+    /// ]);
+    /// assert_eq!(report.events.len(), 3);
+    /// assert!(report.events.iter().all(
+    ///     |e| matches!(e, StreamEvent::Response(r) if r.termination.is_complete())
+    /// ));
+    /// # Ok::<(), mbb_serve::ServeError>(())
+    /// ```
+    pub fn run_batch(&self, requests: Vec<QueryRequest>) -> BatchReport {
+        let slots: Mutex<Vec<Option<StreamEvent>>> = Mutex::new(vec![None; requests.len()]);
+        let sink = |position: u64, event: StreamEvent| {
+            if let Some(slot) = slots.lock().get_mut(position as usize) {
+                *slot = Some(event);
+            }
+        };
+        let stats = self.run_queue(&sink, |admission, _| {
+            for (position, request) in requests.into_iter().enumerate() {
+                self.admit(request, position as u64, admission, &sink);
+            }
+        });
+        BatchReport {
+            // Every admitted request retires with exactly one event, so
+            // no slot is empty here.
+            events: slots.into_inner().into_iter().flatten().collect(),
+            stats,
+        }
+    }
+
+    /// One serve run over a fresh admission queue: `feed` admits requests
+    /// on this thread while the configured workers drain the queue into
+    /// `sink`. Returns the run's stats once every admitted request has
+    /// retired.
+    fn run_queue(
+        &self,
+        sink: &(impl Fn(u64, StreamEvent) + Sync),
+        feed: impl FnOnce(&Admission, &Mutex<Vec<IndexStats>>),
+    ) -> ServeStats {
+        let admission = self.new_admission();
+        let baselines = self.baselines();
+        let workers = resolve_threads(self.config.workers);
+        let alive = |_conn: u64| true;
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| worker_loop(&admission, sink, &alive));
+            }
+            feed(&admission, &baselines);
+            admission.close();
+            // Scope exit joins the workers: they drain the queue first.
+        });
+        self.snapshot(&admission, &baselines)
     }
 
     /// The admission queue a serve loop (stdin or socket) runs over.
@@ -926,16 +1020,15 @@ impl StreamServer {
         baselines: &Mutex<Vec<IndexStats>>,
         sink: &(impl Fn(u64, StreamEvent) + Sync),
     ) {
-        for (index, line) in input.lines().enumerate() {
+        for (index, raw) in input.split(b'\n').enumerate() {
             let line_no = index + 1;
-            let line = match line {
-                Ok(line) => line,
-                // An unreadable input stream ends the loop (EOF
-                // semantics); everything admitted still completes.
-                Err(_) => break,
-            };
+            // Only an I/O error ends the loop (EOF semantics; everything
+            // admitted still completes). A line that is not UTF-8 is
+            // decoded lossily, as the socket reader does, and fails to
+            // parse like any other bad line.
+            let Ok(raw) = raw else { break };
             self.process_line(
-                &line,
+                &String::from_utf8_lossy(&raw),
                 line_no,
                 crate::mux::LOCAL_CONN,
                 admission,
@@ -1294,6 +1387,20 @@ mod tests {
     }
 
     #[test]
+    fn deadline_soonest_pops_first() {
+        // A batch spreads over shards, and each shard has its own heap:
+        // the soonest deadline must still win across them, with
+        // unbudgeted work last.
+        let config = StreamConfig::default();
+        let admission = Admission::new(3, &config);
+        let now = Instant::now();
+        admission.push(job(0, 0, None, now));
+        admission.push(job(1, 1, Some(Duration::from_secs(5)), now));
+        admission.push(job(2, 2, Some(Duration::from_secs(1)), now));
+        assert_eq!(pop_ids(&admission, 3), vec![2, 1, 0]);
+    }
+
+    #[test]
     fn fairness_burst_caps_consecutive_pops_per_shard() {
         let config = StreamConfig {
             fairness_burst: 2,
@@ -1451,5 +1558,174 @@ not json\n\
         assert_eq!(stats.completed, 6);
         assert_eq!(*responses.lock(), 6);
         assert!(stats.max_queue_depth <= 1, "{}", stats.max_queue_depth);
+    }
+
+    #[test]
+    fn non_utf8_line_is_a_parse_error_not_end_of_input() {
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("g", generators::uniform_edges(10, 10, 45, 3))
+            .unwrap();
+        let server = StreamServer::new(fleet, StreamConfig::default());
+        let mut input = b"{\"id\": 1, \"graph\": \"g\", \"kind\": \"solve\"}\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe bad\n");
+        input.extend_from_slice(b"{\"id\": 2, \"graph\": \"g\", \"kind\": \"solve\"}\n");
+        input.extend_from_slice(b"{\"control\": \"drain\"}\n");
+        let events = Mutex::new(Vec::new());
+        let stats = server.serve_with(input.as_slice(), |e| events.lock().push(e));
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.parse_errors, 1);
+        let events = events.into_inner();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, StreamEvent::ParseError { line: 2, .. })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, StreamEvent::Response(r) if r.id == 2)));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, StreamEvent::Drained { completed: 2 })));
+    }
+
+    // -----------------------------------------------------------------
+    // run_batch.
+
+    fn batch_server(fleet: ShardedFleet, workers: usize) -> StreamServer {
+        StreamServer::new(
+            fleet,
+            StreamConfig {
+                workers,
+                ..StreamConfig::default()
+            },
+        )
+    }
+
+    fn small_fleet() -> ShardedFleet {
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(12, 12, 55, 1))
+            .unwrap()
+            .add_shard("b", generators::uniform_edges(10, 10, 45, 2))
+            .unwrap();
+        fleet
+    }
+
+    /// The response in a batch slot; any other event fails the test.
+    fn response(event: &StreamEvent) -> &QueryResponse {
+        match event {
+            StreamEvent::Response(r) => r,
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn responses_come_back_in_request_order() {
+        let requests: Vec<QueryRequest> = (0..10)
+            .map(|i| {
+                QueryRequest::new(100 + i, QueryKind::Solve).on_graph(if i % 2 == 0 {
+                    "a"
+                } else {
+                    "b"
+                })
+            })
+            .collect();
+        let report = batch_server(small_fleet(), 2).run_batch(requests);
+        let ids: Vec<u64> = report.events.iter().map(|e| response(e).id).collect();
+        assert_eq!(ids, (100..110).collect::<Vec<u64>>());
+        assert_eq!(report.stats.admitted, 10);
+        assert_eq!(report.stats.completed, 10);
+        assert_eq!(report.stats.rejected, 0);
+    }
+
+    #[test]
+    fn invalid_requests_are_rejected_not_executed() {
+        use crate::request::{MAX_REQUEST_THREADS, MAX_REQUEST_TOPK};
+        use mbb_bigraph::graph::Vertex;
+        let report = batch_server(small_fleet(), 1).run_batch(vec![
+            QueryRequest::new(0, QueryKind::Solve).on_graph("nowhere"),
+            QueryRequest::new(1, QueryKind::Topk { k: 0 }).on_graph("a"),
+            QueryRequest::new(
+                2,
+                QueryKind::Anchored {
+                    vertex: Vertex::left(99),
+                },
+            )
+            .on_graph("a"),
+            QueryRequest::new(3, QueryKind::AnchoredEdge { u: 99, v: 0 }).on_graph("a"),
+            QueryRequest::new(4, QueryKind::Weighted { weights: vec![1] }).on_graph("a"),
+            QueryRequest::new(5, QueryKind::Solve)
+                .on_graph("a")
+                .with_threads(MAX_REQUEST_THREADS + 1),
+            QueryRequest::new(
+                6,
+                QueryKind::Topk {
+                    k: MAX_REQUEST_TOPK + 1,
+                },
+            )
+            .on_graph("a"),
+            QueryRequest::new(7, QueryKind::Solve).on_graph("a"),
+        ]);
+        assert_eq!(report.stats.rejected, 7);
+        assert_eq!(report.stats.admitted, 1);
+        let responses: Vec<&QueryResponse> = report.events.iter().map(response).collect();
+        for r in &responses[..7] {
+            assert!(r.outcome.is_rejected(), "id {}", r.id);
+        }
+        assert!(!responses[7].outcome.is_rejected());
+        // Routing failures carry no shard; validation failures name the
+        // shard that would have served the request.
+        assert_eq!(responses[0].shard, None);
+        assert_eq!(responses[1].shard.as_deref(), Some("a"));
+        // Rejected requests burn no engine time.
+        assert_eq!(responses[0].service, Duration::ZERO);
+    }
+
+    #[test]
+    fn empty_batch_returns_immediately() {
+        let report = batch_server(small_fleet(), 1).run_batch(Vec::new());
+        assert!(report.events.is_empty());
+        assert_eq!(report.stats.admitted, 0);
+        assert_eq!(report.stats.max_queue_wait, Duration::ZERO);
+    }
+
+    #[test]
+    fn server_survives_multiple_batches() {
+        // A graph whose solve reaches stage 2, so the first batch builds
+        // the session order for the second to reuse.
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("a", generators::uniform_edges(15, 15, 70, 8))
+            .unwrap();
+        let server = batch_server(fleet, 2);
+        let first = server.run_batch(vec![QueryRequest::new(0, QueryKind::Solve).on_graph("a")]);
+        let second = server.run_batch(vec![QueryRequest::new(1, QueryKind::Solve).on_graph("a")]);
+        assert_eq!(
+            response(&first.events[0]).outcome.headline_size(),
+            response(&second.events[0]).outcome.headline_size()
+        );
+        // The second batch reused the indices the first one built.
+        assert!(second.stats.index_reuse_hits >= 1);
+    }
+
+    #[test]
+    fn cancelled_request_reports_cancelled() {
+        use mbb_core::budget::{CancelToken, Termination};
+        // Dense enough that stage 1 cannot prove optimality, so the
+        // budget check after it observes the already-fired token. (On
+        // trivial graphs a cancelled solve may legitimately finish
+        // `Complete` before any check — anytime semantics.)
+        let mut fleet = ShardedFleet::new();
+        fleet
+            .add_shard("dense", generators::dense_uniform(40, 40, 0.8, 3))
+            .unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let report = batch_server(fleet, 1).run_batch(vec![QueryRequest::new(0, QueryKind::Solve)
+            .on_graph("dense")
+            .with_cancel(token)]);
+        assert_eq!(
+            response(&report.events[0]).termination,
+            Termination::Cancelled
+        );
     }
 }

@@ -4,9 +4,11 @@
 //! The scenario: a recommendation service holds two regional
 //! interaction graphs ("west", "east"), each served by one warm
 //! `MbbEngine` session, and answers client queries in batches — many
-//! queries, few sessions, shared cached indices. Deadlined requests are
-//! scheduled first (deadline-soonest), and a request whose budget
-//! expires comes back best-so-far instead of late.
+//! queries, few sessions, shared cached indices. A batch runs through
+//! the same admission queue as the resident `mbb serve` loop: deadlined
+//! requests are scheduled first (deadline-soonest), a request whose
+//! budget expires mid-query comes back best-so-far instead of late, and
+//! one whose budget is already gone is shed without running.
 //!
 //! ```text
 //! cargo run -p mbb-examples --release --example batch_service
@@ -16,7 +18,9 @@ use std::time::Duration;
 
 use mbb_bigraph::generators::{self, ChungLuParams};
 use mbb_bigraph::graph::Vertex;
-use mbb_serve::{BatchExecutor, QueryKind, QueryOutcome, QueryRequest, ShardedFleet};
+use mbb_serve::{
+    QueryKind, QueryOutcome, QueryRequest, ShardedFleet, StreamConfig, StreamEvent, StreamServer,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two shards with different shapes: a skewed power-law region and a
@@ -35,11 +39,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut fleet = ShardedFleet::new();
     fleet.add_shard("west", west)?.add_shard("east", east)?;
-    let executor = BatchExecutor::new(fleet, 2);
+    let config = StreamConfig {
+        workers: 2,
+        ..StreamConfig::default()
+    };
+    let server = StreamServer::new(fleet, config);
 
     // A mixed batch: exact solves, rankings, per-vertex/per-edge
-    // queries, and one deliberately unroutable request to show the
-    // rejection path. Ids are client-chosen and echoed in responses.
+    // queries, one deliberately unroutable request to show the
+    // rejection path, and one with a zero budget to show shedding. Ids
+    // are client-chosen and echoed in responses.
     let batch = vec![
         QueryRequest::new(1, QueryKind::Solve).on_graph("west"),
         QueryRequest::new(2, QueryKind::Topk { k: 3 })
@@ -61,12 +70,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         QueryRequest::new(8, QueryKind::Frontier).on_graph("east"),
         QueryRequest::new(9, QueryKind::Solve), // no graph id: hash-routed
         QueryRequest::new(10, QueryKind::Solve).on_graph("north"), // no such shard
+        QueryRequest::new(11, QueryKind::Meb)
+            .on_graph("west")
+            .with_deadline(Duration::ZERO), // budget gone on arrival
     ];
 
-    let report = executor.run_batch(batch);
+    let report = server.run_batch(batch);
 
-    println!("responses (request order):");
-    for response in &report.responses {
+    println!("events (request order):");
+    for event in &report.events {
+        let response = match event {
+            StreamEvent::Response(response) => response,
+            StreamEvent::Shed {
+                id, kind, reason, ..
+            } => {
+                println!("  #{id:<2} {kind:<12} SHED: {reason}");
+                continue;
+            }
+            other => unreachable!("a batch slot holds a response or a shed, not {other:?}"),
+        };
         match &response.outcome {
             QueryOutcome::Rejected { reason } => {
                 println!(
@@ -92,10 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = &report.stats;
     println!(
-        "\nbatch: {} requests ({} rejected) in {:.2} ms wall clock",
-        stats.requests,
-        stats.rejected,
-        stats.wall_clock.as_secs_f64() * 1e3
+        "\nbatch: {} executed, {} rejected, {} shed",
+        stats.completed, stats.rejected, stats.shed
     );
     println!(
         "       {} index-reuse hits, max queue wait {:.2} ms, total service {:.2} ms",
@@ -106,18 +126,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for shard in &stats.per_shard {
         println!(
             "       shard {:<5} served {} requests, {} search nodes, {} reuse hits",
-            shard.shard, shard.requests, shard.search_nodes, shard.index_reuse_hits
+            shard.shard, shard.served, shard.search_nodes, shard.index_reuse_hits
         );
     }
 
     // The invariants the service relies on.
-    assert_eq!(report.responses.len(), 10);
-    assert_eq!(stats.rejected, 1);
-    assert!(report
-        .responses
-        .iter()
-        .filter(|r| !r.outcome.is_rejected())
-        .all(|r| r.termination.is_complete()));
+    assert_eq!(report.events.len(), 11);
+    assert_eq!((stats.completed, stats.rejected, stats.shed), (9, 1, 1));
+    assert!(matches!(
+        report.events[10],
+        StreamEvent::Shed { id: 11, .. }
+    ));
+    assert!(report.events.iter().all(|event| match event {
+        StreamEvent::Response(r) => r.outcome.is_rejected() || r.termination.is_complete(),
+        _ => true,
+    }));
     // The repeated solves on each shard reused the session indices.
     assert!(stats.index_reuse_hits >= 1);
     println!("\nall invariants hold");

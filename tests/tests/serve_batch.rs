@@ -1,6 +1,7 @@
-//! End-to-end coverage of the `mbb-serve` front-end: batch answers must
-//! equal direct per-engine queries, terminations must be honest under
-//! mixed budgets, and routing must be deterministic.
+//! End-to-end coverage of `StreamServer::run_batch`: batch answers must
+//! equal direct per-engine queries, events must come back in request
+//! order, terminations must be honest under mixed budgets, and routing
+//! must be deterministic.
 
 use std::time::Duration;
 
@@ -9,8 +10,11 @@ use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_core::budget::{CancelToken, Termination};
 use mbb_core::engine::MbbEngine;
 use mbb_core::enumerate::EnumConfig;
-use mbb_serve::jsonl::{encode_report, parse_requests};
-use mbb_serve::{BatchExecutor, QueryKind, QueryOutcome, QueryRequest, ShardedFleet};
+use mbb_serve::jsonl::{encode_stream_event, parse_requests};
+use mbb_serve::{
+    BatchReport, QueryKind, QueryOutcome, QueryRequest, QueryResponse, ShardedFleet, StreamConfig,
+    StreamEvent, StreamServer,
+};
 use proptest::prelude::*;
 use serde_json::Value;
 
@@ -52,6 +56,30 @@ fn all_kinds(graph: &BipartiteGraph) -> Vec<QueryKind> {
         // cached indices — the reuse the batch report must surface.
         QueryKind::Solve,
     ]
+}
+
+/// A server over `fleet` with `workers` workers and default queueing.
+fn batch_server(fleet: ShardedFleet, workers: usize) -> StreamServer {
+    StreamServer::new(
+        fleet,
+        StreamConfig {
+            workers,
+            ..StreamConfig::default()
+        },
+    )
+}
+
+/// The response in one batch slot; a shed slot fails the test.
+fn response(event: &StreamEvent) -> &QueryResponse {
+    match event {
+        StreamEvent::Response(r) => r,
+        other => panic!("expected a response, got {other:?}"),
+    }
+}
+
+/// Every slot's response, in request order.
+fn responses(report: &BatchReport) -> Vec<&QueryResponse> {
+    report.events.iter().map(response).collect()
 }
 
 /// Runs `kind` directly on `engine` (no service in between) and returns
@@ -134,10 +162,10 @@ fn three_shard_mixed_batch_matches_sequential_single_engine_calls() {
     }
     assert!(requests.len() >= 20, "30 mixed requests expected");
 
-    let executor = BatchExecutor::new(fleet, 3);
-    let report = executor.run_batch(requests);
-    assert_eq!(report.responses.len(), expected.len());
-    for (response, (size, termination)) in report.responses.iter().zip(&expected) {
+    let report = batch_server(fleet, 3).run_batch(requests);
+    let responses = responses(&report);
+    assert_eq!(responses.len(), expected.len());
+    for (response, (size, termination)) in responses.iter().zip(&expected) {
         assert!(
             !response.outcome.is_rejected(),
             "id {}: {:?}",
@@ -157,7 +185,7 @@ fn three_shard_mixed_batch_matches_sequential_single_engine_calls() {
     }
     // Every shard served its ten requests (nine kinds + repeat solve).
     for shard in &report.stats.per_shard {
-        assert_eq!(shard.requests, 10, "shard {}", shard.shard);
+        assert_eq!(shard.served, 10, "shard {}", shard.shard);
     }
     // Repeated queries on one session scored index reuse.
     assert!(report.stats.index_reuse_hits >= 3);
@@ -171,15 +199,15 @@ fn batch_payloads_are_valid_bicliques() {
     for (id, graph) in shard_graphs() {
         fleet.add_shard(id, graph).unwrap();
     }
-    let executor = BatchExecutor::new(fleet, 2);
+    let server = batch_server(fleet, 2);
     let requests: Vec<QueryRequest> = shard_graphs()
         .iter()
         .enumerate()
         .map(|(i, (id, _))| QueryRequest::new(i as u64, QueryKind::Solve).on_graph(*id))
         .collect();
-    let report = executor.run_batch(requests);
-    for (i, response) in report.responses.iter().enumerate() {
-        let engine = executor.fleet().engine(i);
+    let report = server.run_batch(requests);
+    for (i, response) in responses(&report).into_iter().enumerate() {
+        let engine = server.fleet().engine(i);
         let graph = engine.graph();
         match &response.outcome {
             QueryOutcome::Solve(b) => assert!(b.is_valid(graph), "shard {i}"),
@@ -189,29 +217,50 @@ fn batch_payloads_are_valid_bicliques() {
 }
 
 /// One batch whose requests end in all three `Termination` variants:
-/// unbudgeted → `Complete`, an already-expired deadline →
-/// `DeadlineExceeded`, an already-fired cancel token → `Cancelled`.
+/// unbudgeted → `Complete`, a full enumeration with a 200 ms budget →
+/// `DeadlineExceeded`, an already-fired cancel token → `Cancelled`. A
+/// zero budget in the same batch is shed, never executed.
 #[test]
 fn mixed_deadline_batch_hits_all_three_terminations() {
     // Dense enough that stage 1 cannot prove optimality, so budget
-    // checks actually observe the expired deadline / fired token.
+    // checks actually observe the fired token, and far too many maximal
+    // bicliques to enumerate in 200 ms.
     let mut fleet = ShardedFleet::new();
     fleet
         .add_shard("dense", generators::dense_uniform(40, 40, 0.8, 3))
         .unwrap();
     let token = CancelToken::new();
     token.cancel();
-    let executor = BatchExecutor::new(fleet, 2);
-    let report = executor.run_batch(vec![
+    let report = batch_server(fleet, 2).run_batch(vec![
         QueryRequest::new(0, QueryKind::Solve).on_graph("dense"),
-        QueryRequest::new(1, QueryKind::Solve)
+        QueryRequest::new(
+            1,
+            QueryKind::Enumerate {
+                min_left: 1,
+                min_right: 1,
+                max_results: None,
+            },
+        )
+        .on_graph("dense")
+        .with_deadline(Duration::from_millis(200)),
+        QueryRequest::new(2, QueryKind::Solve)
             .on_graph("dense")
             .with_deadline(Duration::ZERO),
-        QueryRequest::new(2, QueryKind::Solve)
+        QueryRequest::new(3, QueryKind::Solve)
             .on_graph("dense")
             .with_cancel(token),
     ]);
-    let terminations: Vec<Termination> = report.responses.iter().map(|r| r.termination).collect();
+    assert!(
+        matches!(report.events[2], StreamEvent::Shed { id: 2, .. }),
+        "{:?}",
+        report.events[2]
+    );
+    assert_eq!(report.stats.shed, 1);
+    let executed: Vec<&QueryResponse> = [0, 1, 3]
+        .iter()
+        .map(|&slot| response(&report.events[slot]))
+        .collect();
+    let terminations: Vec<Termination> = executed.iter().map(|r| r.termination).collect();
     assert_eq!(
         terminations,
         vec![
@@ -221,9 +270,48 @@ fn mixed_deadline_batch_hits_all_three_terminations() {
         ]
     );
     // Anytime semantics: the complete solve dominates the budgeted ones.
-    let complete = report.responses[0].outcome.headline_size();
-    for r in &report.responses[1..] {
+    let complete = executed[0].outcome.headline_size();
+    for r in &executed[1..] {
         assert!(r.outcome.headline_size() <= complete);
+    }
+}
+
+/// Request ids need not be unique: a batch whose requests all share one
+/// id, spread over three shards, still returns each event in its
+/// request's slot.
+#[test]
+fn duplicate_ids_come_back_in_request_order() {
+    let mut fleet = ShardedFleet::new();
+    for (id, graph) in shard_graphs() {
+        fleet.add_shard(id, graph).unwrap();
+    }
+    let engines: Vec<(&str, MbbEngine)> = shard_graphs()
+        .into_iter()
+        .map(|(id, graph)| (id, MbbEngine::new(graph)))
+        .collect();
+    let kinds = [
+        QueryKind::Solve,
+        QueryKind::Meb,
+        QueryKind::Frontier,
+        QueryKind::Topk { k: 2 },
+    ];
+    // Slot i asks kind i % 4 of shard i % 3: twelve distinct pairs, so
+    // any two swapped slots would show.
+    let mut requests = Vec::new();
+    let mut expected = Vec::new();
+    for (slot, kind) in kinds.iter().cycle().take(12).enumerate() {
+        let (shard, engine) = &engines[slot % engines.len()];
+        expected.push((*shard, kind.label(), direct(engine, kind).0));
+        requests.push(QueryRequest::new(7, kind.clone()).on_graph(*shard));
+    }
+    let report = batch_server(fleet, 3).run_batch(requests);
+    let responses = responses(&report);
+    assert_eq!(responses.len(), expected.len());
+    for (response, (shard, kind, size)) in responses.iter().zip(&expected) {
+        assert_eq!(response.id, 7);
+        assert_eq!(response.shard.as_deref(), Some(*shard));
+        assert_eq!(response.kind, *kind);
+        assert_eq!(response.outcome.headline_size(), *size);
     }
 }
 
@@ -248,9 +336,14 @@ fn jsonl_batch_output_round_trips() {
         .unwrap()
         .add_shard("b", generators::uniform_edges(10, 10, 45, 32))
         .unwrap();
-    let executor = BatchExecutor::new(fleet, 2);
-    let report = executor.run_batch(requests);
-    let output = encode_report(&report, true);
+    let report = batch_server(fleet, 2).run_batch(requests);
+    let stats = StreamEvent::Stats(report.stats.clone());
+    let output: String = report
+        .events
+        .iter()
+        .chain([&stats])
+        .map(|event| encode_stream_event(event) + "\n")
+        .collect();
     let lines: Vec<&str> = output.lines().collect();
     assert_eq!(lines.len(), 6, "5 responses + stats line");
 
@@ -265,8 +358,9 @@ fn jsonl_batch_output_round_trips() {
         }
     }
     let stats: Value = serde_json::from_str(lines[5]).unwrap();
-    assert_eq!(stats["batch"]["requests"].as_u64(), Some(5));
-    assert_eq!(stats["batch"]["rejected"].as_u64(), Some(1));
+    assert_eq!(stats["stats"]["admitted"].as_u64(), Some(4));
+    assert_eq!(stats["stats"]["completed"].as_u64(), Some(4));
+    assert_eq!(stats["stats"]["rejected"].as_u64(), Some(1));
 }
 
 proptest! {
@@ -289,7 +383,7 @@ proptest! {
             .unwrap()
             .add_shard("b", graph_b.clone())
             .unwrap();
-        let executor = BatchExecutor::new(fleet, workers);
+        let server = batch_server(fleet, workers);
 
         let kinds = [
             QueryKind::Solve,
@@ -308,8 +402,8 @@ proptest! {
                 );
             }
         }
-        let report = executor.run_batch(requests);
-        for (response, (size, termination)) in report.responses.iter().zip(&expected) {
+        let report = server.run_batch(requests);
+        for (response, (size, termination)) in responses(&report).iter().zip(&expected) {
             prop_assert_eq!(response.outcome.headline_size(), *size);
             prop_assert_eq!(response.termination, *termination);
         }

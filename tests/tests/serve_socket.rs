@@ -1,15 +1,14 @@
-//! Socket front-end integration suite (`--features socket`): K
-//! concurrent TCP clients must see exactly the answers sequential
-//! fresh engines would give — plus the fault-injection battery from the
-//! connection-lifecycle contract (mid-line disconnect, half-close,
-//! dribbled writes, slow readers, cross-connection shed isolation,
-//! abrupt disconnect cancelling queued work).
-#![cfg(feature = "socket")]
+//! Socket front-end integration suite: K concurrent TCP clients must
+//! see exactly the answers sequential fresh engines would give — plus
+//! the fault-injection battery from the connection-lifecycle contract
+//! (mid-line disconnect, half-close, dribbled writes, slow readers,
+//! cross-connection shed isolation, abrupt disconnect cancelling queued
+//! work).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mbb_bigraph::generators;
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
@@ -211,6 +210,30 @@ fn read_all(sock: TcpStream) -> Vec<Value> {
         .collect()
 }
 
+/// Reads one line byte by byte, so nothing after it is buffered away
+/// from later reads on `sock`.
+fn read_line(mut sock: &TcpStream) -> Value {
+    let mut line = Vec::new();
+    let mut byte = [0u8];
+    while sock.read(&mut byte).unwrap() == 1 && byte[0] != b'\n' {
+        line.push(byte[0]);
+    }
+    serde_json::from_str(&String::from_utf8(line).unwrap()).unwrap()
+}
+
+/// Polls `{"control": "stats"}` on `sock` until `done` holds for the
+/// reported stats or 30 s pass.
+fn await_stats(mut sock: &TcpStream, done: impl Fn(&Value) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        sock.write_all(b"{\"control\": \"stats\"}\n").unwrap();
+        if done(&read_line(sock)["stats"]) || Instant::now() >= deadline {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 fn jsonl(requests: &[QueryRequest]) -> String {
     requests.iter().map(|r| encode_request(r) + "\n").collect()
 }
@@ -326,10 +349,18 @@ fn mid_line_disconnect_is_one_parse_error_and_neighbours_are_unharmed() {
         .unwrap();
     drop(broken);
 
-    let healthy = exchange(
-        server.addr,
-        &jsonl(&[QueryRequest::new(1, QueryKind::Solve).on_graph("alpha")]),
-    );
+    let mut sock = TcpStream::connect(server.addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    sock.write_all(jsonl(&[QueryRequest::new(1, QueryKind::Solve).on_graph("alpha")]).as_bytes())
+        .unwrap();
+    let mut healthy = vec![read_line(&sock)];
+    // Shutdown stops reading sockets, so the server must have read the
+    // fragment before `stop`. Wait for that on this connection: a third
+    // one would change the connection count asserted below.
+    await_stats(&sock, |stats| stats["parse_errors"].as_u64() == Some(1));
+    sock.shutdown(Shutdown::Write).unwrap();
+    healthy.extend(read_all(sock));
     assert_eq!(healthy.len(), 1);
     assert_eq!(healthy[0]["id"].as_u64(), Some(1));
     assert_eq!(headline(&healthy[0]), want.0);

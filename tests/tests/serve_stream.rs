@@ -232,8 +232,7 @@ fn stream_pinned(
 }
 
 /// Cross-batch EDF: while the single worker is pinned, a tight-deadline
-/// request arriving *after* a slack one overtakes it — the ordering no
-/// single `run_batch` call could provide across arrivals.
+/// request arriving *after* a slack one overtakes it.
 #[test]
 fn later_tight_deadline_overtakes_queued_slack_requests() {
     let requests = vec![
