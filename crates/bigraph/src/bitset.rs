@@ -6,8 +6,8 @@
 //! hundred vertices on real sparse graphs — or on dense synthetic graphs of
 //! at most a few thousand vertices per side. A flat word-array bitset makes
 //! the hot operations (candidate intersection, degree counting, reduction
-//! scans) cost `O(n / 64)` words each, and every one of them now runs
-//! through the fused block kernels in [`crate::kernels`]:
+//! scans) cost `O(n / 64)` words each, and every one of them runs through
+//! the fused block kernels in [`crate::kernels`]:
 //!
 //! * the cardinality is cached and maintained *inside* each mutating pass
 //!   ([`BitSet::and_assign_count`] and friends), so [`BitSet::len`] — called

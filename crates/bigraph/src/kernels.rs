@@ -17,1112 +17,280 @@
 //! | [`first_and`] / [`last_and`] / [`first_andnot`] | intersect + scan, prefix-pruned | survivor row scans |
 //! | [`multi_and_popcount`] | batched multi-row AND + count | consensus / Lemma 3 reduction |
 //!
-//! # Backends
+//! # One implementation
 //!
-//! Every dispatched kernel has up to four implementations:
+//! Each kernel has a single body: explicit unrolled u64 blocks with four
+//! independent popcount accumulator chains. On x86_64 every count kernel is
+//! instantiated twice, portably and under
+//! `#[target_feature(enable = "popcnt")]` so `count_ones()` lowers to the
+//! hardware `popcnt` instruction; the process detects POPCNT once and keeps
+//! that choice. This is a platform selection, not a second backend: the
+//! portable copy is the only path on CPUs without POPCNT, and both run the
+//! same source.
 //!
-//! * **`Reference`** — the plain iterator loops the pre-kernel `BitSet` used
-//!   (one `count_ones` per word, no unrolling, no fusion of scan passes).
-//!   Kept as the differential-testing oracle and the committed benchmark
-//!   baseline in `BENCH_kernels.json`.
-//! * **`Blocked`** — explicit unrolled u64-block paths: four independent
-//!   popcount accumulator chains, instantiated a second time on x86_64
-//!   under `#[target_feature(enable = "popcnt")]` so `count_ones()` lowers
-//!   to the hardware `popcnt` instruction (runtime-detected, scalar — no
-//!   `simd` feature required).
-//! * **`Sse2`** / **`Avx2`** — `std::arch` wide paths (128/256-bit SWAR
-//!   popcount reduced with `psadbw`/`vpsadbw`), compiled only under the
-//!   `simd` cargo feature on x86_64 and selected by *runtime* CPU feature
-//!   detection, so one binary serves every microarchitecture.
-//!
-//! Dispatch is a single relaxed atomic load per call (a cached backend id);
-//! [`force_backend`] pins the choice for differential tests and benchmarks.
+//! Why one: these blocked loops beat the plain iterator loops (AND +
+//! popcount at 64 words: 57 → 34 ns), and no SSE2/AVX2 path ever made a
+//! solve faster end to end. perfbench measures the per-call cost
+//! (`kernels.and_popcount_ns`, `kernels.first_and_ns` with `--trace 1`) and
+//! the end-to-end effect (the `dense-verify` workload).
 //!
 //! # Invariants
 //!
 //! Kernels operate on raw word slices and assume the caller's tail-bit
 //! invariant: bits at positions `>= capacity` in the last word are zero.
-//! `BitSet` maintains that invariant; the differential proptest suite in
-//! `tests/tests/bitset_kernels.rs` checks every backend against `Reference`
-//! on non-word-aligned capacities.
+//! `BitSet` maintains that invariant; the oracle suite in
+//! `tests/tests/bitset_kernels.rs` checks every kernel against the plain
+//! iterator loops on non-word-aligned capacities.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which kernel implementation executes a dispatched call.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Backend {
-    /// Pre-kernel iterator loops (differential oracle / benchmark baseline).
-    Reference,
-    /// Unrolled u64-block paths with runtime hardware-POPCNT dispatch.
-    Blocked,
-    /// 128-bit SSE2 SWAR path (requires the `simd` feature on x86_64).
-    Sse2,
-    /// 256-bit AVX2 SWAR path (requires the `simd` feature + runtime AVX2).
-    Avx2,
-}
-
-impl Backend {
-    /// Stable lowercase name (used by `BENCH_kernels.json` entries).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Reference => "reference",
-            Backend::Blocked => "blocked",
-            Backend::Sse2 => "sse2",
-            Backend::Avx2 => "avx2",
-        }
-    }
-
-    fn to_id(self) -> u8 {
-        match self {
-            Backend::Reference => 1,
-            Backend::Blocked => 2,
-            Backend::Sse2 => 3,
-            Backend::Avx2 => 4,
-        }
-    }
-
-    fn from_id(id: u8) -> Option<Backend> {
-        match id {
-            1 => Some(Backend::Reference),
-            2 => Some(Backend::Blocked),
-            3 => Some(Backend::Sse2),
-            4 => Some(Backend::Avx2),
-            _ => None,
-        }
-    }
-}
-
-/// `0` = no forced backend; otherwise `Backend::to_id`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-/// `0` = not yet detected; otherwise the best available `Backend::to_id`.
-static RESOLVED: AtomicU8 = AtomicU8::new(0);
-
-/// Backends usable on this build + machine, best last.
-pub fn available_backends() -> Vec<Backend> {
-    #[allow(unused_mut)] // mut is only exercised by the simd-on-x86_64 cfg.
-    let mut out = vec![Backend::Reference, Backend::Blocked];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        out.push(Backend::Sse2);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(Backend::Avx2);
-        }
-    }
-    out
-}
-
-/// Pins every dispatched kernel to `backend` (or returns to automatic
-/// selection with `None`). Returns `false` — leaving the previous choice in
-/// place — when the backend is not available on this build + machine.
-///
-/// Intended for differential tests and the `bench-kernels` runner; all
-/// backends compute identical results, so racing a change against running
-/// solvers affects speed only.
-pub fn force_backend(backend: Option<Backend>) -> bool {
-    match backend {
-        None => {
-            // relaxed: the flag is an independent perf hint, no other memory
-            // is published through it and every backend returns equal values.
-            FORCED.store(0, Ordering::Relaxed);
-            true
-        }
-        Some(b) => {
-            if !available_backends().contains(&b) {
-                return false;
-            }
-            // relaxed: see above — backend choice never guards other data.
-            FORCED.store(b.to_id(), Ordering::Relaxed);
-            true
-        }
-    }
-}
-
-/// The backend a dispatched kernel call would use right now.
+/// True when the CPU offers hardware POPCNT (cached after first query).
+#[cfg(target_arch = "x86_64")]
 #[inline]
-pub fn active_backend() -> Backend {
-    // relaxed: a stale read only changes which (equivalent) kernel runs.
-    if let Some(b) = Backend::from_id(FORCED.load(Ordering::Relaxed)) {
-        return b;
-    }
-    // relaxed: RESOLVED is write-once idempotent (every thread detects the
-    // same CPU), so racing initialisation is benign.
-    if let Some(b) = Backend::from_id(RESOLVED.load(Ordering::Relaxed)) {
-        return b;
-    }
-    let best = *available_backends().last().expect("at least Blocked");
-    // relaxed: idempotent cache fill, see above.
-    RESOLVED.store(best.to_id(), Ordering::Relaxed);
-    best
+fn has_popcnt() -> bool {
+    use std::sync::OnceLock;
+    static HAS: OnceLock<bool> = OnceLock::new();
+    *HAS.get_or_init(|| is_x86_feature_detected!("popcnt"))
 }
 
-// ---------------------------------------------------------------------------
-// Reference backend: the pre-kernel loops, verbatim.
-// ---------------------------------------------------------------------------
+/// Four-chain unrolled popcount over `words` — the shared count tail
+/// every count kernel reduces through.
+#[inline(always)]
+fn popcount_chains(words: &[u64]) -> usize {
+    let mut c = [0usize; 4];
+    let chunks = words.chunks_exact(4);
+    let rest = chunks.remainder();
+    for w in chunks {
+        c[0] += w[0].count_ones() as usize;
+        c[1] += w[1].count_ones() as usize;
+        c[2] += w[2].count_ones() as usize;
+        c[3] += w[3].count_ones() as usize;
+    }
+    for &w in rest {
+        c[0] += w.count_ones() as usize;
+    }
+    c[0] + c[1] + c[2] + c[3]
+}
 
-/// The plain iterator loops `BitSet` used before the kernel module existed.
-///
-/// These are the bit-for-bit oracle for the differential proptest suite and
-/// the committed `baseline` column of `BENCH_kernels.json`. They must stay
-/// boring: one pass per logical operation, no unrolling, no early exits.
-pub mod reference {
-    /// `popcount(a)`.
+/// Defines a count kernel from one body, instantiated portably and — on
+/// x86_64 — under `#[target_feature(enable = "popcnt")]`, picked at
+/// runtime via [`has_popcnt`]. `#[inline(always)]` helpers called from
+/// the body (e.g. [`popcount_chains`]) inline into both instantiations
+/// and inherit the target feature.
+macro_rules! popcnt_kernel {
+    (
+        $(#[$meta:meta])*
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> usize
+        $body:block
+    ) => {
+        $(#[$meta])*
+        pub fn $name($($arg: $ty),*) -> usize {
+            #[inline(always)]
+            fn portable($($arg: $ty),*) -> usize $body
+
+            #[cfg(target_arch = "x86_64")]
+            {
+                /// The body compiled for POPCNT; call it only after
+                /// `has_popcnt` returned true.
+                #[target_feature(enable = "popcnt")]
+                fn hardware($($arg: $ty),*) -> usize $body
+
+                if has_popcnt() {
+                    // SAFETY: `has_popcnt` verified the CPU feature.
+                    return unsafe { hardware($($arg),*) };
+                }
+            }
+            portable($($arg),*)
+        }
+    };
+}
+
+popcnt_kernel! {
+    /// `popcount(a)`: number of set bits.
     pub fn popcount(a: &[u64]) -> usize {
-        a.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `popcount(a & b)`.
-    pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x & y).count_ones() as usize)
-            .sum()
-    }
-
-    /// `popcount(a & !b)`.
-    pub fn andnot_popcount(a: &[u64], b: &[u64]) -> usize {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x & !y).count_ones() as usize)
-            .sum()
-    }
-
-    /// `a &= b` then a separate `popcount(a)` pass (the unfused idiom).
-    pub fn and_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            *x &= *y;
-        }
-        popcount(a)
-    }
-
-    /// `a |= b` then a separate `popcount(a)` pass.
-    pub fn or_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            *x |= *y;
-        }
-        popcount(a)
-    }
-
-    /// `a &= !b` then a separate `popcount(a)` pass.
-    pub fn andnot_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            *x &= !*y;
-        }
-        popcount(a)
-    }
-
-    /// First set bit of `a & b`, scanning every word (no prefix pruning).
-    pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
-        let mut found = None;
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & y;
-            if w != 0 && found.is_none() {
-                found = Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        found
-    }
-
-    /// Last set bit of `a & b`, scanning forward and remembering the last.
-    pub fn last_and(a: &[u64], b: &[u64]) -> Option<usize> {
-        let mut found = None;
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & y;
-            if w != 0 {
-                found = Some(i * 64 + 63 - w.leading_zeros() as usize);
-            }
-        }
-        found
-    }
-
-    /// First set bit of `a & !b`, scanning every word.
-    pub fn first_andnot(a: &[u64], b: &[u64]) -> Option<usize> {
-        let mut found = None;
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & !y;
-            if w != 0 && found.is_none() {
-                found = Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        found
-    }
-
-    /// One full AND pass per row into `acc`, then a separate popcount pass.
-    pub fn multi_and_popcount(acc: &mut [u64], rows: &[&[u64]]) -> usize {
-        for row in rows {
-            for (x, y) in acc.iter_mut().zip(row.iter()) {
-                *x &= *y;
-            }
-        }
-        popcount(acc)
+        popcount_chains(a)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Blocked backend: unrolled u64 blocks + runtime hardware-POPCNT paths.
-// ---------------------------------------------------------------------------
-
-mod blocked {
-    //! Explicit unrolled u64-block kernels.
-    //!
-    //! Every count kernel is written once as an `#[inline(always)]` body
-    //! using four independent accumulator chains over `chunks_exact(4)` —
-    //! enough instruction-level parallelism to keep the popcount unit busy.
-    //! On x86_64 the [`popcnt_kernel!`] macro instantiates each body twice:
-    //! portably (LLVM autovectorises the chains into SWAR popcounts, like
-    //! the reference loops) and under `#[target_feature(enable = "popcnt")]`,
-    //! where every `count_ones()` lowers to the single-cycle hardware
-    //! `popcnt` instruction. Which instantiation runs is decided once per
-    //! process by `is_x86_feature_detected!("popcnt")` — scalar dispatch, so
-    //! it needs no `simd` cargo feature.
-
-    /// True when the CPU offers hardware POPCNT (cached after first query).
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    fn has_popcnt() -> bool {
-        use std::sync::OnceLock;
-        static HAS: OnceLock<bool> = OnceLock::new();
-        *HAS.get_or_init(|| std::arch::is_x86_feature_detected!("popcnt"))
-    }
-
-    /// Four-chain unrolled popcount over `words` — the shared count tail
-    /// every blocked kernel reduces through.
-    #[inline(always)]
-    fn popcount_chains(words: &[u64]) -> usize {
+popcnt_kernel! {
+    /// Fused `popcount(a & b)` — `intersection_len` without materialising.
+    pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
+        debug_assert_eq!(a.len(), b.len());
         let mut c = [0usize; 4];
-        let chunks = words.chunks_exact(4);
-        let rest = chunks.remainder();
-        for w in chunks {
-            c[0] += w[0].count_ones() as usize;
-            c[1] += w[1].count_ones() as usize;
-            c[2] += w[2].count_ones() as usize;
-            c[3] += w[3].count_ones() as usize;
+        let ca = a.chunks_exact(4);
+        let cb = b.chunks_exact(4);
+        let (ra, rb) = (ca.remainder(), cb.remainder());
+        for (x, y) in ca.zip(cb) {
+            c[0] += (x[0] & y[0]).count_ones() as usize;
+            c[1] += (x[1] & y[1]).count_ones() as usize;
+            c[2] += (x[2] & y[2]).count_ones() as usize;
+            c[3] += (x[3] & y[3]).count_ones() as usize;
         }
-        for &w in rest {
-            c[0] += w.count_ones() as usize;
+        for (x, y) in ra.iter().zip(rb) {
+            c[0] += (x & y).count_ones() as usize;
         }
         c[0] + c[1] + c[2] + c[3]
     }
+}
 
-    /// Defines a count kernel from one body, instantiated portably and — on
-    /// x86_64 — under `#[target_feature(enable = "popcnt")]`, picked at
-    /// runtime via [`has_popcnt`]. `#[inline(always)]` helpers called from
-    /// the body (e.g. [`popcount_chains`]) inline into both instantiations
-    /// and inherit the target feature.
-    macro_rules! popcnt_kernel {
-        (
-            $(#[$meta:meta])*
-            pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> usize
-            $body:block
-        ) => {
-            $(#[$meta])*
-            pub fn $name($($arg: $ty),*) -> usize {
-                #[inline(always)]
-                fn portable($($arg: $ty),*) -> usize $body
-
-                #[cfg(target_arch = "x86_64")]
-                {
-                    /// # Safety
-                    /// The CPU must support POPCNT.
-                    #[target_feature(enable = "popcnt")]
-                    unsafe fn hardware($($arg: $ty),*) -> usize $body
-
-                    if has_popcnt() {
-                        // SAFETY: `has_popcnt` verified the CPU feature.
-                        return unsafe { hardware($($arg),*) };
-                    }
-                }
-                portable($($arg),*)
-            }
-        };
-    }
-
-    popcnt_kernel! {
-        /// Popcount of `a` (four-chain unrolled).
-        pub fn popcount(a: &[u64]) -> usize {
-            popcount_chains(a)
-        }
-    }
-
-    popcnt_kernel! {
-        /// Fused `|a & b|`: one pass, no materialised intersection.
-        pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-            debug_assert_eq!(a.len(), b.len());
-            let mut c = [0usize; 4];
-            let ca = a.chunks_exact(4);
-            let cb = b.chunks_exact(4);
-            let (ra, rb) = (ca.remainder(), cb.remainder());
-            for (x, y) in ca.zip(cb) {
-                c[0] += (x[0] & y[0]).count_ones() as usize;
-                c[1] += (x[1] & y[1]).count_ones() as usize;
-                c[2] += (x[2] & y[2]).count_ones() as usize;
-                c[3] += (x[3] & y[3]).count_ones() as usize;
-            }
-            for (x, y) in ra.iter().zip(rb) {
-                c[0] += (x & y).count_ones() as usize;
-            }
-            c[0] + c[1] + c[2] + c[3]
-        }
-    }
-
-    popcnt_kernel! {
-        /// Fused `|a \ b|`: one pass, no materialised difference.
-        pub fn andnot_popcount(a: &[u64], b: &[u64]) -> usize {
-            debug_assert_eq!(a.len(), b.len());
-            let mut c = [0usize; 4];
-            let ca = a.chunks_exact(4);
-            let cb = b.chunks_exact(4);
-            let (ra, rb) = (ca.remainder(), cb.remainder());
-            for (x, y) in ca.zip(cb) {
-                c[0] += (x[0] & !y[0]).count_ones() as usize;
-                c[1] += (x[1] & !y[1]).count_ones() as usize;
-                c[2] += (x[2] & !y[2]).count_ones() as usize;
-                c[3] += (x[3] & !y[3]).count_ones() as usize;
-            }
-            for (x, y) in ra.iter().zip(rb) {
-                c[0] += (x & !y).count_ones() as usize;
-            }
-            c[0] + c[1] + c[2] + c[3]
-        }
-    }
-
-    popcnt_kernel! {
-        /// Fused `a &= b` + count: one pass, four accumulator chains.
-        pub fn and_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-            debug_assert_eq!(a.len(), b.len());
-            let n = a.len();
-            let (mut s0, mut s1, mut s2, mut s3) = (0usize, 0usize, 0usize, 0usize);
-            let mut i = 0usize;
-            while i + 4 <= n {
-                let w0 = a[i] & b[i];
-                let w1 = a[i + 1] & b[i + 1];
-                let w2 = a[i + 2] & b[i + 2];
-                let w3 = a[i + 3] & b[i + 3];
-                a[i] = w0;
-                a[i + 1] = w1;
-                a[i + 2] = w2;
-                a[i + 3] = w3;
-                s0 += w0.count_ones() as usize;
-                s1 += w1.count_ones() as usize;
-                s2 += w2.count_ones() as usize;
-                s3 += w3.count_ones() as usize;
-                i += 4;
-            }
-            while i < n {
-                let w = a[i] & b[i];
-                a[i] = w;
-                s0 += w.count_ones() as usize;
-                i += 1;
-            }
-            s0 + s1 + s2 + s3
-        }
-    }
-
-    popcnt_kernel! {
-        /// Fused `a |= b` + count in one pass.
-        pub fn or_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-            debug_assert_eq!(a.len(), b.len());
-            let mut count = 0usize;
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                let w = *x | *y;
-                *x = w;
-                count += w.count_ones() as usize;
-            }
-            count
-        }
-    }
-
-    popcnt_kernel! {
-        /// Fused `a &= !b` + count in one pass.
-        pub fn andnot_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-            debug_assert_eq!(a.len(), b.len());
-            let mut count = 0usize;
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                let w = *x & !*y;
-                *x = w;
-                count += w.count_ones() as usize;
-            }
-            count
-        }
-    }
-
-    /// First survivor of `a & b`, prefix-pruned (stops at the first hit).
-    pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
+popcnt_kernel! {
+    /// Fused `popcount(a & !b)` — `difference_len` without materialising.
+    pub fn andnot_popcount(a: &[u64], b: &[u64]) -> usize {
         debug_assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & y;
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
+        let mut c = [0usize; 4];
+        let ca = a.chunks_exact(4);
+        let cb = b.chunks_exact(4);
+        let (ra, rb) = (ca.remainder(), cb.remainder());
+        for (x, y) in ca.zip(cb) {
+            c[0] += (x[0] & !y[0]).count_ones() as usize;
+            c[1] += (x[1] & !y[1]).count_ones() as usize;
+            c[2] += (x[2] & !y[2]).count_ones() as usize;
+            c[3] += (x[3] & !y[3]).count_ones() as usize;
         }
-        None
-    }
-
-    /// Last survivor of `a & b`, suffix-pruned (scans backwards).
-    pub fn last_and(a: &[u64], b: &[u64]) -> Option<usize> {
-        debug_assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate().rev() {
-            let w = x & y;
-            if w != 0 {
-                return Some(i * 64 + 63 - w.leading_zeros() as usize);
-            }
+        for (x, y) in ra.iter().zip(rb) {
+            c[0] += (x & !y).count_ones() as usize;
         }
-        None
-    }
-
-    /// First survivor of `a & !b`, prefix-pruned.
-    pub fn first_andnot(a: &[u64], b: &[u64]) -> Option<usize> {
-        debug_assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & !y;
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Cache-block size for the batched multi-row AND: 128 words = 1 KiB, so
-    /// the accumulator chunk stays L1-resident while every row streams by.
-    pub(super) const MULTI_AND_CHUNK: usize = 128;
-
-    popcnt_kernel! {
-        /// Batched multi-row AND + count: `acc &= rows[0] & rows[1] & ...`.
-        ///
-        /// Processed chunk-by-chunk across all rows (cache-blocked) with the
-        /// final popcount fused into the last touch of each chunk.
-        pub fn multi_and_popcount(acc: &mut [u64], rows: &[&[u64]]) -> usize {
-            let n = acc.len();
-            let mut total = 0usize;
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + MULTI_AND_CHUNK).min(n);
-                for row in rows {
-                    debug_assert_eq!(row.len(), n);
-                    let chunk = &mut acc[start..end];
-                    for (x, y) in chunk.iter_mut().zip(row[start..end].iter()) {
-                        *x &= *y;
-                    }
-                }
-                total += popcount_chains(&acc[start..end]);
-                start = end;
-            }
-            total
-        }
+        c[0] + c[1] + c[2] + c[3]
     }
 }
 
-// ---------------------------------------------------------------------------
-// SIMD backends (simd feature, x86_64): SSE2 / AVX2 SWAR popcount.
-// ---------------------------------------------------------------------------
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    //! `std::arch` wide kernels. Popcount uses the SWAR ladder
-    //! (`x - ((x>>1) & 0x55…)`, nibble merge, byte merge) followed by
-    //! `psadbw` against zero, which horizontally sums the byte counts into
-    //! one value per 64-bit lane — the classic vector popcount that needs
-    //! nothing newer than SSE2 / AVX2.
-
-    use std::arch::x86_64::*;
-
-    /// Per-64-bit-lane popcount of a 128-bit vector.
-    ///
-    /// # Safety
-    /// Requires SSE2 (baseline on x86_64).
-    #[inline]
-    unsafe fn popcnt_epi64_sse2(v: __m128i) -> __m128i {
-        let m1 = _mm_set1_epi64x(0x5555_5555_5555_5555);
-        let m2 = _mm_set1_epi64x(0x3333_3333_3333_3333);
-        let m4 = _mm_set1_epi64x(0x0f0f_0f0f_0f0f_0f0f);
-        let v = _mm_sub_epi64(v, _mm_and_si128(_mm_srli_epi64(v, 1), m1));
-        let v = _mm_add_epi64(
-            _mm_and_si128(v, m2),
-            _mm_and_si128(_mm_srli_epi64(v, 2), m2),
-        );
-        let v = _mm_and_si128(_mm_add_epi64(v, _mm_srli_epi64(v, 4)), m4);
-        _mm_sad_epu8(v, _mm_setzero_si128())
-    }
-
-    /// Per-64-bit-lane popcount of a 256-bit vector.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn popcnt_epi64_avx2(v: __m256i) -> __m256i {
-        let m1 = _mm256_set1_epi64x(0x5555_5555_5555_5555);
-        let m2 = _mm256_set1_epi64x(0x3333_3333_3333_3333);
-        let m4 = _mm256_set1_epi64x(0x0f0f_0f0f_0f0f_0f0f);
-        let v = _mm256_sub_epi64(v, _mm256_and_si256(_mm256_srli_epi64(v, 1), m1));
-        let v = _mm256_add_epi64(
-            _mm256_and_si256(v, m2),
-            _mm256_and_si256(_mm256_srli_epi64(v, 2), m2),
-        );
-        let v = _mm256_and_si256(_mm256_add_epi64(v, _mm256_srli_epi64(v, 4)), m4);
-        _mm256_sad_epu8(v, _mm256_setzero_si256())
-    }
-
-    /// Horizontal sum of the four u64 lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi64_avx2(v: __m256i) -> u64 {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256(v, 1);
-        let s = _mm_add_epi64(lo, hi);
-        (_mm_cvtsi128_si64(s) as u64)
-            .wrapping_add(_mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)) as u64)
-    }
-
-    /// `popcount(a & b)` over 128-bit lanes.
-    ///
-    /// # Safety
-    /// Requires SSE2 (baseline on x86_64); slices must be equal length.
-    pub unsafe fn and_popcount_sse2(a: &[u64], b: &[u64]) -> usize {
+popcnt_kernel! {
+    /// Fused in-place `a &= b` returning the new popcount in the same pass
+    /// (four accumulator chains).
+    pub fn and_assign_count(a: &mut [u64], b: &[u64]) -> usize {
         debug_assert_eq!(a.len(), b.len());
         let n = a.len();
-        let mut acc = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-            let vb = _mm_loadu_si128(b.as_ptr().add(i).cast());
-            acc = _mm_add_epi64(acc, popcnt_epi64_sse2(_mm_and_si128(va, vb)));
-            i += 2;
-        }
-        let mut total = hsum_epi64_sse2(acc);
-        if i < n {
-            total += (a[i] & b[i]).count_ones() as usize;
-        }
-        total
-    }
-
-    /// Horizontal sum of the two u64 lanes.
-    ///
-    /// # Safety
-    /// Requires SSE2.
-    #[inline]
-    unsafe fn hsum_epi64_sse2(v: __m128i) -> usize {
-        ((_mm_cvtsi128_si64(v) as u64)
-            .wrapping_add(_mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64)) as usize
-    }
-
-    /// `popcount(a & !b)` over 128-bit lanes.
-    ///
-    /// # Safety
-    /// Requires SSE2; slices must be equal length.
-    pub unsafe fn andnot_popcount_sse2(a: &[u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-            let vb = _mm_loadu_si128(b.as_ptr().add(i).cast());
-            // andnot(b, a) = !b & a.
-            acc = _mm_add_epi64(acc, popcnt_epi64_sse2(_mm_andnot_si128(vb, va)));
-            i += 2;
-        }
-        let mut total = hsum_epi64_sse2(acc);
-        if i < n {
-            total += (a[i] & !b[i]).count_ones() as usize;
-        }
-        total
-    }
-
-    /// `popcount(a)` over 128-bit lanes.
-    ///
-    /// # Safety
-    /// Requires SSE2.
-    pub unsafe fn popcount_sse2(a: &[u64]) -> usize {
-        let n = a.len();
-        let mut acc = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-            acc = _mm_add_epi64(acc, popcnt_epi64_sse2(va));
-            i += 2;
-        }
-        let mut total = hsum_epi64_sse2(acc);
-        if i < n {
-            total += a[i].count_ones() as usize;
-        }
-        total
-    }
-
-    /// Fused `a &= b` + count over 128-bit lanes.
-    ///
-    /// # Safety
-    /// Requires SSE2; slices must be equal length.
-    pub unsafe fn and_assign_count_sse2(a: &mut [u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-            let vb = _mm_loadu_si128(b.as_ptr().add(i).cast());
-            let w = _mm_and_si128(va, vb);
-            _mm_storeu_si128(a.as_mut_ptr().add(i).cast(), w);
-            acc = _mm_add_epi64(acc, popcnt_epi64_sse2(w));
-            i += 2;
-        }
-        let mut total = hsum_epi64_sse2(acc);
-        if i < n {
-            let w = a[i] & b[i];
-            a[i] = w;
-            total += w.count_ones() as usize;
-        }
-        total
-    }
-
-    /// `popcount(a & b)` over 256-bit lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2; slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_popcount_avx2(a: &[u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
+        let (mut s0, mut s1, mut s2, mut s3) = (0usize, 0usize, 0usize, 0usize);
         let mut i = 0usize;
         while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            acc = _mm256_add_epi64(acc, popcnt_epi64_avx2(_mm256_and_si256(va, vb)));
+            let w0 = a[i] & b[i];
+            let w1 = a[i + 1] & b[i + 1];
+            let w2 = a[i + 2] & b[i + 2];
+            let w3 = a[i + 3] & b[i + 3];
+            a[i] = w0;
+            a[i + 1] = w1;
+            a[i + 2] = w2;
+            a[i + 3] = w3;
+            s0 += w0.count_ones() as usize;
+            s1 += w1.count_ones() as usize;
+            s2 += w2.count_ones() as usize;
+            s3 += w3.count_ones() as usize;
             i += 4;
         }
-        let mut total = hsum_epi64_avx2(acc) as usize;
-        while i < n {
-            total += (a[i] & b[i]).count_ones() as usize;
-            i += 1;
-        }
-        total
-    }
-
-    /// `popcount(a & !b)` over 256-bit lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2; slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn andnot_popcount_avx2(a: &[u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            acc = _mm256_add_epi64(acc, popcnt_epi64_avx2(_mm256_andnot_si256(vb, va)));
-            i += 4;
-        }
-        let mut total = hsum_epi64_avx2(acc) as usize;
-        while i < n {
-            total += (a[i] & !b[i]).count_ones() as usize;
-            i += 1;
-        }
-        total
-    }
-
-    /// `popcount(a)` over 256-bit lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn popcount_avx2(a: &[u64]) -> usize {
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            acc = _mm256_add_epi64(acc, popcnt_epi64_avx2(va));
-            i += 4;
-        }
-        let mut total = hsum_epi64_avx2(acc) as usize;
-        while i < n {
-            total += a[i].count_ones() as usize;
-            i += 1;
-        }
-        total
-    }
-
-    /// Fused `a &= b` + count over 256-bit lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2; slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_assign_count_avx2(a: &mut [u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            let w = _mm256_and_si256(va, vb);
-            _mm256_storeu_si256(a.as_mut_ptr().add(i).cast(), w);
-            acc = _mm256_add_epi64(acc, popcnt_epi64_avx2(w));
-            i += 4;
-        }
-        let mut total = hsum_epi64_avx2(acc) as usize;
         while i < n {
             let w = a[i] & b[i];
             a[i] = w;
-            total += w.count_ones() as usize;
+            s0 += w.count_ones() as usize;
             i += 1;
         }
-        total
+        s0 + s1 + s2 + s3
     }
+}
 
-    /// First survivor of `a & b`: 4-word `vptest` blocks, then a scalar
-    /// refine inside the first non-empty block.
-    ///
-    /// # Safety
-    /// Requires AVX2; slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn first_and_avx2(a: &[u64], b: &[u64]) -> Option<usize> {
+popcnt_kernel! {
+    /// Fused in-place `a |= b` returning the new popcount in the same pass.
+    pub fn or_assign_count(a: &mut [u64], b: &[u64]) -> usize {
         debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            if _mm256_testz_si256(va, vb) == 0 {
-                for j in i..i + 4 {
-                    let w = a[j] & b[j];
-                    if w != 0 {
-                        return Some(j * 64 + w.trailing_zeros() as usize);
-                    }
-                }
-            }
-            i += 4;
+        let mut count = 0usize;
+        for (x, y) in a.iter_mut().zip(b.iter()) {
+            let w = *x | *y;
+            *x = w;
+            count += w.count_ones() as usize;
         }
-        while i < n {
-            let w = a[i] & b[i];
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-            i += 1;
-        }
-        None
+        count
     }
+}
 
-    /// Last survivor of `a & b`: backwards 4-word `vptest` blocks.
-    ///
-    /// # Safety
-    /// Requires AVX2; slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn last_and_avx2(a: &[u64], b: &[u64]) -> Option<usize> {
+popcnt_kernel! {
+    /// Fused in-place `a &= !b` returning the new popcount in the same pass.
+    pub fn andnot_assign_count(a: &mut [u64], b: &[u64]) -> usize {
         debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut i = n;
-        while !i.is_multiple_of(4) {
-            i -= 1;
-            let w = a[i] & b[i];
-            if w != 0 {
-                return Some(i * 64 + 63 - w.leading_zeros() as usize);
-            }
+        let mut count = 0usize;
+        for (x, y) in a.iter_mut().zip(b.iter()) {
+            let w = *x & !*y;
+            *x = w;
+            count += w.count_ones() as usize;
         }
-        while i >= 4 {
-            i -= 4;
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            if _mm256_testz_si256(va, vb) == 0 {
-                for j in (i..i + 4).rev() {
-                    let w = a[j] & b[j];
-                    if w != 0 {
-                        return Some(j * 64 + 63 - w.leading_zeros() as usize);
-                    }
-                }
-            }
-        }
-        None
+        count
     }
+}
 
-    /// Cache-blocked batched multi-row AND + fused count, 256-bit inner loop.
-    ///
-    /// # Safety
-    /// Requires AVX2; all rows must match `acc` in length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn multi_and_popcount_avx2(acc: &mut [u64], rows: &[&[u64]]) -> usize {
+/// First survivor of `a & b` (prefix-pruned: stops at the first hit).
+pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
+    debug_assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+        let w = x & y;
+        if w != 0 {
+            return Some(i * 64 + w.trailing_zeros() as usize);
+        }
+    }
+    None
+}
+
+/// Last survivor of `a & b` (suffix-pruned: scans backwards).
+pub fn last_and(a: &[u64], b: &[u64]) -> Option<usize> {
+    debug_assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate().rev() {
+        let w = x & y;
+        if w != 0 {
+            return Some(i * 64 + 63 - w.leading_zeros() as usize);
+        }
+    }
+    None
+}
+
+/// First survivor of `a & !b` (prefix-pruned).
+pub fn first_andnot(a: &[u64], b: &[u64]) -> Option<usize> {
+    debug_assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+        let w = x & !y;
+        if w != 0 {
+            return Some(i * 64 + w.trailing_zeros() as usize);
+        }
+    }
+    None
+}
+
+/// Cache-block size for the batched multi-row AND: 128 words = 1 KiB, so
+/// the accumulator chunk stays L1-resident while every row streams by.
+const MULTI_AND_CHUNK: usize = 128;
+
+popcnt_kernel! {
+    /// Batched multi-row AND + fused count: `acc &= r` for every row `r`,
+    /// returning the final popcount. Cache-blocked so the accumulator chunk
+    /// stays L1-resident while every row streams through it, with the
+    /// popcount fused into the last touch of each chunk.
+    pub fn multi_and_popcount(acc: &mut [u64], rows: &[&[u64]]) -> usize {
         let n = acc.len();
         let mut total = 0usize;
         let mut start = 0usize;
         while start < n {
-            let end = (start + super::blocked::MULTI_AND_CHUNK).min(n);
+            let end = (start + MULTI_AND_CHUNK).min(n);
             for row in rows {
                 debug_assert_eq!(row.len(), n);
-                let mut i = start;
-                while i + 4 <= end {
-                    let va = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-                    let vb = _mm256_loadu_si256(row.as_ptr().add(i).cast());
-                    _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), _mm256_and_si256(va, vb));
-                    i += 4;
-                }
-                while i < end {
-                    acc[i] &= row[i];
-                    i += 1;
+                let chunk = &mut acc[start..end];
+                for (x, y) in chunk.iter_mut().zip(row[start..end].iter()) {
+                    *x &= *y;
                 }
             }
-            total += popcount_avx2(&acc[start..end]);
+            total += popcount_chains(&acc[start..end]);
             start = end;
         }
         total
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dispatched entry points.
-// ---------------------------------------------------------------------------
-
-/// Dispatches one kernel call to the active backend.
-///
-/// With the `simd` feature off this collapses to `Reference`-vs-`Blocked`
-/// (the atomic load stays so tests and benchmarks can pin the baseline).
-macro_rules! dispatch {
-    ($ref_expr:expr, $blk_expr:expr, $sse2_expr:expr, $avx2_expr:expr $(,)?) => {{
-        match active_backend() {
-            Backend::Reference => $ref_expr,
-            Backend::Blocked => $blk_expr,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Sse2 => $sse2_expr,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Avx2 => $avx2_expr,
-            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-            Backend::Sse2 | Backend::Avx2 => $blk_expr,
-        }
-    }};
-}
-
-/// `popcount(a)`: number of set bits.
-#[inline]
-pub fn popcount(a: &[u64]) -> usize {
-    dispatch!(
-        reference::popcount(a),
-        blocked::popcount(a),
-        // SAFETY: Sse2 is only selectable on x86_64 (SSE2 is baseline).
-        unsafe { x86::popcount_sse2(a) },
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::popcount_avx2(a) },
-    )
-}
-
-/// Fused `popcount(a & b)` — `intersection_len` without materialising.
-#[inline]
-pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-    dispatch!(
-        reference::and_popcount(a, b),
-        blocked::and_popcount(a, b),
-        // SAFETY: Sse2 is only selectable on x86_64 (SSE2 is baseline).
-        unsafe { x86::and_popcount_sse2(a, b) },
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::and_popcount_avx2(a, b) },
-    )
-}
-
-/// Fused `popcount(a & !b)` — `difference_len` without materialising.
-#[inline]
-pub fn andnot_popcount(a: &[u64], b: &[u64]) -> usize {
-    dispatch!(
-        reference::andnot_popcount(a, b),
-        blocked::andnot_popcount(a, b),
-        // SAFETY: Sse2 is only selectable on x86_64 (SSE2 is baseline).
-        unsafe { x86::andnot_popcount_sse2(a, b) },
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::andnot_popcount_avx2(a, b) },
-    )
-}
-
-/// Fused in-place `a &= b` returning the new popcount in the same pass.
-#[inline]
-pub fn and_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-    dispatch!(
-        reference::and_assign_count(a, b),
-        blocked::and_assign_count(a, b),
-        // SAFETY: Sse2 is only selectable on x86_64 (SSE2 is baseline).
-        unsafe { x86::and_assign_count_sse2(a, b) },
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::and_assign_count_avx2(a, b) },
-    )
-}
-
-/// Fused in-place `a |= b` returning the new popcount in the same pass.
-#[inline]
-pub fn or_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-    match active_backend() {
-        Backend::Reference => reference::or_assign_count(a, b),
-        _ => blocked::or_assign_count(a, b),
-    }
-}
-
-/// Fused in-place `a &= !b` returning the new popcount in the same pass.
-#[inline]
-pub fn andnot_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-    match active_backend() {
-        Backend::Reference => reference::andnot_assign_count(a, b),
-        _ => blocked::andnot_assign_count(a, b),
-    }
-}
-
-/// First survivor of `a & b` (prefix-pruned: stops at the first hit).
-#[inline]
-pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
-    dispatch!(
-        reference::first_and(a, b),
-        blocked::first_and(a, b),
-        blocked::first_and(a, b),
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::first_and_avx2(a, b) },
-    )
-}
-
-/// Last survivor of `a & b` (suffix-pruned: scans backwards).
-#[inline]
-pub fn last_and(a: &[u64], b: &[u64]) -> Option<usize> {
-    dispatch!(
-        reference::last_and(a, b),
-        blocked::last_and(a, b),
-        blocked::last_and(a, b),
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::last_and_avx2(a, b) },
-    )
-}
-
-/// First survivor of `a & !b` (prefix-pruned).
-#[inline]
-pub fn first_andnot(a: &[u64], b: &[u64]) -> Option<usize> {
-    match active_backend() {
-        Backend::Reference => reference::first_andnot(a, b),
-        _ => blocked::first_andnot(a, b),
-    }
-}
-
-/// Batched multi-row AND + fused count: `acc &= r` for every row `r`,
-/// returning the final popcount. Cache-blocked so the accumulator chunk
-/// stays L1-resident while every row streams through it.
-#[inline]
-pub fn multi_and_popcount(acc: &mut [u64], rows: &[&[u64]]) -> usize {
-    dispatch!(
-        reference::multi_and_popcount(acc, rows),
-        blocked::multi_and_popcount(acc, rows),
-        blocked::multi_and_popcount(acc, rows),
-        // SAFETY: Avx2 is only selectable after is_x86_feature_detected!.
-        unsafe { x86::multi_and_popcount_avx2(acc, rows) },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn words(seed: u64, n: usize) -> Vec<u64> {
-        // Deterministic xorshift fill; no tail masking — kernels are pure
-        // word-level and must agree on arbitrary word patterns.
-        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn all_backends_agree_on_counts() {
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 129] {
-            let a = words(n as u64 + 1, n);
-            let b = words(n as u64 + 1000, n);
-            let expect_and = reference::and_popcount(&a, &b);
-            let expect_andnot = reference::andnot_popcount(&a, &b);
-            let expect_pop = reference::popcount(&a);
-            for backend in available_backends() {
-                assert!(force_backend(Some(backend)));
-                assert_eq!(and_popcount(&a, &b), expect_and, "{backend:?} n={n}");
-                assert_eq!(andnot_popcount(&a, &b), expect_andnot, "{backend:?} n={n}");
-                assert_eq!(popcount(&a), expect_pop, "{backend:?} n={n}");
-                let mut aa = a.clone();
-                assert_eq!(and_assign_count(&mut aa, &b), expect_and, "{backend:?}");
-                assert_eq!(reference::popcount(&aa), expect_and);
-            }
-            force_backend(None);
-        }
-    }
-
-    #[test]
-    fn all_backends_agree_on_scans() {
-        for n in [0usize, 1, 3, 4, 5, 16, 63, 130] {
-            let a = words(n as u64 + 7, n);
-            let mut b = words(n as u64 + 77, n);
-            // Sparsify b so scans have interesting gaps.
-            for (i, w) in b.iter_mut().enumerate() {
-                if i % 3 != 0 {
-                    *w = 0;
-                }
-            }
-            let expect_first = reference::first_and(&a, &b);
-            let expect_last = reference::last_and(&a, &b);
-            for backend in available_backends() {
-                assert!(force_backend(Some(backend)));
-                assert_eq!(first_and(&a, &b), expect_first, "{backend:?} n={n}");
-                assert_eq!(last_and(&a, &b), expect_last, "{backend:?} n={n}");
-            }
-            force_backend(None);
-        }
-    }
-
-    #[test]
-    fn multi_and_matches_sequential() {
-        let n = 200usize;
-        let rows: Vec<Vec<u64>> = (0..5).map(|r| words(r + 3, n)).collect();
-        let row_refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let base = words(999, n);
-        let mut expect_acc = base.clone();
-        let expect = reference::multi_and_popcount(&mut expect_acc, &row_refs);
-        for backend in available_backends() {
-            assert!(force_backend(Some(backend)));
-            let mut acc = base.clone();
-            assert_eq!(
-                multi_and_popcount(&mut acc, &row_refs),
-                expect,
-                "{backend:?}"
-            );
-            assert_eq!(acc, expect_acc, "{backend:?}");
-        }
-        force_backend(None);
-    }
-
-    #[test]
-    fn force_backend_rejects_unavailable() {
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        {
-            assert!(!force_backend(Some(Backend::Avx2)));
-            assert!(!force_backend(Some(Backend::Sse2)));
-        }
-        assert!(force_backend(Some(Backend::Blocked)));
-        assert_eq!(active_backend(), Backend::Blocked);
-        assert!(force_backend(None));
-    }
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(Backend::Reference.name(), "reference");
-        assert_eq!(Backend::Blocked.name(), "blocked");
-        assert_eq!(Backend::Sse2.name(), "sse2");
-        assert_eq!(Backend::Avx2.name(), "avx2");
-    }
 
     #[test]
     fn blocked_counts_handle_saturated_and_empty_words() {
         for n in [0usize, 15, 16, 17, 48, 100] {
             let full = vec![u64::MAX; n];
             let empty = vec![0u64; n];
-            assert_eq!(blocked::popcount(&full), n * 64);
-            assert_eq!(blocked::popcount(&empty), 0);
-            assert_eq!(blocked::and_popcount(&full, &empty), 0);
-            assert_eq!(blocked::andnot_popcount(&full, &empty), n * 64);
+            assert_eq!(popcount(&full), n * 64);
+            assert_eq!(popcount(&empty), 0);
+            assert_eq!(and_popcount(&full, &empty), 0);
+            assert_eq!(andnot_popcount(&full, &empty), n * 64);
         }
     }
 }

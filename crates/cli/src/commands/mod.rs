@@ -6,7 +6,6 @@
 //! interface).
 
 pub mod anchored;
-pub mod bench_kernels;
 pub mod bench_obs;
 pub mod enumerate;
 pub mod frontier;
@@ -45,7 +44,6 @@ commands:
   serve-batch  run a JSONL query batch over sharded engine sessions
   serve      resident JSONL stream service with admission control
   trace      replay a request file with spans on, print per-stage times
-  bench-kernels  time the bitset kernels per backend, write BENCH_kernels.json
   bench-obs  measure span-instrumentation overhead, write BENCH_obs.json
 
 Graph inputs accept an edge list or a .mbbg binary cache; a fresh cache
@@ -117,12 +115,6 @@ pub fn dispatch(command: &str, args: &[String]) -> Result<String, String> {
             }
             trace::run(&trace::TraceOptions::parse(args)?)
         }
-        "bench-kernels" => {
-            if wants_help {
-                return Ok(format!("{}\n", bench_kernels::USAGE));
-            }
-            bench_kernels::run(&bench_kernels::BenchKernelsOptions::parse(args)?)
-        }
         "bench-obs" => {
             if wants_help {
                 return Ok(format!("{}\n", bench_obs::USAGE));
@@ -148,7 +140,6 @@ pub fn is_command(name: &str) -> bool {
             | "serve-batch"
             | "serve"
             | "trace"
-            | "bench-kernels"
             | "bench-obs"
     )
 }
@@ -183,7 +174,6 @@ mod tests {
             "serve-batch",
             "serve",
             "trace",
-            "bench-kernels",
             "bench-obs",
         ] {
             let text = dispatch(cmd, &["--help".to_string()]).unwrap();

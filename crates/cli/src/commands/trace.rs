@@ -167,9 +167,6 @@ mod tests {
         assert!(parse("--shard g=x.txt --requests q.jsonl --listen :0").is_err());
     }
 
-    // Under obs-off the span layer compiles to no-ops, so there is no
-    // timeline to trace — the command still runs, but prints 0 spans.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn traces_a_request_file_end_to_end() {
         let dir = std::env::temp_dir().join("mbb-trace-cli-test");

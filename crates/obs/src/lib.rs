@@ -20,10 +20,9 @@
 //!   `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) or
 //!   aggregate into a per-stage table.
 //!
-//! Instrumentation is compile-out-able: with the `obs-off` cargo
-//! feature the span facade is a no-op (no clock reads, no ring
-//! traffic); without it, recording still costs only one relaxed atomic
-//! load until [`enable`] is called at runtime.
+//! Instrumentation is switched at runtime: until [`enable`] is called,
+//! each span site costs one relaxed atomic load, with no clock reads and
+//! no ring traffic.
 //!
 //! ```
 //! use mbb_obs::{Stage, enable, drain, span};
@@ -36,7 +35,6 @@
 //! }
 //! let mut stages = Vec::new();
 //! drain(|record| stages.push(record.stage));
-//! # #[cfg(not(feature = "obs-off"))]
 //! assert!(stages.contains(&(Stage::Execute as u16)));
 //! ```
 

@@ -6,28 +6,20 @@
 //! [`record`]/[`record_for`] entry points take *zero* clock reads: they
 //! re-use `Instant`s the caller already holds (queue-wait spans are
 //! built from the admission timestamps the serve loop measures anyway).
-//! With the `obs-off` feature every entry point compiles to a no-op
-//! with no clock reads at all.
+//! While recording is disabled, every entry point costs one relaxed load
+//! of the runtime switch and takes no clock reads.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-#[cfg(not(feature = "obs-off"))]
-use std::cell::{Cell, RefCell};
-#[cfg(not(feature = "obs-off"))]
-use std::sync::atomic::{AtomicU32, AtomicU64};
-#[cfg(not(feature = "obs-off"))]
-use std::sync::{Arc, Mutex, OnceLock};
-
-use crate::ring::SpanRecord;
-#[cfg(not(feature = "obs-off"))]
-use crate::ring::SpanRing;
+use crate::ring::{SpanRecord, SpanRing};
 use crate::Stage;
 
 /// Per-thread ring capacity (records). 4096 × 48 B = 192 KiB per
 /// instrumented thread, drained every few milliseconds by a trace
 /// collector; overflow drops (counted) rather than blocks.
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
 pub const RING_CAPACITY: usize = 4096;
 
 // The runtime switch lives outside the collector so the disabled fast
@@ -36,15 +28,13 @@ pub const RING_CAPACITY: usize = 4096;
 // under `--cfg mbb_conc` builds (the facade stays disabled there).
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns span recording on (no-op under `obs-off`).
+/// Turns span recording on.
 pub fn enable() {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        collector(); // pin the epoch no later than the first span
-                     // relaxed: independent flag; recording threads observe it
-                     // eventually, which is all a sampling switch needs.
-        ENABLED.store(true, Ordering::Relaxed);
-    }
+    // Pin the epoch no later than the first span.
+    collector();
+    // relaxed: independent flag; recording threads observe it
+    // eventually, which is all a sampling switch needs.
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Turns span recording off.
@@ -60,9 +50,8 @@ pub fn is_enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Collector (compiled out under obs-off).
+// Collector.
 
-#[cfg(not(feature = "obs-off"))]
 struct Collector {
     /// Every thread's ring, in registration order. Rings are never
     /// removed: a dead thread's undrained records still drain.
@@ -75,7 +64,6 @@ struct Collector {
     threads: AtomicU32,
 }
 
-#[cfg(not(feature = "obs-off"))]
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
     COLLECTOR.get_or_init(|| Collector {
@@ -86,7 +74,6 @@ fn collector() -> &'static Collector {
     })
 }
 
-#[cfg(not(feature = "obs-off"))]
 thread_local! {
     /// This thread's (id, ring), registered on first use.
     static LOCAL: RefCell<Option<(u32, Arc<SpanRing>)>> = const { RefCell::new(None) };
@@ -94,7 +81,6 @@ thread_local! {
     static CONTEXT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-#[cfg(not(feature = "obs-off"))]
 fn emit(stage: Stage, start: Instant, end: Instant, request: u64, conn: u64) {
     let collector = collector();
     let start_nanos = u64::try_from(start.saturating_duration_since(collector.epoch).as_nanos())
@@ -135,27 +121,17 @@ fn emit(stage: Stage, start: Instant, end: Instant, request: u64, conn: u64) {
 /// the returned guard drops; spans opened meanwhile inherit the ids.
 /// Nests: the guard restores the previous context.
 pub fn context(request: u64, conn: u64) -> ContextGuard {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let previous = CONTEXT.with(|c| c.replace((request, conn)));
-        ContextGuard { previous }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (request, conn);
-        ContextGuard {}
-    }
+    let previous = CONTEXT.with(|c| c.replace((request, conn)));
+    ContextGuard { previous }
 }
 
 /// Restores the previous span context on drop. See [`context`].
 #[must_use = "the context lasts until the guard drops"]
 #[derive(Debug)]
 pub struct ContextGuard {
-    #[cfg(not(feature = "obs-off"))]
     previous: (u64, u64),
 }
 
-#[cfg(not(feature = "obs-off"))]
 impl Drop for ContextGuard {
     fn drop(&mut self) {
         CONTEXT.with(|c| c.set(self.previous));
@@ -165,42 +141,26 @@ impl Drop for ContextGuard {
 /// Opens a span for `stage` with the thread's current [`context`] ids;
 /// the span closes (and its record is pushed) when the guard drops.
 /// One `Instant::now()` here, one at drop; nothing at all when
-/// recording is disabled or `obs-off` is compiled in.
+/// recording is disabled.
 #[inline]
 pub fn span(stage: Stage) -> SpanGuard {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if !is_enabled() {
-            return SpanGuard { armed: None };
-        }
-        let (request, conn) = CONTEXT.with(Cell::get);
-        SpanGuard {
-            armed: Some((stage, Instant::now(), request, conn)),
-        }
+    if !is_enabled() {
+        return SpanGuard { armed: None };
     }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = stage;
-        SpanGuard {}
+    let (request, conn) = CONTEXT.with(Cell::get);
+    SpanGuard {
+        armed: Some((stage, Instant::now(), request, conn)),
     }
 }
 
 /// [`span`] with explicit request/conn ids (overrides the context).
 #[inline]
 pub fn span_for(stage: Stage, request: u64, conn: u64) -> SpanGuard {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if !is_enabled() {
-            return SpanGuard { armed: None };
-        }
-        SpanGuard {
-            armed: Some((stage, Instant::now(), request, conn)),
-        }
+    if !is_enabled() {
+        return SpanGuard { armed: None };
     }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (stage, request, conn);
-        SpanGuard {}
+    SpanGuard {
+        armed: Some((stage, Instant::now(), request, conn)),
     }
 }
 
@@ -208,11 +168,9 @@ pub fn span_for(stage: Stage, request: u64, conn: u64) -> SpanGuard {
 #[must_use = "the span closes when the guard drops"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg(not(feature = "obs-off"))]
     armed: Option<(Stage, Instant, u64, u64)>,
 }
 
-#[cfg(not(feature = "obs-off"))]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((stage, start, request, conn)) = self.armed.take() {
@@ -227,31 +185,17 @@ impl Drop for SpanGuard {
 /// (request, conn).
 #[inline]
 pub fn record(stage: Stage, start: Instant, end: Instant) {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if is_enabled() {
-            let (request, conn) = CONTEXT.with(Cell::get);
-            emit(stage, start, end, request, conn);
-        }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (stage, start, end);
+    if is_enabled() {
+        let (request, conn) = CONTEXT.with(Cell::get);
+        emit(stage, start, end, request, conn);
     }
 }
 
 /// [`record`] with explicit request/conn ids.
 #[inline]
 pub fn record_for(stage: Stage, start: Instant, end: Instant, request: u64, conn: u64) {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if is_enabled() {
-            emit(stage, start, end, request, conn);
-        }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (stage, start, end, request, conn);
+    if is_enabled() {
+        emit(stage, start, end, request, conn);
     }
 }
 
@@ -260,35 +204,21 @@ pub fn record_for(stage: Stage, start: Instant, end: Instant, request: u64, conn
 /// across threads, interleave by ring — sort by `start_nanos` or `seq`
 /// if a global timeline is needed.
 pub fn drain(mut f: impl FnMut(SpanRecord)) {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let rings: Vec<Arc<SpanRing>> = collector().rings.lock().unwrap().clone();
-        for ring in rings {
-            ring.drain(&mut f);
-        }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = &mut f;
+    let rings: Vec<Arc<SpanRing>> = collector().rings.lock().unwrap().clone();
+    for ring in rings {
+        ring.drain(&mut f);
     }
 }
 
 /// Total records dropped on full rings since process start.
 pub fn dropped_records() -> u64 {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        collector()
-            .rings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|ring| ring.dropped())
-            .sum()
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        0
-    }
+    collector()
+        .rings
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|ring| ring.dropped())
+        .sum()
 }
 
 #[cfg(test)]
@@ -302,7 +232,6 @@ mod tests {
         GATE.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn disabled_spans_record_nothing() {
         let _gate = lock();
@@ -316,7 +245,6 @@ mod tests {
         assert_eq!(n, 0);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn spans_inherit_context_and_nest() {
         let _gate = lock();
@@ -346,7 +274,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn record_uses_caller_instants() {
         let _gate = lock();
@@ -364,20 +291,5 @@ mod tests {
             .expect("queue-wait record");
         assert_eq!(r.duration_nanos, 5_000_000);
         assert_eq!((r.request, r.conn), (5, 2));
-    }
-
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn obs_off_compiles_everything_to_noops() {
-        let _gate = lock();
-        enable();
-        assert!(!is_enabled(), "enable() must be inert under obs-off");
-        let _ctx = context(1, 2);
-        let _span = span(Stage::Execute);
-        record_for(Stage::QueueWait, Instant::now(), Instant::now(), 1, 2);
-        let mut n = 0;
-        drain(|_| n += 1);
-        assert_eq!(n, 0);
-        assert_eq!(dropped_records(), 0);
     }
 }
