@@ -43,11 +43,34 @@ pub trait Bits {
 /// operands to have the same capacity (checked with `debug_assert!`). The
 /// cardinality is cached: [`BitSet::len`] is `O(1)` and every mutation keeps
 /// it current (fused into the same pass for the bulk operations).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Box<[u64]>,
     capacity: usize,
     len: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            capacity: self.capacity,
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into `self`, reusing the word buffer when the word
+    /// counts match — the search keeps one set per include depth and
+    /// refills it this way instead of allocating per node.
+    fn clone_from(&mut self, source: &Self) {
+        if self.words.len() == source.words.len() {
+            self.words.copy_from_slice(&source.words);
+        } else {
+            self.words = source.words.clone();
+        }
+        self.capacity = source.capacity;
+        self.len = source.len;
+    }
 }
 
 const WORD_BITS: usize = 64;
@@ -276,6 +299,23 @@ impl BitSet {
         debug_assert!(rows.iter().all(|r| r.len() == word_count(self.capacity)));
         self.len = kernels::multi_and_popcount(&mut self.words, rows);
         self.len
+    }
+
+    /// Visits the stored values in increasing order and removes those for
+    /// which `keep` returns false. Each word is read before its values are
+    /// visited, so `keep` sees exactly the members present at the call.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(wi * WORD_BITS + bit) {
+                    *word &= !(1u64 << bit);
+                    self.len -= 1;
+                }
+            }
+        }
     }
 
     /// Iterates the stored values in increasing order.
@@ -565,6 +605,43 @@ mod tests {
         let s: BitSet = [4usize, 9, 2].into_iter().collect();
         assert_eq!(s.capacity(), 10);
         assert_eq!(s.to_vec(), vec![2, 4, 9]);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer_and_copies_every_field() {
+        let mut source = BitSet::new(130);
+        source.insert(3);
+        source.insert(129);
+        let mut target = BitSet::full(130);
+        let buffer = target.words.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.len(), 2);
+        assert_eq!(
+            target.words.as_ptr(),
+            buffer,
+            "same word count: no new buffer"
+        );
+        // A different capacity takes the source's buffer size.
+        let mut small = BitSet::full(10);
+        small.clone_from(&source);
+        assert_eq!(small, source);
+        assert_eq!(small.capacity(), 130);
+    }
+
+    #[test]
+    fn retain_visits_each_member_once_and_keeps_len() {
+        let mut s: BitSet = [1usize, 64, 65, 130, 199].into_iter().collect();
+        let mut seen = Vec::new();
+        s.retain(|i| {
+            seen.push(i);
+            i % 2 == 0
+        });
+        assert_eq!(seen, vec![1, 64, 65, 130, 199]);
+        assert_eq!(s.to_vec(), vec![64, 130]);
+        assert_eq!(s.len(), 2);
+        s.retain(|_| false);
+        assert!(s.is_empty());
     }
 
     #[test]

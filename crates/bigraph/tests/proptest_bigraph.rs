@@ -4,7 +4,7 @@ mod support;
 
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::bitset::BitSet;
-use mbb_bigraph::complement::decompose_missing;
+use mbb_bigraph::complement::Decomposition;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::generators::{self, ChungLuParams};
 use mbb_bigraph::graph::{sorted_intersection, BipartiteGraph, Vertex};
@@ -178,13 +178,14 @@ proptest! {
         let local = LocalGraph::induced(&g, &ids_l, &ids_r);
         let ca = BitSet::full(local.num_left());
         let cb = BitSet::full(local.num_right());
-        if let Some(d) = decompose_missing(&local, &ca, &cb) {
+        let mut d = Decomposition::default();
+        if d.decompose(&local, &ca, &cb) {
             let mut seen_l = vec![0u32; local.num_left()];
             let mut seen_r = vec![0u32; local.num_right()];
-            for &u in &d.trivial_left { seen_l[u as usize] += 1; }
-            for &v in &d.trivial_right { seen_r[v as usize] += 1; }
-            for c in &d.components {
-                for lv in &c.vertices {
+            for &u in d.trivial_left() { seen_l[u as usize] += 1; }
+            for &v in d.trivial_right() { seen_r[v as usize] += 1; }
+            for c in d.components() {
+                for lv in c.vertices {
                     if lv.left { seen_l[lv.index as usize] += 1; }
                     else { seen_r[lv.index as usize] += 1; }
                 }

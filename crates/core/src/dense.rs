@@ -39,7 +39,7 @@ use mbb_bigraph::local::LocalGraph;
 
 use crate::basic::LocalBiclique;
 use crate::budget::SearchBudget;
-use crate::poly::dynamic_mbb;
+use crate::poly::DynamicMbb;
 use crate::reduce::reduce_candidates;
 use crate::stats::SearchStats;
 
@@ -130,10 +130,10 @@ pub fn dense_mbb_seeded(
 #[allow(clippy::too_many_arguments)] // mirrors the seeded entry point
 pub fn dense_mbb_budgeted(
     graph: &LocalGraph,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    ca: BitSet,
-    cb: BitSet,
+    mut a: Vec<u32>,
+    mut b: Vec<u32>,
+    mut ca: BitSet,
+    mut cb: BitSet,
     initial_half: usize,
     config: DenseConfig,
     budget: &SearchBudget,
@@ -144,18 +144,8 @@ pub fn dense_mbb_budgeted(
     debug_assert!(b
         .iter()
         .all(|&v| ca.iter().all(|u| graph.has_edge(u as u32, v))));
-    let mut searcher = DenseSearcher {
-        graph,
-        best: LocalBiclique::default(),
-        best_half: initial_half,
-        stats: SearchStats::default(),
-        config,
-        budget: budget.clone(),
-        shared_best: None,
-    };
-    let mut a = a;
-    let mut b = b;
-    searcher.recurse(&mut a, &mut b, ca, cb, 0);
+    let mut searcher = DenseSearcher::new(graph, initial_half, config, budget, None);
+    searcher.recurse(&mut a, &mut b, &mut ca, &mut cb, 0);
     let stats = searcher.stats;
     (searcher.best.balance(), stats)
 }
@@ -217,18 +207,51 @@ struct DenseSearcher<'g> {
     /// search (`None` when running serial). Read at every node, written
     /// on every improvement, so one worker's find prunes all the others.
     shared_best: Option<&'g SharedIncumbent>,
+    // Per-node memory, reused so that a node allocates nothing.
+    /// Candidate-set pairs for include children: a child takes one and
+    /// returns it when its subtree is done, so the pool holds one pair per
+    /// include depth reached.
+    spare_sets: Vec<(BitSet, BitSet)>,
+    /// Degree histograms of [`scan_candidates`].
+    hist_a: Vec<u32>,
+    hist_b: Vec<u32>,
+    /// The Lemma 3 decomposition and DP table.
+    lemma3: DynamicMbb,
 }
 
-impl DenseSearcher<'_> {
+impl<'g> DenseSearcher<'g> {
+    fn new(
+        graph: &'g LocalGraph,
+        best_half: usize,
+        config: DenseConfig,
+        budget: &SearchBudget,
+        shared_best: Option<&'g SharedIncumbent>,
+    ) -> Self {
+        DenseSearcher {
+            graph,
+            best: LocalBiclique::default(),
+            best_half,
+            stats: SearchStats::default(),
+            config,
+            budget: budget.clone(),
+            shared_best,
+            spare_sets: Vec::new(),
+            hist_a: Vec::new(),
+            hist_b: Vec::new(),
+            lemma3: DynamicMbb::default(),
+        }
+    }
+
+    /// Records a biclique that beats the incumbent (callers check first,
+    /// so that nodes that do not improve build nothing).
     fn record(&mut self, left: Vec<u32>, right: Vec<u32>) {
         let half = left.len().min(right.len());
-        if half > self.best_half {
-            self.best_half = half;
-            if let Some(shared) = self.shared_best {
-                shared.publish(half);
-            }
-            self.best = LocalBiclique { left, right };
+        debug_assert!(half > self.best_half);
+        self.best_half = half;
+        if let Some(shared) = self.shared_best {
+            shared.publish(half);
         }
+        self.best = LocalBiclique { left, right };
     }
 
     /// Raises the local pruning bound to the pool-wide incumbent. The
@@ -294,7 +317,15 @@ impl DenseSearcher<'_> {
         // counts. It feeds three decisions at once: the degree-histogram
         // bound, the Lemma 3 polynomial-case test (max missing ≤ 2) and
         // the triviality-last branch choice (argmax missing).
-        let scan = scan_candidates(self.graph, a.len(), b.len(), ca, cb);
+        let scan = scan_candidates(
+            self.graph,
+            a.len(),
+            b.len(),
+            ca,
+            cb,
+            &mut self.hist_a,
+            &mut self.hist_b,
+        );
         if scan.upper_bound <= self.best_half {
             self.stats.bound_prunes += 1;
             self.leaf(depth);
@@ -303,14 +334,14 @@ impl DenseSearcher<'_> {
 
         // Polynomial case (lines 4–8).
         if self.config.use_polynomial_case && scan.max_missing <= 2 {
-            if let Some(solution) =
-                dynamic_mbb(self.graph, ca, cb, a.len(), b.len(), &mut self.stats)
-            {
-                if solution.half() > self.best_half {
+            let solved = self
+                .lemma3
+                .solve(self.graph, ca, cb, a.len(), b.len(), &mut self.stats);
+            if let Some((left_total, right_total)) = solved {
+                if left_total.min(right_total) > self.best_half {
                     let mut left = a.clone();
-                    left.extend_from_slice(&solution.chosen_left);
                     let mut right = b.clone();
-                    right.extend_from_slice(&solution.chosen_right);
+                    self.lemma3.realize(&mut left, &mut right);
                     self.record(left, right);
                 }
                 self.leaf(depth);
@@ -318,7 +349,9 @@ impl DenseSearcher<'_> {
             }
         }
         if !self.config.use_polynomial_case && ca.is_empty() && cb.is_empty() {
-            self.record(a.clone(), b.clone());
+            if a.len().min(b.len()) > self.best_half {
+                self.record(a.clone(), b.clone());
+            }
             self.leaf(depth);
             return StepOutcome::Resolved;
         }
@@ -331,7 +364,8 @@ impl DenseSearcher<'_> {
                 "polynomial case should have caught missing = {}",
                 scan.max_missing
             );
-            (scan.argmax_on_left, scan.argmax_vertex)
+            scan.argmax
+                .expect("a candidate remains when the node branches")
         } else {
             // bd3: naive first-candidate branching.
             match ca.first() {
@@ -349,23 +383,26 @@ impl DenseSearcher<'_> {
         &mut self,
         a: &mut Vec<u32>,
         b: &mut Vec<u32>,
-        mut ca: BitSet,
-        mut cb: BitSet,
+        ca: &mut BitSet,
+        cb: &mut BitSet,
         mut depth: u64,
     ) {
         let (a_mark, b_mark) = (a.len(), b.len());
-        while let StepOutcome::Branch { on_left, vertex: u } =
-            self.step(a, b, &mut ca, &mut cb, depth)
-        {
-            // Include u (recursive branch).
-            let (ca_inc, cb_inc) = include_candidates(self.graph, &ca, &cb, on_left, u);
+        while let StepOutcome::Branch { on_left, vertex: u } = self.step(a, b, ca, cb, depth) {
+            // Include u (recursive branch), in a pair from the pool.
+            let mut child = self
+                .spare_sets
+                .pop()
+                .unwrap_or_else(|| (BitSet::new(0), BitSet::new(0)));
+            include_candidates(self.graph, ca, cb, on_left, u, &mut child);
             let side = if on_left { &mut *a } else { &mut *b };
             side.push(u);
-            self.recurse(a, b, ca_inc, cb_inc, depth + 1);
+            self.recurse(a, b, &mut child.0, &mut child.1, depth + 1);
             let side = if on_left { &mut *a } else { &mut *b };
             side.pop();
+            self.spare_sets.push(child);
             // Exclude u: continue iterating in place.
-            if on_left { &mut ca } else { &mut cb }.remove(u as usize);
+            if on_left { &mut *ca } else { &mut *cb }.remove(u as usize);
             depth += 1;
         }
 
@@ -374,9 +411,10 @@ impl DenseSearcher<'_> {
     }
 }
 
-/// Candidate sets of the *include* child when branching on `u`: `u`
-/// leaves its own side's candidates (it is now fixed in the result), and
-/// the other side keeps only `u`'s neighbours. The one place the
+/// Writes into `child` the candidate sets of the *include* child when
+/// branching on `u`: `u` leaves its own side's candidates (it is now fixed
+/// in the result), and the other side keeps only `u`'s neighbours.
+/// `child`'s buffers are reused when their size fits. The one place the
 /// branching semantics live — the serial recursion and the frontier
 /// expansion both build children through it, which is what keeps the
 /// parallel search space identical to the serial one.
@@ -386,9 +424,11 @@ fn include_candidates(
     cb: &BitSet,
     on_left: bool,
     u: u32,
-) -> (BitSet, BitSet) {
-    let mut ca_inc = ca.clone();
-    let mut cb_inc = cb.clone();
+    child: &mut (BitSet, BitSet),
+) {
+    let (ca_inc, cb_inc) = child;
+    ca_inc.clone_from(ca);
+    cb_inc.clone_from(cb);
     if on_left {
         ca_inc.remove(u as usize);
         cb_inc.and_assign_count(&graph.left_row(u));
@@ -396,7 +436,6 @@ fn include_candidates(
         cb_inc.remove(u as usize);
         ca_inc.and_assign_count(&graph.right_row(u));
     }
-    (ca_inc, cb_inc)
 }
 
 /// One frontier subproblem of a parallel search: a fixed `a`/`b` prefix
@@ -457,7 +496,9 @@ fn expand_frontier(
             continue;
         };
         // Include child (owned copies: tasks must be self-contained).
-        let (ca_inc, cb_inc) = include_candidates(searcher.graph, &task.ca, &task.cb, on_left, u);
+        let mut child = (BitSet::new(0), BitSet::new(0));
+        include_candidates(searcher.graph, &task.ca, &task.cb, on_left, u, &mut child);
+        let (ca_inc, cb_inc) = child;
         let mut a_inc = task.a.clone();
         let mut b_inc = task.b.clone();
         if on_left {
@@ -538,15 +579,8 @@ pub fn dense_mbb_parallel(
 
     // Serial prefix: expand the frontier. Resolutions met on the way
     // (poly solves at shallow depth) land in the coordinator's `best`.
-    let mut coordinator = DenseSearcher {
-        graph,
-        best: LocalBiclique::default(),
-        best_half: initial_half,
-        stats: SearchStats::default(),
-        config,
-        budget: budget.clone(),
-        shared_best: Some(&shared_best),
-    };
+    let mut coordinator =
+        DenseSearcher::new(graph, initial_half, config, budget, Some(&shared_best));
     let target = (workers * FRONTIER_TASKS_PER_WORKER).min(MAX_FRONTIER_TASKS);
     let tasks: Vec<FrontierTask> = expand_frontier(&mut coordinator, a, b, ca, cb, target).into();
     if tasks.is_empty() {
@@ -562,15 +596,8 @@ pub fn dense_mbb_parallel(
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut searcher = DenseSearcher {
-                        graph,
-                        best: LocalBiclique::default(),
-                        best_half: shared.bound(),
-                        stats: SearchStats::default(),
-                        config,
-                        budget: budget.clone(),
-                        shared_best: Some(shared),
-                    };
+                    let mut searcher =
+                        DenseSearcher::new(graph, shared.bound(), config, budget, Some(shared));
                     let chunk = tasks.len().div_ceil(workers).max(1);
                     let own = (w * chunk).min(tasks.len())..((w + 1) * chunk).min(tasks.len());
                     let mut stolen = 0u64;
@@ -636,23 +663,26 @@ fn run_task(searcher: &mut DenseSearcher<'_>, task: &FrontierTask, skipped: &mut
     }
     let mut a = task.a.clone();
     let mut b = task.b.clone();
-    searcher.recurse(&mut a, &mut b, task.ca.clone(), task.cb.clone(), task.depth);
+    let mut ca = task.ca.clone();
+    let mut cb = task.cb.clone();
+    searcher.recurse(&mut a, &mut b, &mut ca, &mut cb, task.depth);
 }
 
 /// Result of the per-node candidate scan.
 struct CandidateScan {
     /// Largest missing-neighbour count over both candidate sets.
     max_missing: usize,
-    /// Whether the argmax candidate is a left vertex.
-    argmax_on_left: bool,
-    /// The argmax candidate's local index.
-    argmax_vertex: u32,
+    /// The candidate missing the most neighbours, as `(on_left, index)`;
+    /// ties go to the first left candidate, then the first right one.
+    /// `None` only when both candidate sets are empty.
+    argmax: Option<(bool, u32)>,
     /// Degree-histogram upper bound on the reachable half-size.
     upper_bound: usize,
 }
 
 /// Single pass over the candidate sets: missing counts, argmax, and the
-/// degree-histogram bound.
+/// degree-histogram bound. `hist_a`/`hist_b` are the caller's reused
+/// histogram buffers.
 ///
 /// The bound: a balanced biclique of half-size `k` reachable from this
 /// state needs, on each side, at least `k` vertices whose degree towards
@@ -667,6 +697,8 @@ fn scan_candidates(
     b_len: usize,
     ca: &BitSet,
     cb: &BitSet,
+    hist_a: &mut Vec<u32>,
+    hist_b: &mut Vec<u32>,
 ) -> CandidateScan {
     let cb_len = cb.len();
     let ca_len = ca.len();
@@ -675,11 +707,12 @@ fn scan_candidates(
     let cap = cap_a.min(cap_b);
 
     let mut max_missing = 0usize;
-    let mut argmax_on_left = true;
-    let mut argmax_vertex = u32::MAX;
+    let mut argmax = None;
     // hist_a[d] = number of CA candidates with |B| + deg(u, CB) = d.
-    let mut hist_a = vec![0u32; cap_b + 1];
-    let mut hist_b = vec![0u32; cap_a + 1];
+    hist_a.clear();
+    hist_a.resize(cap_b + 1, 0);
+    hist_b.clear();
+    hist_b.resize(cap_a + 1, 0);
 
     for u in ca.iter() {
         let degree = graph.left_degree_in(u as u32, cb);
@@ -687,18 +720,18 @@ fn scan_candidates(
         if missing >= max_missing {
             // `>=` keeps argmax defined even when all missings are 0.
             max_missing = missing;
-            argmax_on_left = true;
-            argmax_vertex = u as u32;
+            argmax = Some((true, u as u32));
         }
         hist_a[(b_len + degree).min(cap_b)] += 1;
     }
     for v in cb.iter() {
         let degree = graph.right_degree_in(v as u32, ca);
         let missing = ca_len - degree;
-        if missing > max_missing {
+        // With CA empty no right candidate misses anything, and the first
+        // one is the argmax.
+        if missing > max_missing || argmax.is_none() {
             max_missing = missing;
-            argmax_on_left = false;
-            argmax_vertex = v as u32;
+            argmax = Some((false, v as u32));
         }
         hist_b[(a_len + degree).min(cap_a)] += 1;
     }
@@ -729,8 +762,7 @@ fn scan_candidates(
 
     CandidateScan {
         max_missing,
-        argmax_on_left,
-        argmax_vertex,
+        argmax,
         upper_bound,
     }
 }
@@ -977,6 +1009,93 @@ mod tests {
         // always a valid biclique.
         assert!(g.is_biclique(&found.left, &found.right));
         assert_eq!(budget.termination(), crate::budget::Termination::Cancelled);
+    }
+
+    #[test]
+    fn branches_on_a_right_candidate_when_no_left_one_remains() {
+        // Complete 1×2, neither reductions nor Lemma 3: once L0 is
+        // included only right candidates remain, and none misses anything.
+        let g = LocalGraph::from_edges(1, 2, [(0, 0), (0, 1)]);
+        let config = DenseConfig {
+            use_reductions: false,
+            use_polynomial_case: false,
+            branch_max_missing: true,
+        };
+        let (found, _) = dense_mbb_seeded(
+            &g,
+            vec![],
+            vec![],
+            BitSet::full(1),
+            BitSet::full(2),
+            0,
+            config,
+        );
+        assert_eq!(found.half(), 1);
+        assert!(g.is_biclique(&found.left, &found.right));
+    }
+
+    /// The counters that identify a search tree.
+    fn tree(stats: &SearchStats) -> [u64; 6] {
+        [
+            stats.nodes,
+            stats.poly_solves,
+            stats.bound_prunes,
+            stats.reduced_vertices,
+            stats.leaf_count,
+            stats.max_depth,
+        ]
+    }
+
+    /// Pins the exact search tree — `[nodes, poly_solves, bound_prunes,
+    /// reduced_vertices, leaf_count, max_depth]` and the optimum — of four
+    /// searches on 70%-dense graphs, recorded before the per-node buffers
+    /// moved into the searcher. Any change to branching, bounding or
+    /// reduction order shows here.
+    #[test]
+    fn search_trees_are_pinned() {
+        let run = |g: &LocalGraph, a: Vec<u32>, ca: BitSet, cb: BitSet, config| {
+            let (found, stats) = dense_mbb_seeded(g, a, Vec::new(), ca, cb, 0, config);
+            (found.half(), tree(&stats))
+        };
+        let full = |g: &LocalGraph| (BitSet::full(g.num_left()), BitSet::full(g.num_right()));
+        let mut got = Vec::new();
+
+        let g = random_graph(40, 40, 0.7, 1);
+        let (ca, cb) = full(&g);
+        got.push(run(&g, vec![], ca, cb, DenseConfig::default()));
+
+        let g = random_graph(44, 44, 0.7, 2);
+        let (ca, cb) = full(&g);
+        let config = DenseConfig {
+            use_polynomial_case: false,
+            ..DenseConfig::default()
+        };
+        got.push(run(&g, vec![], ca, cb, config));
+
+        let g = random_graph(40, 40, 0.7, 3);
+        let (ca, cb) = full(&g);
+        let config = DenseConfig {
+            use_reductions: false,
+            ..DenseConfig::default()
+        };
+        got.push(run(&g, vec![], ca, cb, config));
+
+        // Seeded as verification seeds a centred subgraph: the centre is
+        // fixed in A and CB is its neighbourhood.
+        let g = random_graph(48, 48, 0.7, 4);
+        let centre = 0u32;
+        let mut ca = BitSet::full(g.num_left());
+        ca.remove(centre as usize);
+        let cb = g.left_row(centre).to_bitset();
+        got.push(run(&g, vec![centre], ca, cb, DenseConfig::default()));
+
+        let want = [
+            (10, [5487, 157, 2587, 54133, 2744, 36]), // default config
+            (10, [14065, 0, 7025, 143413, 7033, 48]), // no Lemma 3 case
+            (9, [22225, 391, 10722, 0, 11113, 42]),   // no reductions
+            (9, [8705, 477, 3876, 71599, 4353, 33]),  // seeded with a centre
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

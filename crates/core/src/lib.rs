@@ -5,7 +5,7 @@
 //! SIGMOD/PVLDB 2021):
 //!
 //! * [`basic::basic_bb`] — Algorithm 1, the O*(2ⁿ) alternating enumeration;
-//! * [`poly::dynamic_mbb`] — Algorithm 2, the polynomial solver for
+//! * [`poly::DynamicMbb`] — Algorithm 2, the polynomial solver for
 //!   near-complete subgraphs (Lemma 3);
 //! * [`dense::dense_mbb`] — Algorithm 3, `denseMBB`, O*(1.3803ⁿ);
 //! * [`heuristic::hmbb`] — Algorithm 5, heuristics + Lemma 4/5 reduction;

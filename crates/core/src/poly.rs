@@ -7,8 +7,9 @@
 //! `A' × B'` complete is then exactly choosing an *independent set* of each
 //! complement component (complement edges always join `L` to `R`), so the
 //! per-component maximal `(a, b)` instance lists are closed-form
-//! (Observation 2; re-derived here because the published text is garbled —
-//! see `DESIGN.md` §6):
+//! (Observation 2; re-derived here because the published text is garbled,
+//! and checked against brute force by this module's
+//! `*_instances_match_brute_force` tests):
 //!
 //! * odd path (`p` odd, `s = (p+1)/2` vertices per side): `(k, s − k)`;
 //! * even path (`p` even, endpoints on side `X` with `p/2 + 1` vertices):
@@ -25,44 +26,42 @@
 //! instances. Same `O(n²)` bound, simpler reconstruction.
 
 use mbb_bigraph::bitset::BitSet;
-use mbb_bigraph::complement::{decompose_missing, Component, ComponentKind, Decomposition};
+use mbb_bigraph::complement::{Component, ComponentKind, Decomposition};
 use mbb_bigraph::local::LocalGraph;
 
 use crate::stats::SearchStats;
 
-/// Maximal `(left_count, right_count)` instances of one complement
-/// component (Observation 2, corrected).
-pub fn maximal_instances(component: &Component) -> Vec<(usize, usize)> {
+/// Appends to `out` the maximal `(left_count, right_count)` instances of
+/// one complement component (Observation 2, corrected).
+pub fn maximal_instances(component: Component<'_>, out: &mut Vec<(usize, usize)>) {
     let x_is_left = component.vertices[0].left;
     let translate = |x: usize, y: usize| if x_is_left { (x, y) } else { (y, x) };
     let p = component.length();
     match component.kind {
         ComponentKind::OddPath => {
             let s = p.div_ceil(2);
-            (0..=s).map(|k| translate(k, s - k)).collect()
+            out.extend((0..=s).map(|k| translate(k, s - k)));
         }
         ComponentKind::EvenPath => {
             // X = side of the endpoints = side of vertices[0], with
             // p/2 + 1 vertices; the other side has p/2.
             let sx = p / 2 + 1;
             let sy = p / 2;
-            let mut out = Vec::with_capacity(sy + 1);
             out.push(translate(sx, 0));
             for j in 1..=sy {
                 out.push(translate(sy - j, j));
             }
-            out
         }
         ComponentKind::Cycle => {
             debug_assert!(p >= 4 && p.is_multiple_of(2));
             let half = p / 2;
-            let mut out = vec![translate(half, 0), translate(0, half)];
+            out.push(translate(half, 0));
+            out.push(translate(0, half));
             if p > 4 {
                 for x in 1..=(half - 2) {
                     out.push(translate(x, half - 1 - x));
                 }
             }
-            out
         }
     }
 }
@@ -71,7 +70,7 @@ pub fn maximal_instances(component: &Component) -> Vec<(usize, usize)> {
 /// right_count)` from a component. The instance must come from
 /// [`maximal_instances`].
 pub fn realize_instance(
-    component: &Component,
+    component: Component<'_>,
     left_count: usize,
     right_count: usize,
     out_left: &mut Vec<u32>,
@@ -86,25 +85,13 @@ pub fn realize_instance(
     };
     match component.kind {
         ComponentKind::OddPath | ComponentKind::EvenPath => {
-            realize_on_path(
-                &component.vertices,
-                need_even,
-                need_odd,
-                out_left,
-                out_right,
-            );
+            realize_on_path(component.vertices, need_even, need_odd, out_left, out_right);
         }
         ComponentKind::Cycle => {
             let m = component.vertices.len();
             if need_odd == 0 || need_even == 0 {
                 // All-evens or all-odds are independent in an even cycle.
-                realize_on_path(
-                    &component.vertices,
-                    need_even,
-                    need_odd,
-                    out_left,
-                    out_right,
-                );
+                realize_on_path(component.vertices, need_even, need_odd, out_left, out_right);
             } else {
                 // Mixed: cut the cycle by dropping the last vertex; the
                 // remaining path has p/2 even and p/2 − 1 odd positions,
@@ -161,135 +148,122 @@ fn realize_on_path(
     }
 }
 
-/// Outcome of a [`dynamic_mbb`] solve.
-#[derive(Debug, Clone)]
-pub struct PolySolution {
-    /// `|A| + chosen left candidates` (the `i` of the paper's table).
-    pub left_total: usize,
-    /// `|B| + chosen right candidates`.
-    pub right_total: usize,
-    /// Chosen left candidate indices (local; excludes the fixed `A`).
-    pub chosen_left: Vec<u32>,
-    /// Chosen right candidate indices.
-    pub chosen_right: Vec<u32>,
+/// Algorithm 2 (`dynamicMBB`) together with the memory it runs in: the
+/// complement decomposition and the DP table. Both are refilled in place,
+/// so a search that keeps one `DynamicMbb` allocates for its first few
+/// Lemma 3 leaves only.
+#[derive(Debug, Clone, Default)]
+pub struct DynamicMbb {
+    decomposition: Decomposition,
+    /// The instances of the component being folded into the table.
+    instances: Vec<(usize, usize)>,
+    /// `f[p][a]` row-major, `components + 1` rows of `width`: the max
+    /// right-count with the first `p` components and exactly `a` chosen
+    /// left vertices; −1 = unreachable.
+    table: Vec<i64>,
+    width: usize,
+    /// The optimum's left-count `a` in the last row.
+    best_a: usize,
 }
 
-impl PolySolution {
-    /// The balanced half-size this solution yields.
-    pub fn half(&self) -> usize {
-        self.left_total.min(self.right_total)
-    }
-}
+impl DynamicMbb {
+    /// Exact MBB over `(A, B) + (CA, CB)` when the candidate subgraph
+    /// satisfies Lemma 3: returns the optimum's `(|A| + chosen left,
+    /// |B| + chosen right)` — the `(i, j)` of the paper's table — or `None`
+    /// when some candidate misses three or more neighbours (the caller must
+    /// branch instead). [`DynamicMbb::realize`] then lists the chosen
+    /// candidates.
+    ///
+    /// `base_left` / `base_right` are `|A|` / `|B|` of the partial result.
+    pub fn solve(
+        &mut self,
+        graph: &LocalGraph,
+        ca: &BitSet,
+        cb: &BitSet,
+        base_left: usize,
+        base_right: usize,
+        stats: &mut SearchStats,
+    ) -> Option<(usize, usize)> {
+        if !self.decomposition.decompose(graph, ca, cb) {
+            return None;
+        }
+        stats.poly_solves += 1;
+        let decomposition = &self.decomposition;
+        let i0 = base_left + decomposition.trivial_left().len();
+        let j0 = base_right + decomposition.trivial_right().len();
 
-/// Algorithm 2: exact MBB over `(A, B) + (CA, CB)` when the candidate
-/// subgraph satisfies Lemma 3. Returns `None` when some candidate misses
-/// three or more neighbours (the caller must branch instead).
-///
-/// `base_left` / `base_right` are `|A|` / `|B|` of the partial result; the
-/// returned totals include them.
-pub fn dynamic_mbb(
-    graph: &LocalGraph,
-    ca: &BitSet,
-    cb: &BitSet,
-    base_left: usize,
-    base_right: usize,
-    stats: &mut SearchStats,
-) -> Option<PolySolution> {
-    let decomposition = decompose_missing(graph, ca, cb)?;
-    stats.poly_solves += 1;
-    Some(solve_decomposition(&decomposition, base_left, base_right))
-}
-
-/// The DP over an already-computed decomposition.
-fn solve_decomposition(
-    decomposition: &Decomposition,
-    base_left: usize,
-    base_right: usize,
-) -> PolySolution {
-    let i0 = base_left + decomposition.trivial_left.len();
-    let j0 = base_right + decomposition.trivial_right.len();
-    let components = &decomposition.components;
-
-    let instance_lists: Vec<Vec<(usize, usize)>> =
-        components.iter().map(maximal_instances).collect();
-    let max_a: usize = components.iter().map(|c| c.left_count()).sum();
-
-    // f[p][a] = max right-count achievable with the first p components and
-    // exactly `a` chosen left vertices; -1 = unreachable.
-    let width = max_a + 1;
-    let mut layers: Vec<Vec<i64>> = Vec::with_capacity(components.len() + 1);
-    let mut first = vec![-1i64; width];
-    first[0] = 0;
-    layers.push(first);
-    for instances in &instance_lists {
-        let prev = layers.last().expect("at least the base layer");
-        let mut next = vec![-1i64; width];
-        #[allow(clippy::needless_range_loop)] // `a` is the DP coordinate
-        for a in 0..width {
-            if prev[a] < 0 {
-                continue;
-            }
-            for &(x, y) in instances {
-                let na = a + x;
-                let nb = prev[a] + y as i64;
-                if next[na] < nb {
-                    next[na] = nb;
+        let max_a: usize = decomposition.components().map(|c| c.left_count()).sum();
+        let width = max_a + 1;
+        let rows = decomposition.components().len() + 1;
+        self.table.clear();
+        self.table.resize(rows * width, -1);
+        self.table[0] = 0;
+        for (p, component) in decomposition.components().enumerate() {
+            self.instances.clear();
+            maximal_instances(component, &mut self.instances);
+            let (done, rest) = self.table.split_at_mut((p + 1) * width);
+            let prev = &done[p * width..];
+            let next = &mut rest[..width];
+            for (a, &reached) in prev.iter().enumerate() {
+                if reached < 0 {
+                    continue;
+                }
+                for &(x, y) in &self.instances {
+                    let nb = reached + y as i64;
+                    if next[a + x] < nb {
+                        next[a + x] = nb;
+                    }
                 }
             }
         }
-        layers.push(next);
-    }
 
-    // Best cell: maximise min(i, j), tie-break on total size.
-    let last = layers.last().expect("base layer exists");
-    let mut best_a = 0usize;
-    let mut best_key = (0usize, 0usize);
-    let mut found = false;
-    #[allow(clippy::needless_range_loop)] // `a` is the DP coordinate
-    for a in 0..width {
-        if last[a] < 0 {
-            continue;
-        }
-        let i = i0 + a;
-        let j = j0 + last[a] as usize;
-        let key = (i.min(j), i + j);
-        if !found || key > best_key {
-            best_key = key;
-            best_a = a;
-            found = true;
-        }
-    }
-    debug_assert!(found, "base cell is always reachable");
-
-    // Backtrack the chosen instance per component.
-    let mut chosen_left: Vec<u32> = decomposition.trivial_left.clone();
-    let mut chosen_right: Vec<u32> = decomposition.trivial_right.clone();
-    let mut a = best_a;
-    let mut b = last[best_a];
-    for p in (0..components.len()).rev() {
-        let prev = &layers[p];
-        let mut matched = false;
-        for &(x, y) in &instance_lists[p] {
-            if a >= x && prev[a - x] >= 0 && prev[a - x] + y as i64 == b {
-                realize_instance(&components[p], x, y, &mut chosen_left, &mut chosen_right);
-                a -= x;
-                b -= y as i64;
-                matched = true;
-                break;
+        // Best cell: maximise min(i, j), tie-break on total size.
+        let last = &self.table[(rows - 1) * width..];
+        let mut best: Option<(usize, (usize, usize))> = None;
+        for (a, &reached) in last.iter().enumerate() {
+            if reached < 0 {
+                continue;
+            }
+            let (i, j) = (i0 + a, j0 + reached as usize);
+            let key = (i.min(j), i + j);
+            if best.is_none_or(|(_, best_key)| key > best_key) {
+                best = Some((a, key));
             }
         }
-        debug_assert!(matched, "DP backtrack must find a predecessor");
+        let (best_a, _) = best.expect("the base cell is always reachable");
+        self.width = width;
+        self.best_a = best_a;
+        Some((i0 + best_a, j0 + last[best_a] as usize))
     }
-    debug_assert_eq!(a, 0);
-    debug_assert_eq!(b, 0);
 
-    chosen_left.sort_unstable();
-    chosen_right.sort_unstable();
-    PolySolution {
-        left_total: i0 + best_a,
-        right_total: j0 + last[best_a] as usize,
-        chosen_left,
-        chosen_right,
+    /// Appends the candidates the last successful [`DynamicMbb::solve`]
+    /// chose — its trivial vertices plus one instance per component —
+    /// each side's additions sorted ascending.
+    pub fn realize(&mut self, left: &mut Vec<u32>, right: &mut Vec<u32>) {
+        let (left_start, right_start) = (left.len(), right.len());
+        left.extend_from_slice(self.decomposition.trivial_left());
+        right.extend_from_slice(self.decomposition.trivial_right());
+        let width = self.width;
+        let components = self.decomposition.components();
+        let mut a = self.best_a;
+        let mut b = self.table[components.len() * width + a];
+        for (p, component) in components.enumerate().rev() {
+            let prev = &self.table[p * width..(p + 1) * width];
+            self.instances.clear();
+            maximal_instances(component, &mut self.instances);
+            let (x, y) = self
+                .instances
+                .iter()
+                .copied()
+                .find(|&(x, y)| a >= x && prev[a - x] >= 0 && prev[a - x] + y as i64 == b)
+                .expect("the DP backtrack finds a predecessor");
+            realize_instance(component, x, y, left, right);
+            a -= x;
+            b -= y as i64;
+        }
+        debug_assert_eq!((a, b), (0, 0));
+        left[left_start..].sort_unstable();
+        right[right_start..].sort_unstable();
     }
 }
 
@@ -298,7 +272,22 @@ mod tests {
     use super::*;
     use mbb_bigraph::local::LocalVertex;
 
-    fn make_path(sides: &[bool]) -> Component {
+    /// A test component that owns its vertices.
+    struct Owned {
+        vertices: Vec<LocalVertex>,
+        kind: ComponentKind,
+    }
+
+    impl Owned {
+        fn view(&self) -> Component<'_> {
+            Component {
+                vertices: &self.vertices,
+                kind: self.kind,
+            }
+        }
+    }
+
+    fn make_path(sides: &[bool]) -> Owned {
         let mut li = 0u32;
         let mut ri = 0u32;
         let vertices = sides
@@ -314,7 +303,7 @@ mod tests {
             })
             .collect::<Vec<_>>();
         let edges = vertices.len() - 1;
-        Component {
+        Owned {
             vertices,
             kind: if edges % 2 == 1 {
                 ComponentKind::OddPath
@@ -324,7 +313,7 @@ mod tests {
         }
     }
 
-    fn make_cycle(len: usize) -> Component {
+    fn make_cycle(len: usize) -> Owned {
         assert!(len >= 4 && len.is_multiple_of(2));
         let vertices = (0..len)
             .map(|i| {
@@ -335,15 +324,22 @@ mod tests {
                 }
             })
             .collect();
-        Component {
+        Owned {
             vertices,
             kind: ComponentKind::Cycle,
         }
     }
 
+    fn instances(c: &Owned) -> Vec<(usize, usize)> {
+        let mut v = Vec::new();
+        maximal_instances(c.view(), &mut v);
+        v.sort_unstable();
+        v
+    }
+
     /// Exhaustive maximal (left, right) instances of a component: a chosen
     /// set is feasible iff it is an independent set of the path/cycle.
-    fn brute_instances(c: &Component) -> Vec<(usize, usize)> {
+    fn brute_instances(c: &Owned) -> Vec<(usize, usize)> {
         let m = c.vertices.len();
         let mut feasible = std::collections::HashSet::new();
         for mask in 0u32..(1 << m) {
@@ -408,11 +404,7 @@ mod tests {
             let sides: Vec<bool> = (0..len).map(|i| i % 2 == 0).collect();
             let c = make_path(&sides);
             assert_eq!(c.kind, ComponentKind::OddPath);
-            assert_eq!(
-                sorted(maximal_instances(&c)),
-                sorted(brute_instances(&c)),
-                "length {len}"
-            );
+            assert_eq!(instances(&c), sorted(brute_instances(&c)), "length {len}");
         }
     }
 
@@ -424,7 +416,7 @@ mod tests {
             let c = make_path(&sides);
             assert_eq!(c.kind, ComponentKind::EvenPath);
             assert_eq!(
-                sorted(maximal_instances(&c)),
+                instances(&c),
                 sorted(brute_instances(&c)),
                 "length {len} endpoints-left"
             );
@@ -432,7 +424,7 @@ mod tests {
             let sides: Vec<bool> = (0..len).map(|i| i % 2 == 1).collect();
             let c = make_path(&sides);
             assert_eq!(
-                sorted(maximal_instances(&c)),
+                instances(&c),
                 sorted(brute_instances(&c)),
                 "length {len} endpoints-right"
             );
@@ -443,11 +435,7 @@ mod tests {
     fn cycle_instances_match_brute_force() {
         for len in [4usize, 6, 8, 10, 12] {
             let c = make_cycle(len);
-            assert_eq!(
-                sorted(maximal_instances(&c)),
-                sorted(brute_instances(&c)),
-                "cycle {len}"
-            );
+            assert_eq!(instances(&c), sorted(brute_instances(&c)), "cycle {len}");
         }
     }
 
@@ -455,16 +443,16 @@ mod tests {
     fn single_complement_edge() {
         // Path of length 1: instances (1,0) and (0,1).
         let c = make_path(&[true, false]);
-        assert_eq!(sorted(maximal_instances(&c)), vec![(0, 1), (1, 0)]);
+        assert_eq!(instances(&c), vec![(0, 1), (1, 0)]);
     }
 
     #[test]
     fn realize_yields_independent_sets() {
-        let check = |c: &Component| {
-            for (a, b) in maximal_instances(c) {
+        let check = |c: &Owned| {
+            for (a, b) in instances(c) {
                 let mut left = Vec::new();
                 let mut right = Vec::new();
-                realize_instance(c, a, b, &mut left, &mut right);
+                realize_instance(c.view(), a, b, &mut left, &mut right);
                 assert_eq!(left.len(), a, "{:?} ({a},{b})", c.kind);
                 assert_eq!(right.len(), b, "{:?} ({a},{b})", c.kind);
                 // Chosen vertices must form an independent set: no two
@@ -534,6 +522,9 @@ mod tests {
     fn dynamic_mbb_matches_brute_force_on_near_complete_graphs() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        // One solver across every seed: each solve refills the buffers the
+        // previous one, on a graph of another size, left behind.
+        let mut solver = DynamicMbb::default();
         for seed in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let nl = rng.gen_range(1..=7usize);
@@ -575,17 +566,21 @@ mod tests {
             let ca = BitSet::full(nl);
             let cb = BitSet::full(nr);
             let mut stats = SearchStats::default();
-            let solution = dynamic_mbb(&g, &ca, &cb, 0, 0, &mut stats)
+            let (left_total, right_total) = solver
+                .solve(&g, &ca, &cb, 0, 0, &mut stats)
                 .expect("graph satisfies Lemma 3 by construction");
             let brute = brute_candidate_optimum(&g, &ca, &cb, 0, 0);
-            assert_eq!(solution.half(), brute, "seed {seed}");
-            // The returned witness must be a biclique of the right size.
+            assert_eq!(left_total.min(right_total), brute, "seed {seed}");
+            // The realised witness must be a biclique of the right size.
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            solver.realize(&mut left, &mut right);
             assert!(
-                g.is_biclique(&solution.chosen_left, &solution.chosen_right),
+                g.is_biclique(&left, &right),
                 "seed {seed}: witness not a biclique"
             );
-            assert_eq!(solution.chosen_left.len(), solution.left_total);
-            assert_eq!(solution.chosen_right.len(), solution.right_total);
+            assert_eq!(left.len(), left_total);
+            assert_eq!(right.len(), right_total);
+            assert!(left.is_sorted() && right.is_sorted());
         }
     }
 
@@ -601,11 +596,9 @@ mod tests {
         let ca = BitSet::full(2);
         let cb = BitSet::full(2);
         let mut stats = SearchStats::default();
-        let s = dynamic_mbb(&g, &ca, &cb, 3, 1, &mut stats).unwrap();
+        let totals = DynamicMbb::default().solve(&g, &ca, &cb, 3, 1, &mut stats);
         // Everything is trivial: totals are (3+2, 1+2) → half 3.
-        assert_eq!(s.left_total, 5);
-        assert_eq!(s.right_total, 3);
-        assert_eq!(s.half(), 3);
+        assert_eq!(totals, Some((5, 3)));
     }
 
     #[test]
@@ -614,7 +607,9 @@ mod tests {
         let ca = BitSet::full(3);
         let cb = BitSet::full(3);
         let mut stats = SearchStats::default();
-        assert!(dynamic_mbb(&g, &ca, &cb, 0, 0, &mut stats).is_none());
+        let mut solver = DynamicMbb::default();
+        assert!(solver.solve(&g, &ca, &cb, 0, 0, &mut stats).is_none());
+        assert_eq!(stats.poly_solves, 0);
     }
 
     #[test]
@@ -623,9 +618,10 @@ mod tests {
         let ca = BitSet::new(2);
         let cb = BitSet::new(2);
         let mut stats = SearchStats::default();
-        let s = dynamic_mbb(&g, &ca, &cb, 4, 2, &mut stats).unwrap();
-        assert_eq!(s.left_total, 4);
-        assert_eq!(s.right_total, 2);
-        assert!(s.chosen_left.is_empty());
+        let mut solver = DynamicMbb::default();
+        assert_eq!(solver.solve(&g, &ca, &cb, 4, 2, &mut stats), Some((4, 2)));
+        let (mut left, mut right) = (vec![7], vec![9]);
+        solver.realize(&mut left, &mut right);
+        assert_eq!((left, right), (vec![7], vec![9]));
     }
 }

@@ -36,34 +36,36 @@ pub fn reduce_candidates(
         let mut changed = false;
 
         // Left side: drop low-degree candidates, promote all-connected ones.
+        // CB is fixed during this pass, so removing from CA as we go sees
+        // the same degrees as a snapshot of CA would.
         let cb_len = cb.len();
-        for u in ca.to_vec() {
-            let degree = graph.left_degree_in(u, cb);
+        ca.retain(|u| {
+            let degree = graph.left_degree_in(u as u32, cb);
             if b.len() + degree <= best_half {
-                ca.remove(u as usize);
                 stats.reduced_vertices += 1;
-                changed = true;
             } else if degree == cb_len {
                 // Adjacent to all of CB (and to all of B by invariant).
-                ca.remove(u as usize);
-                a.push(u);
-                changed = true;
+                a.push(u as u32);
+            } else {
+                return true;
             }
-        }
+            changed = true;
+            false
+        });
 
         let ca_len = ca.len();
-        for v in cb.to_vec() {
-            let degree = graph.right_degree_in(v, ca);
+        cb.retain(|v| {
+            let degree = graph.right_degree_in(v as u32, ca);
             if a.len() + degree <= best_half {
-                cb.remove(v as usize);
                 stats.reduced_vertices += 1;
-                changed = true;
             } else if degree == ca_len {
-                cb.remove(v as usize);
-                b.push(v);
-                changed = true;
+                b.push(v as u32);
+            } else {
+                return true;
             }
-        }
+            changed = true;
+            false
+        });
 
         if !changed {
             return;

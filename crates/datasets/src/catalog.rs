@@ -4,8 +4,8 @@
 //! The real KONECT files are not redistributable/offline-available, so each
 //! entry records the published shape — `|L|`, `|R|`, density ×10⁻⁴ and the
 //! paper-reported optimum half-size — from which `crate::synth` builds a
-//! scaled synthetic stand-in (see `DESIGN.md` §4 for the substitution
-//! rationale).
+//! scaled synthetic stand-in (see the "Synthetic stand-ins" section of
+//! `docs/DATASETS.md` for the substitution rationale).
 
 use serde::{Deserialize, Serialize};
 
