@@ -1,13 +1,9 @@
 //! Connected components of a bipartite graph.
 //!
-//! A biclique with both sides non-empty is connected, so the MBB of a
-//! disconnected graph is the best MBB over its components. Component
-//! decomposition is therefore a free divide-and-conquer layer on top of
-//! any solver — and many real bipartite graphs (KONECT included) have a
-//! giant component plus thousands of tiny ones that peel away instantly.
+//! A biclique with both sides non-empty is connected, so every biclique
+//! lies inside a single component.
 
 use crate::graph::{BipartiteGraph, Side, Vertex};
-use crate::subgraph::{induce_by_ids, InducedSubgraph};
 
 /// Component labelling of a bipartite graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,30 +80,6 @@ pub fn connected_components(graph: &BipartiteGraph) -> ConnectedComponents {
     }
 }
 
-/// Splits a graph into its edge-bearing connected components, each an
-/// [`InducedSubgraph`] carrying original-id maps, ordered by component
-/// label (discovery order over left vertices).
-pub fn split_components(graph: &BipartiteGraph) -> Vec<InducedSubgraph> {
-    let cc = connected_components(graph);
-    let mut left_ids: Vec<Vec<u32>> = vec![Vec::new(); cc.count as usize];
-    let mut right_ids: Vec<Vec<u32>> = vec![Vec::new(); cc.count as usize];
-    for (u, &label) in cc.left_label.iter().enumerate() {
-        if label != u32::MAX {
-            left_ids[label as usize].push(u as u32);
-        }
-    }
-    for (v, &label) in cc.right_label.iter().enumerate() {
-        if label != u32::MAX {
-            right_ids[label as usize].push(v as u32);
-        }
-    }
-    left_ids
-        .into_iter()
-        .zip(right_ids)
-        .map(|(left, right)| induce_by_ids(graph, left, right))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,13 +144,8 @@ mod tests {
         let g = BipartiteGraph::from_edges(4, 4, edges).unwrap();
         let cc = connected_components(&g);
         assert_eq!(cc.count, 2);
-        let parts = split_components(&g);
-        assert_eq!(parts.len(), 2);
-        for part in &parts {
-            assert_eq!(part.graph.num_left(), 2);
-            assert_eq!(part.graph.num_right(), 2);
-            assert_eq!(part.graph.num_edges(), 4);
-        }
+        assert_eq!(cc.left_label, vec![0, 0, 1, 1]);
+        assert_eq!(cc.right_label, vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -188,18 +155,25 @@ mod tests {
         assert_eq!(cc.count, 1);
         assert_eq!(cc.component_of(Vertex::left(1)), None);
         assert_eq!(cc.component_of(Vertex::right(2)), None);
-        let parts = split_components(&g);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].graph.num_vertices(), 2);
+        assert_eq!(cc.component_of(Vertex::left(0)), Some(0));
+        assert_eq!(cc.component_of(Vertex::right(0)), Some(0));
     }
 
     #[test]
     fn component_edges_partition_graph_edges() {
         for seed in 0..8u64 {
+            // Both endpoints of every edge carry the same label, so the
+            // labels split the edge set into `count` non-empty parts.
             let g = generators::uniform_edges(15, 15, 25, seed ^ 0x3);
-            let parts = split_components(&g);
-            let total: usize = parts.iter().map(|p| p.graph.num_edges()).sum();
-            assert_eq!(total, g.num_edges(), "seed {seed}");
+            let cc = connected_components(&g);
+            let mut per_component = vec![0usize; cc.count as usize];
+            for (u, v) in g.edges() {
+                let label = cc.left_label[u as usize];
+                assert_eq!(label, cc.right_label[v as usize], "seed {seed}");
+                per_component[label as usize] += 1;
+            }
+            assert!(per_component.iter().all(|&m| m > 0), "seed {seed}");
+            assert_eq!(per_component.iter().sum::<usize>(), g.num_edges());
         }
     }
 
@@ -207,7 +181,6 @@ mod tests {
     fn empty_and_edgeless_graphs() {
         let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
         assert_eq!(connected_components(&g).count, 0);
-        assert!(split_components(&g).is_empty());
         let g = BipartiteGraph::from_edges(4, 4, []).unwrap();
         assert_eq!(connected_components(&g).count, 0);
     }

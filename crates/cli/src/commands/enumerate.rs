@@ -118,10 +118,13 @@ pub fn run(options: &EnumerateOptions) -> Result<String, String> {
         min_left: options.min_left,
         min_right: options.min_right,
         max_results: options.max_results,
-        budget: options.budget_secs.map(Duration::from_secs),
     };
     let engine = MbbEngine::from_arc(graph, Default::default());
-    let result = engine.query().threads(options.threads).enumerate(config);
+    let mut query = engine.query().threads(options.threads);
+    if let Some(secs) = options.budget_secs {
+        query = query.deadline(Duration::from_secs(secs));
+    }
+    let result = query.enumerate(config);
     let mut out = String::new();
     for b in &result.value.bicliques {
         let left: Vec<u32> = b.left.iter().map(|&u| u + 1).collect();

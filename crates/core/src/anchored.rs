@@ -19,45 +19,12 @@ use crate::budget::SearchBudget;
 use crate::dense::{dense_mbb_budgeted, DenseConfig};
 use crate::stats::SearchStats;
 
-/// The largest balanced biclique containing `anchor`, and the search
-/// statistics of the underlying `denseMBB` run.
-///
-/// Returns the empty biclique only when `anchor` has no incident edge.
-///
-/// Deprecated one-shot form; prefer
-/// [`MbbEngine::anchored`](crate::engine::MbbEngine::anchored), which
-/// caches the two-hop index across anchored queries:
-///
-/// ```
-/// use mbb_bigraph::graph::{BipartiteGraph, Vertex};
-/// use mbb_core::engine::MbbEngine;
-///
-/// // L0 is pendant; the 2×2 block lives on {1,2}×{1,2}.
-/// let g = BipartiteGraph::from_edges(
-///     3, 3,
-///     [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)],
-/// )?;
-/// let engine = MbbEngine::new(g);
-/// let through_pendant = engine.anchored(Vertex::left(0)).value;
-/// assert_eq!(through_pendant.half_size(), 1);
-/// assert_eq!(through_pendant.left, vec![0]);
-/// let through_block = engine.anchored(Vertex::left(1)).value;
-/// assert_eq!(through_block.half_size(), 2);
-/// # Ok::<(), mbb_bigraph::graph::GraphError>(())
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use MbbEngine::anchored / engine.query().anchored(v) instead"
-)]
-pub fn anchored_mbb(graph: &BipartiteGraph, anchor: Vertex) -> (Biclique, SearchStats) {
-    anchored_budgeted(graph, anchor, None, &SearchBudget::unlimited())
-}
-
-/// The budgeted, index-aware anchored search behind
+/// The largest balanced biclique containing `anchor` (empty only when
+/// `anchor` has no incident edge), and the statistics of the seeded
+/// `denseMBB` run. This is the search behind
 /// [`MbbEngine::anchored`](crate::engine::MbbEngine::anchored): an
 /// optional cached [`TwoHopIndex`] replaces the per-query `N≤2` walk, and
-/// the seeded `denseMBB` run honours the [`SearchBudget`] (best-so-far on
-/// exhaustion).
+/// the run honours the [`SearchBudget`] (best-so-far on exhaustion).
 pub fn anchored_budgeted(
     graph: &BipartiteGraph,
     anchor: Vertex,
@@ -135,20 +102,8 @@ pub fn anchored_budgeted(
 }
 
 /// The largest balanced biclique containing the edge `(u, v)` (left `u`,
-/// right `v`). Returns `None` when the edge is absent from the graph.
-#[deprecated(
-    since = "0.2.0",
-    note = "use MbbEngine::anchored_edge / engine.query().anchored_edge(u, v) instead"
-)]
-pub fn anchored_mbb_edge(
-    graph: &BipartiteGraph,
-    u: u32,
-    v: u32,
-) -> Option<(Biclique, SearchStats)> {
-    anchored_edge_budgeted(graph, u, v, None, &SearchBudget::unlimited())
-}
-
-/// The budgeted, index-aware edge-anchored search behind
+/// right `v`), or `None` when the edge is absent from the graph. This is
+/// the budgeted, index-aware search behind
 /// [`MbbEngine::anchored_edge`](crate::engine::MbbEngine::anchored_edge).
 pub fn anchored_edge_budgeted(
     graph: &BipartiteGraph,

@@ -255,6 +255,24 @@ impl MbbEngine {
     }
 
     /// The largest balanced biclique through `anchor`.
+    ///
+    /// ```
+    /// use mbb_bigraph::graph::{BipartiteGraph, Vertex};
+    /// use mbb_core::engine::MbbEngine;
+    ///
+    /// // L0 is pendant; the 2×2 block lives on {1,2}×{1,2}.
+    /// let g = BipartiteGraph::from_edges(
+    ///     3, 3,
+    ///     [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)],
+    /// )?;
+    /// let engine = MbbEngine::new(g);
+    /// let through_pendant = engine.anchored(Vertex::left(0)).value;
+    /// assert_eq!(through_pendant.half_size(), 1);
+    /// assert_eq!(through_pendant.left, vec![0]);
+    /// let through_block = engine.anchored(Vertex::left(1)).value;
+    /// assert_eq!(through_block.half_size(), 2);
+    /// # Ok::<(), mbb_bigraph::graph::GraphError>(())
+    /// ```
     pub fn anchored(&self, anchor: Vertex) -> QueryResult<Biclique> {
         self.query().anchored(anchor)
     }

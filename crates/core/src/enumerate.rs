@@ -16,7 +16,6 @@
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::time::Duration;
 
 use mbb_bigraph::graph::{
     sorted_contains_all, sorted_intersection, sorted_intersects, sorted_overlap_with,
@@ -85,9 +84,6 @@ pub struct EnumConfig {
     pub min_right: usize,
     /// Stop after reporting this many bicliques.
     pub max_results: Option<u64>,
-    /// Wall-clock budget; the enumeration stops (incomplete) when it
-    /// expires.
-    pub budget: Option<Duration>,
 }
 
 impl Default for EnumConfig {
@@ -96,7 +92,6 @@ impl Default for EnumConfig {
             min_left: 1,
             min_right: 1,
             max_results: None,
-            budget: None,
         }
     }
 }
@@ -121,11 +116,7 @@ struct Enumerator<'g, F> {
     reported: u64,
     visited: u64,
     stopped: bool,
-    /// The per-call [`EnumConfig::budget`] cap, carried as a sampled
-    /// [`SearchBudget`] so the hot loop never reads the raw wall clock.
-    call_budget: SearchBudget,
-    /// Session budget (deadline/cancellation shared with the caller), as
-    /// opposed to the per-call `call_budget` above.
+    /// The query's budget (deadline/cancellation shared with the caller).
     budget: SearchBudget,
     /// Dynamic balanced-size lower bound: branches whose best possible
     /// `min(|A|, |B|)` is strictly below the floor are skipped entirely.
@@ -135,7 +126,7 @@ struct Enumerator<'g, F> {
 
 impl<F: FnMut(&MaximalBiclique) -> ControlFlow<()>> Enumerator<'_, F> {
     fn out_of_time(&mut self) -> bool {
-        if self.call_budget.is_exhausted() || self.budget.is_exhausted() {
+        if self.budget.is_exhausted() {
             self.stopped = true;
         }
         self.stopped
@@ -275,10 +266,10 @@ where
     enumerate_budgeted(graph, config, &SearchBudget::unlimited(), visit)
 }
 
-/// [`enumerate_maximal_bicliques`] under a session [`SearchBudget`]: the
-/// enumeration additionally stops (incomplete) once the budget's deadline
-/// passes or its cancel token fires. `EnumConfig::budget` still applies as
-/// an independent per-call cap.
+/// [`enumerate_maximal_bicliques`] under a [`SearchBudget`]: the
+/// enumeration stops (incomplete) once the budget's deadline passes or its
+/// cancel token fires, and the budget's
+/// [`termination`](SearchBudget::termination) then says which.
 pub fn enumerate_budgeted<F>(
     graph: &BipartiteGraph,
     config: &EnumConfig,
@@ -306,9 +297,6 @@ pub(crate) fn enumerate_with_floor<F>(
 where
     F: FnMut(&MaximalBiclique) -> ControlFlow<()>,
 {
-    let call_budget = config
-        .budget
-        .map_or_else(SearchBudget::unlimited, SearchBudget::with_deadline);
     let mut enumerator = Enumerator {
         graph,
         config: *config,
@@ -316,7 +304,6 @@ where
         reported: 0,
         visited: 0,
         stopped: false,
-        call_budget,
         budget: budget.clone(),
         floor,
     };

@@ -9,7 +9,6 @@
 //! its balanced corner `max min(a, b)` is the MBB half-size.
 
 use std::ops::ControlFlow;
-use std::time::Duration;
 
 use mbb_bigraph::graph::BipartiteGraph;
 
@@ -29,28 +28,13 @@ pub struct SizeFrontier {
 }
 
 impl SizeFrontier {
-    /// Computes the frontier by enumerating maximal bicliques. Worst-case
-    /// exponential (the frontier itself can have at most `min(|L|, |R|)`
-    /// points, but certifying it needs all maximal bicliques); pass a
-    /// budget on large dense graphs.
-    ///
-    /// Legacy one-shot form whose `Option<Duration>` budget truncates
-    /// silently (`complete: false` cannot say why); prefer
-    /// [`MbbEngine::frontier`](crate::engine::MbbEngine::frontier), which
-    /// reports a typed [`Termination`](crate::budget::Termination).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MbbEngine::frontier / engine.query().frontier() instead"
-    )]
-    pub fn of(graph: &BipartiteGraph, budget: Option<Duration>) -> SizeFrontier {
-        let budget = budget.map_or_else(SearchBudget::unlimited, SearchBudget::with_deadline);
-        SizeFrontier::budgeted(graph, &budget)
-    }
-
-    /// Computes the frontier under a shared [`SearchBudget`] — the entry
-    /// point behind [`MbbEngine::frontier`](crate::engine::MbbEngine::frontier),
-    /// whose [`Termination`](crate::budget::Termination) replaces the bare
-    /// `complete` flag with the reason the enumeration stopped.
+    /// Computes the frontier by enumerating maximal bicliques under a
+    /// shared [`SearchBudget`] — the entry point behind
+    /// [`MbbEngine::frontier`](crate::engine::MbbEngine::frontier), whose
+    /// [`Termination`](crate::budget::Termination) says why an incomplete
+    /// enumeration stopped. Worst-case exponential (the frontier itself
+    /// has at most `min(|L|, |R|)` points, but certifying it needs all
+    /// maximal bicliques); give large dense graphs a deadline.
     ///
     /// ```
     /// use mbb_bigraph::graph::BipartiteGraph;

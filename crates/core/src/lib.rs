@@ -14,18 +14,19 @@
 //! * [`solver::MbbSolver`] — Algorithm 4, the `hbvMBB` framework,
 //!   O*(1.3803^δ̈) with every Table 3 ablation exposed.
 //!
-//! Beyond the paper: [`enumerate`] / [`enumerate_scoped`] (maximal
-//! biclique enumeration with real maximality checking), [`topk`],
-//! [`anchored`] (per-vertex/per-edge queries), [`incremental`]
-//! (warm-started maintenance over edge streams), [`weighted`]
-//! (vertex-weighted variant), [`frontier`] (the feasible-size Pareto
-//! frontier), [`size_constrained`] and [`meb`].
+//! Beyond the paper: [`enumerate`] (maximal biclique enumeration with
+//! real maximality checking), [`topk`], [`anchored`] (per-vertex and
+//! per-edge queries), [`incremental`] (warm-started maintenance over edge
+//! streams), [`weighted`] (vertex-weighted variant), [`frontier`] (the
+//! feasible-size Pareto frontier), [`size_constrained`] and [`meb`].
 //!
 //! All of these are served by one session object, [`engine::MbbEngine`]:
 //! build it once per graph and it caches the expensive shared indices
 //! (search orders, bicore decomposition, two-hop index) across every
 //! query, with deadlines and cancellation threaded through the hot
-//! search loops ([`budget`]).
+//! search loops ([`budget`]). The engine is the one public path per
+//! query kind; the `*_budgeted` functions in the extension modules are
+//! the searches it runs.
 //!
 //! # Quickstart
 //!
@@ -61,7 +62,6 @@ pub mod budget;
 pub mod dense;
 pub mod engine;
 pub mod enumerate;
-pub mod enumerate_scoped;
 pub mod frontier;
 pub mod heuristic;
 pub mod incremental;
@@ -83,9 +83,5 @@ pub use engine::{Enumeration, MbbEngine, QueryBuilder, QueryResult};
 pub use enumerate::{enumerate_maximal_bicliques, EnumConfig, MaximalBiclique};
 pub use frontier::SizeFrontier;
 pub use incremental::IncrementalMbb;
-#[allow(deprecated)]
-pub use solver::solve_mbb;
 pub use solver::{dense_mbb_graph, resolve_threads, MbbSolver, SolveResult, SolverConfig};
 pub use stats::{IndexStats, SolveStats, Stage};
-#[allow(deprecated)]
-pub use topk::topk_balanced_bicliques;

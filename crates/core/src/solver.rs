@@ -226,10 +226,8 @@ impl MbbSolver {
                 stats.heuristic_global_half = outcome.best.half_size();
                 stats.heuristic_local_half = outcome.best.half_size();
                 stats.optimum_half = outcome.best.half_size();
-                // mbb-lint: allow(hot-clock) stage-boundary timestamp, shared by stats and the obs span
-                let stage1_end = Instant::now();
-                stats.stage_seconds[0] = (stage1_end - stage1_start).as_secs_f64();
-                obs::record(obs::Stage::SolveHeuristic, stage1_start, stage1_end);
+                // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+                obs::record(obs::Stage::SolveHeuristic, stage1_start, Instant::now());
                 return SolveResult {
                     biclique: outcome.best,
                     stats,
@@ -245,10 +243,8 @@ impl MbbSolver {
             (incumbent, InducedSubgraph::identity(graph))
         };
         stats.heuristic_global_half = best.half_size();
-        // mbb-lint: allow(hot-clock) stage-boundary timestamp, shared by stats and the obs span
-        let stage1_end = Instant::now();
-        stats.stage_seconds[0] = (stage1_end - stage1_start).as_secs_f64();
-        obs::record(obs::Stage::SolveHeuristic, stage1_start, stage1_end);
+        // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+        obs::record(obs::Stage::SolveHeuristic, stage1_start, Instant::now());
 
         // An empty reduced graph means the incumbent is optimal; an
         // exhausted budget means stage 1's best is all we may report.
@@ -311,10 +307,8 @@ impl MbbSolver {
         }
         stats.heuristic_local_half = best.half_size();
         stats.subgraphs_verified = bridged.survivors.len();
-        // mbb-lint: allow(hot-clock) stage-boundary timestamp, shared by stats and the obs span
-        let stage2_end = Instant::now();
-        stats.stage_seconds[1] = (stage2_end - stage2_start).as_secs_f64();
-        obs::record(obs::Stage::SolveBridge, stage2_start, stage2_end);
+        // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+        obs::record(obs::Stage::SolveBridge, stage2_start, Instant::now());
 
         if bridged.survivors.is_empty() || budget.probe() {
             stats.stage = Stage::S2;
@@ -355,65 +349,8 @@ impl MbbSolver {
         }
         stats.stage = Stage::S3;
         stats.optimum_half = best.half_size();
-        // mbb-lint: allow(hot-clock) stage-boundary timestamp, shared by stats and the obs span
-        let stage3_end = Instant::now();
-        stats.stage_seconds[2] = (stage3_end - stage3_start).as_secs_f64();
-        obs::record(obs::Stage::SolveVerify, stage3_start, stage3_end);
-        SolveResult {
-            biclique: best,
-            stats,
-        }
-    }
-}
-
-/// Convenience wrapper: solve with the default configuration.
-///
-/// Deprecated one-shot form; prefer
-/// [`MbbEngine::solve`](crate::engine::MbbEngine::solve), which caches the
-/// expensive per-graph indices for every follow-up query.
-#[deprecated(
-    since = "0.2.0",
-    note = "use MbbEngine::solve / engine.query().solve() instead"
-)]
-pub fn solve_mbb(graph: &BipartiteGraph) -> Biclique {
-    // Equivalent to a one-shot engine's solve(), minus the graph clone
-    // and session bookkeeping legacy callers never asked for.
-    MbbSolver::new().solve(graph).biclique
-}
-
-impl MbbSolver {
-    /// Solves component-by-component: a biclique with both sides
-    /// non-empty is connected, so the global optimum is the best
-    /// per-component optimum. Components already smaller than the best
-    /// half found so far are skipped outright, which makes graphs with a
-    /// giant component plus many small ones cheaper than one monolithic
-    /// solve. Statistics are merged across the solved components.
-    pub fn solve_componentwise(&self, graph: &BipartiteGraph) -> SolveResult {
-        let mut components = mbb_bigraph::components::split_components(graph);
-        // Biggest first: a large early incumbent prunes the rest.
-        components.sort_by_key(|c| std::cmp::Reverse(c.graph.num_edges()));
-        let mut best = Biclique::empty();
-        let mut stats = SolveStats::default();
-        for component in &components {
-            let cap = component.graph.num_left().min(component.graph.num_right());
-            if cap <= best.half_size() {
-                continue; // cannot beat the incumbent
-            }
-            let result = self.solve(&component.graph);
-            stats.search.merge(&result.stats.search);
-            stats.subgraphs_generated += result.stats.subgraphs_generated;
-            stats.subgraphs_verified += result.stats.subgraphs_verified;
-            stats.stage = result.stats.stage;
-            stats.degeneracy = stats.degeneracy.max(result.stats.degeneracy);
-            // `None < Some`: the merge keeps the largest δ̈ of any component
-            // that built an order, and stays `None` if all exited at S1.
-            stats.bidegeneracy = stats.bidegeneracy.max(result.stats.bidegeneracy);
-            if result.biclique.half_size() > best.half_size() {
-                best = map_to_parent(&result.biclique, component);
-            }
-        }
-        stats.optimum_half = best.half_size();
-        stats.heuristic_global_half = stats.heuristic_global_half.min(best.half_size());
+        // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+        obs::record(obs::Stage::SolveVerify, stage3_start, Instant::now());
         SolveResult {
             biclique: best,
             stats,
@@ -424,8 +361,6 @@ impl MbbSolver {
 /// Runs `denseMBB` (Algorithm 3) directly on a whole graph — the §6.1 dense
 /// workload entry point. A degree-greedy warm start seeds the bound.
 pub fn dense_mbb_graph(graph: &BipartiteGraph) -> SolveResult {
-    // mbb-lint: allow(hot-clock) whole-call timing, taken once per solve outside the search loops
-    let start = Instant::now();
     let mut stats = SolveStats::default();
     let score: Vec<u64> = graph.vertices().map(|v| graph.degree(v) as u64).collect();
     let warm = greedy_balanced(graph, &score, 16);
@@ -453,7 +388,6 @@ pub fn dense_mbb_graph(graph: &BipartiteGraph) -> SolveResult {
     };
     stats.optimum_half = best.half_size();
     stats.stage = Stage::S3;
-    stats.stage_seconds[2] = start.elapsed().as_secs_f64();
     SolveResult {
         biclique: best,
         stats,
@@ -574,49 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn componentwise_matches_monolithic() {
-        for seed in 0..12u64 {
-            // Sparse enough to fragment into several components.
-            let g = generators::uniform_edges(14, 14, 16, seed);
-            let whole = MbbSolver::new().solve(&g);
-            let parts = MbbSolver::new().solve_componentwise(&g);
-            assert_eq!(
-                parts.biclique.half_size(),
-                whole.biclique.half_size(),
-                "seed {seed}"
-            );
-            assert!(parts.biclique.is_empty() || parts.biclique.is_valid(&g));
-        }
-    }
-
-    #[test]
-    fn componentwise_on_disjoint_blocks() {
-        // 2×2 and 3×3 blocks: the answer is the bigger block.
-        let mut edges = Vec::new();
-        for u in 0..2u32 {
-            for v in 0..2u32 {
-                edges.push((u, v));
-            }
-        }
-        for u in 2..5u32 {
-            for v in 2..5u32 {
-                edges.push((u, v));
-            }
-        }
-        let g = BipartiteGraph::from_edges(5, 5, edges).unwrap();
-        let result = MbbSolver::new().solve_componentwise(&g);
-        assert_eq!(result.biclique.half_size(), 3);
-        assert!(result.biclique.left.iter().all(|&u| u >= 2));
-    }
-
-    #[test]
-    fn componentwise_on_empty_graph() {
-        let g = BipartiteGraph::from_edges(4, 4, []).unwrap();
-        let result = MbbSolver::new().solve_componentwise(&g);
-        assert_eq!(result.biclique.half_size(), 0);
-    }
-
-    #[test]
     fn warm_start_with_optimum_still_returns_optimum() {
         for seed in 0..10u64 {
             let g = generators::uniform_edges(12, 12, 60, seed ^ 0x31);
@@ -658,7 +549,6 @@ mod tests {
     fn stage_statistics_are_populated() {
         let g = generators::uniform_edges(20, 20, 140, 3);
         let result = MbbSolver::new().solve(&g);
-        assert!(result.stats.stage_seconds[0] >= 0.0);
         if result.stats.stage == Stage::S3 {
             assert!(result.stats.subgraphs_generated > 0);
         }

@@ -146,8 +146,6 @@ pub struct SolveStats {
     pub max_subgraph_size: usize,
     /// Aggregated exhaustive-search counters (Figure 5's depth data).
     pub search: SearchStats,
-    /// Wall-clock duration of each stage, seconds.
-    pub stage_seconds: [f64; 3],
     /// Session index-reuse counters (cumulative over the owning
     /// `MbbEngine`; all zero outside an engine session).
     pub index: IndexStats,
@@ -168,7 +166,6 @@ impl Default for SolveStats {
             avg_subgraph_size: 0.0,
             max_subgraph_size: 0,
             search: SearchStats::default(),
-            stage_seconds: [0.0; 3],
             index: IndexStats::default(),
         }
     }

@@ -18,7 +18,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::time::Duration;
 
 use mbb_bigraph::graph::BipartiteGraph;
 
@@ -66,30 +65,11 @@ pub struct TopkOutcome {
 }
 
 /// Finds the `k` maximal bicliques with the largest balanced size
-/// (`min(|A|, |B|)`, ties by total size). Fewer than `k` are returned
-/// when the graph has fewer maximal bicliques.
-///
-/// This is the deprecated one-shot form; prefer
-/// [`MbbEngine::topk`](crate::engine::MbbEngine::topk), which shares
-/// session state across queries and reports a typed
-/// [`Termination`](crate::budget::Termination) instead of a bare flag.
-#[deprecated(
-    since = "0.2.0",
-    note = "use MbbEngine::topk / engine.query().topk(k) instead"
-)]
-pub fn topk_balanced_bicliques(
-    graph: &BipartiteGraph,
-    k: usize,
-    budget: Option<Duration>,
-) -> TopkOutcome {
-    // Equivalent to a one-shot engine's topk(), minus the graph clone.
-    let budget = budget.map_or_else(SearchBudget::unlimited, SearchBudget::with_deadline);
-    topk_budgeted(graph, k, &budget)
-}
-
-/// The budgeted top-k search: ranks maximal bicliques by balanced size
-/// under a shared [`SearchBudget`]. An exhausted budget yields the best of
-/// what was seen (`complete: false`).
+/// (`min(|A|, |B|)`, ties by total size) under a shared [`SearchBudget`];
+/// the search behind [`MbbEngine::topk`](crate::engine::MbbEngine::topk).
+/// Fewer than `k` are returned when the graph has fewer maximal
+/// bicliques. An exhausted budget yields the best of what was seen
+/// (`complete: false`).
 ///
 /// ```
 /// use mbb_bigraph::graph::BipartiteGraph;

@@ -21,15 +21,14 @@ use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::local::LocalGraph;
 
-use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
 use crate::stats::SearchStats;
 
 /// Result of a weighted search: the witness and its total weight. Indices
 /// are in the ids of the graph the search ran on (local indices for
-/// [`weighted_mbb_local`], original side ids for the graph-level entry
-/// points — which induce the identity local graph, so the two coincide
-/// there).
+/// [`weighted_mbb_local`], original side ids for the graph-level
+/// [`weighted_mbb_budgeted`] — which induces the identity local graph, so
+/// the two coincide there).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightedBiclique {
     /// Left vertex indices, sorted.
@@ -93,23 +92,6 @@ pub fn weighted_mbb_local_budgeted(
     );
     let stats = searcher.stats;
     (searcher.best, stats)
-}
-
-/// Weighted MBB over a whole [`BipartiteGraph`]. Weights are indexed by
-/// global id (`graph.global_id`): left vertices first, then right.
-///
-/// Deprecated: the anonymous `(Biclique, u64)` tuple loses the search
-/// statistics and conflates the witness with its score. Prefer
-/// [`MbbEngine::weighted`](crate::engine::MbbEngine::weighted), which
-/// returns a typed [`WeightedBiclique`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use MbbEngine::weighted / engine.query().weighted(&w); it returns a typed WeightedBiclique"
-)]
-pub fn weighted_mbb(graph: &BipartiteGraph, weights: &[u64]) -> (Biclique, u64) {
-    // Equivalent to a one-shot engine's weighted(), minus the graph clone.
-    let (found, _) = weighted_mbb_budgeted(graph, weights, &SearchBudget::unlimited());
-    (Biclique::balanced(found.left, found.right), found.weight)
 }
 
 /// The graph-level weighted search behind
@@ -258,6 +240,7 @@ impl WeightedSearcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::biclique::Biclique;
     use mbb_bigraph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -393,9 +376,9 @@ mod tests {
         let g = generators::complete(2, 3);
         // Global layout: 2 left weights then 3 right weights.
         let (found, _) = weighted_mbb_budgeted(&g, &[10, 1, 1, 2, 30], &SearchBudget::unlimited());
-        let (biclique, weight) = (Biclique::balanced(found.left, found.right), found.weight);
-        assert_eq!(biclique.half_size(), 2);
         // Best: both left (10 + 1) + two heaviest right (30 + 2).
-        assert_eq!(weight, 43);
+        assert_eq!(found.left, vec![0, 1]);
+        assert_eq!(found.right, vec![1, 2]);
+        assert_eq!(found.weight, 43);
     }
 }

@@ -39,31 +39,27 @@ const WIRE_FILES: [&str; 6] = [
 
 /// Solver hot-loop files: per-node work lives here, so raw wall-clock
 /// reads belong behind the sampled `SearchBudget`.
-const HOT_LOOP_FILES: [&str; 3] = [
-    "crates/core/src/enumerate.rs",
-    "crates/core/src/enumerate_scoped.rs",
-    "crates/core/src/solver.rs",
-];
+const HOT_LOOP_FILES: [&str; 2] = ["crates/core/src/enumerate.rs", "crates/core/src/solver.rs"];
 
 /// Solver inner-loop files: span/timer construction here would run per
 /// search node — instrumentation stays at the stage boundaries one
 /// level up (`solver.rs`, `engine.rs`).
-const OBS_HOT_FILES: [&str; 3] = [
-    "crates/core/src/dense.rs",
-    "crates/core/src/enumerate.rs",
-    "crates/core/src/enumerate_scoped.rs",
-];
+const OBS_HOT_FILES: [&str; 2] = ["crates/core/src/dense.rs", "crates/core/src/enumerate.rs"];
 
 /// Kernel-hot solver files: bitset intersect+len pairs here must go
 /// through the fused kernel layer (`crates/bigraph/src/kernels.rs`), not
 /// two passes over the words.
 const KERNEL_FILES: [&str; 2] = ["crates/core/src/dense.rs", "crates/core/src/verify.rs"];
 
+/// The file lists of the per-file rules above.
+const LISTS: [&[&str]; 4] = [&WIRE_FILES, &HOT_LOOP_FILES, &OBS_HOT_FILES, &KERNEL_FILES];
+
 fn usage() -> &'static str {
     "usage: mbb-lint [--workspace] [--root <dir>]\n\n\
      Scans the workspace's crates/ tree (skipping vendor/ and target/)\n\
      and reports rule findings as `file:line: [rule-id] message`.\n\
-     Exits 1 when any finding is reported.\n\n\
+     Exits 1 when any finding is reported, 2 when docs/lock_order.txt\n\
+     or a file a rule lists is missing.\n\n\
      options:\n\
        --workspace    scan the whole workspace (the default; accepted\n\
                       for symmetry with cargo's own flags)\n\
@@ -136,6 +132,20 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
         }
     };
 
+    // A listed file that moved or was renamed would lose its rules
+    // silently, so every listed path must exist.
+    let mut missing = LISTS.concat();
+    missing.retain(|rel| !root.join(rel).is_file());
+    missing.sort_unstable();
+    missing.dedup();
+    if !missing.is_empty() {
+        return Err(format!(
+            "listed file(s) not found: {} — update the file lists in \
+             crates/lint/src/main.rs when a file moves",
+            missing.join(", ")
+        ));
+    }
+
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
     collect_rust_files(&crates_dir, &mut files)
@@ -150,8 +160,8 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
             .to_string_lossy()
             .replace('\\', "/");
         let source = std::fs::read_to_string(path).map_err(|e| format!("reading {rel}: {e}"))?;
-        // Integration tests and benches are test code wholesale.
-        let whole_file_is_test = rel.split('/').any(|c| c == "tests" || c == "benches");
+        // Integration tests are test code wholesale.
+        let whole_file_is_test = rel.split('/').any(|c| c == "tests");
         let lines = lexer::analyze(&source, whole_file_is_test);
 
         rules::check_relaxed_justify(&rel, &lines, &mut findings);
@@ -218,5 +228,33 @@ mod tests {
     fn missing_lock_order_contract_is_an_error() {
         let err = run(Path::new("/nonexistent-root")).unwrap_err();
         assert!(err.contains("lock_order"), "{err}");
+    }
+
+    #[test]
+    fn missing_listed_file_is_an_error() {
+        // A temporary root with the lock-order contract and an empty file
+        // at every listed path lints clean; deleting one listed file makes
+        // the run fail and name exactly that file.
+        let root = std::env::temp_dir().join(format!("mbb-lint-listed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("docs")).unwrap();
+        std::fs::write(root.join("docs/lock_order.txt"), "").unwrap();
+        for rel in LISTS.concat() {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, "").unwrap();
+        }
+        let complete = run(&root);
+        let absent = "crates/core/src/verify.rs";
+        std::fs::remove_file(root.join(absent)).unwrap();
+        let incomplete = run(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+
+        assert!(complete.expect("all listed files exist").is_empty());
+        let err = incomplete.unwrap_err();
+        assert!(err.contains(absent), "{err}");
+        for rel in LISTS.concat().into_iter().filter(|&rel| rel != absent) {
+            assert!(!err.contains(rel), "{rel} exists: {err}");
+        }
     }
 }

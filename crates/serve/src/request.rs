@@ -458,7 +458,6 @@ fn execute(
                 min_left: *min_left,
                 min_right: *min_right,
                 max_results: *max_results,
-                budget: None,
             };
             let r = builder().enumerate(config);
             (QueryOutcome::Enumerate(r.value), r.termination, r.stats)

@@ -88,7 +88,6 @@ fn main() {
         min_left: 4,
         min_right: 4,
         max_results: Some(10),
-        budget: None,
     };
     enumerate_budgeted(engine.graph(), &config, &SearchBudget::unlimited(), |b| {
         println!(

@@ -1,6 +1,7 @@
-//! A second, independent maximal-biclique enumerator in the FMBE style
-//! (Das & Tirthapura 2019, \[9\] in the paper): per-vertex, 2-hop-scoped
-//! enumeration under a fixed total order.
+//! An independent maximal-biclique enumerator in the FMBE style (Das &
+//! Tirthapura 2019, \[9\] in the paper): per-vertex, 2-hop-scoped
+//! enumeration under a fixed total order. It is the test oracle for
+//! `mbb_core::enumerate`, the consensus-expansion enumerator.
 //!
 //! FMBE's key idea — before enumerating the bicliques through a vertex,
 //! restrict the scope to its 2-hop neighbourhood — is exactly the paper's
@@ -10,25 +11,20 @@
 //! consensus expansion over left candidates restricted to higher-ranked
 //! 2-hop neighbours.
 //!
-//! The module exists for two reasons: it is the natural enumerator when
-//! only bicliques through a few vertices are needed (the per-root entry
-//! point is public), and it cross-validates [`crate::enumerate`] — two
-//! structurally different enumerators must produce identical sets, which
-//! the tests and the integration suite check.
+//! Two structurally different enumerators must produce identical sets.
+//! The integration tests check that, and derive the expected answer of
+//! every engine query kind except `solve` from this module's output.
 
 use std::ops::ControlFlow;
 
 use mbb_bigraph::graph::{sorted_contains_all, sorted_intersection, BipartiteGraph, Vertex};
 use mbb_bigraph::two_hop::n2_neighbors;
-
-use crate::budget::SearchBudget;
-use crate::enumerate::{EnumConfig, EnumOutcome, MaximalBiclique};
+use mbb_core::enumerate::{EnumConfig, EnumOutcome, MaximalBiclique};
 
 /// Enumerates every maximal biclique (both sides non-empty) exactly once,
 /// routing each through the minimum-degree-rank vertex of its left side.
-/// Functionally identical to
-/// [`crate::enumerate::enumerate_maximal_bicliques`]; prefer this variant
-/// on sparse graphs with small 2-hop neighbourhoods.
+/// Must list the same set as
+/// `mbb_core::enumerate::enumerate_maximal_bicliques`.
 pub fn enumerate_maximal_bicliques_scoped<F>(
     graph: &BipartiteGraph,
     config: &EnumConfig,
@@ -37,9 +33,6 @@ pub fn enumerate_maximal_bicliques_scoped<F>(
 where
     F: FnMut(&MaximalBiclique) -> ControlFlow<()>,
 {
-    let budget = config
-        .budget
-        .map_or_else(SearchBudget::unlimited, SearchBudget::with_deadline);
     let nl = graph.num_left();
 
     // Fixed total order: non-decreasing degree (small scopes first), ties
@@ -58,7 +51,6 @@ where
         reported: 0,
         visited: 0,
         stopped: false,
-        budget,
     };
     for &root in &roots {
         if state.stopped {
@@ -78,8 +70,7 @@ where
 
 /// Enumerates the maximal bicliques whose left side *contains* `root`
 /// (not only those where it is minimal): scope = `{root} ∪ N2(root)`,
-/// right side ⊆ `N(root)`. Useful for per-entity reports without paying
-/// for the whole graph.
+/// right side ⊆ `N(root)`.
 pub fn enumerate_through_vertex<F>(
     graph: &BipartiteGraph,
     root: u32,
@@ -89,9 +80,6 @@ pub fn enumerate_through_vertex<F>(
 where
     F: FnMut(&MaximalBiclique) -> ControlFlow<()>,
 {
-    let budget = config
-        .budget
-        .map_or_else(SearchBudget::unlimited, SearchBudget::with_deadline);
     // Rank everything above the root so no candidate is filtered: the
     // "minimal member" restriction disappears and every biclique through
     // the root is enumerated once (consensus expansion stays duplicate-free
@@ -105,7 +93,6 @@ where
         reported: 0,
         visited: 0,
         stopped: false,
-        budget,
     };
     if graph.degree_left(root) > 0 {
         state.enumerate_root(root, &mut visit);
@@ -124,19 +111,9 @@ struct ScopedState<'g> {
     reported: u64,
     visited: u64,
     stopped: bool,
-    /// The per-call [`EnumConfig::budget`] cap, carried as a sampled
-    /// [`SearchBudget`] so the hot loop never reads the raw wall clock.
-    budget: SearchBudget,
 }
 
 impl ScopedState<'_> {
-    fn out_of_time(&mut self) -> bool {
-        if self.budget.is_exhausted() {
-            self.stopped = true;
-        }
-        self.stopped
-    }
-
     /// Enumerates the maximal bicliques whose left side contains `root`
     /// and otherwise only vertices ranked strictly above it.
     fn enumerate_root<F>(&mut self, root: u32, visit: &mut F)
@@ -174,10 +151,6 @@ impl ScopedState<'_> {
     ) where
         F: FnMut(&MaximalBiclique) -> ControlFlow<()>,
     {
-        if self.out_of_time() {
-            return;
-        }
-
         // Close the left side over the whole graph: every left vertex
         // adjacent to all of `right`. The closure decides both maximality
         // and ownership (the root must be the scope's representative:
@@ -251,7 +224,8 @@ impl ScopedState<'_> {
     }
 }
 
-/// Convenience wrapper mirroring [`crate::enumerate::all_maximal_bicliques`].
+/// Collects [`enumerate_maximal_bicliques_scoped`] into a vector, like
+/// `mbb_core::enumerate::all_maximal_bicliques`.
 pub fn all_maximal_bicliques_scoped(
     graph: &BipartiteGraph,
     config: &EnumConfig,
@@ -267,8 +241,8 @@ pub fn all_maximal_bicliques_scoped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::all_maximal_bicliques;
     use mbb_bigraph::generators;
+    use mbb_core::enumerate::all_maximal_bicliques;
     use std::collections::HashSet;
 
     fn as_set(bicliques: &[MaximalBiclique]) -> HashSet<(Vec<u32>, Vec<u32>)> {

@@ -3,20 +3,25 @@
 //! hand. Every public API must reproduce the formula — a failure here
 //! localises a bug much faster than a random-graph mismatch.
 
-// These suites intentionally keep exercising the deprecated one-shot
-// wrappers: they are the compatibility surface over the engine, and the
-// engine itself is covered by tests/tests/engine_api.rs.
-#![allow(deprecated)]
-
 use mbb_bigraph::butterfly::count_butterflies;
 use mbb_bigraph::components::connected_components;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::generators::complete;
 use mbb_bigraph::graph::BipartiteGraph;
+use mbb_core::engine::MbbEngine;
 use mbb_core::enumerate::{all_maximal_bicliques, EnumConfig};
-use mbb_core::frontier::SizeFrontier;
-use mbb_core::solve_mbb;
-use mbb_core::topk::topk_balanced_bicliques;
+
+/// The MBB half-size, through a one-query engine session.
+fn mbb_half(g: &BipartiteGraph) -> usize {
+    MbbEngine::new(g.clone()).solve().value.half_size()
+}
+
+/// The size frontier's Pareto pairs, through a one-query engine session.
+fn frontier_pairs(g: &BipartiteGraph) -> Vec<(usize, usize)> {
+    let frontier = MbbEngine::new(g.clone()).frontier().value;
+    assert!(frontier.complete);
+    frontier.pairs
+}
 
 /// K(m, n) minus a perfect matching on the first `min(m, n)` pairs
 /// (the "crown" when m = n).
@@ -59,7 +64,7 @@ fn complete_bipartite_formulas() {
     for (m, n) in [(2u32, 2u32), (3, 5), (6, 4), (7, 7)] {
         let g = complete(m, n);
         let k = m.min(n) as usize;
-        assert_eq!(solve_mbb(&g).half_size(), k, "K({m},{n})");
+        assert_eq!(mbb_half(&g), k, "K({m},{n})");
         // One maximal biclique: the whole graph.
         let (all, _) = all_maximal_bicliques(&g, &EnumConfig::default());
         assert_eq!(all.len(), 1);
@@ -67,8 +72,7 @@ fn complete_bipartite_formulas() {
         let expected = (m as u64 * (m as u64 - 1) / 2) * (n as u64 * (n as u64 - 1) / 2);
         assert_eq!(count_butterflies(&g), expected);
         // Frontier is the single point (m, n).
-        let f = SizeFrontier::of(&g, None);
-        assert_eq!(f.pairs, vec![(m as usize, n as usize)]);
+        assert_eq!(frontier_pairs(&g), vec![(m as usize, n as usize)]);
         // Degeneracy is min(m, n).
         assert_eq!(core_decomposition(&g).degeneracy, m.min(n));
         assert_eq!(connected_components(&g).count, 1);
@@ -83,7 +87,7 @@ fn crown_graph_formulas() {
     // each left pair (u,w) has n−2 common neighbours → C(n−2,2) each.
     for n in [3u32, 4, 5, 6, 7] {
         let g = complete_minus_matching(n, n);
-        assert_eq!(solve_mbb(&g).half_size(), (n / 2) as usize, "crown {n}");
+        assert_eq!(mbb_half(&g), (n / 2) as usize, "crown {n}");
         let pairs = n as u64 * (n as u64 - 1) / 2;
         let c = n as u64 - 2;
         assert_eq!(
@@ -102,7 +106,7 @@ fn complete_minus_one_edge() {
             .flat_map(|u| (0..n).map(move |v| (u, v)))
             .filter(|&(u, v)| !(u == 0 && v == 0));
         let g = BipartiteGraph::from_edges(n, n, edges).unwrap();
-        assert_eq!(solve_mbb(&g).half_size(), (n - 1) as usize, "n = {n}");
+        assert_eq!(mbb_half(&g), (n - 1) as usize, "n = {n}");
         // Exactly two maximal bicliques: (L∖{0})×R and L×(R∖{0}).
         let (all, _) = all_maximal_bicliques(&g, &EnumConfig::default());
         assert_eq!(all.len(), 2, "n = {n}");
@@ -114,7 +118,7 @@ fn paths_have_half_one() {
     // Trees are C4-free: MBB half is 1 as soon as an edge exists.
     for k in 1..8u32 {
         let g = path(k);
-        assert_eq!(solve_mbb(&g).half_size(), 1, "P_{k}");
+        assert_eq!(mbb_half(&g), 1, "P_{k}");
         assert_eq!(count_butterflies(&g), 0);
         // A path's maximal bicliques are its stars around internal
         // vertices (degree-2) and, for k = 1, the single edge.
@@ -129,11 +133,11 @@ fn cycles_formulas() {
     // C4 (k = 2) is K(2,2): half 2, one butterfly. Longer even cycles are
     // C4-free: half 1, one maximal biclique (a 2-star) per vertex.
     let c4 = cycle(2);
-    assert_eq!(solve_mbb(&c4).half_size(), 2);
+    assert_eq!(mbb_half(&c4), 2);
     assert_eq!(count_butterflies(&c4), 1);
     for k in 3..8u32 {
         let g = cycle(k);
-        assert_eq!(solve_mbb(&g).half_size(), 1, "C_{}", 2 * k);
+        assert_eq!(mbb_half(&g), 1, "C_{}", 2 * k);
         assert_eq!(count_butterflies(&g), 0);
         let (all, _) = all_maximal_bicliques(&g, &EnumConfig::default());
         assert_eq!(
@@ -151,15 +155,16 @@ fn cycles_formulas() {
 fn double_star_formulas() {
     for p in [1u32, 3, 6] {
         let g = double_star(p);
-        assert_eq!(solve_mbb(&g).half_size(), 1, "double star {p}");
+        assert_eq!(mbb_half(&g), 1, "double star {p}");
         assert_eq!(count_butterflies(&g), 0);
         // Maximal bicliques: the two hub stars ({L0}×R-side and
         // L-side×{R0}).
         let (all, _) = all_maximal_bicliques(&g, &EnumConfig::default());
         assert_eq!(all.len(), 2, "double star {p}");
-        let top = topk_balanced_bicliques(&g, 2, None);
-        assert_eq!(top.bicliques.len(), 2);
-        assert_eq!(top.bicliques[0].balanced_size(), 1);
+        let top = MbbEngine::new(g).topk(2);
+        assert!(top.termination.is_complete());
+        assert_eq!(top.value.len(), 2);
+        assert_eq!(top.value[0].balanced_size(), 1);
     }
 }
 
@@ -181,17 +186,16 @@ fn disjoint_union_of_blocks() {
         offset += size;
     }
     let g = BipartiteGraph::from_edges(offset, offset, edges).unwrap();
-    assert_eq!(solve_mbb(&g).half_size(), 4);
+    assert_eq!(mbb_half(&g), 4);
     assert_eq!(connected_components(&g).count, 4);
     assert_eq!(count_butterflies(&g), expected_butterflies);
     // Top-4 balanced sizes are exactly 4, 3, 2, 1.
-    let top = topk_balanced_bicliques(&g, 4, None);
-    let sizes: Vec<usize> = top.bicliques.iter().map(|b| b.balanced_size()).collect();
+    let top = MbbEngine::new(g.clone()).topk(4).value;
+    let sizes: Vec<usize> = top.iter().map(|b| b.balanced_size()).collect();
     assert_eq!(sizes, vec![4, 3, 2, 1]);
     // The frontier stacks the blocks: (k, k) pairs are dominated by (4,4)
     // … every block is a square, so the frontier is just (4, 4).
-    let f = SizeFrontier::of(&g, None);
-    assert_eq!(f.pairs, vec![(4, 4)]);
+    assert_eq!(frontier_pairs(&g), vec![(4, 4)]);
 }
 
 #[test]
@@ -204,8 +208,8 @@ fn grid_graph_formulas() {
     let g =
         BipartiteGraph::from_edges(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]).unwrap();
     // This is K(3,2): half = 2, frontier (3,2).
-    assert_eq!(solve_mbb(&g).half_size(), 2);
-    assert_eq!(SizeFrontier::of(&g, None).pairs, vec![(3, 2)]);
+    assert_eq!(mbb_half(&g), 2);
+    assert_eq!(frontier_pairs(&g), vec![(3, 2)]);
 }
 
 #[test]
@@ -213,8 +217,8 @@ fn single_vertex_sides() {
     // 1×n star: half 1, frontier (1, n).
     for n in [1u32, 4, 9] {
         let g = BipartiteGraph::from_edges(1, n, (0..n).map(|v| (0, v))).unwrap();
-        assert_eq!(solve_mbb(&g).half_size(), 1);
-        assert_eq!(SizeFrontier::of(&g, None).pairs, vec![(1, n as usize)]);
+        assert_eq!(mbb_half(&g), 1);
+        assert_eq!(frontier_pairs(&g), vec![(1, n as usize)]);
         assert_eq!(count_butterflies(&g), 0);
     }
 }

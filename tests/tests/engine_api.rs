@@ -1,113 +1,192 @@
-//! The unified `MbbEngine` query API, cross-checked against the legacy
-//! one-shot entry points it replaces.
+//! The unified `MbbEngine` query API, checked against independent
+//! oracles.
 //!
 //! Three concerns:
 //!
-//! 1. **equivalence** — every engine query kind must agree with its legacy
-//!    free-function counterpart on random graphs (the deprecated wrappers
-//!    are called here deliberately, as the reference);
+//! 1. **correctness** — every engine query kind must agree, on random
+//!    graphs, with an oracle that shares no search code with it: brute
+//!    force for `solve`, and for every other kind a value derived from
+//!    the maximal bicliques that the FMBE-style scoped enumerator
+//!    (`mbb_tests::enumerate_scoped`) lists;
 //! 2. **budgets** — `DeadlineExceeded` / `Cancelled` terminations must
-//!    return the best-so-far biclique and fire within a bounded overshoot;
+//!    return the best-so-far biclique, fire within a bounded overshoot,
+//!    and never pass off a truncated answer as complete;
 //! 3. **index reuse** — one session computes the bidegeneracy order and
 //!    bicore decomposition exactly once across query kinds.
-#![allow(deprecated)]
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
+use mbb_baselines::exhaustive::brute_force_mbb;
 use mbb_bigraph::generators;
-use mbb_bigraph::graph::Vertex;
-use mbb_core::anchored::{anchored_mbb, anchored_mbb_edge};
+use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_core::budget::{CancelToken, Termination};
 use mbb_core::engine::MbbEngine;
-use mbb_core::enumerate::{all_maximal_bicliques, EnumConfig};
-use mbb_core::frontier::SizeFrontier;
-use mbb_core::meb::maximum_edge_biclique;
-use mbb_core::size_constrained::find_size_constrained;
+use mbb_core::enumerate::{EnumConfig, MaximalBiclique};
 use mbb_core::stats::Stage;
-use mbb_core::weighted::weighted_mbb;
-use mbb_core::{solve_mbb, topk_balanced_bicliques};
+use mbb_tests::enumerate_scoped::all_maximal_bicliques_scoped;
 
-/// Every engine query kind equals its legacy counterpart, seed by seed.
+/// The best `min(|A|, |B|)` over the maximal bicliques `keep` accepts.
+/// Every balanced biclique lies inside a maximal one, and a maximal
+/// `(A, B)` holds a balanced biclique of half-size `min(|A|, |B|)`
+/// through any of its vertices.
+fn best_half(maximal: &[MaximalBiclique], keep: impl Fn(&MaximalBiclique) -> bool) -> usize {
+    maximal
+        .iter()
+        .filter(|b| keep(b))
+        .map(MaximalBiclique::balanced_size)
+        .max()
+        .unwrap_or(0)
+}
+
+/// The heaviest balanced biclique's weight. Inside a maximal `(A, B)` the
+/// best balanced choice is the `m = min(|A|, |B|)` heaviest vertices of
+/// each side (weights are non-negative); maximise over all of them.
+/// Weights are indexed by global id: left vertices first, then right.
+fn heaviest_balanced(g: &BipartiteGraph, maximal: &[MaximalBiclique], weights: &[u64]) -> u64 {
+    let top = |mut side: Vec<u64>, m: usize| -> u64 {
+        side.sort_unstable_by(|a, b| b.cmp(a));
+        side[..m].iter().sum()
+    };
+    maximal
+        .iter()
+        .map(|b| {
+            let m = b.balanced_size();
+            let left = b.left.iter().map(|&u| weights[u as usize]).collect();
+            let right = b
+                .right
+                .iter()
+                .map(|&v| weights[g.num_left() + v as usize])
+                .collect();
+            top(left, m) + top(right, m)
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The `(|A|, |B|)` pairs no other maximal biclique dominates, sorted by
+/// `|A|`.
+fn pareto_pairs(maximal: &[MaximalBiclique]) -> Vec<(usize, usize)> {
+    let sizes: Vec<(usize, usize)> = maximal
+        .iter()
+        .map(|b| (b.left.len(), b.right.len()))
+        .collect();
+    let mut pairs: Vec<(usize, usize)> = sizes
+        .iter()
+        .copied()
+        .filter(|&(a, b)| {
+            !sizes
+                .iter()
+                .any(|&(a2, b2)| (a2, b2) != (a, b) && a2 >= a && b2 >= b)
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Every engine query kind equals its independent oracle, seed by seed.
 #[test]
-fn engine_queries_match_legacy_free_functions() {
+fn engine_queries_match_independent_oracles() {
     for seed in 0..12u64 {
         let g = generators::uniform_edges(10, 10, 42, seed);
         let engine = MbbEngine::new(g.clone());
+        let (maximal, complete) = all_maximal_bicliques_scoped(&g, &EnumConfig::default());
+        assert!(complete);
 
         // solve
         assert_eq!(
             engine.solve().value.half_size(),
-            solve_mbb(&g).half_size(),
+            brute_force_mbb(&g).half_size(),
             "solve seed {seed}"
         );
 
-        // topk
+        // topk: the k largest balanced sizes
+        let mut sizes: Vec<usize> = maximal.iter().map(MaximalBiclique::balanced_size).collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
         for k in [1usize, 3] {
-            let legacy = topk_balanced_bicliques(&g, k, None);
-            assert!(legacy.complete);
-            assert_eq!(
-                engine.topk(k).value,
-                legacy.bicliques,
-                "topk {k} seed {seed}"
-            );
+            let top: Vec<usize> = engine
+                .topk(k)
+                .value
+                .iter()
+                .map(MaximalBiclique::balanced_size)
+                .collect();
+            assert_eq!(top, sizes[..k.min(sizes.len())], "topk {k} seed {seed}");
         }
 
         // anchored (vertex and edge)
-        for u in 0..4u32 {
-            let (legacy, _) = anchored_mbb(&g, Vertex::left(u));
-            let session = engine.anchored(Vertex::left(u));
+        for i in 0..4u32 {
             assert_eq!(
-                session.value.half_size(),
-                legacy.half_size(),
-                "anchored L{u} seed {seed}"
+                engine.anchored(Vertex::left(i)).value.half_size(),
+                best_half(&maximal, |b| b.left.contains(&i)),
+                "anchored L{i} seed {seed}"
+            );
+            assert_eq!(
+                engine.anchored(Vertex::right(i)).value.half_size(),
+                best_half(&maximal, |b| b.right.contains(&i)),
+                "anchored R{i} seed {seed}"
             );
         }
-        if let Some((u, v)) = g.edges().next() {
-            let legacy = anchored_mbb_edge(&g, u, v).expect("edge exists").0;
+        for (u, v) in g.edges().take(4) {
             let session = engine.anchored_edge(u, v).value.expect("edge exists");
-            assert_eq!(session.half_size(), legacy.half_size(), "edge seed {seed}");
+            assert_eq!(
+                session.half_size(),
+                best_half(&maximal, |b| b.left.contains(&u) && b.right.contains(&v)),
+                "edge ({u},{v}) seed {seed}"
+            );
         }
 
         // weighted (pseudo-random but deterministic weights)
         let weights: Vec<u64> = (0..g.num_vertices() as u64)
             .map(|i| (i * 7 + seed) % 13)
             .collect();
-        let (_, legacy_weight) = weighted_mbb(&g, &weights);
         assert_eq!(
             engine.weighted(&weights).value.weight,
-            legacy_weight,
+            heaviest_balanced(&g, &maximal, &weights),
             "weighted seed {seed}"
         );
 
-        // meb
+        // meb: the largest |A|·|B|
         assert_eq!(
             engine.meb().value.edges(),
-            maximum_edge_biclique(&g).edges(),
+            maximal
+                .iter()
+                .map(MaximalBiclique::edge_count)
+                .max()
+                .unwrap_or(0),
             "meb seed {seed}"
         );
 
         // frontier
-        let legacy = SizeFrontier::of(&g, None);
-        assert!(legacy.complete);
-        assert_eq!(engine.frontier().value, legacy, "frontier seed {seed}");
+        let frontier = engine.frontier().value;
+        assert!(frontier.complete);
+        assert_eq!(
+            frontier.pairs,
+            pareto_pairs(&maximal),
+            "frontier seed {seed}"
+        );
 
-        // size-constrained (existence must agree; witnesses may differ)
-        for (a, b) in [(1usize, 1usize), (2, 2), (3, 2), (4, 4)] {
-            assert_eq!(
-                engine.size_constrained(a, b).value.is_some(),
-                find_size_constrained(&g, a, b).is_some(),
-                "size ({a},{b}) seed {seed}"
-            );
+        // size-constrained (existence must agree; any witness must be one)
+        for (a, b) in [(1usize, 1usize), (2, 2), (3, 2), (2, 4), (4, 4)] {
+            let exists = maximal
+                .iter()
+                .any(|m| m.left.len() >= a && m.right.len() >= b);
+            let witness = engine.size_constrained(a, b).value;
+            assert_eq!(witness.is_some(), exists, "size ({a},{b}) seed {seed}");
+            if let Some(w) = witness {
+                assert!(w.left.len() >= a && w.right.len() >= b);
+                assert!(
+                    g.is_biclique(&w.left, &w.right),
+                    "size ({a},{b}) seed {seed}"
+                );
+            }
         }
 
-        // enumerate
-        let (legacy, complete) = all_maximal_bicliques(&g, &EnumConfig::default());
-        assert!(complete);
-        assert_eq!(
-            engine.enumerate(EnumConfig::default()).value.bicliques,
-            legacy,
-            "enumerate seed {seed}"
-        );
+        // enumerate: the same set, each biclique once
+        let listed = engine.enumerate(EnumConfig::default()).value.bicliques;
+        let as_set = |all: &[MaximalBiclique]| all.iter().cloned().collect::<HashSet<_>>();
+        assert_eq!(listed.len(), maximal.len(), "enumerate seed {seed}");
+        assert_eq!(as_set(&listed), as_set(&maximal), "enumerate seed {seed}");
     }
 }
 
@@ -182,28 +261,36 @@ fn cancellation_mid_solve_returns_best_so_far() {
     });
 }
 
-/// Budgets flow through non-solve queries too: an expired deadline on an
-/// enumeration-backed query terminates as `DeadlineExceeded`, never hangs.
+/// Budgets flow through the enumeration-backed queries, and a cut is
+/// never silent: each payload's own `complete` flag agrees with its
+/// termination. Enumerating every maximal biclique of this graph takes
+/// far longer than 1 ms, so at least one of the queries must be cut.
 #[test]
 fn deadline_applies_to_enumeration_backed_queries() {
-    let g = generators::dense_uniform(28, 28, 0.75, 2);
+    let g = generators::uniform_edges(60, 60, 2200, 3);
     let engine = MbbEngine::new(g);
-    let result = engine
+    let deadline = Duration::from_millis(1);
+    let frontier = engine.query().deadline(deadline).frontier();
+    assert_eq!(frontier.value.complete, frontier.termination.is_complete());
+    let enumeration = engine
         .query()
-        .deadline(Duration::from_millis(10))
-        .frontier();
-    if !result.termination.is_complete() {
-        assert!(!result.value.complete);
-    }
-    let topk = engine.query().deadline(Duration::from_millis(10)).topk(5);
-    // Either it finished in 10ms or it reports the deadline — both fine;
-    // what must never happen is a silent "complete" truncation.
+        .deadline(deadline)
+        .enumerate(EnumConfig::default());
+    assert_eq!(
+        enumeration.value.outcome.complete,
+        enumeration.termination.is_complete()
+    );
+    assert!(
+        !frontier.termination.is_complete() || !enumeration.termination.is_complete(),
+        "a 1 ms deadline cut neither query"
+    );
+    let topk = engine.query().deadline(deadline).topk(5);
     if !topk.termination.is_complete() {
         assert_eq!(topk.termination, Termination::DeadlineExceeded);
     }
 }
 
-/// Warm starts through the builder match the legacy incumbent path.
+/// A warm start through the builder never changes the optimum.
 #[test]
 fn warm_started_session_solves_are_exact() {
     for seed in 0..8u64 {

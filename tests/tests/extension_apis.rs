@@ -3,25 +3,23 @@
 //! analysis metrics. Each API is checked against an independent oracle —
 //! usually the exact solver or full enumeration.
 
-// These suites intentionally keep exercising the deprecated one-shot
-// wrappers: they are the compatibility surface over the engine, and the
-// engine itself is covered by tests/tests/engine_api.rs.
-#![allow(deprecated)]
-
 use std::ops::ControlFlow;
 
 use mbb_bigraph::butterfly::{butterflies_per_vertex, count_butterflies};
 use mbb_bigraph::generators;
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_bigraph::metrics::GraphProfile;
-use mbb_core::anchored::{anchored_mbb, anchored_mbb_edge};
 use mbb_core::enumerate::{all_maximal_bicliques, enumerate_maximal_bicliques, EnumConfig};
 use mbb_core::incremental::IncrementalMbb;
-use mbb_core::topk::topk_balanced_bicliques;
-use mbb_core::{solve_mbb, MbbSolver};
+use mbb_core::{MbbEngine, MbbSolver};
 
 fn random_graphs(count: u64) -> impl Iterator<Item = BipartiteGraph> {
     (0..count).map(|seed| generators::uniform_edges(12, 12, 55, seed * 31 + 5))
+}
+
+/// The MBB half-size, through a one-query engine session.
+fn mbb_half(g: &BipartiteGraph) -> usize {
+    MbbEngine::new(g.clone()).solve().value.half_size()
 }
 
 #[test]
@@ -31,7 +29,7 @@ fn enumeration_best_matches_solver() {
         let (all, complete) = all_maximal_bicliques(&g, &EnumConfig::default());
         assert!(complete);
         let best_balanced = all.iter().map(|b| b.balanced_size()).max().unwrap_or(0);
-        assert_eq!(best_balanced, solve_mbb(&g).half_size());
+        assert_eq!(best_balanced, mbb_half(&g));
     }
 }
 
@@ -52,9 +50,10 @@ fn topk_heads_agree_with_solver_across_datasets() {
     for name in ["unicodelang", "dbpedia-writer"] {
         let spec = mbb_datasets::find(name).expect("catalog entry");
         let stand_in = stand_in(spec, ScaleCaps::small(), 1);
-        let top = topk_balanced_bicliques(&stand_in.graph, 1, None);
         let solved = MbbSolver::new().solve(&stand_in.graph);
-        let top_half = top.bicliques.first().map_or(0, |b| b.balanced_size());
+        let top = MbbEngine::new(stand_in.graph).topk(1);
+        assert!(top.termination.is_complete(), "{name}");
+        let top_half = top.value.first().map_or(0, |b| b.balanced_size());
         assert_eq!(top_half, solved.biclique.half_size(), "{name}");
     }
 }
@@ -63,13 +62,14 @@ fn topk_heads_agree_with_solver_across_datasets() {
 fn anchored_covers_the_global_optimum() {
     // Anchoring at every vertex of the optimum must reproduce its size.
     for g in random_graphs(8) {
-        let best = solve_mbb(&g);
+        let engine = MbbEngine::new(g);
+        let best = engine.solve().value;
         for &u in &best.left {
-            let (through_u, _) = anchored_mbb(&g, Vertex::left(u));
+            let through_u = engine.anchored(Vertex::left(u)).value;
             assert_eq!(through_u.half_size(), best.half_size());
         }
         for &v in &best.right {
-            let (through_v, _) = anchored_mbb(&g, Vertex::right(v));
+            let through_v = engine.anchored(Vertex::right(v)).value;
             assert_eq!(through_v.half_size(), best.half_size());
         }
     }
@@ -78,9 +78,10 @@ fn anchored_covers_the_global_optimum() {
 #[test]
 fn edge_anchored_is_consistent_with_vertex_anchored() {
     for g in random_graphs(5) {
+        let engine = MbbEngine::new(g.clone());
         for (u, v) in g.edges().take(8) {
-            let (through_edge, _) = anchored_mbb_edge(&g, u, v).expect("edge exists");
-            let (through_u, _) = anchored_mbb(&g, Vertex::left(u));
+            let through_edge = engine.anchored_edge(u, v).value.expect("edge exists");
+            let through_u = engine.anchored(Vertex::left(u)).value;
             // The edge constraint is stronger than the vertex constraint.
             assert!(through_edge.half_size() <= through_u.half_size());
             assert!(through_edge.half_size() >= 1);
@@ -102,7 +103,7 @@ fn incremental_tracks_scratch_solver_on_a_stream() {
             inc.remove_edge(0, 0);
         }
         let warm = inc.solve().biclique;
-        let cold = solve_mbb(&inc.snapshot());
+        let cold = MbbSolver::new().solve(&inc.snapshot()).biclique;
         assert_eq!(warm.half_size(), cold.half_size(), "k = {k}");
     }
 }
@@ -127,7 +128,7 @@ fn butterfly_count_respects_planted_biclique() {
 fn butterfly_upper_bound_dominates_mbb() {
     for g in random_graphs(10) {
         let profile = GraphProfile::of(&g);
-        let half = solve_mbb(&g).half_size();
+        let half = mbb_half(&g);
         assert!(
             profile.butterfly_half_upper_bound() >= half.max(1),
             "butterfly bound {} < MBB half {half}",
@@ -171,7 +172,7 @@ fn projection_bound_dominates_exact_mbb() {
     use mbb_bigraph::graph::Side;
     use mbb_bigraph::projection::project;
     for g in random_graphs(12) {
-        let half = solve_mbb(&g).half_size();
+        let half = mbb_half(&g);
         for side in [Side::Left, Side::Right] {
             let p = project(&g, side);
             assert!(
@@ -185,8 +186,8 @@ fn projection_bound_dominates_exact_mbb() {
 
 #[test]
 fn both_enumerators_agree_on_stand_ins() {
-    use mbb_core::enumerate_scoped::all_maximal_bicliques_scoped;
     use mbb_datasets::{stand_in, ScaleCaps};
+    use mbb_tests::enumerate_scoped::all_maximal_bicliques_scoped;
     use std::collections::HashSet;
     let spec = mbb_datasets::find("unicodelang").expect("catalog entry");
     let g = stand_in(spec, ScaleCaps::small(), 1).graph;
@@ -223,7 +224,7 @@ fn result_types_round_trip_through_json() {
         assert_eq!(&back, first);
     }
 
-    let frontier = SizeFrontier::of(&g, None);
+    let frontier = MbbEngine::new(g.clone()).frontier().value;
     let json = serde_json::to_string(&frontier).unwrap();
     let back: SizeFrontier = serde_json::from_str(&json).unwrap();
     assert_eq!(back, frontier);

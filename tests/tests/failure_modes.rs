@@ -1,19 +1,21 @@
 //! Failure injection and degenerate-shape coverage.
 
-// These suites intentionally keep exercising the deprecated one-shot
-// wrappers: they are the compatibility surface over the engine, and the
-// engine itself is covered by tests/tests/engine_api.rs.
-#![allow(deprecated)]
-
 use mbb_bigraph::graph::{BipartiteGraph, GraphError};
 use mbb_bigraph::io;
-use mbb_core::{solve_mbb, MbbSolver};
+use mbb_core::{Biclique, MbbEngine, MbbSolver};
 use std::io::Cursor;
+
+/// The MBB, through a one-query engine session.
+fn engine_mbb(g: &BipartiteGraph) -> Biclique {
+    let result = MbbEngine::new(g.clone()).solve();
+    assert!(result.termination.is_complete());
+    result.value
+}
 
 #[test]
 fn empty_graph_is_handled_by_everything() {
     let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
-    assert_eq!(solve_mbb(&g).half_size(), 0);
+    assert_eq!(engine_mbb(&g).half_size(), 0);
     assert_eq!(mbb_core::dense_mbb_graph(&g).biclique.half_size(), 0);
     assert_eq!(mbb_baselines::ext_bbclq(&g, None).biclique.half_size(), 0);
     assert_eq!(
@@ -25,9 +27,9 @@ fn empty_graph_is_handled_by_everything() {
 #[test]
 fn one_sided_graphs() {
     let left_only = BipartiteGraph::from_edges(5, 0, []).unwrap();
-    assert_eq!(solve_mbb(&left_only).half_size(), 0);
+    assert_eq!(engine_mbb(&left_only).half_size(), 0);
     let right_only = BipartiteGraph::from_edges(0, 5, []).unwrap();
-    assert_eq!(solve_mbb(&right_only).half_size(), 0);
+    assert_eq!(engine_mbb(&right_only).half_size(), 0);
 }
 
 #[test]
@@ -69,7 +71,7 @@ fn duplicate_heavy_input_collapses() {
     let edges: Vec<(u32, u32)> = (0..1000).map(|_| (0, 0)).collect();
     let g = BipartiteGraph::from_edges(1, 1, edges).unwrap();
     assert_eq!(g.num_edges(), 1);
-    assert_eq!(solve_mbb(&g).half_size(), 1);
+    assert_eq!(engine_mbb(&g).half_size(), 1);
 }
 
 #[test]
@@ -85,7 +87,7 @@ fn path_and_cycle_shapes() {
         }
     }
     let path = BipartiteGraph::from_edges(20, 20, edges).unwrap();
-    assert_eq!(solve_mbb(&path).half_size(), 1);
+    assert_eq!(engine_mbb(&path).half_size(), 1);
 
     // Even cycle: same.
     let mut edges = Vec::new();
@@ -94,15 +96,15 @@ fn path_and_cycle_shapes() {
         edges.push(((i + 1) % 10, i));
     }
     let cycle = BipartiteGraph::from_edges(10, 10, edges).unwrap();
-    assert_eq!(solve_mbb(&cycle).half_size(), 1);
+    assert_eq!(engine_mbb(&cycle).half_size(), 1);
 }
 
 #[test]
 fn complete_bipartite_extremes() {
     let g = mbb_bigraph::generators::complete(1, 50);
-    assert_eq!(solve_mbb(&g).half_size(), 1);
+    assert_eq!(engine_mbb(&g).half_size(), 1);
     let g = mbb_bigraph::generators::complete(30, 30);
-    assert_eq!(solve_mbb(&g).half_size(), 30);
+    assert_eq!(engine_mbb(&g).half_size(), 30);
 }
 
 #[test]
@@ -122,7 +124,7 @@ fn crown_graph() {
             }
         }
         let g = BipartiteGraph::from_edges(n, n, edges).unwrap();
-        let found = solve_mbb(&g);
+        let found = engine_mbb(&g);
         assert_eq!(found.half_size(), (n / 2) as usize, "crown n={n}");
         assert!(found.is_valid(&g));
     }

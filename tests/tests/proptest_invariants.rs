@@ -1,16 +1,12 @@
 //! Property-based invariants across the workspace.
 
-// These suites intentionally keep exercising the deprecated one-shot
-// wrappers: they are the compatibility surface over the engine, and the
-// engine itself is covered by tests/tests/engine_api.rs.
-#![allow(deprecated)]
-
 use mbb_baselines::exhaustive::brute_force_mbb;
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::generators;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::matching::maximum_vertex_biclique;
+use mbb_core::budget::SearchBudget;
 use mbb_core::MbbSolver;
 use proptest::prelude::*;
 
@@ -100,8 +96,8 @@ proptest! {
 
     #[test]
     fn topk_is_a_sorted_prefix_of_enumeration(g in small_graph(), k in 1usize..5) {
-        use mbb_core::topk::topk_balanced_bicliques;
-        let out = topk_balanced_bicliques(&g, k, None);
+        use mbb_core::topk::topk_budgeted;
+        let out = topk_budgeted(&g, k, &SearchBudget::unlimited());
         prop_assert!(out.complete);
         for w in out.bicliques.windows(2) {
             let a = (w[0].balanced_size(), w[0].total_size());
@@ -114,12 +110,12 @@ proptest! {
 
     #[test]
     fn anchored_is_bounded_and_achieved(g in small_graph()) {
-        use mbb_core::anchored::anchored_mbb;
+        use mbb_core::anchored::anchored_budgeted;
         use mbb_bigraph::graph::Vertex;
         let global = brute_force_mbb(&g).half_size();
         let mut best = 0;
         for u in 0..g.num_left() as u32 {
-            let (b, _) = anchored_mbb(&g, Vertex::left(u));
+            let (b, _) = anchored_budgeted(&g, Vertex::left(u), None, &SearchBudget::unlimited());
             prop_assert!(b.half_size() <= global);
             prop_assert!(b.is_empty() || b.is_valid(&g));
             best = best.max(b.half_size());
@@ -153,7 +149,7 @@ proptest! {
     #[test]
     fn scoped_and_consensus_enumerators_agree(g in small_graph()) {
         use mbb_core::enumerate::{all_maximal_bicliques, EnumConfig};
-        use mbb_core::enumerate_scoped::all_maximal_bicliques_scoped;
+        use mbb_tests::enumerate_scoped::all_maximal_bicliques_scoped;
         use std::collections::HashSet;
         let (a, c1) = all_maximal_bicliques(&g, &EnumConfig::default());
         let (b, c2) = all_maximal_bicliques_scoped(&g, &EnumConfig::default());
@@ -174,16 +170,16 @@ proptest! {
 
     #[test]
     fn weighted_with_unit_weights_is_mbb(g in small_graph()) {
-        use mbb_core::weighted::weighted_mbb;
+        use mbb_core::weighted::weighted_mbb_budgeted;
         let weights = vec![1u64; g.num_vertices()];
-        let (_, weight) = weighted_mbb(&g, &weights);
-        prop_assert_eq!(weight as usize, 2 * brute_force_mbb(&g).half_size());
+        let (found, _) = weighted_mbb_budgeted(&g, &weights, &SearchBudget::unlimited());
+        prop_assert_eq!(found.weight as usize, 2 * brute_force_mbb(&g).half_size());
     }
 
     #[test]
     fn frontier_corners_are_consistent(g in small_graph()) {
         use mbb_core::frontier::SizeFrontier;
-        let f = SizeFrontier::of(&g, None);
+        let f = SizeFrontier::budgeted(&g, &SearchBudget::unlimited());
         prop_assert!(f.complete);
         prop_assert_eq!(f.mbb_half(), brute_force_mbb(&g).half_size());
         // Every frontier pair is feasible by definition and undominated.
@@ -202,13 +198,6 @@ proptest! {
         let cold = MbbSolver::new().solve(&g);
         let warm = MbbSolver::new().solve_with_incumbent(&g, cold.biclique.clone());
         prop_assert_eq!(warm.biclique.half_size(), cold.biclique.half_size());
-    }
-
-    #[test]
-    fn componentwise_solve_is_exact(g in small_graph()) {
-        let parts = MbbSolver::new().solve_componentwise(&g);
-        prop_assert_eq!(parts.biclique.half_size(), brute_force_mbb(&g).half_size());
-        prop_assert!(parts.biclique.is_empty() || parts.biclique.is_valid(&g));
     }
 
     #[test]
