@@ -17,7 +17,6 @@
 
 use std::time::Duration;
 
-use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::graph::{sorted_intersection_exact, BipartiteGraph, Vertex};
 use mbb_bigraph::two_hop::n2_neighbors;
@@ -179,16 +178,6 @@ pub fn fmbe_adapted(
         timed_out: searcher.timed_out,
         nodes: searcher.nodes,
     }
-}
-
-/// Left-side membership bitset helper (kept for future scope filters).
-#[allow(dead_code)]
-fn bitset_of(ids: &[u32], capacity: usize) -> BitSet {
-    let mut s = BitSet::new(capacity);
-    for &i in ids {
-        s.insert(i as usize);
-    }
-    s
 }
 
 #[cfg(test)]

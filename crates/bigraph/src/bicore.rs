@@ -14,13 +14,12 @@
 //! through one common-neighbour multiplicity per 2-hop pair. Unlike the
 //! paper we do not *rely* on Lemma 10's "loses at most 1" claim.
 //!
-//! 1. **Two-hop CSR.** Two passes over the wedges `a – m – b` with `a < b`
-//!    build a symmetric CSR of same-side 2-hop neighbours, with no hashing.
-//!    A dense stamp array (`stamp[b] = a`) dedups each source's wedges. The
-//!    first pass counts row lengths. The second visits sources in ascending
-//!    order, so every row fills already sorted. Each unordered pair `{a, b}`
-//!    (`a < b`) keeps its multiplicity in one slot, next to `b` in row `a`;
-//!    the entry for `a` in row `b` records where that slot is.
+//! 1. **Two-hop CSR.** [`TwoHopIndex`], built by the pair pass in
+//!    [`two_hop`](crate::two_hop): a symmetric CSR of same-side 2-hop
+//!    neighbours with sorted rows, plus a multiplicity array that only the
+//!    peel keeps. Each unordered pair `{a, b}` (`a < b`) keeps its
+//!    multiplicity in one slot, next to `b` in row `a`; the entry for `a`
+//!    in row `b` records where that slot is.
 //! 2. **Peel.** Repeatedly remove the surviving vertex with the smallest
 //!    `(|N≤2|, degree, id)`: Lemma 10's tie-break (min `|N≤2|`, then min
 //!    degree), made total by the global id. Removing `v`
@@ -42,9 +41,10 @@
 //!
 //! Let `P` be the number of 2-hop pairs (`P ≤ Σ_m deg(m)² / 2`) and `d₂` the
 //! largest 2-hop degree. The build visits each wedge twice: `O(Σ deg²)`, the
-//! Lemma 9 bound. The peel visits each wedge once more, with one search in
-//! a row of at most `d₂` entries: `O(Σ deg² · log d₂)`. Every heap push
-//! follows a key decrement, so heap work adds `O((|E| + P) · log n)`.
+//! Lemma 9 bound (see [`two_hop`](crate::two_hop)). The peel visits each
+//! wedge once more, with one search in a row of at most `d₂` entries:
+//! `O(Σ deg² · log d₂)`. Every heap push follows a key decrement, so heap
+//! work adds `O((|E| + P) · log n)`.
 //!
 //! Memory is 16 bytes per 2-hop pair: the pair appears in two rows, each
 //! entry a `u32` neighbour plus a `u32` holding the multiplicity (in the
@@ -55,6 +55,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::BipartiteGraph;
+use crate::two_hop::TwoHopIndex;
 
 /// Result of a bicore decomposition.
 #[derive(Debug, Clone)]
@@ -75,111 +76,6 @@ fn neighbors_global(graph: &BipartiteGraph, g: usize) -> (&[u32], usize) {
         (graph.neighbors_left(g as u32), nl)
     } else {
         (graph.neighbors_right((g - nl) as u32), 0)
-    }
-}
-
-/// Calls `visit(b)` for every wedge `a – m – b` with `b > a`, once per
-/// common neighbour `m`, so `b` repeats once per shared neighbour.
-#[inline]
-fn for_each_upper_wedge(graph: &BipartiteGraph, a: usize, mut visit: impl FnMut(usize)) {
-    let (mids, mid_offset) = neighbors_global(graph, a);
-    for &m in mids {
-        let (ends, offset) = neighbors_global(graph, m as usize + mid_offset);
-        let local_a = (a - offset) as u32;
-        let above = ends.partition_point(|&x| x <= local_a);
-        for &b in &ends[above..] {
-            visit(b as usize + offset);
-        }
-    }
-}
-
-/// Same-side 2-hop adjacency in CSR form. Each unordered pair `{a, b}`,
-/// `a < b`, appears in both rows and keeps its multiplicity — the number of
-/// surviving common neighbours — in one slot: the `shared` word of `b`'s
-/// entry in row `a`.
-struct TwoHopPairs {
-    /// Row `g` is `neighbors[offsets[g]..offsets[g + 1]]`.
-    offsets: Vec<usize>,
-    /// 2-hop neighbours, ascending within each row.
-    neighbors: Vec<u32>,
-    /// Per entry `i` of row `g`, naming `w = neighbors[i]`: for `w > g`, the
-    /// pair's multiplicity; for `w < g`, the index of `g` within row `w`,
-    /// where the multiplicity lives.
-    shared: Vec<u32>,
-}
-
-impl TwoHopPairs {
-    fn build(graph: &BipartiteGraph) -> TwoHopPairs {
-        let n = graph.num_vertices();
-        let mut stamp = vec![u32::MAX; n];
-
-        // Pass 1: row lengths. Each pair is found from its smaller end a
-        // and counted into both rows.
-        let mut row_len = vec![0usize; n];
-        for a in 0..n {
-            for_each_upper_wedge(graph, a, |b| {
-                if stamp[b] != a as u32 {
-                    stamp[b] = a as u32;
-                    row_len[a] += 1;
-                    row_len[b] += 1;
-                }
-            });
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for len in row_len {
-            offsets.push(offsets[offsets.len() - 1] + len);
-        }
-
-        // Pass 2: fill, sources ascending, so every row fills in sorted
-        // order. Source a first settles the pairs it closes: each lower
-        // entry b of row a holds the multiplicity counted when b ran; it
-        // moves to its slot, a new entry a in row b, and leaves that
-        // entry's index behind. Then a appends itself to the row of every
-        // larger 2-hop neighbour, counting wedges into the new entry.
-        let mut cursor = offsets[..n].to_vec();
-        let mut neighbors = vec![0u32; offsets[n]];
-        let mut shared = vec![0u32; offsets[n]];
-        stamp.fill(u32::MAX);
-        for a in 0..n {
-            for i in offsets[a]..cursor[a] {
-                let b = neighbors[i] as usize;
-                let slot = cursor[b];
-                neighbors[slot] = a as u32;
-                shared[slot] = shared[i];
-                shared[i] = (slot - offsets[b]) as u32;
-                cursor[b] += 1;
-            }
-            for_each_upper_wedge(graph, a, |b| {
-                if stamp[b] == a as u32 {
-                    shared[cursor[b] - 1] += 1;
-                } else {
-                    stamp[b] = a as u32;
-                    neighbors[cursor[b]] = a as u32;
-                    shared[cursor[b]] = 1;
-                    cursor[b] += 1;
-                }
-            });
-        }
-        TwoHopPairs {
-            offsets,
-            neighbors,
-            shared,
-        }
-    }
-
-    fn row(&self, g: usize) -> std::ops::Range<usize> {
-        self.offsets[g]..self.offsets[g + 1]
-    }
-
-    /// Index of the multiplicity of the pair at entry `i` of row `g`.
-    fn slot(&self, g: usize, i: usize) -> usize {
-        let w = self.neighbors[i] as usize;
-        if w > g {
-            i
-        } else {
-            self.offsets[w] + self.shared[i] as usize
-        }
     }
 }
 
@@ -224,7 +120,7 @@ impl Changed {
 /// ```
 pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
     let n = graph.num_vertices();
-    let mut pairs = TwoHopPairs::build(graph);
+    let (pairs, mut shared) = TwoHopIndex::build_counted(graph);
 
     let mut alive = vec![true; n];
     let mut deg: Vec<u32> = (0..n)
@@ -270,13 +166,13 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
 
         // 2. Surviving 2-hop neighbours lose v from N2(·).
         for i in pairs.row(v) {
-            let w = pairs.neighbors[i] as usize;
+            let w = pairs.neighbors()[i] as usize;
             if !alive[w] {
                 continue;
             }
-            let slot = pairs.slot(v, i);
-            if pairs.shared[slot] > 0 {
-                pairs.shared[slot] = 0;
+            let slot = pairs.slot(&shared, v, i);
+            if shared[slot] > 0 {
+                shared[slot] = 0;
                 key[w] -= 1;
                 changed.touch(w);
             }
@@ -288,13 +184,13 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
         // partner.
         for (i, &a) in alive_neighbors.iter().enumerate() {
             let a = a as usize;
-            let row = &pairs.neighbors[pairs.row(a)];
-            let base = pairs.offsets[a];
+            let base = pairs.row(a).start;
+            let row = &pairs.neighbors()[pairs.row(a)];
             let mut from = row.partition_point(|&x| (x as usize) < a);
             for &b in &alive_neighbors[i + 1..] {
                 let at = gallop(row, from, b);
                 debug_assert_eq!(row[at], b);
-                let multiplicity = &mut pairs.shared[base + at];
+                let multiplicity = &mut shared[base + at];
                 *multiplicity -= 1;
                 if *multiplicity == 0 {
                     key[a] -= 1;

@@ -9,11 +9,13 @@
 //!
 //! The counting algorithm is the standard wedge-count: for every pair of
 //! same-side vertices with `c` common neighbours, the pair closes
-//! `C(c, 2)` butterflies. Processing wedges from the side with the
-//! smaller sum of squared degrees keeps the cost at
+//! `C(c, 2)` butterflies. The pairs come from the pair pass in
+//! [`two_hop`](crate::two_hop), run on the side whose wedges are centred
+//! on the smaller sum of squared degrees, so the cost is
 //! `O(min(Σ_L deg², Σ_R deg²))`.
 
-use crate::graph::BipartiteGraph;
+use crate::graph::{BipartiteGraph, Side};
+use crate::two_hop::for_each_pair;
 
 /// Exact number of butterflies (2×2 bicliques) in `graph`.
 ///
@@ -26,140 +28,32 @@ use crate::graph::BipartiteGraph;
 /// assert_eq!(count_butterflies(&g), 9);
 /// ```
 pub fn count_butterflies(graph: &BipartiteGraph) -> u64 {
-    // Choose the wedge side: centre vertices on the side whose squared
-    // degree sum is smaller generate fewer wedges.
-    let left_cost: u64 = (0..graph.num_left() as u32)
-        .map(|u| {
-            let d = graph.degree_left(u) as u64;
-            d * d
-        })
-        .sum();
-    let right_cost: u64 = (0..graph.num_right() as u32)
-        .map(|v| {
-            let d = graph.degree_right(v) as u64;
-            d * d
-        })
-        .sum();
-
-    if left_cost <= right_cost {
-        count_via_left_centres(graph)
+    // Centres on the side whose squared degree sum is smaller generate
+    // fewer wedges; the pairs are then taken on the other side.
+    let wedges = |side: Side| -> u64 {
+        graph
+            .vertices()
+            .filter(|v| v.side == side)
+            .map(|v| (graph.degree(v) as u64).pow(2))
+            .sum()
+    };
+    let ends = if wedges(Side::Left) <= wedges(Side::Right) {
+        Side::Right
     } else {
-        count_via_right_centres(graph)
-    }
-}
-
-/// Wedges centred on left vertices: endpoints are right-vertex pairs.
-fn count_via_left_centres(graph: &BipartiteGraph) -> u64 {
-    let nr = graph.num_right();
-    pair_common_counts(
-        (0..graph.num_left() as u32).map(|u| graph.neighbors_left(u)),
-        nr,
-    )
-}
-
-/// Wedges centred on right vertices: endpoints are left-vertex pairs.
-fn count_via_right_centres(graph: &BipartiteGraph) -> u64 {
-    let nl = graph.num_left();
-    pair_common_counts(
-        (0..graph.num_right() as u32).map(|v| graph.neighbors_right(v)),
-        nl,
-    )
-}
-
-/// Accumulates `Σ_pairs C(common, 2)` over endpoint pairs: for each
-/// endpoint `a` (in order), walk every wedge `a — centre — b` with
-/// `b > a`, tallying common-neighbour counts in a flat table that is
-/// re-zeroed via a touched list, so memory stays O(endpoints) and time
-/// O(Σ_centres deg²).
-fn pair_common_counts<'a>(rows: impl Iterator<Item = &'a [u32]>, endpoint_count: usize) -> u64 {
-    let rows: Vec<&[u32]> = rows.collect();
-
-    // Transpose: endpoint → centres through which its wedges run.
-    let mut transpose: Vec<Vec<u32>> = vec![Vec::new(); endpoint_count];
-    for (centre, row) in rows.iter().enumerate() {
-        for &e in row.iter() {
-            transpose[e as usize].push(centre as u32);
-        }
-    }
-
-    let mut counts = vec![0u32; endpoint_count];
-    let mut touched: Vec<u32> = Vec::new();
+        Side::Left
+    };
     let mut total = 0u64;
-    for (a, centres) in transpose.iter().enumerate() {
-        touched.clear();
-        for &centre in centres {
-            for &b in rows[centre as usize] {
-                let b = b as usize;
-                if b > a {
-                    if counts[b] == 0 {
-                        touched.push(b as u32);
-                    }
-                    counts[b] += 1;
-                }
-            }
-        }
-        for &b in &touched {
-            let c = counts[b as usize] as u64;
-            total += c * (c - 1) / 2;
-            counts[b as usize] = 0;
-        }
-    }
+    for_each_pair(graph, ends, |_, _, common| {
+        let c = common as u64;
+        total += c * (c - 1) / 2;
+    });
     total
-}
-
-/// Per-vertex butterfly participation: `result[global_id(v)]` is the
-/// number of butterflies containing `v`. The sum over one side equals
-/// `2 ×` the total count (each butterfly has two vertices per side).
-pub fn butterflies_per_vertex(graph: &BipartiteGraph) -> Vec<u64> {
-    let nl = graph.num_left();
-    let nr = graph.num_right();
-    let mut per_vertex = vec![0u64; nl + nr];
-
-    // For every left pair (u, w) with c common right neighbours, each of
-    // the C(c,2) butterflies contains u, w and two of the common
-    // neighbours. Count per left pair, attributing c−1 per common right
-    // vertex (the number of butterflies on this pair through it).
-    let mut counts = vec![0u32; nl];
-    let mut touched: Vec<u32> = Vec::new();
-    for u in 0..nl as u32 {
-        touched.clear();
-        for &v in graph.neighbors_left(u) {
-            for &w in graph.neighbors_right(v) {
-                if w > u {
-                    let wi = w as usize;
-                    if counts[wi] == 0 {
-                        touched.push(w);
-                    }
-                    counts[wi] += 1;
-                }
-            }
-        }
-        for &w in &touched {
-            let c = counts[w as usize] as u64;
-            counts[w as usize] = 0;
-            if c < 2 {
-                continue;
-            }
-            let pair_butterflies = c * (c - 1) / 2;
-            per_vertex[u as usize] += pair_butterflies;
-            per_vertex[w as usize] += pair_butterflies;
-            // Attribute to the common right neighbours: each appears in
-            // c − 1 of the pair's butterflies.
-            for &v in graph.neighbors_left(u) {
-                if graph.has_edge(w, v) {
-                    per_vertex[nl + v as usize] += c - 1;
-                }
-            }
-        }
-    }
-    per_vertex
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::graph::Vertex;
 
     /// O(n⁴) reference count.
     fn brute_force(graph: &BipartiteGraph) -> u64 {
@@ -233,56 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn per_vertex_sums_to_four_times_total() {
-        // Each butterfly contains 2 left + 2 right vertices.
-        for seed in 0..10u64 {
-            let g = generators::uniform_edges(8, 8, 30, seed ^ 0x7);
-            let total = count_butterflies(&g);
-            let per_vertex = butterflies_per_vertex(&g);
-            let sum: u64 = per_vertex.iter().sum();
-            assert_eq!(sum, 4 * total, "seed {seed}");
-            // Left and right halves each sum to 2 × total.
-            let left_sum: u64 = per_vertex[..g.num_left()].iter().sum();
-            assert_eq!(left_sum, 2 * total, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn per_vertex_brute_check() {
-        let g = generators::uniform_edges(6, 6, 20, 9);
-        let per_vertex = butterflies_per_vertex(&g);
-        // Brute force per vertex.
-        let nl = g.num_left() as u32;
-        let nr = g.num_right() as u32;
-        let mut brute = vec![0u64; (nl + nr) as usize];
-        for u1 in 0..nl {
-            for u2 in u1 + 1..nl {
-                for v1 in 0..nr {
-                    for v2 in v1 + 1..nr {
-                        if g.has_edge(u1, v1)
-                            && g.has_edge(u1, v2)
-                            && g.has_edge(u2, v1)
-                            && g.has_edge(u2, v2)
-                        {
-                            brute[u1 as usize] += 1;
-                            brute[u2 as usize] += 1;
-                            brute[(nl + v1) as usize] += 1;
-                            brute[(nl + v2) as usize] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(per_vertex, brute);
-    }
-
-    #[test]
     fn kxk_biclique_lower_bounds_butterflies() {
         // A planted k×k biclique implies ≥ C(k,2)² butterflies — the
         // sanity bound the dataset explorer reports.
-        let g = generators::complete(3, 3);
-        let per_vertex = butterflies_per_vertex(&g);
-        assert!(per_vertex[g.global_id(Vertex::left(0))] > 0);
-        assert!(count_butterflies(&g) >= 9);
+        let noise = generators::uniform_edges(12, 12, 20, 3);
+        let (g, _, _) = generators::plant_balanced_biclique(&noise, 4);
+        assert!(count_butterflies(&g) >= 36);
     }
 }

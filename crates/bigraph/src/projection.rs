@@ -8,6 +8,7 @@
 //! projection statistics bound the MBB from above.
 
 use crate::graph::{BipartiteGraph, Side};
+use crate::two_hop::for_each_pair;
 
 /// A weighted undirected graph over one side of a bipartite graph,
 /// stored as a sorted flat edge list (`u < v`).
@@ -61,22 +62,30 @@ impl Projection {
 
     /// Upper bound on the MBB half-size from this projection: the largest
     /// `k ≥ 2` with at least `C(k,2)` pairs of weight ≥ `k`, falling back
-    /// to 1 when the bipartite graph has an edge and 0 otherwise.
+    /// to 1 when the bipartite graph has an edge and 0 otherwise. One
+    /// count of the pairs per weight, `O(pairs + |side|)`.
     pub fn mbb_half_upper_bound(&self) -> usize {
-        let mut k = self.num_vertices;
-        while k >= 2 {
-            let needed = k * (k - 1) / 2;
-            if self.pairs_with_weight_at_least(k as u32) >= needed {
+        let n = self.num_vertices;
+        // Weights above n count as n: k never exceeds n.
+        let mut with_weight = vec![0usize; n + 1];
+        for &(_, _, w) in &self.edges {
+            with_weight[(w as usize).min(n)] += 1;
+        }
+        // Walking k down, `at_least` is the number of pairs of weight ≥ k.
+        let mut at_least = 0;
+        for k in (2..=n).rev() {
+            at_least += with_weight[k];
+            if at_least >= k * (k - 1) / 2 {
                 return k;
             }
-            k -= 1;
         }
         usize::from(self.has_bipartite_edge)
     }
 }
 
-/// Projects `graph` onto the given side. Cost is `O(Σ_other deg²)` (one
-/// pair-count pass over the opposite side's adjacency rows).
+/// Projects `graph` onto the given side: one run of the pair pass (see
+/// [`two_hop`](crate::two_hop)) over that side, `O(Σ_other deg²)`, then a
+/// sort of each vertex's partners.
 ///
 /// ```
 /// use mbb_bigraph::generators::complete;
@@ -89,44 +98,15 @@ impl Projection {
 /// assert_eq!(p.weight(0, 2), 4); // sharing all 4 right vertices
 /// ```
 pub fn project(graph: &BipartiteGraph, side: Side) -> Projection {
-    let (num_vertices, centre_count) = match side {
-        Side::Left => (graph.num_left(), graph.num_right()),
-        Side::Right => (graph.num_right(), graph.num_left()),
+    let num_vertices = match side {
+        Side::Left => graph.num_left(),
+        Side::Right => graph.num_right(),
     };
-    let row = |c: u32| match side {
-        Side::Left => graph.neighbors_right(c),
-        Side::Right => graph.neighbors_left(c),
-    };
-
-    // counts[v] = common neighbours of the current anchor u and v; reset
-    // per anchor via a touched list.
-    let mut transpose: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
-    for c in 0..centre_count as u32 {
-        for &e in row(c) {
-            transpose[e as usize].push(c);
-        }
-    }
-    let mut counts = vec![0u32; num_vertices];
-    let mut touched: Vec<u32> = Vec::new();
     let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    for (u, centres) in transpose.iter().enumerate() {
-        touched.clear();
-        for &c in centres {
-            for &v in row(c) {
-                let vi = v as usize;
-                if vi > u {
-                    if counts[vi] == 0 {
-                        touched.push(v);
-                    }
-                    counts[vi] += 1;
-                }
-            }
-        }
-        touched.sort_unstable();
-        for &v in &touched {
-            edges.push((u as u32, v, counts[v as usize]));
-            counts[v as usize] = 0;
-        }
+    for_each_pair(graph, side, |u, v, weight| edges.push((u, v, weight)));
+    // Sources ascend; sort each source's partners.
+    for run in edges.chunk_by_mut(|x, y| x.0 == y.0) {
+        run.sort_unstable_by_key(|&(_, v, _)| v);
     }
     Projection {
         num_vertices,
@@ -216,6 +196,45 @@ mod tests {
         let total: u64 = degrees.iter().sum();
         let edge_weight_sum: u64 = p.edges.iter().map(|&(_, _, w)| w as u64).sum();
         assert_eq!(total, 2 * edge_weight_sum);
+    }
+
+    /// The bound by its definition: for each `k` from `|side|` down,
+    /// rescan every pair for weights ≥ `k`.
+    fn half_bound_by_definition(p: &Projection) -> usize {
+        let mut k = p.num_vertices;
+        while k >= 2 {
+            let needed = k * (k - 1) / 2;
+            if p.pairs_with_weight_at_least(k as u32) >= needed {
+                return k;
+            }
+            k -= 1;
+        }
+        usize::from(p.has_bipartite_edge)
+    }
+
+    #[test]
+    fn half_bound_matches_its_definition() {
+        let mut graphs = vec![
+            BipartiteGraph::from_edges(0, 0, []).unwrap(),
+            BipartiteGraph::from_edges(5, 3, []).unwrap(),
+            BipartiteGraph::from_edges(4, 4, (0..4).map(|i| (i, i))).unwrap(),
+            generators::complete(6, 3),
+        ];
+        for seed in 0..24u64 {
+            let g = generators::uniform_edges(10, 7, 8 + 2 * seed as usize, seed);
+            graphs.push(generators::plant_balanced_biclique(&g, seed as u32 % 5 + 1).0);
+            graphs.push(g);
+        }
+        for g in &graphs {
+            for side in [Side::Left, Side::Right] {
+                let p = project(g, side);
+                assert_eq!(
+                    p.mbb_half_upper_bound(),
+                    half_bound_by_definition(&p),
+                    "{side:?} of {g:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,37 @@
-//! 2-hop neighbourhoods (`N2`, `N≤2` — Definitions 1 and 2).
+//! 2-hop neighbourhoods (`N2`, `N≤2` — Definitions 1 and 2), and the one
+//! pass over them.
 //!
 //! For a vertex `u` of a bipartite graph, `N2(u)` is the set of vertices at
 //! distance exactly 2 — necessarily on the *same* side as `u` — and
 //! `N≤2(u) = N(u) ∪ N2(u)`. Observation 4 of the paper: every biclique
 //! containing `u` lives inside `{u} ∪ N≤2(u)`, which is what makes
 //! vertex-centred subgraphs (Definition 6) a complete search decomposition.
+//!
+//! # The pair pass
+//!
+//! Every whole-graph reader of 2-hop structure needs the same walk: each
+//! same-side pair `a < b` that shares a neighbour, with the number of
+//! neighbours it shares. Lemma 9 prices the bicore decomposition
+//! (Algorithm 7) at exactly this walk, `O(Σ |N≤2(v)|)`. This module's
+//! crate-private pair visitor is the only whole-graph wedge loop in the
+//! crate. Sources `a` ascend, so `a`'s position in each neighbour `m`'s
+//! sorted row is the number of earlier sources `m` has met. The visitor
+//! keeps that number per `m` and walks each wedge `a – m – b` once, from
+//! its smaller end `a`, without a search. It tallies `a`'s partners in
+//! one count array the size of the side: `O(Σ_m deg(m)²)` time and
+//! `O(|L| + |R|)` scratch. It feeds
+//!
+//! * [`TwoHopIndex`], the bicore peel's 2-hop CSR and the engine's
+//!   anchored-query cache;
+//! * [`all_n_le2_sizes`];
+//! * one-mode projection, [`project`](crate::projection::project);
+//! * butterfly counting,
+//!   [`count_butterflies`](crate::butterfly::count_butterflies).
+//!
+//! [`n2_neighbors`] is the single-vertex walk, for callers that need one
+//! `N2` list, and the oracle the tests check the pass against.
+
+use std::ops::Range;
 
 use crate::graph::{BipartiteGraph, Side, Vertex};
 
@@ -32,46 +59,65 @@ pub fn n2_neighbors(graph: &BipartiteGraph, v: Vertex) -> Vec<u32> {
         .collect()
 }
 
-/// `|N≤2(v)| = |N(v)| + |N2(v)|` (the two parts are disjoint: one is on the
-/// opposite side, the other on the same side).
-pub fn n_le2_size(graph: &BipartiteGraph, v: Vertex) -> usize {
-    graph.degree(v) + n2_neighbors(graph, v).len()
-}
-
-/// `|N≤2|` for every vertex, indexed by global id, sharing scratch space.
-///
-/// Cost is `O(Σ_v deg(v)²)`, the same bound as Lemma 9's
-/// `O(Σ |N≤2(v)|)` up to the multiplicity of common neighbours.
-pub fn all_n_le2_sizes(graph: &BipartiteGraph) -> Vec<usize> {
-    let nl = graph.num_left();
-    let nr = graph.num_right();
-    let mut sizes = vec![0usize; nl + nr];
-
-    let mut mark = vec![false; nl.max(nr)];
-    let mut touched: Vec<u32> = Vec::new();
-    for v in graph.vertices() {
-        touched.clear();
-        for &mid in graph.neighbors(v) {
-            let mid_vertex = Vertex {
-                side: v.side.opposite(),
-                index: mid,
-            };
-            for &w in graph.neighbors(mid_vertex) {
-                if !mark[w as usize] {
-                    mark[w as usize] = true;
-                    touched.push(w);
+/// The pair visitor: calls `visit(a, b, common)` once for every pair of
+/// `side`'s vertices `a < b` (local ids) with `common ≥ 1` common
+/// neighbours. Sources `a` ascend; one source's partners come in no fixed
+/// order.
+pub(crate) fn for_each_pair(
+    graph: &BipartiteGraph,
+    side: Side,
+    mut visit: impl FnMut(u32, u32, u32),
+) {
+    let (size, mids) = match side {
+        Side::Left => (graph.num_left(), graph.num_right()),
+        Side::Right => (graph.num_right(), graph.num_left()),
+    };
+    let row = |side, index| graph.neighbors(Vertex { side, index });
+    let mut common = vec![0u32; size];
+    let mut partners: Vec<u32> = Vec::with_capacity(size);
+    // passed[m]: how many of m's neighbours have been sources; a sits at
+    // that position of m's sorted row.
+    let mut passed = vec![0usize; mids];
+    for a in 0..size as u32 {
+        for &m in row(side, a) {
+            let ends = row(side.opposite(), m);
+            let at = &mut passed[m as usize];
+            debug_assert_eq!(ends[*at], a);
+            *at += 1;
+            for &b in &ends[*at..] {
+                let count = &mut common[b as usize];
+                if *count == 0 {
+                    partners.push(b);
                 }
+                *count += 1;
             }
         }
-        let mut n2 = touched.len();
-        if mark[v.index as usize] {
-            n2 -= 1; // exclude v itself
-        }
-        sizes[graph.global_id(v)] = graph.degree(v) + n2;
-        for &w in &touched {
-            mark[w as usize] = false;
+        for b in partners.drain(..) {
+            visit(a, b, std::mem::take(&mut common[b as usize]));
         }
     }
+}
+
+/// The pair visitor over both sides, in global ids, so sources ascend
+/// through the whole graph.
+fn for_each_global_pair(graph: &BipartiteGraph, mut visit: impl FnMut(usize, usize, u32)) {
+    for (side, offset) in [(Side::Left, 0), (Side::Right, graph.num_left())] {
+        for_each_pair(graph, side, |a, b, common| {
+            visit(a as usize + offset, b as usize + offset, common);
+        });
+    }
+}
+
+/// `|N≤2|` for every vertex, indexed by global id: its degree plus the
+/// number of 2-hop pairs it is in (the two parts are disjoint: one is on
+/// the opposite side, the other on the same side). One pair pass,
+/// `O(Σ_v deg(v)²)`.
+pub fn all_n_le2_sizes(graph: &BipartiteGraph) -> Vec<usize> {
+    let mut sizes: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
+    for_each_global_pair(graph, |a, b, _| {
+        sizes[a] += 1;
+        sizes[b] += 1;
+    });
     sizes
 }
 
@@ -81,51 +127,113 @@ pub fn n_le2(graph: &BipartiteGraph, v: Vertex) -> (Vec<u32>, Vec<u32>) {
     (graph.neighbors(v).to_vec(), n2_neighbors(graph, v))
 }
 
-/// A materialised two-hop index: every vertex's `N2` list in one CSR-shaped
-/// structure, indexed by global id.
+/// Every vertex's `N2` list in one CSR, indexed by global id: the bicore
+/// peel's 2-hop structure and the engine's anchored-query cache.
 ///
-/// Anchored queries and repeated vertex-centred decompositions recompute
-/// `N2(v)` from scratch per vertex; a session answering many such queries
-/// against one graph amortises that into a single `O(Σ deg(v)²)` build.
-/// Memory is `O(Σ |N2(v)|)`, which approaches `n²` on dense graphs — build
-/// it lazily and only for workloads that query many anchors.
+/// The build runs the pair pass twice and then sweeps the rows once, with
+/// no hashing and no sorting, in `O(Σ deg²)` time. The first pass counts
+/// row lengths. The second puts each pair `a < b` into the row of its
+/// larger end `b`. Sources ascend, so each row then holds its smaller
+/// partners, sorted. The settle sweep then visits the rows in ascending
+/// order and appends `b` to the row of each smaller partner `a`. So each
+/// row ends up sorted: smaller partners first, then larger ones.
+///
+/// The index keeps 4 bytes per stored `N2` entry (each pair is stored in
+/// both rows) and 8 bytes per vertex of offsets. Next to the rows the
+/// build fills a multiplicity array of another 4 bytes per entry. Only the
+/// bicore peel keeps that array; [`TwoHopIndex::build`] drops it. Memory
+/// approaches `n²` on dense graphs, so build the index lazily, only for
+/// workloads that query many anchors.
 #[derive(Debug, Clone)]
 pub struct TwoHopIndex {
-    /// `offsets[g] .. offsets[g + 1]` delimits global id `g`'s `N2` list.
+    /// Row `g` (a global id) is `neighbors[offsets[g]..offsets[g + 1]]`.
     offsets: Vec<usize>,
-    /// Concatenated sorted same-side `N2` lists.
-    data: Vec<u32>,
+    /// Same-side 2-hop neighbours as global ids, ascending within each row.
+    neighbors: Vec<u32>,
 }
 
 impl TwoHopIndex {
     /// Builds the index for every vertex of `graph`.
     pub fn build(graph: &BipartiteGraph) -> TwoHopIndex {
+        TwoHopIndex::build_counted(graph).0
+    }
+
+    /// Builds the index and its multiplicity array. Each pair `{a, b}`,
+    /// `a < b`, keeps its number of common neighbours in one slot: the
+    /// word of `b`'s entry in row `a`. The word of `a`'s entry in row `b`
+    /// holds the position of that slot within row `a`.
+    pub(crate) fn build_counted(graph: &BipartiteGraph) -> (TwoHopIndex, Vec<u32>) {
         let n = graph.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut data = Vec::new();
-        offsets.push(0);
-        for v in graph.vertices() {
-            data.extend(n2_neighbors(graph, v));
-            offsets.push(data.len());
+        // Pass 1: row lengths; each pair lands in both rows.
+        let mut offsets = vec![0usize; n + 1];
+        for_each_global_pair(graph, |a, b, _| {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        });
+        for g in 0..n {
+            offsets[g + 1] += offsets[g];
         }
-        TwoHopIndex { offsets, data }
+
+        // Pass 2: each pair enters its larger end's row with its count.
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; offsets[n]];
+        let mut shared = vec![0u32; offsets[n]];
+        for_each_global_pair(graph, |a, b, common| {
+            neighbors[cursor[b]] = a as u32;
+            shared[cursor[b]] = common;
+            cursor[b] += 1;
+        });
+
+        // Settle, rows ascending: row b's entry for each smaller partner a
+        // hands its count to a new entry b in row a, and keeps that entry's
+        // position instead.
+        for b in 0..n {
+            for i in offsets[b]..cursor[b] {
+                let a = neighbors[i] as usize;
+                let slot = cursor[a];
+                neighbors[slot] = b as u32;
+                shared[slot] = shared[i];
+                shared[i] = (slot - offsets[a]) as u32;
+                cursor[a] += 1;
+            }
+        }
+        (TwoHopIndex { offsets, neighbors }, shared)
     }
 
-    /// The cached `N2(v)` (same-side indices, sorted, excluding `v`).
-    pub fn two_hop(&self, graph: &BipartiteGraph, v: Vertex) -> &[u32] {
+    /// The entries of global id `g`'s row.
+    pub(crate) fn row(&self, g: usize) -> Range<usize> {
+        self.offsets[g]..self.offsets[g + 1]
+    }
+
+    /// Every row's entries (global ids), concatenated.
+    pub(crate) fn neighbors(&self) -> &[u32] {
+        &self.neighbors
+    }
+
+    /// Index in the multiplicity array of the pair at entry `i` of row `g`.
+    pub(crate) fn slot(&self, shared: &[u32], g: usize, i: usize) -> usize {
+        let w = self.neighbors[i] as usize;
+        if w > g {
+            i
+        } else {
+            self.offsets[w] + shared[i] as usize
+        }
+    }
+
+    /// The cached `N2(v)`: same-side indices, ascending, excluding `v`.
+    pub fn two_hop<'a>(
+        &'a self,
+        graph: &BipartiteGraph,
+        v: Vertex,
+    ) -> impl ExactSizeIterator<Item = u32> + 'a {
         let g = graph.global_id(v);
-        &self.data[self.offsets[g]..self.offsets[g + 1]]
-    }
-
-    /// The cached `N≤2(v)` as `(opposite-side neighbours, same-side 2-hop
-    /// neighbours)` — the zero-allocation analogue of [`n_le2`].
-    pub fn n_le2<'a>(&'a self, graph: &'a BipartiteGraph, v: Vertex) -> (&'a [u32], &'a [u32]) {
-        (graph.neighbors(v), self.two_hop(graph, v))
+        let offset = (g - v.index as usize) as u32;
+        self.neighbors[self.row(g)].iter().map(move |&w| w - offset)
     }
 
     /// Total stored `N2` entries (an index size gauge).
     pub fn entries(&self) -> usize {
-        self.data.len()
+        self.neighbors.len()
     }
 }
 
@@ -133,7 +241,7 @@ impl TwoHopIndex {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::graph::BipartiteGraph;
+    use crate::graph::{sorted_intersection_len, BipartiteGraph};
 
     fn path_graph() -> BipartiteGraph {
         // L0-R0, L1-R0, L1-R1, L2-R1 : a path L0 R0 L1 R1 L2.
@@ -158,16 +266,17 @@ mod tests {
     #[test]
     fn n_le2_size_on_complete_graph() {
         let g = generators::complete(3, 5);
+        let sizes = all_n_le2_sizes(&g);
         // Left vertex: 5 neighbours + 2 same-side = 7.
-        assert_eq!(n_le2_size(&g, Vertex::left(0)), 7);
+        assert_eq!(sizes[g.global_id(Vertex::left(0))], 7);
         // Right vertex: 3 neighbours + 4 same-side = 7.
-        assert_eq!(n_le2_size(&g, Vertex::right(4)), 7);
+        assert_eq!(sizes[g.global_id(Vertex::right(4))], 7);
     }
 
     #[test]
     fn isolated_vertex_has_empty_n_le2() {
         let g = BipartiteGraph::from_edges(2, 2, [(0, 0)]).unwrap();
-        assert_eq!(n_le2_size(&g, Vertex::left(1)), 0);
+        assert_eq!(all_n_le2_sizes(&g), vec![1, 0, 1, 0]);
         assert_eq!(n2_neighbors(&g, Vertex::left(1)), Vec::<u32>::new());
     }
 
@@ -176,7 +285,8 @@ mod tests {
         let g = generators::uniform_edges(20, 15, 80, 3);
         let all = all_n_le2_sizes(&g);
         for v in g.vertices() {
-            assert_eq!(all[g.global_id(v)], n_le2_size(&g, v), "vertex {v}");
+            let expected = g.degree(v) + n2_neighbors(&g, v).len();
+            assert_eq!(all[g.global_id(v)], expected, "vertex {v}");
         }
     }
 
@@ -196,11 +306,8 @@ mod tests {
         let g = generators::uniform_edges(12, 14, 60, 9);
         let index = TwoHopIndex::build(&g);
         for v in g.vertices() {
-            assert_eq!(index.two_hop(&g, v), n2_neighbors(&g, v), "vertex {v}");
-            let (n1, n2) = index.n_le2(&g, v);
-            let (e1, e2) = n_le2(&g, v);
-            assert_eq!(n1, e1);
-            assert_eq!(n2, e2);
+            let row: Vec<u32> = index.two_hop(&g, v).collect();
+            assert_eq!(row, n2_neighbors(&g, v), "vertex {v}");
         }
         assert_eq!(
             index.entries(),
@@ -208,6 +315,45 @@ mod tests {
                 .map(|v| n2_neighbors(&g, v).len())
                 .sum::<usize>()
         );
+    }
+
+    #[test]
+    fn multiplicities_count_common_neighbours() {
+        let mut graphs = vec![
+            BipartiteGraph::from_edges(0, 0, []).unwrap(),
+            BipartiteGraph::from_edges(3, 2, []).unwrap(),
+            path_graph(),
+            generators::complete(4, 6),
+        ];
+        for seed in 0..12 {
+            graphs.push(generators::uniform_edges(
+                14,
+                11,
+                20 + 5 * seed as usize,
+                seed,
+            ));
+            let params = generators::ChungLuParams {
+                num_left: 30,
+                num_right: 20,
+                num_edges: 90,
+                left_exponent: 0.8,
+                right_exponent: 0.7,
+            };
+            graphs.push(generators::chung_lu_bipartite(&params, seed));
+        }
+        for g in &graphs {
+            let (index, shared) = TwoHopIndex::build_counted(g);
+            assert_eq!(shared.len(), index.entries());
+            for a in 0..g.num_vertices() {
+                let na = g.neighbors(g.vertex_of_global(a));
+                for i in index.row(a) {
+                    let b = index.neighbors[i] as usize;
+                    let nb = g.neighbors(g.vertex_of_global(b));
+                    let common = shared[index.slot(&shared, a, i)] as usize;
+                    assert_eq!(common, sorted_intersection_len(na, nb), "pair {a}, {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,13 @@ use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::complement::Decomposition;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::generators::{self, ChungLuParams};
-use mbb_bigraph::graph::{sorted_intersection, BipartiteGraph, Vertex};
+use mbb_bigraph::graph::{
+    sorted_intersection, sorted_intersection_len, BipartiteGraph, Side, Vertex,
+};
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::matching::{hopcroft_karp, minimum_vertex_cover};
-use mbb_bigraph::two_hop::{all_n_le2_sizes, n2_neighbors};
+use mbb_bigraph::projection::project;
+use mbb_bigraph::two_hop::{all_n_le2_sizes, n2_neighbors, TwoHopIndex};
 use proptest::prelude::*;
 
 fn graph_strategy(max_side: u32) -> impl Strategy<Value = BipartiteGraph> {
@@ -50,6 +53,36 @@ fn bicore_family_strategy() -> impl Strategy<Value = BipartiteGraph> {
             }
         }
     })
+}
+
+/// The two-hop index against the single-vertex walk: every row equals
+/// `n2_neighbors`, and `entries()` is their total length. The pair pass
+/// that fills the index also weighs projections, so each projected weight
+/// must be the pair's common-neighbour count.
+fn check_two_hop_index(g: &BipartiteGraph) -> Result<(), TestCaseError> {
+    let index = TwoHopIndex::build(g);
+    let mut total = 0;
+    for v in g.vertices() {
+        let walk = n2_neighbors(g, v);
+        prop_assert_eq!(
+            index.two_hop(g, v).collect::<Vec<_>>(),
+            walk.clone(),
+            "row of {}",
+            v
+        );
+        total += walk.len();
+    }
+    prop_assert_eq!(index.entries(), total);
+    for side in [Side::Left, Side::Right] {
+        for (a, b, weight) in project(g, side).edges {
+            let common = sorted_intersection_len(
+                g.neighbors(Vertex { side, index: a }),
+                g.neighbors(Vertex { side, index: b }),
+            );
+            prop_assert_eq!(weight as usize, common, "{:?} pair ({}, {})", side, a, b);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -143,6 +176,12 @@ proptest! {
             prop_assert!(n1 + n2 >= k as usize, "{v}: {} < {k}", n1 + n2);
         }
         prop_assert!(any);
+    }
+
+    #[test]
+    fn two_hop_index_matches_the_walk(small in graph_strategy(10), family in bicore_family_strategy()) {
+        check_two_hop_index(&small)?;
+        check_two_hop_index(&family)?;
     }
 
     #[test]

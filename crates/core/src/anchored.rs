@@ -32,10 +32,10 @@ pub fn anchored_budgeted(
     budget: &SearchBudget,
 ) -> (Biclique, SearchStats) {
     let (neighbors, two_hop) = match index {
-        Some(index) => {
-            let (n1, n2) = index.n_le2(graph, anchor);
-            (n1.to_vec(), n2.to_vec())
-        }
+        Some(index) => (
+            graph.neighbors(anchor).to_vec(),
+            index.two_hop(graph, anchor).collect(),
+        ),
         None => n_le2(graph, anchor),
     };
     if neighbors.is_empty() {
@@ -116,10 +116,10 @@ pub fn anchored_edge_budgeted(
         return None;
     }
     let (u_neighbors, u_two_hop) = match index {
-        Some(index) => {
-            let (n1, n2) = index.n_le2(graph, Vertex::left(u));
-            (n1.to_vec(), n2.to_vec())
-        }
+        Some(index) => (
+            graph.neighbors_left(u).to_vec(),
+            index.two_hop(graph, Vertex::left(u)).collect(),
+        ),
         None => n_le2(graph, Vertex::left(u)),
     };
 
@@ -233,6 +233,30 @@ mod tests {
                 if !b.is_empty() {
                     assert!(b.right.contains(&v));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_index_reproduces_the_walk() {
+        // The engine answers its first anchored query with the walk and
+        // later ones with the index: both must run the identical search.
+        let budget = SearchBudget::unlimited();
+        for seed in 0..10u64 {
+            let g = generators::uniform_edges(10, 9, 24 + 3 * seed as usize, seed ^ 0x5a);
+            let index = TwoHopIndex::build(&g);
+            for anchor in g.vertices() {
+                let (walk, walk_stats) = anchored_budgeted(&g, anchor, None, &budget);
+                let (cached, stats) = anchored_budgeted(&g, anchor, Some(&index), &budget);
+                assert_eq!(cached, walk, "seed {seed} anchor {anchor}");
+                assert_eq!(stats.nodes, walk_stats.nodes, "seed {seed} anchor {anchor}");
+            }
+            for (u, v) in g.edges() {
+                let (walk, walk_stats) = anchored_edge_budgeted(&g, u, v, None, &budget).unwrap();
+                let (cached, stats) =
+                    anchored_edge_budgeted(&g, u, v, Some(&index), &budget).unwrap();
+                assert_eq!(cached, walk, "seed {seed} edge ({u},{v})");
+                assert_eq!(stats.nodes, walk_stats.nodes, "seed {seed} edge ({u},{v})");
             }
         }
     }

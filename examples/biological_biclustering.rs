@@ -9,7 +9,7 @@
 //! regime `hbvMBB` (Algorithm 4) was designed for.
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --example biological_biclustering
+//! cargo run -p mbb-examples --release --example biological_biclustering
 //! ```
 
 use mbb_bigraph::generators::{chung_lu_bipartite, plant_balanced_biclique, ChungLuParams};

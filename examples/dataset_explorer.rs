@@ -5,7 +5,7 @@
 //! bounds.
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --example dataset_explorer -- [count]
+//! cargo run -p mbb-examples --release --example dataset_explorer -- [count]
 //! ```
 
 use mbb_bigraph::graph::Side;

@@ -9,7 +9,7 @@
 //!   through that user.
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --example recommendation_topk
+//! cargo run -p mbb-examples --release --example recommendation_topk
 //! ```
 
 use std::ops::ControlFlow;

@@ -7,7 +7,7 @@
 //! re-solve tracks the growing optimum.
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --example streaming_updates
+//! cargo run -p mbb-examples --release --example streaming_updates
 //! ```
 
 use mbb_core::incremental::IncrementalMbb;

@@ -9,7 +9,7 @@
 //! bipartite graph (Al-Yamani et al. [1], Tahoori [25]).
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --example vlsi_defect_tolerance
+//! cargo run -p mbb-examples --release --example vlsi_defect_tolerance
 //! ```
 
 use mbb_bigraph::generators::dense_uniform;

@@ -5,7 +5,7 @@
 
 use std::ops::ControlFlow;
 
-use mbb_bigraph::butterfly::{butterflies_per_vertex, count_butterflies};
+use mbb_bigraph::butterfly::count_butterflies;
 use mbb_bigraph::generators;
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_bigraph::metrics::GraphProfile;
@@ -136,18 +136,6 @@ fn butterfly_upper_bound_dominates_mbb() {
         );
         assert!(profile.mbb_half_upper_bound() >= half);
     }
-}
-
-#[test]
-fn per_vertex_butterflies_zero_outside_any_c4() {
-    // Pendant vertex participates in no butterfly.
-    let mut edges: Vec<(u32, u32)> = (0..3).flat_map(|u| (0..3).map(move |v| (u, v))).collect();
-    edges.push((3, 3));
-    let g = BipartiteGraph::from_edges(4, 4, edges).unwrap();
-    let per_vertex = butterflies_per_vertex(&g);
-    assert_eq!(per_vertex[3], 0, "pendant left vertex");
-    assert_eq!(per_vertex[g.num_left() + 3], 0, "pendant right vertex");
-    assert!(per_vertex[0] > 0);
 }
 
 #[test]
