@@ -1,6 +1,6 @@
 //! Figure 6 — evaluation of vertex-centred subgraphs: the average density
-//! of the generated subgraphs under the three total orders, per tough
-//! dataset.
+//! of the centred subgraphs that pass the size prune (size-pruned ones are
+//! never induced), under the three total orders, per tough dataset.
 //!
 //! ```text
 //! cargo run -p mbb-bench --release --bin fig6 -- [--caps default]
@@ -17,7 +17,7 @@ fn main() {
     let caps = args.caps();
     let seed = args.seed();
 
-    println!("# Figure 6 — average density of vertex-centred subgraphs per order\n");
+    println!("# Figure 6 — average density of the vertex-centred subgraphs that pass the size prune, per order\n");
 
     let orders = [
         ("maxDeg", SearchOrder::Degree),
@@ -59,6 +59,6 @@ fn main() {
         ]);
     }
     table.print();
-    println!("\nDensity 0 means the solver exited before bridging (stage S1).");
+    println!("\nDensity 0 means the solve exited at S1 or no subgraph passed the size prune.");
     eprintln!("{}", cache.summary());
 }

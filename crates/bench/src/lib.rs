@@ -9,7 +9,7 @@
 //! | `table6` | Table 6        | tough datasets: hMBB/degOrder/bdegOrder/bd1–bd5/hbvMBB |
 //! | `fig4`   | Figure 4       | heuristic gap to optimum (heuGlobal, heuLocal) |
 //! | `fig5`   | Figure 5       | average search depth over δ̈ per order |
-//! | `fig6`   | Figure 6       | average vertex-centred subgraph density per order |
+//! | `fig6`   | Figure 6       | average density of the centred subgraphs that pass the size prune, per order |
 //!
 //! All binaries accept `--budget-secs N`, `--caps small|default|large`,
 //! `--seed N` and print GitHub-flavoured Markdown so results paste straight

@@ -10,9 +10,13 @@
 //!
 //! Each generated subgraph is pruned by side size and degeneracy against the
 //! incumbent, and a local core-greedy heuristic tries to grow the incumbent
-//! before the expensive verification stage.
+//! before the expensive verification stage. Every subgraph that passes the
+//! size prune is induced and core-peeled once; a survivor carries its core
+//! numbers to verification, which cuts its local `(|A*|+1)`-core from them
+//! instead of peeling it again.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+// The centre cursor goes through the mbb-conc facade, as in `dense.rs`.
+use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
 
 use mbb_obs as obs;
 
@@ -20,11 +24,12 @@ use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
 use mbb_bigraph::subgraph::induce_by_ids;
 use mbb_bigraph::two_hop::n2_neighbors;
-use parking_lot::Mutex;
 
 use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
+use crate::dense::SharedIncumbent;
 use crate::heuristic::{greedy_balanced, map_to_parent};
+use crate::solver::{resolve_threads, run_workers};
 
 /// A surviving vertex-centred subgraph, in the ids of the graph the bridge
 /// ran on.
@@ -37,6 +42,10 @@ pub struct CenteredSubgraph {
     pub left_ids: Vec<u32>,
     /// Right-side vertex ids.
     pub right_ids: Vec<u32>,
+    /// Each vertex's core number in the subgraph itself, `left_ids` first,
+    /// then `right_ids`. Verification keeps the vertices whose number
+    /// beats the incumbent (Lemma 4, applied locally).
+    pub core: Vec<u32>,
 }
 
 /// Aggregates of the bridging stage (feed Figures 5 and 6).
@@ -48,9 +57,11 @@ pub struct BridgeStats {
     pub pruned_size: usize,
     /// Subgraphs pruned by the degeneracy test.
     pub pruned_degeneracy: usize,
-    /// Σ density over generated subgraphs with both sides non-empty.
+    /// Σ density over the centred subgraphs that pass the size prune
+    /// (size-pruned subgraphs are never induced, so they are not in it).
     pub density_sum: f64,
-    /// Count behind `density_sum`.
+    /// The number of centred subgraphs that pass the size prune, the
+    /// count behind `density_sum`.
     pub density_count: usize,
     /// Σ vertex count over generated subgraphs.
     pub size_sum: usize,
@@ -61,7 +72,8 @@ pub struct BridgeStats {
 }
 
 impl BridgeStats {
-    /// Mean density of generated vertex-centred subgraphs (Figure 6).
+    /// Mean density of the centred subgraphs that pass the size prune
+    /// (Figure 6); 0 when none does.
     pub fn average_density(&self) -> f64 {
         if self.density_count == 0 {
             0.0
@@ -92,7 +104,7 @@ impl BridgeStats {
     }
 }
 
-/// Outcome of [`bridge_mbb`].
+/// Outcome of [`bridge_mbb_budgeted`].
 #[derive(Debug)]
 pub struct BridgeOutcome {
     /// Best biclique known after local heuristics (ids of the bridged
@@ -104,19 +116,20 @@ pub struct BridgeOutcome {
     pub stats: BridgeStats,
 }
 
-/// Knobs for [`bridge_mbb`].
+/// Knobs for [`bridge_mbb_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct BridgeConfig {
     /// Apply the degeneracy prune and the local core-greedy heuristic
-    /// (off in the `bd2` ablation).
+    /// (off in the `bd2` ablation). Survivors carry their core numbers
+    /// either way.
     pub use_core_pruning: bool,
     /// Seeds for the local heuristic.
     pub heuristic_seeds: usize,
     /// Worker threads for the per-centre generation loop: `1` = the
     /// paper's sequential Algorithm 6, `0` = one worker per available
     /// core ([`crate::solver::resolve_threads`]). Graphs with fewer than
-    /// [`PARALLEL_MIN_CENTERS`] vertices always run serially — the scope
-    /// spawn would cost more than the loop.
+    /// [`PARALLEL_MIN_CENTERS`] vertices always run on one worker — the
+    /// thread spawn would cost more than the loop.
     pub threads: usize,
 }
 
@@ -130,31 +143,29 @@ impl Default for BridgeConfig {
     }
 }
 
-/// Below this many centres the parallel generation loop falls back to the
-/// serial one: spawning a `std::thread::scope` pool costs tens of
-/// microseconds, more than generating a few hundred small subgraphs.
+/// Below this many centres the generation loop runs on one worker:
+/// spawning a `std::thread::scope` pool costs tens of microseconds, more
+/// than generating a few hundred small subgraphs.
 pub const PARALLEL_MIN_CENTERS: usize = 256;
 
-/// Centres claimed per cursor increment in the parallel loop — coarse
-/// enough to keep cursor contention negligible, fine enough that the tail
-/// imbalance stays under a chunk per worker.
+/// Centres claimed per cursor increment — coarse enough to keep cursor
+/// contention negligible, fine enough that the tail imbalance stays under
+/// a chunk per worker.
 const CENTER_CHUNK: usize = 64;
 
-/// Algorithm 6. `order` is a permutation of the graph's global ids;
-/// `incumbent` is the best biclique so far (in the same graph's ids).
-pub fn bridge_mbb(
-    graph: &BipartiteGraph,
-    order: &[u32],
-    incumbent: Biclique,
-    config: BridgeConfig,
-) -> BridgeOutcome {
-    bridge_mbb_budgeted(graph, order, incumbent, config, &SearchBudget::unlimited())
-}
-
-/// [`bridge_mbb`] under a [`SearchBudget`]: the per-centre generation loop
-/// stops once the budget is exhausted, returning the survivors admitted so
-/// far (the caller's termination state records that the decomposition is
-/// partial).
+/// Algorithm 6 under a [`SearchBudget`]. `order` is a permutation of the
+/// graph's global ids; `incumbent` is the best biclique so far (in the
+/// same graph's ids). The per-centre generation loop stops once the
+/// budget is exhausted, returning the survivors admitted so far (the
+/// caller's termination state records that the decomposition is partial).
+///
+/// Workers claim chunks of `CENTER_CHUNK` consecutive centres from a
+/// shared cursor; a centre's subgraph depends only on the (immutable)
+/// order ranks, so centres are embarrassingly parallel. The incumbent
+/// half-size is shared through a [`SharedIncumbent`]: an improvement the
+/// local heuristic finds on any worker at once strengthens every worker's
+/// size and degeneracy prunes. Survivors are re-assembled in generation
+/// order.
 pub fn bridge_mbb_budgeted(
     graph: &BipartiteGraph,
     order: &[u32],
@@ -169,157 +180,92 @@ pub fn bridge_mbb_budgeted(
         rank[g as usize] = i as u32;
     }
 
-    let threads = crate::solver::resolve_threads(config.threads);
-    if threads > 1 && n >= PARALLEL_MIN_CENTERS {
-        return bridge_parallel(graph, order, &rank, incumbent, config, budget, threads);
-    }
+    let workers = if n >= PARALLEL_MIN_CENTERS {
+        resolve_threads(config.threads)
+    } else {
+        1
+    };
+    let shared = SharedIncumbent::new(incumbent.half_size());
+    let cursor = AtomicUsize::new(0);
+    let outputs = run_workers(workers, |_| {
+        let budget = budget.clone();
+        let mut best = Biclique::empty();
+        let mut stats = BridgeStats::default();
+        let mut survivors: Vec<(usize, CenteredSubgraph)> = Vec::new();
+        'pool: loop {
+            // relaxed: the fetch_add's atomicity alone hands each chunk to
+            // exactly one worker; the centres it indexes are immutable
+            // shared slices.
+            let start = cursor.fetch_add(CENTER_CHUNK, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + CENTER_CHUNK).min(n);
+            for (i, &center_global) in order.iter().enumerate().take(end).skip(start) {
+                // Per-centre work (induction, core decomposition,
+                // heuristic) is orders of magnitude above a wall-clock
+                // read, so pay the unsampled probe; one worker's probe
+                // stops the whole pool.
+                if budget.probe() {
+                    break 'pool;
+                }
+                // One span per centre: cheap next to the per-centre
+                // induction work, and the per-centre cost profile is
+                // exactly what the bridging-stage analysis needs (dropped
+                // on overflow, never blocking — see mbb_obs::ring).
+                let span = obs::span(obs::Stage::BridgeCentre);
+                let (survivor, improvement) = process_center(
+                    graph,
+                    &rank,
+                    i,
+                    center_global,
+                    shared.bound(),
+                    config,
+                    &mut stats,
+                );
+                drop(span);
+                if let Some(better) = improvement {
+                    // It beats the bound, which covers this worker's own
+                    // earlier finds.
+                    shared.publish(better.half_size());
+                    best = better;
+                }
+                survivors.extend(survivor.map(|s| (i, s)));
+            }
+        }
+        (best, stats, survivors)
+    });
 
     let mut best = incumbent;
     let mut stats = BridgeStats::default();
-    let mut survivors = Vec::new();
-
-    for (i, &center_global) in order.iter().enumerate() {
-        // Per-centre work (induction, core decomposition, heuristic) is
-        // orders of magnitude above a wall-clock read, so pay the
-        // unsampled probe for prompt deadline detection.
-        if budget.probe() {
-            break;
+    let mut indexed = Vec::new();
+    for (worker_best, worker_stats, worker_survivors) in outputs {
+        if worker_best.half_size() > best.half_size() {
+            best = worker_best;
         }
-        // One span per centre: cheap next to the per-centre induction
-        // work, and the per-centre cost profile is exactly what the
-        // bridging-stage analysis needs (dropped on overflow, never
-        // blocking — see mbb_obs::ring).
-        let span = obs::span(obs::Stage::BridgeCentre);
-        let (survivor, improvement) = process_center(
-            graph,
-            &rank,
-            i,
-            center_global,
-            best.half_size(),
-            config,
-            &mut stats,
-        );
-        drop(span);
-        if let Some(better) = improvement {
-            if better.half_size() > best.half_size() {
-                best = better;
-            }
-        }
-        survivors.extend(survivor);
-    }
-
-    finish_bridge(best, survivors, stats)
-}
-
-/// The per-centre generation loop split across `threads` workers.
-///
-/// Workers claim chunks of [`CENTER_CHUNK`] consecutive centres from an
-/// atomic cursor; subgraph generation for a centre depends only on the
-/// (immutable) order ranks, so centres are embarrassingly parallel. The
-/// incumbent half-size is shared through an atomic — an improvement found
-/// by the local heuristic on any worker immediately strengthens every
-/// other worker's size and degeneracy prunes. Survivors are re-assembled
-/// in generation order, so downstream verification sees the same layout
-/// as the serial loop.
-fn bridge_parallel(
-    graph: &BipartiteGraph,
-    order: &[u32],
-    rank: &[u32],
-    incumbent: Biclique,
-    config: BridgeConfig,
-    budget: &SearchBudget,
-    threads: usize,
-) -> BridgeOutcome {
-    let best_half = AtomicUsize::new(incumbent.half_size());
-    let best = Mutex::new(incumbent);
-    let cursor = AtomicUsize::new(0);
-
-    let merged: Vec<(BridgeStats, Vec<(usize, CenteredSubgraph)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let best = &best;
-                let best_half = &best_half;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let budget = budget.clone();
-                    let mut stats = BridgeStats::default();
-                    let mut survivors: Vec<(usize, CenteredSubgraph)> = Vec::new();
-                    'pool: loop {
-                        // relaxed: the fetch_add's atomicity alone hands
-                        // each chunk to exactly one worker; the centres it
-                        // indexes are immutable shared slices.
-                        let start = cursor.fetch_add(CENTER_CHUNK, Ordering::Relaxed);
-                        if start >= order.len() {
-                            break;
-                        }
-                        let end = (start + CENTER_CHUNK).min(order.len());
-                        for (i, &center_global) in order.iter().enumerate().take(end).skip(start) {
-                            // Unsampled: per-centre work dwarfs the probe,
-                            // and one worker's probe stops the whole pool.
-                            if budget.probe() {
-                                break 'pool;
-                            }
-                            // relaxed: advisory read of the monotonic
-                            // incumbent bound; a stale value only prunes
-                            // less. Results flow through `best`'s mutex.
-                            let bound = best_half.load(Ordering::Relaxed);
-                            // Per-centre span, as in the serial loop.
-                            let span = obs::span(obs::Stage::BridgeCentre);
-                            let (survivor, improvement) = process_center(
-                                graph,
-                                rank,
-                                i,
-                                center_global,
-                                bound,
-                                config,
-                                &mut stats,
-                            );
-                            drop(span);
-                            if let Some(better) = improvement {
-                                let mut guard = best.lock();
-                                if better.half_size() > guard.half_size() {
-                                    // relaxed: monotonic advisory bound.
-                                    // fetch_max (not store) keeps the cell
-                                    // non-decreasing on its own, rather
-                                    // than by grace of the mutex around
-                                    // this block — a plain store would
-                                    // silently regress the bound if the
-                                    // locking discipline ever changed.
-                                    best_half.fetch_max(better.half_size(), Ordering::Relaxed);
-                                    *guard = better;
-                                }
-                            }
-                            if let Some(s) = survivor {
-                                survivors.push((i, s));
-                            }
-                        }
-                    }
-                    (stats, survivors)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bridge worker panicked"))
-            .collect()
-    });
-
-    let mut stats = BridgeStats::default();
-    let mut indexed: Vec<(usize, CenteredSubgraph)> = Vec::new();
-    for (worker_stats, worker_survivors) in merged {
         stats.merge(&worker_stats);
         indexed.extend(worker_survivors);
     }
     indexed.sort_by_key(|&(i, _)| i);
-    let survivors = indexed.into_iter().map(|(_, s)| s).collect();
-    finish_bridge(best.into_inner(), survivors, stats)
+    // Subgraphs admitted before a later improvement may now be prunable
+    // by size.
+    let best_half = best.half_size();
+    let survivors = indexed
+        .into_iter()
+        .map(|(_, s)| s)
+        .filter(|s| s.left_ids.len().min(s.right_ids.len()) > best_half)
+        .collect();
+    BridgeOutcome {
+        best,
+        survivors,
+        stats,
+    }
 }
 
 /// Generates, measures and prunes the subgraph centred at `order[i]`
 /// against `best_half`, updating `stats` in place. Returns the surviving
 /// subgraph (if not pruned) and any incumbent improvement the local
 /// heuristic found.
-#[allow(clippy::too_many_arguments)] // internal: serial + parallel loops share it
 fn process_center(
     graph: &BipartiteGraph,
     rank: &[u32],
@@ -370,9 +316,9 @@ fn process_center(
         stats.density_count += 1;
     }
 
+    let cores = core_decomposition(&sub.graph);
     let mut improvement = None;
     if config.use_core_pruning {
-        let cores = core_decomposition(&sub.graph);
         if cores.degeneracy as usize <= best_half {
             stats.pruned_degeneracy += 1;
             return (None, None);
@@ -390,25 +336,10 @@ fn process_center(
             center,
             left_ids: sub.left_ids,
             right_ids: sub.right_ids,
+            core: cores.core,
         }),
         improvement,
     )
-}
-
-/// A final sweep shared by both loops: subgraphs admitted before later
-/// best-improvements may now be prunable by size.
-fn finish_bridge(
-    best: Biclique,
-    mut survivors: Vec<CenteredSubgraph>,
-    stats: BridgeStats,
-) -> BridgeOutcome {
-    let best_half = best.half_size();
-    survivors.retain(|s| s.left_ids.len().min(s.right_ids.len()) > best_half);
-    BridgeOutcome {
-        best,
-        survivors,
-        stats,
-    }
 }
 
 #[cfg(test)]
@@ -416,6 +347,15 @@ mod tests {
     use super::*;
     use mbb_bigraph::generators;
     use mbb_bigraph::order::{compute_order, SearchOrder};
+
+    fn bridge(
+        graph: &BipartiteGraph,
+        order: &[u32],
+        incumbent: Biclique,
+        config: BridgeConfig,
+    ) -> BridgeOutcome {
+        bridge_mbb_budgeted(graph, order, incumbent, config, &SearchBudget::unlimited())
+    }
 
     fn run(graph: &BipartiteGraph, incumbent_half: usize) -> BridgeOutcome {
         let order = compute_order(graph, SearchOrder::Bidegeneracy);
@@ -429,7 +369,7 @@ mod tests {
                 (0..incumbent_half as u32).collect(),
             )
         };
-        bridge_mbb(graph, &order, incumbent, BridgeConfig::default())
+        bridge(graph, &order, incumbent, BridgeConfig::default())
     }
 
     #[test]
@@ -451,7 +391,7 @@ mod tests {
         let g = generators::uniform_edges(40, 40, 160, 3);
         let (planted, left, right) = generators::plant_balanced_biclique(&g, 6);
         let order = compute_order(&planted, SearchOrder::Bidegeneracy);
-        let out = bridge_mbb(&planted, &order, Biclique::empty(), BridgeConfig::default());
+        let out = bridge(&planted, &order, Biclique::empty(), BridgeConfig::default());
         if out.best.half_size() < 6 {
             let mut rank = vec![0u32; planted.num_vertices()];
             for (i, &gid) in order.iter().enumerate() {
@@ -496,7 +436,7 @@ mod tests {
 
     #[test]
     fn parallel_generation_is_exact_after_verification() {
-        use crate::verify::{verify_mbb, VerifyConfig};
+        use crate::verify::{verify_mbb_budgeted, VerifyConfig};
         // Big enough to clear PARALLEL_MIN_CENTERS so the pool really
         // runs. Survivor lists and incumbents may differ from the serial
         // loop (heuristic improvements race, so prune timing differs) —
@@ -506,8 +446,8 @@ mod tests {
             let g = generators::uniform_edges(220, 220, 1400, seed);
             assert!(g.num_vertices() >= PARALLEL_MIN_CENTERS);
             let order = compute_order(&g, SearchOrder::Bidegeneracy);
-            let serial = bridge_mbb(&g, &order, Biclique::empty(), BridgeConfig::default());
-            let parallel = bridge_mbb(
+            let serial = bridge(&g, &order, Biclique::empty(), BridgeConfig::default());
+            let parallel = bridge(
                 &g,
                 &order,
                 Biclique::empty(),
@@ -523,9 +463,16 @@ mod tests {
             );
             assert!(parallel.best.is_valid(&g), "seed {seed}");
             let finish = |out: BridgeOutcome| {
-                verify_mbb(&g, &out.survivors, out.best, VerifyConfig::default())
-                    .0
-                    .half_size()
+                let unlimited = SearchBudget::unlimited();
+                verify_mbb_budgeted(
+                    &g,
+                    &out.survivors,
+                    out.best,
+                    VerifyConfig::default(),
+                    &unlimited,
+                )
+                .0
+                .half_size()
             };
             assert_eq!(finish(parallel), finish(serial), "seed {seed}");
         }
@@ -537,6 +484,29 @@ mod tests {
             let g = generators::uniform_edges(25, 25, 170, seed);
             let out = run(&g, 0);
             assert!(out.best.is_valid(&g), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn survivor_cores_match_a_fresh_peel() {
+        let g = generators::uniform_edges(40, 40, 330, 21);
+        let order = compute_order(&g, SearchOrder::Bidegeneracy);
+        for use_core_pruning in [true, false] {
+            let config = BridgeConfig {
+                use_core_pruning,
+                ..BridgeConfig::default()
+            };
+            let out = bridge(&g, &order, Biclique::empty(), config);
+            assert!(!out.survivors.is_empty(), "pruning {use_core_pruning}");
+            for s in &out.survivors {
+                let sub = induce_by_ids(&g, s.left_ids.clone(), s.right_ids.clone());
+                assert_eq!(
+                    s.core,
+                    core_decomposition(&sub.graph).core,
+                    "centre {:?}, pruning {use_core_pruning}",
+                    s.center
+                );
+            }
         }
     }
 }

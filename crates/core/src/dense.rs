@@ -41,6 +41,7 @@ use crate::basic::LocalBiclique;
 use crate::budget::SearchBudget;
 use crate::poly::DynamicMbb;
 use crate::reduce::reduce_candidates;
+use crate::solver::run_workers;
 use crate::stats::SearchStats;
 
 /// Tuning/ablation knobs for [`dense_mbb`].
@@ -158,8 +159,10 @@ enum StepOutcome {
     Branch { on_left: bool, vertex: u32 },
 }
 
-/// The pool-wide incumbent half-size of a parallel search — the one
-/// piece of mutable state [`dense_mbb_parallel`] workers share.
+/// The pool-wide incumbent half-size of a parallel stage — the one piece
+/// of mutable state the workers of [`dense_mbb_parallel`], of bridging
+/// ([`crate::bridge::bridge_mbb_budgeted`]) and of verification
+/// ([`crate::verify::verify_mbb_budgeted`]) share.
 ///
 /// The protocol is deliberately minimal so its correctness argument is
 /// short: the cell only ever **grows** (every write is a `fetch_max`
@@ -168,7 +171,7 @@ enum StepOutcome {
 /// always safe — it can only under-prune, never discard the optimum —
 /// which is why `Relaxed` suffices end to end. The final result does not
 /// come from this cell: each worker returns its own best biclique and
-/// the coordinator max-merges them after joining, so publication here is
+/// the caller max-merges them after the join, so publication here is
 /// an optimisation, not a correctness dependency.
 pub struct SharedIncumbent(AtomicUsize);
 
@@ -589,47 +592,33 @@ pub fn dense_mbb_parallel(
     }
     let claimed: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
 
-    let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let tasks = &tasks;
-        let claimed = &claimed;
-        let shared = &shared_best;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut searcher =
-                        DenseSearcher::new(graph, shared.bound(), config, budget, Some(shared));
-                    let chunk = tasks.len().div_ceil(workers).max(1);
-                    let own = (w * chunk).min(tasks.len())..((w + 1) * chunk).min(tasks.len());
-                    let mut stolen = 0u64;
-                    let mut skipped = 0u64;
-                    // Own slice first, then one stealing sweep over the
-                    // rest — `claimed` makes every task run exactly once.
-                    for index in own.clone().chain(0..tasks.len()) {
-                        // relaxed: the atomic RMW alone decides the claim
-                        // (exactly one swap returns false per task); the
-                        // task data is immutable and published by the
-                        // spawning scope's happens-before edge.
-                        if claimed[index].swap(true, Ordering::Relaxed) {
-                            continue;
-                        }
-                        if !own.contains(&index) {
-                            stolen += 1;
-                        }
-                        run_task(&mut searcher, &tasks[index], &mut skipped);
-                    }
-                    WorkerOutput {
-                        best: searcher.best,
-                        stats: searcher.stats,
-                        stolen,
-                        skipped,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dense worker panicked"))
-            .collect()
+    let shared = &shared_best;
+    let outputs = run_workers(workers, |w| {
+        let mut searcher = DenseSearcher::new(graph, shared.bound(), config, budget, Some(shared));
+        let chunk = tasks.len().div_ceil(workers).max(1);
+        let own = (w * chunk).min(tasks.len())..((w + 1) * chunk).min(tasks.len());
+        let mut stolen = 0u64;
+        let mut skipped = 0u64;
+        // Own slice first, then one stealing sweep over the rest —
+        // `claimed` makes every task run exactly once.
+        for index in own.clone().chain(0..tasks.len()) {
+            // relaxed: the atomic RMW alone decides the claim (exactly one
+            // swap returns false per task); the task data is immutable and
+            // published by the spawning scope's happens-before edge.
+            if claimed[index].swap(true, Ordering::Relaxed) {
+                continue;
+            }
+            if !own.contains(&index) {
+                stolen += 1;
+            }
+            run_task(&mut searcher, &tasks[index], &mut skipped);
+        }
+        WorkerOutput {
+            best: searcher.best,
+            stats: searcher.stats,
+            stolen,
+            skipped,
+        }
     });
 
     let mut best = coordinator.best;

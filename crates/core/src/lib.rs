@@ -9,8 +9,10 @@
 //!   near-complete subgraphs (Lemma 3);
 //! * [`dense::dense_mbb`] — Algorithm 3, `denseMBB`, O*(1.3803ⁿ);
 //! * [`heuristic::hmbb`] — Algorithm 5, heuristics + Lemma 4/5 reduction;
-//! * [`bridge::bridge_mbb`] — Algorithm 6, vertex-centred decomposition;
-//! * [`verify::verify_mbb`] — Algorithm 8, maximality verification;
+//! * [`bridge::bridge_mbb_budgeted`] — Algorithm 6, vertex-centred
+//!   decomposition; each survivor carries its core numbers;
+//! * [`verify::verify_mbb_budgeted`] — Algorithm 8, maximality
+//!   verification, cutting each survivor by those core numbers;
 //! * [`solver::MbbSolver`] — Algorithm 4, the `hbvMBB` framework,
 //!   O*(1.3803^δ̈) with every Table 3 ablation exposed.
 //!

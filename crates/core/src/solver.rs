@@ -31,6 +31,26 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+/// Runs `work(w)` for each worker index `w` in `0..workers` and returns
+/// the results in worker order: inline on the calling thread when
+/// `workers` is 1, otherwise one thread per worker on a
+/// `std::thread::scope` pool. The one spawn site of the parallel stages
+/// (bridging, verification, [`crate::dense::dense_mbb_parallel`]). A
+/// worker's panic resumes on the caller after the join.
+pub(crate) fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if workers <= 1 {
+        return vec![work(0)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
 /// A cached search order shared by an engine session: the rank of every
 /// session-graph global id under the session's total order, plus the
 /// session graph's bidegeneracy. The solver projects the rank onto the

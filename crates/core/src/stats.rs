@@ -137,7 +137,9 @@ pub struct SolveStats {
     pub subgraphs_generated: usize,
     /// Subgraphs surviving all bridging prunes (handed to verification).
     pub subgraphs_verified: usize,
-    /// Mean density of the generated vertex-centred subgraphs (Figure 6).
+    /// Mean density of the vertex-centred subgraphs that pass bridging's
+    /// size prune (Figure 6); size-pruned subgraphs are never induced, so
+    /// they are not in the mean. 0 when none passes.
     pub avg_subgraph_density: f64,
     /// Mean vertex count of generated subgraphs.
     pub avg_subgraph_size: f64,

@@ -1,13 +1,14 @@
 //! `verifyMBB` — Algorithm 8: maximality verification.
 //!
-//! Each surviving vertex-centred subgraph is reduced to the
-//! `(best_half + 1)`-core (Lemma 4 applied locally), converted to a bitset
-//! [`LocalGraph`], and searched with `denseMBB` seeded with the centre
-//! vertex fixed in the result. Improvements immediately tighten the prunes
-//! of later subgraphs.
+//! Each surviving vertex-centred subgraph is cut to its
+//! `(best_half + 1)`-core (Lemma 4 applied locally) by the core numbers
+//! bridging computed for it, built once as a bitset [`LocalGraph`], and
+//! searched with `denseMBB` seeded with the centre vertex fixed in the
+//! result. Improvements immediately tighten the prunes of later subgraphs.
 //!
-//! Two `std::thread::scope`-based parallel modes extend the paper's
-//! single-threaded implementation (both off by default, `threads = 1`):
+//! One worker loop walks the survivors; with `threads > 1` a
+//! [`ParallelMode`] spends the workers in one of two ways (the paper's
+//! implementation is single-threaded, `threads = 1`):
 //!
 //! * [`ParallelMode::Subgraph`] splits the *subgraphs* across workers
 //!   sharing the incumbent — effective when many comparable subgraphs
@@ -21,19 +22,19 @@
 //! [`ParallelMode::Auto`] (the default) picks between them per
 //! verification stage from the surviving subgraphs' skew.
 
+// The survivor cursor goes through the mbb-conc facade, as in `dense.rs`.
+use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
+
 use mbb_bigraph::bitset::BitSet;
-use mbb_bigraph::core_decomp::{core_decomposition, k_core_mask};
 use mbb_bigraph::graph::{BipartiteGraph, Side};
 use mbb_bigraph::local::LocalGraph;
-use mbb_bigraph::subgraph::{induce_by_ids, induce_by_mask, InducedSubgraph};
 use mbb_obs as obs;
-use parking_lot::Mutex;
 
 use crate::biclique::Biclique;
 use crate::bridge::CenteredSubgraph;
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_budgeted, dense_mbb_parallel, DenseConfig};
-use crate::heuristic::map_to_parent;
+use crate::dense::{dense_mbb_budgeted, dense_mbb_parallel, DenseConfig, SharedIncumbent};
+use crate::solver::{resolve_threads, run_workers};
 use crate::stats::SearchStats;
 
 /// How a multi-threaded verification stage spends its workers.
@@ -121,11 +122,13 @@ impl ParallelMode {
         }
     }
 
-    /// Resolves `self` against a concrete survivor set: fixed modes pass
-    /// through, `Auto` measures the survivors and delegates to
+    /// Resolves `self` against a concrete survivor set and thread count
+    /// into `(workers, intra_workers)`: the workers that walk the
+    /// survivors, and the workers each large survivor's own search is
+    /// split across. `Auto` measures the survivors and delegates to
     /// [`resolve_auto`](Self::resolve_auto).
-    fn resolve_for(self, survivors: &[CenteredSubgraph]) -> ParallelMode {
-        match self {
+    fn resolve_for(self, survivors: &[CenteredSubgraph], threads: usize) -> (usize, usize) {
+        let mode = match self {
             ParallelMode::Auto => {
                 let sizes = survivors
                     .iter()
@@ -139,6 +142,11 @@ impl ParallelMode {
                 ParallelMode::resolve_auto(survivors.len(), max, avg)
             }
             fixed => fixed,
+        };
+        match mode {
+            ParallelMode::Subgraph if survivors.len() > 1 => (threads, 1),
+            ParallelMode::IntraSubgraph => (1, threads),
+            _ => (1, 1),
         }
     }
 }
@@ -176,26 +184,17 @@ impl Default for VerifyConfig {
     }
 }
 
-/// Algorithm 8: returns the final optimum (in the ids of `graph`) and the
-/// aggregated search statistics.
-pub fn verify_mbb(
-    graph: &BipartiteGraph,
-    survivors: &[CenteredSubgraph],
-    incumbent: Biclique,
-    config: VerifyConfig,
-) -> (Biclique, SearchStats) {
-    verify_mbb_budgeted(
-        graph,
-        survivors,
-        incumbent,
-        config,
-        &SearchBudget::unlimited(),
-    )
-}
-
-/// [`verify_mbb`] under a [`SearchBudget`]: the budget is checked between
-/// subgraphs and inside every `denseMBB` node, so an expiring deadline
-/// surfaces the best verified incumbent within a bounded overshoot.
+/// Algorithm 8 under a [`SearchBudget`]: returns the final optimum (in
+/// the ids of `graph`) and the aggregated search statistics. The budget
+/// is checked between subgraphs and inside every `denseMBB` node, so an
+/// expiring deadline surfaces the best verified incumbent within a
+/// bounded overshoot.
+///
+/// Workers claim survivors from a shared cursor and prune against one
+/// [`SharedIncumbent`]; each keeps its own best witness, and the largest
+/// is returned after the join (or `incumbent`, if none beats it). The
+/// exhausted state of the budget is shared, so one worker observing the
+/// deadline stops the whole pool at its next check.
 pub fn verify_mbb_budgeted(
     graph: &BipartiteGraph,
     survivors: &[CenteredSubgraph],
@@ -203,104 +202,64 @@ pub fn verify_mbb_budgeted(
     config: VerifyConfig,
     budget: &SearchBudget,
 ) -> (Biclique, SearchStats) {
-    let threads = crate::solver::resolve_threads(config.threads);
     // `Auto` is resolved here, once per verification stage, against the
     // actual survivor set (the bridge skew is fully known by now).
-    let mode = config.mode.resolve_for(survivors);
-    if threads <= 1 || survivors.len() <= 1 || mode == ParallelMode::IntraSubgraph {
-        // Sequential walk over the subgraphs. Under `IntraSubgraph` with
-        // threads > 1, each sufficiently large subgraph's own search is
-        // split across the workers instead.
-        let intra_workers = if mode == ParallelMode::IntraSubgraph {
-            threads
-        } else {
-            1
-        };
+    let threads = resolve_threads(config.threads);
+    let (workers, intra_workers) = config.mode.resolve_for(survivors, threads);
+    let shared = SharedIncumbent::new(incumbent.half_size());
+    let cursor = AtomicUsize::new(0);
+    let outputs = run_workers(workers, |_| {
         let budget = budget.clone();
-        let mut best = incumbent;
+        let mut best = Biclique::empty();
         let mut stats = SearchStats::default();
-        for subgraph in survivors {
+        loop {
+            // relaxed: the fetch_add's atomicity alone hands each survivor
+            // index to exactly one worker; the survivors slice is
+            // immutable and published by the spawn.
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(subgraph) = survivors.get(index) else {
+                break;
+            };
             // Per-subgraph boundary: pay the unsampled probe so an expired
             // deadline never survives into another subgraph's search.
             if budget.probe() {
                 break;
             }
-            // One span per surviving subgraph's reduce-and-search.
+            let bound = shared.bound();
+            // One span per surviving subgraph's cut-and-search.
             let _span = obs::span(obs::Stage::DenseSearch);
-            if let Some((candidate, search_stats)) = verify_one(
-                graph,
-                subgraph,
-                best.half_size(),
-                config,
-                &budget,
-                intra_workers,
-            ) {
+            if let Some((candidate, search_stats)) =
+                verify_one(graph, subgraph, bound, config, &budget, intra_workers)
+            {
                 stats.merge(&search_stats);
-                if candidate.half_size() > best.half_size() {
+                if candidate.half_size() > bound {
+                    shared.publish(candidate.half_size());
                     best = candidate;
                 }
             }
         }
-        return (best, stats);
-    }
-
-    // Subgraph-level mode: workers pull subgraph indices from a shared
-    // cursor and race on a shared incumbent. Each worker clones the budget;
-    // the exhausted state is shared, so one worker observing the deadline
-    // stops the whole pool at the next check.
-    let shared_best = Mutex::new(incumbent);
-    let shared_stats = Mutex::new(SearchStats::default());
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let shared_best = &shared_best;
-            let shared_stats = &shared_stats;
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let budget = budget.clone();
-                let mut local = SearchStats::default();
-                loop {
-                    // Unsampled per-subgraph probe (see the serial walk).
-                    if budget.probe() {
-                        break;
-                    }
-                    // relaxed: the fetch_add's atomicity alone hands each
-                    // survivor index to exactly one worker; the survivors
-                    // slice is immutable and published by scope creation.
-                    let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if index >= survivors.len() {
-                        break;
-                    }
-                    let bound = shared_best.lock().half_size();
-                    // Per-subgraph span, as in the serial walk.
-                    let _span = obs::span(obs::Stage::DenseSearch);
-                    if let Some((candidate, search_stats)) =
-                        verify_one(graph, &survivors[index], bound, config, &budget, 1)
-                    {
-                        local.merge(&search_stats);
-                        if candidate.half_size() > bound {
-                            let mut guard = shared_best.lock();
-                            if candidate.half_size() > guard.half_size() {
-                                *guard = candidate;
-                            }
-                        }
-                    }
-                }
-                // Surface per-worker load balance alongside the totals.
-                let mut worker_nodes = vec![0; threads];
-                worker_nodes[w] = local.nodes;
-                local.worker_nodes = worker_nodes;
-                shared_stats.lock().merge(&local);
-            });
-        }
+        (best, stats)
     });
-    (shared_best.into_inner(), shared_stats.into_inner())
+
+    let mut best = incumbent;
+    let mut stats = SearchStats::default();
+    for (worker_best, worker_stats) in outputs {
+        if worker_best.half_size() > best.half_size() {
+            best = worker_best;
+        }
+        stats.merge(&worker_stats);
+        // Surface per-worker load balance alongside the totals.
+        if workers > 1 {
+            stats.worker_nodes.push(worker_stats.nodes);
+        }
+    }
+    (best, stats)
 }
 
 /// Verifies one centred subgraph against the bound; returns an improving
 /// biclique (graph ids) if found. `workers > 1` splits the subgraph's
-/// branch-and-bound across that many threads when the subgraph is at
-/// least [`INTRA_PARALLEL_MIN_VERTICES`] vertices.
+/// branch-and-bound across that many threads when its cut is at least
+/// [`INTRA_PARALLEL_MIN_VERTICES`] vertices.
 fn verify_one(
     graph: &BipartiteGraph,
     centered: &CenteredSubgraph,
@@ -309,63 +268,41 @@ fn verify_one(
     budget: &SearchBudget,
     workers: usize,
 ) -> Option<(Biclique, SearchStats)> {
-    if centered.left_ids.len().min(centered.right_ids.len()) <= best_half {
-        return None;
-    }
-    let sub = induce_by_ids(graph, centered.left_ids.clone(), centered.right_ids.clone());
-
-    // Lemma 4 locally: (best_half + 1)-core.
-    let reduced: InducedSubgraph = if config.use_core_reduction {
-        let cores = core_decomposition(&sub.graph);
-        let mask = k_core_mask(&cores, best_half as u32 + 1);
-        let nl = sub.graph.num_left();
-        let inner = induce_by_mask(&sub.graph, &mask[..nl], &mask[nl..]);
-        // Compose maps back to `graph` ids.
-        InducedSubgraph {
-            left_ids: inner
-                .left_ids
-                .iter()
-                .map(|&l| sub.left_ids[l as usize])
-                .collect(),
-            right_ids: inner
-                .right_ids
-                .iter()
-                .map(|&r| sub.right_ids[r as usize])
-                .collect(),
-            graph: inner.graph,
-        }
-    } else {
-        sub
+    let center = centered.center;
+    debug_assert_eq!(
+        centered.core.len(),
+        centered.left_ids.len() + centered.right_ids.len()
+    );
+    // Lemma 4 locally: keep the (best_half + 1)-core, read off the core
+    // numbers bridging computed for this subgraph.
+    let (left_core, right_core) = centered.core.split_at(centered.left_ids.len());
+    let cut = |ids: &[u32], core: &[u32]| -> Vec<u32> {
+        ids.iter()
+            .zip(core)
+            .filter(|&(_, &c)| !config.use_core_reduction || c as usize > best_half)
+            .map(|(&id, _)| id)
+            .collect()
     };
-
-    if reduced.graph.num_left().min(reduced.graph.num_right()) <= best_half {
+    let left = cut(&centered.left_ids, left_core);
+    let right = cut(&centered.right_ids, right_core);
+    if left.len().min(right.len()) <= best_half {
         return None;
     }
 
-    // Locate the centre inside the reduced subgraph; if the reduction
-    // removed it, no biclique containing it can beat the bound.
-    let center_local = match centered.center.side {
-        Side::Left => reduced
-            .left_ids
-            .binary_search(&centered.center.index)
-            .ok()?,
-        Side::Right => reduced
-            .right_ids
-            .binary_search(&centered.center.index)
-            .ok()?,
+    // Locate the centre inside the cut; if the cut removed it, no
+    // biclique containing it can beat the bound.
+    let center_local = match center.side {
+        Side::Left => left.binary_search(&center.index).ok()?,
+        Side::Right => right.binary_search(&center.index).ok()?,
     } as u32;
 
-    let local = LocalGraph::induced(
-        &reduced.graph,
-        &(0..reduced.graph.num_left() as u32).collect::<Vec<_>>(),
-        &(0..reduced.graph.num_right() as u32).collect::<Vec<_>>(),
-    );
+    let local = LocalGraph::induced(graph, &left, &right);
 
     // Seed the search with the centre fixed (Algorithm 8 line 4): the
     // centre's side candidates exclude it; the other side is already all
     // neighbours of the centre by vertex-centred construction, minus any
     // non-neighbours the core reduction could not remove.
-    let (a, b, ca, cb) = match centered.center.side {
+    let (a, b, ca, cb) = match center.side {
         Side::Left => {
             let mut ca = BitSet::full(local.num_left());
             ca.remove(center_local as usize);
@@ -380,12 +317,7 @@ fn verify_one(
         }
     };
 
-    let workers = if local.num_left() + local.num_right() >= INTRA_PARALLEL_MIN_VERTICES {
-        workers
-    } else {
-        1
-    };
-    let (found, stats) = if workers > 1 {
+    let (found, stats) = if workers > 1 && local.num_vertices() >= INTRA_PARALLEL_MIN_VERTICES {
         dense_mbb_parallel(
             &local,
             a,
@@ -404,14 +336,15 @@ fn verify_one(
         // No improvement; still surface the stats for aggregation.
         return Some((Biclique::empty(), stats));
     }
-    let biclique = Biclique::balanced(found.left, found.right);
-    Some((map_to_parent(&biclique, &reduced), stats))
+    let left = found.left.iter().map(|&i| left[i as usize]).collect();
+    let right = found.right.iter().map(|&i| right[i as usize]).collect();
+    Some((Biclique::balanced(left, right), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bridge::{bridge_mbb, BridgeConfig};
+    use crate::bridge::{bridge_mbb_budgeted, BridgeConfig, BridgeOutcome};
     use mbb_bigraph::generators;
     use mbb_bigraph::order::{compute_order, SearchOrder};
 
@@ -424,9 +357,8 @@ mod tests {
         threads: usize,
         mode: ParallelMode,
     ) -> (Biclique, SearchStats) {
-        let order = compute_order(graph, SearchOrder::Bidegeneracy);
-        let bridged = bridge_mbb(graph, &order, Biclique::empty(), BridgeConfig::default());
-        verify_mbb(
+        let bridged = bridge(graph);
+        verify(
             graph,
             &bridged.survivors,
             bridged.best,
@@ -435,6 +367,50 @@ mod tests {
                 mode,
                 ..Default::default()
             },
+        )
+    }
+
+    /// Bridging at one thread under the bidegeneracy order, from an empty
+    /// incumbent.
+    fn bridge(graph: &BipartiteGraph) -> BridgeOutcome {
+        let order = compute_order(graph, SearchOrder::Bidegeneracy);
+        let unlimited = SearchBudget::unlimited();
+        bridge_mbb_budgeted(
+            graph,
+            &order,
+            Biclique::empty(),
+            BridgeConfig::default(),
+            &unlimited,
+        )
+    }
+
+    fn verify(
+        graph: &BipartiteGraph,
+        survivors: &[CenteredSubgraph],
+        incumbent: Biclique,
+        config: VerifyConfig,
+    ) -> (Biclique, SearchStats) {
+        verify_mbb_budgeted(
+            graph,
+            survivors,
+            incumbent,
+            config,
+            &SearchBudget::unlimited(),
+        )
+    }
+
+    /// The 80×80 skewed Chung–Lu instance of
+    /// `intra_subgraph_mode_matches_sequential`, by seed.
+    fn chung_lu_80(seed: u64) -> BipartiteGraph {
+        generators::chung_lu_bipartite(
+            &generators::ChungLuParams {
+                num_left: 80,
+                num_right: 80,
+                num_edges: 4_200,
+                left_exponent: 0.55,
+                right_exponent: 0.55,
+            },
+            seed,
         )
     }
 
@@ -468,16 +444,7 @@ mod tests {
         // (asserted below via the per-worker counters it populates).
         let mut parallel_branch_ran = false;
         for seed in 0..4u64 {
-            let g = generators::chung_lu_bipartite(
-                &generators::ChungLuParams {
-                    num_left: 80,
-                    num_right: 80,
-                    num_edges: 4_200,
-                    left_exponent: 0.55,
-                    right_exponent: 0.55,
-                },
-                seed ^ 0x17,
-            );
+            let g = chung_lu_80(seed ^ 0x17);
             let sequential = full_pipeline(&g, 1);
             let (intra, stats) = full_pipeline_mode(&g, 4, ParallelMode::IntraSubgraph);
             assert_eq!(sequential.half_size(), intra.half_size(), "seed {seed}");
@@ -522,30 +489,33 @@ mod tests {
         );
         // Degenerate empty survivor set resolves (to intra) without
         // dividing by zero.
-        assert_eq!(
-            ParallelMode::Auto.resolve_for(&[]),
-            ParallelMode::IntraSubgraph
-        );
+        assert_eq!(ParallelMode::Auto.resolve_for(&[], 4), (1, 4));
     }
 
     #[test]
     fn subgraph_mode_reports_per_worker_nodes() {
-        let g = generators::uniform_edges(30, 30, 220, 11);
-        let order = compute_order(&g, SearchOrder::Bidegeneracy);
-        let bridged = bridge_mbb(&g, &order, Biclique::empty(), BridgeConfig::default());
-        if bridged.survivors.len() > 1 {
-            let (_, stats) = verify_mbb(
-                &g,
-                &bridged.survivors,
-                bridged.best,
-                VerifyConfig {
-                    threads: 2,
-                    mode: ParallelMode::Subgraph,
-                    ..Default::default()
-                },
+        for seed in 0..4u64 {
+            let g = chung_lu_80(seed ^ 0x17);
+            let bridged = bridge(&g);
+            assert!(bridged.survivors.len() > 1, "seed {seed}");
+            let config = VerifyConfig {
+                threads: 2,
+                mode: ParallelMode::Subgraph,
+                ..Default::default()
+            };
+            let (best, stats) = verify(&g, &bridged.survivors, bridged.best, config);
+            assert_eq!(stats.worker_nodes.len(), 2, "seed {seed}");
+            assert_eq!(
+                stats.worker_nodes.iter().sum::<u64>(),
+                stats.nodes,
+                "seed {seed}"
             );
-            assert_eq!(stats.worker_nodes.len(), 2);
-            assert_eq!(stats.worker_nodes.iter().sum::<u64>(), stats.nodes);
+            assert_eq!(
+                best.half_size(),
+                full_pipeline(&g, 1).half_size(),
+                "seed {seed}"
+            );
+            assert!(best.is_valid(&g), "seed {seed}");
         }
     }
 
@@ -564,8 +534,125 @@ mod tests {
     fn empty_survivor_list_returns_incumbent() {
         let g = generators::uniform_edges(5, 5, 10, 0);
         let incumbent = Biclique::balanced(vec![0], vec![0]);
-        let (best, stats) = verify_mbb(&g, &[], incumbent.clone(), VerifyConfig::default());
+        let (best, stats) = verify(&g, &[], incumbent.clone(), VerifyConfig::default());
         assert_eq!(best, incumbent);
         assert_eq!(stats.nodes, 0);
+    }
+
+    /// FNV-1a over every survivor's centre and id lists, in order.
+    fn survivor_digest(survivors: &[CenteredSubgraph]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| hash = (hash ^ word).wrapping_mul(0x0100_0000_01b3);
+        for s in survivors {
+            eat(u64::from(s.center.side == Side::Right));
+            eat(u64::from(s.center.index));
+            for ids in [&s.left_ids, &s.right_ids] {
+                eat(ids.len() as u64);
+                ids.iter().for_each(|&id| eat(u64::from(id)));
+            }
+        }
+        hash
+    }
+
+    /// Pins stages 2–3 at one thread: bridging's counters
+    /// `[generated, pruned_size, pruned_degeneracy, size_sum, max_size]`,
+    /// the survivor count and a digest of every survivor's centre and id
+    /// lists, the bridged and verified half-sizes, and the verification
+    /// search tree `[nodes, poly_solves, bound_prunes, reduced_vertices,
+    /// leaf_count, max_depth]`. Recorded before verification took its core
+    /// numbers from bridging; any change to generation, pruning, the local
+    /// core cut or the search shows here.
+    #[test]
+    fn pipeline_is_pinned() {
+        let run = |g: &BipartiteGraph, order: SearchOrder, use_core: bool| {
+            let order = compute_order(g, order);
+            let unlimited = SearchBudget::unlimited();
+            let bridge_config = BridgeConfig {
+                use_core_pruning: use_core,
+                ..BridgeConfig::default()
+            };
+            let bridged =
+                bridge_mbb_budgeted(g, &order, Biclique::empty(), bridge_config, &unlimited);
+            let s = &bridged.stats;
+            let counters = [
+                s.generated,
+                s.pruned_size,
+                s.pruned_degeneracy,
+                s.size_sum,
+                s.max_size,
+            ];
+            let survivors = (bridged.survivors.len(), survivor_digest(&bridged.survivors));
+            let bridged_half = bridged.best.half_size();
+            let verify_config = VerifyConfig {
+                use_core_reduction: use_core,
+                ..VerifyConfig::default()
+            };
+            let (verified, stats) = verify_mbb_budgeted(
+                g,
+                &bridged.survivors,
+                bridged.best,
+                verify_config,
+                &unlimited,
+            );
+            assert!(verified.is_valid(g));
+            let tree = [
+                stats.nodes,
+                stats.poly_solves,
+                stats.bound_prunes,
+                stats.reduced_vertices,
+                stats.leaf_count,
+                stats.max_depth,
+            ];
+            (
+                counters,
+                survivors,
+                bridged_half,
+                verified.half_size(),
+                tree,
+            )
+        };
+        let sparse = generators::uniform_edges(30, 30, 260, 17);
+        let got = [
+            run(&sparse, SearchOrder::Bidegeneracy, true),
+            run(&chung_lu_80(0x17), SearchOrder::Bidegeneracy, true),
+            run(
+                &generators::dense_uniform(40, 40, 0.7, 5),
+                SearchOrder::Bidegeneracy,
+                true,
+            ),
+            // The `bd2` pair: degree order, no core pruning or reduction.
+            run(&sparse, SearchOrder::Degree, false),
+        ];
+        let want = [
+            (
+                [60, 18, 38, 1119, 28],
+                (4, 6187856770241500379),
+                3,
+                3,
+                [8, 0, 5, 41, 5, 2],
+            ),
+            (
+                [160, 99, 1, 10680, 114],
+                (60, 5510664475569524384),
+                19,
+                20,
+                [37273, 705, 17961, 533432, 18666, 36],
+            ),
+            (
+                [80, 46, 2, 2735, 62],
+                (32, 8364967652061363313),
+                9,
+                9,
+                [6980, 120, 3386, 70951, 3506, 21],
+            ),
+            (
+                [60, 3, 0, 1119, 31],
+                (57, 10056960689962292296),
+                0,
+                3,
+                [57, 3, 48, 967, 51, 3],
+            ),
+        ];
+        assert_eq!(got, want);
     }
 }
