@@ -6,8 +6,13 @@
 //! `bd5` ablation. The `k`-core extraction backs the Lemma 4 reduction: a
 //! balanced biclique with half-size `k+1` is a `(k+1)`-core, so vertices
 //! outside the `(|A*|+1)`-core can never improve the incumbent.
+//!
+//! One peel body serves both graph types: [`core_decomposition`] reads a
+//! CSR [`BipartiteGraph`], [`local_core_decomposition`] the bitset rows of
+//! a [`LocalGraph`] (bridging's centred subgraphs).
 
 use crate::graph::BipartiteGraph;
+use crate::local::LocalGraph;
 
 /// Result of a core decomposition.
 #[derive(Debug, Clone)]
@@ -21,10 +26,75 @@ pub struct CoreDecomposition {
     pub degeneracy: u32,
 }
 
+/// How the bucket peel reads a graph: its side sizes, each global id's
+/// degree, and its neighbours. Implemented by the CSR [`BipartiteGraph`]
+/// and the bitset [`LocalGraph`], so both run the one peel body; both list
+/// neighbours in ascending order, so both give the same peel order too.
+trait PeelSource {
+    /// `(|L|, |R|)`.
+    fn sides(&self) -> (usize, usize);
+    /// Degree of global id `g`.
+    fn degree_of(&self, g: usize) -> usize;
+    /// Calls `visit` with the other-side index of each neighbour of global
+    /// id `g`, ascending.
+    fn for_each_neighbor(&self, g: usize, visit: impl FnMut(usize));
+}
+
+impl PeelSource for BipartiteGraph {
+    #[inline]
+    fn sides(&self) -> (usize, usize) {
+        (self.num_left(), self.num_right())
+    }
+
+    #[inline]
+    fn degree_of(&self, g: usize) -> usize {
+        self.degree(self.vertex_of_global(g))
+    }
+
+    #[inline]
+    fn for_each_neighbor(&self, g: usize, mut visit: impl FnMut(usize)) {
+        for &w in self.neighbors(self.vertex_of_global(g)) {
+            visit(w as usize);
+        }
+    }
+}
+
+impl PeelSource for LocalGraph {
+    #[inline]
+    fn sides(&self) -> (usize, usize) {
+        (self.num_left(), self.num_right())
+    }
+
+    #[inline]
+    fn degree_of(&self, g: usize) -> usize {
+        self.row(g).len()
+    }
+
+    #[inline]
+    fn for_each_neighbor(&self, g: usize, mut visit: impl FnMut(usize)) {
+        for w in self.row(g).iter() {
+            visit(w);
+        }
+    }
+}
+
 /// Runs the `O(n + m)` bucket-based core decomposition.
 pub fn core_decomposition(graph: &BipartiteGraph) -> CoreDecomposition {
-    let n = graph.num_vertices();
-    let nl = graph.num_left();
+    peel(graph)
+}
+
+/// [`core_decomposition`] of a bitset [`LocalGraph`], in the same global
+/// ids (left `0..nl`, then right). The peel reads each row's bits, so it
+/// costs `O(n · n/64 + m)`; bridging peels its centred subgraphs this
+/// way.
+pub fn local_core_decomposition(graph: &LocalGraph) -> CoreDecomposition {
+    peel(graph)
+}
+
+/// The Batagelj–Zaversnik bucket peel behind both entry points.
+fn peel(graph: &impl PeelSource) -> CoreDecomposition {
+    let (nl, nr) = graph.sides();
+    let n = nl + nr;
     if n == 0 {
         return CoreDecomposition {
             core: Vec::new(),
@@ -33,15 +103,7 @@ pub fn core_decomposition(graph: &BipartiteGraph) -> CoreDecomposition {
         };
     }
 
-    let degree_of = |g: usize| -> usize {
-        if g < nl {
-            graph.degree_left(g as u32)
-        } else {
-            graph.degree_right((g - nl) as u32)
-        }
-    };
-
-    let mut degree: Vec<usize> = (0..n).map(degree_of).collect();
+    let mut degree: Vec<usize> = (0..n).map(|g| graph.degree_of(g)).collect();
     let max_degree = degree.iter().copied().max().unwrap_or(0);
 
     // Bucket sort vertices by degree.
@@ -75,17 +137,11 @@ pub fn core_decomposition(graph: &BipartiteGraph) -> CoreDecomposition {
         let dv = degree[v];
         core[v] = dv as u32;
         degeneracy = degeneracy.max(core[v]);
-        let neighbors: &[u32] = if v < nl {
-            graph.neighbors_left(v as u32)
-        } else {
-            graph.neighbors_right((v - nl) as u32)
-        };
-        for &w_local in neighbors {
-            let w = if v < nl {
-                nl + w_local as usize
-            } else {
-                w_local as usize
-            };
+        // A left vertex's neighbours are right indices, whose global ids
+        // start at `nl`.
+        let base = if v < nl { nl } else { 0 };
+        graph.for_each_neighbor(v, |w| {
+            let w = base + w;
             if degree[w] > dv {
                 // Swap w with the first vertex of its degree bucket, then
                 // shrink its degree by one.
@@ -101,7 +157,7 @@ pub fn core_decomposition(graph: &BipartiteGraph) -> CoreDecomposition {
                 bin[dw] += 1;
                 degree[w] -= 1;
             }
-        }
+        });
     }
 
     CoreDecomposition {
@@ -249,6 +305,27 @@ mod tests {
             let fast = core_decomposition(&g);
             let brute = brute_core(&g);
             assert_eq!(fast.core, brute, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn local_peel_matches_the_csr_peel() {
+        for seed in 0..30u64 {
+            let nl = 5 + (seed as u32 * 7) % 60;
+            let nr = 3 + (seed as u32 * 11) % 70;
+            let g = if seed % 3 == 0 {
+                generators::dense_uniform(nl, nr, 0.2 + 0.025 * seed as f64, seed)
+            } else {
+                let edges = (nl * nr) as usize / (2 + seed as usize % 5);
+                generators::uniform_edges(nl, nr, edges, seed)
+            };
+            let left: Vec<u32> = (0..nl).collect();
+            let right: Vec<u32> = (0..nr).collect();
+            let local = local_core_decomposition(&LocalGraph::induced(&g, &left, &right));
+            let csr = core_decomposition(&g);
+            assert_eq!(local.core, csr.core, "seed {seed}");
+            assert_eq!(local.degeneracy, csr.degeneracy, "seed {seed}");
+            assert_eq!(local.order, csr.order, "seed {seed}");
         }
     }
 

@@ -5,6 +5,10 @@
 //! ≲ δ̈(G), so a dense adjacency-bitset representation is the right trade:
 //! candidate intersection (`CB ∩ N(u)`), reduction degree counts and the
 //! Lemma 3 density test all become a handful of word operations per row.
+//! Bridging builds each centred subgraph that passes its size prune as a
+//! `LocalGraph` too, and runs its core peel
+//! ([`crate::core_decomp::local_core_decomposition`]) and its local greedy
+//! on the rows.
 //!
 //! # Cache-blocked layout
 //!
@@ -253,6 +257,18 @@ impl LocalGraph {
         RowRef {
             words: self.right_adj.row(v as usize),
             capacity: self.right_adj.row_capacity,
+        }
+    }
+
+    /// Adjacency row of global id `g`: left `0..num_left`, then right
+    /// (the ids [`crate::core_decomp::local_core_decomposition`] reports).
+    #[inline]
+    pub fn row(&self, g: usize) -> RowRef<'_> {
+        let nl = self.num_left();
+        if g < nl {
+            self.left_row(g as u32)
+        } else {
+            self.right_row((g - nl) as u32)
         }
     }
 

@@ -11,24 +11,26 @@
 //! Each generated subgraph is pruned by side size and degeneracy against the
 //! incumbent, and a local core-greedy heuristic tries to grow the incumbent
 //! before the expensive verification stage. Every subgraph that passes the
-//! size prune is induced and core-peeled once; a survivor carries its core
-//! numbers to verification, which cuts its local `(|A*|+1)`-core from them
-//! instead of peeling it again.
+//! size prune is built once as a bitset [`LocalGraph`] (Lemma 8 keeps it
+//! within δ̈ + 1 vertices), and the core peel and the greedy run on its
+//! rows. A survivor carries its sorted id lists and core numbers to
+//! verification, which cuts its local `(|A*|+1)`-core from them instead
+//! of peeling it again.
 
 // The centre cursor goes through the mbb-conc facade, as in `dense.rs`.
 use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
 
 use mbb_obs as obs;
 
-use mbb_bigraph::core_decomp::core_decomposition;
+use mbb_bigraph::core_decomp::local_core_decomposition;
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
-use mbb_bigraph::subgraph::induce_by_ids;
+use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::two_hop::n2_neighbors;
 
 use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
 use crate::dense::SharedIncumbent;
-use crate::heuristic::{greedy_balanced, map_to_parent};
+use crate::heuristic::greedy_balanced_local;
 use crate::solver::{resolve_threads, run_workers};
 
 /// A surviving vertex-centred subgraph, in the ids of the graph the bridge
@@ -292,7 +294,7 @@ fn process_center(
         .collect();
     same.push(center.index);
 
-    let (left_ids, right_ids) = match center.side {
+    let (mut left_ids, mut right_ids) = match center.side {
         Side::Left => (same, opposite),
         Side::Right => (opposite, same),
     };
@@ -309,14 +311,15 @@ fn process_center(
         return (None, None);
     }
 
-    let sub = induce_by_ids(graph, left_ids, right_ids);
-    let denom = sub.graph.num_left() * sub.graph.num_right();
-    if denom > 0 {
-        stats.density_sum += sub.graph.num_edges() as f64 / denom as f64;
-        stats.density_count += 1;
-    }
+    // Local index i on each side is the i-th smallest id.
+    left_ids.sort_unstable();
+    right_ids.sort_unstable();
+    let local = LocalGraph::induced(graph, &left_ids, &right_ids);
+    // Both sides are non-empty past the size prune.
+    stats.density_sum += local.density();
+    stats.density_count += 1;
 
-    let cores = core_decomposition(&sub.graph);
+    let cores = local_core_decomposition(&local);
     let mut improvement = None;
     if config.use_core_pruning {
         if cores.degeneracy as usize <= best_half {
@@ -325,17 +328,19 @@ fn process_center(
         }
         // Local heuristic (maximum core-number greedy).
         let score: Vec<u64> = cores.core.iter().map(|&c| c as u64).collect();
-        let local = greedy_balanced(&sub.graph, &score, config.heuristic_seeds);
-        if local.half_size() > best_half {
-            improvement = Some(map_to_parent(&local, &sub));
+        let found = greedy_balanced_local(&local, &score, config.heuristic_seeds);
+        if found.half_size() > best_half {
+            let left = found.left.iter().map(|&i| left_ids[i as usize]).collect();
+            let right = found.right.iter().map(|&i| right_ids[i as usize]).collect();
+            improvement = Some(Biclique::balanced(left, right));
         }
     }
 
     (
         Some(CenteredSubgraph {
             center,
-            left_ids: sub.left_ids,
-            right_ids: sub.right_ids,
+            left_ids,
+            right_ids,
             core: cores.core,
         }),
         improvement,
@@ -345,8 +350,10 @@ fn process_center(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbb_bigraph::core_decomp::core_decomposition;
     use mbb_bigraph::generators;
     use mbb_bigraph::order::{compute_order, SearchOrder};
+    use mbb_bigraph::subgraph::induce_by_ids;
 
     fn bridge(
         graph: &BipartiteGraph,

@@ -6,9 +6,15 @@
 //! are made — one prioritised by degree, one by core number — each followed
 //! by a reduction to the `(|A*|+1)`-core, with the Lemma 5 early-termination
 //! check (`half == δ` proves optimality) in between.
+//!
+//! Bridging runs the core-number greedy once more inside every centred
+//! subgraph, on its bitset rows: `greedy_balanced_local` makes exactly the
+//! choices [`greedy_balanced`] makes on the CSR form of the graph.
 
+use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::core_decomp::{core_decomposition, k_core_mask};
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
+use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::subgraph::{induce_by_mask, InducedSubgraph};
 
 use crate::biclique::Biclique;
@@ -17,15 +23,23 @@ use crate::biclique::Biclique;
 pub const DEFAULT_SEEDS: usize = 8;
 
 /// Per-step cap on candidate-scoring work inside the greedy growth; keeps
-/// `hMBB` near-linear on hub-heavy graphs.
+/// `hMBB` near-linear on hub-heavy graphs. A step walks `C` in ascending
+/// order, each vertex `mid` adding its `deg(mid) − |A|` neighbours outside
+/// `A` to the scan, and stops after the first `mid` at which the running
+/// sum exceeds the cap. Candidates are counted over that prefix of `C`.
 const SCAN_CAP: usize = 4_000;
 
 /// Grows a balanced biclique greedily from `seed`, guided by `score`
 /// (higher = grown first).
 ///
 /// Maintains `(A, C)` with `A × C` complete; each step adds the same-side
-/// vertex whose neighbourhood keeps `C` largest, recording the best
-/// `min(|A|, |C|)` snapshot seen.
+/// vertex `w ∉ A` adjacent to the most vertices of the capped prefix of
+/// `C` (see `SCAN_CAP`; the `C` update itself is exact), then the one
+/// with the higher score. A remaining tie goes to the candidate the scan
+/// touches last: the one whose first neighbour in the prefix is latest,
+/// then the larger index. It records the first largest `min(|A|, |C|)`
+/// snapshot. Bridging's `greedy_balanced_local` makes the same choices on
+/// bitset rows.
 pub fn grow_from_seed(graph: &BipartiteGraph, seed: Vertex, score: &[u64]) -> Biclique {
     let mut a: Vec<u32> = vec![seed.index];
     let mut c: Vec<u32> = graph.neighbors(seed).to_vec();
@@ -67,15 +81,11 @@ pub fn grow_from_seed(graph: &BipartiteGraph, seed: Vertex, score: &[u64]) -> Bi
                 break;
             }
         }
-        let target = a.len() + 1;
+        // `max_by_key` keeps the last maximum in first-touch order.
         let choice = touched
             .iter()
             .copied()
-            .max_by_key(|&w| {
-                let count = counter[w as usize] as usize;
-                (count.min(target), count, score[global(graph, seed_side, w)])
-            })
-            .filter(|&w| counter[w as usize] > 0);
+            .max_by_key(|&w| (counter[w as usize], score[global(graph, seed_side, w)]));
         for &w in &touched {
             counter[w as usize] = 0;
         }
@@ -121,20 +131,142 @@ fn snapshot(a: &[u32], c: &[u32], a_side: Side) -> Biclique {
 /// One greedy pass: grow from the `seeds` highest-score vertices and keep
 /// the best result.
 pub fn greedy_balanced(graph: &BipartiteGraph, score: &[u64], seeds: usize) -> Biclique {
-    let mut order: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    best_of_seeds(
+        graph.num_vertices(),
+        score,
+        seeds,
+        |g| graph.degree(graph.vertex_of_global(g)),
+        |g| grow_from_seed(graph, graph.vertex_of_global(g), score),
+    )
+}
+
+/// [`greedy_balanced`] on a bitset [`LocalGraph`], with the same choices:
+/// the same seeds, and at every step the vertex [`grow_from_seed`] picks,
+/// so the result equals `greedy_balanced` on the same graph in CSR form.
+/// `score` is indexed by global id (left `0..nl`, then right) and the
+/// biclique is in local ids. Bridging runs it on every centred subgraph,
+/// which Lemma 8 keeps within δ̈ + 1 vertices.
+pub(crate) fn greedy_balanced_local(graph: &LocalGraph, score: &[u64], seeds: usize) -> Biclique {
+    let degree: Vec<usize> = (0..graph.num_vertices())
+        .map(|g| graph.row(g).len())
+        .collect();
+    best_of_seeds(
+        graph.num_vertices(),
+        score,
+        seeds,
+        |g| degree[g],
+        |g| grow_local(graph, g, score, &degree),
+    )
+}
+
+/// The seed loop both greedies share: grows from the first `seeds` (at
+/// least one) global ids in a stable sort by descending `score`, skips a
+/// seed whose degree cannot beat the best so far, and keeps the first
+/// strictly larger result.
+fn best_of_seeds(
+    num_vertices: usize,
+    score: &[u64],
+    seeds: usize,
+    degree: impl Fn(usize) -> usize,
+    mut grow: impl FnMut(usize) -> Biclique,
+) -> Biclique {
+    let mut order: Vec<u32> = (0..num_vertices as u32).collect();
     order.sort_by_key(|&g| std::cmp::Reverse(score[g as usize]));
     let mut best = Biclique::empty();
     for &g in order.iter().take(seeds.max(1)) {
-        let v = graph.vertex_of_global(g as usize);
-        if graph.degree(v) <= best.half_size() {
+        if degree(g as usize) <= best.half_size() {
             continue; // cannot beat the incumbent from this seed
         }
-        let found = grow_from_seed(graph, v, score);
+        let found = grow(g as usize);
         if found.half_size() > best.half_size() {
             best = found;
         }
     }
     best
+}
+
+/// [`grow_from_seed`] on bitset rows, from global id `seed`. `C` and the
+/// scanned prefix of `C` are bitsets over the other side, so a
+/// candidate's count is one fused AND + popcount of its row against the
+/// prefix. The sets are allocated once per seed; no step allocates.
+fn grow_local(graph: &LocalGraph, seed: usize, score: &[u64], degree: &[usize]) -> Biclique {
+    let nl = graph.num_left();
+    // The seed side's global ids start at `base`, the other side's at
+    // `other_base`.
+    let (base, side_len, other_base) = if seed < nl {
+        (0, nl, nl)
+    } else {
+        (nl, graph.num_right(), 0)
+    };
+    let mut a: Vec<u32> = Vec::with_capacity(side_len);
+    a.push((seed - base) as u32);
+    let mut in_a = BitSet::new(side_len);
+    in_a.insert(seed - base);
+    let mut c = graph.row(seed).to_bitset();
+    let mut prefix = BitSet::new(c.capacity());
+    // The best snapshot so far: |A| when it was taken, and a copy of C.
+    let mut best_half = c.len().min(1);
+    let mut best_a = 1;
+    let mut best_c = c.clone();
+    let first_touch = |prefix: &BitSet, w: usize| prefix.first_intersection(&graph.row(base + w));
+
+    while !c.is_empty() {
+        // The part of C the capped CSR scan reaches.
+        prefix.clear();
+        let mut scanned = 0usize;
+        for mid in c.iter() {
+            prefix.insert(mid);
+            scanned += degree[other_base + mid] - a.len();
+            if scanned > SCAN_CAP {
+                break;
+            }
+        }
+        // The largest (count, score); a tie goes to the candidate the scan
+        // touches last. `w` ascends, so a tied `w` wins unless its first
+        // prefix neighbour comes before the current choice's.
+        let mut choice: Option<(usize, (usize, u64))> = None;
+        for w in (0..side_len).filter(|&w| !in_a.contains(w)) {
+            let count = prefix.intersection_len(&graph.row(base + w));
+            if count == 0 {
+                continue;
+            }
+            let key = (count, score[base + w]);
+            let take = match choice {
+                None => true,
+                Some((chosen, chosen_key)) => {
+                    key > chosen_key
+                        || (key == chosen_key
+                            && first_touch(&prefix, w) >= first_touch(&prefix, chosen))
+                }
+            };
+            if take {
+                choice = Some((w, key));
+            }
+        }
+        let Some((w, _)) = choice else { break };
+
+        // Exact update: C ← C ∩ N(w), never empty since w touches the
+        // prefix.
+        c.and_assign_count(&graph.row(base + w));
+        a.push(w as u32);
+        in_a.insert(w);
+        let half = a.len().min(c.len());
+        if half > best_half {
+            best_half = half;
+            best_a = a.len();
+            best_c.clone_from(&c);
+        }
+        // Once |C| ≤ |A|, further growth can only shrink min(|A|, |C|).
+        if c.len() <= a.len() {
+            break;
+        }
+    }
+    a.truncate(best_a);
+    if seed < nl {
+        Biclique::balanced(a, best_c.to_vec())
+    } else {
+        Biclique::balanced(best_c.to_vec(), a)
+    }
 }
 
 /// Result of the `hMBB` stage.
@@ -279,6 +411,42 @@ mod tests {
         let score = vec![0u64; 6];
         let b = greedy_balanced(&g, &score, 4);
         assert_eq!(b.half_size(), 0);
+    }
+
+    #[test]
+    fn local_greedy_makes_the_csr_greedys_choices() {
+        let mut graphs = Vec::new();
+        for s in 0..4u64 {
+            // Wide enough that SCAN_CAP cuts the scan of C.
+            graphs.push(generators::dense_uniform(160, 160, 0.6, s));
+            graphs.push(generators::dense_uniform(200, 90, 0.7, s));
+            graphs.push(generators::dense_uniform(120, 200, 0.5, s));
+            // Small, so that ties decide.
+            graphs.push(generators::dense_uniform(30, 30, 0.3, s));
+        }
+        graphs.push(generators::complete(8, 8));
+        graphs.push(BipartiteGraph::from_edges(6, 4, []).unwrap());
+        graphs.push(BipartiteGraph::from_edges(5, 0, []).unwrap());
+        for (i, g) in graphs.iter().enumerate() {
+            let left: Vec<u32> = (0..g.num_left() as u32).collect();
+            let right: Vec<u32> = (0..g.num_right() as u32).collect();
+            let local = LocalGraph::induced(g, &left, &right);
+            let degree: Vec<u64> = g.vertices().map(|v| g.degree(v) as u64).collect();
+            let core: Vec<u64> = core_decomposition(g)
+                .core
+                .iter()
+                .map(|&c| c as u64)
+                .collect();
+            for (name, score) in [("degree", &degree), ("core", &core)] {
+                for seeds in [1, 4, 8] {
+                    assert_eq!(
+                        greedy_balanced_local(&local, score, seeds),
+                        greedy_balanced(g, score, seeds),
+                        "graph {i}, {name} score, {seeds} seeds"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

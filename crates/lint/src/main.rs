@@ -48,8 +48,14 @@ const OBS_HOT_FILES: [&str; 2] = ["crates/core/src/dense.rs", "crates/core/src/e
 
 /// Kernel-hot solver files: bitset intersect+len pairs here must go
 /// through the fused kernel layer (`crates/bigraph/src/kernels.rs`), not
-/// two passes over the words.
-const KERNEL_FILES: [&str; 2] = ["crates/core/src/dense.rs", "crates/core/src/verify.rs"];
+/// two passes over the words. Bridging's per-centre greedy runs bitset
+/// kernels in its step loop, so its files are listed too.
+const KERNEL_FILES: [&str; 4] = [
+    "crates/core/src/dense.rs",
+    "crates/core/src/verify.rs",
+    "crates/core/src/bridge.rs",
+    "crates/core/src/heuristic.rs",
+];
 
 /// The file lists of the per-file rules above.
 const LISTS: [&[&str]; 4] = [&WIRE_FILES, &HOT_LOOP_FILES, &OBS_HOT_FILES, &KERNEL_FILES];
