@@ -323,6 +323,24 @@ impl BitSet {
         iter_words(&self.words)
     }
 
+    /// Iterates the values stored in both `self` and `other` in increasing
+    /// order, ANDing word by word instead of building the intersection.
+    pub fn iter_and<'a, B: Bits + ?Sized>(
+        &'a self,
+        other: &'a B,
+    ) -> impl Iterator<Item = usize> + 'a {
+        debug_assert_eq!(self.capacity, other.bit_capacity());
+        let pairs = self.words.iter().zip(other.words());
+        pairs.enumerate().flat_map(|(wi, (&a, &b))| {
+            let mut bits = a & b;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(wi * WORD_BITS + bit)
+            })
+        })
+    }
+
     /// Collects into a `Vec<u32>` (convenient for local-vertex index lists).
     pub fn to_vec(&self) -> Vec<u32> {
         self.iter().map(|i| i as u32).collect()
@@ -494,6 +512,21 @@ mod tests {
         }
         let collected: Vec<usize> = s.iter().collect();
         assert_eq!(collected, values);
+    }
+
+    #[test]
+    fn iter_and_yields_the_shared_members_in_order() {
+        // Three words; 198, in the last one, is in both.
+        let a: BitSet = (0..200).filter(|i| i % 2 == 0).collect();
+        let mut b = BitSet::new(a.capacity());
+        for i in (0..a.capacity()).filter(|i| i % 3 == 0) {
+            b.insert(i);
+        }
+        let want: Vec<usize> = a.iter().filter(|&i| b.contains(i)).collect();
+        assert_eq!(a.iter_and(&b).collect::<Vec<_>>(), want);
+        assert_eq!(want.len(), a.intersection_len(&b));
+        assert_eq!(want.last(), Some(&198));
+        assert_eq!(a.iter_and(&BitSet::new(a.capacity())).count(), 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use mbb_bigraph::local::LocalGraph;
 use crate::basic::LocalBiclique;
 use crate::budget::SearchBudget;
 use crate::poly::DynamicMbb;
-use crate::reduce::reduce_candidates;
+use crate::reduce::Candidates;
 use crate::solver::run_workers;
 use crate::stats::SearchStats;
 
@@ -133,8 +133,8 @@ pub fn dense_mbb_budgeted(
     graph: &LocalGraph,
     mut a: Vec<u32>,
     mut b: Vec<u32>,
-    mut ca: BitSet,
-    mut cb: BitSet,
+    ca: BitSet,
+    cb: BitSet,
     initial_half: usize,
     config: DenseConfig,
     budget: &SearchBudget,
@@ -146,7 +146,7 @@ pub fn dense_mbb_budgeted(
         .iter()
         .all(|&v| ca.iter().all(|u| graph.has_edge(u as u32, v))));
     let mut searcher = DenseSearcher::new(graph, initial_half, config, budget, None);
-    searcher.recurse(&mut a, &mut b, &mut ca, &mut cb, 0);
+    searcher.recurse(&mut a, &mut b, &mut Candidates::new(ca, cb), 0);
     let stats = searcher.stats;
     (searcher.best.balance(), stats)
 }
@@ -211,10 +211,10 @@ struct DenseSearcher<'g> {
     /// on every improvement, so one worker's find prunes all the others.
     shared_best: Option<&'g SharedIncumbent>,
     // Per-node memory, reused so that a node allocates nothing.
-    /// Candidate-set pairs for include children: a child takes one and
-    /// returns it when its subtree is done, so the pool holds one pair per
-    /// include depth reached.
-    spare_sets: Vec<(BitSet, BitSet)>,
+    /// Candidate sets, with their degree arrays, for include children: a
+    /// child takes one and returns it when its subtree is done, so the
+    /// pool holds one per include depth reached.
+    spare: Vec<Candidates>,
     /// Degree histograms of [`scan_candidates`].
     hist_a: Vec<u32>,
     hist_b: Vec<u32>,
@@ -238,7 +238,7 @@ impl<'g> DenseSearcher<'g> {
             config,
             budget: budget.clone(),
             shared_best,
-            spare_sets: Vec::new(),
+            spare: Vec::new(),
             hist_a: Vec::new(),
             hist_b: Vec::new(),
             lemma3: DynamicMbb::default(),
@@ -275,15 +275,14 @@ impl<'g> DenseSearcher<'g> {
     }
 
     /// One node of Algorithm 3: bound, reduce, re-bound, polynomial case,
-    /// branch selection. Mutates the partial result (`reduce_candidates`
+    /// branch selection. Mutates the partial result (the reduction
     /// promotes all-connected candidates into `a`/`b`) and the candidate
     /// sets in place; the caller owns unwinding.
     fn step(
         &mut self,
         a: &mut Vec<u32>,
         b: &mut Vec<u32>,
-        ca: &mut BitSet,
-        cb: &mut BitSet,
+        node: &mut Candidates,
         depth: u64,
     ) -> StepOutcome {
         self.stats.nodes += 1;
@@ -298,7 +297,7 @@ impl<'g> DenseSearcher<'g> {
         }
 
         // Bounding (line 1).
-        let cap = (a.len() + ca.len()).min(b.len() + cb.len());
+        let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
         if cap <= self.best_half {
             self.stats.bound_prunes += 1;
             self.leaf(depth);
@@ -307,8 +306,8 @@ impl<'g> DenseSearcher<'g> {
 
         // Reduction (line 2) and re-bound (line 3).
         if self.config.use_reductions {
-            reduce_candidates(self.graph, a, b, ca, cb, self.best_half, &mut self.stats);
-            let cap = (a.len() + ca.len()).min(b.len() + cb.len());
+            node.reduce(self.graph, a, b, self.best_half, &mut self.stats);
+            let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
             if cap <= self.best_half {
                 self.stats.bound_prunes += 1;
                 self.leaf(depth);
@@ -316,16 +315,17 @@ impl<'g> DenseSearcher<'g> {
             }
         }
 
-        // One pass over both candidate sets computing missing-neighbour
+        // One pass over both candidate sets reading missing-neighbour
         // counts. It feeds three decisions at once: the degree-histogram
         // bound, the Lemma 3 polynomial-case test (max missing ≤ 2) and
-        // the triviality-last branch choice (argmax missing).
+        // the triviality-last branch choice (argmax missing). The
+        // reduction leaves every degree counted; without it, count here.
+        node.count(self.graph);
         let scan = scan_candidates(
             self.graph,
             a.len(),
             b.len(),
-            ca,
-            cb,
+            node,
             &mut self.hist_a,
             &mut self.hist_b,
         );
@@ -337,9 +337,14 @@ impl<'g> DenseSearcher<'g> {
 
         // Polynomial case (lines 4–8).
         if self.config.use_polynomial_case && scan.max_missing <= 2 {
-            let solved = self
-                .lemma3
-                .solve(self.graph, ca, cb, a.len(), b.len(), &mut self.stats);
+            let solved = self.lemma3.solve(
+                self.graph,
+                node.ca(),
+                node.cb(),
+                a.len(),
+                b.len(),
+                &mut self.stats,
+            );
             if let Some((left_total, right_total)) = solved {
                 if left_total.min(right_total) > self.best_half {
                     let mut left = a.clone();
@@ -351,7 +356,7 @@ impl<'g> DenseSearcher<'g> {
                 return StepOutcome::Resolved;
             }
         }
-        if !self.config.use_polynomial_case && ca.is_empty() && cb.is_empty() {
+        if !self.config.use_polynomial_case && node.ca().is_empty() && node.cb().is_empty() {
             if a.len().min(b.len()) > self.best_half {
                 self.record(a.clone(), b.clone());
             }
@@ -371,9 +376,9 @@ impl<'g> DenseSearcher<'g> {
                 .expect("a candidate remains when the node branches")
         } else {
             // bd3: naive first-candidate branching.
-            match ca.first() {
+            match node.ca().first() {
                 Some(u) => (true, u as u32),
-                None => (false, cb.first().expect("cb non-empty") as u32),
+                None => (false, node.cb().first().expect("cb non-empty") as u32),
             }
         };
         StepOutcome::Branch { on_left, vertex }
@@ -386,26 +391,22 @@ impl<'g> DenseSearcher<'g> {
         &mut self,
         a: &mut Vec<u32>,
         b: &mut Vec<u32>,
-        ca: &mut BitSet,
-        cb: &mut BitSet,
+        node: &mut Candidates,
         mut depth: u64,
     ) {
         let (a_mark, b_mark) = (a.len(), b.len());
-        while let StepOutcome::Branch { on_left, vertex: u } = self.step(a, b, ca, cb, depth) {
-            // Include u (recursive branch), in a pair from the pool.
-            let mut child = self
-                .spare_sets
-                .pop()
-                .unwrap_or_else(|| (BitSet::new(0), BitSet::new(0)));
-            include_candidates(self.graph, ca, cb, on_left, u, &mut child);
+        while let StepOutcome::Branch { on_left, vertex: u } = self.step(a, b, node, depth) {
+            // Include u (recursive branch), in candidate sets from the pool.
+            let mut child = self.spare.pop().unwrap_or_else(Candidates::empty);
+            node.include(self.graph, on_left, u, &mut child);
             let side = if on_left { &mut *a } else { &mut *b };
             side.push(u);
-            self.recurse(a, b, &mut child.0, &mut child.1, depth + 1);
+            self.recurse(a, b, &mut child, depth + 1);
             let side = if on_left { &mut *a } else { &mut *b };
             side.pop();
-            self.spare_sets.push(child);
+            self.spare.push(child);
             // Exclude u: continue iterating in place.
-            if on_left { &mut *ca } else { &mut *cb }.remove(u as usize);
+            node.exclude(self.graph, on_left, u);
             depth += 1;
         }
 
@@ -414,37 +415,10 @@ impl<'g> DenseSearcher<'g> {
     }
 }
 
-/// Writes into `child` the candidate sets of the *include* child when
-/// branching on `u`: `u` leaves its own side's candidates (it is now fixed
-/// in the result), and the other side keeps only `u`'s neighbours.
-/// `child`'s buffers are reused when their size fits. The one place the
-/// branching semantics live — the serial recursion and the frontier
-/// expansion both build children through it, which is what keeps the
-/// parallel search space identical to the serial one.
-fn include_candidates(
-    graph: &LocalGraph,
-    ca: &BitSet,
-    cb: &BitSet,
-    on_left: bool,
-    u: u32,
-    child: &mut (BitSet, BitSet),
-) {
-    let (ca_inc, cb_inc) = child;
-    ca_inc.clone_from(ca);
-    cb_inc.clone_from(cb);
-    if on_left {
-        ca_inc.remove(u as usize);
-        cb_inc.and_assign_count(&graph.left_row(u));
-    } else {
-        cb_inc.remove(u as usize);
-        ca_inc.and_assign_count(&graph.right_row(u));
-    }
-}
-
 /// One frontier subproblem of a parallel search: a fixed `a`/`b` prefix
 /// plus the candidate pair still open under it. Tasks partition the
 /// search space — every leaf of the serial recursion tree lies below
-/// exactly one task.
+/// exactly one task. A task keeps no degrees: its search counts them.
 struct FrontierTask {
     a: Vec<u32>,
     b: Vec<u32>,
@@ -488,28 +462,21 @@ fn expand_frontier(
         let Some(mut task) = queue.pop_front() else {
             break;
         };
-        let outcome = searcher.step(
-            &mut task.a,
-            &mut task.b,
-            &mut task.ca,
-            &mut task.cb,
-            task.depth,
-        );
+        let mut node = Candidates::new(task.ca, task.cb);
+        let outcome = searcher.step(&mut task.a, &mut task.b, &mut node, task.depth);
         let StepOutcome::Branch { on_left, vertex: u } = outcome else {
             continue;
         };
         // Include child (owned copies: tasks must be self-contained).
-        let mut child = (BitSet::new(0), BitSet::new(0));
-        include_candidates(searcher.graph, &task.ca, &task.cb, on_left, u, &mut child);
-        let (ca_inc, cb_inc) = child;
+        let mut child = Candidates::empty();
+        node.include(searcher.graph, on_left, u, &mut child);
+        let (ca_inc, cb_inc) = child.into_sets();
         let mut a_inc = task.a.clone();
         let mut b_inc = task.b.clone();
         if on_left {
             a_inc.push(u);
-            task.ca.remove(u as usize);
         } else {
             b_inc.push(u);
-            task.cb.remove(u as usize);
         }
         queue.push_back(FrontierTask {
             a: a_inc,
@@ -519,6 +486,8 @@ fn expand_frontier(
             depth: task.depth + 1,
         });
         // Exclude child: the popped task itself, one level deeper.
+        node.exclude(searcher.graph, on_left, u);
+        (task.ca, task.cb) = node.into_sets();
         task.depth += 1;
         queue.push_back(task);
     }
@@ -652,17 +621,20 @@ fn run_task(searcher: &mut DenseSearcher<'_>, task: &FrontierTask, skipped: &mut
     }
     let mut a = task.a.clone();
     let mut b = task.b.clone();
-    let mut ca = task.ca.clone();
-    let mut cb = task.cb.clone();
-    searcher.recurse(&mut a, &mut b, &mut ca, &mut cb, task.depth);
+    let mut node = searcher.spare.pop().unwrap_or_else(Candidates::empty);
+    node.reset(&task.ca, &task.cb);
+    searcher.recurse(&mut a, &mut b, &mut node, task.depth);
+    searcher.spare.push(node);
 }
 
 /// Result of the per-node candidate scan.
 struct CandidateScan {
     /// Largest missing-neighbour count over both candidate sets.
     max_missing: usize,
-    /// The candidate missing the most neighbours, as `(on_left, index)`;
-    /// ties go to the first left candidate, then the first right one.
+    /// The candidate missing the most neighbours, as `(on_left, index)`.
+    /// Left candidates win ties: among equal left counts the last left
+    /// candidate is kept, and a right candidate replaces it only with a
+    /// strictly larger count, the first right one with that count.
     /// `None` only when both candidate sets are empty.
     argmax: Option<(bool, u32)>,
     /// Degree-histogram upper bound on the reachable half-size.
@@ -670,8 +642,9 @@ struct CandidateScan {
 }
 
 /// Single pass over the candidate sets: missing counts, argmax, and the
-/// degree-histogram bound. `hist_a`/`hist_b` are the caller's reused
-/// histogram buffers.
+/// degree-histogram bound. Every degree is read from `node`'s counted
+/// arrays; debug builds check each against a fresh count. `hist_a`/`hist_b`
+/// are the caller's reused histogram buffers.
 ///
 /// The bound: a balanced biclique of half-size `k` reachable from this
 /// state needs, on each side, at least `k` vertices whose degree towards
@@ -684,11 +657,12 @@ fn scan_candidates(
     graph: &LocalGraph,
     a_len: usize,
     b_len: usize,
-    ca: &BitSet,
-    cb: &BitSet,
+    node: &Candidates,
     hist_a: &mut Vec<u32>,
     hist_b: &mut Vec<u32>,
 ) -> CandidateScan {
+    let (ca, cb) = (node.ca(), node.cb());
+    let (ca_degrees, cb_degrees) = (node.ca_degrees(), node.cb_degrees());
     let cb_len = cb.len();
     let ca_len = ca.len();
     let cap_a = a_len + ca_len;
@@ -704,7 +678,8 @@ fn scan_candidates(
     hist_b.resize(cap_a + 1, 0);
 
     for u in ca.iter() {
-        let degree = graph.left_degree_in(u as u32, cb);
+        let degree = ca_degrees[u] as usize;
+        debug_assert_eq!(degree, graph.left_degree_in(u as u32, cb), "left {u}");
         let missing = cb_len - degree;
         if missing >= max_missing {
             // `>=` keeps argmax defined even when all missings are 0.
@@ -714,7 +689,8 @@ fn scan_candidates(
         hist_a[(b_len + degree).min(cap_b)] += 1;
     }
     for v in cb.iter() {
-        let degree = graph.right_degree_in(v as u32, ca);
+        let degree = cb_degrees[v] as usize;
+        debug_assert_eq!(degree, graph.right_degree_in(v as u32, ca), "right {v}");
         let missing = ca_len - degree;
         // With CA empty no right candidate misses anything, and the first
         // one is the argmax.
@@ -1036,22 +1012,30 @@ mod tests {
     }
 
     /// Pins the exact search tree — `[nodes, poly_solves, bound_prunes,
-    /// reduced_vertices, leaf_count, max_depth]` and the optimum — of four
-    /// searches on 70%-dense graphs, recorded before the per-node buffers
-    /// moved into the searcher. Any change to branching, bounding or
-    /// reduction order shows here.
+    /// reduced_vertices, leaf_count, max_depth]` — and the witness, as
+    /// returned, of five searches, recorded before the per-node buffers
+    /// moved into the searcher (the fifth case and the witnesses before
+    /// the candidate degrees were memoized). Any change to branching,
+    /// bounding or reduction order shows here.
     #[test]
     fn search_trees_are_pinned() {
-        let run = |g: &LocalGraph, a: Vec<u32>, ca: BitSet, cb: BitSet, config| {
-            let (found, stats) = dense_mbb_seeded(g, a, Vec::new(), ca, cb, 0, config);
-            (found.half(), tree(&stats))
+        let run = |g: &LocalGraph, a: Vec<u32>, ca: BitSet, cb: BitSet, initial_half, config| {
+            let (found, stats) = dense_mbb_seeded(g, a, Vec::new(), ca, cb, initial_half, config);
+            (found.left, found.right, tree(&stats))
         };
         let full = |g: &LocalGraph| (BitSet::full(g.num_left()), BitSet::full(g.num_right()));
+        // Seeded as verification seeds a centred subgraph: the centre is
+        // fixed in A and CB is its neighbourhood.
+        let centred = |g: &LocalGraph, centre: u32| {
+            let mut ca = BitSet::full(g.num_left());
+            ca.remove(centre as usize);
+            (ca, g.left_row(centre).to_bitset())
+        };
         let mut got = Vec::new();
 
         let g = random_graph(40, 40, 0.7, 1);
         let (ca, cb) = full(&g);
-        got.push(run(&g, vec![], ca, cb, DenseConfig::default()));
+        got.push(run(&g, vec![], ca, cb, 0, DenseConfig::default()));
 
         let g = random_graph(44, 44, 0.7, 2);
         let (ca, cb) = full(&g);
@@ -1059,7 +1043,7 @@ mod tests {
             use_polynomial_case: false,
             ..DenseConfig::default()
         };
-        got.push(run(&g, vec![], ca, cb, config));
+        got.push(run(&g, vec![], ca, cb, 0, config));
 
         let g = random_graph(40, 40, 0.7, 3);
         let (ca, cb) = full(&g);
@@ -1067,22 +1051,48 @@ mod tests {
             use_reductions: false,
             ..DenseConfig::default()
         };
-        got.push(run(&g, vec![], ca, cb, config));
+        got.push(run(&g, vec![], ca, cb, 0, config));
 
-        // Seeded as verification seeds a centred subgraph: the centre is
-        // fixed in A and CB is its neighbourhood.
         let g = random_graph(48, 48, 0.7, 4);
-        let centre = 0u32;
-        let mut ca = BitSet::full(g.num_left());
-        ca.remove(centre as usize);
-        let cb = g.left_row(centre).to_bitset();
-        got.push(run(&g, vec![centre], ca, cb, DenseConfig::default()));
+        let (ca, cb) = centred(&g, 0);
+        got.push(run(&g, vec![0], ca, cb, 0, DenseConfig::default()));
+
+        // Three words per row, with an incumbent to beat.
+        let g = random_graph(150, 150, 0.5, 5);
+        let (ca, cb) = centred(&g, 0);
+        got.push(run(&g, vec![0], ca, cb, 8, DenseConfig::default()));
 
         let want = [
-            (10, [5487, 157, 2587, 54133, 2744, 36]), // default config
-            (10, [14065, 0, 7025, 143413, 7033, 48]), // no Lemma 3 case
-            (9, [22225, 391, 10722, 0, 11113, 42]),   // no reductions
-            (9, [8705, 477, 3876, 71599, 4353, 33]),  // seeded with a centre
+            // default config
+            (
+                vec![14, 10, 15, 7, 26, 20, 28, 38, 3, 6],
+                vec![21, 4, 34, 1, 9, 39, 32, 38, 23, 24],
+                [5487, 157, 2587, 54133, 2744, 36],
+            ),
+            // no Lemma 3 case
+            (
+                vec![36, 11, 32, 9, 29, 3, 16, 26, 7, 14],
+                vec![14, 34, 9, 15, 20, 30, 17, 11, 39, 24],
+                [14065, 0, 7025, 143413, 7033, 48],
+            ),
+            // no reductions
+            (
+                vec![13, 11, 37, 2, 5, 8, 34, 36, 38],
+                vec![19, 31, 2, 6, 13, 20, 33, 34, 35],
+                [22225, 391, 10722, 0, 11113, 42],
+            ),
+            // seeded with a centre
+            (
+                vec![0, 19, 20, 12, 16, 22, 5, 7, 10],
+                vec![12, 33, 10, 20, 22, 34, 38, 32, 35],
+                [8705, 477, 3876, 71599, 4353, 33],
+            ),
+            // 150×150 at 50%, seeded with a centre and half-size 8
+            (
+                vec![0, 138, 33, 73, 93, 109, 15, 16, 113],
+                vec![112, 78, 3, 57, 85, 146, 59, 72, 92],
+                [221287, 69, 110575, 2862457, 110644, 73],
+            ),
         ];
         assert_eq!(got, want);
     }

@@ -10,8 +10,13 @@
 //!   `|B| + deg(u, CB) ≤ best_half`, since only strictly larger balanced
 //!   bicliques matter (the incumbent itself is already recorded).
 //!
-//! The rules are applied to fixpoint; each pass is `O((|CA| + |CB|) · n/64)`
-//! bitset work.
+//! The rules are applied to fixpoint, one side per pass. Both read a
+//! candidate's degree towards the other side's candidates, and those
+//! degrees change only when the other side's set does. `Candidates`
+//! keeps them between passes and between search nodes, so a pass
+//! recounts its side only after the other side lost a candidate. A pass
+//! that recounts costs `O(|C|·n/64)` bitset work for its side's
+//! candidates `C`; one that reads the kept degrees costs `O(|C|)`.
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;
@@ -19,7 +24,8 @@ use mbb_bigraph::local::LocalGraph;
 use crate::stats::SearchStats;
 
 /// Applies Lemmas 1 and 2 to fixpoint, mutating the partial result and the
-/// candidate sets in place.
+/// candidate sets in place. Every degree is counted afresh; the search
+/// keeps its `Candidates` from node to node instead.
 ///
 /// Invariants expected and preserved: every `u ∈ CA` is adjacent to all of
 /// `B`, every `v ∈ CB` to all of `A`.
@@ -32,43 +38,268 @@ pub fn reduce_candidates(
     best_half: usize,
     stats: &mut SearchStats,
 ) {
-    loop {
+    let taken = |set: &mut BitSet| std::mem::replace(set, BitSet::new(0));
+    let mut node = Candidates::new(taken(ca), taken(cb));
+    node.reduce(graph, a, b, best_half, stats);
+    (*ca, *cb) = node.into_sets();
+}
+
+/// One side's candidates, each with its degree towards the other side's
+/// candidates.
+struct Side {
+    set: BitSet,
+    /// `degrees[x]` is the number of neighbours `x` has among the other
+    /// side's candidates, for every `x` in `set`, while `counted` holds.
+    /// Indexed by local id; the entries of non-members are stale.
+    degrees: Vec<u32>,
+    counted: bool,
+}
+
+impl Side {
+    fn new(set: BitSet) -> Side {
+        Side {
+            set,
+            degrees: Vec::new(),
+            counted: false,
+        }
+    }
+
+    /// Counts every member's degree towards `other`.
+    fn count(&mut self, other: &BitSet, degree_in: impl Fn(u32, &BitSet) -> usize) {
+        self.degrees.resize(self.set.capacity(), 0);
+        for x in self.set.iter() {
+            self.degrees[x] = degree_in(x as u32, other) as u32;
+        }
+        self.counted = true;
+    }
+
+    /// One pass of the rules over this side, recounting each degree on the
+    /// way when they are stale: drops each candidate that cannot lift its
+    /// side past `best_half` next to the other side's `other_partial`
+    /// fixed vertices, and moves each one adjacent to all of `other`'s
+    /// candidates into `partial`. Returns whether any candidate left, in
+    /// which case `other`'s degrees are stale.
+    fn pass(
+        &mut self,
+        other: &mut Side,
+        degree_in: impl Fn(u32, &BitSet) -> usize,
+        partial: &mut Vec<u32>,
+        other_partial: usize,
+        best_half: usize,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let counted = self.counted;
+        if !counted {
+            self.degrees.resize(self.set.capacity(), 0);
+        }
+        let other_set = &other.set;
+        let other_len = other_set.len();
+        let degrees = &mut self.degrees;
         let mut changed = false;
-
-        // Left side: drop low-degree candidates, promote all-connected ones.
-        // CB is fixed during this pass, so removing from CA as we go sees
-        // the same degrees as a snapshot of CA would.
-        let cb_len = cb.len();
-        ca.retain(|u| {
-            let degree = graph.left_degree_in(u as u32, cb);
-            if b.len() + degree <= best_half {
+        // The degrees are towards `other`, which this pass leaves alone, so
+        // removing members as we go changes none of them.
+        self.set.retain(|x| {
+            let degree = if counted {
+                degrees[x] as usize
+            } else {
+                let degree = degree_in(x as u32, other_set);
+                degrees[x] = degree as u32;
+                degree
+            };
+            if other_partial + degree <= best_half {
                 stats.reduced_vertices += 1;
-            } else if degree == cb_len {
-                // Adjacent to all of CB (and to all of B by invariant).
-                a.push(u as u32);
+            } else if degree == other_len {
+                // Adjacent to all of `other`'s candidates (and to all of its
+                // partial result by invariant).
+                partial.push(x as u32);
             } else {
                 return true;
             }
             changed = true;
             false
         });
+        self.counted = true;
+        if changed {
+            other.counted = false;
+        }
+        changed
+    }
+}
 
-        let ca_len = ca.len();
-        cb.retain(|v| {
-            let degree = graph.right_degree_in(v as u32, ca);
-            if a.len() + degree <= best_half {
-                stats.reduced_vertices += 1;
-            } else if degree == ca_len {
-                b.push(v as u32);
+/// The candidate sets `CA`, `CB` of a search node, with each candidate's
+/// degree towards the other set.
+///
+/// The degrees of a side stay valid until the other side's set changes.
+/// The reduction recounts them after that; the branching steps
+/// ([`Candidates::include`], [`Candidates::exclude`]) update them in place
+/// where they can. Each read returns the number a fresh
+/// `left_degree_in`/`right_degree_in` count would.
+pub(crate) struct Candidates {
+    left: Side,
+    right: Side,
+}
+
+impl Candidates {
+    /// `ca` and `cb` with no degree counted yet.
+    pub(crate) fn new(ca: BitSet, cb: BitSet) -> Candidates {
+        Candidates {
+            left: Side::new(ca),
+            right: Side::new(cb),
+        }
+    }
+
+    /// Empty sets, for a buffer that [`Candidates::include`] or
+    /// [`Candidates::reset`] fills.
+    pub(crate) fn empty() -> Candidates {
+        Candidates::new(BitSet::new(0), BitSet::new(0))
+    }
+
+    /// Refills with copies of `ca` and `cb`, reusing the buffers, with no
+    /// degree counted.
+    pub(crate) fn reset(&mut self, ca: &BitSet, cb: &BitSet) {
+        self.left.set.clone_from(ca);
+        self.right.set.clone_from(cb);
+        self.left.counted = false;
+        self.right.counted = false;
+    }
+
+    /// The left candidates `CA`.
+    pub(crate) fn ca(&self) -> &BitSet {
+        &self.left.set
+    }
+
+    /// The right candidates `CB`.
+    pub(crate) fn cb(&self) -> &BitSet {
+        &self.right.set
+    }
+
+    /// The two candidate sets, without their degrees.
+    pub(crate) fn into_sets(self) -> (BitSet, BitSet) {
+        (self.left.set, self.right.set)
+    }
+
+    /// `deg(u, CB)` at index `u` for every `u ∈ CA`. Valid after
+    /// [`Candidates::count`] or [`Candidates::reduce`].
+    pub(crate) fn ca_degrees(&self) -> &[u32] {
+        debug_assert!(self.left.counted);
+        &self.left.degrees
+    }
+
+    /// `deg(v, CA)` at index `v` for every `v ∈ CB`.
+    pub(crate) fn cb_degrees(&self) -> &[u32] {
+        debug_assert!(self.right.counted);
+        &self.right.degrees
+    }
+
+    /// Counts the degrees of each side whose kept ones are stale.
+    pub(crate) fn count(&mut self, graph: &LocalGraph) {
+        if !self.left.counted {
+            self.left
+                .count(&self.right.set, |u, cb| graph.left_degree_in(u, cb));
+        }
+        if !self.right.counted {
+            self.right
+                .count(&self.left.set, |v, ca| graph.right_degree_in(v, ca));
+        }
+    }
+
+    /// Applies Lemmas 1 and 2 to fixpoint, moving promoted candidates into
+    /// `a`/`b`; both sides' degrees are counted afterwards.
+    ///
+    /// Invariants expected and preserved: every `u ∈ CA` is adjacent to
+    /// all of `B`, every `v ∈ CB` to all of `A`.
+    pub(crate) fn reduce(
+        &mut self,
+        graph: &LocalGraph,
+        a: &mut Vec<u32>,
+        b: &mut Vec<u32>,
+        best_half: usize,
+        stats: &mut SearchStats,
+    ) {
+        // A pass reads only the bound and the other side's candidates and
+        // partial result, and changes neither. So once a pass changes
+        // nothing after both sides have run, the next one would see what
+        // its side's last pass saw, and change nothing either.
+        let mut on_left = true;
+        let mut passes = 0;
+        loop {
+            let changed = if on_left {
+                let degree_in = |u, cb: &BitSet| graph.left_degree_in(u, cb);
+                self.left
+                    .pass(&mut self.right, degree_in, a, b.len(), best_half, stats)
             } else {
-                return true;
+                let degree_in = |v, ca: &BitSet| graph.right_degree_in(v, ca);
+                self.right
+                    .pass(&mut self.left, degree_in, b, a.len(), best_half, stats)
+            };
+            passes += 1;
+            if !changed && passes >= 2 {
+                return;
             }
-            changed = true;
-            false
-        });
+            on_left = !on_left;
+        }
+    }
 
-        if !changed {
-            return;
+    /// Writes into `child` the candidates of the *include* branch on `x`
+    /// (a left vertex when `on_left`): `x` leaves its own side, since it is
+    /// now fixed in the result, and the other side keeps only `x`'s
+    /// neighbours. `child`'s buffers are reused when their size fits.
+    ///
+    /// Each kept neighbour loses `x` from its degree. The degrees of `x`'s
+    /// side are left to be counted, since the set they count against was
+    /// cut. This is the one place the include semantics live: the serial
+    /// recursion and the frontier expansion of the parallel search both
+    /// build children through it, which keeps the parallel search space
+    /// identical to the serial one.
+    pub(crate) fn include(
+        &self,
+        graph: &LocalGraph,
+        on_left: bool,
+        x: u32,
+        child: &mut Candidates,
+    ) {
+        child.left.set.clone_from(&self.left.set);
+        child.right.set.clone_from(&self.right.set);
+        let (own, cut, parent_cut, row) = if on_left {
+            (
+                &mut child.left,
+                &mut child.right,
+                &self.right,
+                graph.left_row(x),
+            )
+        } else {
+            (
+                &mut child.right,
+                &mut child.left,
+                &self.left,
+                graph.right_row(x),
+            )
+        };
+        own.set.remove(x as usize);
+        own.counted = false;
+        cut.set.and_assign_count(&row);
+        cut.counted = parent_cut.counted;
+        if cut.counted {
+            cut.degrees.resize(parent_cut.degrees.len(), 0);
+            for y in cut.set.iter() {
+                cut.degrees[y] = parent_cut.degrees[y] - 1;
+            }
+        }
+    }
+
+    /// The *exclude* branch on `x`: `x` leaves its side's candidates, and
+    /// each of its neighbours on the other side loses one degree.
+    pub(crate) fn exclude(&mut self, graph: &LocalGraph, on_left: bool, x: u32) {
+        let (own, other, row) = if on_left {
+            (&mut self.left, &mut self.right, graph.left_row(x))
+        } else {
+            (&mut self.right, &mut self.left, graph.right_row(x))
+        };
+        own.set.remove(x as usize);
+        if other.counted {
+            for y in other.set.iter_and(&row) {
+                other.degrees[y] -= 1;
+            }
         }
     }
 }
@@ -175,5 +406,87 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert_eq!(b.len(), 2);
         assert!(g.is_biclique(&a, &b));
+    }
+
+    /// Checks each counted side's kept degrees against fresh counts.
+    fn assert_fresh(g: &LocalGraph, node: &Candidates) {
+        if node.left.counted {
+            for u in node.ca().iter() {
+                let fresh = g.left_degree_in(u as u32, node.cb());
+                assert_eq!(node.left.degrees[u] as usize, fresh, "left {u}");
+            }
+        }
+        if node.right.counted {
+            for v in node.cb().iter() {
+                let fresh = g.right_degree_in(v as u32, node.ca());
+                assert_eq!(node.right.degrees[v] as usize, fresh, "right {v}");
+            }
+        }
+    }
+
+    /// Walks random include/exclude branches down to empty candidate
+    /// sets, reducing at every node. Each reduction on kept degrees must
+    /// match [`reduce_candidates`] on copies of the same sets, and every
+    /// kept degree must match a fresh count, up to three words per row.
+    #[test]
+    fn kept_degrees_match_fresh_counts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nl = rng.gen_range(1..=150usize);
+            let nr = rng.gen_range(1..=150usize);
+            let density = rng.gen_range(0.3..0.95);
+            let mut g = LocalGraph::new(nl, nr);
+            for u in 0..nl as u32 {
+                for v in 0..nr as u32 {
+                    if rng.gen_bool(density) {
+                        g.add_edge(u, v);
+                    }
+                }
+            }
+            let mut node = Candidates::new(BitSet::full(nl), BitSet::full(nr));
+            let mut child = Candidates::empty();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            loop {
+                let best_half = rng.gen_range(0..4usize);
+                let (mut want_a, mut want_b) = (a.clone(), b.clone());
+                let (mut want_ca, mut want_cb) = (node.ca().clone(), node.cb().clone());
+                let mut want = SearchStats::default();
+                reduce_candidates(
+                    &g,
+                    &mut want_a,
+                    &mut want_b,
+                    &mut want_ca,
+                    &mut want_cb,
+                    best_half,
+                    &mut want,
+                );
+                let mut got = SearchStats::default();
+                node.reduce(&g, &mut a, &mut b, best_half, &mut got);
+                assert_eq!((&a, &b), (&want_a, &want_b), "seed {seed}");
+                assert_eq!((node.ca(), node.cb()), (&want_ca, &want_cb), "seed {seed}");
+                assert_eq!(got.reduced_vertices, want.reduced_vertices, "seed {seed}");
+                assert!(node.left.counted && node.right.counted);
+                assert_fresh(&g, &node);
+
+                let on_left = match (node.ca().is_empty(), node.cb().is_empty()) {
+                    (true, true) => break,
+                    (false, false) => rng.gen_bool(0.5),
+                    (left_empty, _) => !left_empty,
+                };
+                let side = if on_left { node.ca() } else { node.cb() };
+                let pick = rng.gen_range(0..side.len());
+                let x = side.iter().nth(pick).expect("a member") as u32;
+                if rng.gen_bool(0.5) {
+                    node.include(&g, on_left, x, &mut child);
+                    std::mem::swap(&mut node, &mut child);
+                    if on_left { &mut a } else { &mut b }.push(x);
+                } else {
+                    node.exclude(&g, on_left, x);
+                }
+                assert_fresh(&g, &node);
+            }
+        }
     }
 }

@@ -43,15 +43,21 @@ const HOT_LOOP_FILES: [&str; 2] = ["crates/core/src/enumerate.rs", "crates/core/
 
 /// Solver inner-loop files: span/timer construction here would run per
 /// search node — instrumentation stays at the stage boundaries one
-/// level up (`solver.rs`, `engine.rs`).
-const OBS_HOT_FILES: [&str; 2] = ["crates/core/src/dense.rs", "crates/core/src/enumerate.rs"];
+/// level up (`solver.rs`, `engine.rs`). The Lemma 1/2 reduction runs at
+/// every `denseMBB` node, so `reduce.rs` is listed with `dense.rs`.
+const OBS_HOT_FILES: [&str; 3] = [
+    "crates/core/src/dense.rs",
+    "crates/core/src/reduce.rs",
+    "crates/core/src/enumerate.rs",
+];
 
 /// Kernel-hot solver files: bitset intersect+len pairs here must go
 /// through the fused kernel layer (`crates/bigraph/src/kernels.rs`), not
 /// two passes over the words. Bridging's per-centre greedy runs bitset
 /// kernels in its step loop, so its files are listed too.
-const KERNEL_FILES: [&str; 4] = [
+const KERNEL_FILES: [&str; 5] = [
     "crates/core/src/dense.rs",
+    "crates/core/src/reduce.rs",
     "crates/core/src/verify.rs",
     "crates/core/src/bridge.rs",
     "crates/core/src/heuristic.rs",
