@@ -35,7 +35,6 @@ pub mod bicore;
 pub mod bitset;
 pub mod butterfly;
 pub mod complement;
-pub mod components;
 pub mod core_decomp;
 pub mod generators;
 pub mod graph;

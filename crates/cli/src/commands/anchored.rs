@@ -4,15 +4,14 @@ use mbb_bigraph::graph::Vertex;
 use mbb_core::MbbEngine;
 use serde::Serialize;
 
+use crate::args::{self, Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
-usage: mbb anchored <edge-list-file> --vertex <L<id>|R<id>>
-                    [--threads <N>] [--json]
+usage: mbb anchored <edge-list-file> --vertex <L<id>|R<id>> [--json]
 
 Finds the maximum balanced biclique containing the given vertex
-(1-based ids matching the input file), e.g. --vertex L3 or --vertex R12.
---threads N is reserved for the engine's parallel stages; the anchored
-search itself is currently sequential (0 = one worker per core).";
+(1-based ids matching the input file), e.g. --vertex L3 or --vertex R12.";
 
 /// Parsed `anchored` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,35 +22,25 @@ pub struct AnchoredOptions {
     pub left_side: bool,
     /// 1-based anchor id within its side.
     pub id: u32,
-    /// Engine worker threads (0 = one per core).
-    pub threads: usize,
     /// Emit JSON.
     pub json: bool,
 }
 
 impl AnchoredOptions {
     /// Parses the subcommand's argv (after `anchored`).
-    pub fn parse(args: &[String]) -> Result<AnchoredOptions, String> {
+    pub fn parse(args: &[String]) -> Result<AnchoredOptions, ArgError> {
         let mut options = AnchoredOptions {
             input: String::new(),
             left_side: true,
             id: 0,
-            threads: 1,
             json: false,
         };
-        let mut vertex_given = false;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--json" => options.json = true,
-                "--threads" => {
-                    let value = iter.next().ok_or("--threads needs a value")?;
-                    options.threads = value
-                        .parse()
-                        .map_err(|_| format!("--threads: bad number {value:?}"))?;
-                }
-                "--vertex" => {
-                    let value = iter.next().ok_or("--vertex needs a value")?;
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--json") => options.json = true,
+                Arg::Flag("--vertex") => {
+                    let value = args.value()?;
                     let side = value
                         .chars()
                         .next()
@@ -60,32 +49,24 @@ impl AnchoredOptions {
                     options.left_side = match side {
                         'L' | 'l' => true,
                         'R' | 'r' => false,
-                        _ => return Err(format!("--vertex must start with L or R: {value:?}")),
+                        _ => {
+                            return Err(format!("--vertex must start with L or R: {value:?}").into())
+                        }
                     };
                     options.id = digits
                         .parse()
                         .map_err(|_| format!("--vertex: bad id {digits:?}"))?;
                     if options.id == 0 {
-                        return Err("--vertex ids are 1-based".to_string());
+                        return Err("--vertex ids are 1-based".into());
                     }
-                    vertex_given = true;
                 }
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.input.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.input = path.to_string();
-                }
+                Arg::Positional(path) => args::set_once(&mut options.input, path)?,
+                other => return Err(other.unknown()),
             }
         }
-        if options.input.is_empty() {
-            return Err("missing input file".to_string());
-        }
-        if !vertex_given {
-            return Err("--vertex is required".to_string());
+        args::require_input(&options.input)?;
+        if options.id == 0 {
+            return Err("--vertex is required".into());
         }
         Ok(options)
     }
@@ -122,11 +103,7 @@ pub fn run(options: &AnchoredOptions) -> Result<String, String> {
         Vertex::right(zero_based)
     };
     let engine = MbbEngine::from_arc(graph, Default::default());
-    let biclique = engine
-        .query()
-        .threads(options.threads)
-        .anchored(anchor)
-        .value;
+    let biclique = engine.anchored(anchor).value;
     let left: Vec<u32> = biclique.left.iter().map(|&u| u + 1).collect();
     let right: Vec<u32> = biclique.right.iter().map(|&v| v + 1).collect();
     let anchor_label = format!(
@@ -161,7 +138,7 @@ pub fn run(options: &AnchoredOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<AnchoredOptions, String> {
+    fn parse(s: &str) -> Result<AnchoredOptions, ArgError> {
         AnchoredOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 
@@ -177,9 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads() {
-        let o = parse("g.txt --vertex L1 --threads 4").unwrap();
-        assert_eq!(o.threads, 4);
+    fn rejects_threads() {
+        let err = parse("g.txt --vertex L1 --threads 4").unwrap_err();
+        assert_eq!(err, ArgError::Unknown("--threads".to_string()));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use mbb_bench::{run_obs_bench, ObsBenchOptions, ObsBenchReport, ScaleCaps, Table};
 
+use crate::args::{Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb bench-obs [--out FILE] [--caps small|default|large]
@@ -40,7 +42,7 @@ pub struct BenchObsOptions {
 
 impl BenchObsOptions {
     /// Parses the subcommand's argv (after `bench-obs`).
-    pub fn parse(args: &[String]) -> Result<BenchObsOptions, String> {
+    pub fn parse(args: &[String]) -> Result<BenchObsOptions, ArgError> {
         let mut options = BenchObsOptions {
             out: "BENCH_obs.json".to_string(),
             caps: "default".to_string(),
@@ -48,31 +50,23 @@ impl BenchObsOptions {
             quick: false,
             check: None,
         };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--out" => options.out = value_of("--out")?,
-                "--caps" => {
-                    let value = value_of("--caps")?;
-                    if !matches!(value.as_str(), "small" | "default" | "large") {
-                        return Err(format!("--caps must be small|default|large, got {value:?}"));
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--out") => options.out = args.value()?.to_string(),
+                Arg::Flag("--caps") => {
+                    let value = args.value()?;
+                    if !matches!(value, "small" | "default" | "large") {
+                        return Err(
+                            format!("--caps must be small|default|large, got {value:?}").into()
+                        );
                     }
-                    options.caps = value;
+                    options.caps = value.to_string();
                 }
-                "--seed" => {
-                    let value = value_of("--seed")?;
-                    options.seed = value
-                        .parse()
-                        .map_err(|_| format!("--seed: bad number {value:?}"))?;
-                }
-                "--quick" => options.quick = true,
-                "--check" => options.check = Some(value_of("--check")?),
-                other => return Err(format!("unknown option {other:?}")),
+                Arg::Flag("--seed") => options.seed = args.number()?,
+                Arg::Flag("--quick") => options.quick = true,
+                Arg::Flag("--check") => options.check = Some(args.value()?.to_string()),
+                other => return Err(other.unknown()),
             }
         }
         Ok(options)
@@ -159,7 +153,7 @@ pub fn run(options: &BenchObsOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<BenchObsOptions, String> {
+    fn parse(s: &str) -> Result<BenchObsOptions, ArgError> {
         BenchObsOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

@@ -6,6 +6,8 @@ use mbb_core::enumerate::EnumConfig;
 use mbb_core::MbbEngine;
 use serde::Serialize;
 
+use crate::args::{self, Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb enumerate <edge-list-file> [options]
@@ -18,8 +20,6 @@ options:
   --min-right <N>    only bicliques with |B| >= N (default 1)
   --max-results <N>  stop after N bicliques
   --budget-secs <N>  stop after N seconds
-  --threads <N>      reserved for the engine's parallel stages; the
-                     enumeration itself is currently sequential
   --json             one JSON object per line (JSONL)";
 
 /// Parsed `enumerate` options.
@@ -35,72 +35,36 @@ pub struct EnumerateOptions {
     pub max_results: Option<u64>,
     /// Time budget in seconds.
     pub budget_secs: Option<u64>,
-    /// Engine worker threads (0 = one per core).
-    pub threads: usize,
     /// Emit JSONL.
     pub json: bool,
 }
 
 impl EnumerateOptions {
     /// Parses the subcommand's argv (after `enumerate`).
-    pub fn parse(args: &[String]) -> Result<EnumerateOptions, String> {
+    pub fn parse(args: &[String]) -> Result<EnumerateOptions, ArgError> {
         let mut options = EnumerateOptions {
             input: String::new(),
             min_left: 1,
             min_right: 1,
             max_results: None,
             budget_secs: None,
-            threads: 1,
             json: false,
         };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--json" => options.json = true,
-                "--min-left" => {
-                    options.min_left = parse_number(&value_of("--min-left")?, "--min-left")?;
-                }
-                "--min-right" => {
-                    options.min_right = parse_number(&value_of("--min-right")?, "--min-right")?;
-                }
-                "--max-results" => {
-                    options.max_results =
-                        Some(parse_number(&value_of("--max-results")?, "--max-results")?);
-                }
-                "--budget-secs" => {
-                    options.budget_secs =
-                        Some(parse_number(&value_of("--budget-secs")?, "--budget-secs")?);
-                }
-                "--threads" => {
-                    options.threads = parse_number(&value_of("--threads")?, "--threads")?;
-                }
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.input.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.input = path.to_string();
-                }
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--json") => options.json = true,
+                Arg::Flag("--min-left") => options.min_left = args.number()?,
+                Arg::Flag("--min-right") => options.min_right = args.number()?,
+                Arg::Flag("--max-results") => options.max_results = Some(args.number()?),
+                Arg::Flag("--budget-secs") => options.budget_secs = Some(args.number()?),
+                Arg::Positional(path) => args::set_once(&mut options.input, path)?,
+                other => return Err(other.unknown()),
             }
         }
-        if options.input.is_empty() {
-            return Err("missing input file".to_string());
-        }
+        args::require_input(&options.input)?;
         Ok(options)
     }
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: bad number {value:?}"))
 }
 
 #[derive(Serialize)]
@@ -120,7 +84,7 @@ pub fn run(options: &EnumerateOptions) -> Result<String, String> {
         max_results: options.max_results,
     };
     let engine = MbbEngine::from_arc(graph, Default::default());
-    let mut query = engine.query().threads(options.threads);
+    let mut query = engine.query();
     if let Some(secs) = options.budget_secs {
         query = query.deadline(Duration::from_secs(secs));
     }
@@ -160,7 +124,7 @@ pub fn run(options: &EnumerateOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<EnumerateOptions, String> {
+    fn parse(s: &str) -> Result<EnumerateOptions, ArgError> {
         EnumerateOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 
@@ -174,9 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads() {
-        let o = parse("g.txt --threads 0").unwrap();
-        assert_eq!(o.threads, 0);
+    fn rejects_threads() {
+        let err = parse("g.txt --threads 0").unwrap_err();
+        assert_eq!(err, ArgError::Unknown("--threads".to_string()));
     }
 
     #[test]

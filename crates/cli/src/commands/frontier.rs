@@ -5,6 +5,8 @@ use std::time::Duration;
 use mbb_core::MbbEngine;
 use serde::Serialize;
 
+use crate::args::{self, Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb frontier <edge-list-file> [--budget-secs <N>] [--json]
@@ -27,38 +29,22 @@ pub struct FrontierOptions {
 
 impl FrontierOptions {
     /// Parses the subcommand's argv (after `frontier`).
-    pub fn parse(args: &[String]) -> Result<FrontierOptions, String> {
+    pub fn parse(args: &[String]) -> Result<FrontierOptions, ArgError> {
         let mut options = FrontierOptions {
             input: String::new(),
             budget_secs: None,
             json: false,
         };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--json" => options.json = true,
-                "--budget-secs" => {
-                    let value = iter.next().ok_or("--budget-secs needs a value")?;
-                    options.budget_secs = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("--budget-secs: bad number {value:?}"))?,
-                    );
-                }
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.input.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.input = path.to_string();
-                }
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--json") => options.json = true,
+                Arg::Flag("--budget-secs") => options.budget_secs = Some(args.number()?),
+                Arg::Positional(path) => args::set_once(&mut options.input, path)?,
+                other => return Err(other.unknown()),
             }
         }
-        if options.input.is_empty() {
-            return Err("missing input file".to_string());
-        }
+        args::require_input(&options.input)?;
         Ok(options)
     }
 }
@@ -118,7 +104,7 @@ pub fn run(options: &FrontierOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<FrontierOptions, String> {
+    fn parse(s: &str) -> Result<FrontierOptions, ArgError> {
         FrontierOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

@@ -7,6 +7,8 @@ use mbb_bigraph::generators::{
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::io::write_edge_list_file;
 
+use crate::args::{self, Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb generate <out-file> --kind <dense|sparse|uniform|complete> [options]
@@ -64,7 +66,7 @@ pub struct GenerateOptions {
 
 impl GenerateOptions {
     /// Parses the subcommand's argv (after `generate`).
-    pub fn parse(args: &[String]) -> Result<GenerateOptions, String> {
+    pub fn parse(args: &[String]) -> Result<GenerateOptions, ArgError> {
         let mut options = GenerateOptions {
             output: String::new(),
             kind: Kind::Sparse,
@@ -77,71 +79,41 @@ impl GenerateOptions {
             plant: None,
         };
         let mut kind_given = false;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--kind" => {
-                    let value = value_of("--kind")?;
-                    options.kind = match value.as_str() {
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--kind") => {
+                    options.kind = match args.value()? {
                         "dense" => Kind::Dense,
                         "sparse" => Kind::Sparse,
                         "uniform" => Kind::Uniform,
                         "complete" => Kind::Complete,
-                        other => return Err(format!("unknown kind {other:?}")),
+                        other => return Err(format!("unknown kind {other:?}").into()),
                     };
                     kind_given = true;
                 }
-                "--left" => {
-                    options.left = parse_number(&value_of("--left")?, "--left")?;
-                }
-                "--right" => {
-                    options.right = parse_number(&value_of("--right")?, "--right")?;
-                }
-                "--density" => {
-                    let value = value_of("--density")?;
-                    options.density = value
-                        .parse()
-                        .map_err(|_| format!("--density: bad number {value:?}"))?;
+                Arg::Flag("--left") => options.left = args.number()?,
+                Arg::Flag("--right") => options.right = args.number()?,
+                Arg::Flag("--density") => {
+                    let value = args.value()?;
+                    options.density = args::parse_number("--density", value)?;
                     if !(0.0..=1.0).contains(&options.density) {
-                        return Err(format!("--density must be in [0, 1], got {value}"));
+                        return Err(format!("--density must be in [0, 1], got {value}").into());
                     }
                 }
-                "--edges" => {
-                    options.edges = Some(parse_number(&value_of("--edges")?, "--edges")?);
-                }
-                "--exponent" => {
-                    let value = value_of("--exponent")?;
-                    options.exponent = value
-                        .parse()
-                        .map_err(|_| format!("--exponent: bad number {value:?}"))?;
-                }
-                "--seed" => {
-                    options.seed = parse_number(&value_of("--seed")?, "--seed")?;
-                }
-                "--plant" => {
-                    options.plant = Some(parse_number(&value_of("--plant")?, "--plant")?);
-                }
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.output.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.output = path.to_string();
-                }
+                Arg::Flag("--edges") => options.edges = Some(args.number()?),
+                Arg::Flag("--exponent") => options.exponent = args.number()?,
+                Arg::Flag("--seed") => options.seed = args.number()?,
+                Arg::Flag("--plant") => options.plant = Some(args.number()?),
+                Arg::Positional(path) => args::set_once(&mut options.output, path)?,
+                other => return Err(other.unknown()),
             }
         }
         if options.output.is_empty() {
-            return Err("missing output file".to_string());
+            return Err("missing output file".into());
         }
         if !kind_given {
-            return Err("--kind is required".to_string());
+            return Err("--kind is required".into());
         }
         Ok(options)
     }
@@ -176,12 +148,6 @@ impl GenerateOptions {
     }
 }
 
-fn parse_number<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: bad number {value:?}"))
-}
-
 /// Runs the subcommand, returning a one-line summary.
 pub fn run(options: &GenerateOptions) -> Result<String, String> {
     let graph = options.build();
@@ -200,7 +166,7 @@ pub fn run(options: &GenerateOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<GenerateOptions, String> {
+    fn parse(s: &str) -> Result<GenerateOptions, ArgError> {
         GenerateOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

@@ -3,6 +3,8 @@
 use mbb_bigraph::io::read_edge_list_file;
 use mbb_store::{GraphStore, Provenance};
 
+use crate::args::{Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb ingest <edge-list-file>... [--force] [--verify]
@@ -29,24 +31,22 @@ pub struct IngestOptions {
 
 impl IngestOptions {
     /// Parses the subcommand's argv (after `ingest`).
-    pub fn parse(args: &[String]) -> Result<IngestOptions, String> {
+    pub fn parse(args: &[String]) -> Result<IngestOptions, ArgError> {
         let mut options = IngestOptions {
             inputs: Vec::new(),
             force: false,
             verify: false,
         };
-        for arg in args {
-            match arg.as_str() {
-                "--force" => options.force = true,
-                "--verify" => options.verify = true,
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => options.inputs.push(path.to_string()),
+        for arg in Args::new(args) {
+            match arg {
+                Arg::Flag("--force") => options.force = true,
+                Arg::Flag("--verify") => options.verify = true,
+                Arg::Positional(path) => options.inputs.push(path.to_string()),
+                other => return Err(other.unknown()),
             }
         }
         if options.inputs.is_empty() {
-            return Err("at least one edge-list file is required".to_string());
+            return Err("at least one edge-list file is required".into());
         }
         Ok(options)
     }
@@ -143,7 +143,7 @@ pub fn run(options: &IngestOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<IngestOptions, String> {
+    fn parse(s: &str) -> Result<IngestOptions, ArgError> {
         IngestOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

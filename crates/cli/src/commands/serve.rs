@@ -9,6 +9,8 @@ use mbb_obs as obs;
 use mbb_serve::{ShardedFleet, StreamConfig, StreamServer};
 use mbb_store::GraphStore;
 
+use crate::args::{Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb serve --shard <id>=<edge-list-file> [--shard ...]
@@ -90,7 +92,7 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Parses the subcommand's argv (after `serve`).
-    pub fn parse(args: &[String]) -> Result<ServeOptions, String> {
+    pub fn parse(args: &[String]) -> Result<ServeOptions, ArgError> {
         let defaults = StreamConfig::default();
         let mut options = ServeOptions {
             shards: Vec::new(),
@@ -103,55 +105,42 @@ impl ServeOptions {
             max_conns: 64,
             trace_file: None,
         };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            let number = |flag: &str, value: String| {
-                value
-                    .parse::<usize>()
-                    .map_err(|_| format!("{flag}: bad number {value:?}"))
-            };
-            match arg.as_str() {
-                "--stats" => options.stats = true,
-                "--shard" => {
-                    let value = value_of("--shard")?;
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--stats") => options.stats = true,
+                Arg::Flag("--shard") => {
+                    let value = args.value()?;
                     let (id, path) = value
                         .split_once('=')
                         .ok_or_else(|| format!("--shard: expected <id>=<file>, got {value:?}"))?;
                     if id.is_empty() || path.is_empty() {
-                        return Err(format!("--shard: expected <id>=<file>, got {value:?}"));
+                        return Err(format!("--shard: expected <id>=<file>, got {value:?}").into());
                     }
                     options.shards.push((id.to_string(), path.to_string()));
                 }
-                "--workers" => options.workers = number("--workers", value_of("--workers")?)?,
-                "--queue-depth" => {
-                    options.queue_depth = number("--queue-depth", value_of("--queue-depth")?)?;
+                Arg::Flag("--workers") => options.workers = args.threads()?,
+                Arg::Flag("--queue-depth") => {
+                    options.queue_depth = args.number()?;
                     if options.queue_depth == 0 {
-                        return Err("--queue-depth must be at least 1".to_string());
+                        return Err("--queue-depth must be at least 1".into());
                     }
                 }
-                "--fairness-burst" => {
-                    options.fairness_burst =
-                        number("--fairness-burst", value_of("--fairness-burst")?)?;
-                }
-                "--listen" => options.listen = Some(value_of("--listen")?),
-                "--unix" => options.unix = Some(value_of("--unix")?),
-                "--trace-file" => options.trace_file = Some(value_of("--trace-file")?),
-                "--max-conns" => {
-                    options.max_conns = number("--max-conns", value_of("--max-conns")?)?;
+                Arg::Flag("--fairness-burst") => options.fairness_burst = args.number()?,
+                Arg::Flag("--listen") => options.listen = Some(args.value()?.to_string()),
+                Arg::Flag("--unix") => options.unix = Some(args.value()?.to_string()),
+                Arg::Flag("--trace-file") => options.trace_file = Some(args.value()?.to_string()),
+                Arg::Flag("--max-conns") => {
+                    options.max_conns = args.number()?;
                     if options.max_conns == 0 {
-                        return Err("--max-conns must be at least 1".to_string());
+                        return Err("--max-conns must be at least 1".into());
                     }
                 }
-                other => return Err(format!("unknown option {other:?}")),
+                other => return Err(other.unknown()),
             }
         }
         if options.shards.is_empty() {
-            return Err("at least one --shard <id>=<file> is required".to_string());
+            return Err("at least one --shard <id>=<file> is required".into());
         }
         Ok(options)
     }
@@ -326,7 +315,7 @@ pub fn run(options: &ServeOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<ServeOptions, String> {
+    fn parse(s: &str) -> Result<ServeOptions, ArgError> {
         ServeOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

@@ -2,8 +2,10 @@
 //! engine fleet, through the same admission queue as `mbb serve`.
 
 use mbb_serve::jsonl::{encode_stream_event, parse_requests};
-use mbb_serve::{ShardedFleet, StreamConfig, StreamEvent, StreamServer};
-use mbb_store::GraphStore;
+use mbb_serve::StreamEvent;
+
+use super::serve::{build_server, ServeOptions};
+use crate::args::{Arg, ArgError, Args};
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
@@ -36,61 +38,41 @@ Example request file:
 /// Parsed `serve-batch` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeBatchOptions {
-    /// `(shard id, edge-list path)` pairs, in registration order.
-    pub shards: Vec<(String, String)>,
+    /// The fleet: `--shard` and `--workers`, parsed as `mbb serve`
+    /// parses them.
+    pub serve: ServeOptions,
     /// Path of the JSONL request file.
     pub requests: String,
-    /// Worker pool size (0 = one per core).
-    pub workers: usize,
     /// Append the batch summary line.
     pub stats: bool,
 }
 
 impl ServeBatchOptions {
     /// Parses the subcommand's argv (after `serve-batch`).
-    pub fn parse(args: &[String]) -> Result<ServeBatchOptions, String> {
-        let mut options = ServeBatchOptions {
-            shards: Vec::new(),
-            requests: String::new(),
-            workers: 1,
-            stats: false,
-        };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--stats" => options.stats = true,
-                "--shard" => {
-                    let value = value_of("--shard")?;
-                    let (id, path) = value
-                        .split_once('=')
-                        .ok_or_else(|| format!("--shard: expected <id>=<file>, got {value:?}"))?;
-                    if id.is_empty() || path.is_empty() {
-                        return Err(format!("--shard: expected <id>=<file>, got {value:?}"));
-                    }
-                    options.shards.push((id.to_string(), path.to_string()));
+    pub fn parse(args: &[String]) -> Result<ServeBatchOptions, ArgError> {
+        let mut serve_args = Vec::new();
+        let mut requests = String::new();
+        let mut stats = false;
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--stats") => stats = true,
+                Arg::Flag("--requests") => requests = args.value()?.to_string(),
+                Arg::Flag(flag @ ("--shard" | "--workers")) => {
+                    serve_args.extend([flag.to_string(), args.value()?.to_string()]);
                 }
-                "--requests" => options.requests = value_of("--requests")?,
-                "--workers" => {
-                    let value = value_of("--workers")?;
-                    options.workers = value
-                        .parse()
-                        .map_err(|_| format!("--workers: bad number {value:?}"))?;
-                }
-                other => return Err(format!("unknown option {other:?}")),
+                other => return Err(other.unknown()),
             }
         }
-        if options.shards.is_empty() {
-            return Err("at least one --shard <id>=<file> is required".to_string());
+        let serve = ServeOptions::parse(&serve_args)?;
+        if requests.is_empty() {
+            return Err("--requests <jsonl-file> is required".into());
         }
-        if options.requests.is_empty() {
-            return Err("--requests <jsonl-file> is required".to_string());
-        }
-        Ok(options)
+        Ok(ServeBatchOptions {
+            serve,
+            requests,
+            stats,
+        })
     }
 }
 
@@ -98,21 +80,11 @@ impl ServeBatchOptions {
 pub fn run(options: &ServeBatchOptions) -> Result<String, String> {
     // Shards resolve through the store: a warm .mbbg cache next to the
     // edge list skips the parse entirely (MBB_CACHE=off opts out).
-    let store = GraphStore::from_env();
-    let mut fleet = ShardedFleet::new();
-    for (id, path) in &options.shards {
-        fleet
-            .add_shard_from_store(id.clone(), &store, path)
-            .map_err(|e| e.to_string())?;
-    }
+    let server = build_server(&options.serve)?;
     let text = std::fs::read_to_string(&options.requests)
         .map_err(|e| format!("{}: {e}", options.requests))?;
     let requests = parse_requests(&text).map_err(|e| e.to_string())?;
-    let config = StreamConfig {
-        workers: options.workers,
-        ..StreamConfig::default()
-    };
-    let report = StreamServer::new(fleet, config).run_batch(requests);
+    let report = server.run_batch(requests);
     let mut out = String::new();
     let stats = options.stats.then_some(StreamEvent::Stats(report.stats));
     for event in report.events.iter().chain(&stats) {
@@ -126,7 +98,7 @@ pub fn run(options: &ServeBatchOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<ServeBatchOptions, String> {
+    fn parse(s: &str) -> Result<ServeBatchOptions, ArgError> {
         ServeBatchOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 
@@ -135,14 +107,14 @@ mod tests {
         let o = parse("--shard a=x.txt --shard b=y.txt --requests r.jsonl --workers 0 --stats")
             .unwrap();
         assert_eq!(
-            o.shards,
+            o.serve.shards,
             vec![
                 ("a".to_string(), "x.txt".to_string()),
                 ("b".to_string(), "y.txt".to_string())
             ]
         );
         assert_eq!(o.requests, "r.jsonl");
-        assert_eq!(o.workers, 0);
+        assert_eq!(o.serve.workers, 0);
         assert!(o.stats);
     }
 

@@ -3,6 +3,8 @@
 use mbb_bigraph::metrics::GraphProfile;
 use serde::Serialize;
 
+use crate::args::{self, Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
 usage: mbb stats <edge-list-file> [--full] [--json]
@@ -26,30 +28,21 @@ pub struct StatsOptions {
 
 impl StatsOptions {
     /// Parses the subcommand's argv (after `stats`).
-    pub fn parse(args: &[String]) -> Result<StatsOptions, String> {
+    pub fn parse(args: &[String]) -> Result<StatsOptions, ArgError> {
         let mut options = StatsOptions {
             input: String::new(),
             full: false,
             json: false,
         };
-        for arg in args {
-            match arg.as_str() {
-                "--full" => options.full = true,
-                "--json" => options.json = true,
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.input.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.input = path.to_string();
-                }
+        for arg in Args::new(args) {
+            match arg {
+                Arg::Flag("--full") => options.full = true,
+                Arg::Flag("--json") => options.json = true,
+                Arg::Positional(path) => args::set_once(&mut options.input, path)?,
+                other => return Err(other.unknown()),
             }
         }
-        if options.input.is_empty() {
-            return Err("missing input file".to_string());
-        }
+        args::require_input(&options.input)?;
         Ok(options)
     }
 }
@@ -123,7 +116,7 @@ pub fn run(options: &StatsOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<StatsOptions, String> {
+    fn parse(s: &str) -> Result<StatsOptions, ArgError> {
         StatsOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

@@ -5,15 +5,14 @@ use std::time::Duration;
 use mbb_core::MbbEngine;
 use serde::Serialize;
 
+use crate::args::{self, Arg, ArgError, Args};
+
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
-usage: mbb topk <edge-list-file> --k <N> [--budget-secs <N>]
-                [--threads <N>] [--json]
+usage: mbb topk <edge-list-file> --k <N> [--budget-secs <N>] [--json]
 
 Prints the N maximal bicliques with the largest balanced size
-min(|A|, |B|), best first, 1-based ids matching the input file.
---threads 0 uses one worker per core (reserved for the engine's
-parallel stages; the ranking itself is sequential).";
+min(|A|, |B|), best first, 1-based ids matching the input file.";
 
 /// Parsed `topk` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,69 +23,32 @@ pub struct TopkOptions {
     pub k: usize,
     /// Time budget in seconds.
     pub budget_secs: Option<u64>,
-    /// Engine worker threads (0 = one per core).
-    pub threads: usize,
     /// Emit JSON.
     pub json: bool,
 }
 
 impl TopkOptions {
     /// Parses the subcommand's argv (after `topk`).
-    pub fn parse(args: &[String]) -> Result<TopkOptions, String> {
+    pub fn parse(args: &[String]) -> Result<TopkOptions, ArgError> {
         let mut options = TopkOptions {
             input: String::new(),
             k: 0,
             budget_secs: None,
-            threads: 1,
             json: false,
         };
-        let mut k_given = false;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--json" => options.json = true,
-                "--k" => {
-                    let value = value_of("--k")?;
-                    options.k = value
-                        .parse()
-                        .map_err(|_| format!("--k: bad number {value:?}"))?;
-                    k_given = true;
-                }
-                "--budget-secs" => {
-                    let value = value_of("--budget-secs")?;
-                    options.budget_secs = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("--budget-secs: bad number {value:?}"))?,
-                    );
-                }
-                "--threads" => {
-                    let value = value_of("--threads")?;
-                    options.threads = value
-                        .parse()
-                        .map_err(|_| format!("--threads: bad number {value:?}"))?;
-                }
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.input.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.input = path.to_string();
-                }
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--json") => options.json = true,
+                Arg::Flag("--k") => options.k = args.number()?,
+                Arg::Flag("--budget-secs") => options.budget_secs = Some(args.number()?),
+                Arg::Positional(path) => args::set_once(&mut options.input, path)?,
+                other => return Err(other.unknown()),
             }
         }
-        if options.input.is_empty() {
-            return Err("missing input file".to_string());
-        }
-        if !k_given || options.k == 0 {
-            return Err("--k is required and must be positive".to_string());
+        args::require_input(&options.input)?;
+        if options.k == 0 {
+            return Err("--k is required and must be positive".into());
         }
         Ok(options)
     }
@@ -111,7 +73,7 @@ pub fn run(options: &TopkOptions) -> Result<String, String> {
     let loaded = crate::commands::load_graph(&options.input)?;
     let graph = loaded.graph;
     let engine = MbbEngine::from_arc(graph, Default::default());
-    let mut query = engine.query().threads(options.threads);
+    let mut query = engine.query();
     if let Some(secs) = options.budget_secs {
         query = query.deadline(Duration::from_secs(secs));
     }
@@ -157,7 +119,7 @@ pub fn run(options: &TopkOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<TopkOptions, String> {
+    fn parse(s: &str) -> Result<TopkOptions, ArgError> {
         TopkOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 
@@ -166,13 +128,12 @@ mod tests {
         let o = parse("g.txt --k 5 --json").unwrap();
         assert_eq!(o.k, 5);
         assert!(o.json);
-        assert_eq!(o.threads, 1);
     }
 
     #[test]
-    fn parses_threads() {
-        let o = parse("g.txt --k 2 --threads 0").unwrap();
-        assert_eq!(o.threads, 0);
+    fn rejects_threads() {
+        let err = parse("g.txt --k 2 --threads 0").unwrap_err();
+        assert_eq!(err, ArgError::Unknown("--threads".to_string()));
     }
 
     #[test]

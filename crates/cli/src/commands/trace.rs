@@ -8,6 +8,7 @@ use mbb_bench::Table;
 use mbb_obs as obs;
 
 use super::serve::{build_server, ServeOptions};
+use crate::args::{Arg, ArgError, Args};
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "\
@@ -44,29 +45,22 @@ pub struct TraceOptions {
 
 impl TraceOptions {
     /// Parses the subcommand's argv (after `trace`).
-    pub fn parse(args: &[String]) -> Result<TraceOptions, String> {
+    pub fn parse(args: &[String]) -> Result<TraceOptions, ArgError> {
         let mut requests = None;
         let mut trace_file = None;
-        let mut serve_args: Vec<String> = Vec::new();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--requests" => requests = Some(value_of("--requests")?),
-                "--trace-file" => trace_file = Some(value_of("--trace-file")?),
-                "--shard" | "--workers" => {
-                    let flag = arg.clone();
-                    serve_args.push(flag.clone());
-                    serve_args.push(value_of(&flag)?);
+        let mut serve_args = Vec::new();
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--requests") => requests = Some(args.value()?.to_string()),
+                Arg::Flag("--trace-file") => trace_file = Some(args.value()?.to_string()),
+                Arg::Flag(flag @ ("--shard" | "--workers")) => {
+                    serve_args.extend([flag.to_string(), args.value()?.to_string()]);
                 }
-                other => return Err(format!("unknown option {other:?}")),
+                other => return Err(other.unknown()),
             }
         }
-        let requests = requests.ok_or_else(|| "--requests <jsonl-file> is required".to_string())?;
+        let requests = requests.ok_or("--requests <jsonl-file> is required")?;
         Ok(TraceOptions {
             serve: ServeOptions::parse(&serve_args)?,
             requests,
@@ -142,7 +136,7 @@ pub fn run(options: &TraceOptions) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<TraceOptions, String> {
+    fn parse(s: &str) -> Result<TraceOptions, ArgError> {
         TraceOptions::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 

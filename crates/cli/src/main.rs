@@ -1,8 +1,8 @@
 //! `mbb` — command-line maximum balanced biclique toolkit.
 //!
 //! ```text
-//! mbb <command> [args]            subcommands: solve stats generate
-//!                                 enumerate topk anchored serve
+//! mbb <command> [args]            a command of the table in
+//!                                 `commands`; `mbb --help` lists them
 //! mbb <edge-list> [solve options] back-compatible default (= solve)
 //! ```
 //!
@@ -11,6 +11,7 @@
 
 use std::process::ExitCode;
 
+mod args;
 mod commands;
 mod options;
 mod output;
@@ -18,59 +19,28 @@ mod run;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Subcommand dispatch; "solve" falls through to the legacy path so the
-    // original flat interface keeps working.
-    match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         None => {
-            eprintln!("{}", commands::USAGE);
+            eprintln!("{}", commands::usage());
             return ExitCode::from(2);
         }
-        Some("--help") | Some("-h") => {
-            println!("{}", commands::USAGE);
-            println!("\nsolve options:\n{}", options::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Some(first) if commands::is_command(first) && first != "solve" => {
-            return match commands::dispatch(first, &args[1..]) {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    ExitCode::from(2)
-                }
-            };
-        }
-        _ => {}
-    }
-
-    let solve_args = if args.first().map(String::as_str) == Some("solve") {
-        &args[1..]
-    } else {
-        &args[..]
+        Some("--help" | "-h") => Ok(format!(
+            "{}\n\n{} options:\n{}\n",
+            commands::usage(),
+            commands::SOLVE.name,
+            commands::SOLVE.usage
+        )),
+        Some(first) if commands::is_command(first) => commands::dispatch(first, &args[1..]),
+        Some(_) => commands::dispatch(commands::SOLVE.name, &args),
     };
-    let options = match options::Options::parse(solve_args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", options::USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    if options.help {
-        println!("{}", options::USAGE);
-        return ExitCode::SUCCESS;
-    }
-    match run::run(&options) {
-        Ok(report) => {
-            print!("{}", output::render(&report, &options));
+    match result {
+        Ok(text) => {
+            print!("{text}");
             ExitCode::SUCCESS
         }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
+        Err(failure) => {
+            eprintln!("error: {}", failure.message);
+            ExitCode::from(failure.code)
         }
     }
 }

@@ -1,9 +1,11 @@
-//! Command-line option parsing (no external dependencies).
+//! The `solve` command's options.
 
 use std::time::Duration;
 
 use mbb_bigraph::order::SearchOrder;
 use mbb_core::verify::ParallelMode;
+
+use crate::args::{self, Arg, ArgError, Args};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -29,9 +31,9 @@ options:
                        branch-and-bound inside each vertex-centred
                        subgraph; subgraph = split the subgraphs across
                        workers)
-  --deadline-secs <N>  abandon the hbv search after N seconds and report
-                       the best-so-far biclique (marked as a lower bound)
-  --budget-secs <N>    time budget for the ext baseline (default: none)
+  --budget-secs <N>    stop hbv or ext after N seconds and report the
+                       best-so-far biclique, marked as a lower bound
+                       (default: none; dense and basic ignore it)
   --json               machine-readable output
   --stats              include solver statistics
   --help               this text";
@@ -63,101 +65,67 @@ pub struct Options {
     pub threads: usize,
     /// How `hbv` verification spends its workers.
     pub parallel_mode: ParallelMode,
-    /// Deadline for the `hbv` engine query (best-so-far on expiry).
-    pub deadline: Option<Duration>,
-    /// Budget for the `ext` baseline.
+    /// Time limit: the `hbv` query's deadline (best-so-far on expiry) and
+    /// the `ext` baseline's budget.
     pub budget: Option<Duration>,
     /// Emit JSON.
     pub json: bool,
     /// Emit statistics.
     pub stats: bool,
-    /// `--help` given.
-    pub help: bool,
 }
 
 impl Options {
     /// Parses argv (without the program name).
-    pub fn parse(args: &[String]) -> Result<Options, String> {
+    pub fn parse(args: &[String]) -> Result<Options, ArgError> {
         let mut options = Options {
             input: String::new(),
             algorithm: Algorithm::Hbv,
             order: SearchOrder::Bidegeneracy,
             threads: 1,
             parallel_mode: ParallelMode::default(),
-            deadline: None,
             budget: None,
             json: false,
             stats: false,
-            help: false,
         };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--help" | "-h" => options.help = true,
-                "--json" => options.json = true,
-                "--stats" => options.stats = true,
-                "--algorithm" => {
-                    let value = iter.next().ok_or("--algorithm needs a value")?;
-                    options.algorithm = match value.as_str() {
+        let mut args = Args::new(args);
+        while let Some(arg) = args.next() {
+            match arg {
+                Arg::Flag("--json") => options.json = true,
+                Arg::Flag("--stats") => options.stats = true,
+                Arg::Flag("--algorithm") => {
+                    options.algorithm = match args.value()? {
                         "hbv" => Algorithm::Hbv,
                         "dense" => Algorithm::Dense,
                         "basic" => Algorithm::Basic,
                         "ext" => Algorithm::Ext,
-                        other => return Err(format!("unknown algorithm {other:?}")),
+                        other => return Err(format!("unknown algorithm {other:?}").into()),
                     };
                 }
-                "--order" => {
-                    let value = iter.next().ok_or("--order needs a value")?;
-                    options.order = match value.as_str() {
+                Arg::Flag("--order") => {
+                    options.order = match args.value()? {
                         "bidegeneracy" => SearchOrder::Bidegeneracy,
                         "degeneracy" => SearchOrder::Degeneracy,
                         "degree" => SearchOrder::Degree,
-                        other => return Err(format!("unknown order {other:?}")),
+                        other => return Err(format!("unknown order {other:?}").into()),
                     };
                 }
-                "--threads" => {
-                    let value = iter.next().ok_or("--threads needs a value")?;
-                    options.threads = value
-                        .parse()
-                        .map_err(|_| format!("--threads: bad number {value:?}"))?;
-                }
-                "--parallel-mode" => {
-                    let value = iter.next().ok_or("--parallel-mode needs a value")?;
-                    options.parallel_mode = match value.as_str() {
+                Arg::Flag("--threads") => options.threads = args.threads()?,
+                Arg::Flag("--parallel-mode") => {
+                    options.parallel_mode = match args.value()? {
                         "auto" => ParallelMode::Auto,
                         "intra" => ParallelMode::IntraSubgraph,
                         "subgraph" => ParallelMode::Subgraph,
-                        other => return Err(format!("unknown parallel mode {other:?}")),
+                        other => return Err(format!("unknown parallel mode {other:?}").into()),
                     };
                 }
-                "--budget-secs" => {
-                    let value = iter.next().ok_or("--budget-secs needs a value")?;
-                    let secs: u64 = value
-                        .parse()
-                        .map_err(|_| format!("--budget-secs: bad number {value:?}"))?;
-                    options.budget = Some(Duration::from_secs(secs));
+                Arg::Flag("--budget-secs") => {
+                    options.budget = Some(Duration::from_secs(args.number()?));
                 }
-                "--deadline-secs" => {
-                    let value = iter.next().ok_or("--deadline-secs needs a value")?;
-                    let secs: u64 = value
-                        .parse()
-                        .map_err(|_| format!("--deadline-secs: bad number {value:?}"))?;
-                    options.deadline = Some(Duration::from_secs(secs));
-                }
-                other if other.starts_with('-') => {
-                    return Err(format!("unknown option {other:?}"));
-                }
-                path => {
-                    if !options.input.is_empty() {
-                        return Err(format!("unexpected extra argument {path:?}"));
-                    }
-                    options.input = path.to_string();
-                }
+                Arg::Positional(path) => args::set_once(&mut options.input, path)?,
+                other => return Err(other.unknown()),
             }
         }
-        if !options.help && options.input.is_empty() {
-            return Err("missing input file".to_string());
-        }
+        args::require_input(&options.input)?;
         Ok(options)
     }
 }
@@ -166,7 +134,7 @@ impl Options {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<Options, String> {
+    fn parse(s: &str) -> Result<Options, ArgError> {
         Options::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
     }
 
@@ -198,15 +166,16 @@ mod tests {
 
     #[test]
     fn help_without_input_is_fine() {
-        let o = parse("--help").unwrap();
-        assert!(o.help);
+        let text = crate::commands::dispatch("solve", &["--help".to_string()]).unwrap();
+        assert_eq!(text, format!("{USAGE}\n"));
     }
 
     #[test]
     fn deadline_and_auto_threads_parse() {
-        let o = parse("g.txt --threads 0 --deadline-secs 2").unwrap();
+        let o = parse("g.txt --threads 0 --budget-secs 2").unwrap();
         assert_eq!(o.threads, 0);
-        assert_eq!(o.deadline, Some(Duration::from_secs(2)));
+        assert_eq!(o.budget, Some(Duration::from_secs(2)));
+        assert!(parse("g.txt --deadline-secs 2").is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct Report {
     pub num_edges: usize,
     /// Wall-clock seconds.
     pub seconds: f64,
-    /// True when the run hit the budget (ext only) — result is a bound.
+    /// True when the run hit the budget (hbv or ext) — result is a bound.
     pub timed_out: bool,
     /// Solver statistics when available (`hbv`/`dense`).
     pub stats: Option<SolveStats>,
@@ -49,8 +49,8 @@ pub fn run(options: &Options) -> Result<Report, String> {
                 },
             );
             let mut query = engine.query();
-            if let Some(deadline) = options.deadline {
-                query = query.deadline(deadline);
+            if let Some(budget) = options.budget {
+                query = query.deadline(budget);
             }
             let result = query.solve();
             (

@@ -223,3 +223,53 @@ fn no_arguments_prints_usage() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("usage"));
 }
+
+/// Every row of the command table, read back from the top-level usage:
+/// each command prints its usage on `--help` and rejects an unknown flag
+/// with exit code 2. The removed knobs (`--threads` on `topk`,
+/// `anchored` and `enumerate`; `--deadline-secs`) are unknown options,
+/// and `--budget-secs` sets the `hbv` deadline.
+#[test]
+fn command_table_surface() {
+    let help = stdout(&mbb(&["--help"]));
+    let names: Vec<&str> = help
+        .lines()
+        .skip_while(|line| *line != "commands:")
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(names.len(), 12, "{help}");
+    for name in &names {
+        let out = mbb(&[name, "--help"]);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+        assert!(stdout(&out).contains("usage:"), "{name}");
+        let out = mbb(&[name, "--frobnicate"]);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        assert!(
+            stderr(&out).contains("unknown option \"--frobnicate\""),
+            "{name}: {}",
+            stderr(&out)
+        );
+    }
+
+    let path = figure_1b("table");
+    let file = path.to_str().unwrap();
+    for args in [
+        vec!["topk", file, "--k", "2", "--threads", "1"],
+        vec!["anchored", file, "--vertex", "L1", "--threads", "1"],
+        vec!["enumerate", file, "--threads", "1"],
+        vec![file, "--deadline-secs", "5"],
+    ] {
+        let out = mbb(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("unknown option"), "{args:?}");
+    }
+    let out = mbb(&[file, "--budget-secs", "5", "--json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let value: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
+    assert_eq!(value["timed_out"], false);
+    assert_eq!(value["half_size"], 2);
+    std::fs::remove_file(format!("{file}.mbbg")).ok();
+    std::fs::remove_file(path).ok();
+}

@@ -1,9 +1,9 @@
 //! Release-mode facade: thin non-poisoning wrappers over `std::sync`.
 //!
-//! Same shape as the vendored `parking_lot` shim — lock methods return
-//! guards directly (recovering from poison: a panicking holder already
-//! aborts the operation it was part of, and every structure guarded
-//! here keeps its invariants at each unlock point). Guard types are the
+//! Lock methods return guards directly (recovering from poison: a
+//! panicking holder already aborts the operation it was part of, and
+//! every structure guarded here keeps its invariants at each unlock
+//! point). Guard types are the
 //! std ones, so code written against the facade interoperates with
 //! anything expecting `std::sync` guards.
 

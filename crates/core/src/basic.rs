@@ -6,8 +6,10 @@
 //! near-balanced (`|A| − |B| ∈ {0, 1}` along any root path), and the simple
 //! bounding condition `2·min(|A|+|CA|, |B|+|CB|) ≤ best` prunes.
 //!
-//! Exposed mainly as a baseline and as a reference oracle for `denseMBB`
-//! (the `bd3` ablation also swaps it in for the verification stage).
+//! Exposed as a baseline (`mbb --algorithm basic`) and as a reference
+//! oracle for `denseMBB`. The `bd3` ablation does not use it: it runs
+//! `denseMBB` with the polynomial case and the max-missing branching
+//! turned off.
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;

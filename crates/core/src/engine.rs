@@ -15,9 +15,8 @@
 //! * the total **search order** for the configured [`SearchOrder`]
 //!   (projected onto each solve's reduced residual instead of re-peeled),
 //!   built on the first solve that enters stage 2 — a solve that stage 1
-//!   settles never peels;
-//! * the **bicore decomposition** (bidegeneracy order + δ̈), built with the
-//!   order;
+//!   settles never peels; the bidegeneracy order is the bicore peel's
+//!   order, and the session keeps that peel's δ̈ with it;
 //! * the **two-hop index** (materialised once anchored queries repeat).
 //!
 //! Every query goes through one builder with shared budget plumbing:
@@ -52,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use mbb_bigraph::bicore::{bicore_decomposition, BicoreDecomposition};
+use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_bigraph::order::{compute_order, SearchOrder};
 use mbb_bigraph::two_hop::TwoHopIndex;
@@ -106,8 +105,6 @@ struct OrderIndex {
 struct Counters {
     orders_computed: AtomicU64,
     orders_reused: AtomicU64,
-    bicores_computed: AtomicU64,
-    bicores_reused: AtomicU64,
     two_hops_computed: AtomicU64,
     two_hops_reused: AtomicU64,
     preprocess_nanos: AtomicU64,
@@ -130,7 +127,6 @@ pub struct MbbEngine {
     // Each cached index is Arc-wrapped so `fork` can share an already
     // materialised index across sessions without re-deriving it.
     order: OnceLock<Arc<OrderIndex>>,
-    bicore: OnceLock<Arc<BicoreDecomposition>>,
     two_hop: OnceLock<Arc<TwoHopIndex>>,
     counters: Counters,
 }
@@ -154,7 +150,6 @@ impl MbbEngine {
             graph,
             config,
             order: OnceLock::new(),
-            bicore: OnceLock::new(),
             two_hop: OnceLock::new(),
             counters: Counters::default(),
         }
@@ -189,9 +184,6 @@ impl MbbEngine {
         if let Some(cached) = self.order.get() {
             let _ = fork.order.set(Arc::clone(cached));
         }
-        if let Some(cached) = self.bicore.get() {
-            let _ = fork.bicore.set(Arc::clone(cached));
-        }
         if let Some(cached) = self.two_hop.get() {
             let _ = fork.two_hop.set(Arc::clone(cached));
         }
@@ -221,8 +213,6 @@ impl MbbEngine {
         IndexStats {
             orders_computed: self.counters.orders_computed.load(Ordering::Relaxed),
             orders_reused: self.counters.orders_reused.load(Ordering::Relaxed),
-            bicores_computed: self.counters.bicores_computed.load(Ordering::Relaxed),
-            bicores_reused: self.counters.bicores_reused.load(Ordering::Relaxed),
             two_hops_computed: self.counters.two_hops_computed.load(Ordering::Relaxed),
             two_hops_reused: self.counters.two_hops_reused.load(Ordering::Relaxed),
             preprocess_seconds: self.counters.preprocess_nanos.load(Ordering::Relaxed) as f64 / 1e9,
@@ -319,55 +309,28 @@ impl MbbEngine {
     // in-flight build: that query is served from the cache too, so
     // `computed + reused` equals the number of uses under any schedule.
 
-    fn bicore(&self) -> &BicoreDecomposition {
-        let mut built = false;
-        let decomposition = self.bicore.get_or_init(|| {
-            built = true;
-            let _span = mbb_obs::span(mbb_obs::Stage::PreprocessBicore);
-            let start = Instant::now();
-            let decomposition = bicore_decomposition(&self.graph);
-            self.note_preprocess(start);
-            // relaxed: monotonic statistics counter (see below).
-            self.counters
-                .bicores_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Arc::new(decomposition)
-        });
-        if !built {
-            // relaxed: monotonic statistics counter; nothing reads it for
-            // synchronisation (the index itself synchronises via OnceLock).
-            self.counters.bicores_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        decomposition
-    }
-
     fn order_index(&self) -> &OrderIndex {
         let mut built = false;
         let index = self.order.get_or_init(|| {
             built = true;
             let _span = mbb_obs::span(mbb_obs::Stage::PreprocessOrder);
-            // The bidegeneracy order *is* the bicore peel order: derive it
-            // from the cached decomposition instead of re-peeling. Timing
-            // starts after that call — bicore() records its own build.
+            let start = Instant::now();
+            // The bidegeneracy order *is* the bicore peel order; only the
+            // order and δ̈ outlive the peel.
             let (order, bidegeneracy) = match self.config.order {
                 SearchOrder::Bidegeneracy => {
-                    let bicore = self.bicore();
-                    (bicore.order.clone(), Some(bicore.bidegeneracy))
+                    let _span = mbb_obs::span(mbb_obs::Stage::PreprocessBicore);
+                    let bicore = bicore_decomposition(&self.graph);
+                    (bicore.order, Some(bicore.bidegeneracy))
                 }
-                other => {
-                    let start = Instant::now();
-                    let order = compute_order(&self.graph, other);
-                    self.note_preprocess(start);
-                    (order, None)
-                }
+                other => (compute_order(&self.graph, other), None),
             };
-            let start = Instant::now();
             let mut rank = vec![0u32; order.len()];
             for (i, &g) in order.iter().enumerate() {
                 rank[g as usize] = i as u32;
             }
             self.note_preprocess(start);
-            // relaxed: monotonic statistics counter (see above).
+            // relaxed: monotonic statistics counter (see below).
             self.counters
                 .orders_computed
                 .fetch_add(1, Ordering::Relaxed);
@@ -665,10 +628,9 @@ mod tests {
         assert!(solved.termination.is_complete());
         assert!(top.termination.is_complete());
         assert!(anchored.termination.is_complete());
-        // The acceptance bar: one order, one bicore for the whole session.
+        // One order build serves the whole session.
         let index = anchored.stats.index;
         assert_eq!(index.orders_computed, 1);
-        assert_eq!(index.bicores_computed, 1);
         // A second solve reuses the cached order.
         let again = engine.solve();
         assert_eq!(again.stats.index.orders_computed, 1);
@@ -703,8 +665,7 @@ mod tests {
         assert_eq!(solved.stats.bidegeneracy, None);
         let index = solved.stats.index;
         assert_eq!(index.orders_computed, 0);
-        assert_eq!(index.bicores_computed, 0);
-        assert_eq!(index.orders_reused + index.bicores_reused, 0);
+        assert_eq!(index.orders_reused, 0);
     }
 
     #[test]
@@ -713,14 +674,12 @@ mod tests {
         let first = engine.solve();
         assert_eq!(first.stats.stage, Stage::S3);
         assert_eq!(first.stats.index.orders_computed, 1);
-        assert_eq!(first.stats.index.bicores_computed, 1);
         let bidegeneracy = bicore_decomposition(engine.graph()).bidegeneracy;
         assert_eq!(first.stats.bidegeneracy, Some(bidegeneracy));
         let again = engine.solve();
         assert_eq!(again.value.half_size(), first.value.half_size());
         assert_eq!(again.stats.bidegeneracy, Some(bidegeneracy));
         assert_eq!(again.stats.index.orders_computed, 1);
-        assert_eq!(again.stats.index.bicores_computed, 1);
         assert!(again.stats.index.orders_reused >= 1);
     }
 
@@ -739,9 +698,6 @@ mod tests {
         let index = engine.index_stats();
         assert_eq!(index.orders_computed, 1);
         assert_eq!(index.orders_computed + index.orders_reused, solves);
-        // Only the order build reads the bicore decomposition.
-        assert_eq!(index.bicores_computed, 1);
-        assert_eq!(index.bicores_reused, 0);
     }
 
     #[test]
@@ -752,7 +708,6 @@ mod tests {
         assert!(result.value.is_valid(engine.graph()));
         assert_eq!(result.stats.bidegeneracy, None);
         assert_eq!(result.stats.index.orders_computed, 0);
-        assert_eq!(result.stats.index.bicores_computed, 0);
         // Unbudgeted, the same graph does need the order.
         assert_eq!(engine.solve().stats.index.orders_computed, 1);
     }

@@ -99,10 +99,6 @@ pub struct IndexStats {
     pub orders_computed: u64,
     /// Queries served from the cached search order.
     pub orders_reused: u64,
-    /// Bicore decompositions computed from scratch this session.
-    pub bicores_computed: u64,
-    /// Queries served from the cached bicore decomposition.
-    pub bicores_reused: u64,
     /// Two-hop indices computed from scratch this session.
     pub two_hops_computed: u64,
     /// Queries served from the cached two-hop index.
@@ -123,7 +119,7 @@ pub struct SolveStats {
     /// [`MbbSolver`](crate::solver::MbbSolver) solve,
     /// or the *session graph's* cached `δ̈` (an upper bound on the
     /// residual's) when solving through an `MbbEngine`, which reuses its
-    /// decomposition instead of re-peeling the residual. `None` when the
+    /// cached order instead of re-peeling the residual. `None` when the
     /// solve built no order (it ended in stage 1) or its order is not
     /// bidegeneracy.
     pub bidegeneracy: Option<u32>,

@@ -25,16 +25,19 @@ use std::process::ExitCode;
 
 use rules::{Finding, LockClass};
 
-/// Wire-facing serve sources, plus the request and routing code every
-/// admitted request runs: a panic here kills a worker serving a
-/// socket/stdin session instead of producing an error line.
-const WIRE_FILES: [&str; 6] = [
+/// Code that handles outside input. The wire-facing serve sources, plus
+/// the request and routing code every admitted request runs: a panic
+/// there kills a worker serving a socket/stdin session instead of
+/// producing an error line. The `mbb` argv parser: a panic there exits
+/// with code 101 instead of printing the error.
+const WIRE_FILES: [&str; 7] = [
     "crates/serve/src/jsonl.rs",
     "crates/serve/src/stream.rs",
     "crates/serve/src/socket.rs",
     "crates/serve/src/mux.rs",
     "crates/serve/src/request.rs",
     "crates/serve/src/fleet.rs",
+    "crates/cli/src/args.rs",
 ];
 
 /// Solver hot-loop files: per-node work lives here, so raw wall-clock

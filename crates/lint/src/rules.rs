@@ -4,8 +4,9 @@
 //! * `relaxed-justify` — every `Ordering::Relaxed` in production code
 //!   carries a `// relaxed:` justification comment (same line, or within
 //!   [`JUSTIFY_WINDOW`] lines above the site's contiguous run).
-//! * `wire-panic` — no panicking constructs in the wire-facing serve
-//!   sources outside `#[cfg(test)]`.
+//! * `wire-panic` — no panicking constructs in the code that handles
+//!   outside input (the wire-facing serve sources, the `mbb` argv
+//!   parser) outside `#[cfg(test)]`.
 //! * `hot-clock` — no raw `Instant::now()` / `thread::sleep` in solver
 //!   hot-loop files; deadlines go through the sampled `SearchBudget`.
 //! * `obs-hot-clock` — no span/timer construction (`obs::span*`,
@@ -204,8 +205,9 @@ const PANIC_TOKENS: [&str; 6] = [
     "unimplemented!(",
 ];
 
-/// `wire-panic`: wire-facing serve code must degrade to error lines, not
-/// abort the worker. Applies to non-test lines of the configured files.
+/// `wire-panic`: code that handles outside input must report a typed
+/// error, not panic (a panic aborts a serve worker, or the `mbb`
+/// process). Applies to non-test lines of the configured files.
 pub fn check_wire_panic(file: &str, lines: &[SourceLine], out: &mut Vec<Finding>) {
     for idx in 0..lines.len() {
         let line = &lines[idx];
@@ -222,8 +224,8 @@ pub fn check_wire_panic(file: &str, lines: &[SourceLine], out: &mut Vec<Finding>
                         line: line.number,
                         rule: "wire-panic",
                         message: format!(
-                            "`{token}` in wire-facing serve code — return a typed \
-                             ServeError / emit an error line instead of panicking"
+                            "`{token}` in code that handles outside input — return a \
+                             typed error instead of panicking"
                         ),
                     },
                     out,

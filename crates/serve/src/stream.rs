@@ -1233,7 +1233,6 @@ impl StreamServer {
                     shed,
                     search_nodes,
                     index_reuse_hits: reuse(b.orders_reused, a.orders_reused)
-                        + reuse(b.bicores_reused, a.bicores_reused)
                         + reuse(b.two_hops_reused, a.two_hops_reused),
                     reloads,
                 },

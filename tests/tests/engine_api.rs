@@ -190,8 +190,8 @@ fn engine_queries_match_independent_oracles() {
     }
 }
 
-/// One engine, three query kinds, the bidegeneracy order and bicore
-/// decomposition computed exactly once. The graph's solve goes past
+/// One engine, three query kinds, the bidegeneracy order computed exactly
+/// once. The graph's solve goes past
 /// stage 1; a solve that stage 1 settles would never build the order.
 #[test]
 fn one_session_builds_shared_indices_once() {
@@ -202,7 +202,6 @@ fn one_session_builds_shared_indices_once() {
     engine.anchored(Vertex::left(0));
     let index = engine.index_stats();
     assert_eq!(index.orders_computed, 1, "{index:?}");
-    assert_eq!(index.bicores_computed, 1, "{index:?}");
     // Re-solving reuses instead of recomputing.
     let again = engine.solve();
     assert_eq!(again.stats.index.orders_computed, 1);
