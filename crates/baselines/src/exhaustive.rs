@@ -93,7 +93,7 @@ mod tests {
         for seed in 0..10u64 {
             let g = generators::uniform_edges(11, 11, 55, seed);
             let brute = brute_force_mbb(&g);
-            let solved = mbb_core::MbbSolver::new().solve(&g).biclique;
+            let solved = mbb_core::MbbEngine::new(g.clone()).solve().value;
             assert_eq!(brute.half_size(), solved.half_size(), "seed {seed}");
         }
     }

@@ -12,12 +12,12 @@
 //! deliberately skewed Chung–Lu instance.
 //!
 //! One engine is built per instance and pre-warmed, so the cached
-//! bidegeneracy order and bicore decomposition are shared by every timed
-//! solve; speedups isolate the parallel search stages rather than
-//! re-measuring preprocessing. The reported MBB size must be identical at
-//! every thread count and in both modes (the parallel split is a
-//! partition of the serial search space; the binary exits non-zero if
-//! sizes ever disagree, which CI exercises).
+//! bidegeneracy order is shared by every timed solve; speedups isolate
+//! the parallel search stages rather than re-measuring preprocessing.
+//! The reported MBB size must be identical at every thread count and in
+//! both modes (the parallel split is a partition of the serial search
+//! space; the binary exits non-zero if sizes ever disagree, which CI
+//! exercises).
 //!
 //! ```text
 //! cargo run -p mbb-bench --release --bin fig7_scaling -- [--seed 42]

@@ -76,7 +76,7 @@ fn main() {
                 match run_with_timeout(budget, move || dense_mbb_graph(&graph)) {
                     TimedOutcome::Finished { value, seconds } => {
                         dense_total += seconds;
-                        halves.push(value.biclique.half_size());
+                        halves.push(value.0.half_size());
                     }
                     TimedOutcome::TimedOut => {
                         dense_timeout = true;

@@ -304,6 +304,9 @@ impl BitSet {
     /// Visits the stored values in increasing order and removes those for
     /// which `keep` returns false. Each word is read before its values are
     /// visited, so `keep` sees exactly the members present at the call.
+    // `#[inline]` gives each caller's codegen unit its own copy to inline:
+    // the `denseMBB` reduction runs it at every search node.
+    #[inline]
     pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
         for (wi, word) in self.words.iter_mut().enumerate() {
             let mut bits = *word;

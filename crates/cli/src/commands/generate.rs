@@ -218,7 +218,7 @@ mod tests {
         let o = parse("out.txt --kind sparse --left 40 --right 40 --edges 100 --plant 5 --seed 2")
             .unwrap();
         let g = o.build();
-        let best = mbb_core::MbbSolver::new().solve(&g).biclique;
+        let best = mbb_core::MbbEngine::new(g).solve().value;
         assert!(best.half_size() >= 5);
     }
 

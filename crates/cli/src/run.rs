@@ -61,8 +61,8 @@ pub fn run(options: &Options) -> Result<Report, String> {
             )
         }
         Algorithm::Dense => {
-            let result = dense_mbb_graph(&graph);
-            (result.biclique, Some(result.stats), false, "denseMBB")
+            let (biclique, stats) = dense_mbb_graph(&graph);
+            (biclique, Some(stats), false, "denseMBB")
         }
         Algorithm::Basic => {
             let left_ids: Vec<u32> = (0..graph.num_left() as u32).collect();

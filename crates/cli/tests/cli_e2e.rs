@@ -1,7 +1,8 @@
 //! End-to-end tests driving the `mbb` binary: every subcommand, both
 //! output formats, and the error paths.
 
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn mbb(args: &[&str]) -> Output {
@@ -19,19 +20,40 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// A fresh temp path (the test process id + a counter keeps parallel test
+/// A graph file in the temp dir. Dropping it removes the file and the
+/// `.mbbg` cache the binary writes next to it, also when a test fails.
+struct TempGraph(PathBuf);
+
+impl Deref for TempGraph {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempGraph {
+    fn drop(&mut self) {
+        let mut cache = self.0.clone().into_os_string();
+        cache.push(".mbbg");
+        std::fs::remove_file(cache).ok();
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// A fresh temp path (the test process id + a tag keeps parallel test
 /// binaries apart).
-fn temp_path(tag: &str) -> PathBuf {
+fn temp_path(tag: &str) -> TempGraph {
     let mut path = std::env::temp_dir();
     path.push(format!("mbb-cli-e2e-{}-{tag}.txt", std::process::id()));
-    path
+    TempGraph(path)
 }
 
 /// Writes the paper's Figure 1(b) graph (1-based ids) and returns the path.
-fn figure_1b(tag: &str) -> PathBuf {
+fn figure_1b(tag: &str) -> TempGraph {
     let path = temp_path(tag);
     std::fs::write(
-        &path,
+        &*path,
         "% bipartite 6 6\n1 1\n2 1\n2 2\n3 2\n3 3\n3 4\n4 3\n4 4\n5 3\n5 4\n6 5\n6 6\n",
     )
     .expect("temp file writes");
@@ -46,7 +68,6 @@ fn solve_default_command() {
     let text = stdout(&out);
     assert!(text.contains("2x2"), "{text}");
     assert!(text.contains("stage:"), "{text}");
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -61,7 +82,6 @@ fn solve_subcommand_form_matches_legacy() {
     a["seconds"] = serde_json::json!(0);
     b["seconds"] = serde_json::json!(0);
     assert_eq!(a, b);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -75,7 +95,6 @@ fn solve_json_has_one_based_ids() {
         assert!([3, 4, 5].contains(&u.as_u64().unwrap()), "{value}");
     }
     assert_eq!(value["right"], serde_json::json!([3, 4]));
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -86,7 +105,6 @@ fn stats_reports_profile() {
     let text = stdout(&out);
     assert!(text.contains("|E| = 12"), "{text}");
     assert!(text.contains("butterflies"), "{text}");
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -96,7 +114,6 @@ fn stats_json_is_parseable() {
     let value: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
     assert_eq!(value["num_edges"], 12);
     assert!(value.get("butterflies").is_none(), "--full not given");
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -123,7 +140,6 @@ fn generate_then_solve_round_trip() {
     assert!(solve.status.success());
     let value: serde_json::Value = serde_json::from_str(&stdout(&solve)).unwrap();
     assert!(value["half_size"].as_u64().unwrap() >= 5);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -134,7 +150,6 @@ fn enumerate_lists_maximal_bicliques() {
     let text = stdout(&out);
     // The block {3,4,5}×{3,4} (1-based) is one of the maximal bicliques.
     assert!(text.contains("[3, 4, 5] x [3, 4]"), "{text}");
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -147,7 +162,6 @@ fn topk_ranks_best_first() {
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0]["balanced_size"], 2);
     assert!(rows[0]["balanced_size"].as_u64() >= rows[1]["balanced_size"].as_u64());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -159,7 +173,6 @@ fn anchored_requires_valid_vertex() {
     let out_of_range = mbb(&["anchored", path.to_str().unwrap(), "--vertex", "L99"]);
     assert!(!out_of_range.status.success());
     assert!(stderr(&out_of_range).contains("out of range"));
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -172,7 +185,6 @@ fn frontier_reports_corners() {
     assert_eq!(value["complete"], true);
     // The 3×2 block {3,4,5}×{3,4} gives the MEB corner 6 edges.
     assert_eq!(value["meb_edges"], 6);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -187,10 +199,9 @@ fn missing_file_fails_with_message() {
 #[test]
 fn malformed_edge_list_fails() {
     let path = temp_path("malformed");
-    std::fs::write(&path, "1 2\nnot numbers\n").unwrap();
+    std::fs::write(&*path, "1 2\nnot numbers\n").unwrap();
     let out = mbb(&[path.to_str().unwrap()]);
     assert!(!out.status.success());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -270,6 +281,4 @@ fn command_table_surface() {
     let value: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
     assert_eq!(value["timed_out"], false);
     assert_eq!(value["half_size"], 2);
-    std::fs::remove_file(format!("{file}.mbbg")).ok();
-    std::fs::remove_file(path).ok();
 }

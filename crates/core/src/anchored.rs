@@ -273,9 +273,9 @@ mod tests {
     #[test]
     fn anchored_never_exceeds_global_mbb() {
         let g = generators::uniform_edges(10, 10, 40, 3);
-        let global = crate::solver::MbbSolver::new()
-            .solve(&g)
-            .biclique
+        let global = crate::engine::MbbEngine::new(g.clone())
+            .solve()
+            .value
             .half_size();
         let mut best_anchored = 0;
         for u in 0..10u32 {

@@ -88,7 +88,7 @@ impl Default for DenseConfig {
 /// assert!(stats.poly_solves >= 1); // solved via the Lemma 3 case
 /// ```
 pub fn dense_mbb(graph: &LocalGraph, initial_half: usize) -> (LocalBiclique, SearchStats) {
-    dense_mbb_seeded(
+    dense_mbb_budgeted(
         graph,
         Vec::new(),
         Vec::new(),
@@ -96,39 +96,17 @@ pub fn dense_mbb(graph: &LocalGraph, initial_half: usize) -> (LocalBiclique, Sea
         BitSet::full(graph.num_right()),
         initial_half,
         DenseConfig::default(),
-    )
-}
-
-/// Runs `denseMBB` from a partial state: `a`/`b` are already-fixed result
-/// vertices (every candidate in `ca` must be adjacent to all of `b` and
-/// vice versa — the Algorithm 8 caller seeds `a = [centre]`,
-/// `cb ⊆ N(centre)`).
-pub fn dense_mbb_seeded(
-    graph: &LocalGraph,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    ca: BitSet,
-    cb: BitSet,
-    initial_half: usize,
-    config: DenseConfig,
-) -> (LocalBiclique, SearchStats) {
-    dense_mbb_budgeted(
-        graph,
-        a,
-        b,
-        ca,
-        cb,
-        initial_half,
-        config,
         &SearchBudget::unlimited(),
     )
 }
 
-/// [`dense_mbb_seeded`] under a [`SearchBudget`]: the branch-and-bound
-/// checks the budget at every node and unwinds with the best-so-far
-/// biclique once it is exhausted (anytime semantics). With an unlimited
-/// budget this is exactly `dense_mbb_seeded`.
-#[allow(clippy::too_many_arguments)] // mirrors the seeded entry point
+/// Runs `denseMBB` from a partial state under a [`SearchBudget`]: `a`/`b`
+/// are already-fixed result vertices (every candidate in `ca` must be
+/// adjacent to all of `b` and vice versa — the Algorithm 8 caller seeds
+/// `a = [centre]`, `cb ⊆ N(centre)`). The branch-and-bound checks the
+/// budget at every node and unwinds with the best-so-far biclique once it
+/// is exhausted (anytime semantics).
+#[allow(clippy::too_many_arguments)] // the seeded state plus config and budget
 pub fn dense_mbb_budgeted(
     graph: &LocalGraph,
     mut a: Vec<u32>,
@@ -837,7 +815,16 @@ mod tests {
             s.insert(0); // only N(L0)
             s
         };
-        let (b, _) = dense_mbb_seeded(&g, vec![0], vec![], ca, cb, 0, DenseConfig::default());
+        let (b, _) = dense_mbb_budgeted(
+            &g,
+            vec![0],
+            vec![],
+            ca,
+            cb,
+            0,
+            DenseConfig::default(),
+            &SearchBudget::unlimited(),
+        );
         assert_eq!(b.half(), 1);
         assert!(b.left.contains(&0));
     }
@@ -862,7 +849,7 @@ mod tests {
                 use_polynomial_case: false,
                 ..DenseConfig::default()
             };
-            let (b, _) = dense_mbb_seeded(
+            let (b, _) = dense_mbb_budgeted(
                 &g,
                 vec![],
                 vec![],
@@ -870,6 +857,7 @@ mod tests {
                 BitSet::full(7),
                 0,
                 config,
+                &SearchBudget::unlimited(),
             );
             assert_eq!(b.half(), brute_force_half(&g), "seed {seed}");
         }
@@ -986,7 +974,7 @@ mod tests {
             use_polynomial_case: false,
             branch_max_missing: true,
         };
-        let (found, _) = dense_mbb_seeded(
+        let (found, _) = dense_mbb_budgeted(
             &g,
             vec![],
             vec![],
@@ -994,6 +982,7 @@ mod tests {
             BitSet::full(2),
             0,
             config,
+            &SearchBudget::unlimited(),
         );
         assert_eq!(found.half(), 1);
         assert!(g.is_biclique(&found.left, &found.right));
@@ -1020,7 +1009,9 @@ mod tests {
     #[test]
     fn search_trees_are_pinned() {
         let run = |g: &LocalGraph, a: Vec<u32>, ca: BitSet, cb: BitSet, initial_half, config| {
-            let (found, stats) = dense_mbb_seeded(g, a, Vec::new(), ca, cb, initial_half, config);
+            let unlimited = SearchBudget::unlimited();
+            let (found, stats) =
+                dense_mbb_budgeted(g, a, Vec::new(), ca, cb, initial_half, config, &unlimited);
             (found.left, found.right, tree(&stats))
         };
         let full = |g: &LocalGraph| (BitSet::full(g.num_left()), BitSet::full(g.num_right()));
@@ -1105,7 +1096,7 @@ mod tests {
                 use_reductions: false,
                 ..DenseConfig::default()
             };
-            let (b, _) = dense_mbb_seeded(
+            let (b, _) = dense_mbb_budgeted(
                 &g,
                 vec![],
                 vec![],
@@ -1113,6 +1104,7 @@ mod tests {
                 BitSet::full(7),
                 0,
                 config,
+                &SearchBudget::unlimited(),
             );
             assert_eq!(b.half(), brute_force_half(&g), "seed {seed}");
         }

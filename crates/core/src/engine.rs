@@ -63,7 +63,7 @@ use crate::enumerate::{enumerate_budgeted, EnumConfig, EnumOutcome, MaximalBicli
 use crate::frontier::SizeFrontier;
 use crate::meb::{maximum_edge_biclique_budgeted, EdgeBiclique};
 use crate::size_constrained::{find_size_constrained_budgeted, SizeConstrainedBiclique};
-use crate::solver::{MbbSolver, SessionOrder, SolverConfig};
+use crate::solver::{hbv_mbb, SolverConfig};
 use crate::stats::{IndexStats, SolveStats};
 use crate::topk::topk_budgeted;
 use crate::verify::ParallelMode;
@@ -96,9 +96,11 @@ pub struct Enumeration {
 /// Cached session order: the permutation's rank table, and the session
 /// graph's bidegeneracy when the order is [`SearchOrder::Bidegeneracy`].
 #[derive(Debug)]
-struct OrderIndex {
-    rank: Vec<u32>,
-    bidegeneracy: Option<u32>,
+pub(crate) struct OrderIndex {
+    /// `rank[g]` = position of session global id `g` in the order.
+    pub(crate) rank: Vec<u32>,
+    /// δ̈ of the session graph; `None` unless the order is bidegeneracy.
+    pub(crate) bidegeneracy: Option<u32>,
 }
 
 #[derive(Debug, Default)]
@@ -309,7 +311,7 @@ impl MbbEngine {
     // in-flight build: that query is served from the cache too, so
     // `computed + reused` equals the number of uses under any schedule.
 
-    fn order_index(&self) -> &OrderIndex {
+    pub(crate) fn order_index(&self) -> &OrderIndex {
         let mut built = false;
         let index = self.order.get_or_init(|| {
             built = true;
@@ -475,32 +477,33 @@ impl<'e> QueryBuilder<'e> {
     // ---- Terminal methods: the nine query kinds. ----
 
     /// The maximum balanced biclique of the session graph (the `hbvMBB`
-    /// framework, Algorithm 4). The session's cached order is fetched —
+    /// framework, Algorithm 4). The session's cached order is read —
     /// built on first use — only if the solve enters stage 2.
+    ///
+    /// ```
+    /// use mbb_core::MbbEngine;
+    /// let g = mbb_bigraph::generators::uniform_edges(50, 50, 300, 7);
+    /// let engine = MbbEngine::new(g);
+    /// let result = engine.query().solve();
+    /// assert!(result.value.is_valid(engine.graph()));
+    /// assert_eq!(result.stats.optimum_half, result.value.half_size());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics when the [`warm_start`](Self::warm_start) incumbent is not
+    /// a balanced biclique of the session graph.
     pub fn solve(self) -> QueryResult<Biclique> {
-        let engine = self.engine;
         let budget = self.budget();
-        let mut config = engine.config;
+        let mut config = self.engine.config;
         if let Some(threads) = self.threads {
             config.threads = threads;
         }
         if let Some(mode) = self.parallel_mode {
             config.parallel_mode = mode;
         }
-        let fetch_order = || {
-            let order = engine.order_index();
-            SessionOrder {
-                rank: &order.rank,
-                bidegeneracy: order.bidegeneracy,
-            }
-        };
-        let result = MbbSolver::with_config(config).solve_session(
-            &engine.graph,
-            self.incumbent,
-            &budget,
-            Some(&fetch_order),
-        );
-        engine.finish(result.biclique, result.stats, &budget)
+        let (biclique, stats) = hbv_mbb(self.engine, config, self.incumbent, &budget);
+        self.engine.finish(biclique, stats, &budget)
     }
 
     /// The `k` maximal bicliques with the largest balanced size, best
@@ -616,6 +619,7 @@ impl<'e> QueryBuilder<'e> {
 mod tests {
     use super::*;
     use crate::stats::Stage;
+    use crate::testutil::brute_force_half_graph as brute_half;
     use mbb_bigraph::generators;
 
     #[test]
@@ -752,14 +756,10 @@ mod tests {
     fn session_solve_matches_fresh_solver_on_random_graphs() {
         for seed in 0..10u64 {
             let g = generators::uniform_edges(14, 14, 75, seed);
-            let fresh = MbbSolver::new().solve(&g);
+            let expected = brute_half(&g);
             let engine = MbbEngine::new(g);
             let session = engine.solve();
-            assert_eq!(
-                session.value.half_size(),
-                fresh.biclique.half_size(),
-                "seed {seed}"
-            );
+            assert_eq!(session.value.half_size(), expected, "seed {seed}");
             assert!(session.value.is_valid(engine.graph()));
         }
     }
@@ -773,10 +773,10 @@ mod tests {
         ] {
             for seed in 0..4u64 {
                 let g = generators::uniform_edges(11, 11, 55, seed);
-                let fresh = MbbSolver::with_config(config).solve(&g);
+                let expected = brute_half(&g);
                 let engine = MbbEngine::with_config(g, config);
                 let session = engine.solve();
-                assert_eq!(session.value.half_size(), fresh.biclique.half_size());
+                assert_eq!(session.value.half_size(), expected);
             }
         }
     }

@@ -8,7 +8,7 @@
 //! (Zhang et al. 2014, \[29\] in the paper), which reports every maximal
 //! biclique `(A, B)` with `A, B ≠ ∅` exactly once.
 //!
-//! The enumerator is callback-driven ([`enumerate_maximal_bicliques`]) so
+//! The enumerator is callback-driven ([`enumerate_budgeted`]) so
 //! results can be streamed without materialising what may be an
 //! exponential-size output; [`all_maximal_bicliques`] and
 //! [`count_maximal_bicliques`] are convenience wrappers.
@@ -233,12 +233,16 @@ impl<F: FnMut(&MaximalBiclique) -> ControlFlow<()>> Enumerator<'_, F> {
 
 /// Enumerates every maximal biclique of `graph` (both sides non-empty),
 /// each exactly once, streaming them to `visit`. Return
-/// [`ControlFlow::Break`] from the callback to stop early.
+/// [`ControlFlow::Break`] from the callback to stop early. The
+/// enumeration also stops (incomplete) once the budget's deadline passes
+/// or its cancel token fires, and the budget's
+/// [`termination`](SearchBudget::termination) then says which.
 ///
 /// ```
 /// use std::ops::ControlFlow;
 /// use mbb_bigraph::graph::BipartiteGraph;
-/// use mbb_core::enumerate::{enumerate_maximal_bicliques, EnumConfig};
+/// use mbb_core::budget::SearchBudget;
+/// use mbb_core::enumerate::{enumerate_budgeted, EnumConfig};
 ///
 /// // Two overlapping blocks: {0,1}×{0,1} and {1,2}×{1,2} minus (2,1).
 /// let g = BipartiteGraph::from_edges(
@@ -246,7 +250,8 @@ impl<F: FnMut(&MaximalBiclique) -> ControlFlow<()>> Enumerator<'_, F> {
 ///     [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)],
 /// )?;
 /// let mut found = Vec::new();
-/// let outcome = enumerate_maximal_bicliques(&g, &EnumConfig::default(), |b| {
+/// let budget = SearchBudget::unlimited();
+/// let outcome = enumerate_budgeted(&g, &EnumConfig::default(), &budget, |b| {
 ///     found.push((b.left.clone(), b.right.clone()));
 ///     ControlFlow::Continue(())
 /// });
@@ -255,21 +260,6 @@ impl<F: FnMut(&MaximalBiclique) -> ControlFlow<()>> Enumerator<'_, F> {
 /// assert!(found.contains(&(vec![1, 2], vec![2])));
 /// # Ok::<(), mbb_bigraph::graph::GraphError>(())
 /// ```
-pub fn enumerate_maximal_bicliques<F>(
-    graph: &BipartiteGraph,
-    config: &EnumConfig,
-    visit: F,
-) -> EnumOutcome
-where
-    F: FnMut(&MaximalBiclique) -> ControlFlow<()>,
-{
-    enumerate_budgeted(graph, config, &SearchBudget::unlimited(), visit)
-}
-
-/// [`enumerate_maximal_bicliques`] under a [`SearchBudget`]: the
-/// enumeration stops (incomplete) once the budget's deadline passes or its
-/// cancel token fires, and the budget's
-/// [`termination`](SearchBudget::termination) then says which.
 pub fn enumerate_budgeted<F>(
     graph: &BipartiteGraph,
     config: &EnumConfig,
@@ -333,7 +323,7 @@ pub fn all_maximal_bicliques(
     config: &EnumConfig,
 ) -> (Vec<MaximalBiclique>, bool) {
     let mut out = Vec::new();
-    let outcome = enumerate_maximal_bicliques(graph, config, |b| {
+    let outcome = enumerate_budgeted(graph, config, &SearchBudget::unlimited(), |b| {
         out.push(b.clone());
         ControlFlow::Continue(())
     });
@@ -342,8 +332,11 @@ pub fn all_maximal_bicliques(
 
 /// Counts maximal bicliques (both sides non-empty) without storing them.
 pub fn count_maximal_bicliques(graph: &BipartiteGraph) -> u64 {
-    enumerate_maximal_bicliques(graph, &EnumConfig::default(), |_| ControlFlow::Continue(()))
-        .reported
+    let budget = SearchBudget::unlimited();
+    enumerate_budgeted(graph, &EnumConfig::default(), &budget, |_| {
+        ControlFlow::Continue(())
+    })
+    .reported
 }
 
 #[cfg(test)]
@@ -481,7 +474,8 @@ mod tests {
     fn callback_break_stops_early() {
         let g = generators::uniform_edges(10, 10, 50, 2);
         let mut seen = 0u64;
-        let outcome = enumerate_maximal_bicliques(&g, &EnumConfig::default(), |_| {
+        let budget = SearchBudget::unlimited();
+        let outcome = enumerate_budgeted(&g, &EnumConfig::default(), &budget, |_| {
             seen += 1;
             if seen == 2 {
                 ControlFlow::Break(())

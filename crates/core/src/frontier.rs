@@ -104,8 +104,9 @@ impl SizeFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meb::maximum_edge_biclique;
-    use crate::solver::MbbSolver;
+    use crate::engine::MbbEngine;
+    use crate::meb::maximum_edge_biclique_budgeted;
+    use crate::size_constrained::find_size_constrained_budgeted;
     use mbb_bigraph::generators;
     use mbb_bigraph::matching::maximum_vertex_biclique;
 
@@ -129,10 +130,10 @@ mod tests {
             let f = SizeFrontier::budgeted(&g, &SearchBudget::unlimited());
             assert_eq!(
                 f.mbb_half(),
-                MbbSolver::new().solve(&g).biclique.half_size(),
+                MbbEngine::new(g.clone()).solve().value.half_size(),
                 "seed {seed}"
             );
-            let meb = maximum_edge_biclique(&g);
+            let meb = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
             assert_eq!(
                 f.meb_edges(),
                 meb.left.len() * meb.right.len(),
@@ -167,32 +168,32 @@ mod tests {
 
     #[test]
     fn frontier_points_are_realizable() {
-        use crate::size_constrained::find_size_constrained;
         let g = generators::uniform_edges(8, 8, 30, 3);
         let f = SizeFrontier::budgeted(&g, &SearchBudget::unlimited());
         for &(a, b) in &f.pairs {
-            let witness = find_size_constrained(&g, a, b);
+            let witness = find_size_constrained_budgeted(&g, a, b, &SearchBudget::unlimited());
             assert!(witness.is_some(), "({a}, {b}) should be realizable");
         }
     }
 
     #[test]
     fn dominated_points_are_infeasible_beyond_frontier() {
-        use crate::size_constrained::find_size_constrained;
         let g = generators::uniform_edges(8, 8, 30, 7);
         let f = SizeFrontier::budgeted(&g, &SearchBudget::unlimited());
         // One past the frontier in each coordinate must be infeasible.
         for &(a, b) in &f.pairs {
             if !f.is_feasible(a + 1, b) {
                 assert!(
-                    find_size_constrained(&g, a + 1, b).is_none(),
+                    find_size_constrained_budgeted(&g, a + 1, b, &SearchBudget::unlimited())
+                        .is_none(),
                     "({},{b})",
                     a + 1
                 );
             }
             if !f.is_feasible(a, b + 1) {
                 assert!(
-                    find_size_constrained(&g, a, b + 1).is_none(),
+                    find_size_constrained_budgeted(&g, a, b + 1, &SearchBudget::unlimited())
+                        .is_none(),
                     "({a},{})",
                     b + 1
                 );

@@ -12,7 +12,7 @@
 //! * **deletions** invalidate it only when a cached pair loses its edge,
 //!   which is checked eagerly on removal;
 //! * while the edge set is unchanged, the same engine session is reused,
-//!   so its cached indices (order, bicore) amortise across repeated
+//!   so its cached indices (search order, two-hop) amortise across repeated
 //!   [`solve`](IncrementalMbb::solve) calls and any ad-hoc queries made
 //!   through [`engine`](IncrementalMbb::engine).
 
@@ -21,8 +21,7 @@ use std::collections::HashSet;
 use mbb_bigraph::graph::{BipartiteGraph, Builder, GraphError};
 
 use crate::biclique::Biclique;
-use crate::engine::MbbEngine;
-use crate::solver::{MbbSolver, SolveResult};
+use crate::engine::{MbbEngine, QueryResult};
 
 /// An evolving bipartite graph with warm-started MBB re-solving.
 #[derive(Debug)]
@@ -30,13 +29,12 @@ pub struct IncrementalMbb {
     num_left: u32,
     num_right: u32,
     edges: HashSet<(u32, u32)>,
-    solver: MbbSolver,
     /// Engine over the last materialised snapshot; dropped when the edge
     /// set changes (its cached indices describe the old graph).
     engine: Option<MbbEngine>,
-    /// Last solve's optimum; `None` until the first solve or after a
-    /// structural change that emptied it.
-    cached: Option<Biclique>,
+    /// Last solve's result; `None` until the first solve or after a
+    /// deletion that broke its biclique.
+    cached: Option<QueryResult<Biclique>>,
     /// True when the edge set changed since `cached` was computed.
     dirty: bool,
 }
@@ -49,7 +47,6 @@ impl Clone for IncrementalMbb {
             num_left: self.num_left,
             num_right: self.num_right,
             edges: self.edges.clone(),
-            solver: self.solver.clone(),
             engine: None,
             cached: self.cached.clone(),
             dirty: self.dirty,
@@ -60,16 +57,10 @@ impl Clone for IncrementalMbb {
 impl IncrementalMbb {
     /// An empty evolving graph with fixed side sizes.
     pub fn new(num_left: u32, num_right: u32) -> IncrementalMbb {
-        IncrementalMbb::with_solver(num_left, num_right, MbbSolver::new())
-    }
-
-    /// Uses a custom-configured solver for the re-solves.
-    pub fn with_solver(num_left: u32, num_right: u32, solver: MbbSolver) -> IncrementalMbb {
         IncrementalMbb {
             num_left,
             num_right,
             edges: HashSet::new(),
-            solver,
             engine: None,
             cached: None,
             dirty: false,
@@ -104,10 +95,12 @@ impl IncrementalMbb {
         if removed {
             self.dirty = true;
             self.engine = None; // session indices describe the old graph
-                                // Deletion can break the cached biclique; drop it eagerly if
-                                // the removed edge spans two cached vertices.
+
+            // Deletion can break the cached biclique; drop it eagerly if
+            // the removed edge spans two cached vertices.
             if let Some(cached) = &self.cached {
-                if cached.left.binary_search(&u).is_ok() && cached.right.binary_search(&v).is_ok() {
+                let (left, right) = (&cached.value.left, &cached.value.right);
+                if left.binary_search(&u).is_ok() && right.binary_search(&v).is_ok() {
                     self.cached = None;
                 }
             }
@@ -139,8 +132,8 @@ impl IncrementalMbb {
 
     /// Solves the current graph, warm-starting with the cached previous
     /// optimum when it is still valid. The result is cached for the next
-    /// call; repeated calls without modifications return the cache
-    /// without re-solving.
+    /// call; repeated calls without modifications return it without
+    /// re-solving, stats included, with only `stats.index` refreshed.
     ///
     /// ```
     /// use mbb_core::incremental::IncrementalMbb;
@@ -151,43 +144,34 @@ impl IncrementalMbb {
     ///         inc.insert_edge(u, v)?;
     ///     }
     /// }
-    /// assert_eq!(inc.solve().biclique.half_size(), 2);
+    /// assert_eq!(inc.solve().value.half_size(), 2);
     /// inc.insert_edge(2, 2)?; // pendant edge: optimum unchanged
-    /// assert_eq!(inc.solve().biclique.half_size(), 2);
+    /// assert_eq!(inc.solve().value.half_size(), 2);
     /// # Ok::<(), mbb_bigraph::graph::GraphError>(())
     /// ```
-    pub fn solve(&mut self) -> SolveResult {
+    pub fn solve(&mut self) -> QueryResult<Biclique> {
         if !self.dirty {
             if let Some(cached) = &self.cached {
                 // Nothing changed: the cache is the optimum.
-                let stats = crate::stats::SolveStats {
-                    optimum_half: cached.half_size(),
-                    index: self
-                        .engine
-                        .as_ref()
-                        .map(MbbEngine::index_stats)
-                        .unwrap_or_default(),
-                    ..Default::default()
-                };
-                return SolveResult {
-                    biclique: cached.clone(),
-                    stats,
-                };
+                let mut result = cached.clone();
+                result.stats.index = self
+                    .engine
+                    .as_ref()
+                    .map(MbbEngine::index_stats)
+                    .unwrap_or_default();
+                return result;
             }
         }
-        let incumbent = self.cached.take();
+        let incumbent = self.cached.take().map(|cached| cached.value);
         let engine = self.refresh_engine();
         let incumbent = match incumbent {
             Some(cached) if cached.is_valid(engine.graph()) => cached,
             _ => Biclique::empty(),
         };
         let result = engine.query().warm_start(incumbent).solve();
-        self.cached = Some(result.value.clone());
+        self.cached = Some(result.clone());
         self.dirty = false;
-        SolveResult {
-            biclique: result.value,
-            stats: result.stats,
-        }
+        result
     }
 
     /// The engine session over the *current* snapshot, (re)built only when
@@ -201,7 +185,7 @@ impl IncrementalMbb {
     fn refresh_engine(&mut self) -> &MbbEngine {
         if self.engine.is_none() {
             let graph = self.snapshot();
-            self.engine = Some(MbbEngine::with_config(graph, self.solver.config));
+            self.engine = Some(MbbEngine::new(graph));
         }
         self.engine.as_ref().expect("engine just ensured")
     }
@@ -221,7 +205,7 @@ impl IncrementalMbb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::MbbSolver;
+    use crate::stats::{SolveStats, Stage};
 
     use mbb_bigraph::generators;
     use rand::rngs::StdRng;
@@ -235,10 +219,10 @@ mod tests {
             let u = rng.gen_range(0..10);
             let v = rng.gen_range(0..10);
             inc.insert_edge(u, v).unwrap();
-            let fresh = MbbSolver::new().solve(&inc.snapshot()).biclique;
+            let fresh = MbbEngine::new(inc.snapshot()).solve().value;
             let warm = inc.solve();
-            assert_eq!(warm.biclique.half_size(), fresh.half_size());
-            assert!(warm.biclique.is_valid(&inc.snapshot()));
+            assert_eq!(warm.value.half_size(), fresh.half_size());
+            assert!(warm.value.is_valid(&inc.snapshot()));
         }
     }
 
@@ -255,9 +239,9 @@ mod tests {
             } else {
                 inc.insert_edge(u, v).unwrap();
             }
-            let fresh = MbbSolver::new().solve(&inc.snapshot()).biclique;
+            let fresh = MbbEngine::new(inc.snapshot()).solve().value;
             let warm = inc.solve();
-            assert_eq!(warm.biclique.half_size(), fresh.half_size(), "step {step}");
+            assert_eq!(warm.value.half_size(), fresh.half_size(), "step {step}");
         }
     }
 
@@ -269,10 +253,10 @@ mod tests {
                 inc.insert_edge(u, v).unwrap();
             }
         }
-        assert_eq!(inc.solve().biclique.half_size(), 2);
+        assert_eq!(inc.solve().value.half_size(), 2);
         inc.remove_edge(0, 0);
         assert!(inc.cached.is_none(), "cache dropped eagerly");
-        assert_eq!(inc.solve().biclique.half_size(), 1);
+        assert_eq!(inc.solve().value.half_size(), 1);
     }
 
     #[test]
@@ -284,10 +268,22 @@ mod tests {
             }
         }
         inc.insert_edge(2, 2).unwrap();
-        assert_eq!(inc.solve().biclique.half_size(), 2);
+        assert_eq!(inc.solve().value.half_size(), 2);
         inc.remove_edge(2, 2);
         assert!(inc.cached.is_some());
-        assert_eq!(inc.solve().biclique.half_size(), 2);
+        assert_eq!(inc.solve().value.half_size(), 2);
+    }
+
+    /// The fields a cached solve must report as the solve that found it.
+    fn solve_fields(stats: &SolveStats) -> (Stage, usize, usize, usize, [u64; 3]) {
+        let search = &stats.search;
+        (
+            stats.stage,
+            stats.heuristic_global_half,
+            stats.heuristic_local_half,
+            stats.optimum_half,
+            [search.nodes, search.poly_solves, search.bound_prunes],
+        )
     }
 
     #[test]
@@ -296,7 +292,20 @@ mod tests {
         inc.insert_edge(0, 0).unwrap();
         let first = inc.solve();
         let second = inc.solve();
-        assert_eq!(first.biclique, second.biclique);
+        assert_eq!(first.value, second.value);
+        assert_eq!(first.stats.stage, Stage::S1);
+        assert_eq!(solve_fields(&second.stats), solve_fields(&first.stats));
+
+        // A graph that reaches verification, so the search counters the
+        // cached result repeats are not zero.
+        let mut inc = IncrementalMbb::from_graph(&generators::uniform_edges(30, 30, 260, 17));
+        let first = inc.solve();
+        assert_eq!(first.stats.stage, Stage::S3);
+        assert!(first.stats.search.nodes > 0);
+        let second = inc.solve();
+        assert_eq!(first.value, second.value);
+        assert_eq!(solve_fields(&second.stats), solve_fields(&first.stats));
+        assert_eq!(second.stats.index, first.stats.index);
     }
 
     #[test]
@@ -318,7 +327,7 @@ mod tests {
     #[test]
     fn empty_graph_solves_empty() {
         let mut inc = IncrementalMbb::new(5, 5);
-        assert_eq!(inc.solve().biclique.half_size(), 0);
+        assert_eq!(inc.solve().value.half_size(), 0);
     }
 
     #[test]

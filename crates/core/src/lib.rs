@@ -13,8 +13,9 @@
 //!   decomposition; each survivor carries its core numbers;
 //! * [`verify::verify_mbb_budgeted`] — Algorithm 8, maximality
 //!   verification, cutting each survivor by those core numbers;
-//! * [`solver::MbbSolver`] — Algorithm 4, the `hbvMBB` framework,
-//!   O*(1.3803^δ̈) with every Table 3 ablation exposed.
+//! * [`QueryBuilder::solve`] — Algorithm 4, the `hbvMBB` framework,
+//!   O*(1.3803^δ̈), with every Table 3 ablation exposed through
+//!   [`SolverConfig`].
 //!
 //! Beyond the paper: [`enumerate`] (maximal biclique enumeration with
 //! real maximality checking), [`topk`], [`anchored`] (per-vertex and
@@ -24,7 +25,7 @@
 //!
 //! All of these are served by one session object, [`engine::MbbEngine`]:
 //! build it once per graph and it caches the expensive shared indices
-//! (search orders, bicore decomposition, two-hop index) across every
+//! (the search order's rank and δ̈, the two-hop index) across every
 //! query, with deadlines and cancellation threaded through the hot
 //! search loops ([`budget`]). The engine is the one public path per
 //! query kind; the `*_budgeted` functions in the extension modules are
@@ -82,8 +83,8 @@ pub mod weighted;
 pub use biclique::Biclique;
 pub use budget::{CancelToken, SearchBudget, Termination};
 pub use engine::{Enumeration, MbbEngine, QueryBuilder, QueryResult};
-pub use enumerate::{enumerate_maximal_bicliques, EnumConfig, MaximalBiclique};
+pub use enumerate::{EnumConfig, MaximalBiclique};
 pub use frontier::SizeFrontier;
 pub use incremental::IncrementalMbb;
-pub use solver::{dense_mbb_graph, resolve_threads, MbbSolver, SolveResult, SolverConfig};
+pub use solver::{dense_mbb_graph, resolve_threads, SolverConfig};
 pub use stats::{IndexStats, SolveStats, Stage};

@@ -32,25 +32,23 @@ impl EdgeBiclique {
     }
 }
 
-/// Exact maximum edge biclique by branch and bound over left subsets.
+/// Exact maximum edge biclique by branch and bound over left subsets,
+/// under a [`SearchBudget`]: returns the best edge biclique found before
+/// the budget expired.
 ///
 /// A biclique with one empty side has zero edges, so the empty biclique is
 /// returned only for edgeless graphs.
 ///
 /// ```
 /// use mbb_bigraph::graph::BipartiteGraph;
-/// use mbb_core::meb::maximum_edge_biclique;
+/// use mbb_core::budget::SearchBudget;
+/// use mbb_core::meb::maximum_edge_biclique_budgeted;
 /// // A 1×4 star beats any balanced block on edges.
 /// let g = BipartiteGraph::from_edges(2, 4, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)])?;
-/// assert_eq!(maximum_edge_biclique(&g).edges(), 4);
+/// let found = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
+/// assert_eq!(found.edges(), 4);
 /// # Ok::<(), mbb_bigraph::graph::GraphError>(())
 /// ```
-pub fn maximum_edge_biclique(graph: &BipartiteGraph) -> EdgeBiclique {
-    maximum_edge_biclique_budgeted(graph, &SearchBudget::unlimited())
-}
-
-/// [`maximum_edge_biclique`] under a [`SearchBudget`]: returns the best
-/// edge biclique found before the budget expired.
 pub fn maximum_edge_biclique_budgeted(
     graph: &BipartiteGraph,
     budget: &SearchBudget,
@@ -118,6 +116,7 @@ impl MebSearcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MbbEngine;
     use mbb_bigraph::generators;
 
     fn brute_meb_edges(graph: &BipartiteGraph) -> usize {
@@ -146,7 +145,7 @@ mod tests {
     fn matches_brute_force() {
         for seed in 0..12u64 {
             let g = generators::uniform_edges(10, 10, 45, seed);
-            let found = maximum_edge_biclique(&g);
+            let found = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
             assert_eq!(found.edges(), brute_meb_edges(&g), "seed {seed}");
             assert!(g.is_biclique(&found.left, &found.right));
         }
@@ -155,7 +154,7 @@ mod tests {
     #[test]
     fn star_is_the_meb_of_a_star() {
         let g = BipartiteGraph::from_edges(1, 9, (0..9).map(|v| (0, v))).unwrap();
-        let found = maximum_edge_biclique(&g);
+        let found = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
         assert_eq!(found.edges(), 9);
         assert_eq!(found.left, vec![0]);
     }
@@ -163,14 +162,17 @@ mod tests {
     #[test]
     fn complete_graph_takes_everything() {
         let g = generators::complete(4, 6);
-        let found = maximum_edge_biclique(&g);
+        let found = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
         assert_eq!(found.edges(), 24);
     }
 
     #[test]
     fn empty_graph_has_empty_meb() {
         let g = BipartiteGraph::from_edges(3, 3, []).unwrap();
-        assert_eq!(maximum_edge_biclique(&g).edges(), 0);
+        assert_eq!(
+            maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited()).edges(),
+            0
+        );
     }
 
     #[test]
@@ -178,8 +180,8 @@ mod tests {
         // k×k balanced biclique has k² edges ≤ MEB edges.
         for seed in 0..8u64 {
             let g = generators::uniform_edges(12, 12, 70, seed);
-            let mbb = crate::MbbSolver::new().solve(&g).biclique;
-            let meb = maximum_edge_biclique(&g);
+            let mbb = MbbEngine::new(g.clone()).solve().value;
+            let meb = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
             assert!(
                 meb.edges() >= mbb.half_size() * mbb.half_size(),
                 "seed {seed}"
@@ -194,9 +196,9 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..6).map(|v| (0, v)).collect();
         edges.extend([(1, 6), (1, 7), (2, 6), (2, 7)]);
         let g = BipartiteGraph::from_edges(3, 8, edges).unwrap();
-        let meb = maximum_edge_biclique(&g);
+        let meb = maximum_edge_biclique_budgeted(&g, &SearchBudget::unlimited());
         assert_eq!(meb.edges(), 6, "star wins on edges");
-        let mbb = crate::MbbSolver::new().solve(&g).biclique;
+        let mbb = MbbEngine::new(g.clone()).solve().value;
         assert_eq!(mbb.half_size(), 2, "2x2 block wins on balance");
     }
 }

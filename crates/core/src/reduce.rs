@@ -65,6 +65,7 @@ impl Side {
     }
 
     /// Counts every member's degree towards `other`.
+    #[inline] // see `Candidates::count`
     fn count(&mut self, other: &BitSet, degree_in: impl Fn(u32, &BitSet) -> usize) {
         self.degrees.resize(self.set.capacity(), 0);
         for x in self.set.iter() {
@@ -192,6 +193,9 @@ impl Candidates {
     }
 
     /// Counts the degrees of each side whose kept ones are stale.
+    // Runs at every `denseMBB` node: `#[inline]` lets the searcher inline
+    // it whichever of the crate's codegen units each of them lands in.
+    #[inline]
     pub(crate) fn count(&mut self, graph: &LocalGraph) {
         if !self.left.counted {
             self.left

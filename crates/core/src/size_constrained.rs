@@ -68,31 +68,24 @@ fn peel(graph: &BipartiteGraph, a: usize, b: usize) -> InducedSubgraph {
     }
 }
 
-/// Decides the `(a, b)`-biclique problem and returns a witness when one
-/// exists.
+/// Decides the `(a, b)`-biclique problem under a [`SearchBudget`] and
+/// returns a witness when one exists. On exhaustion the query returns
+/// `None` without having certified infeasibility — the engine's
+/// [`Termination`](crate::budget::Termination) distinguishes the two
+/// cases.
 ///
 /// `(0, b)` and `(a, 0)` queries are answered by side sizes alone (an empty
 /// side imposes no completeness constraint).
 ///
 /// ```
 /// use mbb_bigraph::generators::complete;
-/// use mbb_core::size_constrained::find_size_constrained;
+/// use mbb_core::budget::SearchBudget;
+/// use mbb_core::size_constrained::find_size_constrained_budgeted;
 /// let g = complete(3, 5);
-/// assert!(find_size_constrained(&g, 3, 5).is_some());
-/// assert!(find_size_constrained(&g, 4, 1).is_none());
+/// let budget = SearchBudget::unlimited();
+/// assert!(find_size_constrained_budgeted(&g, 3, 5, &budget).is_some());
+/// assert!(find_size_constrained_budgeted(&g, 4, 1, &budget).is_none());
 /// ```
-pub fn find_size_constrained(
-    graph: &BipartiteGraph,
-    a: usize,
-    b: usize,
-) -> Option<SizeConstrainedBiclique> {
-    find_size_constrained_budgeted(graph, a, b, &SearchBudget::unlimited())
-}
-
-/// [`find_size_constrained`] under a [`SearchBudget`]. On exhaustion the
-/// query returns `None` without having certified infeasibility — the
-/// engine's [`Termination`](crate::budget::Termination) distinguishes the
-/// two cases.
 pub fn find_size_constrained_budgeted(
     graph: &BipartiteGraph,
     a: usize,
@@ -220,7 +213,8 @@ mod tests {
             let g = generators::uniform_edges(8, 8, 35, seed);
             for a in 0..=4usize {
                 for b in 0..=4usize {
-                    let found = find_size_constrained(&g, a, b);
+                    let found =
+                        find_size_constrained_budgeted(&g, a, b, &SearchBudget::unlimited());
                     assert_eq!(
                         found.is_some(),
                         brute_decide(&g, a, b),
@@ -239,37 +233,37 @@ mod tests {
     #[test]
     fn zero_sided_queries() {
         let g = generators::uniform_edges(5, 7, 12, 1);
-        let w = find_size_constrained(&g, 0, 6).unwrap();
+        let w = find_size_constrained_budgeted(&g, 0, 6, &SearchBudget::unlimited()).unwrap();
         assert_eq!(w.right.len(), 6);
         assert!(w.left.is_empty());
-        let w = find_size_constrained(&g, 5, 0).unwrap();
+        let w = find_size_constrained_budgeted(&g, 5, 0, &SearchBudget::unlimited()).unwrap();
         assert_eq!(w.left.len(), 5);
-        assert!(find_size_constrained(&g, 0, 8).is_none());
-        assert!(find_size_constrained(&g, 6, 0).is_none());
+        assert!(find_size_constrained_budgeted(&g, 0, 8, &SearchBudget::unlimited()).is_none());
+        assert!(find_size_constrained_budgeted(&g, 6, 0, &SearchBudget::unlimited()).is_none());
     }
 
     #[test]
     fn complete_graph_answers_everything() {
         let g = generators::complete(4, 5);
-        assert!(find_size_constrained(&g, 4, 5).is_some());
-        assert!(find_size_constrained(&g, 4, 6).is_none());
-        assert!(find_size_constrained(&g, 1, 1).is_some());
+        assert!(find_size_constrained_budgeted(&g, 4, 5, &SearchBudget::unlimited()).is_some());
+        assert!(find_size_constrained_budgeted(&g, 4, 6, &SearchBudget::unlimited()).is_none());
+        assert!(find_size_constrained_budgeted(&g, 1, 1, &SearchBudget::unlimited()).is_some());
     }
 
     #[test]
     fn unbalanced_witness_in_star() {
         let g = BipartiteGraph::from_edges(1, 20, (0..20).map(|v| (0, v))).unwrap();
-        let w = find_size_constrained(&g, 1, 20).unwrap();
+        let w = find_size_constrained_budgeted(&g, 1, 20, &SearchBudget::unlimited()).unwrap();
         assert_eq!(w.left, vec![0]);
         assert_eq!(w.right.len(), 20);
-        assert!(find_size_constrained(&g, 2, 1).is_none());
+        assert!(find_size_constrained_budgeted(&g, 2, 1, &SearchBudget::unlimited()).is_none());
     }
 
     #[test]
     fn peeling_preserves_witnesses_on_planted_instances() {
         let g = generators::uniform_edges(40, 40, 120, 5);
         let (planted, _, _) = generators::plant_balanced_biclique(&g, 6);
-        let w = find_size_constrained(&planted, 6, 6).unwrap();
+        let w = find_size_constrained_budgeted(&planted, 6, 6, &SearchBudget::unlimited()).unwrap();
         assert!(planted.is_biclique(&w.left, &w.right));
     }
 }

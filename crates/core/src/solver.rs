@@ -6,16 +6,16 @@ use std::time::Instant;
 
 use mbb_obs as obs;
 
-use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::local::LocalGraph;
-use mbb_bigraph::order::{compute_order, SearchOrder};
+use mbb_bigraph::order::SearchOrder;
 use mbb_bigraph::subgraph::{project_order, InducedSubgraph};
 
 use crate::biclique::Biclique;
 use crate::bridge::{bridge_mbb_budgeted, BridgeConfig};
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_seeded, DenseConfig};
+use crate::dense::{dense_mbb, DenseConfig};
+use crate::engine::MbbEngine;
 use crate::heuristic::{greedy_balanced, hmbb, map_to_parent, DEFAULT_SEEDS};
 use crate::stats::{SolveStats, Stage};
 use crate::verify::{verify_mbb_budgeted, ParallelMode, VerifyConfig};
@@ -49,24 +49,6 @@ pub(crate) fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> T + S
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
-}
-
-/// A cached search order shared by an engine session: the rank of every
-/// session-graph global id under the session's total order, plus the
-/// session graph's bidegeneracy. The solver projects the rank onto the
-/// Lemma 4-reduced residual instead of recomputing a peel order — vertex-
-/// centred decomposition is correct under any total order, so this trades
-/// nothing but the (re-)peeling cost.
-///
-/// The solver receives it through a fetch callback and calls that only on
-/// the first entry to stage 2: an engine builds (or reuses) its cached
-/// order there, so solves that stage 1 settles never pay for the peel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SessionOrder<'a> {
-    /// `rank[g]` = position of session global id `g` in the cached order.
-    pub rank: &'a [u32],
-    /// δ̈ of the session graph; `None` unless the order is bidegeneracy.
-    pub bidegeneracy: Option<u32>,
 }
 
 /// Configuration of the `hbvMBB` framework. The defaults are the paper's
@@ -158,260 +140,181 @@ impl SolverConfig {
     }
 }
 
-/// Result of a solve: the optimum balanced biclique plus instrumentation.
-#[derive(Debug, Clone)]
-pub struct SolveResult {
-    /// The maximum balanced biclique, in input-graph ids.
-    pub biclique: Biclique,
-    /// Statistics (stage, heuristic gaps, search depths, …).
-    pub stats: SolveStats,
-}
+/// Finds a maximum balanced biclique of `engine`'s session graph
+/// (Algorithm 4) under `config`, warm-started with `incumbent` and
+/// stopped early by `budget` (checked at stage boundaries, per bridged
+/// centre and per `denseMBB` node). [`QueryBuilder::solve`] is its one
+/// caller.
+///
+/// Stage 2 reads the session's cached order, building it on first use,
+/// and restricts it to the Lemma 4-reduced residual rather than peeling
+/// the residual: vertex-centred decomposition is correct under any total
+/// order. A solve that stage 1 settles never builds the order.
+///
+/// # Panics
+///
+/// Panics when `incumbent` is neither empty nor a balanced biclique of
+/// the session graph.
+///
+/// [`QueryBuilder::solve`]: crate::engine::QueryBuilder::solve
+pub(crate) fn hbv_mbb(
+    engine: &MbbEngine,
+    config: SolverConfig,
+    incumbent: Biclique,
+    budget: &SearchBudget,
+) -> (Biclique, SolveStats) {
+    let graph = engine.graph();
+    assert!(
+        incumbent.is_empty() || incumbent.is_valid(graph),
+        "warm-start incumbent must be a balanced biclique of the graph"
+    );
+    let mut stats = SolveStats::default();
 
-/// The `hbvMBB` solver.
-#[derive(Debug, Clone, Default)]
-pub struct MbbSolver {
-    /// Configuration used by [`solve`](Self::solve).
-    pub config: SolverConfig,
-}
-
-impl MbbSolver {
-    /// A solver with the paper's default configuration.
-    pub fn new() -> MbbSolver {
-        MbbSolver::default()
-    }
-
-    /// A solver with an explicit configuration.
-    pub fn with_config(config: SolverConfig) -> MbbSolver {
-        MbbSolver { config }
-    }
-
-    /// Finds a maximum balanced biclique of `graph` (Algorithm 4).
-    ///
-    /// ```
-    /// use mbb_core::MbbSolver;
-    /// let g = mbb_bigraph::generators::uniform_edges(50, 50, 300, 7);
-    /// let result = MbbSolver::new().solve(&g);
-    /// assert!(result.biclique.is_valid(&g));
-    /// assert_eq!(result.stats.optimum_half, result.biclique.half_size());
-    /// ```
-    pub fn solve(&self, graph: &BipartiteGraph) -> SolveResult {
-        self.solve_with_incumbent(graph, Biclique::empty())
-    }
-
-    /// Like [`solve`](Self::solve), but warm-started with a known balanced
-    /// biclique of `graph` (for instance the optimum of a previous version
-    /// of the graph that is still valid — the incremental use case). The
-    /// incumbent seeds every pruning bound, so re-solving after small
-    /// changes is much cheaper than solving cold.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `incumbent` is not a valid balanced biclique of
-    /// `graph`.
-    pub fn solve_with_incumbent(&self, graph: &BipartiteGraph, incumbent: Biclique) -> SolveResult {
-        self.solve_session(graph, incumbent, &SearchBudget::unlimited(), None)
-    }
-
-    /// The full-control entry point behind the engine: warm start,
-    /// [`SearchBudget`] (deadline / cancellation, checked at stage
-    /// boundaries, per bridged centre and per `denseMBB` node), and an
-    /// optional fetch of the cached session order, called once stage 2 is
-    /// entered. With an unlimited budget and no session this is exactly
-    /// [`solve_with_incumbent`](Self::solve_with_incumbent).
-    pub(crate) fn solve_session<'s>(
-        &self,
-        graph: &BipartiteGraph,
-        incumbent: Biclique,
-        budget: &SearchBudget,
-        session: Option<&dyn Fn() -> SessionOrder<'s>>,
-    ) -> SolveResult {
-        assert!(
-            incumbent.is_empty() || incumbent.is_valid(graph),
-            "warm-start incumbent must be a balanced biclique of the graph"
-        );
-        let config = self.config;
-        let mut stats = SolveStats::default();
-
-        // ---- Step 1: heuristic + reduction (Algorithm 5). ----
-        // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
-        let stage1_start = Instant::now();
-        let (mut best, reduced) = if config.use_heuristic_stage {
-            let outcome = hmbb(graph, config.heuristic_seeds, config.use_core_optimizations);
-            stats.degeneracy = outcome.degeneracy;
-            if outcome.proven_optimal
-                && config.use_core_optimizations
-                && outcome.best.half_size() >= incumbent.half_size()
-            {
-                stats.stage = Stage::S1;
-                stats.heuristic_global_half = outcome.best.half_size();
-                stats.heuristic_local_half = outcome.best.half_size();
-                stats.optimum_half = outcome.best.half_size();
-                // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
-                obs::record(obs::Stage::SolveHeuristic, stage1_start, Instant::now());
-                return SolveResult {
-                    biclique: outcome.best,
-                    stats,
-                };
-            }
-            let best = if incumbent.half_size() > outcome.best.half_size() {
-                incumbent
-            } else {
-                outcome.best
-            };
-            (best, outcome.reduced)
-        } else {
-            (incumbent, InducedSubgraph::identity(graph))
-        };
-        stats.heuristic_global_half = best.half_size();
-        // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
-        obs::record(obs::Stage::SolveHeuristic, stage1_start, Instant::now());
-
-        // An empty reduced graph means the incumbent is optimal; an
-        // exhausted budget means stage 1's best is all we may report.
-        if reduced.graph.num_left() == 0 || reduced.graph.num_right() == 0 || budget.probe() {
+    // ---- Step 1: heuristic + reduction (Algorithm 5). ----
+    // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
+    let stage1_start = Instant::now();
+    let (mut best, reduced) = if config.use_heuristic_stage {
+        let outcome = hmbb(graph, config.heuristic_seeds, config.use_core_optimizations);
+        stats.degeneracy = outcome.degeneracy;
+        if outcome.proven_optimal
+            && config.use_core_optimizations
+            && outcome.best.half_size() >= incumbent.half_size()
+        {
             stats.stage = Stage::S1;
-            stats.heuristic_local_half = best.half_size();
-            stats.optimum_half = best.half_size();
-            return SolveResult {
-                biclique: best,
-                stats,
-            };
+            stats.heuristic_global_half = outcome.best.half_size();
+            stats.heuristic_local_half = outcome.best.half_size();
+            stats.optimum_half = outcome.best.half_size();
+            // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+            obs::record(obs::Stage::SolveHeuristic, stage1_start, Instant::now());
+            return (outcome.best, stats);
         }
+        let best = if incumbent.half_size() > outcome.best.half_size() {
+            incumbent
+        } else {
+            outcome.best
+        };
+        (best, outcome.reduced)
+    } else {
+        (incumbent, InducedSubgraph::identity(graph))
+    };
+    stats.heuristic_global_half = best.half_size();
+    // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+    obs::record(obs::Stage::SolveHeuristic, stage1_start, Instant::now());
 
-        // ---- Step 2: bridge to maximality (Algorithms 6 and 7). ----
-        // The session order is fetched only now that stage 1 has failed to
-        // settle the solve, and before the stage-2 timestamp, so a first
-        // fetch's `preprocess.*` build stays out of `solve.bridge`.
-        let session = session.map(|fetch| fetch());
-        // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
-        let stage2_start = Instant::now();
-        let (order, bidegeneracy) = match session {
-            // Session path: restrict the cached full-graph order to the
-            // residual instead of re-peeling it. The session δ̈ bounds the
-            // residual's δ̈ from above.
-            Some(shared) => (
-                project_order(shared.rank, graph.num_left(), &reduced),
-                shared.bidegeneracy,
-            ),
-            None if config.order == SearchOrder::Bidegeneracy => {
-                let decomposition = bicore_decomposition(&reduced.graph);
-                (decomposition.order, Some(decomposition.bidegeneracy))
-            }
-            None => (compute_order(&reduced.graph, config.order), None),
-        };
-        stats.bidegeneracy = bidegeneracy;
-        // Translate the incumbent into reduced-graph ids for local pruning;
-        // its vertices may have been reduced away, but only its *size*
-        // matters for pruning, so a placeholder of equal size suffices.
-        let incumbent_local = Biclique {
-            left: vec![u32::MAX; best.half_size()],
-            right: vec![u32::MAX; best.half_size()],
-        };
-        let bridged = bridge_mbb_budgeted(
-            &reduced.graph,
-            &order,
-            incumbent_local,
-            BridgeConfig {
-                use_core_pruning: config.use_core_optimizations,
-                heuristic_seeds: config.heuristic_seeds.min(4),
-                threads: config.threads,
-            },
-            budget,
-        );
-        stats.subgraphs_generated = bridged.stats.generated;
-        stats.avg_subgraph_density = bridged.stats.average_density();
-        stats.avg_subgraph_size = bridged.stats.average_size();
-        stats.max_subgraph_size = bridged.stats.max_size;
-        if bridged.best.half_size() > best.half_size() {
-            best = map_to_parent(&bridged.best, &reduced);
-        }
+    // An empty reduced graph means the incumbent is optimal; an
+    // exhausted budget means stage 1's best is all we may report.
+    if reduced.graph.num_left() == 0 || reduced.graph.num_right() == 0 || budget.probe() {
+        stats.stage = Stage::S1;
         stats.heuristic_local_half = best.half_size();
-        stats.subgraphs_verified = bridged.survivors.len();
-        // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
-        obs::record(obs::Stage::SolveBridge, stage2_start, Instant::now());
-
-        if bridged.survivors.is_empty() || budget.probe() {
-            stats.stage = Stage::S2;
-            stats.optimum_half = best.half_size();
-            return SolveResult {
-                biclique: best,
-                stats,
-            };
-        }
-
-        // ---- Step 3: maximality verification (Algorithm 8). ----
-        // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
-        let stage3_start = Instant::now();
-        let dense_config = DenseConfig {
-            use_polynomial_case: config.use_dense_branching,
-            branch_max_missing: config.use_dense_branching,
-            use_reductions: true,
-        };
-        let incumbent_local = Biclique {
-            left: vec![u32::MAX; best.half_size()],
-            right: vec![u32::MAX; best.half_size()],
-        };
-        let (verified, search_stats) = verify_mbb_budgeted(
-            &reduced.graph,
-            &bridged.survivors,
-            incumbent_local,
-            VerifyConfig {
-                use_core_reduction: config.use_core_optimizations,
-                dense: dense_config,
-                threads: config.threads,
-                mode: config.parallel_mode,
-            },
-            budget,
-        );
-        stats.search = search_stats;
-        if verified.half_size() > best.half_size() {
-            best = map_to_parent(&verified, &reduced);
-        }
-        stats.stage = Stage::S3;
         stats.optimum_half = best.half_size();
-        // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
-        obs::record(obs::Stage::SolveVerify, stage3_start, Instant::now());
-        SolveResult {
-            biclique: best,
-            stats,
-        }
+        return (best, stats);
     }
+
+    // ---- Step 2: bridge to maximality (Algorithms 6 and 7). ----
+    // The session order is read only now that stage 1 has failed to
+    // settle the solve, and before the stage-2 timestamp, so a first
+    // read's `preprocess.*` build stays out of `solve.bridge`.
+    let session_order = engine.order_index();
+    // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
+    let stage2_start = Instant::now();
+    let order = project_order(&session_order.rank, graph.num_left(), &reduced);
+    stats.bidegeneracy = session_order.bidegeneracy;
+    // Translate the incumbent into reduced-graph ids for local pruning;
+    // its vertices may have been reduced away, but only its *size*
+    // matters for pruning, so a placeholder of equal size suffices.
+    let incumbent_local = Biclique {
+        left: vec![u32::MAX; best.half_size()],
+        right: vec![u32::MAX; best.half_size()],
+    };
+    let bridged = bridge_mbb_budgeted(
+        &reduced.graph,
+        &order,
+        incumbent_local,
+        BridgeConfig {
+            use_core_pruning: config.use_core_optimizations,
+            heuristic_seeds: config.heuristic_seeds.min(4),
+            threads: config.threads,
+        },
+        budget,
+    );
+    stats.subgraphs_generated = bridged.stats.generated;
+    stats.avg_subgraph_density = bridged.stats.average_density();
+    stats.avg_subgraph_size = bridged.stats.average_size();
+    stats.max_subgraph_size = bridged.stats.max_size;
+    if bridged.best.half_size() > best.half_size() {
+        best = map_to_parent(&bridged.best, &reduced);
+    }
+    stats.heuristic_local_half = best.half_size();
+    stats.subgraphs_verified = bridged.survivors.len();
+    // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+    obs::record(obs::Stage::SolveBridge, stage2_start, Instant::now());
+
+    if bridged.survivors.is_empty() || budget.probe() {
+        stats.stage = Stage::S2;
+        stats.optimum_half = best.half_size();
+        return (best, stats);
+    }
+
+    // ---- Step 3: maximality verification (Algorithm 8). ----
+    // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
+    let stage3_start = Instant::now();
+    let dense_config = DenseConfig {
+        use_polynomial_case: config.use_dense_branching,
+        branch_max_missing: config.use_dense_branching,
+        use_reductions: true,
+    };
+    let incumbent_local = Biclique {
+        left: vec![u32::MAX; best.half_size()],
+        right: vec![u32::MAX; best.half_size()],
+    };
+    let (verified, search_stats) = verify_mbb_budgeted(
+        &reduced.graph,
+        &bridged.survivors,
+        incumbent_local,
+        VerifyConfig {
+            use_core_reduction: config.use_core_optimizations,
+            dense: dense_config,
+            threads: config.threads,
+            mode: config.parallel_mode,
+        },
+        budget,
+    );
+    stats.search = search_stats;
+    if verified.half_size() > best.half_size() {
+        best = map_to_parent(&verified, &reduced);
+    }
+    stats.stage = Stage::S3;
+    stats.optimum_half = best.half_size();
+    // mbb-lint: allow(hot-clock) stage-boundary timestamp for the obs span
+    obs::record(obs::Stage::SolveVerify, stage3_start, Instant::now());
+    (best, stats)
 }
 
 /// Runs `denseMBB` (Algorithm 3) directly on a whole graph — the §6.1 dense
 /// workload entry point. A degree-greedy warm start seeds the bound.
-pub fn dense_mbb_graph(graph: &BipartiteGraph) -> SolveResult {
-    let mut stats = SolveStats::default();
+pub fn dense_mbb_graph(graph: &BipartiteGraph) -> (Biclique, SolveStats) {
     let score: Vec<u64> = graph.vertices().map(|v| graph.degree(v) as u64).collect();
     let warm = greedy_balanced(graph, &score, 16);
-    stats.heuristic_global_half = warm.half_size();
-
+    let warm_half = warm.half_size();
     let local = LocalGraph::induced(
         graph,
         &(0..graph.num_left() as u32).collect::<Vec<_>>(),
         &(0..graph.num_right() as u32).collect::<Vec<_>>(),
     );
-    let (found, search_stats) = dense_mbb_seeded(
-        &local,
-        Vec::new(),
-        Vec::new(),
-        mbb_bigraph::bitset::BitSet::full(local.num_left()),
-        mbb_bigraph::bitset::BitSet::full(local.num_right()),
-        warm.half_size(),
-        DenseConfig::default(),
-    );
-    stats.search = search_stats;
-    let best = if found.half() > warm.half_size() {
+    let (found, search) = dense_mbb(&local, warm_half);
+    let best = if found.half() > warm_half {
         Biclique::balanced(found.left, found.right)
     } else {
         warm
     };
-    stats.optimum_half = best.half_size();
-    stats.stage = Stage::S3;
-    SolveResult {
-        biclique: best,
-        stats,
-    }
+    let stats = SolveStats {
+        stage: Stage::S3,
+        heuristic_global_half: warm_half,
+        optimum_half: best.half_size(),
+        search,
+        ..SolveStats::default()
+    };
+    (best, stats)
 }
 
 #[cfg(test)]
@@ -424,11 +327,12 @@ mod tests {
     #[test]
     fn default_solver_is_exact() {
         for seed in 0..20u64 {
-            let g = generators::uniform_edges(12, 12, 60, seed);
-            let result = MbbSolver::new().solve(&g);
-            assert_eq!(result.biclique.half_size(), brute_half(&g), "seed {seed}");
-            assert!(result.biclique.is_valid(&g), "seed {seed}");
-            assert_eq!(result.stats.optimum_half, result.biclique.half_size());
+            let engine = MbbEngine::new(generators::uniform_edges(12, 12, 60, seed));
+            let result = engine.solve();
+            let g = engine.graph();
+            assert_eq!(result.value.half_size(), brute_half(g), "seed {seed}");
+            assert!(result.value.is_valid(g), "seed {seed}");
+            assert_eq!(result.stats.optimum_half, result.value.half_size());
         }
     }
 
@@ -445,14 +349,14 @@ mod tests {
             let g = generators::uniform_edges(11, 11, 55, seed);
             let expected = brute_half(&g);
             for (i, config) in configs.iter().enumerate() {
-                let result = MbbSolver::with_config(*config).solve(&g);
+                let result = MbbEngine::with_config(g.clone(), *config).solve();
                 assert_eq!(
-                    result.biclique.half_size(),
+                    result.value.half_size(),
                     expected,
                     "bd{} seed {seed}",
                     i + 1
                 );
-                assert!(result.biclique.is_valid(&g));
+                assert!(result.value.is_valid(&g));
             }
         }
     }
@@ -461,9 +365,9 @@ mod tests {
     fn dense_entry_point_is_exact() {
         for seed in 0..10u64 {
             let g = generators::dense_uniform(10, 10, 0.8, seed);
-            let result = dense_mbb_graph(&g);
-            assert_eq!(result.biclique.half_size(), brute_half(&g), "seed {seed}");
-            assert!(result.biclique.is_valid(&g));
+            let (biclique, _) = dense_mbb_graph(&g);
+            assert_eq!(biclique.half_size(), brute_half(&g), "seed {seed}");
+            assert!(biclique.is_valid(&g));
         }
     }
 
@@ -480,30 +384,30 @@ mod tests {
             17,
         );
         let (planted, _, _) = generators::plant_balanced_biclique(&g, 7);
-        let result = MbbSolver::new().solve(&planted);
-        assert!(result.biclique.half_size() >= 7);
-        assert!(result.biclique.is_valid(&planted));
+        let engine = MbbEngine::new(planted);
+        let result = engine.solve();
+        assert!(result.value.half_size() >= 7);
+        assert!(result.value.is_valid(engine.graph()));
     }
 
     #[test]
     fn empty_graph_solves_to_empty() {
         let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
-        let result = MbbSolver::new().solve(&g);
-        assert_eq!(result.biclique.half_size(), 0);
+        let result = MbbEngine::new(g).solve();
+        assert_eq!(result.value.half_size(), 0);
     }
 
     #[test]
     fn edgeless_graph_solves_to_empty() {
         let g = BipartiteGraph::from_edges(5, 5, []).unwrap();
-        let result = MbbSolver::new().solve(&g);
-        assert_eq!(result.biclique.half_size(), 0);
+        let result = MbbEngine::new(g).solve();
+        assert_eq!(result.value.half_size(), 0);
     }
 
     #[test]
     fn complete_graph_early_terminates() {
-        let g = generators::complete(6, 6);
-        let result = MbbSolver::new().solve(&g);
-        assert_eq!(result.biclique.half_size(), 6);
+        let result = MbbEngine::new(generators::complete(6, 6)).solve();
+        assert_eq!(result.value.half_size(), 6);
         // δ(K6,6) = 6 = half: Lemma 5 fires in stage 1 as soon as the
         // greedy finds the full biclique.
         assert_eq!(result.stats.stage, Stage::S1);
@@ -512,16 +416,12 @@ mod tests {
     #[test]
     fn parallel_verification_matches() {
         for seed in 0..5u64 {
-            let g = generators::uniform_edges(14, 14, 95, seed);
-            let sequential = MbbSolver::new().solve(&g);
-            let parallel = MbbSolver::with_config(SolverConfig {
-                threads: 4,
-                ..Default::default()
-            })
-            .solve(&g);
+            let engine = MbbEngine::new(generators::uniform_edges(14, 14, 95, seed));
+            let sequential = engine.solve();
+            let parallel = engine.query().threads(4).solve();
             assert_eq!(
-                sequential.biclique.half_size(),
-                parallel.biclique.half_size(),
+                sequential.value.half_size(),
+                parallel.value.half_size(),
                 "seed {seed}"
             );
         }
@@ -530,20 +430,20 @@ mod tests {
     #[test]
     fn warm_start_with_optimum_still_returns_optimum() {
         for seed in 0..10u64 {
-            let g = generators::uniform_edges(12, 12, 60, seed ^ 0x31);
-            let cold = MbbSolver::new().solve(&g);
-            let warm = MbbSolver::new().solve_with_incumbent(&g, cold.biclique.clone());
-            assert_eq!(warm.biclique.half_size(), cold.biclique.half_size());
-            assert!(warm.biclique.is_valid(&g));
+            let engine = MbbEngine::new(generators::uniform_edges(12, 12, 60, seed ^ 0x31));
+            let cold = engine.solve();
+            let warm = engine.query().warm_start(cold.value.clone()).solve();
+            assert_eq!(warm.value.half_size(), cold.value.half_size());
+            assert!(warm.value.is_valid(engine.graph()));
         }
     }
 
     #[test]
     fn warm_start_with_suboptimal_incumbent_improves() {
-        let g = generators::complete(4, 4);
+        let engine = MbbEngine::new(generators::complete(4, 4));
         let incumbent = Biclique::balanced(vec![0], vec![0]);
-        let result = MbbSolver::new().solve_with_incumbent(&g, incumbent);
-        assert_eq!(result.biclique.half_size(), 4);
+        let result = engine.query().warm_start(incumbent).solve();
+        assert_eq!(result.value.half_size(), 4);
     }
 
     #[test]
@@ -551,24 +451,23 @@ mod tests {
     fn warm_start_rejects_invalid_incumbent() {
         let g = BipartiteGraph::from_edges(2, 2, [(0, 0)]).unwrap();
         let bogus = Biclique::balanced(vec![0, 1], vec![0, 1]);
-        let _ = MbbSolver::new().solve_with_incumbent(&g, bogus);
+        let _ = MbbEngine::new(g).query().warm_start(bogus).solve();
     }
 
     #[test]
     fn warm_start_without_heuristic_stage() {
         for seed in 0..6u64 {
             let g = generators::uniform_edges(10, 10, 45, seed ^ 0x91);
-            let cold = MbbSolver::with_config(SolverConfig::bd1()).solve(&g);
-            let warm = MbbSolver::with_config(SolverConfig::bd1())
-                .solve_with_incumbent(&g, cold.biclique.clone());
-            assert_eq!(warm.biclique.half_size(), cold.biclique.half_size());
+            let engine = MbbEngine::with_config(g, SolverConfig::bd1());
+            let cold = engine.solve();
+            let warm = engine.query().warm_start(cold.value.clone()).solve();
+            assert_eq!(warm.value.half_size(), cold.value.half_size());
         }
     }
 
     #[test]
     fn stage_statistics_are_populated() {
-        let g = generators::uniform_edges(20, 20, 140, 3);
-        let result = MbbSolver::new().solve(&g);
+        let result = MbbEngine::new(generators::uniform_edges(20, 20, 140, 3)).solve();
         if result.stats.stage == Stage::S3 {
             assert!(result.stats.subgraphs_generated > 0);
         }

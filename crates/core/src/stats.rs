@@ -91,8 +91,8 @@ impl std::fmt::Display for Stage {
 
 /// Shared-index bookkeeping of an engine session: how often each cached
 /// structure was computed versus served from the session cache, plus the
-/// wall-clock cost of the computations. A fresh (non-engine) solve leaves
-/// everything at zero.
+/// wall-clock cost of the computations. Everything is zero outside an
+/// engine session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IndexStats {
     /// Search orders computed from scratch this session.
@@ -114,14 +114,10 @@ pub struct SolveStats {
     pub stage: Stage,
     /// Degeneracy `δ` of the (reduced) graph, if computed.
     pub degeneracy: u32,
-    /// Bidegeneracy `δ̈` of the bidegeneracy order stage 2 used: the
-    /// Lemma 4-reduced residual's `δ̈` for a fresh
-    /// [`MbbSolver`](crate::solver::MbbSolver) solve,
-    /// or the *session graph's* cached `δ̈` (an upper bound on the
-    /// residual's) when solving through an `MbbEngine`, which reuses its
-    /// cached order instead of re-peeling the residual. `None` when the
-    /// solve built no order (it ended in stage 1) or its order is not
-    /// bidegeneracy.
+    /// Bidegeneracy `δ̈` of the session graph, kept with the engine's
+    /// cached order that stage 2 restricts to the Lemma 4-reduced
+    /// residual; it bounds the residual's own `δ̈` from above. `None`
+    /// when the solve ended in stage 1 or the order is not bidegeneracy.
     pub bidegeneracy: Option<u32>,
     /// Half-size found by the global heuristic (`heuGlobal` of Figure 4).
     pub heuristic_global_half: usize,

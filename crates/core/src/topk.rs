@@ -124,8 +124,8 @@ pub fn topk_budgeted(graph: &BipartiteGraph, k: usize, budget: &SearchBudget) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MbbEngine;
     use crate::enumerate::all_maximal_bicliques;
-    use crate::solver::MbbSolver;
     use mbb_bigraph::generators;
 
     /// Reference: full enumeration, same ranking, truncate to k.
@@ -158,7 +158,7 @@ mod tests {
         for seed in 0..15u64 {
             let g = generators::uniform_edges(10, 10, 40, seed ^ 0x5u64);
             let top = topk_budgeted(&g, 1, &SearchBudget::unlimited());
-            let mbb = MbbSolver::new().solve(&g).biclique;
+            let mbb = MbbEngine::new(g.clone()).solve().value;
             let top_half = top.bicliques.first().map_or(0, |b| b.balanced_size());
             assert_eq!(top_half, mbb.half_size(), "seed {seed}");
         }

@@ -26,7 +26,7 @@ use crate::stats::SearchStats;
 
 /// Result of a weighted search: the witness and its total weight. Indices
 /// are in the ids of the graph the search ran on (local indices for
-/// [`weighted_mbb_local`], original side ids for the graph-level
+/// [`weighted_mbb_local_budgeted`], original side ids for the graph-level
 /// [`weighted_mbb_budgeted`] — which induces the identity local graph, so
 /// the two coincide there).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,34 +39,22 @@ pub struct WeightedBiclique {
     pub weight: u64,
 }
 
-/// Exact weighted MBB over a local graph. `left_weights` / `right_weights`
-/// must match the side sizes.
+/// Exact weighted MBB over a local graph under a [`SearchBudget`]: returns
+/// the heaviest balanced biclique found before the budget expired.
+/// `left_weights` / `right_weights` must match the side sizes.
 ///
 /// ```
 /// use mbb_bigraph::local::LocalGraph;
-/// use mbb_core::weighted::weighted_mbb_local;
+/// use mbb_core::budget::SearchBudget;
+/// use mbb_core::weighted::weighted_mbb_local_budgeted;
 ///
 /// // Two disjoint edges: (0,0) weighs 1+1, (1,1) weighs 10+10.
 /// let g = LocalGraph::from_edges(2, 2, [(0, 0), (1, 1)]);
-/// let (best, _) = weighted_mbb_local(&g, &[1, 10], &[1, 10]);
+/// let budget = SearchBudget::unlimited();
+/// let (best, _) = weighted_mbb_local_budgeted(&g, &[1, 10], &[1, 10], &budget);
 /// assert_eq!(best.weight, 20);
 /// assert_eq!(best.left, vec![1]);
 /// ```
-pub fn weighted_mbb_local(
-    graph: &LocalGraph,
-    left_weights: &[u64],
-    right_weights: &[u64],
-) -> (WeightedBiclique, SearchStats) {
-    weighted_mbb_local_budgeted(
-        graph,
-        left_weights,
-        right_weights,
-        &SearchBudget::unlimited(),
-    )
-}
-
-/// [`weighted_mbb_local`] under a [`SearchBudget`]: returns the heaviest
-/// balanced biclique found before the budget expired.
 pub fn weighted_mbb_local_budgeted(
     graph: &LocalGraph,
     left_weights: &[u64],
@@ -241,6 +229,7 @@ impl WeightedSearcher<'_> {
 mod tests {
     use super::*;
     use crate::biclique::Biclique;
+    use crate::engine::MbbEngine;
     use mbb_bigraph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -292,7 +281,7 @@ mod tests {
     fn matches_brute_force_on_random_instances() {
         for seed in 0..40u64 {
             let (g, lw, rw) = random_instance(seed);
-            let (found, _) = weighted_mbb_local(&g, &lw, &rw);
+            let (found, _) = weighted_mbb_local_budgeted(&g, &lw, &rw, &SearchBudget::unlimited());
             assert_eq!(found.weight, brute_force(&g, &lw, &rw), "seed {seed}");
             if found.weight > 0 {
                 assert!(g.is_biclique(&found.left, &found.right), "seed {seed}");
@@ -316,7 +305,7 @@ mod tests {
             let (found, _) = weighted_mbb_budgeted(&g, &weights, &SearchBudget::unlimited());
             let weight = found.weight;
             let biclique = Biclique::balanced(found.left, found.right);
-            let unweighted = crate::solver::MbbSolver::new().solve(&g).biclique;
+            let unweighted = MbbEngine::new(g.clone()).solve().value;
             assert_eq!(weight as usize, 2 * unweighted.half_size(), "seed {seed}");
             assert!(biclique.is_valid(&g));
         }
@@ -334,7 +323,7 @@ mod tests {
         g.add_edge(2, 2);
         let lw = [1, 1, 100];
         let rw = [1, 1, 100];
-        let (found, _) = weighted_mbb_local(&g, &lw, &rw);
+        let (found, _) = weighted_mbb_local_budgeted(&g, &lw, &rw, &SearchBudget::unlimited());
         assert_eq!(found.weight, 200);
         assert_eq!(found.left, vec![2]);
     }
@@ -342,14 +331,16 @@ mod tests {
     #[test]
     fn zero_weights_allowed() {
         let g = LocalGraph::from_edges(2, 2, [(0, 0), (1, 1)]);
-        let (found, _) = weighted_mbb_local(&g, &[0, 0], &[0, 0]);
+        let (found, _) =
+            weighted_mbb_local_budgeted(&g, &[0, 0], &[0, 0], &SearchBudget::unlimited());
         assert_eq!(found.weight, 0);
     }
 
     #[test]
     fn empty_graph() {
         let g = LocalGraph::new(3, 3);
-        let (found, _) = weighted_mbb_local(&g, &[5, 5, 5], &[5, 5, 5]);
+        let (found, _) =
+            weighted_mbb_local_budgeted(&g, &[5, 5, 5], &[5, 5, 5], &SearchBudget::unlimited());
         assert_eq!(found.weight, 0);
         assert!(found.left.is_empty());
     }
@@ -359,7 +350,8 @@ mod tests {
         // Complete 3×3; only 2×2 fits the weights' interest: all complete,
         // so the optimum is the full 3×3 with every weight.
         let g = LocalGraph::from_edges(3, 3, (0..3).flat_map(|u| (0..3).map(move |v| (u, v))));
-        let (found, _) = weighted_mbb_local(&g, &[3, 1, 2], &[1, 5, 1]);
+        let (found, _) =
+            weighted_mbb_local_budgeted(&g, &[3, 1, 2], &[1, 5, 1], &SearchBudget::unlimited());
         assert_eq!(found.weight, 3 + 1 + 2 + 1 + 5 + 1);
         assert_eq!(found.left.len(), 3);
     }
@@ -368,7 +360,7 @@ mod tests {
     #[should_panic(expected = "left weight count")]
     fn wrong_weight_count_panics() {
         let g = LocalGraph::new(2, 2);
-        let _ = weighted_mbb_local(&g, &[1], &[1, 1]);
+        let _ = weighted_mbb_local_budgeted(&g, &[1], &[1, 1], &SearchBudget::unlimited());
     }
 
     #[test]

@@ -269,8 +269,18 @@ impl BoundFrontEnd {
             for _ in 0..workers {
                 scope.spawn(|| worker_loop(&admission, &deliver, &alive));
             }
-            let mut conn_threads = Vec::new();
+            let mut conn_threads: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
             while !stop.load(Ordering::SeqCst) {
+                // Join the threads of connections that have ended, so a
+                // long-running server keeps handles and stacks only for
+                // live ones. A panic is ignored here as at shutdown.
+                for handle in std::mem::take(&mut conn_threads) {
+                    if handle.is_finished() {
+                        let _ = handle.join();
+                    } else {
+                        conn_threads.push(handle);
+                    }
+                }
                 let mut accepted = Vec::new();
                 if let Some(listener) = &tcp {
                     if let Ok((stream, _peer)) = listener.accept() {

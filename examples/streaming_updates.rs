@@ -11,6 +11,7 @@
 //! ```
 
 use mbb_core::incremental::IncrementalMbb;
+use mbb_core::MbbEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "after {:4} edges: MBB is {}x{} (stage {})",
                 tracker.num_edges(),
-                result.biclique.half_size(),
-                result.biclique.half_size(),
+                result.value.half_size(),
+                result.value.half_size(),
                 result.stats.stage,
             );
         }
@@ -67,17 +68,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nfinal: {} authors x {} venues — MBB {}x{}",
         authors,
         venues,
-        final_result.biclique.half_size(),
-        final_result.biclique.half_size()
+        final_result.value.half_size(),
+        final_result.value.half_size()
     );
-    assert!(final_result.biclique.half_size() >= 10);
-    assert!(final_result.biclique.is_valid(&tracker.snapshot()));
+    assert!(final_result.value.half_size() >= 10);
+    assert!(final_result.value.is_valid(&tracker.snapshot()));
 
-    // Warm restarts are exact: compare against a cold solve.
-    let cold = mbb_core::MbbSolver::new()
-        .solve(&tracker.snapshot())
-        .biclique;
-    assert_eq!(cold.half_size(), final_result.biclique.half_size());
+    // Warm restarts are exact: compare against a cold solve on a fresh
+    // engine session.
+    let cold = MbbEngine::new(tracker.snapshot()).solve().value;
+    assert_eq!(cold.half_size(), final_result.value.half_size());
     println!(
         "warm-started result matches cold solve: {}x{}",
         cold.half_size(),

@@ -23,9 +23,8 @@ use mbb_core::enumerate::{EnumConfig, EnumOutcome, MaximalBiclique};
 
 /// Enumerates every maximal biclique (both sides non-empty) exactly once,
 /// routing each through the minimum-degree-rank vertex of its left side.
-/// Must list the same set as
-/// `mbb_core::enumerate::enumerate_maximal_bicliques`.
-pub fn enumerate_maximal_bicliques_scoped<F>(
+/// Must list the same set as `mbb_core::enumerate::enumerate_budgeted`.
+pub fn visit_maximal_bicliques_scoped<F>(
     graph: &BipartiteGraph,
     config: &EnumConfig,
     mut visit: F,
@@ -224,14 +223,14 @@ impl ScopedState<'_> {
     }
 }
 
-/// Collects [`enumerate_maximal_bicliques_scoped`] into a vector, like
+/// Collects [`visit_maximal_bicliques_scoped`] into a vector, like
 /// `mbb_core::enumerate::all_maximal_bicliques`.
 pub fn all_maximal_bicliques_scoped(
     graph: &BipartiteGraph,
     config: &EnumConfig,
 ) -> (Vec<MaximalBiclique>, bool) {
     let mut out = Vec::new();
-    let outcome = enumerate_maximal_bicliques_scoped(graph, config, |b| {
+    let outcome = visit_maximal_bicliques_scoped(graph, config, |b| {
         out.push(b.clone());
         ControlFlow::Continue(())
     });

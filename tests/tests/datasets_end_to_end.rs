@@ -1,6 +1,6 @@
 //! End-to-end runs over the KONECT stand-ins at test scale.
 
-use mbb_core::{MbbSolver, Stage};
+use mbb_core::{MbbEngine, Stage};
 use mbb_datasets::{catalog, find, stand_in, ScaleCaps};
 
 /// Golden round trip: every generator family, written with
@@ -78,17 +78,17 @@ fn generator_write_streaming_read_round_trip() {
 fn every_standin_solves_and_meets_the_plant() {
     for spec in catalog() {
         let standin = stand_in(spec, ScaleCaps::small(), 11);
-        let result = MbbSolver::new().solve(&standin.graph);
+        let result = MbbEngine::new(standin.graph.clone()).solve();
         assert!(
-            result.biclique.is_valid(&standin.graph),
+            result.value.is_valid(&standin.graph),
             "{}: invalid witness",
             spec.name
         );
         assert!(
-            result.biclique.half_size() >= standin.planted_half as usize,
+            result.value.half_size() >= standin.planted_half as usize,
             "{}: found {} < planted {}",
             spec.name,
-            result.biclique.half_size(),
+            result.value.half_size(),
             standin.planted_half
         );
     }
@@ -100,9 +100,9 @@ fn standins_are_deterministic_across_calls() {
     let a = stand_in(spec, ScaleCaps::small(), 3);
     let b = stand_in(spec, ScaleCaps::small(), 3);
     assert_eq!(a.graph.num_edges(), b.graph.num_edges());
-    let ra = MbbSolver::new().solve(&a.graph);
-    let rb = MbbSolver::new().solve(&b.graph);
-    assert_eq!(ra.biclique, rb.biclique);
+    let ra = MbbEngine::new(a.graph.clone()).solve();
+    let rb = MbbEngine::new(b.graph.clone()).solve();
+    assert_eq!(ra.value, rb.value);
 }
 
 #[test]
@@ -113,8 +113,8 @@ fn tough_standins_exercise_later_stages() {
     for name in ["github", "pics-ut", "reuters"] {
         let spec = find(name).unwrap();
         let standin = stand_in(spec, ScaleCaps::default(), 42);
-        let result = MbbSolver::new().solve(&standin.graph);
-        assert!(result.biclique.half_size() >= standin.planted_half as usize);
+        let result = MbbEngine::new(standin.graph.clone()).solve();
+        assert!(result.value.half_size() >= standin.planted_half as usize);
         if result.stats.stage != Stage::S1 {
             later_stage += 1;
         }
@@ -126,9 +126,9 @@ fn tough_standins_exercise_later_stages() {
 fn stage_statistics_are_consistent() {
     let spec = find("escorts").unwrap();
     let standin = stand_in(spec, ScaleCaps::small(), 5);
-    let result = MbbSolver::new().solve(&standin.graph);
+    let result = MbbEngine::new(standin.graph.clone()).solve();
     let stats = &result.stats;
-    assert_eq!(stats.optimum_half, result.biclique.half_size());
+    assert_eq!(stats.optimum_half, result.value.half_size());
     assert!(stats.heuristic_global_half <= stats.heuristic_local_half);
     assert!(stats.heuristic_local_half <= stats.optimum_half);
     if stats.stage == Stage::S3 {
@@ -141,14 +141,14 @@ fn parallel_and_sequential_agree_on_standins() {
     use mbb_core::SolverConfig;
     let spec = find("opsahl-ucforum").unwrap();
     let standin = stand_in(spec, ScaleCaps::small(), 9);
-    let sequential = MbbSolver::new().solve(&standin.graph);
-    let parallel = MbbSolver::with_config(SolverConfig {
-        threads: 4,
-        ..Default::default()
-    })
-    .solve(&standin.graph);
-    assert_eq!(
-        sequential.biclique.half_size(),
-        parallel.biclique.half_size()
-    );
+    let sequential = MbbEngine::new(standin.graph.clone()).solve();
+    let parallel = MbbEngine::with_config(
+        standin.graph,
+        SolverConfig {
+            threads: 4,
+            ..Default::default()
+        },
+    )
+    .solve();
+    assert_eq!(sequential.value.half_size(), parallel.value.half_size());
 }

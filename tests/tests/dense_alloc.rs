@@ -12,7 +12,8 @@ use std::cell::Cell;
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::generators::dense_uniform;
 use mbb_bigraph::local::LocalGraph;
-use mbb_core::dense::{dense_mbb_seeded, DenseConfig};
+use mbb_core::budget::SearchBudget;
+use mbb_core::dense::{dense_mbb_budgeted, DenseConfig};
 use mbb_core::stats::SearchStats;
 
 /// Counts the allocations of the current thread only, so that the test
@@ -62,7 +63,8 @@ fn search(g: &LocalGraph, config: DenseConfig) -> (SearchStats, u64) {
     let before = allocations();
     let ca = BitSet::full(g.num_left());
     let cb = BitSet::full(g.num_right());
-    let (found, stats) = dense_mbb_seeded(g, Vec::new(), Vec::new(), ca, cb, 0, config);
+    let budget = SearchBudget::unlimited();
+    let (found, stats) = dense_mbb_budgeted(g, Vec::new(), Vec::new(), ca, cb, 0, config, &budget);
     let made = allocations() - before;
     assert!(g.is_biclique(&found.left, &found.right));
     (stats, made)

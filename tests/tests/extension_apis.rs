@@ -9,9 +9,10 @@ use mbb_bigraph::butterfly::count_butterflies;
 use mbb_bigraph::generators;
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_bigraph::metrics::GraphProfile;
-use mbb_core::enumerate::{all_maximal_bicliques, enumerate_maximal_bicliques, EnumConfig};
+use mbb_core::budget::SearchBudget;
+use mbb_core::enumerate::{all_maximal_bicliques, enumerate_budgeted, EnumConfig};
 use mbb_core::incremental::IncrementalMbb;
-use mbb_core::{MbbEngine, MbbSolver};
+use mbb_core::MbbEngine;
 
 fn random_graphs(count: u64) -> impl Iterator<Item = BipartiteGraph> {
     (0..count).map(|seed| generators::uniform_edges(12, 12, 55, seed * 31 + 5))
@@ -50,11 +51,11 @@ fn topk_heads_agree_with_solver_across_datasets() {
     for name in ["unicodelang", "dbpedia-writer"] {
         let spec = mbb_datasets::find(name).expect("catalog entry");
         let stand_in = stand_in(spec, ScaleCaps::small(), 1);
-        let solved = MbbSolver::new().solve(&stand_in.graph);
+        let solved = MbbEngine::new(stand_in.graph.clone()).solve();
         let top = MbbEngine::new(stand_in.graph).topk(1);
         assert!(top.termination.is_complete(), "{name}");
         let top_half = top.value.first().map_or(0, |b| b.balanced_size());
-        assert_eq!(top_half, solved.biclique.half_size(), "{name}");
+        assert_eq!(top_half, solved.value.half_size(), "{name}");
     }
 }
 
@@ -102,8 +103,8 @@ fn incremental_tracks_scratch_solver_on_a_stream() {
         if k % 2 == 1 {
             inc.remove_edge(0, 0);
         }
-        let warm = inc.solve().biclique;
-        let cold = MbbSolver::new().solve(&inc.snapshot()).biclique;
+        let warm = inc.solve().value;
+        let cold = MbbEngine::new(inc.snapshot()).solve().value;
         assert_eq!(warm.half_size(), cold.half_size(), "k = {k}");
     }
 }
@@ -146,7 +147,7 @@ fn enumeration_budget_is_honoured_and_partial_results_valid() {
         ..EnumConfig::default()
     };
     let mut count = 0u64;
-    let outcome = enumerate_maximal_bicliques(&g, &config, |b| {
+    let outcome = enumerate_budgeted(&g, &config, &SearchBudget::unlimited(), |b| {
         assert!(g.is_biclique(&b.left, &b.right));
         count += 1;
         ControlFlow::Continue(())
@@ -198,10 +199,10 @@ fn result_types_round_trip_through_json() {
     use mbb_core::frontier::SizeFrontier;
     let g = generators::uniform_edges(8, 8, 30, 21);
 
-    let result = MbbSolver::new().solve(&g);
-    let json = serde_json::to_string(&result.biclique).unwrap();
+    let result = MbbEngine::new(g.clone()).solve();
+    let json = serde_json::to_string(&result.value).unwrap();
     let back: mbb_core::Biclique = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, result.biclique);
+    assert_eq!(back, result.value);
     let stats_json = serde_json::to_string(&result.stats).unwrap();
     assert!(stats_json.contains("stage"));
 

@@ -2,7 +2,7 @@
 
 use mbb_bigraph::graph::{BipartiteGraph, GraphError};
 use mbb_bigraph::io;
-use mbb_core::{Biclique, MbbEngine, MbbSolver};
+use mbb_core::{Biclique, MbbEngine};
 use std::io::Cursor;
 
 /// The MBB, through a one-query engine session.
@@ -16,7 +16,7 @@ fn engine_mbb(g: &BipartiteGraph) -> Biclique {
 fn empty_graph_is_handled_by_everything() {
     let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
     assert_eq!(engine_mbb(&g).half_size(), 0);
-    assert_eq!(mbb_core::dense_mbb_graph(&g).biclique.half_size(), 0);
+    assert_eq!(mbb_core::dense_mbb_graph(&g).0.half_size(), 0);
     assert_eq!(mbb_baselines::ext_bbclq(&g, None).biclique.half_size(), 0);
     assert_eq!(
         mbb_bigraph::bicore::bicore_decomposition(&g).bidegeneracy,
@@ -35,8 +35,8 @@ fn one_sided_graphs() {
 #[test]
 fn isolated_vertices_do_not_crash_anything() {
     let g = BipartiteGraph::from_edges(100, 100, [(0, 0), (1, 1)]).unwrap();
-    let result = MbbSolver::new().solve(&g);
-    assert_eq!(result.biclique.half_size(), 1);
+    let result = MbbEngine::new(g).solve();
+    assert_eq!(result.value.half_size(), 1);
 }
 
 #[test]

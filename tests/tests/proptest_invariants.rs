@@ -7,7 +7,7 @@ use mbb_bigraph::generators;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::matching::maximum_vertex_biclique;
 use mbb_core::budget::SearchBudget;
-use mbb_core::MbbSolver;
+use mbb_core::MbbEngine;
 use proptest::prelude::*;
 
 /// Strategy: a random bipartite graph with sides ≤ 10 and arbitrary edges.
@@ -23,26 +23,26 @@ proptest! {
 
     #[test]
     fn solver_matches_brute_force(g in small_graph()) {
-        let exact = MbbSolver::new().solve(&g);
+        let exact = MbbEngine::new(g.clone()).solve();
         let brute = brute_force_mbb(&g);
-        prop_assert_eq!(exact.biclique.half_size(), brute.half_size());
-        prop_assert!(exact.biclique.is_valid(&g));
+        prop_assert_eq!(exact.value.half_size(), brute.half_size());
+        prop_assert!(exact.value.is_valid(&g));
     }
 
     #[test]
     fn mbb_bounded_by_mvb(g in small_graph()) {
         // A balanced biclique is a biclique: 2·half ≤ MVB total.
-        let exact = MbbSolver::new().solve(&g);
+        let exact = MbbEngine::new(g.clone()).solve();
         let (a, b) = maximum_vertex_biclique(&g);
-        prop_assert!(2 * exact.biclique.half_size() <= a.len() + b.len());
+        prop_assert!(2 * exact.value.half_size() <= a.len() + b.len());
     }
 
     #[test]
     fn mbb_half_bounded_by_degeneracy(g in small_graph()) {
         // A (k,k) biclique is a k-core, so half ≤ δ(G).
-        let exact = MbbSolver::new().solve(&g);
+        let exact = MbbEngine::new(g.clone()).solve();
         let degeneracy = core_decomposition(&g).degeneracy as usize;
-        prop_assert!(exact.biclique.half_size() <= degeneracy);
+        prop_assert!(exact.value.half_size() <= degeneracy);
     }
 
     #[test]
@@ -56,17 +56,17 @@ proptest! {
 
     #[test]
     fn biclique_witness_is_sorted_and_unique(g in small_graph()) {
-        let exact = MbbSolver::new().solve(&g);
-        let b = &exact.biclique;
+        let exact = MbbEngine::new(g.clone()).solve();
+        let b = &exact.value;
         prop_assert!(b.left.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(b.right.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn solver_is_deterministic(g in small_graph()) {
-        let a = MbbSolver::new().solve(&g);
-        let b = MbbSolver::new().solve(&g);
-        prop_assert_eq!(a.biclique, b.biclique);
+        let a = MbbEngine::new(g.clone()).solve();
+        let b = MbbEngine::new(g.clone()).solve();
+        prop_assert_eq!(a.value, b.value);
     }
 }
 
@@ -195,9 +195,12 @@ proptest! {
 
     #[test]
     fn warm_start_never_changes_the_answer(g in small_graph()) {
-        let cold = MbbSolver::new().solve(&g);
-        let warm = MbbSolver::new().solve_with_incumbent(&g, cold.biclique.clone());
-        prop_assert_eq!(warm.biclique.half_size(), cold.biclique.half_size());
+        let cold = MbbEngine::new(g.clone()).solve();
+        let warm = MbbEngine::new(g.clone())
+            .query()
+            .warm_start(cold.value.clone())
+            .solve();
+        prop_assert_eq!(warm.value.half_size(), cold.value.half_size());
     }
 
     #[test]
@@ -217,7 +220,7 @@ proptest! {
         } else {
             inc.insert_edge(u, v).unwrap();
         }
-        let warm = inc.solve().biclique;
+        let warm = inc.solve().value;
         let cold = brute_force_mbb(&inc.snapshot());
         prop_assert_eq!(warm.half_size(), cold.half_size());
     }
@@ -234,9 +237,9 @@ proptest! {
     ) {
         let g = generators::uniform_edges(20, 20, noise, seed);
         let (planted, _, _) = generators::plant_balanced_biclique(&g, half);
-        let exact = MbbSolver::new().solve(&planted);
-        prop_assert!(exact.biclique.half_size() >= half as usize);
-        prop_assert!(exact.biclique.is_valid(&planted));
+        let exact = MbbEngine::new(planted.clone()).solve();
+        prop_assert!(exact.value.half_size() >= half as usize);
+        prop_assert!(exact.value.is_valid(&planted));
     }
 
     #[test]
@@ -245,13 +248,13 @@ proptest! {
     ) {
         // Monotonicity: deleting vertices cannot grow the MBB.
         let g = generators::uniform_edges(10, 10, 45, seed);
-        let full = MbbSolver::new().solve(&g).biclique.half_size();
+        let full = MbbEngine::new(g.clone()).solve().value.half_size();
         let sub = mbb_bigraph::subgraph::induce_by_ids(
             &g,
             (0..8).collect(),
             (0..8).collect(),
         );
-        let reduced = MbbSolver::new().solve(&sub.graph).biclique.half_size();
+        let reduced = MbbEngine::new(sub.graph.clone()).solve().value.half_size();
         prop_assert!(reduced <= full);
     }
 }

@@ -4,14 +4,14 @@
 use mbb_baselines::exhaustive::brute_force_mbb;
 use mbb_baselines::{all_adapted, ext_bbclq};
 use mbb_bigraph::generators;
-use mbb_core::{dense_mbb_graph, MbbSolver, SolverConfig};
+use mbb_core::{dense_mbb_graph, MbbEngine, SolverConfig};
 
 fn all_exact_halves(graph: &mbb_bigraph::BipartiteGraph) -> Vec<(String, usize)> {
     let mut results = Vec::new();
     results.push(("brute".to_string(), brute_force_mbb(graph).half_size()));
     results.push((
         "hbvMBB".to_string(),
-        MbbSolver::new().solve(graph).biclique.half_size(),
+        MbbEngine::new(graph.clone()).solve().value.half_size(),
     ));
     for (name, config) in [
         ("bd1", SolverConfig::bd1()),
@@ -22,16 +22,13 @@ fn all_exact_halves(graph: &mbb_bigraph::BipartiteGraph) -> Vec<(String, usize)>
     ] {
         results.push((
             name.to_string(),
-            MbbSolver::with_config(config)
-                .solve(graph)
-                .biclique
+            MbbEngine::with_config(graph.clone(), config)
+                .solve()
+                .value
                 .half_size(),
         ));
     }
-    results.push((
-        "denseMBB".to_string(),
-        dense_mbb_graph(graph).biclique.half_size(),
-    ));
+    results.push(("denseMBB".to_string(), dense_mbb_graph(graph).0.half_size()));
     results.push(("extBBClq".to_string(), {
         let out = ext_bbclq(graph, None);
         assert!(!out.timed_out);
