@@ -12,12 +12,13 @@
 //! * the cardinality is cached and maintained *inside* each mutating pass
 //!   ([`BitSet::and_assign_count`] and friends), so [`BitSet::len`] — called
 //!   at every branch-and-bound node for the size bound — is `O(1)`;
-//! * counting queries ([`BitSet::intersection_len`],
-//!   [`BitSet::difference_len`]) are single fused AND/ANDNOT + popcount
-//!   passes, never materialising the combined set;
-//! * survivor scans ([`BitSet::first_intersection`],
-//!   [`BitSet::last_intersection`], [`BitSet::first_difference`]) are
-//!   prefix-pruned: they stop at the first non-empty word.
+//! * counting queries ([`BitSet::intersection_len`]) are single fused
+//!   AND + popcount passes, never materialising the combined set;
+//! * the survivor scan [`BitSet::first_intersection`] is prefix-pruned: it
+//!   stops at the first non-empty word;
+//! * [`BitSet::remove_by_word`] removes a mask of members per word with one
+//!   store, so a filter such as the `denseMBB` Lemma 1/2 sweep decides each
+//!   member without a branch.
 //!
 //! Binary operations accept anything implementing [`Bits`] — an owned
 //! [`BitSet`] or a borrowed arena row ([`crate::local::RowRef`]) — so the
@@ -212,52 +213,11 @@ impl BitSet {
         self.len
     }
 
-    /// `self ∪= other`.
-    #[inline]
-    pub fn union_with<B: Bits + ?Sized>(&mut self, other: &B) {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        self.len = kernels::or_assign_count(&mut self.words, other.words());
-    }
-
-    /// `self \= other`.
-    #[inline]
-    pub fn subtract<B: Bits + ?Sized>(&mut self, other: &B) {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        self.len = kernels::andnot_assign_count(&mut self.words, other.words());
-    }
-
     /// `|self ∩ other|` without materialising the intersection.
     #[inline]
     pub fn intersection_len<B: Bits + ?Sized>(&self, other: &B) -> usize {
         debug_assert_eq!(self.capacity, other.bit_capacity());
         kernels::and_popcount(&self.words, other.words())
-    }
-
-    /// `|self \ other|`.
-    #[inline]
-    pub fn difference_len<B: Bits + ?Sized>(&self, other: &B) -> usize {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        kernels::andnot_popcount(&self.words, other.words())
-    }
-
-    /// True when `self ⊆ other`.
-    #[inline]
-    pub fn is_subset<B: Bits + ?Sized>(&self, other: &B) -> bool {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        self.words
-            .iter()
-            .zip(other.words().iter())
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    /// True when `self ∩ other = ∅`.
-    #[inline]
-    pub fn is_disjoint<B: Bits + ?Sized>(&self, other: &B) -> bool {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        self.words
-            .iter()
-            .zip(other.words().iter())
-            .all(|(a, b)| a & b == 0)
     }
 
     /// The smallest stored value, if any.
@@ -279,45 +239,17 @@ impl BitSet {
         kernels::first_and(&self.words, other.words())
     }
 
-    /// Largest member of `self ∩ other` (suffix-pruned backwards scan).
-    #[inline]
-    pub fn last_intersection<B: Bits + ?Sized>(&self, other: &B) -> Option<usize> {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        kernels::last_and(&self.words, other.words())
-    }
-
-    /// Smallest member of `self \ other` (prefix-pruned).
-    #[inline]
-    pub fn first_difference<B: Bits + ?Sized>(&self, other: &B) -> Option<usize> {
-        debug_assert_eq!(self.capacity, other.bit_capacity());
-        kernels::first_andnot(&self.words, other.words())
-    }
-
-    /// Batched multi-row AND: `self ∩= row` for every row, returning the
-    /// final cardinality from one cache-blocked fused pass.
-    pub fn intersect_rows_count(&mut self, rows: &[&[u64]]) -> usize {
-        debug_assert!(rows.iter().all(|r| r.len() == word_count(self.capacity)));
-        self.len = kernels::multi_and_popcount(&mut self.words, rows);
-        self.len
-    }
-
-    /// Visits the stored values in increasing order and removes those for
-    /// which `keep` returns false. Each word is read before its values are
-    /// visited, so `keep` sees exactly the members present at the call.
+    /// Removes from each word the members that `removed(index, word)`
+    /// selects, for the words in increasing order. Each word takes one
+    /// store, whatever the mask.
     // `#[inline]` gives each caller's codegen unit its own copy to inline:
     // the `denseMBB` reduction runs it at every search node.
     #[inline]
-    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+    pub fn remove_by_word(&mut self, mut removed: impl FnMut(usize, u64) -> u64) {
         for (wi, word) in self.words.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if !keep(wi * WORD_BITS + bit) {
-                    *word &= !(1u64 << bit);
-                    self.len -= 1;
-                }
-            }
+            let mask = removed(wi, *word) & *word;
+            *word &= !mask;
+            self.len -= mask.count_ones() as usize;
         }
     }
 
@@ -466,30 +398,19 @@ mod tests {
             let empty = BitSet::new(cap);
             assert_eq!(full.intersection_len(&full), cap, "full∩full at {cap}");
             assert_eq!(full.intersection_len(&empty), 0, "full∩empty at {cap}");
-            assert_eq!(full.difference_len(&empty), cap, "full\\empty at {cap}");
-            assert_eq!(empty.difference_len(&full), 0, "empty\\full at {cap}");
             assert_eq!(
                 full.first_intersection(&full),
                 if cap == 0 { None } else { Some(0) },
                 "first survivor at {cap}"
             );
-            assert_eq!(
-                full.last_intersection(&full),
-                if cap == 0 { None } else { Some(cap - 1) },
-                "last survivor at {cap}"
-            );
-            assert_eq!(full.first_difference(&empty), full.first());
             // Highest admissible element round-trips through every fused op.
             if cap > 0 {
                 let mut top = BitSet::new(cap);
                 top.insert(cap - 1);
                 assert_eq!(top.intersection_len(&full), 1, "top bit at {cap}");
                 assert_eq!(top.first_intersection(&full), Some(cap - 1));
-                assert_eq!(top.last_intersection(&full), Some(cap - 1));
                 let mut clone = top.clone();
                 assert_eq!(clone.and_assign_count(&full), 1);
-                clone.subtract(&full);
-                assert!(clone.is_empty());
                 // insert_all never sets bits beyond the capacity.
                 let mut all = BitSet::new(cap);
                 all.insert_all();
@@ -548,41 +469,11 @@ mod tests {
             a.intersection_len(&b),
             (0..128).filter(|i| i % 6 == 0).count()
         );
-        assert_eq!(a.difference_len(&b), a.len() - a.intersection_len(&b));
         let mut c = a.clone();
         let fused = c.and_assign_count(&b);
         assert_eq!(fused, a.intersection_len(&b));
         assert_eq!(c.len(), a.intersection_len(&b));
-        assert!(c.is_subset(&a));
-        assert!(c.is_subset(&b));
-    }
-
-    #[test]
-    fn subtract_and_union() {
-        let mut a = BitSet::new(64);
-        a.insert(1);
-        a.insert(2);
-        let mut b = BitSet::new(64);
-        b.insert(2);
-        b.insert(3);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.to_vec(), vec![1, 2, 3]);
-        assert_eq!(u.len(), 3);
-        a.subtract(&b);
-        assert_eq!(a.to_vec(), vec![1]);
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn disjoint_detection() {
-        let mut a = BitSet::new(64);
-        a.insert(5);
-        let mut b = BitSet::new(64);
-        b.insert(6);
-        assert!(a.is_disjoint(&b));
-        b.insert(5);
-        assert!(!a.is_disjoint(&b));
+        assert!(c.iter().all(|i| a.contains(i) && b.contains(i)));
     }
 
     #[test]
@@ -608,32 +499,6 @@ mod tests {
         }
         let common: Vec<usize> = a.iter().filter(|&i| b.contains(i)).collect();
         assert_eq!(a.first_intersection(&b), common.first().copied());
-        assert_eq!(a.last_intersection(&b), common.last().copied());
-        let missing: Vec<usize> = a.iter().filter(|&i| !b.contains(i)).collect();
-        assert_eq!(a.first_difference(&b), missing.first().copied());
-    }
-
-    #[test]
-    fn batched_multi_row_and_matches_sequential() {
-        let rows: Vec<BitSet> = (2..6)
-            .map(|step| (0..400).step_by(step).collect::<Vec<usize>>())
-            .map(|v| {
-                let mut s = BitSet::new(400);
-                for i in v {
-                    s.insert(i);
-                }
-                s
-            })
-            .collect();
-        let mut sequential = BitSet::full(400);
-        for r in &rows {
-            sequential.intersect_with(r);
-        }
-        let mut batched = BitSet::full(400);
-        let row_words: Vec<&[u64]> = rows.iter().map(|r| r.words()).collect();
-        let n = batched.intersect_rows_count(&row_words);
-        assert_eq!(batched, sequential);
-        assert_eq!(n, sequential.len());
     }
 
     #[test]
@@ -666,17 +531,19 @@ mod tests {
     }
 
     #[test]
-    fn retain_visits_each_member_once_and_keeps_len() {
+    fn remove_by_word_visits_each_word_once_and_keeps_len() {
         let mut s: BitSet = [1usize, 64, 65, 130, 199].into_iter().collect();
         let mut seen = Vec::new();
-        s.retain(|i| {
-            seen.push(i);
-            i % 2 == 0
+        // Remove the odd members.
+        s.remove_by_word(|wi, word| {
+            seen.push((wi, word));
+            word & 0xAAAA_AAAA_AAAA_AAAA
         });
-        assert_eq!(seen, vec![1, 64, 65, 130, 199]);
+        let want: Vec<(usize, u64)> = vec![(0, 1 << 1), (1, 0b11), (2, 1 << 2), (3, 1 << 7)];
+        assert_eq!(seen, want);
         assert_eq!(s.to_vec(), vec![64, 130]);
         assert_eq!(s.len(), 2);
-        s.retain(|_| false);
+        s.remove_by_word(|_, word| word);
         assert!(s.is_empty());
     }
 

@@ -10,12 +10,10 @@
 //!
 //! | Kernel | Fuses | Used by |
 //! |--------|-------|---------|
-//! | [`and_popcount`] | intersect + count | degree-in-candidates scans |
-//! | [`andnot_popcount`] | subtract + count | Lemma 1/2 missing counts |
+//! | [`and_popcount`] | intersect + count | degree and greedy-score counts |
+//! | [`and_popcount_rows`] | one intersect + count per member row | `denseMBB` side recounts |
 //! | [`and_assign_count`] | in-place intersect + count | candidate inclusion |
-//! | [`or_assign_count`] / [`andnot_assign_count`] | in-place union/subtract + count | incumbent assembly |
-//! | [`first_and`] / [`last_and`] / [`first_andnot`] | intersect + scan, prefix-pruned | survivor row scans |
-//! | [`multi_and_popcount`] | batched multi-row AND + count | consensus / Lemma 3 reduction |
+//! | [`first_and`] | intersect + scan, prefix-pruned | survivor row scans |
 //!
 //! # One implementation
 //!
@@ -78,20 +76,20 @@ fn popcount_chains(words: &[u64]) -> usize {
 macro_rules! popcnt_kernel {
     (
         $(#[$meta:meta])*
-        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> usize
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
         $body:block
     ) => {
         $(#[$meta])*
-        pub fn $name($($arg: $ty),*) -> usize {
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
             #[inline(always)]
-            fn portable($($arg: $ty),*) -> usize $body
+            fn portable($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
             {
                 /// The body compiled for POPCNT; call it only after
                 /// `has_popcnt` returned true.
                 #[target_feature(enable = "popcnt")]
-                fn hardware($($arg: $ty),*) -> usize $body
+                fn hardware($($arg: $ty),*) $(-> $ret)? $body
 
                 if has_popcnt() {
                     // SAFETY: `has_popcnt` verified the CPU feature.
@@ -110,45 +108,49 @@ popcnt_kernel! {
     }
 }
 
+/// Four-chain unrolled `popcount(a & b)`, shared by the AND-count kernels.
+#[inline(always)]
+fn and_popcount_chains(a: &[u64], b: &[u64]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let mut c = [0usize; 4];
+    let ca = a.chunks_exact(4);
+    let cb = b.chunks_exact(4);
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (x, y) in ca.zip(cb) {
+        c[0] += (x[0] & y[0]).count_ones() as usize;
+        c[1] += (x[1] & y[1]).count_ones() as usize;
+        c[2] += (x[2] & y[2]).count_ones() as usize;
+        c[3] += (x[3] & y[3]).count_ones() as usize;
+    }
+    for (x, y) in ra.iter().zip(rb) {
+        c[0] += (x & y).count_ones() as usize;
+    }
+    c[0] + c[1] + c[2] + c[3]
+}
+
 popcnt_kernel! {
     /// Fused `popcount(a & b)` — `intersection_len` without materialising.
     pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let mut c = [0usize; 4];
-        let ca = a.chunks_exact(4);
-        let cb = b.chunks_exact(4);
-        let (ra, rb) = (ca.remainder(), cb.remainder());
-        for (x, y) in ca.zip(cb) {
-            c[0] += (x[0] & y[0]).count_ones() as usize;
-            c[1] += (x[1] & y[1]).count_ones() as usize;
-            c[2] += (x[2] & y[2]).count_ones() as usize;
-            c[3] += (x[3] & y[3]).count_ones() as usize;
-        }
-        for (x, y) in ra.iter().zip(rb) {
-            c[0] += (x & y).count_ones() as usize;
-        }
-        c[0] + c[1] + c[2] + c[3]
+        and_popcount_chains(a, b)
     }
 }
 
 popcnt_kernel! {
-    /// Fused `popcount(a & !b)` — `difference_len` without materialising.
-    pub fn andnot_popcount(a: &[u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let mut c = [0usize; 4];
-        let ca = a.chunks_exact(4);
-        let cb = b.chunks_exact(4);
-        let (ra, rb) = (ca.remainder(), cb.remainder());
-        for (x, y) in ca.zip(cb) {
-            c[0] += (x[0] & !y[0]).count_ones() as usize;
-            c[1] += (x[1] & !y[1]).count_ones() as usize;
-            c[2] += (x[2] & !y[2]).count_ones() as usize;
-            c[3] += (x[3] & !y[3]).count_ones() as usize;
+    /// `out[x] = popcount(row(x) & other)` for every set bit `x` of
+    /// `members`, where `rows` holds the rows back to back, `other.len()`
+    /// words each, and row `x` starts at word `x * other.len()`. The
+    /// entries of `out` at other positions are left as they were. One call
+    /// counts a whole side of candidates against the other side's set.
+    pub fn and_popcount_rows(rows: &[u64], members: &[u64], other: &[u64], out: &mut [u32]) {
+        let n = other.len();
+        for (wi, &word) in members.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let x = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out[x] = and_popcount_chains(&rows[x * n..(x + 1) * n], other) as u32;
+            }
         }
-        for (x, y) in ra.iter().zip(rb) {
-            c[0] += (x & !y).count_ones() as usize;
-        }
-        c[0] + c[1] + c[2] + c[3]
     }
 }
 
@@ -185,34 +187,6 @@ popcnt_kernel! {
     }
 }
 
-popcnt_kernel! {
-    /// Fused in-place `a |= b` returning the new popcount in the same pass.
-    pub fn or_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let mut count = 0usize;
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            let w = *x | *y;
-            *x = w;
-            count += w.count_ones() as usize;
-        }
-        count
-    }
-}
-
-popcnt_kernel! {
-    /// Fused in-place `a &= !b` returning the new popcount in the same pass.
-    pub fn andnot_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let mut count = 0usize;
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            let w = *x & !*y;
-            *x = w;
-            count += w.count_ones() as usize;
-        }
-        count
-    }
-}
-
 /// First survivor of `a & b` (prefix-pruned: stops at the first hit).
 pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
     debug_assert_eq!(a.len(), b.len());
@@ -223,59 +197,6 @@ pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
         }
     }
     None
-}
-
-/// Last survivor of `a & b` (suffix-pruned: scans backwards).
-pub fn last_and(a: &[u64], b: &[u64]) -> Option<usize> {
-    debug_assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate().rev() {
-        let w = x & y;
-        if w != 0 {
-            return Some(i * 64 + 63 - w.leading_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// First survivor of `a & !b` (prefix-pruned).
-pub fn first_andnot(a: &[u64], b: &[u64]) -> Option<usize> {
-    debug_assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        let w = x & !y;
-        if w != 0 {
-            return Some(i * 64 + w.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// Cache-block size for the batched multi-row AND: 128 words = 1 KiB, so
-/// the accumulator chunk stays L1-resident while every row streams by.
-const MULTI_AND_CHUNK: usize = 128;
-
-popcnt_kernel! {
-    /// Batched multi-row AND + fused count: `acc &= r` for every row `r`,
-    /// returning the final popcount. Cache-blocked so the accumulator chunk
-    /// stays L1-resident while every row streams through it, with the
-    /// popcount fused into the last touch of each chunk.
-    pub fn multi_and_popcount(acc: &mut [u64], rows: &[&[u64]]) -> usize {
-        let n = acc.len();
-        let mut total = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + MULTI_AND_CHUNK).min(n);
-            for row in rows {
-                debug_assert_eq!(row.len(), n);
-                let chunk = &mut acc[start..end];
-                for (x, y) in chunk.iter_mut().zip(row[start..end].iter()) {
-                    *x &= *y;
-                }
-            }
-            total += popcount_chains(&acc[start..end]);
-            start = end;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +211,6 @@ mod tests {
             assert_eq!(popcount(&full), n * 64);
             assert_eq!(popcount(&empty), 0);
             assert_eq!(and_popcount(&full, &empty), 0);
-            assert_eq!(andnot_popcount(&full, &empty), n * 64);
         }
     }
 }

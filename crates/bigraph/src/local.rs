@@ -86,6 +86,15 @@ impl RowArena {
         debug_assert!(i < self.rows && bit < self.row_capacity);
         (self.words[i * self.words_per_row + bit / 64] >> (bit % 64)) & 1 == 1
     }
+
+    /// `out[i] = |row(i) ∩ other|` for every `i ∈ members`, leaving the
+    /// other entries of `out` alone, in one kernel call for the whole set.
+    #[inline]
+    fn degrees_in(&self, members: &BitSet, other: &BitSet, out: &mut [u32]) {
+        debug_assert_eq!(members.capacity(), self.rows);
+        debug_assert_eq!(other.capacity(), self.row_capacity);
+        kernels::and_popcount_rows(&self.words, members.words(), other.words(), out);
+    }
 }
 
 /// A borrowed adjacency row of a [`LocalGraph`]: a read-only bitset view
@@ -293,55 +302,23 @@ impl LocalGraph {
         kernels::and_popcount(self.right_adj.row(v as usize), candidates.words())
     }
 
-    /// Number of *missing* neighbours of left `u` within `candidates ⊆ R`.
+    /// Writes `deg(u, candidates)` to `out[u]` for every left `u ∈ members`,
+    /// in one call for the whole set. The other entries of `out` are left
+    /// as they were.
     #[inline]
-    pub fn left_missing_in<B: Bits + ?Sized>(&self, u: u32, candidates: &B) -> usize {
-        debug_assert_eq!(candidates.bit_capacity(), self.left_adj.row_capacity);
-        kernels::andnot_popcount(candidates.words(), self.left_adj.row(u as usize))
+    pub fn left_degrees_in(&self, members: &BitSet, candidates: &BitSet, out: &mut [u32]) {
+        self.left_adj.degrees_in(members, candidates, out);
     }
 
-    /// Number of missing neighbours of right `v` within `candidates ⊆ L`.
+    /// Writes `deg(v, candidates)` to `out[v]` for every right `v ∈ members`.
     #[inline]
-    pub fn right_missing_in<B: Bits + ?Sized>(&self, v: u32, candidates: &B) -> usize {
-        debug_assert_eq!(candidates.bit_capacity(), self.right_adj.row_capacity);
-        kernels::andnot_popcount(candidates.words(), self.right_adj.row(v as usize))
-    }
-
-    /// Right-side vertices adjacent to *every* left vertex in `us`, computed
-    /// with one cache-blocked batched multi-row AND (`us` empty → all of R).
-    pub fn common_neighbors_of_left(&self, us: &[u32]) -> BitSet {
-        let mut acc = BitSet::full(self.num_right());
-        let rows: Vec<&[u64]> = us.iter().map(|&u| self.left_adj.row(u as usize)).collect();
-        acc.intersect_rows_count(&rows);
-        acc
-    }
-
-    /// Left-side vertices adjacent to every right vertex in `vs`.
-    pub fn common_neighbors_of_right(&self, vs: &[u32]) -> BitSet {
-        let mut acc = BitSet::full(self.num_left());
-        let rows: Vec<&[u64]> = vs.iter().map(|&v| self.right_adj.row(v as usize)).collect();
-        acc.intersect_rows_count(&rows);
-        acc
+    pub fn right_degrees_in(&self, members: &BitSet, candidates: &BitSet, out: &mut [u32]) {
+        self.right_adj.degrees_in(members, candidates, out);
     }
 
     /// Validates that `(a, b)` is a biclique (all local indices).
     pub fn is_biclique(&self, a: &[u32], b: &[u32]) -> bool {
         a.iter().all(|&u| b.iter().all(|&v| self.has_edge(u, v)))
-    }
-
-    /// The bipartite complement (edges flipped).
-    pub fn complement(&self) -> LocalGraph {
-        let nl = self.num_left();
-        let nr = self.num_right();
-        let mut out = LocalGraph::new(nl, nr);
-        for u in 0..nl {
-            let mut row = BitSet::full(nr);
-            row.subtract(&self.left_row(u as u32));
-            for v in row.iter() {
-                out.add_edge(u as u32, v as u32);
-            }
-        }
-        out
     }
 }
 
@@ -411,45 +388,16 @@ mod tests {
         cb.insert(3);
         assert_eq!(g.left_degree_in(0, &cb), 1);
         assert_eq!(g.left_degree_in(1, &cb), 1);
-        assert_eq!(g.left_missing_in(0, &cb), 1); // misses 3
         let mut ca = BitSet::new(2);
         ca.insert(0);
         ca.insert(1);
         assert_eq!(g.right_degree_in(0, &ca), 1);
-        assert_eq!(g.right_missing_in(0, &ca), 1);
-    }
-
-    #[test]
-    fn common_neighbors_use_batched_multi_row_and() {
-        let g = LocalGraph::from_edges(
-            3,
-            5,
-            [(0, 0), (0, 1), (0, 4), (1, 1), (1, 4), (2, 1), (2, 2)],
-        );
-        assert_eq!(g.common_neighbors_of_left(&[0, 1]).to_vec(), vec![1, 4]);
-        assert_eq!(g.common_neighbors_of_left(&[0, 1, 2]).to_vec(), vec![1]);
-        assert_eq!(g.common_neighbors_of_left(&[]).len(), 5);
-        assert_eq!(g.common_neighbors_of_right(&[1, 4]).to_vec(), vec![0, 1]);
-    }
-
-    #[test]
-    fn complement_involution() {
-        let g = LocalGraph::from_edges(3, 3, [(0, 0), (1, 1), (2, 2), (0, 2)]);
-        let cc = g.complement().complement();
-        for u in 0..3 {
-            for v in 0..3 {
-                assert_eq!(g.has_edge(u, v), cc.has_edge(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn complement_edge_count() {
-        let g = LocalGraph::from_edges(3, 4, [(0, 0), (1, 2)]);
-        let c = g.complement();
-        assert_eq!(c.num_edges(), 12 - 2);
-        assert!(!c.has_edge(0, 0));
-        assert!(c.has_edge(0, 1));
+        // The batched counts write members only.
+        let mut out = [7u32; 4];
+        g.left_degrees_in(&ca, &cb, &mut out);
+        assert_eq!(out, [1, 1, 7, 7]);
+        g.right_degrees_in(&cb, &ca, &mut out);
+        assert_eq!(out, [1, 1, 7, 1]);
     }
 
     #[test]

@@ -193,9 +193,6 @@ struct DenseSearcher<'g> {
     /// child takes one and returns it when its subtree is done, so the
     /// pool holds one per include depth reached.
     spare: Vec<Candidates>,
-    /// Degree histograms of [`scan_candidates`].
-    hist_a: Vec<u32>,
-    hist_b: Vec<u32>,
     /// The Lemma 3 decomposition and DP table.
     lemma3: DynamicMbb,
 }
@@ -217,8 +214,6 @@ impl<'g> DenseSearcher<'g> {
             budget: budget.clone(),
             shared_best,
             spare: Vec::new(),
-            hist_a: Vec::new(),
-            hist_b: Vec::new(),
             lemma3: DynamicMbb::default(),
         }
     }
@@ -294,20 +289,16 @@ impl<'g> DenseSearcher<'g> {
         }
 
         // One pass over both candidate sets reading missing-neighbour
-        // counts. It feeds three decisions at once: the degree-histogram
+        // counts. It feeds three decisions at once: the degree-threshold
         // bound, the Lemma 3 polynomial-case test (max missing ≤ 2) and
         // the triviality-last branch choice (argmax missing). The
         // reduction leaves every degree counted; without it, count here.
         node.count(self.graph);
-        let scan = scan_candidates(
-            self.graph,
-            a.len(),
-            b.len(),
-            node,
-            &mut self.hist_a,
-            &mut self.hist_b,
-        );
-        if scan.upper_bound <= self.best_half {
+        let scan = scan_candidates(self.graph, a.len(), b.len(), node, self.best_half);
+        // Lemma 2 at fixpoint leaves every candidate above the threshold,
+        // so after a reduction the bound passes whenever the re-bound did.
+        debug_assert!(scan.can_improve || !self.config.use_reductions);
+        if !scan.can_improve {
             self.stats.bound_prunes += 1;
             self.leaf(depth);
             return StepOutcome::Resolved;
@@ -615,98 +606,64 @@ struct CandidateScan {
     /// strictly larger count, the first right one with that count.
     /// `None` only when both candidate sets are empty.
     argmax: Option<(bool, u32)>,
-    /// Degree-histogram upper bound on the reachable half-size.
-    upper_bound: usize,
+    /// Whether the degree-threshold bound leaves room for a balanced
+    /// biclique larger than the incumbent.
+    can_improve: bool,
 }
 
 /// Single pass over the candidate sets: missing counts, argmax, and the
-/// degree-histogram bound. Every degree is read from `node`'s counted
-/// arrays; debug builds check each against a fresh count. `hist_a`/`hist_b`
-/// are the caller's reused histogram buffers.
+/// degree-threshold bound. Every degree is read from `node`'s counted
+/// arrays; debug builds check each against a fresh count.
 ///
 /// The bound: a balanced biclique of half-size `k` reachable from this
 /// state needs, on each side, at least `k` vertices whose degree towards
 /// the other side's remaining material is at least `k` — specifically
 /// `avail_A(k) = |A| + #{u ∈ CA : |B| + deg(u, CB) ≥ k} ≥ k` and
-/// symmetrically. The largest `k` satisfying both dominates the plain
-/// `min(|A|+|CA|, |B|+|CB|)` bound at the cost of work this scan already
-/// does.
+/// symmetrically. `avail` never grows with `k`, so the half-sizes that
+/// pass form a prefix `1..=K`, and one test at `k = best_half + 1` tells
+/// whether `K` beats the incumbent. With Lemmas 1–2 at fixpoint every
+/// candidate passes the threshold and the test is the plain
+/// `min(|A|+|CA|, |B|+|CB|)` bound; it prunes more only without them.
+#[inline]
 fn scan_candidates(
     graph: &LocalGraph,
     a_len: usize,
     b_len: usize,
     node: &Candidates,
-    hist_a: &mut Vec<u32>,
-    hist_b: &mut Vec<u32>,
+    best_half: usize,
 ) -> CandidateScan {
     let (ca, cb) = (node.ca(), node.cb());
     let (ca_degrees, cb_degrees) = (node.ca_degrees(), node.cb_degrees());
-    let cb_len = cb.len();
-    let ca_len = ca.len();
-    let cap_a = a_len + ca_len;
-    let cap_b = b_len + cb_len;
-    let cap = cap_a.min(cap_b);
+    let (ca_len, cb_len) = (ca.len(), cb.len());
+    let k = best_half + 1;
 
-    let mut max_missing = 0usize;
-    let mut argmax = None;
-    // hist_a[d] = number of CA candidates with |B| + deg(u, CB) = d.
-    hist_a.clear();
-    hist_a.resize(cap_b + 1, 0);
-    hist_b.clear();
-    hist_b.resize(cap_a + 1, 0);
-
+    // Each side's argmax is one `max` over `missing << 32 | tie`, with the
+    // tie favouring the last left candidate and the first right one.
+    let (mut left, mut right) = (0u64, 0u64);
+    let (mut avail_a, mut avail_b) = (a_len, b_len);
     for u in ca.iter() {
         let degree = ca_degrees[u] as usize;
         debug_assert_eq!(degree, graph.left_degree_in(u as u32, cb), "left {u}");
-        let missing = cb_len - degree;
-        if missing >= max_missing {
-            // `>=` keeps argmax defined even when all missings are 0.
-            max_missing = missing;
-            argmax = Some((true, u as u32));
-        }
-        hist_a[(b_len + degree).min(cap_b)] += 1;
+        left = left.max(((cb_len - degree) as u64) << 32 | u as u64);
+        avail_a += (b_len + degree >= k) as usize;
     }
     for v in cb.iter() {
         let degree = cb_degrees[v] as usize;
         debug_assert_eq!(degree, graph.right_degree_in(v as u32, ca), "right {v}");
-        let missing = ca_len - degree;
-        // With CA empty no right candidate misses anything, and the first
-        // one is the argmax.
-        if missing > max_missing || argmax.is_none() {
-            max_missing = missing;
-            argmax = Some((false, v as u32));
-        }
-        hist_b[(a_len + degree).min(cap_a)] += 1;
+        right = right.max(((ca_len - degree) as u64) << 32 | (u32::MAX - v as u32) as u64);
+        avail_b += (a_len + degree >= k) as usize;
     }
-
-    // Walk k from the cap downwards, accumulating histogram mass ≥ k with
-    // two suffix pointers; the first feasible k is the bound.
-    let mut upper_bound = 0usize;
-    let mut avail_a = a_len;
-    let mut avail_b = b_len;
-    let mut da = cap_b as isize;
-    let mut db = cap_a as isize;
-    let mut k = cap;
-    while k > 0 {
-        while da >= k as isize {
-            avail_a += hist_a[da as usize] as usize;
-            da -= 1;
-        }
-        while db >= k as isize {
-            avail_b += hist_b[db as usize] as usize;
-            db -= 1;
-        }
-        if avail_a >= k && avail_b >= k {
-            upper_bound = k;
-            break;
-        }
-        k -= 1;
-    }
+    let (left_missing, right_missing) = ((left >> 32) as usize, (right >> 32) as usize);
+    let argmax = if ca_len > 0 && (cb_len == 0 || left_missing >= right_missing) {
+        Some((true, left as u32))
+    } else {
+        (cb_len > 0).then(|| (false, u32::MAX - right as u32))
+    };
 
     CandidateScan {
-        max_missing,
+        max_missing: left_missing.max(right_missing),
         argmax,
-        upper_bound,
+        can_improve: avail_a >= k && avail_b >= k,
     }
 }
 
@@ -1086,6 +1043,90 @@ mod tests {
             ),
         ];
         assert_eq!(got, want);
+    }
+
+    /// The degree-histogram bound the scan computed before the threshold
+    /// test: the largest `k ≤ min(|A|+|CA|, |B|+|CB|)` with
+    /// `avail_A(k) ≥ k` and `avail_B(k) ≥ k`, found by walking `k` down
+    /// from the cap over the two sides' degree histograms.
+    fn histogram_bound(a_len: usize, b_len: usize, node: &Candidates) -> usize {
+        let cap_a = a_len + node.ca().len();
+        let cap_b = b_len + node.cb().len();
+        // hist_a[d] = number of CA candidates with |B| + deg(u, CB) = d.
+        let mut hist_a = vec![0usize; cap_b + 1];
+        let mut hist_b = vec![0usize; cap_a + 1];
+        for u in node.ca().iter() {
+            hist_a[b_len + node.ca_degrees()[u] as usize] += 1;
+        }
+        for v in node.cb().iter() {
+            hist_b[a_len + node.cb_degrees()[v] as usize] += 1;
+        }
+        let (mut avail_a, mut avail_b) = (a_len, b_len);
+        let (mut da, mut db) = (cap_b as isize, cap_a as isize);
+        for k in (1..=cap_a.min(cap_b)).rev() {
+            while da >= k as isize {
+                avail_a += hist_a[da as usize];
+                da -= 1;
+            }
+            while db >= k as isize {
+                avail_b += hist_b[db as usize];
+                db -= 1;
+            }
+            if avail_a >= k && avail_b >= k {
+                return k;
+            }
+        }
+        0
+    }
+
+    /// On random candidate states, the threshold test prunes exactly when
+    /// the histogram walk's bound does not beat the incumbent, with or
+    /// without a reduction first; after a reduction whose re-bound passed
+    /// it never prunes.
+    #[test]
+    fn threshold_bound_matches_the_histogram_walk() {
+        // [reductions off, on] × [prunes, passes]
+        let mut seen = [[0u32; 2]; 2];
+        // Prunes the plain cap `min(|A|+|CA|, |B|+|CB|)` would not make.
+        let mut below_cap = 0u32;
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x7e57);
+            let nl = rng.gen_range(1..=150usize);
+            let nr = rng.gen_range(1..=150usize);
+            let g = random_graph(nl, nr, rng.gen_range(0.2..0.95), seed);
+            let mut subset = |n: usize| {
+                let keep = rng.gen_range(0.2..1.0);
+                let mut set = BitSet::new(n);
+                (0..n)
+                    .filter(|_| rng.gen_bool(keep))
+                    .for_each(|i| set.insert(i));
+                set
+            };
+            let mut node = Candidates::new(subset(nl), subset(nr));
+            let mut a = vec![0u32; rng.gen_range(0..=8)];
+            let mut b = vec![0u32; rng.gen_range(0..=8)];
+            let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
+            let best_half = rng.gen_range(0..=cap + 1);
+            let reduced = rng.gen_bool(0.5);
+            if reduced {
+                let mut stats = SearchStats::default();
+                node.reduce(&g, &mut a, &mut b, best_half, &mut stats);
+            } else {
+                node.count(&g);
+            }
+
+            let scan = scan_candidates(&g, a.len(), b.len(), &node, best_half);
+            let walk = histogram_bound(a.len(), b.len(), &node);
+            assert_eq!(scan.can_improve, walk > best_half, "seed {seed}");
+            let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
+            if reduced && cap > best_half {
+                assert!(scan.can_improve, "seed {seed}: pruned after a reduction");
+            }
+            seen[reduced as usize][scan.can_improve as usize] += 1;
+            below_cap += (!scan.can_improve && cap > best_half) as u32;
+        }
+        assert!(seen.iter().flatten().all(|&n| n >= 20), "{seen:?}");
+        assert!(below_cap >= 20, "{below_cap}");
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! candidate's degree towards the other side's candidates, and those
 //! degrees change only when the other side's set does. `Candidates`
 //! keeps them between passes and between search nodes, so a pass
-//! recounts its side only after the other side lost a candidate. A pass
-//! that recounts costs `O(|C|·n/64)` bitset work for its side's
-//! candidates `C`; one that reads the kept degrees costs `O(|C|)`.
+//! recounts its side only after the other side lost a candidate, with one
+//! `LocalGraph::left_degrees_in`/`right_degrees_in` call for the side. A
+//! pass that recounts costs `O(|C|·n/64)` bitset work for its side's
+//! candidates `C`; one that reads the kept degrees costs `O(|C|)`, and
+//! decides each candidate without a branch.
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;
@@ -66,60 +68,63 @@ impl Side {
 
     /// Counts every member's degree towards `other`.
     #[inline] // see `Candidates::count`
-    fn count(&mut self, other: &BitSet, degree_in: impl Fn(u32, &BitSet) -> usize) {
+    fn count(&mut self, other: &BitSet, degrees_in: impl Fn(&BitSet, &BitSet, &mut [u32])) {
         self.degrees.resize(self.set.capacity(), 0);
-        for x in self.set.iter() {
-            self.degrees[x] = degree_in(x as u32, other) as u32;
-        }
+        degrees_in(&self.set, other, &mut self.degrees);
         self.counted = true;
     }
 
-    /// One pass of the rules over this side, recounting each degree on the
-    /// way when they are stale: drops each candidate that cannot lift its
-    /// side past `best_half` next to the other side's `other_partial`
-    /// fixed vertices, and moves each one adjacent to all of `other`'s
-    /// candidates into `partial`. Returns whether any candidate left, in
-    /// which case `other`'s degrees are stale.
+    /// One pass of the rules over this side, counting its degrees first
+    /// when they are stale: drops each candidate that cannot lift its side
+    /// past `best_half` next to the other side's `other_partial` fixed
+    /// vertices, and moves each one adjacent to all of `other`'s
+    /// candidates into `partial`, in ascending id. Returns whether any
+    /// candidate left, in which case `other`'s degrees are stale.
+    #[inline] // see `Candidates::count`
     fn pass(
         &mut self,
         other: &mut Side,
-        degree_in: impl Fn(u32, &BitSet) -> usize,
+        degrees_in: impl Fn(&BitSet, &BitSet, &mut [u32]),
         partial: &mut Vec<u32>,
         other_partial: usize,
         best_half: usize,
         stats: &mut SearchStats,
     ) -> bool {
-        let counted = self.counted;
-        if !counted {
-            self.degrees.resize(self.set.capacity(), 0);
+        if !self.counted {
+            self.count(&other.set, degrees_in);
         }
-        let other_set = &other.set;
-        let other_len = other_set.len();
-        let degrees = &mut self.degrees;
-        let mut changed = false;
+        // Lemma 2 drops `x` when `other_partial + deg(x) ≤ best_half`, that
+        // is when `deg(x) < floor`; Lemma 1 promotes it when `deg(x)` is all
+        // of `other`'s candidates (and it sees all of the other partial
+        // result by invariant).
+        let floor = (best_half + 1).saturating_sub(other_partial);
+        let all = other.set.len();
+        let degrees = &self.degrees;
+        let before = self.set.len();
+        let mut dropped = 0;
         // The degrees are towards `other`, which this pass leaves alone, so
-        // removing members as we go changes none of them.
-        self.set.retain(|x| {
-            let degree = if counted {
-                degrees[x] as usize
-            } else {
-                let degree = degree_in(x as u32, other_set);
-                degrees[x] = degree as u32;
-                degree
-            };
-            if other_partial + degree <= best_half {
-                stats.reduced_vertices += 1;
-            } else if degree == other_len {
-                // Adjacent to all of `other`'s candidates (and to all of its
-                // partial result by invariant).
-                partial.push(x as u32);
-            } else {
-                return true;
+        // removing members changes none of them.
+        self.set.remove_by_word(|wi, word| {
+            let (mut drop, mut promote) = (0u64, 0u64);
+            let mut bits = word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let degree = degrees[wi * 64 + bit as usize] as usize;
+                let low = (degree < floor) as u64;
+                drop |= low << bit;
+                promote |= (((degree == all) as u64) & !low) << bit;
             }
-            changed = true;
-            false
+            dropped += drop.count_ones();
+            let mut promoted = promote;
+            while promoted != 0 {
+                partial.push((wi * 64) as u32 + promoted.trailing_zeros());
+                promoted &= promoted - 1;
+            }
+            drop | promote
         });
-        self.counted = true;
+        stats.reduced_vertices += u64::from(dropped);
+        let changed = self.set.len() != before;
         if changed {
             other.counted = false;
         }
@@ -197,13 +202,13 @@ impl Candidates {
     // it whichever of the crate's codegen units each of them lands in.
     #[inline]
     pub(crate) fn count(&mut self, graph: &LocalGraph) {
+        let left_in = |m: &BitSet, o: &BitSet, out: &mut [u32]| graph.left_degrees_in(m, o, out);
+        let right_in = |m: &BitSet, o: &BitSet, out: &mut [u32]| graph.right_degrees_in(m, o, out);
         if !self.left.counted {
-            self.left
-                .count(&self.right.set, |u, cb| graph.left_degree_in(u, cb));
+            self.left.count(&self.right.set, left_in);
         }
         if !self.right.counted {
-            self.right
-                .count(&self.left.set, |v, ca| graph.right_degree_in(v, ca));
+            self.right.count(&self.left.set, right_in);
         }
     }
 
@@ -224,17 +229,17 @@ impl Candidates {
         // partial result, and changes neither. So once a pass changes
         // nothing after both sides have run, the next one would see what
         // its side's last pass saw, and change nothing either.
+        let left_in = |m: &BitSet, o: &BitSet, out: &mut [u32]| graph.left_degrees_in(m, o, out);
+        let right_in = |m: &BitSet, o: &BitSet, out: &mut [u32]| graph.right_degrees_in(m, o, out);
         let mut on_left = true;
         let mut passes = 0;
         loop {
             let changed = if on_left {
-                let degree_in = |u, cb: &BitSet| graph.left_degree_in(u, cb);
                 self.left
-                    .pass(&mut self.right, degree_in, a, b.len(), best_half, stats)
+                    .pass(&mut self.right, left_in, a, b.len(), best_half, stats)
             } else {
-                let degree_in = |v, ca: &BitSet| graph.right_degree_in(v, ca);
                 self.right
-                    .pass(&mut self.left, degree_in, b, a.len(), best_half, stats)
+                    .pass(&mut self.left, right_in, b, a.len(), best_half, stats)
             };
             passes += 1;
             if !changed && passes >= 2 {

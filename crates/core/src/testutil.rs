@@ -1,5 +1,6 @@
 //! Shared brute-force oracles for unit tests.
 
+use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::local::LocalGraph;
 
@@ -11,7 +12,10 @@ pub(crate) fn brute_force_half_local(g: &LocalGraph) -> usize {
     let mut best = 0usize;
     for mask in 0u32..(1u32 << nl) {
         let chosen: Vec<u32> = (0..nl as u32).filter(|u| mask >> u & 1 == 1).collect();
-        let common = g.common_neighbors_of_left(&chosen);
+        let mut common = BitSet::full(g.num_right());
+        for &u in &chosen {
+            common.intersect_with(&g.left_row(u));
+        }
         best = best.max(chosen.len().min(common.len()));
     }
     best

@@ -3,13 +3,14 @@
 //! Every public kernel in `mbb_bigraph::kernels` must be bit-for-bit
 //! identical to the plain iterator loops in [`reference`]. The suite drives
 //! random word vectors with ragged tails (`capacity % 64 != 0`), single-bit
-//! deltas, multi-row stacks and scans through the `BitSet` surface, plus
-//! deterministic wide inputs: empty/full extremes up to 16448 bits, and
-//! random words at widths that cross the four-word unroll and the 128-word
-//! cache block of `multi_and_popcount`.
+//! deltas and scans through the `BitSet` surface, plus deterministic wide
+//! inputs: empty/full extremes up to 16448 bits, and random words at widths
+//! that cross the four-word unroll. The batched side counts of
+//! `LocalGraph` are checked against one count per member.
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::kernels;
+use mbb_bigraph::local::LocalGraph;
 use proptest::bool::ANY;
 use proptest::prelude::*;
 
@@ -31,34 +32,10 @@ mod reference {
             .sum()
     }
 
-    /// `popcount(a & !b)`.
-    pub fn andnot_popcount(a: &[u64], b: &[u64]) -> usize {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x & !y).count_ones() as usize)
-            .sum()
-    }
-
     /// `a &= b` then a separate `popcount(a)` pass (the unfused idiom).
     pub fn and_assign_count(a: &mut [u64], b: &[u64]) -> usize {
         for (x, y) in a.iter_mut().zip(b.iter()) {
             *x &= *y;
-        }
-        popcount(a)
-    }
-
-    /// `a |= b` then a separate `popcount(a)` pass.
-    pub fn or_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            *x |= *y;
-        }
-        popcount(a)
-    }
-
-    /// `a &= !b` then a separate `popcount(a)` pass.
-    pub fn andnot_assign_count(a: &mut [u64], b: &[u64]) -> usize {
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            *x &= !*y;
         }
         popcount(a)
     }
@@ -75,43 +52,23 @@ mod reference {
         found
     }
 
-    /// Last set bit of `a & b`, scanning forward and remembering the last.
-    pub fn last_and(a: &[u64], b: &[u64]) -> Option<usize> {
-        let mut found = None;
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & y;
-            if w != 0 {
-                found = Some(i * 64 + 63 - w.leading_zeros() as usize);
+    /// `out[x] = popcount(row(x) & other)` for every bit `x` set in
+    /// `members`, testing every bit; row `x` is the `other.len()` words at
+    /// `x * other.len()` in `rows`.
+    pub fn and_popcount_rows(rows: &[u64], members: &[u64], other: &[u64], out: &mut [u32]) {
+        let n = other.len();
+        for x in 0..members.len() * 64 {
+            if (members[x / 64] >> (x % 64)) & 1 == 1 {
+                out[x] = and_popcount(&rows[x * n..(x + 1) * n], other) as u32;
             }
         }
-        found
-    }
-
-    /// First set bit of `a & !b`, scanning every word.
-    pub fn first_andnot(a: &[u64], b: &[u64]) -> Option<usize> {
-        let mut found = None;
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            let w = x & !y;
-            if w != 0 && found.is_none() {
-                found = Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        found
-    }
-
-    /// One full AND pass per row into `acc`, then a separate popcount pass.
-    pub fn multi_and_popcount(acc: &mut [u64], rows: &[&[u64]]) -> usize {
-        for row in rows {
-            for (x, y) in acc.iter_mut().zip(row.iter()) {
-                *x &= *y;
-            }
-        }
-        popcount(acc)
     }
 }
 
-/// Widths (in words) of the deterministic wide cases: both sides of the
-/// 128-word `multi_and_popcount` cache block, and more than two blocks.
+/// Rows in the `and_popcount_rows` cases: more than one member word.
+const ROWS: usize = 70;
+
+/// Widths (in words) of the deterministic wide cases.
 const WIDE_WORDS: [usize; 5] = [127, 128, 129, 200, 257];
 
 /// Packs `bits` (little-endian bit order) into 64-bit words, leaving any
@@ -130,15 +87,8 @@ fn pack(bits: &[bool]) -> Vec<u64> {
 /// `n` deterministic xorshift words. No tail masking: the kernels are pure
 /// word-level code and must agree with the oracle on any word pattern.
 fn words(seed: u64, n: usize) -> Vec<u64> {
-    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    (0..n)
-        .map(|_| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        })
-        .collect()
+    let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    (0..n).map(|_| rng.next()).collect()
 }
 
 /// Strategy: a pair of equal-capacity random bit vectors whose capacity
@@ -168,75 +118,43 @@ fn assert_kernels_match(a: &[u64], b: &[u64]) {
         "and_popcount diverged at {n} words"
     );
     assert_eq!(
-        kernels::andnot_popcount(a, b),
-        reference::andnot_popcount(a, b),
-        "andnot_popcount diverged at {n} words"
-    );
-    assert_eq!(
         kernels::first_and(a, b),
         reference::first_and(a, b),
         "first_and diverged at {n} words"
     );
+
+    // The mutating kernel: identical count AND identical resulting words.
+    let mut fused_words = a.to_vec();
+    let mut scalar_words = a.to_vec();
+    let fused_count = kernels::and_assign_count(&mut fused_words, b);
+    let scalar_count = reference::and_assign_count(&mut scalar_words, b);
     assert_eq!(
-        kernels::last_and(a, b),
-        reference::last_and(a, b),
-        "last_and diverged at {n} words"
+        fused_count, scalar_count,
+        "and_assign_count count diverged at {n} words"
     );
     assert_eq!(
-        kernels::first_andnot(a, b),
-        reference::first_andnot(a, b),
-        "first_andnot diverged at {n} words"
+        fused_words, scalar_words,
+        "and_assign_count words diverged at {n} words"
     );
 
-    // Mutating kernels: identical counts AND identical resulting words.
-    for (name, fused, scalar) in [
-        (
-            "and_assign_count",
-            kernels::and_assign_count as fn(&mut [u64], &[u64]) -> usize,
-            reference::and_assign_count as fn(&mut [u64], &[u64]) -> usize,
-        ),
-        (
-            "or_assign_count",
-            kernels::or_assign_count,
-            reference::or_assign_count,
-        ),
-        (
-            "andnot_assign_count",
-            kernels::andnot_assign_count,
-            reference::andnot_assign_count,
-        ),
-    ] {
-        let mut fused_words = a.to_vec();
-        let mut scalar_words = a.to_vec();
-        let fused_count = fused(&mut fused_words, b);
-        let scalar_count = scalar(&mut scalar_words, b);
-        assert_eq!(
-            fused_count, scalar_count,
-            "{name} count diverged at {n} words"
-        );
-        assert_eq!(
-            fused_words, scalar_words,
-            "{name} words diverged at {n} words"
-        );
-    }
-}
-
-/// Asserts `multi_and_popcount` agrees with the reference fold, count and
-/// resulting words, for accumulator `acc` and the stack `rows`.
-fn assert_multi_and_matches(acc: &[u64], rows: &[Vec<u64>]) {
-    let rows_ref: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
-    let mut fused_acc = acc.to_vec();
-    let mut scalar_acc = acc.to_vec();
-    let fused = kernels::multi_and_popcount(&mut fused_acc, &rows_ref);
-    let scalar = reference::multi_and_popcount(&mut scalar_acc, &rows_ref);
-    let (n, r) = (acc.len(), rows.len());
+    // The row kernel: `ROWS` rows mixed from `a` and `b`, counted against
+    // `b` for a member mask over two words. Non-members keep the sentinel.
+    let rows: Vec<u64> = (0..ROWS as u32)
+        .flat_map(|r| {
+            a.iter()
+                .zip(b)
+                .map(move |(x, y)| x.rotate_left(r) ^ y.rotate_right(3 * r))
+        })
+        .collect();
+    let mut members = words(a.first().map_or(0, |w| w ^ n as u64), 2);
+    members[1] &= (1 << (ROWS - 64)) - 1;
+    let mut fused_out = vec![u32::MAX; ROWS];
+    let mut scalar_out = vec![u32::MAX; ROWS];
+    kernels::and_popcount_rows(&rows, &members, b, &mut fused_out);
+    reference::and_popcount_rows(&rows, &members, b, &mut scalar_out);
     assert_eq!(
-        fused, scalar,
-        "multi_and count diverged at {n} words, {r} rows"
-    );
-    assert_eq!(
-        fused_acc, scalar_acc,
-        "multi_and words diverged at {n} words, {r} rows"
+        fused_out, scalar_out,
+        "and_popcount_rows diverged at {n} words"
     );
 }
 
@@ -266,30 +184,6 @@ proptest! {
         assert_eq!(before.abs_diff(after), 1, "single-bit flip changed popcount by != 1");
     }
 
-    // Batched multi-row AND agrees with the reference fold for any stack
-    // of rows, including the empty stack (accumulator unchanged).
-    #[test]
-    fn multi_and_matches_reference(
-        cap in 0usize..=310,
-        raw_rows in proptest::collection::vec(
-            proptest::collection::vec(ANY, 0..=310),
-            0..6
-        ),
-        acc in proptest::collection::vec(ANY, 0..=310),
-    ) {
-        let mut acc_bits = acc;
-        acc_bits.resize(cap, true);
-        let packed_rows: Vec<Vec<u64>> = raw_rows
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                r.resize(cap, false);
-                pack(&r)
-            })
-            .collect();
-        assert_multi_and_matches(&pack(&acc_bits), &packed_rows);
-    }
-
     // Survivor scans through the `BitSet` surface agree with iterating the
     // materialised intersection.
     #[test]
@@ -314,16 +208,11 @@ proptest! {
         both.intersect_with(&b);
         assert_eq!(a.intersection_len(&b), both.len());
         assert_eq!(a.first_intersection(&b), both.iter().next());
-        assert_eq!(a.last_intersection(&b), both.iter().last());
-        let mut only_a = a.clone();
-        only_a.subtract(&b);
-        assert_eq!(a.difference_len(&b), only_a.len());
-        assert_eq!(a.first_difference(&b), only_a.iter().next());
     }
 }
 
 /// The full-scan extremes deserve deterministic (non-random) coverage at
-/// each word-boundary capacity, up to two `multi_and_popcount` blocks.
+/// each word-boundary capacity, up to 257 words.
 #[test]
 fn empty_and_full_extremes_match_reference() {
     for cap in [
@@ -351,8 +240,8 @@ fn wide_word_vectors_match_reference() {
     }
 }
 
-/// Scans over a sparse `b` (two words in three zeroed), so the first and
-/// last survivors sit behind runs of empty words.
+/// Scans over a sparse `b` (two words in three zeroed), so the first
+/// survivor sits behind runs of empty words.
 #[test]
 fn sparse_scans_match_reference() {
     let narrow = [0usize, 1, 3, 4, 5, 16, 63, 130];
@@ -368,15 +257,88 @@ fn sparse_scans_match_reference() {
     }
 }
 
-/// `multi_and_popcount` with 0, 1 and 5 rows at widths on both sides of
-/// its 128-word cache block.
+/// A deterministic xorshift stream.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A value in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random subset of `0..n`, each value kept with probability `pct`%.
+fn random_subset(rng: &mut XorShift, n: usize, pct: usize) -> BitSet {
+    let mut set = BitSet::new(n);
+    for i in 0..n {
+        if rng.below(100) < pct {
+            set.insert(i);
+        }
+    }
+    set
+}
+
+/// `LocalGraph::left_degrees_in` / `right_degrees_in` write, for every
+/// member, the count `left_degree_in` / `right_degree_in` gives, and leave
+/// every other entry as it was. Sides of 1..=300 vertices give rows of one
+/// to five words with ragged tails; the first cases pair one-word rows with
+/// member sets wider than one word.
 #[test]
-fn multi_and_crosses_the_cache_block() {
-    for n in WIDE_WORDS {
-        let base = words(999, n);
-        for row_count in [0u64, 1, 5] {
-            let rows: Vec<Vec<u64>> = (0..row_count).map(|r| words(r + 3, n)).collect();
-            assert_multi_and_matches(&base, &rows);
+fn batched_side_counts_match_per_member_counts() {
+    let mut rng = XorShift(0x5eed_1234_abcd_0001);
+    let mut sizes = vec![
+        (100, 50),
+        (50, 100),
+        (300, 64),
+        (64, 300),
+        (65, 129),
+        (1, 1),
+    ];
+    for _ in 0..60 {
+        sizes.push((1 + rng.below(300), 1 + rng.below(300)));
+    }
+    const STALE: u32 = u32::MAX;
+    for &(nl, nr) in &sizes {
+        let density = 10 + rng.below(86);
+        let mut g = LocalGraph::new(nl, nr);
+        for u in 0..nl as u32 {
+            for v in 0..nr as u32 {
+                if rng.below(100) < density {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        let keep = 20 + rng.below(81);
+        let ca = random_subset(&mut rng, nl, keep);
+        let keep = 20 + rng.below(81);
+        let cb = random_subset(&mut rng, nr, keep);
+
+        let mut left = vec![STALE; nl];
+        g.left_degrees_in(&ca, &cb, &mut left);
+        for (u, &got) in left.iter().enumerate() {
+            let want = if ca.contains(u) {
+                g.left_degree_in(u as u32, &cb) as u32
+            } else {
+                STALE
+            };
+            assert_eq!(got, want, "{nl}x{nr}: left {u}");
+        }
+        let mut right = vec![STALE; nr];
+        g.right_degrees_in(&cb, &ca, &mut right);
+        for (v, &got) in right.iter().enumerate() {
+            let want = if cb.contains(v) {
+                g.right_degree_in(v as u32, &ca) as u32
+            } else {
+                STALE
+            };
+            assert_eq!(got, want, "{nl}x{nr}: right {v}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Heap allocations of one `denseMBB` search.
 //!
-//! The searcher owns every per-node buffer — candidate sets, degree
-//! histograms, the Lemma 3 decomposition and DP table — so a search
+//! The searcher owns every per-node buffer — candidate sets with their
+//! degree arrays, the Lemma 3 decomposition and DP table — so a search
 //! allocates while its include chain first deepens and when the incumbent
 //! improves, never per node. This binary installs a counting global
 //! allocator, which is why it is a test binary of its own.
