@@ -13,12 +13,13 @@
 //! core-number upper bound inside the enumerators, exactly as §6 describes
 //! ("the heuristic algorithms that we used are for pruning purpose only").
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mbb_bigraph::core_decomp::{core_decomposition, k_core_mask};
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::subgraph::induce_by_mask;
 use mbb_core::biclique::Biclique;
+use mbb_core::budget::SearchBudget;
 use mbb_core::heuristic::map_to_parent;
 
 use crate::common::RunOutcome;
@@ -95,15 +96,18 @@ impl AdaptedBaseline {
         }
     }
 
-    /// Runs the baseline. The whole pipeline shares one budget.
+    /// Runs the baseline. The whole pipeline shares one budget, `None`
+    /// meaning unlimited.
     pub fn run(&self, graph: &BipartiteGraph, budget: Option<Duration>) -> RunOutcome {
-        let start = std::time::Instant::now();
+        // Each stage's budget ends at a fraction of the duration after
+        // `start`: step 3 may run until the whole budget is spent.
+        let start = Instant::now();
+        let until = |fraction: u32| SearchBudget::new(budget.map(|b| start + b / fraction), None);
         // Step 1: heuristic incumbent (¼ of the budget, like the paper's
         // "pruning purpose only" role).
-        let heuristic_budget = budget.map(|b| b / 4);
         let incumbent = match self.heuristic {
-            StepOneHeuristic::Pols => pols(graph, 0xadb1, heuristic_budget),
-            StepOneHeuristic::Sbmnas => sbmnas(graph, 0xadb1, heuristic_budget),
+            StepOneHeuristic::Pols => pols(graph, 0xadb1, &until(4)),
+            StepOneHeuristic::Sbmnas => sbmnas(graph, 0xadb1, &until(4)),
         };
 
         // Lemma 4 reduction with the incumbent.
@@ -127,10 +131,9 @@ impl AdaptedBaseline {
             left: vec![u32::MAX; incumbent.half_size()],
             right: vec![u32::MAX; incumbent.half_size()],
         };
-        let remaining = budget.map(|b| b.saturating_sub(start.elapsed()));
         let out = match self.engine {
-            StepThreeEngine::Fmbe => fmbe_adapted(&reduced.graph, placeholder, remaining),
-            StepThreeEngine::Imbea => imbea_adapted(&reduced.graph, placeholder, remaining),
+            StepThreeEngine::Fmbe => fmbe_adapted(&reduced.graph, placeholder, &until(1)),
+            StepThreeEngine::Imbea => imbea_adapted(&reduced.graph, placeholder, &until(1)),
         };
         let best = if out.biclique.half_size() > incumbent.half_size() {
             map_to_parent(&out.biclique, &reduced)

@@ -1,67 +1,29 @@
-//! Shared plumbing for the baseline algorithms: run outcomes, deadlines.
-
-use std::time::{Duration, Instant};
+//! Shared plumbing for the baseline algorithms: the run outcome.
 
 use mbb_core::biclique::Biclique;
+use mbb_core::budget::SearchBudget;
 
 /// Outcome of a baseline run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Best balanced biclique found (optimal unless `timed_out`).
     pub biclique: Biclique,
-    /// True when the time budget expired before the search finished; the
-    /// biclique is then only a lower bound (the paper reports these runs
-    /// as `-`).
+    /// True when the [`SearchBudget`] ran out before the search finished;
+    /// the biclique is then only a lower bound (the paper reports these
+    /// runs as `-`).
     pub timed_out: bool,
     /// Search-tree nodes explored.
     pub nodes: u64,
 }
 
-/// A cooperative deadline checked inside search loops.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    end: Option<Instant>,
-}
-
-impl Deadline {
-    /// A deadline `budget` from now; `None` = unlimited.
-    pub fn new(budget: Option<Duration>) -> Deadline {
-        Deadline {
-            end: budget.map(|b| Instant::now() + b),
+impl RunOutcome {
+    /// The outcome of a search that ran under `budget`: timed out unless
+    /// the budget's sticky state says the search completed.
+    pub(crate) fn new(biclique: Biclique, nodes: u64, budget: &SearchBudget) -> RunOutcome {
+        RunOutcome {
+            biclique,
+            timed_out: !budget.termination().is_complete(),
+            nodes,
         }
-    }
-
-    /// No deadline.
-    pub fn unlimited() -> Deadline {
-        Deadline { end: None }
-    }
-
-    /// True once the budget is exhausted.
-    #[inline]
-    pub fn expired(&self) -> bool {
-        self.end.is_some_and(|e| Instant::now() >= e)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unlimited_never_expires() {
-        let d = Deadline::unlimited();
-        assert!(!d.expired());
-    }
-
-    #[test]
-    fn zero_budget_expires_immediately() {
-        let d = Deadline::new(Some(Duration::from_secs(0)));
-        assert!(d.expired());
-    }
-
-    #[test]
-    fn generous_budget_does_not_expire() {
-        let d = Deadline::new(Some(Duration::from_secs(3600)));
-        assert!(!d.expired());
     }
 }

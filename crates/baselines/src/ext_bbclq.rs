@@ -16,13 +16,12 @@
 //! static total order neither finds large incumbents early nor bounds the
 //! search space — which is exactly what Tables 4 and 5 measure.
 
-use std::time::Duration;
-
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
 use mbb_core::biclique::Biclique;
+use mbb_core::budget::SearchBudget;
 
-use crate::common::{Deadline, RunOutcome};
+use crate::common::RunOutcome;
 
 /// h-index of a slice of counts: largest `h` with ≥ `h` entries ≥ `h`.
 fn h_index(counts: &mut [u32]) -> u32 {
@@ -39,8 +38,10 @@ fn h_index(counts: &mut [u32]) -> u32 {
 }
 
 /// Per-vertex upper bounds (`i_v` then `t_v`), indexed by global id.
-/// Returns `None` when the deadline expires during precomputation.
-pub fn tight_upper_bounds(graph: &BipartiteGraph, deadline: Deadline) -> Option<Vec<u32>> {
+/// Returns `None` when the budget runs out during precomputation: the
+/// common-neighbour pass probes it once per vertex, and its first probe
+/// is [`ext_bbclq`]'s entry probe.
+pub fn tight_upper_bounds(graph: &BipartiteGraph, budget: &SearchBudget) -> Option<Vec<u32>> {
     let nl = graph.num_left();
     let nr = graph.num_right();
     let n = nl + nr;
@@ -52,7 +53,7 @@ pub fn tight_upper_bounds(graph: &BipartiteGraph, deadline: Deadline) -> Option<
         let mut counter: Vec<u32> = vec![0; count];
         let mut touched: Vec<u32> = Vec::new();
         for idx in 0..count as u32 {
-            if deadline.expired() {
+            if budget.probe() {
                 return None;
             }
             let v = Vertex { side, index: idx };
@@ -82,12 +83,10 @@ pub fn tight_upper_bounds(graph: &BipartiteGraph, deadline: Deadline) -> Option<
     side_bounds(Side::Left)?;
     side_bounds(Side::Right)?;
 
-    // Tight bounds from neighbours' i-bounds.
+    // Tight bounds from neighbours' i-bounds: a sort per neighbourhood,
+    // cheap next to the 2-hop pass, so it runs to completion unprobed.
     let mut tight = vec![0u32; n];
     for v in graph.vertices() {
-        if deadline.expired() {
-            return None;
-        }
         let mut counts: Vec<u32> = graph
             .neighbors(v)
             .iter()
@@ -112,19 +111,13 @@ struct ExtSearcher<'g> {
     best: Biclique,
     best_half: usize,
     nodes: u64,
-    deadline: Deadline,
-    timed_out: bool,
+    budget: SearchBudget,
 }
 
 /// Runs `extBBClq`. The budget covers bound precomputation and search.
-pub fn ext_bbclq(graph: &BipartiteGraph, budget: Option<Duration>) -> RunOutcome {
-    let deadline = Deadline::new(budget);
-    let Some(tight) = tight_upper_bounds(graph, deadline) else {
-        return RunOutcome {
-            biclique: Biclique::empty(),
-            timed_out: true,
-            nodes: 0,
-        };
+pub fn ext_bbclq(graph: &BipartiteGraph, budget: &SearchBudget) -> RunOutcome {
+    let Some(tight) = tight_upper_bounds(graph, budget) else {
+        return RunOutcome::new(Biclique::empty(), 0, budget);
     };
 
     let n = graph.num_vertices();
@@ -146,8 +139,7 @@ pub fn ext_bbclq(graph: &BipartiteGraph, budget: Option<Duration>) -> RunOutcome
         best: Biclique::empty(),
         best_half: 0,
         nodes: 0,
-        deadline,
-        timed_out: false,
+        budget: budget.clone(),
     };
 
     // Candidates sorted by rank (the paper's total search order).
@@ -157,11 +149,7 @@ pub fn ext_bbclq(graph: &BipartiteGraph, budget: Option<Duration>) -> RunOutcome
     cb.sort_by_key(|&v| searcher.rank[graph.num_left() + v as usize]);
 
     searcher.recurse(&mut Vec::new(), &mut Vec::new(), &ca, &cb);
-    RunOutcome {
-        biclique: searcher.best,
-        timed_out: searcher.timed_out,
-        nodes: searcher.nodes,
-    }
+    RunOutcome::new(searcher.best, searcher.nodes, budget)
 }
 
 impl ExtSearcher<'_> {
@@ -182,8 +170,7 @@ impl ExtSearcher<'_> {
         let mut cb = cb;
         loop {
             self.nodes += 1;
-            if self.timed_out || (self.nodes.is_multiple_of(1024) && self.deadline.expired()) {
-                self.timed_out = true;
+            if self.budget.is_exhausted() {
                 return;
             }
             self.record(a, b);
@@ -254,6 +241,8 @@ impl ExtSearcher<'_> {
 mod tests {
     use super::*;
     use mbb_bigraph::generators;
+    use mbb_core::budget::PROBE_INTERVAL;
+    use std::time::Duration;
 
     fn brute_half(graph: &BipartiteGraph) -> usize {
         let nl = graph.num_left();
@@ -291,7 +280,7 @@ mod tests {
         // For every vertex in an optimum (k,k) biclique, t_v ≥ k.
         for seed in 0..8u64 {
             let g = generators::uniform_edges(10, 10, 50, seed);
-            let tight = tight_upper_bounds(&g, Deadline::unlimited()).unwrap();
+            let tight = tight_upper_bounds(&g, &SearchBudget::unlimited()).unwrap();
             let opt = brute_half(&g);
             // At least the optimum's vertices have t ≥ opt, so the max does.
             let max_t = tight.iter().copied().max().unwrap_or(0);
@@ -303,7 +292,7 @@ mod tests {
     fn exact_on_small_random_graphs() {
         for seed in 0..15u64 {
             let g = generators::uniform_edges(9, 9, 40, seed);
-            let out = ext_bbclq(&g, None);
+            let out = ext_bbclq(&g, &SearchBudget::unlimited());
             assert!(!out.timed_out);
             assert_eq!(out.biclique.half_size(), brute_half(&g), "seed {seed}");
             assert!(out.biclique.is_valid(&g), "seed {seed}");
@@ -314,7 +303,7 @@ mod tests {
     fn exact_on_dense_graphs() {
         for seed in 0..8u64 {
             let g = generators::dense_uniform(8, 8, 0.85, seed);
-            let out = ext_bbclq(&g, None);
+            let out = ext_bbclq(&g, &SearchBudget::unlimited());
             assert_eq!(out.biclique.half_size(), brute_half(&g), "seed {seed}");
         }
     }
@@ -322,14 +311,24 @@ mod tests {
     #[test]
     fn respects_timeout() {
         let g = generators::dense_uniform(64, 64, 0.9, 1);
-        let out = ext_bbclq(&g, Some(Duration::from_millis(30)));
+        let out = ext_bbclq(&g, &SearchBudget::with_deadline(Duration::from_millis(30)));
+        assert!(out.timed_out);
+    }
+
+    #[test]
+    fn zero_budget_reports_timeout() {
+        // The whole search is shorter than one sampling interval, so only
+        // the entry probe can see the expired budget.
+        let g = generators::uniform_edges(9, 9, 40, 0);
+        assert!(ext_bbclq(&g, &SearchBudget::unlimited()).nodes < PROBE_INTERVAL);
+        let out = ext_bbclq(&g, &SearchBudget::with_deadline(Duration::ZERO));
         assert!(out.timed_out);
     }
 
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
-        let out = ext_bbclq(&g, None);
+        let out = ext_bbclq(&g, &SearchBudget::unlimited());
         assert_eq!(out.biclique.half_size(), 0);
         assert!(!out.timed_out);
     }
@@ -337,7 +336,7 @@ mod tests {
     #[test]
     fn complete_graph() {
         let g = generators::complete(5, 5);
-        let out = ext_bbclq(&g, None);
+        let out = ext_bbclq(&g, &SearchBudget::unlimited());
         assert_eq!(out.biclique.half_size(), 5);
     }
 }

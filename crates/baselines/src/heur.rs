@@ -14,14 +14,11 @@
 //!
 //! Neither guarantees optimality (§7 of the paper).
 
-use std::time::Duration;
-
 use mbb_bigraph::graph::{sorted_intersection, BipartiteGraph};
 use mbb_core::biclique::Biclique;
+use mbb_core::budget::SearchBudget;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::common::Deadline;
 
 /// A mutable balanced-biclique state for local search.
 #[derive(Clone, Debug, Default)]
@@ -150,18 +147,18 @@ fn greedy_seed(graph: &BipartiteGraph, rng: &mut StdRng) -> State {
 
 /// POLS: greedy construction plus pair add/swap/drop local search with
 /// random restarts until the budget or `max_iterations` is exhausted.
-pub fn pols(graph: &BipartiteGraph, seed: u64, budget: Option<Duration>) -> Biclique {
-    let deadline = Deadline::new(budget);
+/// The budget is probed once per restart and once per move.
+pub fn pols(graph: &BipartiteGraph, seed: u64, budget: &SearchBudget) -> Biclique {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut best = Biclique::empty();
     let restarts = 6usize;
     for _ in 0..restarts {
-        if deadline.expired() {
+        if budget.probe() {
             break;
         }
         let mut state = greedy_seed(graph, &mut rng);
         let mut stall = 0usize;
-        while stall < 20 && !deadline.expired() {
+        while stall < 20 && !budget.probe() {
             let improved = if rng.gen_bool(0.5) {
                 add_pair(graph, &mut state, &mut rng)
             } else {
@@ -179,21 +176,21 @@ pub fn pols(graph: &BipartiteGraph, seed: u64, budget: Option<Duration>) -> Bicl
     best
 }
 
-/// SBMNAS: multi-vertex moves with adaptive neighbourhood weights.
-pub fn sbmnas(graph: &BipartiteGraph, seed: u64, budget: Option<Duration>) -> Biclique {
-    let deadline = Deadline::new(budget);
+/// SBMNAS: multi-vertex moves with adaptive neighbourhood weights,
+/// probing the budget as [`pols`] does.
+pub fn sbmnas(graph: &BipartiteGraph, seed: u64, budget: &SearchBudget) -> Biclique {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5b3a);
     let mut best = Biclique::empty();
     // Adaptive weights over three neighbourhoods: add-batch, swap, drop.
     let mut weights = [1.0f64; 3];
     let restarts = 6usize;
     for _ in 0..restarts {
-        if deadline.expired() {
+        if budget.probe() {
             break;
         }
         let mut state = greedy_seed(graph, &mut rng);
         let mut stall = 0usize;
-        while stall < 25 && !deadline.expired() {
+        while stall < 25 && !budget.probe() {
             let total: f64 = weights.iter().sum();
             let mut pick = rng.gen_range(0.0..total);
             let mut move_index = 0usize;
@@ -248,7 +245,7 @@ mod tests {
     #[test]
     fn pols_finds_complete_graph() {
         let g = generators::complete(5, 5);
-        let b = pols(&g, 1, None);
+        let b = pols(&g, 1, &SearchBudget::unlimited());
         assert_eq!(b.half_size(), 5);
         assert!(b.is_valid(&g));
     }
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn sbmnas_finds_complete_graph() {
         let g = generators::complete(5, 5);
-        let b = sbmnas(&g, 1, None);
+        let b = sbmnas(&g, 1, &SearchBudget::unlimited());
         assert_eq!(b.half_size(), 5);
         assert!(b.is_valid(&g));
     }
@@ -265,9 +262,9 @@ mod tests {
     fn both_return_valid_bicliques_on_random_graphs() {
         for seed in 0..8u64 {
             let g = generators::uniform_edges(30, 30, 200, seed);
-            let p = pols(&g, seed, None);
+            let p = pols(&g, seed, &SearchBudget::unlimited());
             assert!(p.is_valid(&g), "pols seed {seed}");
-            let s = sbmnas(&g, seed, None);
+            let s = sbmnas(&g, seed, &SearchBudget::unlimited());
             assert!(s.is_valid(&g), "sbmnas seed {seed}");
             // With 200 edges on 30x30 some 2x2 exists almost surely; at
             // minimum a 1x1 must be found.
@@ -280,8 +277,8 @@ mod tests {
     fn heuristics_find_planted_bicliques_approximately() {
         let g = generators::uniform_edges(60, 60, 300, 4);
         let (planted, _, _) = generators::plant_balanced_biclique(&g, 8);
-        let p = pols(&planted, 2, None);
-        let s = sbmnas(&planted, 2, None);
+        let p = pols(&planted, 2, &SearchBudget::unlimited());
+        let s = sbmnas(&planted, 2, &SearchBudget::unlimited());
         assert!(p.half_size() >= 4, "pols found {}", p.half_size());
         assert!(s.half_size() >= 4, "sbmnas found {}", s.half_size());
     }
@@ -289,14 +286,15 @@ mod tests {
     #[test]
     fn empty_graph_yields_empty() {
         let g = BipartiteGraph::from_edges(4, 4, []).unwrap();
-        assert_eq!(pols(&g, 0, None).half_size(), 0);
-        assert_eq!(sbmnas(&g, 0, None).half_size(), 0);
+        assert_eq!(pols(&g, 0, &SearchBudget::unlimited()).half_size(), 0);
+        assert_eq!(sbmnas(&g, 0, &SearchBudget::unlimited()).half_size(), 0);
     }
 
     #[test]
     fn deterministic_in_seed() {
         let g = generators::uniform_edges(25, 25, 160, 7);
-        assert_eq!(pols(&g, 3, None), pols(&g, 3, None));
-        assert_eq!(sbmnas(&g, 3, None), sbmnas(&g, 3, None));
+        let unlimited = SearchBudget::unlimited();
+        assert_eq!(pols(&g, 3, &unlimited), pols(&g, 3, &unlimited));
+        assert_eq!(sbmnas(&g, 3, &unlimited), sbmnas(&g, 3, &unlimited));
     }
 }

@@ -7,6 +7,10 @@
 //! * [`heur`] — the POLS and SBMNAS heuristic MBB algorithms;
 //! * [`adapted`] — the `adp1`–`adp4` pipelines combining them;
 //! * [`exhaustive`] — a brute-force oracle for testing.
+//!
+//! Every search stops on the solver's own [`SearchBudget`](mbb_core::budget::SearchBudget):
+//! per-node loops call `is_exhausted`; entry points, per-vertex loops,
+//! restart loops and local-search moves call `probe`.
 
 #![warn(missing_docs)]
 

@@ -15,14 +15,13 @@
 //!   bicliques through a vertex, the scope is reduced to its 2-hop
 //!   neighbourhood (under a fixed total order to avoid duplicates).
 
-use std::time::Duration;
-
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_bigraph::graph::{sorted_intersection_exact, BipartiteGraph, Vertex};
 use mbb_bigraph::two_hop::n2_neighbors;
 use mbb_core::biclique::Biclique;
+use mbb_core::budget::SearchBudget;
 
-use crate::common::{Deadline, RunOutcome};
+use crate::common::RunOutcome;
 
 struct MbeSearcher<'g> {
     graph: &'g BipartiteGraph,
@@ -30,8 +29,7 @@ struct MbeSearcher<'g> {
     best: Biclique,
     best_half: usize,
     nodes: u64,
-    deadline: Deadline,
-    timed_out: bool,
+    budget: SearchBudget,
 }
 
 impl MbeSearcher<'_> {
@@ -47,8 +45,7 @@ impl MbeSearcher<'_> {
     /// candidates `cand` (each strictly extending per the root order).
     fn expand(&mut self, a: &mut Vec<u32>, b: &[u32], cand: &[u32]) {
         self.nodes += 1;
-        if self.timed_out || (self.nodes.is_multiple_of(1024) && self.deadline.expired()) {
-            self.timed_out = true;
+        if self.budget.is_exhausted() {
             return;
         }
         self.record(a, b);
@@ -83,7 +80,7 @@ impl MbeSearcher<'_> {
             a.push(u);
             self.expand(a, &new_b, &rest);
             a.pop();
-            if self.timed_out {
+            if self.budget.is_exhausted() {
                 return;
             }
         }
@@ -93,7 +90,7 @@ impl MbeSearcher<'_> {
 fn make_searcher<'g>(
     graph: &'g BipartiteGraph,
     initial: Biclique,
-    deadline: Deadline,
+    budget: &SearchBudget,
 ) -> MbeSearcher<'g> {
     let core = core_decomposition(graph).core;
     let best_half = initial.half_size();
@@ -103,8 +100,7 @@ fn make_searcher<'g>(
         best: initial,
         best_half,
         nodes: 0,
-        deadline,
-        timed_out: false,
+        budget: budget.clone(),
     }
 }
 
@@ -112,30 +108,30 @@ fn make_searcher<'g>(
 pub fn imbea_adapted(
     graph: &BipartiteGraph,
     initial: Biclique,
-    budget: Option<Duration>,
+    budget: &SearchBudget,
 ) -> RunOutcome {
-    let deadline = Deadline::new(budget);
-    let mut searcher = make_searcher(graph, initial, deadline);
-    let cand: Vec<u32> = (0..graph.num_left() as u32)
-        .filter(|&u| searcher.core[u as usize] as usize > searcher.best_half)
-        .collect();
-    let b_all: Vec<u32> = (0..graph.num_right() as u32).collect();
-    searcher.expand(&mut Vec::new(), &b_all, &cand);
-    RunOutcome {
-        biclique: searcher.best,
-        timed_out: searcher.timed_out,
-        nodes: searcher.nodes,
+    let mut searcher = make_searcher(graph, initial, budget);
+    // Entry probe: unsampled, so an expired budget stops even a search
+    // shorter than one sampling interval.
+    if !budget.probe() {
+        let cand: Vec<u32> = (0..graph.num_left() as u32)
+            .filter(|&u| searcher.core[u as usize] as usize > searcher.best_half)
+            .collect();
+        let b_all: Vec<u32> = (0..graph.num_right() as u32).collect();
+        searcher.expand(&mut Vec::new(), &b_all, &cand);
     }
+    RunOutcome::new(searcher.best, searcher.nodes, budget)
 }
 
 /// Adapted FMBE: per-vertex 2-hop-scoped enumeration under a fixed order.
+/// The budget is probed once per root, and the first root's probe is the
+/// entry probe.
 pub fn fmbe_adapted(
     graph: &BipartiteGraph,
     initial: Biclique,
-    budget: Option<Duration>,
+    budget: &SearchBudget,
 ) -> RunOutcome {
-    let deadline = Deadline::new(budget);
-    let mut searcher = make_searcher(graph, initial, deadline);
+    let mut searcher = make_searcher(graph, initial, budget);
     let nl = graph.num_left();
 
     // Fixed total order over left vertices: non-decreasing degree (peeled
@@ -149,7 +145,7 @@ pub fn fmbe_adapted(
     }
 
     for (i, &root) in roots.iter().enumerate() {
-        if searcher.timed_out {
+        if budget.probe() {
             break;
         }
         if searcher.core[root as usize] as usize <= searcher.best_half {
@@ -173,11 +169,7 @@ pub fn fmbe_adapted(
     // Right-rooted single vertices are covered by left enumeration except
     // the degenerate 1x1 case on isolated edges; the incumbent from step 1
     // handles those (half ≥ 1 whenever an edge exists).
-    RunOutcome {
-        biclique: searcher.best,
-        timed_out: searcher.timed_out,
-        nodes: searcher.nodes,
-    }
+    RunOutcome::new(searcher.best, searcher.nodes, budget)
 }
 
 #[cfg(test)]
@@ -185,6 +177,8 @@ mod tests {
     use super::*;
     use mbb_bigraph::generators;
     use mbb_bigraph::graph::sorted_intersection;
+    use mbb_core::budget::PROBE_INTERVAL;
+    use std::time::Duration;
 
     fn brute_half(graph: &BipartiteGraph) -> usize {
         let nl = graph.num_left();
@@ -212,7 +206,7 @@ mod tests {
     fn imbea_exact_on_random_graphs() {
         for seed in 0..12u64 {
             let g = generators::uniform_edges(10, 10, 45, seed);
-            let out = imbea_adapted(&g, Biclique::empty(), None);
+            let out = imbea_adapted(&g, Biclique::empty(), &SearchBudget::unlimited());
             assert!(!out.timed_out);
             assert_eq!(out.biclique.half_size(), brute_half(&g), "seed {seed}");
             assert!(out.biclique.is_valid(&g));
@@ -229,7 +223,7 @@ mod tests {
                 .next()
                 .map(|(u, v)| Biclique::balanced(vec![u], vec![v]))
                 .unwrap_or_default();
-            let out = fmbe_adapted(&g, seed_biclique, None);
+            let out = fmbe_adapted(&g, seed_biclique, &SearchBudget::unlimited());
             assert!(!out.timed_out);
             assert_eq!(out.biclique.half_size(), brute_half(&g), "seed {seed}");
             assert!(out.biclique.is_valid(&g));
@@ -240,30 +234,44 @@ mod tests {
     fn initial_incumbent_is_kept_when_optimal() {
         let g = generators::complete(4, 4);
         let opt = Biclique::balanced((0..4).collect(), (0..4).collect());
-        let out = imbea_adapted(&g, opt.clone(), None);
+        let out = imbea_adapted(&g, opt.clone(), &SearchBudget::unlimited());
         assert_eq!(out.biclique.half_size(), 4);
     }
 
     #[test]
     fn both_respect_timeouts() {
         let g = generators::dense_uniform(40, 40, 0.8, 2);
-        let out = imbea_adapted(&g, Biclique::empty(), Some(Duration::from_millis(10)));
+        let budget = || SearchBudget::with_deadline(Duration::from_millis(10));
+        let out = imbea_adapted(&g, Biclique::empty(), &budget());
         assert!(out.timed_out || out.biclique.half_size() > 0);
-        let out = fmbe_adapted(&g, Biclique::empty(), Some(Duration::from_millis(10)));
+        let out = fmbe_adapted(&g, Biclique::empty(), &budget());
         assert!(out.timed_out || out.biclique.half_size() > 0);
+    }
+
+    #[test]
+    fn zero_budget_reports_timeout() {
+        // Both searches are shorter than one sampling interval, so only
+        // the entry probe can see the expired budget.
+        let g = generators::uniform_edges(10, 10, 45, 0);
+        let zero = || SearchBudget::with_deadline(Duration::ZERO);
+        let unlimited = SearchBudget::unlimited();
+        assert!(imbea_adapted(&g, Biclique::empty(), &unlimited).nodes < PROBE_INTERVAL);
+        assert!(imbea_adapted(&g, Biclique::empty(), &zero()).timed_out);
+        assert!(fmbe_adapted(&g, Biclique::empty(), &unlimited).nodes < PROBE_INTERVAL);
+        assert!(fmbe_adapted(&g, Biclique::empty(), &zero()).timed_out);
     }
 
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
         assert_eq!(
-            imbea_adapted(&g, Biclique::empty(), None)
+            imbea_adapted(&g, Biclique::empty(), &SearchBudget::unlimited())
                 .biclique
                 .half_size(),
             0
         );
         assert_eq!(
-            fmbe_adapted(&g, Biclique::empty(), None)
+            fmbe_adapted(&g, Biclique::empty(), &SearchBudget::unlimited())
                 .biclique
                 .half_size(),
             0

@@ -3,18 +3,18 @@
 //! bidegeneracy) on the tough datasets.
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --bin fig5 -- [--caps default]
+//! cargo run -p mbb-bench --release --bin fig5 -- [--caps default] [--budget-secs 60]
 //! ```
 
-use mbb_bench::{Args, StandInCache, Table};
+use mbb_bench::{Args, Table};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::order::SearchOrder;
 use mbb_core::{MbbEngine, SolverConfig};
-use mbb_datasets::tough_datasets;
+use mbb_datasets::{stand_in, tough_datasets};
 
 fn main() {
     let args = Args::from_env();
-    let cache = StandInCache::from_env();
+    let budget = args.budget(60);
     let caps = args.caps();
     let seed = args.seed();
 
@@ -38,31 +38,38 @@ fn main() {
     ]);
 
     for spec in tough_datasets() {
-        let standin = cache.get(spec, caps, seed);
-        let bidegeneracy = bicore_decomposition(&standin.graph).bidegeneracy.max(1);
+        let graph = stand_in(spec, caps, seed).graph;
+        let bidegeneracy = bicore_decomposition(&graph).bidegeneracy.max(1);
 
+        // One average depth per order; `None` when the solve ran out of
+        // budget.
         let mut depths = Vec::new();
         for (_, order) in orders {
             let config = SolverConfig {
                 order,
                 ..Default::default()
             };
-            let result = MbbEngine::with_config(standin.graph.clone(), config).solve();
-            depths.push(result.stats.search.average_depth());
+            let engine = MbbEngine::with_config(graph.clone(), config);
+            let result = engine.query().deadline(budget).solve();
+            depths.push(
+                result
+                    .termination
+                    .is_complete()
+                    .then(|| result.stats.search.average_depth()),
+            );
         }
+        let depth = |d: &Option<f64>| d.map_or("-".into(), |d| format!("{d:.2}"));
+        let ratio =
+            |d: &Option<f64>| d.map_or("-".into(), |d| format!("{:.3}", d / bidegeneracy as f64));
 
-        table.row(vec![
+        let mut row = vec![
             format!("{} ({})", spec.name, spec.tough_label().unwrap_or_default()),
             bidegeneracy.to_string(),
-            format!("{:.2}", depths[0]),
-            format!("{:.2}", depths[1]),
-            format!("{:.2}", depths[2]),
-            format!("{:.3}", depths[0] / bidegeneracy as f64),
-            format!("{:.3}", depths[1] / bidegeneracy as f64),
-            format!("{:.3}", depths[2] / bidegeneracy as f64),
-        ]);
+        ];
+        row.extend(depths.iter().map(depth));
+        row.extend(depths.iter().map(ratio));
+        table.row(row);
     }
     table.print();
     println!("\nDepth 0 means verification never branched (stage S1/S2 exit).");
-    eprintln!("{}", cache.summary());
 }

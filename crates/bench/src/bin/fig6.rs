@@ -3,17 +3,17 @@
 //! never induced), under the three total orders, per tough dataset.
 //!
 //! ```text
-//! cargo run -p mbb-bench --release --bin fig6 -- [--caps default]
+//! cargo run -p mbb-bench --release --bin fig6 -- [--caps default] [--budget-secs 60]
 //! ```
 
-use mbb_bench::{Args, StandInCache, Table};
+use mbb_bench::{Args, Table};
 use mbb_bigraph::order::SearchOrder;
 use mbb_core::{MbbEngine, SolverConfig};
-use mbb_datasets::tough_datasets;
+use mbb_datasets::{stand_in, tough_datasets};
 
 fn main() {
     let args = Args::from_env();
-    let cache = StandInCache::from_env();
+    let budget = args.budget(60);
     let caps = args.caps();
     let seed = args.seed();
 
@@ -36,29 +36,36 @@ fn main() {
     ]);
 
     for spec in tough_datasets() {
-        let standin = cache.get(spec, caps, seed);
-        let mut densities = Vec::new();
-        let mut sizes = Vec::new();
+        let graph = stand_in(spec, caps, seed).graph;
+        // One (density, max size) pair per order; `None` when the solve
+        // ran out of budget.
+        let mut runs = Vec::new();
         for (_, order) in orders {
             let config = SolverConfig {
                 order,
                 ..Default::default()
             };
-            let result = MbbEngine::with_config(standin.graph.clone(), config).solve();
-            densities.push(result.stats.avg_subgraph_density);
-            sizes.push(result.stats.max_subgraph_size as f64);
+            let engine = MbbEngine::with_config(graph.clone(), config);
+            let result = engine.query().deadline(budget).solve();
+            let stats = &result.stats;
+            runs.push(
+                result
+                    .termination
+                    .is_complete()
+                    .then_some((stats.avg_subgraph_density, stats.max_subgraph_size as f64)),
+            );
         }
-        table.row(vec![
-            format!("{} ({})", spec.name, spec.tough_label().unwrap_or_default()),
-            format!("{:.4}", densities[0]),
-            format!("{:.4}", densities[1]),
-            format!("{:.4}", densities[2]),
-            format!("{:.0}", sizes[0]),
-            format!("{:.0}", sizes[1]),
-            format!("{:.0}", sizes[2]),
-        ]);
+        let mut row = vec![format!(
+            "{} ({})",
+            spec.name,
+            spec.tough_label().unwrap_or_default()
+        )];
+        let density = |r: &Option<(f64, f64)>| r.map_or("-".into(), |(d, _)| format!("{d:.4}"));
+        let size = |r: &Option<(f64, f64)>| r.map_or("-".into(), |(_, s)| format!("{s:.0}"));
+        row.extend(runs.iter().map(density));
+        row.extend(runs.iter().map(size));
+        table.row(row);
     }
     table.print();
     println!("\nDensity 0 means the solve exited at S1 or no subgraph passed the size prune.");
-    eprintln!("{}", cache.summary());
 }

@@ -12,7 +12,8 @@
 //! grid is 64/128/256 with a per-run budget.
 
 use mbb_baselines::ext_bbclq;
-use mbb_bench::{fmt_seconds, run_with_timeout, Args, Table, TimedOutcome};
+use mbb_bench::{fmt_seconds, run_timed, Args, Table};
+use mbb_core::budget::SearchBudget;
 use mbb_core::dense_mbb_graph;
 use mbb_datasets::dense::{DenseCell, TABLE4_DENSITIES, TABLE4_SIZES};
 
@@ -54,15 +55,13 @@ fn main() {
             let mut ext_timeout = false;
             for rep in 0..reps {
                 let graph = cell.instance(rep);
-                match run_with_timeout(budget, move || ext_bbclq(&graph, Some(budget))) {
-                    TimedOutcome::Finished { value, seconds } if !value.timed_out => {
-                        ext_total += seconds;
-                    }
-                    _ => {
-                        ext_timeout = true;
-                        break;
-                    }
+                let run_budget = SearchBudget::with_deadline(budget);
+                let (out, seconds) = run_timed(|| ext_bbclq(&graph, &run_budget));
+                if out.timed_out {
+                    ext_timeout = true;
+                    break;
                 }
+                ext_total += seconds;
             }
             row.push(fmt_seconds(
                 (!ext_timeout).then_some(ext_total / reps as f64),
@@ -73,16 +72,14 @@ fn main() {
             let mut halves = Vec::new();
             for rep in 0..reps {
                 let graph = cell.instance(rep);
-                match run_with_timeout(budget, move || dense_mbb_graph(&graph)) {
-                    TimedOutcome::Finished { value, seconds } => {
-                        dense_total += seconds;
-                        halves.push(value.0.half_size());
-                    }
-                    TimedOutcome::TimedOut => {
-                        dense_timeout = true;
-                        break;
-                    }
+                let run_budget = SearchBudget::with_deadline(budget);
+                let ((biclique, _), seconds) = run_timed(|| dense_mbb_graph(&graph, &run_budget));
+                if !run_budget.termination().is_complete() {
+                    dense_timeout = true;
+                    break;
                 }
+                dense_total += seconds;
+                halves.push(biclique.half_size());
             }
             row.push(fmt_seconds(
                 (!dense_timeout).then_some(dense_total / reps as f64),

@@ -7,16 +7,16 @@
 //!     [--budget-secs 30] [--caps small|default|large] [--datasets a,b,...]
 //! ```
 
+use std::sync::Arc;
+
 use mbb_baselines::{all_adapted, ext_bbclq};
-use mbb_bench::{
-    fmt_seconds, run_timed, run_with_timeout, Args, StandInCache, Table, TimedOutcome,
-};
-use mbb_core::MbbEngine;
-use mbb_datasets::catalog;
+use mbb_bench::{fmt_seconds, run_timed, Args, Table};
+use mbb_core::budget::SearchBudget;
+use mbb_core::{MbbEngine, SolverConfig};
+use mbb_datasets::{catalog, stand_in};
 
 fn main() {
     let args = Args::from_env();
-    let cache = StandInCache::from_env();
     let budget = args.budget(30);
     let caps = args.caps();
     let seed = args.seed();
@@ -52,29 +52,31 @@ fn main() {
                 continue;
             }
         }
-        let standin = cache.get(spec, caps, seed);
-        let graph = std::sync::Arc::new(standin.graph);
+        let graph = Arc::new(stand_in(spec, caps, seed).graph);
 
         // hbvMBB (ours) — also establishes the stand-in's true optimum.
-        let solver_graph = graph.clone();
-        let hbv = run_with_timeout(budget, move || {
-            MbbEngine::from_arc(solver_graph, Default::default()).solve()
+        let (hbv, hbv_secs) = run_timed(|| {
+            let engine = MbbEngine::from_arc(Arc::clone(&graph), SolverConfig::default());
+            engine.query().deadline(budget).solve()
         });
-        let (found_opt, stage) = match &hbv {
-            TimedOutcome::Finished { value, .. } => (
-                value.value.half_size().to_string(),
-                value.stats.stage.to_string(),
-            ),
-            TimedOutcome::TimedOut => ("?".into(), "-".into()),
+        let hbv_complete = hbv.termination.is_complete();
+        let (found_opt, stage) = if hbv_complete {
+            (
+                hbv.value.half_size().to_string(),
+                hbv.stats.stage.to_string(),
+            )
+        } else {
+            ("?".into(), "-".into())
         };
 
-        // Baselines, each under the same budget (cooperative deadline).
+        // Baselines, each under the same budget.
         let mut adp_secs: Vec<Option<f64>> = Vec::new();
         for baseline in all_adapted() {
             let (out, secs) = run_timed(|| baseline.run(&graph, Some(budget)));
             adp_secs.push((!out.timed_out).then_some(secs));
         }
-        let (ext, ext_secs) = run_timed(|| ext_bbclq(&graph, Some(budget)));
+        let ext_budget = SearchBudget::with_deadline(budget);
+        let (ext, ext_secs) = run_timed(|| ext_bbclq(&graph, &ext_budget));
         let ext_cell = (!ext.timed_out).then_some(ext_secs);
 
         table.row(vec![
@@ -89,7 +91,7 @@ fn main() {
             fmt_seconds(adp_secs[2]),
             fmt_seconds(adp_secs[3]),
             fmt_seconds(ext_cell),
-            fmt_seconds(hbv.seconds()),
+            fmt_seconds(hbv_complete.then_some(hbv_secs)),
             stage,
         ]);
     }
@@ -97,5 +99,4 @@ fn main() {
     table.print();
     println!("\n`-` = budget exceeded (the paper's 4 h timeout, scaled).");
     println!("`Paper opt` is the real-dataset optimum; `Found opt` is the stand-in's.");
-    eprintln!("{}", cache.summary());
 }

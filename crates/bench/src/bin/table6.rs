@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use mbb_bench::{fmt_seconds, run_timed, run_with_timeout, Args, Table, TimedOutcome};
+use mbb_bench::{fmt_seconds, run_timed, Args, Table};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_core::heuristic::hmbb;
@@ -65,11 +65,14 @@ fn main() {
         let mut cells: Vec<String> = Vec::new();
         let mut halves: Vec<String> = Vec::new();
         for (name, config) in variants {
-            let g = graph.clone();
-            let outcome = run_with_timeout(budget, move || MbbEngine::from_arc(g, config).solve());
-            cells.push(fmt_seconds(outcome.seconds()));
-            if let TimedOutcome::Finished { value, .. } = &outcome {
-                halves.push(format!("{name}={}", value.value.half_size()));
+            let (result, seconds) = run_timed(|| {
+                let engine = MbbEngine::from_arc(Arc::clone(&graph), config);
+                engine.query().deadline(budget).solve()
+            });
+            let complete = result.termination.is_complete();
+            cells.push(fmt_seconds(complete.then_some(seconds)));
+            if complete {
+                halves.push(format!("{name}={}", result.value.half_size()));
             }
         }
         eprintln!("  [{}] optima: {}", spec.name, halves.join(" "));

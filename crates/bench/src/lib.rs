@@ -11,14 +11,14 @@
 //! | `fig5`   | Figure 5       | average search depth over δ̈ per order |
 //! | `fig6`   | Figure 6       | average density of the centred subgraphs that pass the size prune, per order |
 //!
-//! All binaries accept `--budget-secs N`, `--caps small|default|large`,
-//! `--seed N` and print GitHub-flavoured Markdown so results paste straight
-//! into `EXPERIMENTS.md`.
-//!
-//! Stand-ins load through [`StandInCache`] — a `.mbbg` binary cache under
-//! `target/standin-cache` (override with `MBB_STANDIN_CACHE`, `off`
-//! disables) — so repeated sweeps skip regeneration; each binary prints a
-//! hit/miss summary to stderr.
+//! All binaries accept `--caps small|default|large` and `--seed N`, and
+//! print GitHub-flavoured Markdown so results paste straight into
+//! `EXPERIMENTS.md`. Every binary except `fig7_scaling` and `all` also
+//! takes `--budget-secs N`: each solve runs on the calling thread under a
+//! deadline N seconds after it starts (the solver's own `SearchBudget`),
+//! and a run that does not complete prints `-`. `all` forwards the flag
+//! to the binaries it runs. Stand-ins come straight from
+//! [`mbb_datasets::stand_in`].
 
 #![warn(missing_docs)]
 
@@ -26,12 +26,10 @@ pub mod args;
 pub mod obs;
 pub mod report;
 pub mod runner;
-pub mod standin_cache;
 
 pub use args::Args;
 pub use obs::{run_obs_bench, ObsBenchOptions, MAX_OVERHEAD_PCT};
 pub use report::{fmt_seconds, ObsBenchReport, Table};
-pub use runner::{run_timed, run_with_timeout, TimedOutcome};
-pub use standin_cache::StandInCache;
+pub use runner::run_timed;
 
 pub use mbb_datasets::ScaleCaps;

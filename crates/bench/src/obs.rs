@@ -16,11 +16,10 @@
 use std::time::Instant;
 
 use mbb_core::MbbEngine;
-use mbb_datasets::{catalog, tough_datasets, ScaleCaps};
+use mbb_datasets::{catalog, stand_in, tough_datasets, ScaleCaps};
 use mbb_obs as obs;
 
 use crate::report::{ObsBenchReport, ObsOverheadRun, OBS_BENCH_SCHEMA_VERSION};
-use crate::standin_cache::StandInCache;
 
 /// The overhead gate, in percent: enabled-spans solves may cost at most
 /// this much more wall clock than disabled-spans solves, in aggregate.
@@ -77,7 +76,7 @@ fn timed_solve(graph: &mbb_bigraph::BipartiteGraph, spans: &mut u64) -> (f64, u6
 /// Flips the global span switch ([`mbb_obs::enable`]/[`mbb_obs::disable`]);
 /// callers in a threaded test harness must serialise against other
 /// span-toggling code. Spans are left disabled on return.
-pub fn run_obs_bench(opts: &ObsBenchOptions, cache: &StandInCache) -> ObsBenchReport {
+pub fn run_obs_bench(opts: &ObsBenchOptions) -> ObsBenchReport {
     let mut specs: Vec<&'static mbb_datasets::DatasetSpec> = tough_datasets()
         .into_iter()
         .take(if opts.quick { 1 } else { 2 })
@@ -87,7 +86,7 @@ pub fn run_obs_bench(opts: &ObsBenchOptions, cache: &StandInCache) -> ObsBenchRe
 
     let mut runs = Vec::new();
     for spec in specs {
-        let standin = cache.get(spec, opts.caps, opts.seed);
+        let standin = stand_in(spec, opts.caps, opts.seed);
         let mut base_seconds = f64::INFINITY;
         let mut instrumented_seconds = f64::INFINITY;
         let mut base_optimum = 0;
@@ -145,8 +144,7 @@ mod tests {
     #[test]
     fn quick_obs_bench_produces_a_valid_report() {
         let opts = ObsBenchOptions::quick(42);
-        let cache = StandInCache::at(None);
-        let report = run_obs_bench(&opts, &cache);
+        let report = run_obs_bench(&opts);
         assert!(!obs::is_enabled(), "bench must leave spans disabled");
         assert_eq!(report.schema_version, OBS_BENCH_SCHEMA_VERSION);
         assert!(!report.runs.is_empty());

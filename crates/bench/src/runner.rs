@@ -1,75 +1,12 @@
-//! Timing helpers, including a hard wall-clock timeout for algorithms that
-//! have no cooperative deadline (the paper's 4-hour cap, scaled down).
+//! Timing helper for the harness binaries.
 
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
-/// Result of a timed run.
-#[derive(Debug, Clone)]
-pub enum TimedOutcome<T> {
-    /// Finished within the budget.
-    Finished {
-        /// The computed value.
-        value: T,
-        /// Wall-clock seconds.
-        seconds: f64,
-    },
-    /// Budget exceeded (reported as `-` in the tables).
-    TimedOut,
-}
-
-impl<T> TimedOutcome<T> {
-    /// Seconds if finished.
-    pub fn seconds(&self) -> Option<f64> {
-        match self {
-            TimedOutcome::Finished { seconds, .. } => Some(*seconds),
-            TimedOutcome::TimedOut => None,
-        }
-    }
-
-    /// The value if finished.
-    pub fn value(&self) -> Option<&T> {
-        match self {
-            TimedOutcome::Finished { value, .. } => Some(value),
-            TimedOutcome::TimedOut => None,
-        }
-    }
-}
+use std::time::Instant;
 
 /// Runs `f` and reports wall-clock seconds.
 pub fn run_timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed().as_secs_f64())
-}
-
-/// Runs `f` on a worker thread with a hard wall-clock budget.
-///
-/// On timeout the worker keeps running detached until the process exits —
-/// the same behaviour as killing a benchmark run by deadline. Harness
-/// binaries run one candidate at a time, so at most a handful of abandoned
-/// workers can accumulate per invocation.
-pub fn run_with_timeout<T: Send + 'static>(
-    budget: Duration,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> TimedOutcome<T> {
-    let (tx, rx) = mpsc::channel();
-    let start = Instant::now();
-    std::thread::Builder::new()
-        .name("mbb-bench-worker".to_string())
-        .stack_size(64 * 1024 * 1024) // deep exclude chains on big inputs
-        .spawn(move || {
-            let value = f();
-            let _ = tx.send(value);
-        })
-        .expect("spawn worker");
-    match rx.recv_timeout(budget) {
-        Ok(value) => TimedOutcome::Finished {
-            value,
-            seconds: start.elapsed().as_secs_f64(),
-        },
-        Err(_) => TimedOutcome::TimedOut,
-    }
 }
 
 #[cfg(test)]
@@ -81,22 +18,5 @@ mod tests {
         let (v, s) = run_timed(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(s >= 0.0);
-    }
-
-    #[test]
-    fn fast_function_finishes() {
-        let out = run_with_timeout(Duration::from_secs(5), || 7u32);
-        assert_eq!(out.value(), Some(&7));
-        assert!(out.seconds().unwrap() < 5.0);
-    }
-
-    #[test]
-    fn slow_function_times_out() {
-        let out = run_with_timeout(Duration::from_millis(20), || {
-            std::thread::sleep(Duration::from_secs(2));
-            1u32
-        });
-        assert!(matches!(out, TimedOutcome::TimedOut));
-        assert_eq!(out.seconds(), None);
     }
 }

@@ -130,8 +130,7 @@ pub fn run(options: &BenchObsOptions) -> Result<String, String> {
         ));
     }
 
-    let cache = mbb_bench::StandInCache::from_env();
-    let report = run_obs_bench(&options.bench_options(), &cache);
+    let report = run_obs_bench(&options.bench_options());
     let json =
         serde_json::to_string_pretty(&report).map_err(|e| format!("serialise report: {e}"))?;
     std::fs::write(&options.out, json.as_bytes()).map_err(|e| format!("{}: {e}", options.out))?;

@@ -31,9 +31,9 @@ options:
                        branch-and-bound inside each vertex-centred
                        subgraph; subgraph = split the subgraphs across
                        workers)
-  --budget-secs <N>    stop hbv or ext after N seconds and report the
-                       best-so-far biclique, marked as a lower bound
-                       (default: none; dense and basic ignore it)
+  --budget-secs <N>    stop the search N seconds after the graph is
+                       loaded and report the best-so-far biclique, marked
+                       as a lower bound (default: none)
   --json               machine-readable output
   --stats              include solver statistics
   --help               this text";
@@ -65,8 +65,8 @@ pub struct Options {
     pub threads: usize,
     /// How `hbv` verification spends its workers.
     pub parallel_mode: ParallelMode,
-    /// Time limit: the `hbv` query's deadline (best-so-far on expiry) and
-    /// the `ext` baseline's budget.
+    /// Time limit of every algorithm's search, counted from the end of
+    /// the graph load (best-so-far on expiry).
     pub budget: Option<Duration>,
     /// Emit JSON.
     pub json: bool,

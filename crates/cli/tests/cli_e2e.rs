@@ -282,3 +282,48 @@ fn command_table_surface() {
     assert_eq!(value["timed_out"], false);
     assert_eq!(value["half_size"], 2);
 }
+
+/// `--budget-secs` bounds every algorithm, `dense` and `basic` included: a
+/// zero budget marks their answers as lower bounds, and each answer is
+/// still a balanced biclique of the input.
+#[test]
+fn zero_budget_times_out_dense_and_basic() {
+    let path = figure_1b("zero-budget");
+    let file = path.to_str().unwrap();
+    let text = std::fs::read_to_string(&*path).unwrap();
+    let edges: Vec<(u64, u64)> = text
+        .lines()
+        .filter(|line| !line.starts_with('%'))
+        .map(|line| {
+            let mut ids = line.split_whitespace().map(|id| id.parse().unwrap());
+            (ids.next().unwrap(), ids.next().unwrap())
+        })
+        .collect();
+    for algorithm in ["dense", "basic"] {
+        let out = mbb(&[
+            file,
+            "--algorithm",
+            algorithm,
+            "--budget-secs",
+            "0",
+            "--json",
+        ]);
+        assert!(out.status.success(), "{algorithm}: {}", stderr(&out));
+        let value: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
+        assert_eq!(value["timed_out"], true, "{algorithm}");
+        let ids = |side: &str| -> Vec<u64> {
+            let ids = value[side].as_array().unwrap();
+            ids.iter().map(|id| id.as_u64().unwrap()).collect()
+        };
+        let (left, right) = (ids("left"), ids("right"));
+        assert_eq!(left.len(), right.len(), "{algorithm}");
+        for &u in &left {
+            for &v in &right {
+                assert!(
+                    edges.contains(&(u, v)),
+                    "{algorithm}: ({u}, {v}) is no edge"
+                );
+            }
+        }
+    }
+}

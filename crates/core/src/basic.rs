@@ -14,6 +14,7 @@
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;
 
+use crate::budget::SearchBudget;
 use crate::stats::SearchStats;
 
 /// A biclique in local indices.
@@ -45,17 +46,31 @@ struct Searcher<'g> {
     best: LocalBiclique,
     best_half: usize,
     stats: SearchStats,
+    budget: SearchBudget,
 }
 
 /// Runs Algorithm 1 on a whole local graph. `initial_half` seeds the bound
 /// (pass 0 when no incumbent exists); the returned biclique is balanced and
 /// strictly larger than `initial_half` if one exists, empty otherwise.
-pub fn basic_bb(graph: &LocalGraph, initial_half: usize) -> (LocalBiclique, SearchStats) {
+///
+/// The search checks `budget` at every node and returns the best so far
+/// once it is exhausted.
+pub fn basic_bb(
+    graph: &LocalGraph,
+    initial_half: usize,
+    budget: &SearchBudget,
+) -> (LocalBiclique, SearchStats) {
+    // Entry is a coarse boundary: one unsampled probe, as in
+    // `dense_mbb_parallel`.
+    if budget.probe() {
+        return (LocalBiclique::default(), SearchStats::default());
+    }
     let mut searcher = Searcher {
         graph,
         best: LocalBiclique::default(),
         best_half: initial_half,
         stats: SearchStats::default(),
+        budget: budget.clone(),
     };
     let ca = BitSet::full(graph.num_left());
     let cb = BitSet::full(graph.num_right());
@@ -79,6 +94,9 @@ impl Searcher<'_> {
     ) {
         self.stats.nodes += 1;
         self.stats.max_depth = self.stats.max_depth.max(depth);
+        if self.budget.is_exhausted() {
+            return;
+        }
 
         // Bounding (line 1): the reachable half-size is capped by both
         // sides' remaining material.
@@ -150,7 +168,7 @@ mod tests {
     #[test]
     fn complete_graph_full_half() {
         let g = complete(4, 6);
-        let (b, _) = basic_bb(&g, 0);
+        let (b, _) = basic_bb(&g, 0, &SearchBudget::unlimited());
         assert_eq!(b.half(), 4);
         assert!(g.is_biclique(&b.left, &b.right));
     }
@@ -158,14 +176,14 @@ mod tests {
     #[test]
     fn empty_graph_has_empty_result() {
         let g = LocalGraph::new(3, 3);
-        let (b, _) = basic_bb(&g, 0);
+        let (b, _) = basic_bb(&g, 0, &SearchBudget::unlimited());
         assert_eq!(b.half(), 0);
     }
 
     #[test]
     fn single_edge() {
         let g = LocalGraph::from_edges(2, 2, [(1, 1)]);
-        let (b, _) = basic_bb(&g, 0);
+        let (b, _) = basic_bb(&g, 0, &SearchBudget::unlimited());
         assert_eq!(b.half(), 1);
         assert_eq!(b.left, vec![1]);
         assert_eq!(b.right, vec![1]);
@@ -187,7 +205,7 @@ mod tests {
                     }
                 }
             }
-            let (found, _) = basic_bb(&g, 0);
+            let (found, _) = basic_bb(&g, 0, &SearchBudget::unlimited());
             assert_eq!(found.half(), brute_force_half(&g), "seed {seed}");
             assert!(g.is_biclique(&found.left, &found.right), "seed {seed}");
         }
@@ -198,17 +216,17 @@ mod tests {
         let g = complete(2, 2);
         // The graph's optimum half is 2; with initial_half = 2 nothing
         // strictly better exists, so the result is empty.
-        let (b, _) = basic_bb(&g, 2);
+        let (b, _) = basic_bb(&g, 2, &SearchBudget::unlimited());
         assert_eq!(b.half(), 0);
         // With initial_half = 1 the full 2x2 is found.
-        let (b, _) = basic_bb(&g, 1);
+        let (b, _) = basic_bb(&g, 1, &SearchBudget::unlimited());
         assert_eq!(b.half(), 2);
     }
 
     #[test]
     fn stats_count_nodes() {
         let g = complete(3, 3);
-        let (_, stats) = basic_bb(&g, 0);
+        let (_, stats) = basic_bb(&g, 0, &SearchBudget::unlimited());
         assert!(stats.nodes > 0);
         assert!(stats.leaf_count > 0);
         assert!(stats.max_depth > 0);

@@ -44,7 +44,7 @@ use crate::reduce::Candidates;
 use crate::solver::run_workers;
 use crate::stats::SearchStats;
 
-/// Tuning/ablation knobs for [`dense_mbb`].
+/// Tuning/ablation knobs for [`dense_mbb_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct DenseConfig {
     /// Apply the Lemma 1/2 reduction loop (on by default).
@@ -69,43 +69,40 @@ impl Default for DenseConfig {
     }
 }
 
-/// Runs `denseMBB` over a whole local graph.
-///
-/// `initial_half` seeds the incumbent bound; the result is a balanced
-/// biclique strictly larger than `initial_half` when one exists (empty
-/// otherwise).
-///
-/// ```
-/// use mbb_bigraph::local::LocalGraph;
-/// use mbb_core::dense::dense_mbb;
-/// // Complete 3×3 minus one corner edge: a 2×3 block remains, so the
-/// // balanced optimum is 2×2.
-/// let g = LocalGraph::from_edges(3, 3, [
-///     (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
-/// ]);
-/// let (found, stats) = dense_mbb(&g, 0);
-/// assert_eq!(found.half(), 2);
-/// assert!(stats.poly_solves >= 1); // solved via the Lemma 3 case
-/// ```
-pub fn dense_mbb(graph: &LocalGraph, initial_half: usize) -> (LocalBiclique, SearchStats) {
-    dense_mbb_budgeted(
-        graph,
-        Vec::new(),
-        Vec::new(),
-        BitSet::full(graph.num_left()),
-        BitSet::full(graph.num_right()),
-        initial_half,
-        DenseConfig::default(),
-        &SearchBudget::unlimited(),
-    )
-}
-
 /// Runs `denseMBB` from a partial state under a [`SearchBudget`]: `a`/`b`
 /// are already-fixed result vertices (every candidate in `ca` must be
 /// adjacent to all of `b` and vice versa — the Algorithm 8 caller seeds
 /// `a = [centre]`, `cb ⊆ N(centre)`). The branch-and-bound checks the
 /// budget at every node and unwinds with the best-so-far biclique once it
 /// is exhausted (anytime semantics).
+///
+/// `initial_half` seeds the incumbent bound; the result is a balanced
+/// biclique strictly larger than `initial_half` when one exists (empty
+/// otherwise).
+///
+/// ```
+/// use mbb_bigraph::bitset::BitSet;
+/// use mbb_bigraph::local::LocalGraph;
+/// use mbb_core::budget::SearchBudget;
+/// use mbb_core::dense::{dense_mbb_budgeted, DenseConfig};
+/// // Complete 3×3 minus one corner edge: a 2×3 block remains, so the
+/// // balanced optimum is 2×2.
+/// let g = LocalGraph::from_edges(3, 3, [
+///     (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
+/// ]);
+/// let (found, stats) = dense_mbb_budgeted(
+///     &g,
+///     Vec::new(),
+///     Vec::new(),
+///     BitSet::full(3),
+///     BitSet::full(3),
+///     0,
+///     DenseConfig::default(),
+///     &SearchBudget::unlimited(),
+/// );
+/// assert_eq!(found.half(), 2);
+/// assert!(stats.poly_solves >= 1); // solved via the Lemma 3 case
+/// ```
 #[allow(clippy::too_many_arguments)] // the seeded state plus config and budget
 pub fn dense_mbb_budgeted(
     graph: &LocalGraph,
@@ -675,6 +672,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Unbudgeted `denseMBB` over a whole local graph.
+    fn dense_mbb(graph: &LocalGraph, initial_half: usize) -> (LocalBiclique, SearchStats) {
+        let (ca, cb) = (
+            BitSet::full(graph.num_left()),
+            BitSet::full(graph.num_right()),
+        );
+        let unlimited = SearchBudget::unlimited();
+        dense_mbb_budgeted(
+            graph,
+            vec![],
+            vec![],
+            ca,
+            cb,
+            initial_half,
+            DenseConfig::default(),
+            &unlimited,
+        )
+    }
+
     fn random_graph(nl: usize, nr: usize, density: f64, seed: u64) -> LocalGraph {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = LocalGraph::new(nl, nr);
@@ -730,7 +746,7 @@ mod tests {
         for seed in 100..130u64 {
             let g = random_graph(8, 8, 0.6, seed);
             let (dense_result, _) = dense_mbb(&g, 0);
-            let (basic_result, _) = basic_bb(&g, 0);
+            let (basic_result, _) = basic_bb(&g, 0, &SearchBudget::unlimited());
             assert_eq!(dense_result.half(), basic_result.half(), "seed {seed}");
         }
     }
@@ -739,7 +755,7 @@ mod tests {
     fn dense_explores_fewer_nodes_than_basic() {
         let g = random_graph(14, 14, 0.85, 5);
         let (r1, dense_stats) = dense_mbb(&g, 0);
-        let (r2, basic_stats) = basic_bb(&g, 0);
+        let (r2, basic_stats) = basic_bb(&g, 0, &SearchBudget::unlimited());
         assert_eq!(r1.half(), r2.half());
         assert!(
             dense_stats.nodes < basic_stats.nodes,

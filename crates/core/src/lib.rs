@@ -7,7 +7,7 @@
 //! * [`basic::basic_bb`] — Algorithm 1, the O*(2ⁿ) alternating enumeration;
 //! * [`poly::DynamicMbb`] — Algorithm 2, the polynomial solver for
 //!   near-complete subgraphs (Lemma 3);
-//! * [`dense::dense_mbb`] — Algorithm 3, `denseMBB`, O*(1.3803ⁿ);
+//! * [`dense::dense_mbb_budgeted`] — Algorithm 3, `denseMBB`, O*(1.3803ⁿ);
 //! * [`heuristic::hmbb`] — Algorithm 5, heuristics + Lemma 4/5 reduction;
 //! * [`bridge::bridge_mbb_budgeted`] — Algorithm 6, vertex-centred
 //!   decomposition; each survivor carries its core numbers;

@@ -6,18 +6,20 @@ use std::time::Instant;
 
 use mbb_obs as obs;
 
+use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::order::SearchOrder;
 use mbb_bigraph::subgraph::{project_order, InducedSubgraph};
 
+use crate::basic::LocalBiclique;
 use crate::biclique::Biclique;
 use crate::bridge::{bridge_mbb_budgeted, BridgeConfig};
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb, DenseConfig};
+use crate::dense::{dense_mbb_budgeted, DenseConfig};
 use crate::engine::MbbEngine;
 use crate::heuristic::{greedy_balanced, hmbb, map_to_parent, DEFAULT_SEEDS};
-use crate::stats::{SolveStats, Stage};
+use crate::stats::{SearchStats, SolveStats, Stage};
 use crate::verify::{verify_mbb_budgeted, ParallelMode, VerifyConfig};
 
 /// Resolves a thread-count knob: `0` means "one worker per available
@@ -292,16 +294,31 @@ pub(crate) fn hbv_mbb(
 
 /// Runs `denseMBB` (Algorithm 3) directly on a whole graph — the §6.1 dense
 /// workload entry point. A degree-greedy warm start seeds the bound.
-pub fn dense_mbb_graph(graph: &BipartiteGraph) -> (Biclique, SolveStats) {
+///
+/// The search stops once `budget` is exhausted and returns the best so far
+/// (at least the warm start); `budget.termination()` then says why. Entry
+/// is a coarse boundary: one unsampled probe, as in
+/// [`dense_mbb_parallel`](crate::dense::dense_mbb_parallel), so an expired
+/// budget skips the search.
+pub fn dense_mbb_graph(graph: &BipartiteGraph, budget: &SearchBudget) -> (Biclique, SolveStats) {
     let score: Vec<u64> = graph.vertices().map(|v| graph.degree(v) as u64).collect();
     let warm = greedy_balanced(graph, &score, 16);
     let warm_half = warm.half_size();
-    let local = LocalGraph::induced(
-        graph,
-        &(0..graph.num_left() as u32).collect::<Vec<_>>(),
-        &(0..graph.num_right() as u32).collect::<Vec<_>>(),
-    );
-    let (found, search) = dense_mbb(&local, warm_half);
+    let (found, search) = if budget.probe() {
+        (LocalBiclique::default(), SearchStats::default())
+    } else {
+        let local = LocalGraph::induced(
+            graph,
+            &(0..graph.num_left() as u32).collect::<Vec<_>>(),
+            &(0..graph.num_right() as u32).collect::<Vec<_>>(),
+        );
+        let (ca, cb) = (
+            BitSet::full(local.num_left()),
+            BitSet::full(local.num_right()),
+        );
+        let config = DenseConfig::default();
+        dense_mbb_budgeted(&local, vec![], vec![], ca, cb, warm_half, config, budget)
+    };
     let best = if found.half() > warm_half {
         Biclique::balanced(found.left, found.right)
     } else {
@@ -365,10 +382,25 @@ mod tests {
     fn dense_entry_point_is_exact() {
         for seed in 0..10u64 {
             let g = generators::dense_uniform(10, 10, 0.8, seed);
-            let (biclique, _) = dense_mbb_graph(&g);
+            let (biclique, _) = dense_mbb_graph(&g, &SearchBudget::unlimited());
             assert_eq!(biclique.half_size(), brute_half(&g), "seed {seed}");
             assert!(biclique.is_valid(&g));
         }
+    }
+
+    #[test]
+    fn dense_entry_point_stops_at_its_deadline() {
+        // Unbudgeted, every 128×128 cell at 80% density in Table 4 runs
+        // past 10 s.
+        use crate::budget::Termination;
+        use std::time::Duration;
+        let g = generators::dense_uniform(128, 128, 0.8, 1);
+        let budget = SearchBudget::with_deadline(Duration::from_millis(100));
+        let start = Instant::now();
+        let (biclique, _) = dense_mbb_graph(&g, &budget);
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert_eq!(budget.termination(), Termination::DeadlineExceeded);
+        assert!(biclique.is_valid(&g));
     }
 
     #[test]

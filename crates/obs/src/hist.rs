@@ -1,5 +1,4 @@
-//! Metric primitives: monotone counters, gauges, and HDR-style
-//! log-bucketed latency histograms.
+//! Metric primitive: HDR-style log-bucketed latency histograms.
 //!
 //! The histogram layout is base-2 octaves split into `2^SUB_BITS = 16`
 //! linear sub-buckets: values below 16 get exact buckets, every larger
@@ -9,7 +8,7 @@
 //! threads and to snapshot concurrently (a snapshot is a consistent
 //! *approximation* while writers are live, exact at quiescence).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-bucket resolution: each base-2 octave splits into
 /// `2^SUB_BITS` buckets.
@@ -47,67 +46,6 @@ fn bucket_upper(index: usize) -> u64 {
         u64::MAX
     } else {
         bucket_lower(index + 1)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Counter / gauge.
-
-/// A monotone counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        // relaxed: independent monotone event count; no other memory is
-        // published through it and readers only need an eventual total.
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current total.
-    pub fn get(&self) -> u64 {
-        // relaxed: see `add` — a point-in-time read of a counter.
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a signed level that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Sets the level.
-    pub fn set(&self, value: i64) {
-        // relaxed: last-writer-wins level; no ordering dependency.
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Moves the level by `delta`.
-    pub fn add(&self, delta: i64) {
-        // relaxed: independent level adjustment, same as `Counter::add`.
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current level.
-    pub fn get(&self) -> i64 {
-        // relaxed: point-in-time read.
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -374,17 +312,5 @@ mod tests {
         assert_eq!((s.count, s.sum, s.max), (0, 0, 0));
         assert_eq!(s.p50(), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
     }
 }

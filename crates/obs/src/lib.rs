@@ -12,10 +12,9 @@
 //!   exactly one `Instant::now()` pair, taken at the facade — never
 //!   inside solver inner loops (the `obs-hot-clock` lint rule enforces
 //!   this for the enumeration kernels).
-//! * **Metrics** ([`hist`]): monotone [`Counter`]s, [`Gauge`]s, and
-//!   HDR-style log-bucketed [`Histogram`]s (base-2 octaves split into
-//!   16 linear sub-buckets, ≤ 6.25 % relative error) with
-//!   p50/p90/p99/max readout.
+//! * **Metrics** ([`hist`]): HDR-style log-bucketed [`Histogram`]s
+//!   (base-2 octaves split into 16 linear sub-buckets, ≤ 6.25 % relative
+//!   error) with p50/p90/p99/max readout.
 //! * **Trace export** ([`trace`]): drained records serialise as Chrome
 //!   `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) or
 //!   aggregate into a per-stage table.
@@ -45,7 +44,7 @@ pub mod ring;
 mod span;
 pub mod trace;
 
-pub use hist::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use hist::{Histogram, HistogramSnapshot};
 pub use ring::{SpanRecord, SpanRing};
 pub use span::{
     context, disable, drain, dropped_records, enable, is_enabled, record, record_for, span,

@@ -222,14 +222,17 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// High-water mark of the queue depth.
     pub max_queue_depth: usize,
-    /// Sum of per-request queue waits.
+    /// Sum of per-request queue waits (the queue-wait histogram's sum).
     pub total_queue_wait: Duration,
-    /// The worst single queue wait.
+    /// The worst single queue wait (the queue-wait histogram's max).
     pub max_queue_wait: Duration,
-    /// Sum of per-request service times.
+    /// Sum of per-request service times (the service histogram's sum).
     pub total_service: Duration,
-    /// Cached-index reuse hits across all shards since server start
-    /// (per-shard counters reset on reload).
+    /// The sum of the per-shard [`ShardServeStats::index_reuse_hits`]:
+    /// each shard counts from server start (for
+    /// [`StreamServer::run_batch`], from the start of the call) or from
+    /// its last reload, whichever is later. A reload drops its shard's
+    /// share to zero, so this total can fall.
     pub index_reuse_hits: u64,
     /// Per-shard breakdown, in fleet shard order.
     pub per_shard: Vec<ShardServeStats>,
@@ -239,9 +242,8 @@ pub struct ServeStats {
 /// counters (wire-compatible with the `stats` verb) plus the
 /// log-bucketed latency distributions the totals can't express. The
 /// histograms live on the [`Admission`] queue and are recorded by
-/// [`Admission::finish`] from the same per-request durations that feed
-/// `total_queue_wait` / `total_service`, so the two views always agree
-/// on `count` and `sum`.
+/// [`Admission::finish`]; `total_queue_wait`, `max_queue_wait` and
+/// `total_service` are read from them, so the two views agree.
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// The counter snapshot, identical to a `stats` answer.
@@ -455,9 +457,6 @@ struct QueueState {
     closed_conns: u64,
     disconnects: u64,
     max_depth: usize,
-    total_queue_wait: Duration,
-    max_queue_wait: Duration,
-    total_service: Duration,
     served: Vec<(u64, u64, u64)>, // per shard: (served, shed, search nodes)
 }
 
@@ -535,10 +534,10 @@ pub struct Admission {
     idle: Condvar,
     depth_limit: usize,
     fairness_burst: usize,
-    /// Latency distributions, recorded by [`finish`](Self::finish) from
-    /// the same durations that feed the `total_*` counters. Lock-free
-    /// (plain atomics) — kept outside `state` so recording never extends
-    /// the queue lock's hold time.
+    /// Latency distributions, the one store of per-request queue waits
+    /// and service times: [`finish`](Self::finish) records each executed
+    /// request under the `state` lock, so a snapshot taken under that
+    /// lock agrees with `completed`.
     hist_queue_wait: obs::Histogram,
     hist_service: obs::Histogram,
 }
@@ -565,9 +564,6 @@ impl Admission {
                 closed_conns: 0,
                 disconnects: 0,
                 max_depth: 0,
-                total_queue_wait: Duration::ZERO,
-                max_queue_wait: Duration::ZERO,
-                total_service: Duration::ZERO,
                 served: vec![(0, 0, 0); shards],
             }),
             space: Condvar::new(),
@@ -665,17 +661,6 @@ impl Admission {
     /// wakes any drain waiter.
     #[doc(hidden)]
     pub fn finish(&self, completion: Completion) {
-        // Histogram recording happens before the lock: the histograms
-        // are atomic and must not lengthen the critical section.
-        if let Completion::Executed {
-            queue_wait,
-            service,
-            ..
-        } = completion
-        {
-            self.hist_queue_wait.record_duration(queue_wait);
-            self.hist_service.record_duration(service);
-        }
         let mut state = self.state.lock();
         match completion {
             Completion::Untracked => {}
@@ -692,9 +677,8 @@ impl Admission {
                 state.completed += 1;
                 state.served[shard].0 += 1;
                 state.served[shard].2 += search_nodes;
-                state.total_queue_wait += queue_wait;
-                state.max_queue_wait = state.max_queue_wait.max(queue_wait);
-                state.total_service += service;
+                self.hist_queue_wait.record_duration(queue_wait);
+                self.hist_service.record_duration(service);
             }
             Completion::Disconnected => {
                 state.disconnected += 1;
@@ -1220,6 +1204,9 @@ impl StreamServer {
             .map(|shard| (shard.id().to_string(), shard.reloads()))
             .collect();
         let state = admission.state.lock();
+        // Read under the state lock: `finish` records under it too.
+        let queue_wait = admission.hist_queue_wait.snapshot();
+        let service = admission.hist_service.snapshot();
         let baselines = baselines.lock();
         let reuse = |b: u64, a: u64| a.saturating_sub(b);
         let per_shard: Vec<ShardServeStats> = shard_meta
@@ -1251,9 +1238,9 @@ impl StreamServer {
             disconnects: state.disconnects,
             queue_depth: state.depth,
             max_queue_depth: state.max_depth,
-            total_queue_wait: state.total_queue_wait,
-            max_queue_wait: state.max_queue_wait,
-            total_service: state.total_service,
+            total_queue_wait: Duration::from_nanos(queue_wait.sum),
+            max_queue_wait: Duration::from_nanos(queue_wait.max),
+            total_service: Duration::from_nanos(service.sum),
             index_reuse_hits: per_shard.iter().map(|s| s.index_reuse_hits).sum(),
             per_shard,
         }
@@ -1677,6 +1664,19 @@ not json\n\
         assert_eq!(responses[1].shard.as_deref(), Some("a"));
         // Rejected requests burn no engine time.
         assert_eq!(responses[0].service, Duration::ZERO);
+    }
+
+    #[test]
+    fn stats_latency_totals_match_the_responses() {
+        let requests: Vec<QueryRequest> = (0..8)
+            .map(|i| QueryRequest::new(i, QueryKind::Solve).on_graph(["a", "b"][i as usize % 2]))
+            .collect();
+        let report = batch_server(small_fleet(), 2).run_batch(requests);
+        let responses: Vec<&QueryResponse> = report.events.iter().map(response).collect();
+        let service: Duration = responses.iter().map(|r| r.service).sum();
+        let max_wait = responses.iter().map(|r| r.queue_wait).max().unwrap();
+        assert_eq!(report.stats.total_service, service);
+        assert_eq!(report.stats.max_queue_wait, max_wait);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! ```
 
 use mbb_bigraph::generators::dense_uniform;
+use mbb_core::budget::SearchBudget;
 use mbb_core::dense_mbb_graph;
 use mbb_core::engine::MbbEngine;
 
@@ -30,7 +31,7 @@ fn main() {
         let fabric = dense_uniform(40, 40, working_rate, 96 + defect_percent as u64);
 
         let start = std::time::Instant::now();
-        let (array, _) = dense_mbb_graph(&fabric);
+        let (array, _) = dense_mbb_graph(&fabric, &SearchBudget::unlimited());
         let elapsed = start.elapsed();
 
         let k = array.half_size();

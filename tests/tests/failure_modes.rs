@@ -2,6 +2,7 @@
 
 use mbb_bigraph::graph::{BipartiteGraph, GraphError};
 use mbb_bigraph::io;
+use mbb_core::budget::SearchBudget;
 use mbb_core::{Biclique, MbbEngine};
 use std::io::Cursor;
 
@@ -16,8 +17,14 @@ fn engine_mbb(g: &BipartiteGraph) -> Biclique {
 fn empty_graph_is_handled_by_everything() {
     let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
     assert_eq!(engine_mbb(&g).half_size(), 0);
-    assert_eq!(mbb_core::dense_mbb_graph(&g).0.half_size(), 0);
-    assert_eq!(mbb_baselines::ext_bbclq(&g, None).biclique.half_size(), 0);
+    let unlimited = SearchBudget::unlimited();
+    assert_eq!(mbb_core::dense_mbb_graph(&g, &unlimited).0.half_size(), 0);
+    assert_eq!(
+        mbb_baselines::ext_bbclq(&g, &unlimited)
+            .biclique
+            .half_size(),
+        0
+    );
     assert_eq!(
         mbb_bigraph::bicore::bicore_decomposition(&g).bidegeneracy,
         0
@@ -133,6 +140,7 @@ fn crown_graph() {
 #[test]
 fn zero_budget_baselines_report_timeout() {
     let g = mbb_bigraph::generators::dense_uniform(30, 30, 0.8, 1);
-    let out = mbb_baselines::ext_bbclq(&g, Some(std::time::Duration::ZERO));
+    let zero = SearchBudget::with_deadline(std::time::Duration::ZERO);
+    let out = mbb_baselines::ext_bbclq(&g, &zero);
     assert!(out.timed_out);
 }

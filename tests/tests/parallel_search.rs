@@ -9,7 +9,7 @@ use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::generators;
 use mbb_bigraph::local::LocalGraph;
 use mbb_core::budget::{CancelToken, SearchBudget, Termination};
-use mbb_core::dense::{dense_mbb, dense_mbb_parallel, DenseConfig};
+use mbb_core::dense::{dense_mbb_budgeted, dense_mbb_parallel, DenseConfig};
 use mbb_core::engine::MbbEngine;
 use mbb_core::verify::ParallelMode;
 use mbb_core::SolverConfig;
@@ -46,7 +46,10 @@ proptest! {
     // witness is a real biclique.
     #[test]
     fn parallel_dense_matches_serial(g in small_local_graph()) {
-        let (serial, _) = dense_mbb(&g, 0);
+        let (ca, cb) = (BitSet::full(g.num_left()), BitSet::full(g.num_right()));
+        let config = DenseConfig::default();
+        let unlimited = SearchBudget::unlimited();
+        let (serial, _) = dense_mbb_budgeted(&g, vec![], vec![], ca, cb, 0, config, &unlimited);
         for workers in [2usize, 4] {
             let (left, right) = run_parallel(&g, workers, &SearchBudget::unlimited());
             prop_assert_eq!(left.len().min(right.len()), serial.half(), "workers {}", workers);

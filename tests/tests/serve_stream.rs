@@ -432,6 +432,57 @@ fn reload_while_in_flight_drops_nothing_and_splits_old_from_new() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `index_reuse_hits` counts each shard from its last reload, not from
+/// server start: a reload starts a fresh session, so the total falls.
+#[test]
+fn reload_drops_its_shards_reuse_hits() {
+    let dir = std::env::temp_dir().join(format!("mbb-serve-stream-reuse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Its solve reaches stage 2, so a second solve reuses the order the
+    // first one built.
+    let graph = generators::uniform_edges(15, 15, 70, 8);
+    let path = dir.join("g.txt");
+    mbb_bigraph::io::write_edge_list_file(&graph, &path).unwrap();
+
+    let mut fleet = ShardedFleet::new();
+    fleet.add_shard("g", graph).unwrap();
+    let server = StreamServer::new(
+        fleet,
+        StreamConfig {
+            workers: 1,
+            ..StreamConfig::default()
+        },
+    )
+    .with_store(mbb_store::GraphStore::new());
+
+    let solve = |id| encode_request(&QueryRequest::new(id, QueryKind::Solve).on_graph("g")) + "\n";
+    let stats = "{\"control\": \"drain\"}\n{\"control\": \"stats\"}\n";
+    let mut input = solve(1) + &solve(2) + stats;
+    input.push_str(&format!(
+        "{{\"control\": \"reload\", \"graph\": \"g\", \"source\": {:?}}}\n",
+        path.to_str().unwrap()
+    ));
+    input.push_str(stats);
+    input.push_str(&(solve(3) + &solve(4) + stats));
+
+    let events = Mutex::new(Vec::new());
+    server.serve_with(input.as_bytes(), |e| events.lock().unwrap().push(e));
+    let hits: Vec<u64> = events
+        .into_inner()
+        .unwrap()
+        .iter()
+        .filter_map(|e| match e {
+            StreamEvent::Stats(s) => Some(s.index_reuse_hits),
+            _ => None,
+        })
+        .collect();
+    // Solve 2 reuses solve 1's order. The reload drops the shard's count
+    // to zero. The reloaded graph is identical, so the new session is a
+    // fork that starts with the order built: solves 3 and 4 both reuse it.
+    assert_eq!(hits, [1, 0, 2]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `{"control": "metrics"}` round trip: after a drain, the metrics
 /// event must carry (a) the same counter snapshot the `stats` verb
 /// reports, (b) latency histograms whose counts equal the completed

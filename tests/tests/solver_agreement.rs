@@ -4,6 +4,7 @@
 use mbb_baselines::exhaustive::brute_force_mbb;
 use mbb_baselines::{all_adapted, ext_bbclq};
 use mbb_bigraph::generators;
+use mbb_core::budget::SearchBudget;
 use mbb_core::{dense_mbb_graph, MbbEngine, SolverConfig};
 
 fn all_exact_halves(graph: &mbb_bigraph::BipartiteGraph) -> Vec<(String, usize)> {
@@ -28,9 +29,13 @@ fn all_exact_halves(graph: &mbb_bigraph::BipartiteGraph) -> Vec<(String, usize)>
                 .half_size(),
         ));
     }
-    results.push(("denseMBB".to_string(), dense_mbb_graph(graph).0.half_size()));
+    let unlimited = SearchBudget::unlimited();
+    results.push((
+        "denseMBB".to_string(),
+        dense_mbb_graph(graph, &unlimited).0.half_size(),
+    ));
     results.push(("extBBClq".to_string(), {
-        let out = ext_bbclq(graph, None);
+        let out = ext_bbclq(graph, &unlimited);
         assert!(!out.timed_out);
         out.biclique.half_size()
     }));
