@@ -41,7 +41,7 @@ fn h_index(counts: &mut [u32]) -> u32 {
 /// Returns `None` when the budget runs out during precomputation: the
 /// common-neighbour pass probes it once per vertex, and its first probe
 /// is [`ext_bbclq`]'s entry probe.
-pub fn tight_upper_bounds(graph: &BipartiteGraph, budget: &SearchBudget) -> Option<Vec<u32>> {
+fn tight_upper_bounds(graph: &BipartiteGraph, budget: &SearchBudget) -> Option<Vec<u32>> {
     let nl = graph.num_left();
     let nr = graph.num_right();
     let n = nl + nr;

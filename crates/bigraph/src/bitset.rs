@@ -161,7 +161,7 @@ impl BitSet {
     }
 
     /// Inserts every value in `0..capacity`.
-    pub fn insert_all(&mut self) {
+    fn insert_all(&mut self) {
         if self.capacity == 0 {
             return;
         }

@@ -39,27 +39,6 @@ impl Projection {
             .unwrap_or(0)
     }
 
-    /// Weighted degree (sum of incident edge weights) per vertex.
-    pub fn weighted_degrees(&self) -> Vec<u64> {
-        let mut degrees = vec![0u64; self.num_vertices];
-        for &(u, v, w) in &self.edges {
-            degrees[u as usize] += w as u64;
-            degrees[v as usize] += w as u64;
-        }
-        degrees
-    }
-
-    /// The number of vertex pairs with weight ≥ `threshold` — the edge
-    /// count of the thresholded projection. A balanced biclique of
-    /// half-size `k` needs `C(k,2)` pairs of weight ≥ `k` on each side,
-    /// so `pairs_with_weight_at_least(k) < C(k,2)` refutes half-size `k`.
-    pub fn pairs_with_weight_at_least(&self, threshold: u32) -> usize {
-        self.edges
-            .iter()
-            .filter(|&&(_, _, w)| w >= threshold)
-            .count()
-    }
-
     /// Upper bound on the MBB half-size from this projection: the largest
     /// `k ≥ 2` with at least `C(k,2)` pairs of weight ≥ `k`, falling back
     /// to 1 when the bipartite graph has an edge and 0 otherwise. One
@@ -188,14 +167,13 @@ mod tests {
         assert!(p.edges.iter().all(|&(_, _, w)| w == 1));
     }
 
-    #[test]
-    fn weighted_degrees_sum() {
-        let g = generators::uniform_edges(8, 8, 25, 3);
-        let p = project(&g, Side::Left);
-        let degrees = p.weighted_degrees();
-        let total: u64 = degrees.iter().sum();
-        let edge_weight_sum: u64 = p.edges.iter().map(|&(_, _, w)| w as u64).sum();
-        assert_eq!(total, 2 * edge_weight_sum);
+    /// The number of vertex pairs with weight ≥ `threshold` — the edge
+    /// count of the thresholded projection. A balanced biclique of
+    /// half-size `k` needs `C(k,2)` pairs of weight ≥ `k` on each side,
+    /// so `pairs_with_weight_at_least(p, k) < C(k,2)` refutes half-size
+    /// `k`.
+    fn pairs_with_weight_at_least(p: &Projection, threshold: u32) -> usize {
+        p.edges.iter().filter(|&&(_, _, w)| w >= threshold).count()
     }
 
     /// The bound by its definition: for each `k` from `|side|` down,
@@ -204,7 +182,7 @@ mod tests {
         let mut k = p.num_vertices;
         while k >= 2 {
             let needed = k * (k - 1) / 2;
-            if p.pairs_with_weight_at_least(k as u32) >= needed {
+            if pairs_with_weight_at_least(p, k as u32) >= needed {
                 return k;
             }
             k -= 1;
@@ -247,7 +225,7 @@ mod tests {
             // integration suite; here check internal consistency.
             let bound = p.mbb_half_upper_bound();
             if bound >= 2 {
-                assert!(p.pairs_with_weight_at_least(bound as u32) >= bound * (bound - 1) / 2);
+                assert!(pairs_with_weight_at_least(&p, bound as u32) >= bound * (bound - 1) / 2);
             }
             let _ = maximum_vertex_biclique(&g);
         }

@@ -3,7 +3,6 @@
 use std::time::Duration;
 
 use mbb_bigraph::order::SearchOrder;
-use mbb_core::verify::ParallelMode;
 
 use crate::args::{self, Arg, ArgError, Args};
 
@@ -22,15 +21,10 @@ options:
       basic  basicBB (Algorithm 1)              — reference, tiny graphs
       ext    extBBClq baseline (Zhou et al. 2018)
   --order <bidegeneracy|degeneracy|degree>  hbv search order (default: bidegeneracy)
-  --threads <N>        worker threads for the parallel search stages;
-                       0 = one per core (default: 1, the paper's
+  --threads <N>        worker threads for the parallel search stages,
+                       which split the vertex-centred subgraphs between
+                       them; 0 = one per core (default: 1, the paper's
                        sequential algorithm)
-  --parallel-mode <auto|intra|subgraph>  how verification spends the
-                       workers (default: auto — pick intra or subgraph per
-                       solve from the bridge skew stats; intra = split the
-                       branch-and-bound inside each vertex-centred
-                       subgraph; subgraph = split the subgraphs across
-                       workers)
   --budget-secs <N>    stop the search N seconds after the graph is
                        loaded and report the best-so-far biclique, marked
                        as a lower bound (default: none)
@@ -63,8 +57,6 @@ pub struct Options {
     /// Worker threads for `hbv`'s parallel stages (0 = one per available
     /// core).
     pub threads: usize,
-    /// How `hbv` verification spends its workers.
-    pub parallel_mode: ParallelMode,
     /// Time limit of every algorithm's search, counted from the end of
     /// the graph load (best-so-far on expiry).
     pub budget: Option<Duration>,
@@ -82,7 +74,6 @@ impl Options {
             algorithm: Algorithm::Hbv,
             order: SearchOrder::Bidegeneracy,
             threads: 1,
-            parallel_mode: ParallelMode::default(),
             budget: None,
             json: false,
             stats: false,
@@ -110,14 +101,6 @@ impl Options {
                     };
                 }
                 Arg::Flag("--threads") => options.threads = args.threads()?,
-                Arg::Flag("--parallel-mode") => {
-                    options.parallel_mode = match args.value()? {
-                        "auto" => ParallelMode::Auto,
-                        "intra" => ParallelMode::IntraSubgraph,
-                        "subgraph" => ParallelMode::Subgraph,
-                        other => return Err(format!("unknown parallel mode {other:?}").into()),
-                    };
-                }
                 Arg::Flag("--budget-secs") => {
                     options.budget = Some(Duration::from_secs(args.number()?));
                 }
@@ -176,19 +159,6 @@ mod tests {
         assert_eq!(o.threads, 0);
         assert_eq!(o.budget, Some(Duration::from_secs(2)));
         assert!(parse("g.txt --deadline-secs 2").is_err());
-    }
-
-    #[test]
-    fn parallel_mode_parses() {
-        let o = parse("g.txt").unwrap();
-        assert_eq!(o.parallel_mode, ParallelMode::Auto);
-        let o = parse("g.txt --parallel-mode subgraph").unwrap();
-        assert_eq!(o.parallel_mode, ParallelMode::Subgraph);
-        let o = parse("g.txt --parallel-mode intra").unwrap();
-        assert_eq!(o.parallel_mode, ParallelMode::IntraSubgraph);
-        let o = parse("g.txt --parallel-mode auto").unwrap();
-        assert_eq!(o.parallel_mode, ParallelMode::Auto);
-        assert!(parse("g.txt --parallel-mode sideways").is_err());
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub fn run(options: &Options) -> Result<Report, String> {
                 SolverConfig {
                     order: options.order,
                     threads: options.threads,
-                    parallel_mode: options.parallel_mode,
                     ..Default::default()
                 },
             );

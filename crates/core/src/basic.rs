@@ -61,7 +61,7 @@ pub fn basic_bb(
     budget: &SearchBudget,
 ) -> (LocalBiclique, SearchStats) {
     // Entry is a coarse boundary: one unsampled probe, as in
-    // `dense_mbb_parallel`.
+    // `dense_mbb_graph`.
     if budget.probe() {
         return (LocalBiclique::default(), SearchStats::default());
     }

@@ -183,16 +183,6 @@ impl SearchBudget {
         SearchBudget::new(Some(Instant::now() + limit), None)
     }
 
-    /// A budget controlled only by a cancellation token.
-    pub fn with_cancel_token(token: CancelToken) -> SearchBudget {
-        SearchBudget::new(None, Some(token))
-    }
-
-    /// True when the budget can actually expire (deadline or token armed).
-    pub fn is_limited(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// The hot-loop check: true once the deadline passed or the token
     /// fired. Unlimited budgets return false after one branch; armed
     /// budgets pay one relaxed atomic load, plus a wall-clock probe every
@@ -274,14 +264,14 @@ mod tests {
         for _ in 0..10_000 {
             assert!(!b.is_exhausted());
         }
-        assert!(!b.is_limited());
+        assert!(b.state.is_none(), "nothing armed");
         assert_eq!(b.termination(), Termination::Complete);
     }
 
     #[test]
     fn expired_deadline_is_detected_and_sticky() {
         let mut b = SearchBudget::with_deadline(Duration::from_millis(0));
-        assert!(b.is_limited());
+        assert!(b.state.is_some(), "armed");
         // Within PROBE_INTERVAL ticks the probe must fire.
         let mut exhausted = false;
         for _ in 0..=PROBE_INTERVAL {
@@ -298,7 +288,7 @@ mod tests {
     #[test]
     fn cancellation_wins_and_propagates_to_clones() {
         let token = CancelToken::new();
-        let mut a = SearchBudget::with_cancel_token(token.clone());
+        let mut a = SearchBudget::new(None, Some(token.clone()));
         let mut b = a.clone();
         assert!(!a.probe());
         token.cancel();

@@ -5,7 +5,7 @@
 //!
 //! 1. **bound** — prune when the remaining material cannot beat the
 //!    incumbent half-size;
-//! 2. **reduce** — Lemmas 1 and 2 to fixpoint ([`crate::reduce`]);
+//! 2. **reduce** — Lemmas 1 and 2 to fixpoint (`reduce.rs`);
 //! 3. **polynomial case** — if every candidate misses ≤ 2 neighbours
 //!    (Lemma 3), solve exactly with `dynamicMBB` and return;
 //! 4. **branch** — otherwise some vertex misses ≥ 3 neighbours; branching
@@ -17,22 +17,14 @@
 //! missing neighbours, steering the residual graph towards the polynomial
 //! case as fast as possible.
 //!
-//! # Intra-subgraph parallelism
-//!
-//! [`dense_mbb_parallel`] splits one search across a worker pool: the
-//! top levels of the branching tree are expanded breadth-first into a
-//! frontier of disjoint subproblems (each a fixed `a`/`b` prefix plus a
-//! split candidate pair), workers claim a contiguous slice each and steal
-//! leftovers, and the incumbent half-size is shared through an atomic so
-//! every worker prunes against the global best. See `docs/PERFORMANCE.md`
-//! at the repository root for the full threading model.
+//! One search runs on one thread. A multi-threaded solve spends its
+//! workers one level up, each verifying whole vertex-centred subgraphs
+//! ([`crate::verify`]).
 
-use std::collections::VecDeque;
-
-// Cross-worker state goes through the mbb-conc facade: std atomics in
+// The shared incumbent goes through the mbb-conc facade: std atomics in
 // normal builds, model-checked under `--cfg mbb_conc` (see
 // tests/conc_models.rs and docs/CONCURRENCY.md).
-use mbb_conc::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;
@@ -41,7 +33,6 @@ use crate::basic::LocalBiclique;
 use crate::budget::SearchBudget;
 use crate::poly::DynamicMbb;
 use crate::reduce::Candidates;
-use crate::solver::run_workers;
 use crate::stats::SearchStats;
 
 /// Tuning/ablation knobs for [`dense_mbb_budgeted`].
@@ -120,7 +111,7 @@ pub fn dense_mbb_budgeted(
     debug_assert!(b
         .iter()
         .all(|&v| ca.iter().all(|u| graph.has_edge(u as u32, v))));
-    let mut searcher = DenseSearcher::new(graph, initial_half, config, budget, None);
+    let mut searcher = DenseSearcher::new(graph, initial_half, config, budget);
     searcher.recurse(&mut a, &mut b, &mut Candidates::new(ca, cb), 0);
     let stats = searcher.stats;
     (searcher.best.balance(), stats)
@@ -135,9 +126,11 @@ enum StepOutcome {
 }
 
 /// The pool-wide incumbent half-size of a parallel stage — the one piece
-/// of mutable state the workers of [`dense_mbb_parallel`], of bridging
+/// of mutable state the workers of bridging
 /// ([`crate::bridge::bridge_mbb_budgeted`]) and of verification
-/// ([`crate::verify::verify_mbb_budgeted`]) share.
+/// ([`crate::verify::verify_mbb_budgeted`]) share. Each worker reads it
+/// before a vertex-centred subgraph and publishes to it after one; a
+/// `denseMBB` search inside a subgraph never touches it.
 ///
 /// The protocol is deliberately minimal so its correctness argument is
 /// short: the cell only ever **grows** (every write is a `fetch_max`
@@ -181,10 +174,6 @@ struct DenseSearcher<'g> {
     stats: SearchStats,
     config: DenseConfig,
     budget: SearchBudget,
-    /// Incumbent half-size shared with sibling workers of a parallel
-    /// search (`None` when running serial). Read at every node, written
-    /// on every improvement, so one worker's find prunes all the others.
-    shared_best: Option<&'g SharedIncumbent>,
     // Per-node memory, reused so that a node allocates nothing.
     /// Candidate sets, with their degree arrays, for include children: a
     /// child takes one and returns it when its subtree is done, so the
@@ -200,7 +189,6 @@ impl<'g> DenseSearcher<'g> {
         best_half: usize,
         config: DenseConfig,
         budget: &SearchBudget,
-        shared_best: Option<&'g SharedIncumbent>,
     ) -> Self {
         DenseSearcher {
             graph,
@@ -209,7 +197,6 @@ impl<'g> DenseSearcher<'g> {
             stats: SearchStats::default(),
             config,
             budget: budget.clone(),
-            shared_best,
             spare: Vec::new(),
             lemma3: DynamicMbb::default(),
         }
@@ -221,22 +208,7 @@ impl<'g> DenseSearcher<'g> {
         let half = left.len().min(right.len());
         debug_assert!(half > self.best_half);
         self.best_half = half;
-        if let Some(shared) = self.shared_best {
-            shared.publish(half);
-        }
         self.best = LocalBiclique { left, right };
-    }
-
-    /// Raises the local pruning bound to the pool-wide incumbent. The
-    /// local `best` biclique is untouched: each worker only ever returns
-    /// bicliques it found itself.
-    fn sync_shared_bound(&mut self) {
-        if let Some(shared) = self.shared_best {
-            let global = shared.bound();
-            if global > self.best_half {
-                self.best_half = global;
-            }
-        }
     }
 
     fn leaf(&mut self, depth: u64) {
@@ -257,7 +229,6 @@ impl<'g> DenseSearcher<'g> {
     ) -> StepOutcome {
         self.stats.nodes += 1;
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        self.sync_shared_bound();
 
         // Budget: once exhausted every level resolves immediately, so the
         // whole recursion unwinds with the best-so-far result.
@@ -379,218 +350,6 @@ impl<'g> DenseSearcher<'g> {
         a.truncate(a_mark);
         b.truncate(b_mark);
     }
-}
-
-/// One frontier subproblem of a parallel search: a fixed `a`/`b` prefix
-/// plus the candidate pair still open under it. Tasks partition the
-/// search space — every leaf of the serial recursion tree lies below
-/// exactly one task. A task keeps no degrees: its search counts them.
-struct FrontierTask {
-    a: Vec<u32>,
-    b: Vec<u32>,
-    ca: BitSet,
-    cb: BitSet,
-    depth: u64,
-}
-
-/// Frontier subproblems generated per requested worker. More tasks than
-/// workers keeps the pool busy when subtree costs are skewed: a worker
-/// finishing a cheap slice steals the leftovers of an expensive one.
-/// Subtree costs are heavy-tailed, so the granularity is deliberately
-/// fine — expansion cost is a few dozen search nodes per task, noise
-/// against the subtrees it balances.
-const FRONTIER_TASKS_PER_WORKER: usize = 16;
-
-/// Hard cap on the frontier, bounding the serial expansion prefix.
-const MAX_FRONTIER_TASKS: usize = 512;
-
-/// Expands the top of the branching tree breadth-first until `target`
-/// open subproblems exist (or the tree is exhausted first). Nodes that
-/// resolve during expansion — prunes, polynomial solves — are handled by
-/// `searcher` exactly as in the serial search.
-fn expand_frontier(
-    searcher: &mut DenseSearcher<'_>,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    ca: BitSet,
-    cb: BitSet,
-    target: usize,
-) -> VecDeque<FrontierTask> {
-    let mut queue = VecDeque::new();
-    queue.push_back(FrontierTask {
-        a,
-        b,
-        ca,
-        cb,
-        depth: 0,
-    });
-    while queue.len() < target {
-        let Some(mut task) = queue.pop_front() else {
-            break;
-        };
-        let mut node = Candidates::new(task.ca, task.cb);
-        let outcome = searcher.step(&mut task.a, &mut task.b, &mut node, task.depth);
-        let StepOutcome::Branch { on_left, vertex: u } = outcome else {
-            continue;
-        };
-        // Include child (owned copies: tasks must be self-contained).
-        let mut child = Candidates::empty();
-        node.include(searcher.graph, on_left, u, &mut child);
-        let (ca_inc, cb_inc) = child.into_sets();
-        let mut a_inc = task.a.clone();
-        let mut b_inc = task.b.clone();
-        if on_left {
-            a_inc.push(u);
-        } else {
-            b_inc.push(u);
-        }
-        queue.push_back(FrontierTask {
-            a: a_inc,
-            b: b_inc,
-            ca: ca_inc,
-            cb: cb_inc,
-            depth: task.depth + 1,
-        });
-        // Exclude child: the popped task itself, one level deeper.
-        node.exclude(searcher.graph, on_left, u);
-        (task.ca, task.cb) = node.into_sets();
-        task.depth += 1;
-        queue.push_back(task);
-    }
-    queue
-}
-
-/// What one worker of [`dense_mbb_parallel`] hands back.
-struct WorkerOutput {
-    best: LocalBiclique,
-    stats: SearchStats,
-    stolen: u64,
-    skipped: u64,
-}
-
-/// [`dense_mbb_budgeted`] split across `workers` threads — the
-/// intra-subgraph parallel mode.
-///
-/// The top of the branching tree is expanded into 16 × `workers`
-/// disjoint subproblems (each a
-/// fixed `a`/`b` seed plus a candidate-set split); each worker claims a
-/// contiguous slice of them and, once its slice is drained, steals
-/// unclaimed tasks from other slices. All workers prune against one
-/// shared atomic incumbent half-size, so an improvement found anywhere
-/// immediately tightens every bound. The [`SearchBudget`]'s exhausted
-/// state is likewise shared: one worker observing the deadline stops the
-/// whole pool at its next per-node check (anytime semantics — the best
-/// biclique found so far is returned).
-///
-/// With `workers <= 1` this is exactly [`dense_mbb_budgeted`]. The
-/// returned optimum half-size is identical to the serial search's for
-/// any worker count (the split is a partition and every prune is against
-/// a realised biclique); the witness itself and the node counters may
-/// differ run to run.
-///
-/// The returned [`SearchStats`] additionally carries
-/// [`worker_nodes`](SearchStats::worker_nodes),
-/// [`tasks_stolen`](SearchStats::tasks_stolen) and
-/// [`tasks_skipped`](SearchStats::tasks_skipped).
-#[allow(clippy::too_many_arguments)] // mirrors dense_mbb_budgeted
-pub fn dense_mbb_parallel(
-    graph: &LocalGraph,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    ca: BitSet,
-    cb: BitSet,
-    initial_half: usize,
-    config: DenseConfig,
-    budget: &SearchBudget,
-    workers: usize,
-) -> (LocalBiclique, SearchStats) {
-    if workers <= 1 {
-        return dense_mbb_budgeted(graph, a, b, ca, cb, initial_half, config, budget);
-    }
-    // Entry is a coarse boundary: one unsampled probe makes an
-    // already-expired budget visible immediately (and sticky), instead of
-    // after PROBE_INTERVAL search nodes.
-    if budget.probe() {
-        return (LocalBiclique::default(), SearchStats::default());
-    }
-    let shared_best = SharedIncumbent::new(initial_half);
-
-    // Serial prefix: expand the frontier. Resolutions met on the way
-    // (poly solves at shallow depth) land in the coordinator's `best`.
-    let mut coordinator =
-        DenseSearcher::new(graph, initial_half, config, budget, Some(&shared_best));
-    let target = (workers * FRONTIER_TASKS_PER_WORKER).min(MAX_FRONTIER_TASKS);
-    let tasks: Vec<FrontierTask> = expand_frontier(&mut coordinator, a, b, ca, cb, target).into();
-    if tasks.is_empty() {
-        // The whole tree resolved during expansion — nothing to spawn for.
-        return (coordinator.best.balance(), coordinator.stats);
-    }
-    let claimed: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
-
-    let shared = &shared_best;
-    let outputs = run_workers(workers, |w| {
-        let mut searcher = DenseSearcher::new(graph, shared.bound(), config, budget, Some(shared));
-        let chunk = tasks.len().div_ceil(workers).max(1);
-        let own = (w * chunk).min(tasks.len())..((w + 1) * chunk).min(tasks.len());
-        let mut stolen = 0u64;
-        let mut skipped = 0u64;
-        // Own slice first, then one stealing sweep over the rest —
-        // `claimed` makes every task run exactly once.
-        for index in own.clone().chain(0..tasks.len()) {
-            // relaxed: the atomic RMW alone decides the claim (exactly one
-            // swap returns false per task); the task data is immutable and
-            // published by the spawning scope's happens-before edge.
-            if claimed[index].swap(true, Ordering::Relaxed) {
-                continue;
-            }
-            if !own.contains(&index) {
-                stolen += 1;
-            }
-            run_task(&mut searcher, &tasks[index], &mut skipped);
-        }
-        WorkerOutput {
-            best: searcher.best,
-            stats: searcher.stats,
-            stolen,
-            skipped,
-        }
-    });
-
-    let mut best = coordinator.best;
-    let mut stats = coordinator.stats;
-    stats.worker_nodes = vec![0; workers];
-    for (w, output) in outputs.into_iter().enumerate() {
-        stats.worker_nodes[w] = output.stats.nodes;
-        stats.merge(&output.stats);
-        stats.tasks_stolen += output.stolen;
-        stats.tasks_skipped += output.skipped;
-        if output.best.half() > best.half() {
-            best = output.best;
-        }
-    }
-    (best.balance(), stats)
-}
-
-/// Runs one claimed frontier task to completion (or skips it when the
-/// shared incumbent already reached its optimistic bound).
-fn run_task(searcher: &mut DenseSearcher<'_>, task: &FrontierTask, skipped: &mut u64) {
-    searcher.sync_shared_bound();
-    let cap = (task.a.len() + task.ca.len()).min(task.b.len() + task.cb.len());
-    if cap <= searcher.best_half {
-        *skipped += 1;
-        return;
-    }
-    // Task claim is a coarse boundary: pay for an unsampled probe so an
-    // expired budget is noticed even when every task is tiny.
-    if searcher.budget.probe() {
-        return;
-    }
-    let mut a = task.a.clone();
-    let mut b = task.b.clone();
-    let mut node = searcher.spare.pop().unwrap_or_else(Candidates::empty);
-    node.reset(&task.ca, &task.cb);
-    searcher.recurse(&mut a, &mut b, &mut node, task.depth);
-    searcher.spare.push(node);
 }
 
 /// Result of the per-node candidate scan.
@@ -834,107 +593,6 @@ mod tests {
             );
             assert_eq!(b.half(), brute_force_half(&g), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_random_graphs() {
-        for seed in 0..25u64 {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1e);
-            let nl = rng.gen_range(2..=10usize);
-            let nr = rng.gen_range(2..=10usize);
-            let density = rng.gen_range(0.3..0.95);
-            let g = random_graph(nl, nr, density, seed);
-            let (serial, _) = dense_mbb(&g, 0);
-            for workers in [2, 4] {
-                let (parallel, stats) = dense_mbb_parallel(
-                    &g,
-                    Vec::new(),
-                    Vec::new(),
-                    BitSet::full(nl),
-                    BitSet::full(nr),
-                    0,
-                    DenseConfig::default(),
-                    &SearchBudget::unlimited(),
-                    workers,
-                );
-                assert_eq!(
-                    parallel.half(),
-                    serial.half(),
-                    "seed {seed} workers {workers}"
-                );
-                assert!(
-                    g.is_biclique(&parallel.left, &parallel.right),
-                    "seed {seed} workers {workers}"
-                );
-                if !stats.worker_nodes.is_empty() {
-                    assert_eq!(stats.worker_nodes.len(), workers);
-                    let worker_total: u64 = stats.worker_nodes.iter().sum();
-                    assert!(worker_total <= stats.nodes);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_respects_initial_bound() {
-        let g = random_graph(8, 8, 0.7, 21);
-        let brute = brute_force_half(&g);
-        let (b, _) = dense_mbb_parallel(
-            &g,
-            Vec::new(),
-            Vec::new(),
-            BitSet::full(8),
-            BitSet::full(8),
-            brute,
-            DenseConfig::default(),
-            &SearchBudget::unlimited(),
-            4,
-        );
-        assert_eq!(b.half(), 0, "nothing strictly better than the optimum");
-    }
-
-    #[test]
-    fn parallel_with_one_worker_is_serial() {
-        let g = random_graph(9, 9, 0.6, 33);
-        let (serial, serial_stats) = dense_mbb(&g, 0);
-        let (one, one_stats) = dense_mbb_parallel(
-            &g,
-            Vec::new(),
-            Vec::new(),
-            BitSet::full(9),
-            BitSet::full(9),
-            0,
-            DenseConfig::default(),
-            &SearchBudget::unlimited(),
-            1,
-        );
-        assert_eq!(serial.half(), one.half());
-        assert_eq!(serial_stats.nodes, one_stats.nodes);
-        assert!(one_stats.worker_nodes.is_empty());
-    }
-
-    #[test]
-    fn parallel_cancelled_search_returns_valid_biclique() {
-        use crate::budget::CancelToken;
-        let g = random_graph(16, 16, 0.8, 7);
-        let token = CancelToken::new();
-        token.cancel();
-        let budget = SearchBudget::with_cancel_token(token);
-        let (found, _) = dense_mbb_parallel(
-            &g,
-            Vec::new(),
-            Vec::new(),
-            BitSet::full(16),
-            BitSet::full(16),
-            0,
-            DenseConfig::default(),
-            &budget,
-            4,
-        );
-        // Best-so-far under an instantly-cancelled budget: possibly empty,
-        // always a valid biclique.
-        assert!(g.is_biclique(&found.left, &found.right));
-        assert_eq!(budget.termination(), crate::budget::Termination::Cancelled);
     }
 
     #[test]

@@ -66,7 +66,6 @@ use crate::size_constrained::{find_size_constrained_budgeted, SizeConstrainedBic
 use crate::solver::{hbv_mbb, SolverConfig};
 use crate::stats::{IndexStats, SolveStats};
 use crate::topk::topk_budgeted;
-use crate::verify::ParallelMode;
 use crate::weighted::{weighted_mbb_budgeted, WeightedBiclique};
 
 /// The outcome of any engine query: a typed payload, consolidated solver
@@ -197,12 +196,6 @@ impl MbbEngine {
         &self.graph
     }
 
-    /// The session graph's shared handle, for callers that keep the graph
-    /// alive beyond the engine (or hand it to other readers).
-    pub fn graph_arc(&self) -> Arc<BipartiteGraph> {
-        Arc::clone(&self.graph)
-    }
-
     /// The session solver configuration.
     pub fn config(&self) -> &SolverConfig {
         &self.config
@@ -229,7 +222,6 @@ impl MbbEngine {
             deadline: None,
             cancel: None,
             threads: None,
-            parallel_mode: None,
             incumbent: Biclique::empty(),
         }
     }
@@ -411,7 +403,6 @@ pub struct QueryBuilder<'e> {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
     threads: Option<usize>,
-    parallel_mode: Option<ParallelMode>,
     incumbent: Biclique,
 }
 
@@ -441,24 +432,12 @@ impl<'e> QueryBuilder<'e> {
     }
 
     /// Worker threads for this query's parallel stages — the bridging
-    /// generation loop and the verification search: `0` = one per
-    /// available core, unset = the engine config's default (`1`, the
-    /// paper's sequential algorithm). How verification spends the workers
-    /// is set by [`parallel_mode`](Self::parallel_mode).
+    /// generation loop and the verification of the surviving subgraphs,
+    /// which the workers split between them: `0` = one per available
+    /// core, unset = the engine config's default (`1`, the paper's
+    /// sequential algorithm).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// How a multi-threaded verification spends its workers: across
-    /// vertex-centred subgraphs ([`ParallelMode::Subgraph`]), inside
-    /// each subgraph's branch-and-bound
-    /// ([`ParallelMode::IntraSubgraph`]), or picked per solve from the
-    /// bridge stage's skew statistics ([`ParallelMode::Auto`], the
-    /// default). No effect unless [`threads`](Self::threads) resolves to
-    /// more than one worker.
-    pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
-        self.parallel_mode = Some(mode);
         self
     }
 
@@ -498,9 +477,6 @@ impl<'e> QueryBuilder<'e> {
         let mut config = self.engine.config;
         if let Some(threads) = self.threads {
             config.threads = threads;
-        }
-        if let Some(mode) = self.parallel_mode {
-            config.parallel_mode = mode;
         }
         let (biclique, stats) = hbv_mbb(self.engine, config, self.incumbent, &budget);
         self.engine.finish(biclique, stats, &budget)
@@ -725,7 +701,7 @@ mod tests {
         let _ = engine.anchored(Vertex::left(1)); // materialises two-hop
 
         let fork = engine.fork();
-        assert!(Arc::ptr_eq(&engine.graph_arc(), &fork.graph_arc()));
+        assert!(Arc::ptr_eq(&engine.graph, &fork.graph));
         let again = fork.solve();
         assert_eq!(again.value.half_size(), warm.value.half_size());
         // The fork's counters are fresh, and everything it needed arrived

@@ -10,8 +10,8 @@
 //!
 //! The enumerator is callback-driven ([`enumerate_budgeted`]) so
 //! results can be streamed without materialising what may be an
-//! exponential-size output; [`all_maximal_bicliques`] and
-//! [`count_maximal_bicliques`] are convenience wrappers.
+//! exponential-size output; [`all_maximal_bicliques`] is a convenience
+//! wrapper.
 
 use std::cell::Cell;
 use std::ops::ControlFlow;
@@ -330,18 +330,19 @@ pub fn all_maximal_bicliques(
     (out, outcome.complete)
 }
 
-/// Counts maximal bicliques (both sides non-empty) without storing them.
-pub fn count_maximal_bicliques(graph: &BipartiteGraph) -> u64 {
-    let budget = SearchBudget::unlimited();
-    enumerate_budgeted(graph, &EnumConfig::default(), &budget, |_| {
-        ControlFlow::Continue(())
-    })
-    .reported
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts maximal bicliques (both sides non-empty) without storing
+    /// them.
+    fn count_maximal_bicliques(graph: &BipartiteGraph) -> u64 {
+        let budget = SearchBudget::unlimited();
+        enumerate_budgeted(graph, &EnumConfig::default(), &budget, |_| {
+            ControlFlow::Continue(())
+        })
+        .reported
+    }
     use mbb_bigraph::generators;
     use std::collections::HashSet;
 

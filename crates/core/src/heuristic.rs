@@ -40,7 +40,7 @@ const SCAN_CAP: usize = 4_000;
 /// then the larger index. It records the first largest `min(|A|, |C|)`
 /// snapshot. Bridging's `greedy_balanced_local` makes the same choices on
 /// bitset rows.
-pub fn grow_from_seed(graph: &BipartiteGraph, seed: Vertex, score: &[u64]) -> Biclique {
+fn grow_from_seed(graph: &BipartiteGraph, seed: Vertex, score: &[u64]) -> Biclique {
     let mut a: Vec<u32> = vec![seed.index];
     let mut c: Vec<u32> = graph.neighbors(seed).to_vec();
     let seed_side = seed.side;

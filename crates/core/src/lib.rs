@@ -70,7 +70,7 @@ pub mod heuristic;
 pub mod incremental;
 pub mod meb;
 pub mod poly;
-pub mod reduce;
+mod reduce;
 pub mod size_constrained;
 pub mod solver;
 pub mod stats;

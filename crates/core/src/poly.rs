@@ -33,7 +33,7 @@ use crate::stats::SearchStats;
 
 /// Appends to `out` the maximal `(left_count, right_count)` instances of
 /// one complement component (Observation 2, corrected).
-pub fn maximal_instances(component: Component<'_>, out: &mut Vec<(usize, usize)>) {
+fn maximal_instances(component: Component<'_>, out: &mut Vec<(usize, usize)>) {
     let x_is_left = component.vertices[0].left;
     let translate = |x: usize, y: usize| if x_is_left { (x, y) } else { (y, x) };
     let p = component.length();
@@ -69,7 +69,7 @@ pub fn maximal_instances(component: Component<'_>, out: &mut Vec<(usize, usize)>
 /// Picks concrete vertices realising the instance `(left_count,
 /// right_count)` from a component. The instance must come from
 /// [`maximal_instances`].
-pub fn realize_instance(
+fn realize_instance(
     component: Component<'_>,
     left_count: usize,
     right_count: usize,

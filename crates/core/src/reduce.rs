@@ -25,27 +25,6 @@ use mbb_bigraph::local::LocalGraph;
 
 use crate::stats::SearchStats;
 
-/// Applies Lemmas 1 and 2 to fixpoint, mutating the partial result and the
-/// candidate sets in place. Every degree is counted afresh; the search
-/// keeps its `Candidates` from node to node instead.
-///
-/// Invariants expected and preserved: every `u ∈ CA` is adjacent to all of
-/// `B`, every `v ∈ CB` to all of `A`.
-pub fn reduce_candidates(
-    graph: &LocalGraph,
-    a: &mut Vec<u32>,
-    b: &mut Vec<u32>,
-    ca: &mut BitSet,
-    cb: &mut BitSet,
-    best_half: usize,
-    stats: &mut SearchStats,
-) {
-    let taken = |set: &mut BitSet| std::mem::replace(set, BitSet::new(0));
-    let mut node = Candidates::new(taken(ca), taken(cb));
-    node.reduce(graph, a, b, best_half, stats);
-    (*ca, *cb) = node.into_sets();
-}
-
 /// One side's candidates, each with its degree towards the other side's
 /// candidates.
 struct Side {
@@ -154,19 +133,9 @@ impl Candidates {
         }
     }
 
-    /// Empty sets, for a buffer that [`Candidates::include`] or
-    /// [`Candidates::reset`] fills.
+    /// Empty sets, for a buffer that [`Candidates::include`] fills.
     pub(crate) fn empty() -> Candidates {
         Candidates::new(BitSet::new(0), BitSet::new(0))
-    }
-
-    /// Refills with copies of `ca` and `cb`, reusing the buffers, with no
-    /// degree counted.
-    pub(crate) fn reset(&mut self, ca: &BitSet, cb: &BitSet) {
-        self.left.set.clone_from(ca);
-        self.right.set.clone_from(cb);
-        self.left.counted = false;
-        self.right.counted = false;
     }
 
     /// The left candidates `CA`.
@@ -177,11 +146,6 @@ impl Candidates {
     /// The right candidates `CB`.
     pub(crate) fn cb(&self) -> &BitSet {
         &self.right.set
-    }
-
-    /// The two candidate sets, without their degrees.
-    pub(crate) fn into_sets(self) -> (BitSet, BitSet) {
-        (self.left.set, self.right.set)
     }
 
     /// `deg(u, CB)` at index `u` for every `u ∈ CA`. Valid after
@@ -316,6 +280,27 @@ impl Candidates {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Applies Lemmas 1 and 2 to fixpoint, mutating the partial result and
+    /// the candidate sets in place, with every degree counted afresh: the
+    /// reference the search's kept degrees are checked against.
+    ///
+    /// Invariants expected and preserved: every `u ∈ CA` is adjacent to
+    /// all of `B`, every `v ∈ CB` to all of `A`.
+    fn reduce_candidates(
+        graph: &LocalGraph,
+        a: &mut Vec<u32>,
+        b: &mut Vec<u32>,
+        ca: &mut BitSet,
+        cb: &mut BitSet,
+        best_half: usize,
+        stats: &mut SearchStats,
+    ) {
+        let taken = |set: &mut BitSet| std::mem::replace(set, BitSet::new(0));
+        let mut node = Candidates::new(taken(ca), taken(cb));
+        node.reduce(graph, a, b, best_half, stats);
+        (*ca, *cb) = (node.left.set, node.right.set);
+    }
 
     fn complete(nl: usize, nr: usize) -> LocalGraph {
         let mut g = LocalGraph::new(nl, nr);

@@ -36,9 +36,9 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Runs `work(w)` for each worker index `w` in `0..workers` and returns
 /// the results in worker order: inline on the calling thread when
 /// `workers` is 1, otherwise one thread per worker on a
-/// `std::thread::scope` pool. The one spawn site of the parallel stages
-/// (bridging, verification, [`crate::dense::dense_mbb_parallel`]). A
-/// worker's panic resumes on the caller after the join.
+/// `std::thread::scope` pool. The one spawn site of the two parallel
+/// stages, bridging and verification. A worker's panic resumes on the
+/// caller after the join.
 pub(crate) fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if workers <= 1 {
         return vec![work(0)];
@@ -77,11 +77,10 @@ pub struct SolverConfig {
     /// sequential algorithm, `0` = one worker per available core (see
     /// [`resolve_threads`]).
     pub threads: usize,
-    /// How verification spends those threads — across vertex-centred
-    /// subgraphs, inside each subgraph's branch-and-bound, or (the
-    /// default, [`ParallelMode::Auto`]) picked per solve from the bridge
-    /// skew statistics. Irrelevant when `threads` resolves to 1. See
-    /// [`ParallelMode`] for the trade-off.
+    /// Read by nothing: verification always splits the surviving
+    /// subgraphs across the workers. Kept only because
+    /// `perfbench/src/layers.rs` copies it into a [`VerifyConfig`] that
+    /// names every field.
     pub parallel_mode: ParallelMode,
 }
 
@@ -94,7 +93,7 @@ impl Default for SolverConfig {
             order: SearchOrder::Bidegeneracy,
             heuristic_seeds: DEFAULT_SEEDS,
             threads: 1,
-            parallel_mode: ParallelMode::Auto,
+            parallel_mode: ParallelMode::Subgraph,
         }
     }
 }
@@ -277,7 +276,7 @@ pub(crate) fn hbv_mbb(
             use_core_reduction: config.use_core_optimizations,
             dense: dense_config,
             threads: config.threads,
-            mode: config.parallel_mode,
+            ..VerifyConfig::default()
         },
         budget,
     );
@@ -297,9 +296,8 @@ pub(crate) fn hbv_mbb(
 ///
 /// The search stops once `budget` is exhausted and returns the best so far
 /// (at least the warm start); `budget.termination()` then says why. Entry
-/// is a coarse boundary: one unsampled probe, as in
-/// [`dense_mbb_parallel`](crate::dense::dense_mbb_parallel), so an expired
-/// budget skips the search.
+/// is a coarse boundary: one unsampled probe, so an expired budget skips
+/// the search.
 pub fn dense_mbb_graph(graph: &BipartiteGraph, budget: &SearchBudget) -> (Biclique, SolveStats) {
     let score: Vec<u64> = graph.vertices().map(|v| graph.degree(v) as u64).collect();
     let warm = greedy_balanced(graph, &score, 16);

@@ -18,19 +18,10 @@ pub struct SearchStats {
     pub leaf_depth_sum: u64,
     /// Number of terminating subtrees (denominator for the average depth).
     pub leaf_count: u64,
-    /// Search nodes explored by each worker of a parallel search, indexed
-    /// by worker id. Empty for serial searches. [`merge`](Self::merge)
-    /// adds element-wise, so after a solve this is the per-worker total
-    /// across every parallel search the solve ran.
+    /// Search nodes explored by each verification worker, indexed by
+    /// worker id. Empty when verification ran on one worker;
+    /// [`merge`](Self::merge) leaves it alone.
     pub worker_nodes: Vec<u64>,
-    /// Frontier subproblems a parallel-`denseMBB` worker claimed from
-    /// *another* worker's slice after draining its own (work stealing; see
-    /// [`dense_mbb_parallel`](crate::dense::dense_mbb_parallel)).
-    pub tasks_stolen: u64,
-    /// Frontier subproblems discarded unexplored because the shared
-    /// incumbent had already reached their optimistic bound by the time a
-    /// worker claimed them.
-    pub tasks_skipped: u64,
 }
 
 impl SearchStats {
@@ -44,9 +35,7 @@ impl SearchStats {
         }
     }
 
-    /// Accumulates another search's counters into this one. Per-worker
-    /// node counts add element-wise (worker `w` of `other` into worker `w`
-    /// of `self`), growing the vector as needed.
+    /// Accumulates another search's counters into this one.
     pub fn merge(&mut self, other: &SearchStats) {
         self.nodes += other.nodes;
         self.bound_prunes += other.bound_prunes;
@@ -55,14 +44,6 @@ impl SearchStats {
         self.max_depth = self.max_depth.max(other.max_depth);
         self.leaf_depth_sum += other.leaf_depth_sum;
         self.leaf_count += other.leaf_count;
-        if self.worker_nodes.len() < other.worker_nodes.len() {
-            self.worker_nodes.resize(other.worker_nodes.len(), 0);
-        }
-        for (mine, theirs) in self.worker_nodes.iter_mut().zip(&other.worker_nodes) {
-            *mine += theirs;
-        }
-        self.tasks_stolen += other.tasks_stolen;
-        self.tasks_skipped += other.tasks_skipped;
     }
 }
 

@@ -6,21 +6,12 @@
 //! searched with `denseMBB` seeded with the centre vertex fixed in the
 //! result. Improvements immediately tighten the prunes of later subgraphs.
 //!
-//! One worker loop walks the survivors; with `threads > 1` a
-//! [`ParallelMode`] spends the workers in one of two ways (the paper's
-//! implementation is single-threaded, `threads = 1`):
-//!
-//! * [`ParallelMode::Subgraph`] splits the *subgraphs* across workers
-//!   sharing the incumbent — effective when many comparable subgraphs
-//!   survive, Amdahl-bound by the largest one on skewed graphs;
-//! * [`ParallelMode::IntraSubgraph`] walks the subgraphs in
-//!   order but splits the branch-and-bound *inside* each sufficiently
-//!   large one ([`dense_mbb_parallel`]) — effective exactly where the
-//!   subgraph-level mode stalls, on the one dominant subgraph of size
-//!   ≈ δ̈ + 1 that carries most of the search nodes.
-//!
-//! [`ParallelMode::Auto`] (the default) picks between them per
-//! verification stage from the surviving subgraphs' skew.
+//! One worker loop walks the survivors. With `threads > 1` the workers
+//! split them through a shared cursor: each searches whole subgraphs on
+//! its own thread and prunes against one [`SharedIncumbent`]. A
+//! subgraph has at most δ̈ + 1 vertices and is verified on its own, so
+//! it is the natural unit of parallel work. The paper's implementation
+//! is single-threaded (`threads = 1`).
 
 // The survivor cursor goes through the mbb-conc facade, as in `dense.rs`.
 use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
@@ -33,129 +24,21 @@ use mbb_obs as obs;
 use crate::biclique::Biclique;
 use crate::bridge::CenteredSubgraph;
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_budgeted, dense_mbb_parallel, DenseConfig, SharedIncumbent};
+use crate::dense::{dense_mbb_budgeted, DenseConfig, SharedIncumbent};
 use crate::solver::{resolve_threads, run_workers};
 use crate::stats::SearchStats;
 
-/// How a multi-threaded verification stage spends its workers.
-///
-/// Which fixed mode wins is a property of the workload's skew: `Subgraph`
-/// scales with the *number* of comparable surviving subgraphs,
-/// `IntraSubgraph` with the *size* of the dominant one. On skewed
-/// real-world graphs the single subgraph centred near the densest region
-/// usually carries most of the search nodes (see `docs/PERFORMANCE.md`).
-/// `Auto` (the default) reads exactly that skew off the survivors of the
-/// bridging stage and picks per solve, so mixed workloads — the batch
-/// service case — get the right mode per query without tuning.
+/// How a multi-threaded verification stage spends its workers. There is
+/// one way: [`ParallelMode::Subgraph`]. Nothing reads this type; it is
+/// kept only because `perfbench/src/layers.rs` names every field of
+/// [`VerifyConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
     /// Split the surviving subgraphs across workers (each searched
     /// serially), racing on a shared incumbent.
-    Subgraph,
-    /// Walk the subgraphs in order; split the branch-and-bound inside
-    /// each subgraph with at least [`INTRA_PARALLEL_MIN_VERTICES`]
-    /// vertices across the workers ([`dense_mbb_parallel`]).
-    IntraSubgraph,
-    /// Decide per solve from the bridge skew statistics: broad, low-skew
-    /// survivor sets (at least [`AUTO_MIN_SURVIVORS`] subgraphs whose
-    /// largest member stays within [`AUTO_SKEW_RATIO`]× the average
-    /// size) run [`Subgraph`](Self::Subgraph); everything else —
-    /// including the common one-dominant-subgraph shape — runs
-    /// [`IntraSubgraph`](Self::IntraSubgraph). See
-    /// [`ParallelMode::resolve_auto`] for the exact rule.
     #[default]
-    Auto,
+    Subgraph,
 }
-
-/// `Auto` picks [`ParallelMode::Subgraph`] only when at least this many
-/// subgraphs survive bridging: below this the per-subgraph pool has too
-/// few units of work to beat splitting the dominant search itself.
-pub const AUTO_MIN_SURVIVORS: usize = 16;
-
-/// `Auto` picks [`ParallelMode::Subgraph`] only when the largest
-/// surviving subgraph is within this factor of the average survivor size
-/// — i.e. no single subgraph dominates the verification work.
-pub const AUTO_SKEW_RATIO: f64 = 1.5;
-
-impl ParallelMode {
-    /// The decision rule behind [`ParallelMode::Auto`], exposed so
-    /// services can log or replicate the choice: given the number of
-    /// subgraphs that survived bridging (reported as
-    /// `SolveStats::subgraphs_verified`), the largest survivor's vertex
-    /// count and the mean survivor vertex count, returns the fixed mode
-    /// `Auto` resolves to.
-    ///
-    /// Note the size inputs are measured on the **survivors** handed to
-    /// verification; the `max_subgraph_size` / `avg_subgraph_size`
-    /// aggregates in `SolveStats` cover all *generated* subgraphs
-    /// (pruned ones included), so they approximate — but do not exactly
-    /// reproduce — what a solve's `Auto` decided.
-    ///
-    /// ```
-    /// use mbb_core::verify::ParallelMode;
-    /// // Broad and flat: hundreds of comparable subgraphs.
-    /// assert_eq!(
-    ///     ParallelMode::resolve_auto(300, 24, 20.0),
-    ///     ParallelMode::Subgraph
-    /// );
-    /// // Skewed: one subgraph is 4x the average — split inside it.
-    /// assert_eq!(
-    ///     ParallelMode::resolve_auto(300, 80, 20.0),
-    ///     ParallelMode::IntraSubgraph
-    /// );
-    /// // Too few subgraphs to share out, whatever the skew.
-    /// assert_eq!(
-    ///     ParallelMode::resolve_auto(3, 20, 20.0),
-    ///     ParallelMode::IntraSubgraph
-    /// );
-    /// ```
-    pub fn resolve_auto(
-        subgraphs_verified: usize,
-        max_subgraph_size: usize,
-        avg_subgraph_size: f64,
-    ) -> ParallelMode {
-        let flat = max_subgraph_size as f64 <= AUTO_SKEW_RATIO * avg_subgraph_size;
-        if subgraphs_verified >= AUTO_MIN_SURVIVORS && flat {
-            ParallelMode::Subgraph
-        } else {
-            ParallelMode::IntraSubgraph
-        }
-    }
-
-    /// Resolves `self` against a concrete survivor set and thread count
-    /// into `(workers, intra_workers)`: the workers that walk the
-    /// survivors, and the workers each large survivor's own search is
-    /// split across. `Auto` measures the survivors and delegates to
-    /// [`resolve_auto`](Self::resolve_auto).
-    fn resolve_for(self, survivors: &[CenteredSubgraph], threads: usize) -> (usize, usize) {
-        let mode = match self {
-            ParallelMode::Auto => {
-                let sizes = survivors
-                    .iter()
-                    .map(|s| s.left_ids.len() + s.right_ids.len());
-                let max = sizes.clone().max().unwrap_or(0);
-                let avg = if survivors.is_empty() {
-                    0.0
-                } else {
-                    sizes.sum::<usize>() as f64 / survivors.len() as f64
-                };
-                ParallelMode::resolve_auto(survivors.len(), max, avg)
-            }
-            fixed => fixed,
-        };
-        match mode {
-            ParallelMode::Subgraph if survivors.len() > 1 => (threads, 1),
-            ParallelMode::IntraSubgraph => (1, threads),
-            _ => (1, 1),
-        }
-    }
-}
-
-/// Subgraphs smaller than this are searched serially even under
-/// [`ParallelMode::IntraSubgraph`]: spawning a worker pool costs tens of
-/// microseconds, longer than the whole search of a small vertex-centred
-/// subgraph.
-pub const INTRA_PARALLEL_MIN_VERTICES: usize = 32;
 
 /// Knobs for the verification stage.
 #[derive(Debug, Clone, Copy)]
@@ -169,7 +52,8 @@ pub struct VerifyConfig {
     /// Number of worker threads; `1` = the paper's sequential algorithm,
     /// `0` = one per available core.
     pub threads: usize,
-    /// How the workers are spent when `threads > 1`.
+    /// Read by nothing: the workers always split the survivors. Kept
+    /// only because `perfbench/src/layers.rs` names every field.
     pub mode: ParallelMode,
 }
 
@@ -202,10 +86,12 @@ pub fn verify_mbb_budgeted(
     config: VerifyConfig,
     budget: &SearchBudget,
 ) -> (Biclique, SearchStats) {
-    // `Auto` is resolved here, once per verification stage, against the
-    // actual survivor set (the bridge skew is fully known by now).
-    let threads = resolve_threads(config.threads);
-    let (workers, intra_workers) = config.mode.resolve_for(survivors, threads);
+    // A lone survivor leaves nothing to split.
+    let workers = if survivors.len() > 1 {
+        resolve_threads(config.threads)
+    } else {
+        1
+    };
     let shared = SharedIncumbent::new(incumbent.half_size());
     let cursor = AtomicUsize::new(0);
     let outputs = run_workers(workers, |_| {
@@ -229,7 +115,7 @@ pub fn verify_mbb_budgeted(
             // One span per surviving subgraph's cut-and-search.
             let _span = obs::span(obs::Stage::DenseSearch);
             if let Some((candidate, search_stats)) =
-                verify_one(graph, subgraph, bound, config, &budget, intra_workers)
+                verify_one(graph, subgraph, bound, config, &budget)
             {
                 stats.merge(&search_stats);
                 if candidate.half_size() > bound {
@@ -257,16 +143,13 @@ pub fn verify_mbb_budgeted(
 }
 
 /// Verifies one centred subgraph against the bound; returns an improving
-/// biclique (graph ids) if found. `workers > 1` splits the subgraph's
-/// branch-and-bound across that many threads when its cut is at least
-/// [`INTRA_PARALLEL_MIN_VERTICES`] vertices.
+/// biclique (graph ids) if found.
 fn verify_one(
     graph: &BipartiteGraph,
     centered: &CenteredSubgraph,
     best_half: usize,
     config: VerifyConfig,
     budget: &SearchBudget,
-    workers: usize,
 ) -> Option<(Biclique, SearchStats)> {
     let center = centered.center;
     debug_assert_eq!(
@@ -317,21 +200,7 @@ fn verify_one(
         }
     };
 
-    let (found, stats) = if workers > 1 && local.num_vertices() >= INTRA_PARALLEL_MIN_VERTICES {
-        dense_mbb_parallel(
-            &local,
-            a,
-            b,
-            ca,
-            cb,
-            best_half,
-            config.dense,
-            budget,
-            workers,
-        )
-    } else {
-        dense_mbb_budgeted(&local, a, b, ca, cb, best_half, config.dense, budget)
-    };
+    let (found, stats) = dense_mbb_budgeted(&local, a, b, ca, cb, best_half, config.dense, budget);
     if found.half() <= best_half {
         // No improvement; still surface the stats for aggregation.
         return Some((Biclique::empty(), stats));
@@ -349,25 +218,12 @@ mod tests {
     use mbb_bigraph::order::{compute_order, SearchOrder};
 
     fn full_pipeline(graph: &BipartiteGraph, threads: usize) -> Biclique {
-        full_pipeline_mode(graph, threads, ParallelMode::Subgraph).0
-    }
-
-    fn full_pipeline_mode(
-        graph: &BipartiteGraph,
-        threads: usize,
-        mode: ParallelMode,
-    ) -> (Biclique, SearchStats) {
         let bridged = bridge(graph);
-        verify(
-            graph,
-            &bridged.survivors,
-            bridged.best,
-            VerifyConfig {
-                threads,
-                mode,
-                ..Default::default()
-            },
-        )
+        let config = VerifyConfig {
+            threads,
+            ..Default::default()
+        };
+        verify(graph, &bridged.survivors, bridged.best, config).0
     }
 
     /// Bridging at one thread under the bidegeneracy order, from an empty
@@ -399,8 +255,7 @@ mod tests {
         )
     }
 
-    /// The 80×80 skewed Chung–Lu instance of
-    /// `intra_subgraph_mode_matches_sequential`, by seed.
+    /// An 80×80 skewed Chung–Lu instance, by seed.
     fn chung_lu_80(seed: u64) -> BipartiteGraph {
         generators::chung_lu_bipartite(
             &generators::ChungLuParams {
@@ -437,62 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_subgraph_mode_matches_sequential() {
-        // Skewed hub-heavy instances: the dominant subgraph clears
-        // INTRA_PARALLEL_MIN_VERTICES *and* its search outlives the
-        // frontier expansion, so the parallel branch really runs
-        // (asserted below via the per-worker counters it populates).
-        let mut parallel_branch_ran = false;
-        for seed in 0..4u64 {
-            let g = chung_lu_80(seed ^ 0x17);
-            let sequential = full_pipeline(&g, 1);
-            let (intra, stats) = full_pipeline_mode(&g, 4, ParallelMode::IntraSubgraph);
-            assert_eq!(sequential.half_size(), intra.half_size(), "seed {seed}");
-            assert!(intra.is_valid(&g), "seed {seed}");
-            parallel_branch_ran |= !stats.worker_nodes.is_empty();
-        }
-        assert!(
-            parallel_branch_ran,
-            "no subgraph reached the intra-parallel threshold; grow the test graphs"
-        );
-    }
-
-    #[test]
-    fn auto_mode_matches_sequential_and_fixed_modes() {
-        for seed in 0..6u64 {
-            let g = generators::uniform_edges(16, 16, 110, seed ^ 0x5a);
-            let sequential = full_pipeline(&g, 1);
-            let (auto, _) = full_pipeline_mode(&g, 4, ParallelMode::Auto);
-            assert_eq!(sequential.half_size(), auto.half_size(), "seed {seed}");
-            assert!(auto.is_valid(&g), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn auto_resolution_rule() {
-        // Flat and broad → subgraph-level; skewed or narrow → intra.
-        assert_eq!(
-            ParallelMode::resolve_auto(AUTO_MIN_SURVIVORS, 10, 10.0),
-            ParallelMode::Subgraph
-        );
-        assert_eq!(
-            ParallelMode::resolve_auto(AUTO_MIN_SURVIVORS - 1, 10, 10.0),
-            ParallelMode::IntraSubgraph
-        );
-        assert_eq!(
-            ParallelMode::resolve_auto(1000, 31, 20.0),
-            ParallelMode::IntraSubgraph
-        );
-        assert_eq!(
-            ParallelMode::resolve_auto(1000, 30, 20.0),
-            ParallelMode::Subgraph
-        );
-        // Degenerate empty survivor set resolves (to intra) without
-        // dividing by zero.
-        assert_eq!(ParallelMode::Auto.resolve_for(&[], 4), (1, 4));
-    }
-
-    #[test]
     fn subgraph_mode_reports_per_worker_nodes() {
         for seed in 0..4u64 {
             let g = chung_lu_80(seed ^ 0x17);
@@ -500,7 +299,6 @@ mod tests {
             assert!(bridged.survivors.len() > 1, "seed {seed}");
             let config = VerifyConfig {
                 threads: 2,
-                mode: ParallelMode::Subgraph,
                 ..Default::default()
             };
             let (best, stats) = verify(&g, &bridged.survivors, bridged.best, config);

@@ -1,6 +1,6 @@
-//! Model-check suite for the incumbent publication path used by
-//! `dense_mbb_parallel` — the real `SharedIncumbent` type and the
-//! claim-flag protocol its task pool relies on.
+//! Model-check suite for the incumbent publication path that the
+//! bridging and verification workers share — the real `SharedIncumbent`
+//! type.
 //!
 //! Compiled (and run) only under the model facade:
 //!
@@ -15,7 +15,6 @@
 use std::sync::Arc;
 
 use mbb_conc::model::{explore, ExploreConfig};
-use mbb_conc::sync::atomic::{AtomicBool, Ordering};
 use mbb_conc::thread;
 use mbb_core::dense::SharedIncumbent;
 
@@ -80,53 +79,6 @@ fn late_small_publish_cannot_regress_the_bound() {
         big.join().unwrap();
         small.join().unwrap();
         assert_eq!(incumbent.bound(), 9);
-    });
-    assert!(report.exhausted, "({} schedules)", report.schedules);
-}
-
-/// The work-stealing claim protocol of `dense_mbb_parallel`: one
-/// `AtomicBool` per task, `swap(true)` decides ownership. In every
-/// interleaving each task is executed by exactly one worker and no task
-/// is dropped.
-#[test]
-fn claim_flags_hand_each_task_to_exactly_one_worker() {
-    const TASKS: usize = 3;
-    let report = explore(ExploreConfig::auto(2), || {
-        let claimed: Arc<Vec<AtomicBool>> =
-            Arc::new((0..TASKS).map(|_| AtomicBool::new(false)).collect());
-        // Execution tallies live in *std* atomics: invisible to the model
-        // scheduler (no choice points), which keeps the enumeration to
-        // the three swaps per worker that actually decide ownership.
-        let executions: Arc<Vec<std::sync::atomic::AtomicUsize>> = Arc::new(
-            (0..TASKS)
-                .map(|_| std::sync::atomic::AtomicUsize::new(0))
-                .collect(),
-        );
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let claimed = Arc::clone(&claimed);
-                let executions = Arc::clone(&executions);
-                thread::spawn(move || {
-                    for task in 0..TASKS {
-                        // relaxed: mirrors dense.rs — the RMW alone
-                        // decides the claim; task data is immutable.
-                        if !claimed[task].swap(true, Ordering::Relaxed) {
-                            executions[task].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        for (task, count) in executions.iter().enumerate() {
-            assert_eq!(
-                count.load(std::sync::atomic::Ordering::Relaxed),
-                1,
-                "task {task} must run exactly once"
-            );
-        }
     });
     assert!(report.exhausted, "({} schedules)", report.schedules);
 }

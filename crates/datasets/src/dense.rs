@@ -31,24 +31,16 @@ impl DenseCell {
     }
 }
 
-/// The full Table 4 grid, row-major (densities within sizes).
-pub fn table4_grid() -> Vec<DenseCell> {
-    let mut grid = Vec::new();
-    for &side in &TABLE4_SIZES {
-        for &density in &TABLE4_DENSITIES {
-            grid.push(DenseCell { side, density });
-        }
-    }
-    grid
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn grid_covers_full_table() {
-        let grid = table4_grid();
+        let grid: Vec<DenseCell> = TABLE4_SIZES
+            .iter()
+            .flat_map(|&side| TABLE4_DENSITIES.map(|density| DenseCell { side, density }))
+            .collect();
         assert_eq!(grid.len(), 30);
         assert_eq!(
             grid[0],

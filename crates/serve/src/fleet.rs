@@ -154,16 +154,6 @@ impl ShardedFleet {
         self.add_engine(id, MbbEngine::new(graph))
     }
 
-    /// Registers a shard with an explicit solver configuration.
-    pub fn add_shard_with_config(
-        &mut self,
-        id: impl Into<String>,
-        graph: BipartiteGraph,
-        config: SolverConfig,
-    ) -> Result<&mut Self, ServeError> {
-        self.add_engine(id, MbbEngine::with_config(graph, config))
-    }
-
     /// Registers a shard by resolving a name or path through a
     /// [`GraphStore`](mbb_store::GraphStore): warm `.mbbg` caches load
     /// without re-parsing, cold sources are parsed (and cached, per the
@@ -212,20 +202,6 @@ impl ShardedFleet {
             reloads: AtomicU64::new(0),
         });
         Ok(self)
-    }
-
-    /// Swaps shard `id`'s engine session for `engine`, returning the
-    /// shard index. In-flight queries holding the old `Arc` finish on the
-    /// old session; queries that fetch the engine after the swap get the
-    /// new one. This is the primitive under
-    /// [`reload_shard_from_store`](Self::reload_shard_from_store).
-    pub fn reload_engine(&self, id: &str, engine: MbbEngine) -> Result<usize, ServeError> {
-        let index = self.route_id(id)?;
-        *self.shards[index].engine.write() = Arc::new(engine);
-        // relaxed: monotonic event counter; the swap itself synchronises
-        // through the RwLock above.
-        self.shards[index].reloads.fetch_add(1, Ordering::Relaxed);
-        Ok(index)
     }
 
     /// Reloads shard `id` from a store-resolved `source` without dropping
@@ -308,7 +284,7 @@ impl ShardedFleet {
     /// Deterministically assigns an arbitrary routing key to a shard:
     /// 64-bit FNV-1a of the key, modulo the shard count. Stable across
     /// runs, processes and fleets with equal shard counts.
-    pub fn route_key(&self, key: &str) -> Result<usize, ServeError> {
+    fn route_key(&self, key: &str) -> Result<usize, ServeError> {
         if self.shards.is_empty() {
             return Err(ServeError::EmptyFleet);
         }
@@ -316,8 +292,9 @@ impl ShardedFleet {
     }
 
     /// Routes a request: by its `graph` id when present, else by hashing
-    /// its request id ([`route_key`](Self::route_key) of the decimal
-    /// id).
+    /// its request id — 64-bit FNV-1a of the decimal id, modulo the shard
+    /// count, which is stable across runs, processes and fleets with
+    /// equal shard counts.
     pub fn route(&self, request: &QueryRequest) -> Result<usize, ServeError> {
         match &request.graph {
             Some(id) => self.route_id(id),
@@ -352,6 +329,7 @@ mod tests {
     use super::*;
     use crate::request::QueryKind;
     use mbb_bigraph::generators;
+    use mbb_store::Provenance;
 
     fn two_shards() -> ShardedFleet {
         let mut fleet = ShardedFleet::new();
@@ -420,14 +398,14 @@ mod tests {
         let cold = fleet
             .add_shard_from_store("s", &store, path.to_str().unwrap())
             .unwrap();
-        assert!(!cold.provenance.is_cache_hit());
+        assert_ne!(cold.provenance, Provenance::CacheHit);
         assert_eq!(fleet.route_id("s").unwrap(), 0);
         // A second fleet over the same source comes up from the cache.
         let mut warm_fleet = ShardedFleet::new();
         let warm = warm_fleet
             .add_shard_from_store("s", &store, path.to_str().unwrap())
             .unwrap();
-        assert!(warm.provenance.is_cache_hit());
+        assert_eq!(warm.provenance, Provenance::CacheHit);
         assert_eq!(
             warm_fleet.engine(0).graph().num_edges(),
             fleet.engine(0).graph().num_edges()

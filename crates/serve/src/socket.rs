@@ -348,7 +348,7 @@ impl BoundFrontEnd {
             admission.close();
         });
 
-        server.snapshot(&admission, &baselines)
+        server.snapshot(&admission, &baselines).stats
     }
 }
 

@@ -765,18 +765,6 @@ impl Admission {
         self.work.notify_all();
     }
 
-    /// Snapshot of the admission-to-dispatch wait distribution.
-    #[doc(hidden)]
-    pub fn queue_wait_histogram(&self) -> obs::HistogramSnapshot {
-        self.hist_queue_wait.snapshot()
-    }
-
-    /// Snapshot of the dispatch-to-response service-time distribution.
-    #[doc(hidden)]
-    pub fn service_histogram(&self) -> obs::HistogramSnapshot {
-        self.hist_service.snapshot()
-    }
-
     /// Counter snapshot for tests and model checks.
     #[doc(hidden)]
     pub fn queue_snapshot(&self) -> QueueSnapshot {
@@ -980,7 +968,7 @@ impl StreamServer {
             admission.close();
             // Scope exit joins the workers: they drain the queue first.
         });
-        self.snapshot(&admission, &baselines)
+        self.snapshot(&admission, &baselines).stats
     }
 
     /// The admission queue a serve loop (stdin or socket) runs over.
@@ -1147,18 +1135,11 @@ impl StreamServer {
     ) {
         match control {
             ControlRequest::Stats => {
-                sink(
-                    conn,
-                    StreamEvent::Stats(self.snapshot(admission, baselines)),
-                );
+                let stats = self.snapshot(admission, baselines).stats;
+                sink(conn, StreamEvent::Stats(stats));
             }
             ControlRequest::Metrics => {
-                let report = MetricsReport {
-                    stats: self.snapshot(admission, baselines),
-                    queue_wait: admission.queue_wait_histogram(),
-                    service: admission.service_histogram(),
-                    spans_dropped: obs::dropped_records(),
-                };
+                let report = self.snapshot(admission, baselines);
                 sink(conn, StreamEvent::Metrics(Box::new(report)));
             }
             ControlRequest::Drain => {
@@ -1186,11 +1167,14 @@ impl StreamServer {
         }
     }
 
+    /// The counters of a `stats` answer with the two latency histograms
+    /// of a `metrics` answer, all read under one admission lock, so the
+    /// histograms count exactly the completed requests.
     pub(crate) fn snapshot(
         &self,
         admission: &Admission,
         baselines: &Mutex<Vec<IndexStats>>,
-    ) -> ServeStats {
+    ) -> MetricsReport {
         // Lock-order contract (docs/lock_order.txt): shard engine
         // RwLocks strictly before the admission-queue mutex. All
         // fleet reads — `index_stats` takes each shard's engine read
@@ -1225,7 +1209,7 @@ impl StreamServer {
                 },
             )
             .collect();
-        ServeStats {
+        let stats = ServeStats {
             admitted: state.admitted,
             completed: state.completed,
             shed: state.shed,
@@ -1243,6 +1227,12 @@ impl StreamServer {
             total_service: Duration::from_nanos(service.sum),
             index_reuse_hits: per_shard.iter().map(|s| s.index_reuse_hits).sum(),
             per_shard,
+        };
+        MetricsReport {
+            stats,
+            queue_wait,
+            service,
+            spans_dropped: obs::dropped_records(),
         }
     }
 }
@@ -1677,6 +1667,49 @@ not json\n\
         let max_wait = responses.iter().map(|r| r.queue_wait).max().unwrap();
         assert_eq!(report.stats.total_service, service);
         assert_eq!(report.stats.max_queue_wait, max_wait);
+    }
+
+    /// A `metrics` answer taken while workers finish requests is one
+    /// snapshot: each histogram counts exactly the completed requests and
+    /// sums to the total beside it.
+    #[test]
+    fn metrics_answer_taken_mid_run_agrees_with_itself() {
+        let server = batch_server(small_fleet(), 2);
+        let admission = server.new_admission();
+        let baselines = server.baselines();
+        let reports = Mutex::new(Vec::new());
+        let sink = |_conn: u64, event: StreamEvent| {
+            if let StreamEvent::Metrics(report) = event {
+                reports.lock().push(*report);
+            }
+        };
+        let now = Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| worker_loop(&admission, &sink, &|_conn: u64| true));
+            }
+            scope.spawn(|| {
+                for id in 0..300u64 {
+                    admission.push(job((id % 2) as usize, id, None, now));
+                }
+                admission.close();
+            });
+            for _ in 0..300 {
+                server.handle_control(ControlRequest::Metrics, 0, &admission, &baselines, &sink);
+            }
+        });
+        let reports = reports.into_inner();
+        assert_eq!(reports.len(), 300);
+        for report in &reports {
+            let stats = &report.stats;
+            assert_eq!(report.service.count, stats.completed, "{stats:?}");
+            assert_eq!(report.queue_wait.count, stats.completed, "{stats:?}");
+            assert_eq!(report.service.sum, stats.total_service.as_nanos() as u64);
+            assert_eq!(
+                report.queue_wait.sum,
+                stats.total_queue_wait.as_nanos() as u64
+            );
+        }
     }
 
     #[test]

@@ -85,48 +85,6 @@ impl SourceStamp {
     pub fn of_path(path: &Path) -> io::Result<SourceStamp> {
         Ok(SourceStamp::of(&fs::metadata(path)?))
     }
-
-    /// Stamp for a **generated** graph that has no source file at all.
-    ///
-    /// Caches of synthetic graphs (the bench stand-ins) are keyed by the
-    /// generation parameters, not by a file on disk, so the three
-    /// identity fields are reinterpreted — same layout, same equality
-    /// semantics, no sidecar file needed:
-    ///
-    /// * `len` ← `key`, a caller-chosen hash of the generation
-    ///   parameters (dataset name, caps, seed);
-    /// * `mtime_secs` ← the IEEE-754 bits of the generator's `scale`;
-    /// * `mtime_nanos` ← the planted balanced-biclique half-size.
-    ///
-    /// A real file stamp and a generated stamp can collide only if a
-    /// source file's length equals the 64-bit parameter hash — and the
-    /// two kinds of stamp are never compared against each other anyway
-    /// (generated caches live in their own directory and are matched by
-    /// [`generated_key`](Self::generated_key)).
-    pub fn generated(key: u64, scale: f64, planted_half: u32) -> SourceStamp {
-        SourceStamp {
-            len: key,
-            mtime_secs: scale.to_bits(),
-            mtime_nanos: planted_half,
-        }
-    }
-
-    /// The generation-parameter key of a [`generated`](Self::generated)
-    /// stamp.
-    pub fn generated_key(&self) -> u64 {
-        self.len
-    }
-
-    /// The generator scale factor of a [`generated`](Self::generated)
-    /// stamp.
-    pub fn generated_scale(&self) -> f64 {
-        f64::from_bits(self.mtime_secs)
-    }
-
-    /// The planted half-size of a [`generated`](Self::generated) stamp.
-    pub fn generated_planted_half(&self) -> u32 {
-        self.mtime_nanos
-    }
 }
 
 /// Errors raised by the storage layer.
@@ -237,7 +195,7 @@ impl From<IoError> for StoreError {
 
 /// 64-bit FNV-1a over a byte slice — tiny, dependency-free, stable. This
 /// is an integrity check against torn writes, not a cryptographic seal.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -502,31 +460,6 @@ mod tests {
         assert_eq!(back.left_neighbors(), g.left_neighbors());
         assert_eq!(back.right_offsets(), g.right_offsets());
         assert_eq!(back.right_neighbors(), g.right_neighbors());
-    }
-
-    #[test]
-    fn generated_stamps_roundtrip_through_the_header() {
-        let g = sample();
-        let stamp = SourceStamp::generated(0xDEAD_BEEF_CAFE_F00D, 0.375, 17);
-        // Through the full encode/decode path…
-        let bytes = encode_graph(&g, stamp);
-        let (_, back) = decode_graph(&bytes).unwrap();
-        assert_eq!(back, stamp);
-        assert_eq!(back.generated_key(), 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(back.generated_scale(), 0.375);
-        assert_eq!(back.generated_planted_half(), 17);
-        // …and through the header-only probe of a saved file.
-        let dir = std::env::temp_dir().join(format!("mbb-binfmt-gen-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.mbbg");
-        save_graph(&g, stamp, &path).unwrap();
-        let probed = load_stamp(&path).unwrap();
-        assert_eq!(probed.generated_scale(), 0.375);
-        assert_eq!(probed.generated_planted_half(), 17);
-        // Non-finite and negative scales survive the bit-cast too.
-        let odd = SourceStamp::generated(1, -2.5, 0);
-        assert_eq!(odd.generated_scale(), -2.5);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Provenance {
             Provenance::CacheHit => "cache",
         }
     }
-
-    /// True when the graph came from the binary cache.
-    pub fn is_cache_hit(&self) -> bool {
-        matches!(self, Provenance::CacheHit)
-    }
 }
 
 /// A graph resolved through the store, with full load provenance.
@@ -408,7 +403,7 @@ mod tests {
         let spec = path.to_str().unwrap();
         store.load(spec).unwrap(); // builds the cache
         let warm = store.load(spec).unwrap();
-        assert!(warm.provenance.is_cache_hit());
+        assert_eq!(warm.provenance, Provenance::CacheHit);
         let parsed = read_edge_list_file(&path).unwrap();
         assert_same_csr(&warm.graph, &parsed);
     }
@@ -434,7 +429,7 @@ mod tests {
         assert!(reloaded.graph.has_edge(11, 9));
         // And the refreshed cache serves the new graph.
         let warm = store.load(spec).unwrap();
-        assert!(warm.provenance.is_cache_hit());
+        assert_eq!(warm.provenance, Provenance::CacheHit);
         assert!(warm.graph.has_edge(11, 9));
     }
 
@@ -456,7 +451,7 @@ mod tests {
         assert_eq!(healed.provenance, Provenance::ParsedAndCached);
         assert!(healed.note.as_deref().unwrap().contains("cache unusable"));
         assert_same_csr(&healed.graph, &g);
-        assert!(store.load(spec).unwrap().provenance.is_cache_hit());
+        assert_eq!(store.load(spec).unwrap().provenance, Provenance::CacheHit);
     }
 
     #[test]
@@ -478,7 +473,7 @@ mod tests {
         // ReadWrite writes; ReadOnly then reads the now-warm cache.
         GraphStore::new().load(spec).unwrap();
         assert!(cache.exists());
-        assert!(ro.load(spec).unwrap().provenance.is_cache_hit());
+        assert_eq!(ro.load(spec).unwrap().provenance, Provenance::CacheHit);
         // Off ignores the warm cache.
         assert_eq!(off.load(spec).unwrap().provenance, Provenance::Parsed);
     }
@@ -492,7 +487,7 @@ mod tests {
         let cache = store.load(path.to_str().unwrap()).unwrap().cache.unwrap();
         std::fs::remove_file(&path).unwrap(); // source gone, cache stands alone
         let loaded = store.load(cache.to_str().unwrap()).unwrap();
-        assert!(loaded.provenance.is_cache_hit());
+        assert_eq!(loaded.provenance, Provenance::CacheHit);
         assert_same_csr(&loaded.graph, &g);
     }
 
@@ -523,7 +518,7 @@ mod tests {
         assert_eq!(first.provenance, Provenance::ParsedAndCached);
         // Fresh cache: a second ingest is a no-op cache hit…
         let second = store.ingest(spec, false).unwrap();
-        assert!(second.provenance.is_cache_hit());
+        assert_eq!(second.provenance, Provenance::CacheHit);
         // …unless forced.
         let forced = store.ingest(spec, true).unwrap();
         assert_eq!(forced.provenance, Provenance::ParsedAndCached);

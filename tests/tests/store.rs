@@ -190,7 +190,7 @@ fn store_reports_provenance_across_the_cache_lifecycle() {
     assert_eq!(cold.provenance, Provenance::ParsedAndCached);
     assert!(cold.cache_write_time.is_some());
     let warm = store.load(spec).unwrap();
-    assert!(warm.provenance.is_cache_hit());
+    assert_eq!(warm.provenance, Provenance::CacheHit);
     assert!(warm.load_time.as_nanos() > 0);
 
     // Touching the source (content change) invalidates; the store heals.
@@ -198,7 +198,7 @@ fn store_reports_provenance_across_the_cache_lifecycle() {
     let refreshed = store.load(spec).unwrap();
     assert_eq!(refreshed.provenance, Provenance::ParsedAndCached);
     assert_eq!(refreshed.graph.num_edges(), 5);
-    assert!(store.load(spec).unwrap().provenance.is_cache_hit());
+    assert_eq!(store.load(spec).unwrap().provenance, Provenance::CacheHit);
 
     // A parse failure in the source surfaces as a Parse error, cache or
     // not.
