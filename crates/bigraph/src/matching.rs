@@ -7,11 +7,17 @@
 //! complement of a minimum vertex cover, which equals a maximum matching.
 //!
 //! The repo uses MVB as a correctness oracle: for any balanced biclique of
-//! half-size `k`, `2k ≤ MVB_total`.
+//! half-size `k`, `2k ≤ MVB_total`. The same argument bounds `denseMBB`
+//! at every search node: a biclique extending the node is an independent
+//! set of its candidates' complement, so each edge of any matching of
+//! that complement costs it a vertex. [`greedy_complement_matching`]
+//! finds such a matching on bitset rows without building the complement.
 
 use std::collections::VecDeque;
 
+use crate::bitset::{BitSet, Bits};
 use crate::graph::BipartiteGraph;
+use crate::local::LocalGraph;
 
 /// A maximum matching of a bipartite graph.
 #[derive(Debug, Clone)]
@@ -98,6 +104,43 @@ pub fn hopcroft_karp(graph: &BipartiteGraph) -> Matching {
         pair_right,
         size,
     }
+}
+
+/// Greedy matching of the bipartite complement of `ca × free` in `graph`:
+/// each `u ∈ ca`, in ascending order, is paired with the first `v` still
+/// in `free` that is not adjacent to `u`, and `v` leaves `free`. Stops
+/// once it has `enough` pairs, and returns the number of pairs.
+///
+/// The matching is maximal, so it has at least half the pairs of a
+/// maximum one. It reads the rows of `graph` and writes only `free`, so a
+/// caller that refills one `free` set per call (`BitSet::clone_from`)
+/// allocates nothing.
+// `#[inline]` lets `denseMBB`, which runs it at every search node, inline
+// it across the crate boundary.
+#[inline]
+pub fn greedy_complement_matching(
+    graph: &LocalGraph,
+    ca: &BitSet,
+    free: &mut BitSet,
+    enough: usize,
+) -> usize {
+    let mut size = 0;
+    let mut left = ca.iter();
+    while size < enough {
+        let Some(u) = left.next() else { break };
+        let row = graph.left_row(u as u32);
+        // Both operands keep their tail bits clear, so `f & !r` does too.
+        let words = free.words().iter().zip(row.words());
+        let hit = words.enumerate().find_map(|(wi, (&f, &r))| {
+            let w = f & !r;
+            (w != 0).then(|| wi * 64 + w.trailing_zeros() as usize)
+        });
+        if let Some(v) = hit {
+            free.remove(v);
+            size += 1;
+        }
+    }
+    size
 }
 
 /// König minimum vertex cover from a maximum matching.
@@ -273,6 +316,60 @@ mod tests {
             }
             let cover_size = lc.iter().filter(|&&c| c).count() + rc.iter().filter(|&&c| c).count();
             assert_eq!(cover_size, m.size, "König size mismatch, seed {seed}");
+        }
+    }
+
+    /// On random graphs and random candidate subsets, the greedy matching
+    /// of the candidates' complement has at least half as many pairs as
+    /// Hopcroft–Karp's maximum and at most as many, and a smaller
+    /// `enough` stops it at `enough` pairs.
+    #[test]
+    fn greedy_complement_matching_is_maximal() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x6a7c);
+            let nl = rng.gen_range(1..=140usize);
+            let nr = rng.gen_range(1..=140usize);
+            let density = rng.gen_range(0.3..0.98);
+            let mut g = LocalGraph::new(nl, nr);
+            for u in 0..nl as u32 {
+                for v in 0..nr as u32 {
+                    if rng.gen_bool(density) {
+                        g.add_edge(u, v);
+                    }
+                }
+            }
+            let mut subset = |n: usize| {
+                let keep = rng.gen_range(0.2..1.0);
+                let mut set = BitSet::new(n);
+                (0..n)
+                    .filter(|_| rng.gen_bool(keep))
+                    .for_each(|i| set.insert(i));
+                set
+            };
+            let (ca, cb) = (subset(nl), subset(nr));
+            let complement_edges = ca
+                .iter()
+                .flat_map(|u| cb.iter().map(move |v| (u as u32, v as u32)))
+                .filter(|&(u, v)| !g.has_edge(u, v));
+            let complement = BipartiteGraph::from_edges(nl as u32, nr as u32, complement_edges)
+                .expect("complement endpoints in range");
+            let maximum = hopcroft_karp(&complement).size;
+
+            let mut free = cb.clone();
+            let greedy = greedy_complement_matching(&g, &ca, &mut free, usize::MAX);
+            assert!(2 * greedy >= maximum && greedy <= maximum, "seed {seed}");
+            assert_eq!(cb.len() - free.len(), greedy, "seed {seed}");
+            assert!(free.iter().all(|v| cb.contains(v)), "seed {seed}");
+
+            if greedy > 0 {
+                let enough = rng.gen_range(0..greedy);
+                let mut free = cb.clone();
+                let stopped = greedy_complement_matching(&g, &ca, &mut free, enough);
+                assert_eq!(stopped, enough, "seed {seed}");
+                assert_eq!(cb.len() - free.len(), enough, "seed {seed}");
+            }
         }
     }
 

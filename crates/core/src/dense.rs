@@ -5,10 +5,15 @@
 //!
 //! 1. **bound** — prune when the remaining material cannot beat the
 //!    incumbent half-size;
-//! 2. **reduce** — Lemmas 1 and 2 to fixpoint (`reduce.rs`);
-//! 3. **polynomial case** — if every candidate misses ≤ 2 neighbours
+//! 2. **reduce** — Lemmas 1 and 2 to fixpoint (`reduce.rs`), then bound
+//!    again;
+//! 3. **König bound** (beyond the paper) — prune when a greedy matching
+//!    of the candidates' bipartite complement shows that every biclique
+//!    extending the node misses too many candidates to beat the
+//!    incumbent (see `DenseSearcher::step`);
+//! 4. **polynomial case** — if every candidate misses ≤ 2 neighbours
 //!    (Lemma 3), solve exactly with `dynamicMBB` and return;
-//! 4. **branch** — otherwise some vertex misses ≥ 3 neighbours; branching
+//! 5. **branch** — otherwise some vertex misses ≥ 3 neighbours; branching
 //!    on it kills ≥ 4 candidate vertices in the include branch and 1 in the
 //!    exclude branch — the (4, 1) branching factor that bounds the
 //!    recursion tree by O(1.3803ⁿ).
@@ -28,6 +33,7 @@ use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;
+use mbb_bigraph::matching::greedy_complement_matching;
 
 use crate::basic::LocalBiclique;
 use crate::budget::SearchBudget;
@@ -38,8 +44,6 @@ use crate::stats::SearchStats;
 /// Tuning/ablation knobs for [`dense_mbb_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct DenseConfig {
-    /// Apply the Lemma 1/2 reduction loop (on by default).
-    pub use_reductions: bool,
     /// Detect and solve the Lemma 3 polynomial case (on by default).
     /// With this off the algorithm degenerates towards `basicBB` with
     /// reductions.
@@ -53,7 +57,6 @@ pub struct DenseConfig {
 impl Default for DenseConfig {
     fn default() -> Self {
         DenseConfig {
-            use_reductions: true,
             use_polynomial_case: true,
             branch_max_missing: true,
         }
@@ -181,6 +184,9 @@ struct DenseSearcher<'g> {
     spare: Vec<Candidates>,
     /// The Lemma 3 decomposition and DP table.
     lemma3: DynamicMbb,
+    /// The right candidates the König bound's matching has not paired
+    /// yet, refilled from `CB` at each node.
+    free: BitSet,
 }
 
 impl<'g> DenseSearcher<'g> {
@@ -199,6 +205,7 @@ impl<'g> DenseSearcher<'g> {
             budget: budget.clone(),
             spare: Vec::new(),
             lemma3: DynamicMbb::default(),
+            free: BitSet::new(0),
         }
     }
 
@@ -216,10 +223,25 @@ impl<'g> DenseSearcher<'g> {
         self.stats.leaf_count += 1;
     }
 
-    /// One node of Algorithm 3: bound, reduce, re-bound, polynomial case,
-    /// branch selection. Mutates the partial result (the reduction
-    /// promotes all-connected candidates into `a`/`b`) and the candidate
-    /// sets in place; the caller owns unwinding.
+    /// Resolves a node whose bound cannot beat the incumbent.
+    fn prune(&mut self, depth: u64) -> StepOutcome {
+        self.stats.bound_prunes += 1;
+        self.leaf(depth);
+        StepOutcome::Resolved
+    }
+
+    /// One node of Algorithm 3: bound, reduce, re-bound, König bound,
+    /// polynomial case, branch selection. Mutates the partial result (the
+    /// reduction promotes all-connected candidates into `a`/`b`) and the
+    /// candidate sets in place; the caller owns unwinding.
+    ///
+    /// The König bound: a biclique `(A ∪ A', B ∪ B')` with `A' ⊆ CA` and
+    /// `B' ⊆ CB` is an independent set of the bipartite complement of
+    /// `CA × CB`, so each pair of any matching `M` of that complement has
+    /// an end outside it, and its half-size `k` has
+    /// `2k ≤ |A| + |B| + |CA| + |CB| − |M|`. With a maximum matching this
+    /// is König's theorem, the polynomial maximum vertex biclique; a
+    /// greedy matching gives a weaker bound that is still valid.
     fn step(
         &mut self,
         a: &mut Vec<u32>,
@@ -240,37 +262,34 @@ impl<'g> DenseSearcher<'g> {
         // Bounding (line 1).
         let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
         if cap <= self.best_half {
-            self.stats.bound_prunes += 1;
-            self.leaf(depth);
-            return StepOutcome::Resolved;
+            return self.prune(depth);
         }
 
         // Reduction (line 2) and re-bound (line 3).
-        if self.config.use_reductions {
-            node.reduce(self.graph, a, b, self.best_half, &mut self.stats);
-            let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
-            if cap <= self.best_half {
-                self.stats.bound_prunes += 1;
-                self.leaf(depth);
-                return StepOutcome::Resolved;
+        node.reduce(self.graph, a, b, self.best_half, &mut self.stats);
+        let (ca, cb) = (node.ca(), node.cb());
+        let cap = (a.len() + ca.len()).min(b.len() + cb.len());
+        if cap <= self.best_half {
+            return self.prune(depth);
+        }
+
+        // König bound: no biclique here beats the incumbent once the
+        // matching has `need` pairs. The re-bound leaves each side at least
+        // `best_half + 1` vertices, so `need ≥ 1`; a matching has at most
+        // `min(|CA|, |CB|)` pairs, so a larger `need` is not tried.
+        let need = a.len() + b.len() + ca.len() + cb.len() - (2 * self.best_half + 1);
+        if need <= ca.len().min(cb.len()) {
+            self.free.clone_from(cb);
+            if greedy_complement_matching(self.graph, ca, &mut self.free, need) == need {
+                return self.prune(depth);
             }
         }
 
-        // One pass over both candidate sets reading missing-neighbour
-        // counts. It feeds three decisions at once: the degree-threshold
-        // bound, the Lemma 3 polynomial-case test (max missing ≤ 2) and
-        // the triviality-last branch choice (argmax missing). The
-        // reduction leaves every degree counted; without it, count here.
-        node.count(self.graph);
-        let scan = scan_candidates(self.graph, a.len(), b.len(), node, self.best_half);
-        // Lemma 2 at fixpoint leaves every candidate above the threshold,
-        // so after a reduction the bound passes whenever the re-bound did.
-        debug_assert!(scan.can_improve || !self.config.use_reductions);
-        if !scan.can_improve {
-            self.stats.bound_prunes += 1;
-            self.leaf(depth);
-            return StepOutcome::Resolved;
-        }
+        // One pass over both candidate sets reading the missing-neighbour
+        // counts the reduction left counted. It feeds the Lemma 3
+        // polynomial-case test (max missing ≤ 2) and the triviality-last
+        // branch choice (argmax missing).
+        let scan = scan_candidates(self.graph, node);
 
         // Polynomial case (lines 4–8).
         if self.config.use_polynomial_case && scan.max_missing <= 2 {
@@ -313,10 +332,11 @@ impl<'g> DenseSearcher<'g> {
                 .expect("a candidate remains when the node branches")
         } else {
             // bd3: naive first-candidate branching.
-            match node.ca().first() {
-                Some(u) => (true, u as u32),
-                None => (false, node.cb().first().expect("cb non-empty") as u32),
-            }
+            let u = node
+                .ca()
+                .first()
+                .expect("a left candidate remains when the node branches");
+            (true, u as u32)
         };
         StepOutcome::Branch { on_left, vertex }
     }
@@ -362,64 +382,47 @@ struct CandidateScan {
     /// strictly larger count, the first right one with that count.
     /// `None` only when both candidate sets are empty.
     argmax: Option<(bool, u32)>,
-    /// Whether the degree-threshold bound leaves room for a balanced
-    /// biclique larger than the incumbent.
-    can_improve: bool,
 }
 
-/// Single pass over the candidate sets: missing counts, argmax, and the
-/// degree-threshold bound. Every degree is read from `node`'s counted
-/// arrays; debug builds check each against a fresh count.
+/// Single pass over the candidate sets: missing counts and argmax. Every
+/// degree is read from `node`'s counted arrays; debug builds check each
+/// against a fresh count.
 ///
-/// The bound: a balanced biclique of half-size `k` reachable from this
-/// state needs, on each side, at least `k` vertices whose degree towards
-/// the other side's remaining material is at least `k` — specifically
-/// `avail_A(k) = |A| + #{u ∈ CA : |B| + deg(u, CB) ≥ k} ≥ k` and
-/// symmetrically. `avail` never grows with `k`, so the half-sizes that
-/// pass form a prefix `1..=K`, and one test at `k = best_half + 1` tells
-/// whether `K` beats the incumbent. With Lemmas 1–2 at fixpoint every
-/// candidate passes the threshold and the test is the plain
-/// `min(|A|+|CA|, |B|+|CB|)` bound; it prunes more only without them.
+/// `node` must be at a Lemma 1/2 fixpoint, which leaves both candidate
+/// sets empty or neither: a pass over one side, once the other is empty,
+/// drops or promotes every candidate.
 #[inline]
-fn scan_candidates(
-    graph: &LocalGraph,
-    a_len: usize,
-    b_len: usize,
-    node: &Candidates,
-    best_half: usize,
-) -> CandidateScan {
+fn scan_candidates(graph: &LocalGraph, node: &Candidates) -> CandidateScan {
     let (ca, cb) = (node.ca(), node.cb());
     let (ca_degrees, cb_degrees) = (node.ca_degrees(), node.cb_degrees());
     let (ca_len, cb_len) = (ca.len(), cb.len());
-    let k = best_half + 1;
+    debug_assert_eq!(ca_len == 0, cb_len == 0);
 
     // Each side's argmax is one `max` over `missing << 32 | tie`, with the
     // tie favouring the last left candidate and the first right one.
     let (mut left, mut right) = (0u64, 0u64);
-    let (mut avail_a, mut avail_b) = (a_len, b_len);
     for u in ca.iter() {
         let degree = ca_degrees[u] as usize;
         debug_assert_eq!(degree, graph.left_degree_in(u as u32, cb), "left {u}");
         left = left.max(((cb_len - degree) as u64) << 32 | u as u64);
-        avail_a += (b_len + degree >= k) as usize;
     }
     for v in cb.iter() {
         let degree = cb_degrees[v] as usize;
         debug_assert_eq!(degree, graph.right_degree_in(v as u32, ca), "right {v}");
         right = right.max(((ca_len - degree) as u64) << 32 | (u32::MAX - v as u32) as u64);
-        avail_b += (a_len + degree >= k) as usize;
     }
     let (left_missing, right_missing) = ((left >> 32) as usize, (right >> 32) as usize);
-    let argmax = if ca_len > 0 && (cb_len == 0 || left_missing >= right_missing) {
-        Some((true, left as u32))
-    } else {
-        (cb_len > 0).then(|| (false, u32::MAX - right as u32))
-    };
+    let argmax = (ca_len > 0).then(|| {
+        if left_missing >= right_missing {
+            (true, left as u32)
+        } else {
+            (false, u32::MAX - right as u32)
+        }
+    });
 
     CandidateScan {
         max_missing: left_missing.max(right_missing),
         argmax,
-        can_improve: avail_a >= k && avail_b >= k,
     }
 }
 
@@ -485,18 +488,32 @@ mod tests {
         assert_eq!(b.half(), 0);
     }
 
+    /// From an empty incumbent, from one just below the optimum and from
+    /// the optimum itself, the last two being where the bounds prune
+    /// hardest.
     #[test]
     fn matches_brute_force_on_random_graphs() {
-        for seed in 0..40u64 {
+        for seed in 0..60u64 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
-            let nl = rng.gen_range(1..=9usize);
-            let nr = rng.gen_range(1..=9usize);
+            let nl = rng.gen_range(1..=12usize);
+            let nr = rng.gen_range(1..=12usize);
             let density = rng.gen_range(0.2..0.95);
             let g = random_graph(nl, nr, density, seed);
-            let (found, _) = dense_mbb(&g, 0);
             let brute = brute_force_half(&g);
-            assert_eq!(found.half(), brute, "seed {seed} nl {nl} nr {nr}");
-            assert!(g.is_biclique(&found.left, &found.right), "seed {seed}");
+            for initial_half in [0, brute.saturating_sub(1)] {
+                let (found, _) = dense_mbb(&g, initial_half);
+                assert_eq!(
+                    found.half(),
+                    brute,
+                    "seed {seed} nl {nl} nr {nr} initial {initial_half}"
+                );
+                assert!(g.is_biclique(&found.left, &found.right), "seed {seed}");
+            }
+            let (found, _) = dense_mbb(&g, brute);
+            assert!(
+                found.left.is_empty() && found.right.is_empty(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -595,30 +612,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn branches_on_a_right_candidate_when_no_left_one_remains() {
-        // Complete 1×2, neither reductions nor Lemma 3: once L0 is
-        // included only right candidates remain, and none misses anything.
-        let g = LocalGraph::from_edges(1, 2, [(0, 0), (0, 1)]);
-        let config = DenseConfig {
-            use_reductions: false,
-            use_polynomial_case: false,
-            branch_max_missing: true,
-        };
-        let (found, _) = dense_mbb_budgeted(
-            &g,
-            vec![],
-            vec![],
-            BitSet::full(1),
-            BitSet::full(2),
-            0,
-            config,
-            &SearchBudget::unlimited(),
-        );
-        assert_eq!(found.half(), 1);
-        assert!(g.is_biclique(&found.left, &found.right));
-    }
-
     /// The counters that identify a search tree.
     fn tree(stats: &SearchStats) -> [u64; 6] {
         [
@@ -633,10 +626,11 @@ mod tests {
 
     /// Pins the exact search tree — `[nodes, poly_solves, bound_prunes,
     /// reduced_vertices, leaf_count, max_depth]` — and the witness, as
-    /// returned, of five searches, recorded before the per-node buffers
-    /// moved into the searcher (the fifth case and the witnesses before
-    /// the candidate degrees were memoized). Any change to branching,
-    /// bounding or reduction order shows here.
+    /// returned, of four searches. The witnesses were recorded before the
+    /// per-node buffers moved into the searcher (the fourth case's before
+    /// the candidate degrees were memoized), the trees once the König
+    /// bound pruned. Any change to branching, bounding or reduction order
+    /// shows here.
     #[test]
     fn search_trees_are_pinned() {
         let run = |g: &LocalGraph, a: Vec<u32>, ca: BitSet, cb: BitSet, initial_half, config| {
@@ -667,14 +661,6 @@ mod tests {
         };
         got.push(run(&g, vec![], ca, cb, 0, config));
 
-        let g = random_graph(40, 40, 0.7, 3);
-        let (ca, cb) = full(&g);
-        let config = DenseConfig {
-            use_reductions: false,
-            ..DenseConfig::default()
-        };
-        got.push(run(&g, vec![], ca, cb, 0, config));
-
         let g = random_graph(48, 48, 0.7, 4);
         let (ca, cb) = centred(&g, 0);
         got.push(run(&g, vec![0], ca, cb, 0, DenseConfig::default()));
@@ -689,139 +675,27 @@ mod tests {
             (
                 vec![14, 10, 15, 7, 26, 20, 28, 38, 3, 6],
                 vec![21, 4, 34, 1, 9, 39, 32, 38, 23, 24],
-                [5487, 157, 2587, 54133, 2744, 36],
+                [3099, 7, 1543, 21522, 1550, 33],
             ),
             // no Lemma 3 case
             (
                 vec![36, 11, 32, 9, 29, 3, 16, 26, 7, 14],
                 vec![14, 34, 9, 15, 20, 30, 17, 11, 39, 24],
-                [14065, 0, 7025, 143413, 7033, 48],
-            ),
-            // no reductions
-            (
-                vec![13, 11, 37, 2, 5, 8, 34, 36, 38],
-                vec![19, 31, 2, 6, 13, 20, 33, 34, 35],
-                [22225, 391, 10722, 0, 11113, 42],
+                [6385, 0, 3185, 40536, 3193, 43],
             ),
             // seeded with a centre
             (
                 vec![0, 19, 20, 12, 16, 22, 5, 7, 10],
                 vec![12, 33, 10, 20, 22, 34, 38, 32, 35],
-                [8705, 477, 3876, 71599, 4353, 33],
+                [5147, 12, 2562, 30624, 2574, 30],
             ),
             // 150×150 at 50%, seeded with a centre and half-size 8
             (
                 vec![0, 138, 33, 73, 93, 109, 15, 16, 113],
                 vec![112, 78, 3, 57, 85, 146, 59, 72, 92],
-                [221287, 69, 110575, 2862457, 110644, 73],
+                [197799, 1, 98899, 2428985, 98900, 72],
             ),
         ];
         assert_eq!(got, want);
-    }
-
-    /// The degree-histogram bound the scan computed before the threshold
-    /// test: the largest `k ≤ min(|A|+|CA|, |B|+|CB|)` with
-    /// `avail_A(k) ≥ k` and `avail_B(k) ≥ k`, found by walking `k` down
-    /// from the cap over the two sides' degree histograms.
-    fn histogram_bound(a_len: usize, b_len: usize, node: &Candidates) -> usize {
-        let cap_a = a_len + node.ca().len();
-        let cap_b = b_len + node.cb().len();
-        // hist_a[d] = number of CA candidates with |B| + deg(u, CB) = d.
-        let mut hist_a = vec![0usize; cap_b + 1];
-        let mut hist_b = vec![0usize; cap_a + 1];
-        for u in node.ca().iter() {
-            hist_a[b_len + node.ca_degrees()[u] as usize] += 1;
-        }
-        for v in node.cb().iter() {
-            hist_b[a_len + node.cb_degrees()[v] as usize] += 1;
-        }
-        let (mut avail_a, mut avail_b) = (a_len, b_len);
-        let (mut da, mut db) = (cap_b as isize, cap_a as isize);
-        for k in (1..=cap_a.min(cap_b)).rev() {
-            while da >= k as isize {
-                avail_a += hist_a[da as usize];
-                da -= 1;
-            }
-            while db >= k as isize {
-                avail_b += hist_b[db as usize];
-                db -= 1;
-            }
-            if avail_a >= k && avail_b >= k {
-                return k;
-            }
-        }
-        0
-    }
-
-    /// On random candidate states, the threshold test prunes exactly when
-    /// the histogram walk's bound does not beat the incumbent, with or
-    /// without a reduction first; after a reduction whose re-bound passed
-    /// it never prunes.
-    #[test]
-    fn threshold_bound_matches_the_histogram_walk() {
-        // [reductions off, on] × [prunes, passes]
-        let mut seen = [[0u32; 2]; 2];
-        // Prunes the plain cap `min(|A|+|CA|, |B|+|CB|)` would not make.
-        let mut below_cap = 0u32;
-        for seed in 0..400u64 {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x7e57);
-            let nl = rng.gen_range(1..=150usize);
-            let nr = rng.gen_range(1..=150usize);
-            let g = random_graph(nl, nr, rng.gen_range(0.2..0.95), seed);
-            let mut subset = |n: usize| {
-                let keep = rng.gen_range(0.2..1.0);
-                let mut set = BitSet::new(n);
-                (0..n)
-                    .filter(|_| rng.gen_bool(keep))
-                    .for_each(|i| set.insert(i));
-                set
-            };
-            let mut node = Candidates::new(subset(nl), subset(nr));
-            let mut a = vec![0u32; rng.gen_range(0..=8)];
-            let mut b = vec![0u32; rng.gen_range(0..=8)];
-            let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
-            let best_half = rng.gen_range(0..=cap + 1);
-            let reduced = rng.gen_bool(0.5);
-            if reduced {
-                let mut stats = SearchStats::default();
-                node.reduce(&g, &mut a, &mut b, best_half, &mut stats);
-            } else {
-                node.count(&g);
-            }
-
-            let scan = scan_candidates(&g, a.len(), b.len(), &node, best_half);
-            let walk = histogram_bound(a.len(), b.len(), &node);
-            assert_eq!(scan.can_improve, walk > best_half, "seed {seed}");
-            let cap = (a.len() + node.ca().len()).min(b.len() + node.cb().len());
-            if reduced && cap > best_half {
-                assert!(scan.can_improve, "seed {seed}: pruned after a reduction");
-            }
-            seen[reduced as usize][scan.can_improve as usize] += 1;
-            below_cap += (!scan.can_improve && cap > best_half) as u32;
-        }
-        assert!(seen.iter().flatten().all(|&n| n >= 20), "{seen:?}");
-        assert!(below_cap >= 20, "{below_cap}");
-    }
-
-    #[test]
-    fn ablation_without_reductions_still_correct() {
-        for seed in 0..15u64 {
-            let g = random_graph(7, 7, 0.6, seed ^ 0x99);
-            let config = DenseConfig {
-                use_reductions: false,
-                ..DenseConfig::default()
-            };
-            let (b, _) = dense_mbb_budgeted(
-                &g,
-                vec![],
-                vec![],
-                BitSet::full(7),
-                BitSet::full(7),
-                0,
-                config,
-                &SearchBudget::unlimited(),
-            );
-            assert_eq!(b.half(), brute_force_half(&g), "seed {seed}");
-        }
     }
 }

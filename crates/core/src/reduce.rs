@@ -46,7 +46,9 @@ impl Side {
     }
 
     /// Counts every member's degree towards `other`.
-    #[inline] // see `Candidates::count`
+    // Runs at every `denseMBB` node: `#[inline]` lets the searcher inline
+    // it whichever of the crate's codegen units each of them lands in.
+    #[inline]
     fn count(&mut self, other: &BitSet, degrees_in: impl Fn(&BitSet, &BitSet, &mut [u32])) {
         self.degrees.resize(self.set.capacity(), 0);
         degrees_in(&self.set, other, &mut self.degrees);
@@ -59,7 +61,7 @@ impl Side {
     /// vertices, and moves each one adjacent to all of `other`'s
     /// candidates into `partial`, in ascending id. Returns whether any
     /// candidate left, in which case `other`'s degrees are stale.
-    #[inline] // see `Candidates::count`
+    #[inline] // see `Side::count`
     fn pass(
         &mut self,
         other: &mut Side,
@@ -149,7 +151,7 @@ impl Candidates {
     }
 
     /// `deg(u, CB)` at index `u` for every `u ∈ CA`. Valid after
-    /// [`Candidates::count`] or [`Candidates::reduce`].
+    /// [`Candidates::reduce`].
     pub(crate) fn ca_degrees(&self) -> &[u32] {
         debug_assert!(self.left.counted);
         &self.left.degrees
@@ -159,21 +161,6 @@ impl Candidates {
     pub(crate) fn cb_degrees(&self) -> &[u32] {
         debug_assert!(self.right.counted);
         &self.right.degrees
-    }
-
-    /// Counts the degrees of each side whose kept ones are stale.
-    // Runs at every `denseMBB` node: `#[inline]` lets the searcher inline
-    // it whichever of the crate's codegen units each of them lands in.
-    #[inline]
-    pub(crate) fn count(&mut self, graph: &LocalGraph) {
-        let left_in = |m: &BitSet, o: &BitSet, out: &mut [u32]| graph.left_degrees_in(m, o, out);
-        let right_in = |m: &BitSet, o: &BitSet, out: &mut [u32]| graph.right_degrees_in(m, o, out);
-        if !self.left.counted {
-            self.left.count(&self.right.set, left_in);
-        }
-        if !self.right.counted {
-            self.right.count(&self.left.set, right_in);
-        }
     }
 
     /// Applies Lemmas 1 and 2 to fixpoint, moving promoted candidates into

@@ -262,7 +262,6 @@ pub(crate) fn hbv_mbb(
     let dense_config = DenseConfig {
         use_polynomial_case: config.use_dense_branching,
         branch_max_missing: config.use_dense_branching,
-        use_reductions: true,
     };
     let incumbent_local = Biclique {
         left: vec![u32::MAX; best.half_size()],

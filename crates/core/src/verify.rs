@@ -358,8 +358,9 @@ mod tests {
     /// lists, the bridged and verified half-sizes, and the verification
     /// search tree `[nodes, poly_solves, bound_prunes, reduced_vertices,
     /// leaf_count, max_depth]`. Recorded before verification took its core
-    /// numbers from bridging; any change to generation, pruning, the local
-    /// core cut or the search shows here.
+    /// numbers from bridging, the search trees once denseMBB's König bound
+    /// pruned; any change to generation, pruning, the local core cut or
+    /// the search shows here.
     #[test]
     fn pipeline_is_pinned() {
         let run = |g: &BipartiteGraph, order: SearchOrder, use_core: bool| {
@@ -434,14 +435,14 @@ mod tests {
                 (60, 5510664475569524384),
                 19,
                 20,
-                [37273, 705, 17961, 533432, 18666, 36],
+                [9921, 1, 4989, 94976, 4990, 30],
             ),
             (
                 [80, 46, 2, 2735, 62],
                 (32, 8364967652061363313),
                 9,
                 9,
-                [6980, 120, 3386, 70951, 3506, 21],
+                [3338, 0, 1685, 20336, 1685, 18],
             ),
             (
                 [60, 3, 0, 1119, 31],

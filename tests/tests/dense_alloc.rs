@@ -52,9 +52,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-fn dense_graph(n: u32, seed: u64) -> LocalGraph {
+fn dense_graph(n: u32, density: f64, seed: u64) -> LocalGraph {
     let ids: Vec<u32> = (0..n).collect();
-    LocalGraph::induced(&dense_uniform(n, n, 0.7, seed), &ids, &ids)
+    LocalGraph::induced(&dense_uniform(n, n, density, seed), &ids, &ids)
 }
 
 /// Runs one full search and returns its stats and the allocations it made,
@@ -72,9 +72,10 @@ fn search(g: &LocalGraph, config: DenseConfig) -> (SearchStats, u64) {
 
 #[test]
 fn allocations_do_not_grow_with_search_nodes() {
-    // 16k search nodes and 323 Lemma 3 leaves with the polynomial case,
-    // 17k nodes without it.
-    let g = dense_graph(44, 1);
+    // 64k search nodes and 2,130 Lemma 3 leaves with the polynomial case,
+    // 100k nodes without it. The König bound leaves too few nodes and
+    // leaves to tell at 70% density.
+    let g = dense_graph(64, 0.95, 1);
     for use_polynomial_case in [true, false] {
         let config = DenseConfig {
             use_polynomial_case,
