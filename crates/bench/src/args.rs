@@ -1,6 +1,7 @@
 //! Minimal `--key value` argument parsing shared by the harness binaries.
 
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::time::Duration;
 
 use mbb_datasets::ScaleCaps;
@@ -47,32 +48,44 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Parsed numeric value with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Value of `--key`, `None` when the flag is absent; a bare `--key`
+    /// is an error naming the flag.
+    fn value(&self, key: &str) -> Result<Option<&str>, String> {
+        match self.get(key) {
+            None if self.flag(key) => Err(format!("--{key} needs a value")),
+            value => Ok(value),
+        }
+    }
+
+    /// Numeric value of `--key`, or `default` when the flag is absent. A
+    /// value that does not parse is an error naming the flag.
+    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.value(key)?.map_or(Ok(default), |v| number(key, v))
     }
 
     /// Per-run time budget (`--budget-secs`, default given).
-    pub fn budget(&self, default_secs: u64) -> Duration {
-        Duration::from_secs(self.get_u64("budget-secs", default_secs))
+    pub fn budget(&self, default_secs: u64) -> Result<Duration, String> {
+        self.get_u64("budget-secs", default_secs)
+            .map(Duration::from_secs)
     }
 
     /// Stand-in scale caps (`--caps small|default|large`).
-    pub fn caps(&self) -> ScaleCaps {
-        match self.get("caps") {
-            Some("small") => ScaleCaps::small(),
-            Some("large") => ScaleCaps {
+    pub fn caps(&self) -> Result<ScaleCaps, String> {
+        match self.value("caps")? {
+            None | Some("default") => Ok(ScaleCaps::default()),
+            Some("small") => Ok(ScaleCaps::small()),
+            Some("large") => Ok(ScaleCaps {
                 max_edges: 200_000,
                 max_vertices: 150_000,
-            },
-            _ => ScaleCaps::default(),
+            }),
+            Some(other) => Err(format!(
+                "--caps: expected small, default or large, got {other:?}"
+            )),
         }
     }
 
     /// Base random seed (`--seed`, default 42).
-    pub fn seed(&self) -> u64 {
+    pub fn seed(&self) -> Result<u64, String> {
         self.get_u64("seed", 42)
     }
 
@@ -81,6 +94,29 @@ impl Args {
         self.get(key)
             .map(|v| v.split(',').map(str::to_string).collect())
     }
+
+    /// Comma-separated numbers (`--sizes 64,128`), `None` when the flag is
+    /// absent. An entry that does not parse is an error naming the flag.
+    pub fn get_numbers<T: FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String> {
+        let list = self
+            .value(key)?
+            .map(|v| v.split(',').map(|v| number(key, v)).collect());
+        list.transpose()
+    }
+}
+
+fn number<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{key}: bad number {value:?}"))
+}
+
+/// Reports a bad flag: prints `message` (which names the flag) and exits
+/// with status 2. The binaries read each flag with
+/// `args.seed().unwrap_or_else(exit_usage)`.
+pub fn exit_usage<T>(message: String) -> T {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -100,29 +136,51 @@ mod tests {
         assert!(!a.flag("missing"));
     }
 
+    /// A malformed value is an error naming its flag, not the default.
     #[test]
     fn numeric_defaults() {
-        let a = parse("--budget-secs x");
-        assert_eq!(a.get_u64("budget-secs", 7), 7);
-        assert_eq!(a.get_u64("absent", 9), 9);
+        let a = parse("--budget-secs x --seed abc");
+        let err = a.get_u64("budget-secs", 7).unwrap_err();
+        assert!(err.contains("--budget-secs"), "{err}");
+        assert!(a.budget(60).is_err());
+        assert!(a.seed().unwrap_err().contains("--seed"));
+        assert_eq!(a.get_u64("absent", 9), Ok(9));
+        // A flag whose value was left out is an error too.
+        let bare = parse("--seed --caps small");
+        assert!(bare.seed().unwrap_err().contains("--seed"));
+        assert!(parse("--caps").caps().is_err());
     }
 
     #[test]
     fn budget_and_caps() {
         let a = parse("--budget-secs 5 --caps large");
-        assert_eq!(a.budget(60), Duration::from_secs(5));
-        assert_eq!(a.caps().max_edges, 200_000);
+        assert_eq!(a.budget(60), Ok(Duration::from_secs(5)));
+        assert_eq!(a.caps().unwrap().max_edges, 200_000);
         let d = parse("");
-        assert_eq!(d.budget(60), Duration::from_secs(60));
-        assert_eq!(d.caps().max_edges, ScaleCaps::default().max_edges);
+        assert_eq!(d.budget(60), Ok(Duration::from_secs(60)));
+        assert_eq!(d.seed(), Ok(42));
+        assert_eq!(d.caps().unwrap().max_edges, ScaleCaps::default().max_edges);
+        let named = parse("--caps default");
+        assert_eq!(
+            named.caps().unwrap().max_edges,
+            ScaleCaps::default().max_edges
+        );
+        let err = parse("--caps tiny").caps().unwrap_err();
+        assert!(err.contains("--caps"), "{err}");
     }
 
     #[test]
     fn lists() {
-        let a = parse("--datasets github,jester");
+        let a = parse("--datasets github,jester --sizes 64,128");
         assert_eq!(
             a.get_list("datasets"),
             Some(vec!["github".to_string(), "jester".to_string()])
         );
+        assert_eq!(a.get_numbers::<u32>("sizes"), Ok(Some(vec![64, 128])));
+        assert_eq!(a.get_numbers::<u32>("absent"), Ok(None));
+        let err = parse("--sizes 64,x")
+            .get_numbers::<u32>("sizes")
+            .unwrap_err();
+        assert!(err.contains("--sizes"), "{err}");
     }
 }

@@ -13,7 +13,7 @@
 use std::path::Path;
 use std::process::Command;
 
-use mbb_bench::Args;
+use mbb_bench::{exit_usage, Args};
 
 /// The harness binaries, in regeneration order.
 const TARGETS: &[&str] = &[
@@ -31,6 +31,9 @@ fn main() {
     let args = Args::from_env();
     let out_dir = args.get("out").unwrap_or("results").to_string();
     let quick = args.flag("quick");
+    // A malformed flag fails here, once, instead of in every child.
+    args.budget(0).unwrap_or_else(exit_usage);
+    args.caps().unwrap_or_else(exit_usage);
     std::fs::create_dir_all(&out_dir).expect("results directory is creatable");
 
     // Arguments forwarded to every child.
@@ -45,7 +48,10 @@ fn main() {
     } else if quick {
         forwarded.extend(["--caps".into(), "small".into()]);
     }
-    forwarded.extend(["--seed".into(), args.seed().to_string()]);
+    forwarded.extend([
+        "--seed".into(),
+        args.seed().unwrap_or_else(exit_usage).to_string(),
+    ]);
 
     let self_path = std::env::current_exe().expect("own path");
     let bin_dir = self_path.parent().expect("bin directory");

@@ -6,15 +6,15 @@
 //! cargo run -p mbb-bench --release --bin fig4 -- [--caps default] [--budget-secs 60]
 //! ```
 
-use mbb_bench::{Args, Table};
+use mbb_bench::{exit_usage, Args, Table};
 use mbb_core::MbbEngine;
 use mbb_datasets::{stand_in, tough_datasets};
 
 fn main() {
     let args = Args::from_env();
-    let budget = args.budget(60);
-    let caps = args.caps();
-    let seed = args.seed();
+    let budget = args.budget(60).unwrap_or_else(exit_usage);
+    let caps = args.caps().unwrap_or_else(exit_usage);
+    let seed = args.seed().unwrap_or_else(exit_usage);
 
     println!("# Figure 4 — gap of heuristic results to the optimum MBB\n");
 

@@ -22,27 +22,18 @@
 
 use std::time::Instant;
 
-use mbb_bench::{fmt_seconds, Args, Table};
+use mbb_bench::{exit_usage, fmt_seconds, Args, Table};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::generators::{chung_lu_bipartite, ChungLuParams};
 use mbb_core::MbbEngine;
 
 fn main() {
     let args = Args::from_env();
-    let seed = args.seed();
-    let small = args.caps().max_edges <= 50_000;
+    let seed = args.seed().unwrap_or_else(exit_usage);
+    let small = args.caps().unwrap_or_else(exit_usage).max_edges <= 50_000;
     let threads: Vec<usize> = args
-        .get_list("threads")
-        .map(|list| {
-            list.iter()
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("--threads: bad number {t:?}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        })
+        .get_numbers("threads")
+        .unwrap_or_else(exit_usage)
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -7,16 +7,16 @@
 //!     [--budget-secs 30]
 //! ```
 
-use mbb_bench::{Args, Table};
+use mbb_bench::{exit_usage, Args, Table};
 use mbb_bigraph::metrics::GraphProfile;
 use mbb_core::MbbEngine;
 use mbb_datasets::{catalog, stand_in, tough_datasets};
 
 fn main() {
     let args = Args::from_env();
-    let budget = args.budget(30);
-    let caps = args.caps();
-    let seed = args.seed();
+    let budget = args.budget(30).unwrap_or_else(exit_usage);
+    let caps = args.caps().unwrap_or_else(exit_usage);
+    let seed = args.seed().unwrap_or_else(exit_usage);
     let specs: Vec<&'static mbb_datasets::DatasetSpec> = if args.flag("tough") {
         tough_datasets()
     } else {

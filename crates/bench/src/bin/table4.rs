@@ -12,18 +12,18 @@
 //! grid is 64/128/256 with a per-run budget.
 
 use mbb_baselines::ext_bbclq;
-use mbb_bench::{fmt_seconds, run_timed, Args, Table};
+use mbb_bench::{exit_usage, fmt_seconds, run_timed, Args, Table};
 use mbb_core::budget::SearchBudget;
 use mbb_core::dense_mbb_graph;
 use mbb_datasets::dense::{DenseCell, TABLE4_DENSITIES, TABLE4_SIZES};
 
 fn main() {
     let args = Args::from_env();
-    let budget = args.budget(60);
-    let reps = args.get_u64("reps", 3);
+    let budget = args.budget(60).unwrap_or_else(exit_usage);
+    let reps = args.get_u64("reps", 3).unwrap_or_else(exit_usage);
 
-    let sizes: Vec<u32> = if let Some(list) = args.get_list("sizes") {
-        list.iter().filter_map(|s| s.parse().ok()).collect()
+    let sizes: Vec<u32> = if let Some(list) = args.get_numbers("sizes").unwrap_or_else(exit_usage) {
+        list
     } else if args.flag("full") {
         TABLE4_SIZES.to_vec()
     } else {

@@ -10,16 +10,16 @@
 use std::sync::Arc;
 
 use mbb_baselines::{all_adapted, ext_bbclq};
-use mbb_bench::{fmt_seconds, run_timed, Args, Table};
+use mbb_bench::{exit_usage, fmt_seconds, run_timed, Args, Table};
 use mbb_core::budget::SearchBudget;
 use mbb_core::{MbbEngine, SolverConfig};
 use mbb_datasets::{catalog, stand_in};
 
 fn main() {
     let args = Args::from_env();
-    let budget = args.budget(30);
-    let caps = args.caps();
-    let seed = args.seed();
+    let budget = args.budget(30).unwrap_or_else(exit_usage);
+    let caps = args.caps().unwrap_or_else(exit_usage);
+    let seed = args.seed().unwrap_or_else(exit_usage);
     let filter = args.get_list("datasets");
 
     println!("# Table 5 — sparse bipartite graphs (synthetic stand-ins)\n");

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use mbb_bench::{fmt_seconds, run_timed, Args, Table};
+use mbb_bench::{exit_usage, fmt_seconds, run_timed, Args, Table};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_core::heuristic::hmbb;
@@ -18,9 +18,9 @@ use mbb_datasets::{stand_in, tough_datasets};
 
 fn main() {
     let args = Args::from_env();
-    let budget = args.budget(60);
-    let caps = args.caps();
-    let seed = args.seed();
+    let budget = args.budget(60).unwrap_or_else(exit_usage);
+    let caps = args.caps().unwrap_or_else(exit_usage);
+    let seed = args.seed().unwrap_or_else(exit_usage);
     let filter = args.get_list("datasets");
 
     println!("# Table 6 — efficiency of the techniques on tough datasets\n");

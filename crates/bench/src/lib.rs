@@ -27,7 +27,7 @@ pub mod obs;
 pub mod report;
 pub mod runner;
 
-pub use args::Args;
+pub use args::{exit_usage, Args};
 pub use obs::{run_obs_bench, ObsBenchOptions, MAX_OVERHEAD_PCT};
 pub use report::{fmt_seconds, ObsBenchReport, Table};
 pub use runner::run_timed;

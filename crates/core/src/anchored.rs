@@ -9,14 +9,12 @@
 //! building block for "why is this vertex (not) in the MBB" queries and
 //! per-entity bicluster reports.
 
-use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
-use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::two_hop::{n_le2, TwoHopIndex};
 
 use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_budgeted, DenseConfig};
+use crate::dense::{dense_mbb_pinned, DenseConfig};
 use crate::stats::SearchStats;
 
 /// The largest balanced biclique containing `anchor` (empty only when
@@ -42,63 +40,18 @@ pub fn anchored_budgeted(
         return (Biclique::empty(), SearchStats::default());
     }
 
-    // Local index 0 on the anchor's side is the anchor itself.
+    // Local index 0 on the anchor's side is the anchor itself. It has at
+    // least one neighbour, so the pinned search always finds half ≥ 1.
     let mut same_side = Vec::with_capacity(two_hop.len() + 1);
     same_side.push(anchor.index);
     same_side.extend_from_slice(&two_hop);
-
-    let mut same_cands = BitSet::new(same_side.len());
-    for i in 1..same_side.len() {
-        same_cands.insert(i);
-    }
-    let other_cands = BitSet::full(neighbors.len());
-
-    let (local_result, stats) = match anchor.side {
-        Side::Left => {
-            let local = LocalGraph::induced(graph, &same_side, &neighbors);
-            dense_mbb_budgeted(
-                &local,
-                vec![0],
-                Vec::new(),
-                same_cands,
-                other_cands,
-                0,
-                DenseConfig::default(),
-                budget,
-            )
-        }
+    let config = DenseConfig::default();
+    match anchor.side {
+        Side::Left => dense_mbb_pinned(graph, &same_side, &neighbors, &[0], &[], 0, config, budget),
         Side::Right => {
-            let local = LocalGraph::induced(graph, &neighbors, &same_side);
-            dense_mbb_budgeted(
-                &local,
-                Vec::new(),
-                vec![0],
-                other_cands,
-                same_cands,
-                0,
-                DenseConfig::default(),
-                budget,
-            )
+            dense_mbb_pinned(graph, &neighbors, &same_side, &[], &[0], 0, config, budget)
         }
-    };
-
-    // Map local indices back to the original graph. The anchor has at
-    // least one neighbour, so the seeded search always finds half ≥ 1.
-    let (left_ids, right_ids): (&[u32], &[u32]) = match anchor.side {
-        Side::Left => (&same_side, &neighbors),
-        Side::Right => (&neighbors, &same_side),
-    };
-    let left = local_result
-        .left
-        .iter()
-        .map(|&i| left_ids[i as usize])
-        .collect();
-    let right = local_result
-        .right
-        .iter()
-        .map(|&i| right_ids[i as usize])
-        .collect();
-    (Biclique::balanced(left, right), stats)
+    }
 }
 
 /// The largest balanced biclique containing the edge `(u, v)` (left `u`,
@@ -131,37 +84,16 @@ pub fn anchored_edge_budgeted(
 
     let right_ids = u_neighbors;
     let v_local = right_ids.binary_search(&v).expect("v is a neighbour of u") as u32;
-    let local = LocalGraph::induced(graph, &left_ids, &right_ids);
-
-    let mut ca = BitSet::new(left_ids.len());
-    for i in 1..left_ids.len() {
-        ca.insert(i);
-    }
-    // Right candidates must be adjacent to the pinned u; all of N(u) are.
-    let mut cb = BitSet::full(right_ids.len());
-    cb.remove(v_local as usize);
-
-    let (local_result, stats) = dense_mbb_budgeted(
-        &local,
-        vec![0],
-        vec![v_local],
-        ca,
-        cb,
+    Some(dense_mbb_pinned(
+        graph,
+        &left_ids,
+        &right_ids,
+        &[0],
+        &[v_local],
         0,
         DenseConfig::default(),
         budget,
-    );
-    let left = local_result
-        .left
-        .iter()
-        .map(|&i| left_ids[i as usize])
-        .collect();
-    let right = local_result
-        .right
-        .iter()
-        .map(|&i| right_ids[i as usize])
-        .collect();
-    Some((Biclique::balanced(left, right), stats))
+    ))
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!
 //! Exposed as a baseline (`mbb --algorithm basic`) and as a reference
 //! oracle for `denseMBB`. The `bd3` ablation does not use it: it runs
-//! `denseMBB` with the polynomial case and the max-missing branching
-//! turned off.
+//! `denseMBB` with `DenseConfig::use_branching_technique` off, which drops
+//! the polynomial case and branches on the first left candidate.
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::local::LocalGraph;

@@ -17,9 +17,6 @@
 //! verification, which cuts its local `(|A*|+1)`-core from them instead
 //! of peeling it again.
 
-// The centre cursor goes through the mbb-conc facade, as in `dense.rs`.
-use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
-
 use mbb_obs as obs;
 
 use mbb_bigraph::core_decomp::local_core_decomposition;
@@ -29,9 +26,8 @@ use mbb_bigraph::two_hop::n2_neighbors;
 
 use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
-use crate::dense::SharedIncumbent;
 use crate::heuristic::greedy_balanced_local;
-use crate::solver::{resolve_threads, run_workers};
+use crate::solver::{claim_loop, resolve_threads};
 
 /// A surviving vertex-centred subgraph, in the ids of the graph the bridge
 /// ran on.
@@ -168,6 +164,8 @@ const CENTER_CHUNK: usize = 64;
 /// local heuristic finds on any worker at once strengthens every worker's
 /// size and degeneracy prunes. Survivors are re-assembled in generation
 /// order.
+///
+/// [`SharedIncumbent`]: crate::solver::SharedIncumbent
 pub fn bridge_mbb_budgeted(
     graph: &BipartiteGraph,
     order: &[u32],
@@ -187,64 +185,28 @@ pub fn bridge_mbb_budgeted(
     } else {
         1
     };
-    let shared = SharedIncumbent::new(incumbent.half_size());
-    let cursor = AtomicUsize::new(0);
-    let outputs = run_workers(workers, |_| {
-        let budget = budget.clone();
-        let mut best = Biclique::empty();
-        let mut stats = BridgeStats::default();
-        let mut survivors: Vec<(usize, CenteredSubgraph)> = Vec::new();
-        'pool: loop {
-            // relaxed: the fetch_add's atomicity alone hands each chunk to
-            // exactly one worker; the centres it indexes are immutable
-            // shared slices.
-            let start = cursor.fetch_add(CENTER_CHUNK, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + CENTER_CHUNK).min(n);
-            for (i, &center_global) in order.iter().enumerate().take(end).skip(start) {
-                // Per-centre work (induction, core decomposition,
-                // heuristic) is orders of magnitude above a wall-clock
-                // read, so pay the unsampled probe; one worker's probe
-                // stops the whole pool.
-                if budget.probe() {
-                    break 'pool;
-                }
-                // One span per centre: cheap next to the per-centre
-                // induction work, and the per-centre cost profile is
-                // exactly what the bridging-stage analysis needs (dropped
-                // on overflow, never blocking — see mbb_obs::ring).
-                let span = obs::span(obs::Stage::BridgeCentre);
-                let (survivor, improvement) = process_center(
-                    graph,
-                    &rank,
-                    i,
-                    center_global,
-                    shared.bound(),
-                    config,
-                    &mut stats,
-                );
-                drop(span);
-                if let Some(better) = improvement {
-                    // It beats the bound, which covers this worker's own
-                    // earlier finds.
-                    shared.publish(better.half_size());
-                    best = better;
-                }
-                survivors.extend(survivor.map(|s| (i, s)));
-            }
-        }
-        (best, stats, survivors)
-    });
+    let (best, outputs) = claim_loop(
+        workers,
+        n,
+        CENTER_CHUNK,
+        incumbent,
+        budget,
+        |(stats, survivors): &mut (BridgeStats, Vec<(usize, CenteredSubgraph)>), i, bound| {
+            // One span per centre: cheap next to the per-centre induction
+            // work, and the per-centre cost profile is exactly what the
+            // bridging-stage analysis needs (dropped on overflow, never
+            // blocking — see mbb_obs::ring).
+            let _span = obs::span(obs::Stage::BridgeCentre);
+            let (survivor, improvement) =
+                process_center(graph, &rank, i, order[i], bound, config, stats);
+            survivors.extend(survivor.map(|s| (i, s)));
+            improvement
+        },
+    );
 
-    let mut best = incumbent;
     let mut stats = BridgeStats::default();
     let mut indexed = Vec::new();
-    for (worker_best, worker_stats, worker_survivors) in outputs {
-        if worker_best.half_size() > best.half_size() {
-            best = worker_best;
-        }
+    for (worker_stats, worker_survivors) in outputs {
         stats.merge(&worker_stats);
         indexed.extend(worker_survivors);
     }

@@ -26,39 +26,33 @@
 //! workers one level up, each verifying whole vertex-centred subgraphs
 //! ([`crate::verify`]).
 
-// The shared incumbent goes through the mbb-conc facade: std atomics in
-// normal builds, model-checked under `--cfg mbb_conc` (see
-// tests/conc_models.rs and docs/CONCURRENCY.md).
-use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
-
 use mbb_bigraph::bitset::BitSet;
+use mbb_bigraph::graph::BipartiteGraph;
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::matching::greedy_complement_matching;
 
 use crate::basic::LocalBiclique;
+use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
 use crate::poly::DynamicMbb;
 use crate::reduce::Candidates;
 use crate::stats::SearchStats;
 
-/// Tuning/ablation knobs for [`dense_mbb_budgeted`].
+/// The ablation switch of [`dense_mbb_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct DenseConfig {
-    /// Detect and solve the Lemma 3 polynomial case (on by default).
-    /// With this off the algorithm degenerates towards `basicBB` with
-    /// reductions.
-    pub use_polynomial_case: bool,
-    /// Branch on the candidate missing the *most* neighbours (the
-    /// triviality-last strategy). When off, the first candidate is taken —
-    /// the `bd3` "without branching technique" ablation.
-    pub branch_max_missing: bool,
+    /// The §4 branching technique (on by default): solve the Lemma 3
+    /// polynomial case, and otherwise branch on the candidate missing the
+    /// *most* neighbours (the triviality-last strategy). Off is the `bd3`
+    /// "without branching technique" ablation: no polynomial case, and
+    /// each node branches on its first left candidate.
+    pub use_branching_technique: bool,
 }
 
 impl Default for DenseConfig {
     fn default() -> Self {
         DenseConfig {
-            use_polynomial_case: true,
-            branch_max_missing: true,
+            use_branching_technique: true,
         }
     }
 }
@@ -120,54 +114,52 @@ pub fn dense_mbb_budgeted(
     (searcher.best.balance(), stats)
 }
 
+/// [`dense_mbb_budgeted`] on the subgraph of `graph` induced by
+/// `left_ids` and `right_ids`, with the vertices at positions
+/// `pinned_left` / `pinned_right` of those lists fixed in the result, in
+/// the ids of `graph`. Every seeded search of the crate starts here:
+/// verification pins a subgraph's centre (Algorithm 8, line 4), an
+/// anchored query its anchor vertex or edge (Observation 4), and the
+/// whole-graph [`crate::dense_mbb_graph`] pins nothing.
+///
+/// Local index `i` on each side is the `i`-th id of its list. The
+/// candidates are every unpinned vertex adjacent to all pins on the other
+/// side; the pins must be pairwise adjacent across the sides.
+#[allow(clippy::too_many_arguments)] // the seeded state plus config and budget
+pub(crate) fn dense_mbb_pinned(
+    graph: &BipartiteGraph,
+    left_ids: &[u32],
+    right_ids: &[u32],
+    pinned_left: &[u32],
+    pinned_right: &[u32],
+    initial_half: usize,
+    config: DenseConfig,
+    budget: &SearchBudget,
+) -> (Biclique, SearchStats) {
+    let local = LocalGraph::induced(graph, left_ids, right_ids);
+    let mut ca = BitSet::full(local.num_left());
+    let mut cb = BitSet::full(local.num_right());
+    for &u in pinned_left {
+        ca.remove(u as usize);
+        cb.intersect_with(&local.left_row(u));
+    }
+    for &v in pinned_right {
+        cb.remove(v as usize);
+        ca.intersect_with(&local.right_row(v));
+    }
+    let (a, b) = (pinned_left.to_vec(), pinned_right.to_vec());
+    let (found, stats) = dense_mbb_budgeted(&local, a, b, ca, cb, initial_half, config, budget);
+    let to_ids = |local: Vec<u32>, ids: &[u32]| local.iter().map(|&i| ids[i as usize]).collect();
+    let found = Biclique::balanced(to_ids(found.left, left_ids), to_ids(found.right, right_ids));
+    (found, stats)
+}
+
 /// How a single node of the search resolved: either the subtree is done
 /// (pruned, polynomial-solved, leaf, or budget-exhausted), or the node
 /// must branch on the returned candidate.
 enum StepOutcome {
     Resolved,
     Branch { on_left: bool, vertex: u32 },
-}
-
-/// The pool-wide incumbent half-size of a parallel stage — the one piece
-/// of mutable state the workers of bridging
-/// ([`crate::bridge::bridge_mbb_budgeted`]) and of verification
-/// ([`crate::verify::verify_mbb_budgeted`]) share. Each worker reads it
-/// before a vertex-centred subgraph and publishes to it after one; a
-/// `denseMBB` search inside a subgraph never touches it.
-///
-/// The protocol is deliberately minimal so its correctness argument is
-/// short: the cell only ever **grows** (every write is a `fetch_max`
-/// with the half-size of a biclique the writer has actually realised),
-/// and readers use it purely as a *pruning* bound. A stale read is
-/// always safe — it can only under-prune, never discard the optimum —
-/// which is why `Relaxed` suffices end to end. The final result does not
-/// come from this cell: each worker returns its own best biclique and
-/// the caller max-merges them after the join, so publication here is
-/// an optimisation, not a correctness dependency.
-pub struct SharedIncumbent(AtomicUsize);
-
-impl SharedIncumbent {
-    /// A pool incumbent seeded at `initial_half` (results must beat it).
-    pub fn new(initial_half: usize) -> SharedIncumbent {
-        SharedIncumbent(AtomicUsize::new(initial_half))
-    }
-
-    /// Publishes a realised half-size. Monotonic: concurrent publishes
-    /// cannot regress the bound (`fetch_max`, not `store`).
-    pub fn publish(&self, half: usize) {
-        // relaxed: monotonic fetch_max of an advisory pruning bound; a
-        // reader seeing a stale value only prunes less. Result delivery
-        // happens via the join, not through this cell.
-        self.0.fetch_max(half, Ordering::Relaxed);
-    }
-
-    /// The current pool-wide bound (may be momentarily stale — safe, see
-    /// the type docs).
-    pub fn bound(&self) -> usize {
-        // relaxed: advisory read of the monotonic bound; staleness only
-        // costs pruning opportunity.
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 struct DenseSearcher<'g> {
@@ -292,7 +284,7 @@ impl<'g> DenseSearcher<'g> {
         let scan = scan_candidates(self.graph, node);
 
         // Polynomial case (lines 4–8).
-        if self.config.use_polynomial_case && scan.max_missing <= 2 {
+        if self.config.use_branching_technique && scan.max_missing <= 2 {
             let solved = self.lemma3.solve(
                 self.graph,
                 node.ca(),
@@ -312,7 +304,7 @@ impl<'g> DenseSearcher<'g> {
                 return StepOutcome::Resolved;
             }
         }
-        if !self.config.use_polynomial_case && node.ca().is_empty() && node.cb().is_empty() {
+        if !self.config.use_branching_technique && node.ca().is_empty() && node.cb().is_empty() {
             if a.len().min(b.len()) > self.best_half {
                 self.record(a.clone(), b.clone());
             }
@@ -321,10 +313,10 @@ impl<'g> DenseSearcher<'g> {
         }
 
         // Branching (lines 9–15): pick the candidate missing the most
-        // neighbours (guaranteed ≥ 3 here when the polynomial case is on).
-        let (on_left, vertex) = if self.config.branch_max_missing {
+        // neighbours, at least 3 once the polynomial case has passed.
+        let (on_left, vertex) = if self.config.use_branching_technique {
             debug_assert!(
-                !self.config.use_polynomial_case || scan.max_missing >= 3,
+                scan.max_missing >= 3,
                 "polynomial case should have caught missing = {}",
                 scan.max_missing
             );
@@ -590,14 +582,16 @@ mod tests {
         }
     }
 
+    /// The `bd3` ablation.
+    const BD3: DenseConfig = DenseConfig {
+        use_branching_technique: false,
+    };
+
     #[test]
     fn ablation_without_polynomial_case_still_correct() {
         for seed in 0..15u64 {
             let g = random_graph(7, 7, 0.6, seed ^ 0x77);
-            let config = DenseConfig {
-                use_polynomial_case: false,
-                ..DenseConfig::default()
-            };
+            let config = BD3;
             let (b, _) = dense_mbb_budgeted(
                 &g,
                 vec![],
@@ -628,9 +622,9 @@ mod tests {
     /// reduced_vertices, leaf_count, max_depth]` — and the witness, as
     /// returned, of four searches. The witnesses were recorded before the
     /// per-node buffers moved into the searcher (the fourth case's before
-    /// the candidate degrees were memoized), the trees once the König
-    /// bound pruned. Any change to branching, bounding or reduction order
-    /// shows here.
+    /// the candidate degrees were memoized, the `bd3` case's when its two
+    /// switches became one), the trees once the König bound pruned. Any
+    /// change to branching, bounding or reduction order shows here.
     #[test]
     fn search_trees_are_pinned() {
         let run = |g: &LocalGraph, a: Vec<u32>, ca: BitSet, cb: BitSet, initial_half, config| {
@@ -655,11 +649,7 @@ mod tests {
 
         let g = random_graph(44, 44, 0.7, 2);
         let (ca, cb) = full(&g);
-        let config = DenseConfig {
-            use_polynomial_case: false,
-            ..DenseConfig::default()
-        };
-        got.push(run(&g, vec![], ca, cb, 0, config));
+        got.push(run(&g, vec![], ca, cb, 0, BD3));
 
         let g = random_graph(48, 48, 0.7, 4);
         let (ca, cb) = centred(&g, 0);
@@ -677,11 +667,11 @@ mod tests {
                 vec![21, 4, 34, 1, 9, 39, 32, 38, 23, 24],
                 [3099, 7, 1543, 21522, 1550, 33],
             ),
-            // no Lemma 3 case
+            // bd3
             (
-                vec![36, 11, 32, 9, 29, 3, 16, 26, 7, 14],
-                vec![14, 34, 9, 15, 20, 30, 17, 11, 39, 24],
-                [6385, 0, 3185, 40536, 3193, 43],
+                vec![0, 2, 3, 4, 21, 6, 16, 10, 20, 26],
+                vec![15, 21, 24, 36, 3, 12, 26, 39, 20, 33],
+                [35625, 0, 17803, 473284, 17813, 34],
             ),
             // seeded with a centre
             (

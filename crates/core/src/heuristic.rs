@@ -5,14 +5,15 @@
 //! that the Lemma 4 core reduction collapses the graph. Two greedy passes
 //! are made — one prioritised by degree, one by core number — each followed
 //! by a reduction to the `(|A*|+1)`-core, with the Lemma 5 early-termination
-//! check (`half == δ` proves optimality) in between.
+//! check (`half == δ` proves optimality) in between. The cores nest, so
+//! one core decomposition of the input graph serves every reduction.
 //!
 //! Bridging runs the core-number greedy once more inside every centred
 //! subgraph, on its bitset rows: `greedy_balanced_local` makes exactly the
 //! choices [`greedy_balanced`] makes on the CSR form of the graph.
 
 use mbb_bigraph::bitset::BitSet;
-use mbb_bigraph::core_decomp::{core_decomposition, k_core_mask};
+use mbb_bigraph::core_decomp::{core_decomposition, k_core_mask, CoreDecomposition};
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::subgraph::{induce_by_mask, InducedSubgraph};
@@ -298,80 +299,64 @@ pub fn hmbb(graph: &BipartiteGraph, seeds: usize, use_reduction: bool) -> HmbbOu
     let degree_score: Vec<u64> = graph.vertices().map(|v| graph.degree(v) as u64).collect();
     let mut best = greedy_balanced(graph, &degree_score, seeds);
 
+    // One peel serves every reduction below. The k-cores nest, and for
+    // k ≥ 1 each vertex of the k-core keeps its core number inside it, so
+    // the k-core's own peel would give the same numbers, and its
+    // degeneracy is δ(G) unless it is empty.
+    let cores = core_decomposition(graph);
     if !use_reduction {
         return HmbbOutcome {
             best,
             reduced: InducedSubgraph::identity(graph),
-            degeneracy: core_decomposition(graph).degeneracy,
+            degeneracy: cores.degeneracy,
             proven_optimal: false,
         };
     }
 
-    // Reduction to the (|A*|+1)-core, then the Lemma 5 check.
-    let cores = core_decomposition(graph);
-    let reduced = reduce_to_core(graph, &cores, best.half_size() as u32 + 1);
-    let cores_reduced = core_decomposition(&reduced.graph);
+    // Reduction to the (|A*|+1)-core.
+    let mut reduced = reduce_to_core(graph, &cores, best.half_size());
+    if reduced.graph.num_vertices() > 0 {
+        // Pass 2: core-number-based greedy on the reduced graph, whose
+        // global ids are the kept vertices in the input graph's order.
+        let core_score: Vec<u64> = cores
+            .core
+            .iter()
+            .filter(|&&c| c as usize > best.half_size())
+            .map(|&c| u64::from(c))
+            .collect();
+        let local_best = greedy_balanced(&reduced.graph, &core_score, seeds);
+        if local_best.half_size() > best.half_size() {
+            best = map_to_parent(&local_best, &reduced);
+            reduced = reduce_to_core(graph, &cores, best.half_size());
+        }
+    }
+
     // Lemma 5 (strengthened): any balanced biclique strictly larger than
     // the incumbent survives the reduction as a (half+1)-core, so
     // δ(G') ≤ half proves optimality. The paper's `2δ = |A*|+|B*|` check is
     // the equality special case.
-    if cores_reduced.degeneracy as usize <= best.half_size() {
-        return HmbbOutcome {
-            best,
-            degeneracy: cores_reduced.degeneracy,
-            reduced,
-            proven_optimal: true,
-        };
-    }
-
-    // Pass 2: core-number-based greedy on the reduced graph.
-    let core_score: Vec<u64> = cores_reduced.core.iter().map(|&c| c as u64).collect();
-    let local_best = greedy_balanced(&reduced.graph, &core_score, seeds);
-    if local_best.half_size() > best.half_size() {
-        best = map_to_parent(&local_best, &reduced);
-        let rereduced = reduce_to_core(&reduced.graph, &cores_reduced, best.half_size() as u32 + 1);
-        // Compose the two reductions' id maps.
-        let composed = InducedSubgraph {
-            left_ids: rereduced
-                .left_ids
-                .iter()
-                .map(|&l| reduced.left_ids[l as usize])
-                .collect(),
-            right_ids: rereduced
-                .right_ids
-                .iter()
-                .map(|&r| reduced.right_ids[r as usize])
-                .collect(),
-            graph: rereduced.graph,
-        };
-        let degeneracy = core_decomposition(&composed.graph).degeneracy;
-        let proven_optimal = degeneracy as usize <= best.half_size();
-        return HmbbOutcome {
-            best,
-            reduced: composed,
-            degeneracy,
-            proven_optimal,
-        };
-    }
-
+    let degeneracy = if reduced.graph.num_vertices() > 0 {
+        cores.degeneracy
+    } else {
+        0
+    };
     HmbbOutcome {
+        proven_optimal: degeneracy as usize <= best.half_size(),
         best,
-        degeneracy: cores_reduced.degeneracy,
         reduced,
-        proven_optimal: false,
+        degeneracy,
     }
 }
 
-/// Lemma 4: keep only the `k`-core.
+/// Lemma 4: keep only the `(half + 1)`-core, the part of the graph where a
+/// balanced biclique larger than `half` can lie.
 fn reduce_to_core(
     graph: &BipartiteGraph,
-    cores: &mbb_bigraph::core_decomp::CoreDecomposition,
-    k: u32,
+    cores: &CoreDecomposition,
+    half: usize,
 ) -> InducedSubgraph {
-    let mask = k_core_mask(cores, k);
-    let nl = graph.num_left();
-    let keep_left = &mask[..nl];
-    let keep_right = &mask[nl..];
+    let mask = k_core_mask(cores, half as u32 + 1);
+    let (keep_left, keep_right) = mask.split_at(graph.num_left());
     induce_by_mask(graph, keep_left, keep_right)
 }
 
@@ -395,6 +380,7 @@ pub fn map_to_parent(biclique: &Biclique, subgraph: &InducedSubgraph) -> Bicliqu
 mod tests {
     use super::*;
     use mbb_bigraph::generators;
+    use mbb_bigraph::subgraph::induce_by_ids;
 
     #[test]
     fn greedy_finds_full_biclique_on_complete_graph() {
@@ -532,10 +518,144 @@ mod tests {
         assert!(!outcome.proven_optimal);
     }
 
+    /// The `k`-core by the definition: drop vertices of degree below `k`
+    /// until none is left. Ids of each side, ascending.
+    fn naive_k_core(g: &BipartiteGraph, k: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut keep = vec![true; g.num_vertices()];
+        let kept_degree = |keep: &[bool], v: Vertex| {
+            let other = |&w: &u32| global(g, v.side.opposite(), w);
+            g.neighbors(v).iter().filter(|w| keep[other(w)]).count()
+        };
+        loop {
+            let low: Vec<Vertex> = g
+                .vertices()
+                .filter(|&v| keep[g.global_id(v)] && kept_degree(&keep, v) < k)
+                .collect();
+            if low.is_empty() {
+                break;
+            }
+            low.iter().for_each(|&v| keep[g.global_id(v)] = false);
+        }
+        let side = |side: Side| {
+            g.vertices()
+                .filter(|&v| v.side == side && keep[g.global_id(v)])
+                .map(|v| v.index)
+                .collect()
+        };
+        (side(Side::Left), side(Side::Right))
+    }
+
+    fn same_csr(a: &BipartiteGraph, b: &BipartiteGraph) -> bool {
+        a.num_left() == b.num_left()
+            && a.num_right() == b.num_right()
+            && (0..a.num_left() as u32).all(|u| a.neighbors_left(u) == b.neighbors_left(u))
+            && (0..a.num_right() as u32).all(|v| a.neighbors_right(v) == b.neighbors_right(v))
+    }
+
+    /// `hmbb` peels the input graph once. What the peels of its reduced
+    /// graphs gave must come out of that one peel: pass 2 makes the
+    /// choices the reduced graph's own core numbers make, the reduced
+    /// graph is the `(half+1)`-core of the input (ids and CSR), its
+    /// reported degeneracy is its own, and Lemma 5 holds exactly when that
+    /// degeneracy is at most the half-size. Every path is covered: an
+    /// empty `(half+1)`-core after pass 1, and pass 2 with and without an
+    /// improvement.
+    #[test]
+    fn one_peel_gives_what_peeling_each_reduced_graph_gives() {
+        let mut graphs = vec![
+            BipartiteGraph::from_edges(0, 0, []).unwrap(),
+            BipartiteGraph::from_edges(6, 4, []).unwrap(),
+            generators::complete(5, 5),
+        ];
+        for seed in 0..60u64 {
+            let side = 8 + (seed % 5) as u32 * 8;
+            let edges = (side * side) as usize * (1 + seed as usize % 4) / 8;
+            graphs.push(generators::uniform_edges(side, side + 3, edges, seed));
+            graphs.push(generators::dense_uniform(side, side, 0.5, seed));
+            let params = generators::ChungLuParams {
+                num_left: 60,
+                num_right: 60,
+                num_edges: 500 + 20 * seed as usize,
+                left_exponent: 0.5 + 0.05 * (seed % 6) as f64,
+                right_exponent: 0.5,
+            };
+            graphs.push(generators::chung_lu_bipartite(&params, seed));
+        }
+        // An 8×8 biclique on the highest ids, away from the low-id hubs of
+        // a skewed Chung–Lu graph: the degree-scored pass grows from the
+        // hubs, and the core-scored pass from the plant.
+        for seed in 0..8u64 {
+            let params = generators::ChungLuParams {
+                num_left: 200,
+                num_right: 200,
+                num_edges: 800,
+                left_exponent: 0.8,
+                right_exponent: 0.8,
+            };
+            let g = generators::chung_lu_bipartite(&params, seed);
+            let plant = (192..200).flat_map(|u| (192..200).map(move |v| (u, v)));
+            graphs.push(BipartiteGraph::from_edges(200, 200, g.edges().chain(plant)).unwrap());
+        }
+        let (mut emptied, mut improved, mut kept) = (0, 0, 0);
+        for (i, g) in graphs.iter().enumerate() {
+            let seeds = 1 + i % 4;
+            let degree_score: Vec<u64> = g.vertices().map(|v| g.degree(v) as u64).collect();
+            let pass1 = greedy_balanced(g, &degree_score, seeds);
+            // Pass 2 scored by the reduced graph's own peel.
+            let (left, right) = naive_k_core(g, pass1.half_size() + 1);
+            let reduced1 = induce_by_ids(g, left, right);
+            let own_peel = core_decomposition(&reduced1.graph).core;
+            let own_scores: Vec<u64> = own_peel.iter().map(|&c| u64::from(c)).collect();
+            let pass2 = greedy_balanced(&reduced1.graph, &own_scores, seeds);
+            let expected = if pass2.half_size() > pass1.half_size() {
+                improved += 1;
+                map_to_parent(&pass2, &reduced1)
+            } else {
+                if reduced1.graph.num_vertices() == 0 {
+                    emptied += 1;
+                } else {
+                    kept += 1;
+                }
+                pass1.clone()
+            };
+            for use_reduction in [true, false] {
+                let case = format!("graph {i}, reduction {use_reduction}");
+                let out = hmbb(g, seeds, use_reduction);
+                let want = if use_reduction { &expected } else { &pass1 };
+                assert_eq!(&out.best, want, "{case}");
+                let half = out.best.half_size();
+                let (left, right) = if use_reduction {
+                    naive_k_core(g, half + 1)
+                } else {
+                    (
+                        (0..g.num_left() as u32).collect(),
+                        (0..g.num_right() as u32).collect(),
+                    )
+                };
+                let reduced = &out.reduced;
+                assert_eq!(
+                    (&reduced.left_ids, &reduced.right_ids),
+                    (&left, &right),
+                    "{case}"
+                );
+                let fresh = induce_by_ids(g, left, right);
+                assert!(same_csr(&reduced.graph, &fresh.graph), "{case}");
+                let own = core_decomposition(&reduced.graph).degeneracy;
+                assert_eq!(out.degeneracy, own, "{case}");
+                let proven = use_reduction && own as usize <= half;
+                assert_eq!(out.proven_optimal, proven, "{case}");
+            }
+        }
+        assert!(
+            emptied > 0 && improved > 0 && kept > 0,
+            "{emptied}/{improved}/{kept}"
+        );
+    }
+
     #[test]
     fn map_to_parent_translates_ids() {
         let g = generators::uniform_edges(10, 10, 50, 2);
-        let sub = mbb_bigraph::subgraph::induce_by_ids(&g, vec![2, 4, 6], vec![1, 3, 5]);
+        let sub = induce_by_ids(&g, vec![2, 4, 6], vec![1, 3, 5]);
         let local = Biclique::balanced(vec![0, 2], vec![1, 2]);
         let mapped = map_to_parent(&local, &sub);
         assert_eq!(mapped.left, vec![2, 6]);

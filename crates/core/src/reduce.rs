@@ -168,6 +168,7 @@ impl Candidates {
     ///
     /// Invariants expected and preserved: every `u ∈ CA` is adjacent to
     /// all of `B`, every `v ∈ CB` to all of `A`.
+    #[inline] // see `Side::count`
     pub(crate) fn reduce(
         &mut self,
         graph: &LocalGraph,
@@ -207,10 +208,8 @@ impl Candidates {
     ///
     /// Each kept neighbour loses `x` from its degree. The degrees of `x`'s
     /// side are left to be counted, since the set they count against was
-    /// cut. This is the one place the include semantics live: the serial
-    /// recursion and the frontier expansion of the parallel search both
-    /// build children through it, which keeps the parallel search space
-    /// identical to the serial one.
+    /// cut. `DenseSearcher::recurse` builds every include child through
+    /// it, into candidate sets reused from its pool.
     pub(crate) fn include(
         &self,
         graph: &LocalGraph,

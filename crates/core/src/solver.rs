@@ -4,19 +4,21 @@
 
 use std::time::Instant;
 
+// The claim cursor and the shared incumbent go through the mbb-conc
+// facade: std atomics in normal builds, model-checked under
+// `--cfg mbb_conc` (see tests/conc_models.rs and docs/CONCURRENCY.md).
+use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
+
 use mbb_obs as obs;
 
-use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::BipartiteGraph;
-use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::order::SearchOrder;
 use mbb_bigraph::subgraph::{project_order, InducedSubgraph};
 
-use crate::basic::LocalBiclique;
 use crate::biclique::Biclique;
 use crate::bridge::{bridge_mbb_budgeted, BridgeConfig};
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_budgeted, DenseConfig};
+use crate::dense::{dense_mbb_pinned, DenseConfig};
 use crate::engine::MbbEngine;
 use crate::heuristic::{greedy_balanced, hmbb, map_to_parent, DEFAULT_SEEDS};
 use crate::stats::{SearchStats, SolveStats, Stage};
@@ -33,24 +35,122 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Runs `work(w)` for each worker index `w` in `0..workers` and returns
-/// the results in worker order: inline on the calling thread when
-/// `workers` is 1, otherwise one thread per worker on a
-/// `std::thread::scope` pool. The one spawn site of the two parallel
-/// stages, bridging and verification. A worker's panic resumes on the
-/// caller after the join.
-pub(crate) fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if workers <= 1 {
-        return vec![work(0)];
+/// The pool-wide incumbent half-size of a parallel stage — the one piece
+/// of mutable state the workers of bridging and verification share, on
+/// their one worker loop (`claim_loop`). Each worker reads it before an
+/// item and publishes to it after one; a `denseMBB` search inside a
+/// subgraph never touches it.
+///
+/// The protocol is deliberately minimal so its correctness argument is
+/// short: the cell only ever **grows** (every write is a `fetch_max`
+/// with the half-size of a biclique the writer has actually realised),
+/// and readers use it purely as a *pruning* bound. A stale read is
+/// always safe — it can only under-prune, never discard the optimum —
+/// which is why `Relaxed` suffices end to end. The final result does not
+/// come from this cell: each worker returns its own best biclique and
+/// the caller max-merges them after the join, so publication here is
+/// an optimisation, not a correctness dependency.
+pub struct SharedIncumbent(AtomicUsize);
+
+impl SharedIncumbent {
+    /// A pool incumbent seeded at `initial_half` (results must beat it).
+    pub fn new(initial_half: usize) -> SharedIncumbent {
+        SharedIncumbent(AtomicUsize::new(initial_half))
     }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+
+    /// Publishes a realised half-size. Monotonic: concurrent publishes
+    /// cannot regress the bound (`fetch_max`, not `store`).
+    pub fn publish(&self, half: usize) {
+        // relaxed: monotonic fetch_max of an advisory pruning bound; a
+        // reader seeing a stale value only prunes less. Result delivery
+        // happens via the join, not through this cell.
+        self.0.fetch_max(half, Ordering::Relaxed);
+    }
+
+    /// The current pool-wide bound (may be momentarily stale — safe, see
+    /// the type docs).
+    pub fn bound(&self) -> usize {
+        // relaxed: advisory read of the monotonic bound; staleness only
+        // costs pruning opportunity.
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The worker loop of the two parallel stages, bridging (one item per
+/// centre) and verification (one per surviving subgraph).
+///
+/// `workers` workers, inline on the calling thread when there is one and
+/// on a `std::thread::scope` pool otherwise, claim chunks of `chunk`
+/// consecutive indices of `0..items` from a shared cursor. Before each
+/// index a worker pays one unsampled [`SearchBudget::probe`], and stops
+/// for good once it fires; one worker's probe stops the whole pool.
+/// Otherwise it calls `visit(state, index, bound)` with the pool's
+/// [`SharedIncumbent`] bound. A biclique `visit` returns must beat that
+/// bound: the worker publishes its half-size and keeps it.
+///
+/// Returns the largest of `incumbent` and the workers' bicliques (the
+/// earlier worker wins a tie), and each worker's `state`, in worker
+/// order. A worker's panic resumes on the caller after the join.
+pub(crate) fn claim_loop<S: Default + Send>(
+    workers: usize,
+    items: usize,
+    chunk: usize,
+    incumbent: Biclique,
+    budget: &SearchBudget,
+    visit: impl Fn(&mut S, usize, usize) -> Option<Biclique> + Sync,
+) -> (Biclique, Vec<S>) {
+    let shared = SharedIncumbent::new(incumbent.half_size());
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut best = Biclique::empty();
+        let mut state = S::default();
+        'claims: loop {
+            // relaxed: the fetch_add's atomicity alone hands each chunk to
+            // exactly one worker; the items it indexes are immutable and
+            // published by the spawn.
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items {
+                break;
+            }
+            for index in start..(start + chunk).min(items) {
+                // Per-item boundary: an item's work is orders of magnitude
+                // above a wall-clock read, and an expired budget must not
+                // survive into another item.
+                if budget.probe() {
+                    break 'claims;
+                }
+                let bound = shared.bound();
+                if let Some(better) = visit(&mut state, index, bound) {
+                    debug_assert!(better.half_size() > bound);
+                    shared.publish(better.half_size());
+                    best = better;
+                }
+            }
+        }
+        (best, state)
+    };
+    let outputs = if workers <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+
+    let mut best = incumbent;
+    let mut states = Vec::with_capacity(outputs.len());
+    for (worker_best, state) in outputs {
+        if worker_best.half_size() > best.half_size() {
+            best = worker_best;
+        }
+        states.push(state);
+    }
+    (best, states)
 }
 
 /// Configuration of the `hbvMBB` framework. The defaults are the paper's
@@ -260,8 +360,7 @@ pub(crate) fn hbv_mbb(
     // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
     let stage3_start = Instant::now();
     let dense_config = DenseConfig {
-        use_polynomial_case: config.use_dense_branching,
-        branch_max_missing: config.use_dense_branching,
+        use_branching_technique: config.use_dense_branching,
     };
     let incumbent_local = Biclique {
         left: vec![u32::MAX; best.half_size()],
@@ -302,22 +401,15 @@ pub fn dense_mbb_graph(graph: &BipartiteGraph, budget: &SearchBudget) -> (Bicliq
     let warm = greedy_balanced(graph, &score, 16);
     let warm_half = warm.half_size();
     let (found, search) = if budget.probe() {
-        (LocalBiclique::default(), SearchStats::default())
+        (Biclique::empty(), SearchStats::default())
     } else {
-        let local = LocalGraph::induced(
-            graph,
-            &(0..graph.num_left() as u32).collect::<Vec<_>>(),
-            &(0..graph.num_right() as u32).collect::<Vec<_>>(),
-        );
-        let (ca, cb) = (
-            BitSet::full(local.num_left()),
-            BitSet::full(local.num_right()),
-        );
+        let left: Vec<u32> = (0..graph.num_left() as u32).collect();
+        let right: Vec<u32> = (0..graph.num_right() as u32).collect();
         let config = DenseConfig::default();
-        dense_mbb_budgeted(&local, vec![], vec![], ca, cb, warm_half, config, budget)
+        dense_mbb_pinned(graph, &left, &right, &[], &[], warm_half, config, budget)
     };
-    let best = if found.half() > warm_half {
-        Biclique::balanced(found.left, found.right)
+    let best = if found.half_size() > warm_half {
+        found
     } else {
         warm
     };
@@ -337,6 +429,83 @@ mod tests {
     use mbb_bigraph::generators;
 
     use crate::testutil::brute_force_half_graph as brute_half;
+
+    /// What one worker of [`claim_loop`] saw: each index it visited with
+    /// the bound it was handed, and the half-sizes it published.
+    #[derive(Default)]
+    struct Visits {
+        seen: Vec<(usize, usize)>,
+        published: Vec<usize>,
+    }
+
+    #[test]
+    fn claim_loop_visits_each_index_once_and_raises_the_bound() {
+        let improves = |index: usize| index % 7 == 3;
+        let runs = |budget: &SearchBudget| {
+            let mut out = Vec::new();
+            for workers in [1, 2, 4] {
+                for chunk in [1, 64] {
+                    for items in [0, 1, 63, 64, 65, 300] {
+                        let incumbent = Biclique::balanced(vec![0, 1], vec![0, 1]);
+                        let (best, states) = claim_loop(
+                            workers,
+                            items,
+                            chunk,
+                            incumbent,
+                            budget,
+                            |visits: &mut Visits, index, bound| {
+                                visits.seen.push((index, bound));
+                                improves(index).then(|| {
+                                    visits.published.push(bound + 1);
+                                    Biclique::balanced(vec![0; bound + 1], vec![0; bound + 1])
+                                })
+                            },
+                        );
+                        out.push(((workers, chunk, items), best, states));
+                    }
+                }
+            }
+            out
+        };
+
+        for ((workers, chunk, items), best, states) in runs(&SearchBudget::unlimited()) {
+            let case = format!("{workers} workers, chunks of {chunk}, {items} items");
+            assert_eq!(states.len(), workers, "{case}");
+            let mut visited: Vec<usize> = states
+                .iter()
+                .flat_map(|v| v.seen.iter().map(|&(index, _)| index))
+                .collect();
+            visited.sort_unstable();
+            assert_eq!(visited, (0..items).collect::<Vec<_>>(), "{case}");
+            // A worker's bound never falls, and its visits after a publish
+            // see at least what it published.
+            for visits in &states {
+                let mut floor = 2;
+                for &(index, bound) in &visits.seen {
+                    assert!(bound >= floor, "{case}: index {index}");
+                    floor = if improves(index) { bound + 1 } else { bound };
+                }
+            }
+            let published = states.iter().flat_map(|v| v.published.iter().copied());
+            assert_eq!(best.half_size(), published.max().unwrap_or(2), "{case}");
+            if workers == 1 {
+                // Serially, each improvement raises every later bound by one.
+                for &(index, bound) in &states[0].seen {
+                    let earlier = (0..index).filter(|&i| improves(i)).count();
+                    assert_eq!(bound, 2 + earlier, "{case}: index {index}");
+                }
+            }
+        }
+
+        let token = crate::budget::CancelToken::new();
+        token.cancel();
+        let cancelled = SearchBudget::new(None, Some(token));
+        for ((workers, chunk, items), best, states) in runs(&cancelled) {
+            let case = format!("{workers} workers, chunks of {chunk}, {items} items");
+            assert!(states.iter().all(|v| v.seen.is_empty()), "{case}");
+            assert_eq!(best, Biclique::balanced(vec![0, 1], vec![0, 1]), "{case}");
+        }
+    }
 
     #[test]
     fn default_solver_is_exact() {

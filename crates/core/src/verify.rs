@@ -6,26 +6,25 @@
 //! searched with `denseMBB` seeded with the centre vertex fixed in the
 //! result. Improvements immediately tighten the prunes of later subgraphs.
 //!
-//! One worker loop walks the survivors. With `threads > 1` the workers
-//! split them through a shared cursor: each searches whole subgraphs on
-//! its own thread and prunes against one [`SharedIncumbent`]. A
-//! subgraph has at most δ̈ + 1 vertices and is verified on its own, so
-//! it is the natural unit of parallel work. The paper's implementation
-//! is single-threaded (`threads = 1`).
+//! The survivors are walked by the worker loop bridging also runs on
+//! (`solver::claim_loop`). With `threads > 1` the workers split
+//! them one at a time: each searches whole subgraphs on its own thread
+//! and prunes against one [`SharedIncumbent`]. A subgraph has at most
+//! δ̈ + 1 vertices and is verified on its own, so it is the natural unit
+//! of parallel work. The paper's implementation is single-threaded
+//! (`threads = 1`).
+//!
+//! [`LocalGraph`]: mbb_bigraph::local::LocalGraph
+//! [`SharedIncumbent`]: crate::solver::SharedIncumbent
 
-// The survivor cursor goes through the mbb-conc facade, as in `dense.rs`.
-use mbb_conc::sync::atomic::{AtomicUsize, Ordering};
-
-use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::{BipartiteGraph, Side};
-use mbb_bigraph::local::LocalGraph;
 use mbb_obs as obs;
 
 use crate::biclique::Biclique;
 use crate::bridge::CenteredSubgraph;
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_budgeted, DenseConfig, SharedIncumbent};
-use crate::solver::{resolve_threads, run_workers};
+use crate::dense::{dense_mbb_pinned, DenseConfig};
+use crate::solver::{claim_loop, resolve_threads};
 use crate::stats::SearchStats;
 
 /// How a multi-threaded verification stage spends its workers. There is
@@ -46,8 +45,8 @@ pub struct VerifyConfig {
     /// Reduce each subgraph to the `(best_half+1)`-core before searching
     /// (off in the `bd2` ablation).
     pub use_core_reduction: bool,
-    /// Exhaustive-search configuration (the `bd3` ablation turns the
-    /// polynomial case and missing-most branching off).
+    /// Exhaustive-search configuration (the `bd3` ablation turns the §4
+    /// branching technique off).
     pub dense: DenseConfig,
     /// Number of worker threads; `1` = the paper's sequential algorithm,
     /// `0` = one per available core.
@@ -79,6 +78,8 @@ impl Default for VerifyConfig {
 /// is returned after the join (or `incumbent`, if none beats it). The
 /// exhausted state of the budget is shared, so one worker observing the
 /// deadline stops the whole pool at its next check.
+///
+/// [`SharedIncumbent`]: crate::solver::SharedIncumbent
 pub fn verify_mbb_budgeted(
     graph: &BipartiteGraph,
     survivors: &[CenteredSubgraph],
@@ -92,48 +93,24 @@ pub fn verify_mbb_budgeted(
     } else {
         1
     };
-    let shared = SharedIncumbent::new(incumbent.half_size());
-    let cursor = AtomicUsize::new(0);
-    let outputs = run_workers(workers, |_| {
-        let budget = budget.clone();
-        let mut best = Biclique::empty();
-        let mut stats = SearchStats::default();
-        loop {
-            // relaxed: the fetch_add's atomicity alone hands each survivor
-            // index to exactly one worker; the survivors slice is
-            // immutable and published by the spawn.
-            let index = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(subgraph) = survivors.get(index) else {
-                break;
-            };
-            // Per-subgraph boundary: pay the unsampled probe so an expired
-            // deadline never survives into another subgraph's search.
-            if budget.probe() {
-                break;
-            }
-            let bound = shared.bound();
+    let (best, outputs) = claim_loop(
+        workers,
+        survivors.len(),
+        1,
+        incumbent,
+        budget,
+        |stats: &mut SearchStats, index, bound| {
             // One span per surviving subgraph's cut-and-search.
             let _span = obs::span(obs::Stage::DenseSearch);
-            if let Some((candidate, search_stats)) =
-                verify_one(graph, subgraph, bound, config, &budget)
-            {
-                stats.merge(&search_stats);
-                if candidate.half_size() > bound {
-                    shared.publish(candidate.half_size());
-                    best = candidate;
-                }
-            }
-        }
-        (best, stats)
-    });
+            let (found, search) = verify_one(graph, &survivors[index], bound, config, budget)?;
+            stats.merge(&search);
+            (found.half_size() > bound).then_some(found)
+        },
+    );
 
-    let mut best = incumbent;
     let mut stats = SearchStats::default();
-    for (worker_best, worker_stats) in outputs {
-        if worker_best.half_size() > best.half_size() {
-            best = worker_best;
-        }
-        stats.merge(&worker_stats);
+    for worker_stats in &outputs {
+        stats.merge(worker_stats);
         // Surface per-worker load balance alongside the totals.
         if workers > 1 {
             stats.worker_nodes.push(worker_stats.nodes);
@@ -142,8 +119,9 @@ pub fn verify_mbb_budgeted(
     (best, stats)
 }
 
-/// Verifies one centred subgraph against the bound; returns an improving
-/// biclique (graph ids) if found.
+/// Verifies one centred subgraph against the bound: the biclique it
+/// finds (graph ids, empty unless it beats `best_half`) and the search's
+/// statistics, or `None` when the cut leaves nothing to search.
 fn verify_one(
     graph: &BipartiteGraph,
     centered: &CenteredSubgraph,
@@ -172,42 +150,27 @@ fn verify_one(
         return None;
     }
 
-    // Locate the centre inside the cut; if the cut removed it, no
-    // biclique containing it can beat the bound.
-    let center_local = match center.side {
-        Side::Left => left.binary_search(&center.index).ok()?,
-        Side::Right => right.binary_search(&center.index).ok()?,
-    } as u32;
-
-    let local = LocalGraph::induced(graph, &left, &right);
-
-    // Seed the search with the centre fixed (Algorithm 8 line 4): the
-    // centre's side candidates exclude it; the other side is already all
-    // neighbours of the centre by vertex-centred construction, minus any
-    // non-neighbours the core reduction could not remove.
-    let (a, b, ca, cb) = match center.side {
-        Side::Left => {
-            let mut ca = BitSet::full(local.num_left());
-            ca.remove(center_local as usize);
-            let cb = local.left_row(center_local).to_bitset();
-            (vec![center_local], Vec::new(), ca, cb)
-        }
-        Side::Right => {
-            let ca = local.right_row(center_local).to_bitset();
-            let mut cb = BitSet::full(local.num_right());
-            cb.remove(center_local as usize);
-            (Vec::new(), vec![center_local], ca, cb)
-        }
+    // Search with the centre fixed in the result (Algorithm 8 line 4).
+    // If the cut removed it, no biclique containing it can beat the bound.
+    let center_side = match center.side {
+        Side::Left => &left,
+        Side::Right => &right,
     };
-
-    let (found, stats) = dense_mbb_budgeted(&local, a, b, ca, cb, best_half, config.dense, budget);
-    if found.half() <= best_half {
-        // No improvement; still surface the stats for aggregation.
-        return Some((Biclique::empty(), stats));
-    }
-    let left = found.left.iter().map(|&i| left[i as usize]).collect();
-    let right = found.right.iter().map(|&i| right[i as usize]).collect();
-    Some((Biclique::balanced(left, right), stats))
+    let pin = [center_side.binary_search(&center.index).ok()? as u32];
+    let (pinned_left, pinned_right): (&[u32], &[u32]) = match center.side {
+        Side::Left => (&pin, &[]),
+        Side::Right => (&[], &pin),
+    };
+    Some(dense_mbb_pinned(
+        graph,
+        &left,
+        &right,
+        pinned_left,
+        pinned_right,
+        best_half,
+        config.dense,
+        budget,
+    ))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use mbb_conc::model::{explore, ExploreConfig};
 use mbb_conc::thread;
-use mbb_core::dense::SharedIncumbent;
+use mbb_core::solver::SharedIncumbent;
 
 /// Two workers race `publish`; every interleaving must leave the cell at
 /// the maximum, and each worker's own reads of `bound()` must be
@@ -60,7 +60,7 @@ fn incumbent_converges_to_max_and_bounds_are_monotone() {
 
 /// `publish` never lowers the bound, even against a concurrent larger
 /// publication — the `fetch_max` protocol the `// relaxed:` audit
-/// justifications in `dense.rs` appeal to.
+/// justifications in `solver.rs` appeal to.
 #[test]
 fn late_small_publish_cannot_regress_the_bound() {
     let report = explore(ExploreConfig::auto(2), || {

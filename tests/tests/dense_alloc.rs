@@ -72,23 +72,23 @@ fn search(g: &LocalGraph, config: DenseConfig) -> (SearchStats, u64) {
 
 #[test]
 fn allocations_do_not_grow_with_search_nodes() {
-    // 64k search nodes and 2,130 Lemma 3 leaves with the polynomial case,
-    // 100k nodes without it. The König bound leaves too few nodes and
-    // leaves to tell at 70% density.
+    // 64k search nodes and 2,130 Lemma 3 leaves with the §4 branching
+    // technique; the `bd3` ablation, without it, searches a tree of its
+    // own. The König bound leaves too few nodes and leaves to tell at 70%
+    // density.
     let g = dense_graph(64, 0.95, 1);
-    for use_polynomial_case in [true, false] {
+    for use_branching_technique in [true, false] {
         let config = DenseConfig {
-            use_polynomial_case,
-            ..DenseConfig::default()
+            use_branching_technique,
         };
         let (stats, made) = search(&g, config);
         assert!(stats.nodes >= 10_000, "too small to tell: {stats:?}");
         assert!(
             made < stats.nodes / 100,
-            "Lemma 3 case {use_polynomial_case}: {made} allocations for {} nodes",
+            "branching technique {use_branching_technique}: {made} allocations for {} nodes",
             stats.nodes
         );
-        if use_polynomial_case {
+        if use_branching_technique {
             assert!(stats.poly_solves >= 300, "{stats:?}");
             assert!(
                 made < stats.poly_solves / 4,
