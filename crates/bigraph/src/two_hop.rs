@@ -21,15 +21,15 @@
 //! one count array the size of the side: `O(Σ_m deg(m)²)` time and
 //! `O(|L| + |R|)` scratch. It feeds
 //!
-//! * [`TwoHopIndex`], the bicore peel's 2-hop CSR and the engine's
-//!   anchored-query cache;
+//! * [`TwoHopIndex`], the bicore peel's 2-hop CSR;
 //! * [`all_n_le2_sizes`];
 //! * one-mode projection, [`project`](crate::projection::project);
 //! * butterfly counting,
 //!   [`count_butterflies`](crate::butterfly::count_butterflies).
 //!
 //! [`n2_neighbors`] is the single-vertex walk, for callers that need one
-//! `N2` list, and the oracle the tests check the pass against.
+//! `N2` list (each anchored query takes it), and the oracle the tests
+//! check the pass against.
 
 use std::ops::Range;
 
@@ -121,14 +121,8 @@ pub fn all_n_le2_sizes(graph: &BipartiteGraph) -> Vec<usize> {
     sizes
 }
 
-/// The full `N≤2(v)` as a pair `(opposite-side neighbours, same-side 2-hop
-/// neighbours)`, both sorted.
-pub fn n_le2(graph: &BipartiteGraph, v: Vertex) -> (Vec<u32>, Vec<u32>) {
-    (graph.neighbors(v).to_vec(), n2_neighbors(graph, v))
-}
-
 /// Every vertex's `N2` list in one CSR, indexed by global id: the bicore
-/// peel's 2-hop structure and the engine's anchored-query cache.
+/// peel's 2-hop structure.
 ///
 /// The build runs the pair pass twice and then sweeps the rows once, with
 /// no hashing and no sorting, in `O(Σ deg²)` time. The first pass counts
@@ -142,8 +136,8 @@ pub fn n_le2(graph: &BipartiteGraph, v: Vertex) -> (Vec<u32>, Vec<u32>) {
 /// both rows) and 8 bytes per vertex of offsets. Next to the rows the
 /// build fills a multiplicity array of another 4 bytes per entry. Only the
 /// bicore peel keeps that array; [`TwoHopIndex::build`] drops it. Memory
-/// approaches `n²` on dense graphs, so build the index lazily, only for
-/// workloads that query many anchors.
+/// approaches `n²` on dense graphs; a caller that needs one vertex's list
+/// walks it with [`n2_neighbors`] instead.
 #[derive(Debug, Clone)]
 pub struct TwoHopIndex {
     /// Row `g` (a global id) is `neighbors[offsets[g]..offsets[g + 1]]`.
@@ -220,17 +214,6 @@ impl TwoHopIndex {
         }
     }
 
-    /// The cached `N2(v)`: same-side indices, ascending, excluding `v`.
-    pub fn two_hop<'a>(
-        &'a self,
-        graph: &BipartiteGraph,
-        v: Vertex,
-    ) -> impl ExactSizeIterator<Item = u32> + 'a {
-        let g = graph.global_id(v);
-        let offset = (g - v.index as usize) as u32;
-        self.neighbors[self.row(g)].iter().map(move |&w| w - offset)
-    }
-
     /// Total stored `N2` entries (an index size gauge).
     pub fn entries(&self) -> usize {
         self.neighbors.len()
@@ -274,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn isolated_vertex_has_empty_n_le2() {
+    fn isolated_vertex_has_no_two_hop_neighbourhood() {
         let g = BipartiteGraph::from_edges(2, 2, [(0, 0)]).unwrap();
         assert_eq!(all_n_le2_sizes(&g), vec![1, 0, 1, 0]);
         assert_eq!(n2_neighbors(&g, Vertex::left(1)), Vec::<u32>::new());
@@ -303,18 +286,35 @@ mod tests {
 
     #[test]
     fn index_matches_per_vertex_queries() {
-        let g = generators::uniform_edges(12, 14, 60, 9);
-        let index = TwoHopIndex::build(&g);
-        for v in g.vertices() {
-            let row: Vec<u32> = index.two_hop(&g, v).collect();
-            assert_eq!(row, n2_neighbors(&g, v), "vertex {v}");
+        // Every row, read through `row` and shifted to same-side indices,
+        // is the single-vertex walk, on graphs from sparse to complete.
+        let mut graphs = vec![
+            BipartiteGraph::from_edges(3, 2, []).unwrap(),
+            BipartiteGraph::from_edges(1, 6, (0..6).map(|v| (0, v))).unwrap(),
+            generators::complete(5, 3),
+        ];
+        for seed in 0..24u64 {
+            let (nl, nr) = (1 + seed as u32 % 13, 1 + (seed as u32 * 7) % 17);
+            let edges = (seed as usize % 5 + 1) * (nl + nr) as usize;
+            graphs.push(generators::uniform_edges(nl, nr, edges, seed));
         }
-        assert_eq!(
-            index.entries(),
-            g.vertices()
-                .map(|v| n2_neighbors(&g, v).len())
-                .sum::<usize>()
-        );
+        for g in &graphs {
+            let index = TwoHopIndex::build(g);
+            for v in g.vertices() {
+                let global = g.global_id(v);
+                let offset = (global - v.index as usize) as u32;
+                let row: Vec<u32> = index.neighbors[index.row(global)]
+                    .iter()
+                    .map(|&w| w - offset)
+                    .collect();
+                assert_eq!(row, n2_neighbors(g, v), "vertex {v}");
+            }
+            let total = g
+                .vertices()
+                .map(|v| n2_neighbors(g, v).len())
+                .sum::<usize>();
+            assert_eq!(index.entries(), total);
+        }
     }
 
     #[test]
@@ -358,11 +358,10 @@ mod tests {
 
     #[test]
     fn n_le2_parts_are_disjoint_sides() {
+        // N≤2(L0) is its right-side neighbours plus N2(L0), whose indices
+        // are left-side and exclude L0 itself.
         let g = generators::uniform_edges(10, 12, 50, 1);
-        let (n1, n2) = n_le2(&g, Vertex::left(0));
-        assert_eq!(n1, g.neighbors_left(0));
-        // n2 indices are left-side; no overlap by construction.
-        for w in n2 {
+        for w in n2_neighbors(&g, Vertex::left(0)) {
             assert!(w < 10);
             assert_ne!(w, 0);
         }

@@ -55,24 +55,14 @@ fn bicore_family_strategy() -> impl Strategy<Value = BipartiteGraph> {
     })
 }
 
-/// The two-hop index against the single-vertex walk: every row equals
-/// `n2_neighbors`, and `entries()` is their total length. The pair pass
-/// that fills the index also weighs projections, so each projected weight
-/// must be the pair's common-neighbour count.
+/// The two-hop index against the single-vertex walk: `entries()` is the
+/// total length of the `n2_neighbors` lists (the unit tests of `two_hop`
+/// compare the rows themselves). The pair pass that fills the index also
+/// weighs projections, so each projected weight must be the pair's
+/// common-neighbour count.
 fn check_two_hop_index(g: &BipartiteGraph) -> Result<(), TestCaseError> {
-    let index = TwoHopIndex::build(g);
-    let mut total = 0;
-    for v in g.vertices() {
-        let walk = n2_neighbors(g, v);
-        prop_assert_eq!(
-            index.two_hop(g, v).collect::<Vec<_>>(),
-            walk.clone(),
-            "row of {}",
-            v
-        );
-        total += walk.len();
-    }
-    prop_assert_eq!(index.entries(), total);
+    let total: usize = g.vertices().map(|v| n2_neighbors(g, v).len()).sum();
+    prop_assert_eq!(TwoHopIndex::build(g).entries(), total);
     for side in [Side::Left, Side::Right] {
         for (a, b, weight) in project(g, side).edges {
             let common = sorted_intersection_len(

@@ -10,7 +10,7 @@
 //! per-entity bicluster reports.
 
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
-use mbb_bigraph::two_hop::{n_le2, TwoHopIndex};
+use mbb_bigraph::two_hop::n2_neighbors;
 
 use crate::biclique::Biclique;
 use crate::budget::SearchBudget;
@@ -20,74 +20,57 @@ use crate::stats::SearchStats;
 /// The largest balanced biclique containing `anchor` (empty only when
 /// `anchor` has no incident edge), and the statistics of the seeded
 /// `denseMBB` run. This is the search behind
-/// [`MbbEngine::anchored`](crate::engine::MbbEngine::anchored): an
-/// optional cached [`TwoHopIndex`] replaces the per-query `N≤2` walk, and
-/// the run honours the [`SearchBudget`] (best-so-far on exhaustion).
+/// [`MbbEngine::anchored`](crate::engine::MbbEngine::anchored): each call
+/// walks `N≤2(anchor)`, reading no more adjacency than the induction of
+/// the subgraph after it, and the run honours the [`SearchBudget`]
+/// (best-so-far on exhaustion).
 pub fn anchored_budgeted(
     graph: &BipartiteGraph,
     anchor: Vertex,
-    index: Option<&TwoHopIndex>,
     budget: &SearchBudget,
 ) -> (Biclique, SearchStats) {
-    let (neighbors, two_hop) = match index {
-        Some(index) => (
-            graph.neighbors(anchor).to_vec(),
-            index.two_hop(graph, anchor).collect(),
-        ),
-        None => n_le2(graph, anchor),
-    };
+    let neighbors = graph.neighbors(anchor);
     if neighbors.is_empty() {
         return (Biclique::empty(), SearchStats::default());
     }
 
     // Local index 0 on the anchor's side is the anchor itself. It has at
     // least one neighbour, so the pinned search always finds half ≥ 1.
-    let mut same_side = Vec::with_capacity(two_hop.len() + 1);
-    same_side.push(anchor.index);
-    same_side.extend_from_slice(&two_hop);
+    let mut same_side = vec![anchor.index];
+    same_side.extend(n2_neighbors(graph, anchor));
     let config = DenseConfig::default();
     match anchor.side {
-        Side::Left => dense_mbb_pinned(graph, &same_side, &neighbors, &[0], &[], 0, config, budget),
-        Side::Right => {
-            dense_mbb_pinned(graph, &neighbors, &same_side, &[], &[0], 0, config, budget)
-        }
+        Side::Left => dense_mbb_pinned(graph, &same_side, neighbors, &[0], &[], 0, config, budget),
+        Side::Right => dense_mbb_pinned(graph, neighbors, &same_side, &[], &[0], 0, config, budget),
     }
 }
 
 /// The largest balanced biclique containing the edge `(u, v)` (left `u`,
 /// right `v`), or `None` when the edge is absent from the graph. This is
-/// the budgeted, index-aware search behind
+/// the budgeted search behind
 /// [`MbbEngine::anchored_edge`](crate::engine::MbbEngine::anchored_edge).
 pub fn anchored_edge_budgeted(
     graph: &BipartiteGraph,
     u: u32,
     v: u32,
-    index: Option<&TwoHopIndex>,
     budget: &SearchBudget,
 ) -> Option<(Biclique, SearchStats)> {
     if !graph.has_edge(u, v) {
         return None;
     }
-    let (u_neighbors, u_two_hop) = match index {
-        Some(index) => (
-            graph.neighbors_left(u).to_vec(),
-            index.two_hop(graph, Vertex::left(u)).collect(),
-        ),
-        None => n_le2(graph, Vertex::left(u)),
-    };
 
     // Scope: left side {u} ∪ N2(u) restricted to N(v); right side N(u).
     // Every biclique through the edge has A ⊆ N(v) and B ⊆ N(u).
-    let mut left_ids = Vec::with_capacity(u_two_hop.len() + 1);
-    left_ids.push(u);
-    left_ids.extend(u_two_hop.iter().copied().filter(|&w| graph.has_edge(w, v)));
+    let mut left_ids = vec![u];
+    let u_two_hop = n2_neighbors(graph, Vertex::left(u));
+    left_ids.extend(u_two_hop.into_iter().filter(|&w| graph.has_edge(w, v)));
 
-    let right_ids = u_neighbors;
+    let right_ids = graph.neighbors_left(u);
     let v_local = right_ids.binary_search(&v).expect("v is a neighbour of u") as u32;
     Some(dense_mbb_pinned(
         graph,
         &left_ids,
-        &right_ids,
+        right_ids,
         &[0],
         &[v_local],
         0,
@@ -102,9 +85,10 @@ mod tests {
     use mbb_bigraph::generators;
     use mbb_bigraph::graph::sorted_intersection;
 
-    /// Brute force: best balanced biclique whose left (right) side contains
-    /// the anchor, by enumerating left subsets.
-    fn brute_anchored(graph: &BipartiteGraph, anchor: Vertex) -> usize {
+    /// Brute force: the best balanced biclique whose left side contains
+    /// `left` and whose right side contains `right` (each when given), by
+    /// enumerating left subsets.
+    fn brute_containing(graph: &BipartiteGraph, left: Option<u32>, right: Option<u32>) -> usize {
         let nl = graph.num_left();
         assert!(nl <= 14);
         let mut best = 0;
@@ -119,15 +103,22 @@ mod tests {
                 });
             }
             let common = common.unwrap_or_default();
-            let ok = match anchor.side {
-                Side::Left => a.contains(&anchor.index),
-                Side::Right => common.contains(&anchor.index),
-            };
+            let ok =
+                left.is_none_or(|u| a.contains(&u)) && right.is_none_or(|v| common.contains(&v));
             if ok {
                 best = best.max(a.len().min(common.len()));
             }
         }
         best
+    }
+
+    /// Brute force: best balanced biclique whose left (right) side contains
+    /// the anchor.
+    fn brute_anchored(graph: &BipartiteGraph, anchor: Vertex) -> usize {
+        match anchor.side {
+            Side::Left => brute_containing(graph, Some(anchor.index), None),
+            Side::Right => brute_containing(graph, None, Some(anchor.index)),
+        }
     }
 
     #[test]
@@ -136,7 +127,7 @@ mod tests {
             let g = generators::uniform_edges(8, 8, 30, seed);
             for u in 0..8u32 {
                 let anchor = Vertex::left(u);
-                let (b, _) = anchored_budgeted(&g, anchor, None, &SearchBudget::unlimited());
+                let (b, _) = anchored_budgeted(&g, anchor, &SearchBudget::unlimited());
                 assert_eq!(
                     b.half_size(),
                     brute_anchored(&g, anchor),
@@ -156,7 +147,7 @@ mod tests {
             let g = generators::uniform_edges(8, 8, 30, seed);
             for v in 0..8u32 {
                 let anchor = Vertex::right(v);
-                let (b, _) = anchored_budgeted(&g, anchor, None, &SearchBudget::unlimited());
+                let (b, _) = anchored_budgeted(&g, anchor, &SearchBudget::unlimited());
                 assert_eq!(
                     b.half_size(),
                     brute_anchored(&g, anchor),
@@ -170,35 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_index_reproduces_the_walk() {
-        // The engine answers its first anchored query with the walk and
-        // later ones with the index: both must run the identical search.
-        let budget = SearchBudget::unlimited();
-        for seed in 0..10u64 {
-            let g = generators::uniform_edges(10, 9, 24 + 3 * seed as usize, seed ^ 0x5a);
-            let index = TwoHopIndex::build(&g);
-            for anchor in g.vertices() {
-                let (walk, walk_stats) = anchored_budgeted(&g, anchor, None, &budget);
-                let (cached, stats) = anchored_budgeted(&g, anchor, Some(&index), &budget);
-                assert_eq!(cached, walk, "seed {seed} anchor {anchor}");
-                assert_eq!(stats.nodes, walk_stats.nodes, "seed {seed} anchor {anchor}");
-            }
-            for (u, v) in g.edges() {
-                let (walk, walk_stats) = anchored_edge_budgeted(&g, u, v, None, &budget).unwrap();
-                let (cached, stats) =
-                    anchored_edge_budgeted(&g, u, v, Some(&index), &budget).unwrap();
-                assert_eq!(cached, walk, "seed {seed} edge ({u},{v})");
-                assert_eq!(stats.nodes, walk_stats.nodes, "seed {seed} edge ({u},{v})");
-            }
-        }
-    }
-
-    #[test]
     fn isolated_anchor_returns_empty() {
         let g = BipartiteGraph::from_edges(3, 3, [(0, 0)]).unwrap();
-        let (b, _) = anchored_budgeted(&g, Vertex::left(2), None, &SearchBudget::unlimited());
+        let (b, _) = anchored_budgeted(&g, Vertex::left(2), &SearchBudget::unlimited());
         assert!(b.is_empty());
-        let (b, _) = anchored_budgeted(&g, Vertex::right(1), None, &SearchBudget::unlimited());
+        let (b, _) = anchored_budgeted(&g, Vertex::right(1), &SearchBudget::unlimited());
         assert!(b.is_empty());
     }
 
@@ -212,7 +179,7 @@ mod tests {
         let mut best_anchored = 0;
         for u in 0..10u32 {
             best_anchored = best_anchored.max(
-                anchored_budgeted(&g, Vertex::left(u), None, &SearchBudget::unlimited())
+                anchored_budgeted(&g, Vertex::left(u), &SearchBudget::unlimited())
                     .0
                     .half_size(),
             );
@@ -226,7 +193,7 @@ mod tests {
         for seed in 0..10u64 {
             let g = generators::uniform_edges(8, 8, 28, seed ^ 0x44);
             for (u, v) in g.edges().take(10) {
-                let (b, _) = anchored_edge_budgeted(&g, u, v, None, &SearchBudget::unlimited())
+                let (b, _) = anchored_edge_budgeted(&g, u, v, &SearchBudget::unlimited())
                     .expect("edge exists");
                 assert!(b.left.contains(&u), "seed {seed} edge ({u},{v})");
                 assert!(b.right.contains(&v));
@@ -237,16 +204,34 @@ mod tests {
     }
 
     #[test]
+    fn edge_anchor_matches_brute_force() {
+        for seed in 0..12u64 {
+            let g = generators::uniform_edges(8, 8, 18 + 3 * seed as usize, seed ^ 0x3c);
+            for (u, v) in g.edges() {
+                let (b, _) = anchored_edge_budgeted(&g, u, v, &SearchBudget::unlimited())
+                    .expect("edge exists");
+                assert_eq!(
+                    b.half_size(),
+                    brute_containing(&g, Some(u), Some(v)),
+                    "seed {seed} edge ({u},{v})"
+                );
+                assert!(b.is_valid(&g));
+                assert!(b.left.contains(&u) && b.right.contains(&v));
+            }
+        }
+    }
+
+    #[test]
     fn edge_anchor_missing_edge_is_none() {
         let g = BipartiteGraph::from_edges(2, 2, [(0, 0), (1, 1)]).unwrap();
-        assert!(anchored_edge_budgeted(&g, 0, 1, None, &SearchBudget::unlimited()).is_none());
+        assert!(anchored_edge_budgeted(&g, 0, 1, &SearchBudget::unlimited()).is_none());
     }
 
     #[test]
     fn edge_anchor_matches_vertex_anchor_on_blocks() {
         // In a complete block the edge anchor finds the whole block.
         let g = generators::complete(4, 5);
-        let (b, _) = anchored_edge_budgeted(&g, 1, 2, None, &SearchBudget::unlimited()).unwrap();
+        let (b, _) = anchored_edge_budgeted(&g, 1, 2, &SearchBudget::unlimited()).unwrap();
         assert_eq!(b.half_size(), 4);
     }
 
@@ -255,7 +240,7 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..3).flat_map(|u| (0..3).map(move |v| (u, v))).collect();
         edges.push((3, 3));
         let g = BipartiteGraph::from_edges(4, 4, edges).unwrap();
-        let (b, _) = anchored_budgeted(&g, Vertex::left(3), None, &SearchBudget::unlimited());
+        let (b, _) = anchored_budgeted(&g, Vertex::left(3), &SearchBudget::unlimited());
         assert_eq!(b.half_size(), 1);
         assert_eq!(b.left, vec![3]);
         assert_eq!(b.right, vec![3]);

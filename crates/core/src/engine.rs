@@ -2,22 +2,20 @@
 //!
 //! The paper's `hbvMBB` is one algorithm, but this crate grew ~10 sibling
 //! workloads (top-k, anchored, weighted, MEB, frontier, size-constrained,
-//! enumeration, incremental). As free functions they each re-derived the
-//! expensive per-graph structure — peel orders, the bicore decomposition,
-//! two-hop neighbourhoods — on every call. A service answering many
-//! queries against one graph wants the opposite: build once, query many
-//! times (the progressive-query amortisation argument of Lyu et al.,
-//! PVLDB 2020).
+//! enumeration, incremental). A service answering many queries against one
+//! graph should not re-derive the expensive per-graph structure on every
+//! call.
 //!
-//! [`MbbEngine`] owns the CSR graph plus that shared state, computed
-//! lazily on first use and cached for the session:
-//!
-//! * the total **search order** for the configured [`SearchOrder`]
-//!   (projected onto each solve's reduced residual instead of re-peeled),
-//!   built on the first solve that enters stage 2 — a solve that stage 1
-//!   settles never peels; the bidegeneracy order is the bicore peel's
-//!   order, and the session keeps that peel's δ̈ with it;
-//! * the **two-hop index** (materialised once anchored queries repeat).
+//! [`MbbEngine`] owns the CSR graph plus one cached structure, computed
+//! lazily on first use and kept for the session: the total **search
+//! order** for the configured [`SearchOrder`] (projected onto each solve's
+//! reduced residual instead of re-peeled), built on the first solve that
+//! enters stage 2 — a solve that stage 1 settles never peels; the
+//! bidegeneracy order is the bicore peel's order, and the session keeps
+//! that peel's δ̈ with it. Anchored queries cache nothing: by
+//! Observation 4 each one is a single vertex-centred problem on
+//! `{v} ∪ N≤2(v)`, and walking `N≤2(v)` reads no more of the graph than
+//! inducing that subgraph does.
 //!
 //! Every query goes through one builder with shared budget plumbing:
 //!
@@ -54,7 +52,6 @@ use std::time::{Duration, Instant};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::graph::{BipartiteGraph, Vertex};
 use mbb_bigraph::order::{compute_order, SearchOrder};
-use mbb_bigraph::two_hop::TwoHopIndex;
 
 use crate::anchored::{anchored_budgeted, anchored_edge_budgeted};
 use crate::biclique::Biclique;
@@ -106,10 +103,7 @@ pub(crate) struct OrderIndex {
 struct Counters {
     orders_computed: AtomicU64,
     orders_reused: AtomicU64,
-    two_hops_computed: AtomicU64,
-    two_hops_reused: AtomicU64,
     preprocess_nanos: AtomicU64,
-    anchored_queries: AtomicU64,
 }
 
 /// A query session over one bipartite graph. Build once per graph, run
@@ -119,16 +113,15 @@ struct Counters {
 /// concurrent readers (each query may additionally parallelise its own
 /// verification stage via [`QueryBuilder::threads`]). Services that want
 /// per-session counters without re-preprocessing can [`fork`](Self::fork)
-/// an engine: the cached indices are `Arc`-shared, so a fork is a few
+/// an engine: the cached order is `Arc`-shared, so a fork is a few
 /// pointer copies.
 #[derive(Debug)]
 pub struct MbbEngine {
     graph: Arc<BipartiteGraph>,
     config: SolverConfig,
-    // Each cached index is Arc-wrapped so `fork` can share an already
-    // materialised index across sessions without re-deriving it.
+    // Arc-wrapped so `fork` can share an already materialised order
+    // across sessions without re-deriving it.
     order: OnceLock<Arc<OrderIndex>>,
-    two_hop: OnceLock<Arc<TwoHopIndex>>,
     counters: Counters,
 }
 
@@ -151,21 +144,19 @@ impl MbbEngine {
             graph,
             config,
             order: OnceLock::new(),
-            two_hop: OnceLock::new(),
             counters: Counters::default(),
         }
     }
 
-    /// A new engine session over the same graph, sharing every index the
-    /// parent has already materialised (the caches are `Arc`-shared, so
-    /// this is a few pointer copies — no re-peeling, no re-indexing) but
-    /// with fresh index-reuse counters. This is the cheap per-session
-    /// clone a batching service wants: one warm parent per graph shard,
-    /// one fork per client session whose `IndexStats` should start at
-    /// zero.
+    /// A new engine session over the same graph, sharing the order the
+    /// parent has already materialised (the cache is `Arc`-shared, so
+    /// this is a few pointer copies — no re-peeling) but with fresh
+    /// index-reuse counters. This is the cheap per-session clone a
+    /// batching service wants: one warm parent per graph shard, one fork
+    /// per client session whose `IndexStats` should start at zero.
     ///
-    /// Indices the parent has *not* yet computed stay lazy in the fork
-    /// and are built on first use there. A pre-built index served to the
+    /// An order the parent has *not* yet computed stays lazy in the fork
+    /// and is built on first use there. A pre-built order served to the
     /// fork counts as a reuse (never a compute) in the fork's counters.
     ///
     /// ```
@@ -184,9 +175,6 @@ impl MbbEngine {
         let fork = MbbEngine::from_arc(Arc::clone(&self.graph), self.config);
         if let Some(cached) = self.order.get() {
             let _ = fork.order.set(Arc::clone(cached));
-        }
-        if let Some(cached) = self.two_hop.get() {
-            let _ = fork.two_hop.set(Arc::clone(cached));
         }
         fork
     }
@@ -208,8 +196,6 @@ impl MbbEngine {
         IndexStats {
             orders_computed: self.counters.orders_computed.load(Ordering::Relaxed),
             orders_reused: self.counters.orders_reused.load(Ordering::Relaxed),
-            two_hops_computed: self.counters.two_hops_computed.load(Ordering::Relaxed),
-            two_hops_reused: self.counters.two_hops_reused.load(Ordering::Relaxed),
             preprocess_seconds: self.counters.preprocess_nanos.load(Ordering::Relaxed) as f64 / 1e9,
         }
     }
@@ -296,13 +282,12 @@ impl MbbEngine {
         self.query().enumerate(config)
     }
 
-    // ---- Cached index accessors. ----
+    // ---- The cached order. ----
 
-    // Every accessor below counts a reuse whenever its call did not run
-    // the build, including a call that blocked on another query's
-    // in-flight build: that query is served from the cache too, so
-    // `computed + reused` equals the number of uses under any schedule.
-
+    // Counts a reuse whenever its call did not run the build, including a
+    // call that blocked on another query's in-flight build: that query is
+    // served from the cache too, so `computed + reused` equals the number
+    // of uses under any schedule.
     pub(crate) fn order_index(&self) -> &OrderIndex {
         let mut built = false;
         let index = self.order.get_or_init(|| {
@@ -323,7 +308,11 @@ impl MbbEngine {
             for (i, &g) in order.iter().enumerate() {
                 rank[g as usize] = i as u32;
             }
-            self.note_preprocess(start);
+            // relaxed: monotonic nanosecond tally, read only by index_stats
+            // reporting; no ordering contract with the work it timed.
+            self.counters
+                .preprocess_nanos
+                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             // relaxed: monotonic statistics counter (see below).
             self.counters
                 .orders_computed
@@ -336,53 +325,6 @@ impl MbbEngine {
             self.counters.orders_reused.fetch_add(1, Ordering::Relaxed);
         }
         index
-    }
-
-    /// The two-hop index, materialised adaptively: the first anchored
-    /// query walks `N≤2` directly (an index for a single anchor would cost
-    /// more than it saves); from the second anchored query on, the session
-    /// clearly serves an anchored workload and the full index pays for
-    /// itself.
-    fn two_hop_for_anchored(&self) -> Option<&TwoHopIndex> {
-        // relaxed: the anchored-query tally only gates an *advisory*
-        // build-now-or-later heuristic; a racing duplicate build is
-        // resolved (and published) by OnceLock either way.
-        let prior = self
-            .counters
-            .anchored_queries
-            .fetch_add(1, Ordering::Relaxed);
-        let mut built = false;
-        let index = if prior == 0 {
-            self.two_hop.get()?
-        } else {
-            self.two_hop.get_or_init(|| {
-                built = true;
-                let _span = mbb_obs::span(mbb_obs::Stage::PreprocessTwoHop);
-                let start = Instant::now();
-                let index = TwoHopIndex::build(&self.graph);
-                self.note_preprocess(start);
-                // relaxed: monotonic statistics counter.
-                self.counters
-                    .two_hops_computed
-                    .fetch_add(1, Ordering::Relaxed);
-                Arc::new(index)
-            })
-        };
-        if !built {
-            // relaxed: monotonic statistics counter.
-            self.counters
-                .two_hops_reused
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Some(&**index)
-    }
-
-    fn note_preprocess(&self, start: Instant) {
-        // relaxed: monotonic nanosecond tally, read only by index_stats
-        // reporting; no ordering contract with the work it timed.
-        self.counters
-            .preprocess_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn finish<T>(&self, value: T, mut stats: SolveStats, budget: &SearchBudget) -> QueryResult<T> {
@@ -410,7 +352,7 @@ impl<'e> QueryBuilder<'e> {
     /// Abandon the search `limit` from now, returning the best so far
     /// with [`Termination::DeadlineExceeded`]. The budget is checked per
     /// search node inside the exponential phases; polynomial
-    /// preprocessing (the stage-1 heuristic, cached-index builds) is not
+    /// preprocessing (the stage-1 heuristic, the order build) is not
     /// interrupted, so the worst-case overshoot includes one such pass.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(Instant::now() + limit);
@@ -499,8 +441,7 @@ impl<'e> QueryBuilder<'e> {
     /// Panics when `anchor` is out of range for the session graph.
     pub fn anchored(self, anchor: Vertex) -> QueryResult<Biclique> {
         let budget = self.budget();
-        let index = self.engine.two_hop_for_anchored();
-        let (biclique, search) = anchored_budgeted(&self.engine.graph, anchor, index, &budget);
+        let (biclique, search) = anchored_budgeted(&self.engine.graph, anchor, &budget);
         let stats = SolveStats {
             search,
             optimum_half: biclique.half_size(),
@@ -513,8 +454,7 @@ impl<'e> QueryBuilder<'e> {
     /// right `v`), or `None` when the edge is absent from the graph.
     pub fn anchored_edge(self, u: u32, v: u32) -> QueryResult<Option<Biclique>> {
         let budget = self.budget();
-        let index = self.engine.two_hop_for_anchored();
-        let found = anchored_edge_budgeted(&self.engine.graph, u, v, index, &budget);
+        let found = anchored_edge_budgeted(&self.engine.graph, u, v, &budget);
         let (value, search) = match found {
             Some((biclique, search)) => (Some(biclique), search),
             None => (None, Default::default()),
@@ -619,16 +559,31 @@ mod tests {
     }
 
     #[test]
-    fn two_hop_index_materialises_on_second_anchored_query() {
+    fn anchored_kinds_build_no_index() {
+        // Every anchored query walks N≤2 itself: a session answering many
+        // of them builds no index, and each answer is the free function's.
         let g = generators::uniform_edges(20, 20, 90, 2);
-        let engine = MbbEngine::new(g);
-        let first = engine.anchored(Vertex::left(1));
-        assert_eq!(first.stats.index.two_hops_computed, 0);
-        let second = engine.anchored(Vertex::left(2));
-        assert_eq!(second.stats.index.two_hops_computed, 1);
-        let third = engine.anchored(Vertex::right(3));
-        assert_eq!(third.stats.index.two_hops_computed, 1);
-        assert!(third.stats.index.two_hops_reused >= 1);
+        let engine = MbbEngine::new(g.clone());
+        let budget = SearchBudget::unlimited();
+        for anchor in [
+            Vertex::left(1),
+            Vertex::left(2),
+            Vertex::right(3),
+            Vertex::left(1),
+        ] {
+            let session = engine.anchored(anchor);
+            assert!(session.termination.is_complete());
+            assert_eq!(session.value, anchored_budgeted(&g, anchor, &budget).0);
+            assert_eq!(session.stats.index, IndexStats::default());
+        }
+        for (u, v) in g.edges().step_by(7).chain([(0, 0), (3, 5)]) {
+            let session = engine.anchored_edge(u, v);
+            assert!(session.termination.is_complete());
+            let free = anchored_edge_budgeted(&g, u, v, &budget).map(|(b, _)| b);
+            assert_eq!(session.value, free, "edge ({u},{v})");
+            assert_eq!(session.stats.index, IndexStats::default());
+        }
+        assert_eq!(engine.index_stats(), IndexStats::default());
     }
 
     /// Reaches stage 3, so its solves build (then reuse) the order.
@@ -697,8 +652,6 @@ mod tests {
         let g = stage3_graph();
         let engine = MbbEngine::new(g);
         let warm = engine.solve();
-        let _ = engine.anchored(Vertex::left(0));
-        let _ = engine.anchored(Vertex::left(1)); // materialises two-hop
 
         let fork = engine.fork();
         assert!(Arc::ptr_eq(&engine.graph, &fork.graph));
@@ -709,9 +662,6 @@ mod tests {
         let index = fork.index_stats();
         assert_eq!(index.orders_computed, 0);
         assert!(index.orders_reused >= 1);
-        assert_eq!(index.two_hops_computed, 0);
-        let anchored = fork.anchored(Vertex::left(2));
-        assert!(anchored.stats.index.two_hops_reused >= 1);
         // The parent's counters are unaffected by the fork's queries.
         assert_eq!(engine.index_stats().orders_computed, 1);
     }

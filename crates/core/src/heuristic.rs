@@ -147,6 +147,10 @@ pub fn greedy_balanced(graph: &BipartiteGraph, score: &[u64], seeds: usize) -> B
 /// `score` is indexed by global id (left `0..nl`, then right) and the
 /// biclique is in local ids. Bridging runs it on every centred subgraph,
 /// which Lemma 8 keeps within δ̈ + 1 vertices.
+// Runs once per centred subgraph: `#[inline]` here and on the two helpers
+// below lets `bridge::process_center` inline all three whichever of the
+// crate's codegen units each of them lands in.
+#[inline]
 pub(crate) fn greedy_balanced_local(graph: &LocalGraph, score: &[u64], seeds: usize) -> Biclique {
     let degree: Vec<usize> = (0..graph.num_vertices())
         .map(|g| graph.row(g).len())
@@ -164,6 +168,7 @@ pub(crate) fn greedy_balanced_local(graph: &LocalGraph, score: &[u64], seeds: us
 /// least one) global ids in a stable sort by descending `score`, skips a
 /// seed whose degree cannot beat the best so far, and keeps the first
 /// strictly larger result.
+#[inline] // see `greedy_balanced_local`
 fn best_of_seeds(
     num_vertices: usize,
     score: &[u64],
@@ -190,6 +195,7 @@ fn best_of_seeds(
 /// scanned prefix of `C` are bitsets over the other side, so a
 /// candidate's count is one fused AND + popcount of its row against the
 /// prefix. The sets are allocated once per seed; no step allocates.
+#[inline] // see `greedy_balanced_local`
 fn grow_local(graph: &LocalGraph, seed: usize, score: &[u64], degree: &[usize]) -> Biclique {
     let nl = graph.num_left();
     // The seed side's global ids start at `base`, the other side's at

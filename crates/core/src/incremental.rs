@@ -12,8 +12,8 @@
 //! * **deletions** invalidate it only when a cached pair loses its edge,
 //!   which is checked eagerly on removal;
 //! * while the edge set is unchanged, the same engine session is reused,
-//!   so its cached indices (search order, two-hop) amortise across repeated
-//!   [`solve`](IncrementalMbb::solve) calls and any ad-hoc queries made
+//!   so its cached search order amortises across repeated
+//!   [`solve`](IncrementalMbb::solve) calls and any ad-hoc solves made
 //!   through [`engine`](IncrementalMbb::engine).
 
 use std::collections::HashSet;
@@ -176,8 +176,8 @@ impl IncrementalMbb {
 
     /// The engine session over the *current* snapshot, (re)built only when
     /// the edge set changed since the last solve. Use it for ad-hoc
-    /// queries (top-k, anchored, …) between updates — they share the
-    /// session's cached indices with the warm-started solves.
+    /// queries (top-k, anchored, …) between updates; a solve made through
+    /// it shares the session's cached order with the warm-started solves.
     pub fn engine(&mut self) -> &MbbEngine {
         self.refresh_engine()
     }

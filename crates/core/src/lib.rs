@@ -24,12 +24,11 @@
 //! feasible-size Pareto frontier), [`size_constrained`] and [`meb`].
 //!
 //! All of these are served by one session object, [`engine::MbbEngine`]:
-//! build it once per graph and it caches the expensive shared indices
-//! (the search order's rank and δ̈, the two-hop index) across every
-//! query, with deadlines and cancellation threaded through the hot
-//! search loops ([`budget`]). The engine is the one public path per
-//! query kind; the `*_budgeted` functions in the extension modules are
-//! the searches it runs.
+//! build it once per graph and it caches the expensive shared index (the
+//! search order's rank and δ̈) across every solve, with deadlines and
+//! cancellation threaded through the hot search loops ([`budget`]). The
+//! engine is the one public path per query kind; the `*_budgeted`
+//! functions in the extension modules are the searches it runs.
 //!
 //! # Quickstart
 //!

@@ -18,10 +18,6 @@ pub struct SearchStats {
     pub leaf_depth_sum: u64,
     /// Number of terminating subtrees (denominator for the average depth).
     pub leaf_count: u64,
-    /// Search nodes explored by each verification worker, indexed by
-    /// worker id. Empty when verification ran on one worker;
-    /// [`merge`](Self::merge) leaves it alone.
-    pub worker_nodes: Vec<u64>,
 }
 
 impl SearchStats {
@@ -70,9 +66,9 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// Shared-index bookkeeping of an engine session: how often each cached
-/// structure was computed versus served from the session cache, plus the
-/// wall-clock cost of the computations. Everything is zero outside an
+/// Shared-index bookkeeping of an engine session: how often the cached
+/// search order was computed versus served from the session cache, plus
+/// the wall-clock cost of the computations. Everything is zero outside an
 /// engine session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IndexStats {
@@ -80,10 +76,6 @@ pub struct IndexStats {
     pub orders_computed: u64,
     /// Queries served from the cached search order.
     pub orders_reused: u64,
-    /// Two-hop indices computed from scratch this session.
-    pub two_hops_computed: u64,
-    /// Queries served from the cached two-hop index.
-    pub two_hops_reused: u64,
     /// Total seconds spent building cached indices this session.
     pub preprocess_seconds: f64,
 }

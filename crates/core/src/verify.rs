@@ -111,10 +111,6 @@ pub fn verify_mbb_budgeted(
     let mut stats = SearchStats::default();
     for worker_stats in &outputs {
         stats.merge(worker_stats);
-        // Surface per-worker load balance alongside the totals.
-        if workers > 1 {
-            stats.worker_nodes.push(worker_stats.nodes);
-        }
     }
     (best, stats)
 }
@@ -264,13 +260,7 @@ mod tests {
                 threads: 2,
                 ..Default::default()
             };
-            let (best, stats) = verify(&g, &bridged.survivors, bridged.best, config);
-            assert_eq!(stats.worker_nodes.len(), 2, "seed {seed}");
-            assert_eq!(
-                stats.worker_nodes.iter().sum::<u64>(),
-                stats.nodes,
-                "seed {seed}"
-            );
+            let (best, _) = verify(&g, &bridged.survivors, bridged.best, config);
             assert_eq!(
                 best.half_size(),
                 full_pipeline(&g, 1).half_size(),

@@ -53,9 +53,9 @@ pub use span::{
 pub use trace::{aggregate, StageAgg, TraceWriter};
 
 /// The span taxonomy: every instrumentation site names one of these.
-/// Values are stable wire/trace identifiers (stored as `u16` in
-/// [`SpanRecord::stage`]); labels are the dotted names that appear in
-/// trace files and the `mbb trace` table.
+/// Values are positions in [`Stage::ALL`], stored as `u16` in
+/// [`SpanRecord::stage`] and never written out; labels are the dotted
+/// names that appear in trace files and the `mbb trace` table.
 #[repr(u16)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
@@ -63,38 +63,35 @@ pub enum Stage {
     PreprocessOrder = 0,
     /// Bicore decomposition (engine index build).
     PreprocessBicore = 1,
-    /// Two-hop index construction (engine index build).
-    PreprocessTwoHop = 2,
     /// Solver stage 1: heuristic + reduction (`hmbb`).
-    SolveHeuristic = 3,
+    SolveHeuristic = 2,
     /// Solver stage 2: vertex-centred bridging, whole stage.
-    SolveBridge = 4,
+    SolveBridge = 3,
     /// One centre's bridging subproblem inside stage 2.
-    BridgeCentre = 5,
+    BridgeCentre = 4,
     /// Solver stage 3: candidate verification.
-    SolveVerify = 6,
+    SolveVerify = 5,
     /// One dense branch-and-bound search (inside verification).
-    DenseSearch = 7,
+    DenseSearch = 6,
     /// Wire-line parse in the serve reader.
-    Parse = 8,
+    Parse = 7,
     /// Admission processing incl. backpressure wait for a queue slot.
-    AdmissionWait = 9,
+    AdmissionWait = 8,
     /// Admission-to-dispatch wait in the EDF queue.
-    QueueWait = 10,
+    QueueWait = 9,
     /// Dispatch-to-response execution on a worker.
-    Execute = 11,
+    Execute = 10,
     /// Response encoding to a JSONL line.
-    Encode = 12,
+    Encode = 11,
     /// Per-connection outbox write (socket mode).
-    Outbox = 13,
+    Outbox = 12,
 }
 
 impl Stage {
     /// Every stage, in discriminant order (table/report iteration).
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 13] = [
         Stage::PreprocessOrder,
         Stage::PreprocessBicore,
-        Stage::PreprocessTwoHop,
         Stage::SolveHeuristic,
         Stage::SolveBridge,
         Stage::BridgeCentre,
@@ -113,7 +110,6 @@ impl Stage {
         match self {
             Stage::PreprocessOrder => "preprocess.order",
             Stage::PreprocessBicore => "preprocess.bicore",
-            Stage::PreprocessTwoHop => "preprocess.two_hop",
             Stage::SolveHeuristic => "solve.heuristic",
             Stage::SolveBridge => "solve.bridge",
             Stage::BridgeCentre => "solve.bridge_centre",

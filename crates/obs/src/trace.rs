@@ -20,11 +20,11 @@ fn micros(nanos: u64) -> String {
 /// `request`, `conn`.
 ///
 /// ```
-/// use mbb_obs::{SpanRecord, TraceWriter};
+/// use mbb_obs::{SpanRecord, Stage, TraceWriter};
 /// let mut out = Vec::new();
 /// let mut w = TraceWriter::new(&mut out)?;
 /// w.write(&SpanRecord {
-///     seq: 0, stage: 11, thread: 1, request: 42, conn: 0,
+///     seq: 0, stage: Stage::Execute as u16, thread: 1, request: 42, conn: 0,
 ///     start_nanos: 1_500, duration_nanos: 2_000,
 /// })?;
 /// w.finish()?;

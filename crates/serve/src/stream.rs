@@ -182,7 +182,7 @@ pub struct ShardServeStats {
     pub shed: u64,
     /// Search nodes explored by this shard's executed requests.
     pub search_nodes: u64,
-    /// Cached-index reuse hits scored on this shard's current session
+    /// Cached-order reuse hits scored on this shard's current session
     /// (reset by a reload — a fresh session starts counting from zero).
     pub index_reuse_hits: u64,
     /// Engine swaps this shard has seen.
@@ -1192,7 +1192,6 @@ impl StreamServer {
         let queue_wait = admission.hist_queue_wait.snapshot();
         let service = admission.hist_service.snapshot();
         let baselines = baselines.lock();
-        let reuse = |b: u64, a: u64| a.saturating_sub(b);
         let per_shard: Vec<ShardServeStats> = shard_meta
             .into_iter()
             .zip(baselines.iter().zip(&after))
@@ -1203,8 +1202,7 @@ impl StreamServer {
                     served,
                     shed,
                     search_nodes,
-                    index_reuse_hits: reuse(b.orders_reused, a.orders_reused)
-                        + reuse(b.two_hops_reused, a.two_hops_reused),
+                    index_reuse_hits: a.orders_reused.saturating_sub(b.orders_reused),
                     reloads,
                 },
             )

@@ -115,7 +115,7 @@ proptest! {
         let global = brute_force_mbb(&g).half_size();
         let mut best = 0;
         for u in 0..g.num_left() as u32 {
-            let (b, _) = anchored_budgeted(&g, Vertex::left(u), None, &SearchBudget::unlimited());
+            let (b, _) = anchored_budgeted(&g, Vertex::left(u), &SearchBudget::unlimited());
             prop_assert!(b.half_size() <= global);
             prop_assert!(b.is_empty() || b.is_valid(&g));
             best = best.max(b.half_size());
