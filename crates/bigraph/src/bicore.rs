@@ -11,51 +11,50 @@
 //!
 //! Two same-side vertices stay 2-hop neighbours while they keep at least one
 //! surviving common neighbour, so the peel tracks exact `|N≤2|` values
-//! through one common-neighbour multiplicity per 2-hop pair. Unlike the
-//! paper we do not *rely* on Lemma 10's "loses at most 1" claim.
+//! through one common-neighbour count per 2-hop pair. Unlike the paper we do
+//! not *rely* on Lemma 10's "loses at most 1" claim.
 //!
-//! 1. **Two-hop CSR.** [`TwoHopIndex`], built by the pair pass in
-//!    [`two_hop`](crate::two_hop): a symmetric CSR of same-side 2-hop
-//!    neighbours with sorted rows, plus a multiplicity array that only the
-//!    peel keeps. Each unordered pair `{a, b}` (`a < b`) keeps its
-//!    multiplicity in one slot, next to `b` in row `a`; the entry for `a`
-//!    in row `b` records where that slot is.
+//! 1. **Pair store.** [`TwoHopIndex`], built by the pair pass in
+//!    [`two_hop`](crate::two_hop), holds each pair `a < b` once, in row `b`
+//!    sorted by `a`, next to its count. The peel also copies the adjacency
+//!    in global ids, and compacts that copy as vertices die.
 //! 2. **Peel.** Repeatedly remove the surviving vertex with the smallest
 //!    `(|N≤2|, degree, id)`: Lemma 10's tie-break (min `|N≤2|`, then min
 //!    degree), made total by the global id. Removing `v`
 //!    * takes one from the degree and `|N≤2|` of each surviving neighbour;
-//!    * drops `v` from the `N2` of each surviving 2-hop neighbour whose pair
-//!      still has a common neighbour;
-//!    * takes one from the multiplicity of every pair `a < b` of `v`'s
-//!      surviving neighbours; a pair that reaches zero leaves both `N2`
-//!      sets. For a fixed `a` the partners `b` ascend, so each is found by
-//!      one galloping (exponential, then binary) search in the suffix of
-//!      row `a` past the previous partner.
+//!    * takes one from the `|N≤2|` of each surviving 2-hop neighbour `w`,
+//!      found by walking `v`'s surviving wedges `v – m – w`. Each walk drops
+//!      the dead from the rows it reads;
+//!    * takes one from the count of every pair `a < b` of `v`'s surviving
+//!      neighbours; a pair that reaches zero leaves both `N2` sets. For a
+//!      fixed `b` the partners `a` ascend, so each is found by one
+//!      galloping (exponential, then binary) search in row `b`, past the
+//!      previous partner.
 //!
-//!    A lazy min-heap holds the keys. Each vertex whose key changed during a
-//!    removal is pushed once, after the removal; older entries go stale.
-//!    When the heap outgrows `2n` entries it is rebuilt from the survivors,
-//!    so it stays `O(n)` and cache-resident.
+//!    A pair with a dead end is never read again, so no count is reset.
+//!    An indexed binary min-heap holds the keys, and each decrement sifts
+//!    its vertex up at once. Sifting a removal's changed vertices only
+//!    after the removal would break the heap wherever a vertex and its
+//!    parent both dropped.
 //!
 //! # Cost
 //!
 //! Let `P` be the number of 2-hop pairs (`P ≤ Σ_m deg(m)² / 2`) and `d₂` the
-//! largest 2-hop degree. The build visits each wedge twice: `O(Σ deg²)`, the
-//! Lemma 9 bound (see [`two_hop`](crate::two_hop)). The peel visits each
-//! wedge once more, with one search in a row of at most `d₂` entries:
-//! `O(Σ deg² · log d₂)`. Every heap push follows a key decrement, so heap
-//! work adds `O((|E| + P) · log n)`.
+//! largest 2-hop degree. The build visits each wedge twice: `O(Σ deg²)`,
+//! the Lemma 9 bound (see [`two_hop`](crate::two_hop)). The peel visits
+//! each wedge at most once more: from the end that dies first while the
+//! middle survives, or as a pair of the middle's surviving neighbours, with
+//! one search in a row of at most `d₂` entries. That is
+//! `O(Σ deg² · log d₂)`, plus `O(|E|)` to drop each dead neighbour from a
+//! row once. The heap sifts once per decrement, `O((|E| + P) · log n)` in
+//! all.
 //!
-//! Memory is 16 bytes per 2-hop pair: the pair appears in two rows, each
-//! entry a `u32` neighbour plus a `u32` holding the multiplicity (in the
-//! smaller end's row) or the slot's position (in the larger end's).
-//! Everything else is `O(n)`.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Memory is 8 bytes per 2-hop pair (a `u32` partner and a `u32` count),
+//! plus 8 bytes per edge for the adjacency copy (4 per direction), plus
+//! `O(n)`.
 
 use crate::graph::BipartiteGraph;
-use crate::two_hop::TwoHopIndex;
+use crate::two_hop::{Pair, TwoHopIndex};
 
 /// Result of a bicore decomposition.
 #[derive(Debug, Clone)]
@@ -79,32 +78,147 @@ fn neighbors_global(graph: &BipartiteGraph, g: usize) -> (&[u32], usize) {
     }
 }
 
-/// Smallest index `≥ from` of `row` holding a value `≥ target` (or
+/// Smallest index `≥ from` of `row` whose partner is `≥ target` (or
 /// `row.len()`): an exponential probe, then a binary search. Successive
 /// targets of one row cost `O(log gap)` each.
-fn gallop(row: &[u32], from: usize, target: u32) -> usize {
+fn gallop(row: &[Pair], from: usize, target: u32) -> usize {
     let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < row.len() && row[hi] < target {
+    while hi < row.len() && row[hi].partner < target {
         lo = hi + 1;
         hi += step;
         step *= 2;
     }
     let hi = hi.min(row.len());
-    lo + row[lo..hi].partition_point(|&x| x < target)
+    lo + row[lo..hi].partition_point(|p| p.partner < target)
 }
 
-/// The vertices whose key changed during one removal, each listed once.
-struct Changed {
-    list: Vec<u32>,
-    marked: Vec<bool>,
+/// What one neighbour adds to a heap rank: one to `|N≤2|`, one to the
+/// degree.
+const NEIGHBOUR: u64 = (1 << 32) | 1;
+/// What one 2-hop neighbour adds to a heap rank.
+const TWO_HOP: u64 = 1 << 32;
+/// The heap position of a peeled vertex.
+const PEELED: u32 = u32::MAX;
+
+/// An indexed binary min-heap of the surviving vertices. An entry is
+/// `(|N≤2| << 32 | degree, id)`, so entries order as the triples
+/// `(|N≤2|, degree, id)`.
+struct PeelHeap {
+    entries: Vec<(u64, u32)>,
+    /// Each vertex's index in `entries`, or [`PEELED`].
+    pos: Vec<u32>,
 }
 
-impl Changed {
-    fn touch(&mut self, w: usize) {
-        if !self.marked[w] {
-            self.marked[w] = true;
-            self.list.push(w as u32);
+impl PeelHeap {
+    /// A heap holding every vertex `g` at rank `ranks[g]`.
+    fn new(ranks: Vec<u64>) -> PeelHeap {
+        let entries: Vec<(u64, u32)> = ranks.into_iter().zip(0..).collect();
+        let pos = (0..entries.len() as u32).collect();
+        let mut heap = PeelHeap { entries, pos };
+        for i in (0..heap.entries.len() / 2).rev() {
+            heap.sift_down(i);
         }
+        heap
+    }
+
+    fn is_live(&self, g: u32) -> bool {
+        self.pos[g as usize] != PEELED
+    }
+
+    /// Removes the least entry and returns it.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let mut top = self.entries.pop()?;
+        if let Some(root) = self.entries.first_mut() {
+            std::mem::swap(root, &mut top);
+            self.sift_down(0);
+        }
+        self.pos[top.1 as usize] = PEELED;
+        Some(top)
+    }
+
+    /// Takes `by` from surviving vertex `g`'s rank and sifts it up.
+    #[inline]
+    fn decrease(&mut self, g: u32, by: u64) {
+        let mut i = self.pos[g as usize] as usize;
+        let entry = (self.entries[i].0 - by, g);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.entries[parent] < entry {
+                break;
+            }
+            self.place(i, self.entries[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.entries[i];
+        let len = self.entries.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.entries[child + 1] < self.entries[child] {
+                child += 1;
+            }
+            if entry < self.entries[child] {
+                break;
+            }
+            self.place(i, self.entries[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, entry: (u64, u32)) {
+        self.entries[i] = entry;
+        self.pos[entry.1 as usize] = i as u32;
+    }
+}
+
+/// The graph's adjacency in global ids, compacted as the peel goes: row
+/// `g` is `ids[start[g]..start[g] + len[g]]`, ascending. It holds every
+/// surviving neighbour of `g`, and dead ones until a walk drops them.
+struct LiveAdjacency {
+    ids: Vec<u32>,
+    start: Vec<usize>,
+    len: Vec<u32>,
+}
+
+impl LiveAdjacency {
+    fn new(graph: &BipartiteGraph) -> LiveAdjacency {
+        let n = graph.num_vertices();
+        let mut adjacency = LiveAdjacency {
+            ids: Vec::with_capacity(2 * graph.num_edges()),
+            start: Vec::with_capacity(n),
+            len: Vec::with_capacity(n),
+        };
+        for g in 0..n {
+            let (row, offset) = neighbors_global(graph, g);
+            adjacency.start.push(adjacency.ids.len());
+            adjacency.len.push(row.len() as u32);
+            adjacency.ids.extend(row.iter().map(|&w| w + offset as u32));
+        }
+        adjacency
+    }
+
+    /// Drops the peeled vertices from row `g` and returns the rest: `g`'s
+    /// surviving neighbours, ascending.
+    fn compact(&mut self, g: usize, heap: &PeelHeap) -> &[u32] {
+        let row = &mut self.ids[self.start[g]..][..self.len[g] as usize];
+        let mut kept = 0;
+        for i in 0..row.len() {
+            let w = row[i];
+            if heap.is_live(w) {
+                row[kept] = w;
+                kept += 1;
+            }
+        }
+        self.len[g] = kept as u32;
+        &row[..kept]
     }
 }
 
@@ -120,100 +234,70 @@ impl Changed {
 /// ```
 pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
     let n = graph.num_vertices();
-    let (pairs, mut shared) = TwoHopIndex::build_counted(graph);
+    let mut pairs = TwoHopIndex::build(graph);
+    let mut adjacency = LiveAdjacency::new(graph);
 
-    let mut alive = vec![true; n];
-    let mut deg: Vec<u32> = (0..n)
-        .map(|g| neighbors_global(graph, g).0.len() as u32)
+    let mut ranks: Vec<u64> = adjacency
+        .len
+        .iter()
+        .map(|&d| NEIGHBOUR * d as u64)
         .collect();
-    // key[g] = |N≤2(g)| in the surviving graph.
-    let mut key: Vec<u32> = (0..n).map(|g| deg[g] + pairs.row(g).len() as u32).collect();
-    let entry = |g: usize, key: &[u32], deg: &[u32]| Reverse((key[g], deg[g], g as u32));
-    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> =
-        (0..n).map(|g| entry(g, &key, &deg)).collect();
+    for b in 0..n {
+        for p in pairs.row(b) {
+            ranks[b] += TWO_HOP;
+            ranks[p.partner as usize] += TWO_HOP;
+        }
+    }
+    let mut heap = PeelHeap::new(ranks);
 
     let mut bicore = vec![0u32; n];
     let mut order = Vec::with_capacity(n);
     let mut running_max = 0u32;
-    let mut alive_neighbors: Vec<u32> = Vec::new();
-    let mut changed = Changed {
-        list: Vec::new(),
-        marked: vec![false; n],
-    };
+    let mut live_neighbors: Vec<u32> = Vec::new();
+    // reached[w] == v once v's wedge walk has reached w. It starts at w,
+    // which is never a 2-hop neighbour of itself.
+    let mut reached: Vec<u32> = (0..n as u32).collect();
 
-    while let Some(Reverse((k, d, v))) = heap.pop() {
-        let v = v as usize;
-        if !alive[v] || k != key[v] || d != deg[v] {
-            continue; // stale entry
-        }
-        alive[v] = false;
-        running_max = running_max.max(k);
-        bicore[v] = running_max;
-        order.push(v as u32);
+    while let Some((rank, v)) = heap.pop() {
+        running_max = running_max.max((rank >> 32) as u32);
+        bicore[v as usize] = running_max;
+        order.push(v);
 
         // 1. Surviving neighbours lose v from N(·).
-        let (adj, offset) = neighbors_global(graph, v);
-        alive_neighbors.clear();
-        for &w in adj {
-            let w = w as usize + offset;
-            if alive[w] {
-                alive_neighbors.push(w as u32);
-                deg[w] -= 1;
-                key[w] -= 1;
-                changed.touch(w);
-            }
+        live_neighbors.clear();
+        live_neighbors.extend_from_slice(adjacency.compact(v as usize, &heap));
+        for &m in &live_neighbors {
+            heap.decrease(m, NEIGHBOUR);
         }
 
-        // 2. Surviving 2-hop neighbours lose v from N2(·).
-        for i in pairs.row(v) {
-            let w = pairs.neighbors()[i] as usize;
-            if !alive[w] {
-                continue;
-            }
-            let slot = pairs.slot(&shared, v, i);
-            if shared[slot] > 0 {
-                shared[slot] = 0;
-                key[w] -= 1;
-                changed.touch(w);
+        // 2. Surviving 2-hop neighbours lose v from N2(·): each w at the
+        // far end of a surviving wedge v – m – w, once.
+        for &m in &live_neighbors {
+            for &w in adjacency.compact(m as usize, &heap) {
+                if reached[w as usize] != v {
+                    reached[w as usize] = v;
+                    heap.decrease(w, TWO_HOP);
+                }
             }
         }
 
         // 3. Each pair of surviving neighbours a < b loses the common
         // neighbour v; a pair left with none falls out of both N2 sets.
-        // The pair still shares v, so b is in a's row, past a's previous
+        // The pair still shares v, so a is in b's row, past b's previous
         // partner.
-        for (i, &a) in alive_neighbors.iter().enumerate() {
-            let a = a as usize;
-            let base = pairs.row(a).start;
-            let row = &pairs.neighbors()[pairs.row(a)];
-            let mut from = row.partition_point(|&x| (x as usize) < a);
-            for &b in &alive_neighbors[i + 1..] {
-                let at = gallop(row, from, b);
-                debug_assert_eq!(row[at], b);
-                let multiplicity = &mut shared[base + at];
-                *multiplicity -= 1;
-                if *multiplicity == 0 {
-                    key[a] -= 1;
-                    key[b as usize] -= 1;
-                    changed.touch(a);
-                    changed.touch(b as usize);
+        for (j, &b) in live_neighbors.iter().enumerate() {
+            let row = pairs.row_mut(b as usize);
+            let mut from = 0;
+            for &a in &live_neighbors[..j] {
+                let at = gallop(row, from, a);
+                debug_assert_eq!(row[at].partner, a);
+                row[at].common -= 1;
+                if row[at].common == 0 {
+                    heap.decrease(a, TWO_HOP);
+                    heap.decrease(b, TWO_HOP);
                 }
                 from = at + 1;
             }
-        }
-
-        for w in changed.list.drain(..) {
-            let w = w as usize;
-            changed.marked[w] = false;
-            heap.push(entry(w, &key, &deg));
-        }
-        // Stale entries outnumber live ones: rebuild with one entry per
-        // surviving vertex, so the heap stays O(n) and cache-resident.
-        if heap.len() > 2 * n {
-            let mut entries = std::mem::take(&mut heap).into_vec();
-            entries.clear();
-            entries.extend((0..n).filter(|&g| alive[g]).map(|g| entry(g, &key, &deg)));
-            heap = BinaryHeap::from(entries);
         }
     }
 
@@ -390,6 +474,57 @@ mod tests {
                 bi.bicore[g_id],
                 co.core[g_id]
             );
+        }
+    }
+
+    #[test]
+    fn heap_pops_the_least_live_triple_under_decrements() {
+        // Several random decrements between pops, as one removal makes
+        // them, often to a vertex and its heap parent alike; every pop is
+        // checked against a linear scan of the survivors.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..80usize);
+            // (|N≤2|, degree): the key never drops below the degree.
+            let mut keys: Vec<(u64, u64)> = (0..n)
+                .map(|_| {
+                    let degree = rng.gen_range(0..8u64);
+                    (degree + rng.gen_range(0..12u64), degree)
+                })
+                .collect();
+            let rank = |(key, degree): (u64, u64)| key << 32 | degree;
+            let mut heap = PeelHeap::new(keys.iter().map(|&k| rank(k)).collect());
+            let mut live = vec![true; n];
+            while let Some((popped, v)) = heap.pop() {
+                let least = (0..n)
+                    .filter(|&g| live[g])
+                    .min_by_key(|&g| (keys[g], g))
+                    .unwrap();
+                assert_eq!(
+                    (v as usize, popped),
+                    (least, rank(keys[least])),
+                    "seed {seed}"
+                );
+                live[least] = false;
+                for _ in 0..rng.gen_range(0..12u32) {
+                    let w = rng.gen_range(0..n);
+                    let (key, degree) = &mut keys[w];
+                    if !live[w] || *key == 0 {
+                        continue;
+                    }
+                    if *degree > 0 && rng.gen_bool(0.5) {
+                        *key -= 1;
+                        *degree -= 1;
+                        heap.decrease(w as u32, NEIGHBOUR);
+                    } else if *key > *degree {
+                        *key -= 1;
+                        heap.decrease(w as u32, TWO_HOP);
+                    }
+                }
+            }
+            assert!(live.iter().all(|&l| !l), "seed {seed}");
         }
     }
 

@@ -21,7 +21,7 @@
 //! one count array the size of the side: `O(Σ_m deg(m)²)` time and
 //! `O(|L| + |R|)` scratch. It feeds
 //!
-//! * [`TwoHopIndex`], the bicore peel's 2-hop CSR;
+//! * [`TwoHopIndex`], the bicore peel's pair store;
 //! * [`all_n_le2_sizes`];
 //! * one-mode projection, [`project`](crate::projection::project);
 //! * butterfly counting,
@@ -30,8 +30,6 @@
 //! [`n2_neighbors`] is the single-vertex walk, for callers that need one
 //! `N2` list (each anchored query takes it), and the oracle the tests
 //! check the pass against.
-
-use std::ops::Range;
 
 use crate::graph::{BipartiteGraph, Side, Vertex};
 
@@ -121,102 +119,75 @@ pub fn all_n_le2_sizes(graph: &BipartiteGraph) -> Vec<usize> {
     sizes
 }
 
-/// Every vertex's `N2` list in one CSR, indexed by global id: the bicore
-/// peel's 2-hop structure.
+/// Every same-side 2-hop pair, stored once with its common-neighbour
+/// count: the bicore peel's 2-hop structure.
 ///
-/// The build runs the pair pass twice and then sweeps the rows once, with
-/// no hashing and no sorting, in `O(Σ deg²)` time. The first pass counts
-/// row lengths. The second puts each pair `a < b` into the row of its
-/// larger end `b`. Sources ascend, so each row then holds its smaller
-/// partners, sorted. The settle sweep then visits the rows in ascending
-/// order and appends `b` to the row of each smaller partner `a`. So each
-/// row ends up sorted: smaller partners first, then larger ones.
+/// Row `b` (a global id) holds each partner `a < b` that shares a
+/// neighbour with `b`, ascending, next to the number of neighbours the two
+/// share. So `N2(b)` is row `b` plus every larger vertex whose row holds
+/// `b`. Two runs of the pair pass build it in `O(Σ deg²)` time, with no
+/// hashing and no sorting: the first counts each row's pairs, the second
+/// puts each pair `a < b` into row `b`. Sources ascend, so every row fills
+/// in ascending order.
 ///
-/// The index keeps 4 bytes per stored `N2` entry (each pair is stored in
-/// both rows) and 8 bytes per vertex of offsets. Next to the rows the
-/// build fills a multiplicity array of another 4 bytes per entry. Only the
-/// bicore peel keeps that array; [`TwoHopIndex::build`] drops it. Memory
-/// approaches `n²` on dense graphs; a caller that needs one vertex's list
-/// walks it with [`n2_neighbors`] instead.
+/// The index keeps 8 bytes per pair (a `u32` partner and a `u32` count)
+/// and 8 bytes per vertex of offsets. Pairs number at most `Σ deg² / 2`
+/// and approach `n² / 2` on dense graphs; a caller that needs one vertex's
+/// list walks it with [`n2_neighbors`] instead.
 #[derive(Debug, Clone)]
 pub struct TwoHopIndex {
-    /// Row `g` (a global id) is `neighbors[offsets[g]..offsets[g + 1]]`.
+    /// Row `g` (a global id) is `pairs[offsets[g]..offsets[g + 1]]`.
     offsets: Vec<usize>,
-    /// Same-side 2-hop neighbours as global ids, ascending within each row.
-    neighbors: Vec<u32>,
+    pairs: Vec<Pair>,
+}
+
+/// One entry of a [`TwoHopIndex`] row.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Pair {
+    /// The smaller end, as a global id.
+    pub(crate) partner: u32,
+    /// Common neighbours of the two ends.
+    pub(crate) common: u32,
 }
 
 impl TwoHopIndex {
     /// Builds the index for every vertex of `graph`.
     pub fn build(graph: &BipartiteGraph) -> TwoHopIndex {
-        TwoHopIndex::build_counted(graph).0
-    }
-
-    /// Builds the index and its multiplicity array. Each pair `{a, b}`,
-    /// `a < b`, keeps its number of common neighbours in one slot: the
-    /// word of `b`'s entry in row `a`. The word of `a`'s entry in row `b`
-    /// holds the position of that slot within row `a`.
-    pub(crate) fn build_counted(graph: &BipartiteGraph) -> (TwoHopIndex, Vec<u32>) {
         let n = graph.num_vertices();
-        // Pass 1: row lengths; each pair lands in both rows.
+        // Pass 1: each pair a < b lands in row b.
         let mut offsets = vec![0usize; n + 1];
-        for_each_global_pair(graph, |a, b, _| {
-            offsets[a + 1] += 1;
-            offsets[b + 1] += 1;
-        });
+        for_each_global_pair(graph, |_, b, _| offsets[b + 1] += 1);
         for g in 0..n {
             offsets[g + 1] += offsets[g];
         }
 
-        // Pass 2: each pair enters its larger end's row with its count.
+        // Pass 2: sources ascend, so each row fills in ascending order.
         let mut cursor = offsets[..n].to_vec();
-        let mut neighbors = vec![0u32; offsets[n]];
-        let mut shared = vec![0u32; offsets[n]];
+        let mut pairs = vec![Pair::default(); offsets[n]];
         for_each_global_pair(graph, |a, b, common| {
-            neighbors[cursor[b]] = a as u32;
-            shared[cursor[b]] = common;
+            pairs[cursor[b]] = Pair {
+                partner: a as u32,
+                common,
+            };
             cursor[b] += 1;
         });
-
-        // Settle, rows ascending: row b's entry for each smaller partner a
-        // hands its count to a new entry b in row a, and keeps that entry's
-        // position instead.
-        for b in 0..n {
-            for i in offsets[b]..cursor[b] {
-                let a = neighbors[i] as usize;
-                let slot = cursor[a];
-                neighbors[slot] = b as u32;
-                shared[slot] = shared[i];
-                shared[i] = (slot - offsets[a]) as u32;
-                cursor[a] += 1;
-            }
-        }
-        (TwoHopIndex { offsets, neighbors }, shared)
+        TwoHopIndex { offsets, pairs }
     }
 
-    /// The entries of global id `g`'s row.
-    pub(crate) fn row(&self, g: usize) -> Range<usize> {
-        self.offsets[g]..self.offsets[g + 1]
+    /// Row `g`: its smaller 2-hop neighbours, ascending.
+    pub(crate) fn row(&self, g: usize) -> &[Pair] {
+        &self.pairs[self.offsets[g]..self.offsets[g + 1]]
     }
 
-    /// Every row's entries (global ids), concatenated.
-    pub(crate) fn neighbors(&self) -> &[u32] {
-        &self.neighbors
+    /// Row `g`, with its counts writable.
+    pub(crate) fn row_mut(&mut self, g: usize) -> &mut [Pair] {
+        &mut self.pairs[self.offsets[g]..self.offsets[g + 1]]
     }
 
-    /// Index in the multiplicity array of the pair at entry `i` of row `g`.
-    pub(crate) fn slot(&self, shared: &[u32], g: usize, i: usize) -> usize {
-        let w = self.neighbors[i] as usize;
-        if w > g {
-            i
-        } else {
-            self.offsets[w] + shared[i] as usize
-        }
-    }
-
-    /// Total stored `N2` entries (an index size gauge).
+    /// Stored pairs: half the total length of the `N2` lists (an index
+    /// size gauge).
     pub fn entries(&self) -> usize {
-        self.neighbors.len()
+        self.pairs.len()
     }
 }
 
@@ -286,8 +257,9 @@ mod tests {
 
     #[test]
     fn index_matches_per_vertex_queries() {
-        // Every row, read through `row` and shifted to same-side indices,
-        // is the single-vertex walk, on graphs from sparse to complete.
+        // Every row, shifted to same-side indices, is the smaller-id half
+        // of the single-vertex walk, on graphs from sparse to complete;
+        // each pair is stored once.
         let mut graphs = vec![
             BipartiteGraph::from_edges(3, 2, []).unwrap(),
             BipartiteGraph::from_edges(1, 6, (0..6).map(|v| (0, v))).unwrap(),
@@ -303,17 +275,22 @@ mod tests {
             for v in g.vertices() {
                 let global = g.global_id(v);
                 let offset = (global - v.index as usize) as u32;
-                let row: Vec<u32> = index.neighbors[index.row(global)]
+                let row: Vec<u32> = index
+                    .row(global)
                     .iter()
-                    .map(|&w| w - offset)
+                    .map(|p| p.partner - offset)
                     .collect();
-                assert_eq!(row, n2_neighbors(g, v), "vertex {v}");
+                let smaller: Vec<u32> = n2_neighbors(g, v)
+                    .into_iter()
+                    .filter(|&w| w < v.index)
+                    .collect();
+                assert_eq!(row, smaller, "vertex {v}");
             }
             let total = g
                 .vertices()
                 .map(|v| n2_neighbors(g, v).len())
                 .sum::<usize>();
-            assert_eq!(index.entries(), total);
+            assert_eq!(2 * index.entries(), total);
         }
     }
 
@@ -342,15 +319,14 @@ mod tests {
             graphs.push(generators::chung_lu_bipartite(&params, seed));
         }
         for g in &graphs {
-            let (index, shared) = TwoHopIndex::build_counted(g);
-            assert_eq!(shared.len(), index.entries());
-            for a in 0..g.num_vertices() {
-                let na = g.neighbors(g.vertex_of_global(a));
-                for i in index.row(a) {
-                    let b = index.neighbors[i] as usize;
-                    let nb = g.neighbors(g.vertex_of_global(b));
-                    let common = shared[index.slot(&shared, a, i)] as usize;
-                    assert_eq!(common, sorted_intersection_len(na, nb), "pair {a}, {b}");
+            let index = TwoHopIndex::build(g);
+            for b in 0..g.num_vertices() {
+                let nb = g.neighbors(g.vertex_of_global(b));
+                for p in index.row(b) {
+                    let a = p.partner as usize;
+                    let na = g.neighbors(g.vertex_of_global(a));
+                    let common = sorted_intersection_len(na, nb);
+                    assert_eq!(p.common as usize, common, "pair {a}, {b}");
                 }
             }
         }

@@ -55,14 +55,15 @@ fn bicore_family_strategy() -> impl Strategy<Value = BipartiteGraph> {
     })
 }
 
-/// The two-hop index against the single-vertex walk: `entries()` is the
-/// total length of the `n2_neighbors` lists (the unit tests of `two_hop`
-/// compare the rows themselves). The pair pass that fills the index also
-/// weighs projections, so each projected weight must be the pair's
+/// The two-hop index against the single-vertex walk: the index stores each
+/// pair once, so `entries()` is half the total length of the
+/// `n2_neighbors` lists (the unit tests of `two_hop` compare the rows
+/// themselves). The pair pass that fills the index also weighs
+/// projections, so each projected weight must be the pair's
 /// common-neighbour count.
 fn check_two_hop_index(g: &BipartiteGraph) -> Result<(), TestCaseError> {
     let total: usize = g.vertices().map(|v| n2_neighbors(g, v).len()).sum();
-    prop_assert_eq!(TwoHopIndex::build(g).entries(), total);
+    prop_assert_eq!(TwoHopIndex::build(g).entries(), total / 2);
     for side in [Side::Left, Side::Right] {
         for (a, b, weight) in project(g, side).edges {
             let common = sorted_intersection_len(
