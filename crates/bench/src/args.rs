@@ -6,6 +6,9 @@ use std::time::Duration;
 
 use mbb_datasets::ScaleCaps;
 
+/// Flags every harness binary accepts, each with a value.
+const COMMON: [&str; 2] = ["caps", "seed"];
+
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -14,28 +17,40 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `--key value` pairs and bare `--flag`s from `std::env::args`.
-    pub fn from_env() -> Args {
-        Self::parse(std::env::args().skip(1))
+    /// Parses `std::env::args` as [`parse`](Self::parse) does, exiting with
+    /// status 2 and a message naming the argument when it is rejected.
+    pub fn from_env(valued: &[&str], bare: &[&str]) -> Args {
+        Self::parse(std::env::args().skip(1), valued, bare).unwrap_or_else(exit_usage)
     }
 
-    /// Parses from an explicit iterator (testable).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Args {
+    /// Parses `--key value` pairs for `--caps`, `--seed` and the keys in
+    /// `valued`, and bare `--flag`s for the keys in `bare`. Any other
+    /// argument, a positional included, is an error naming it, and so is a
+    /// valued flag given without its value.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        valued: &[&str],
+        bare: &[&str],
+    ) -> Result<Args, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let Some(key) = arg.strip_prefix("--") else {
-                continue;
+                return Err(format!("unexpected argument {arg:?}"));
             };
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    values.insert(key.to_string(), iter.next().expect("peeked"));
-                }
-                _ => flags.push(key.to_string()),
+            if bare.contains(&key) {
+                flags.push(key.to_string());
+            } else if COMMON.contains(&key) || valued.contains(&key) {
+                let value = iter
+                    .next_if(|next| !next.starts_with("--"))
+                    .ok_or_else(|| format!("--{key} needs a value"))?;
+                values.insert(key.to_string(), value);
+            } else {
+                return Err(format!("unknown flag --{key}"));
             }
         }
-        Args { values, flags }
+        Ok(Args { values, flags })
     }
 
     /// String value of `--key`.
@@ -48,19 +63,10 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Value of `--key`, `None` when the flag is absent; a bare `--key`
-    /// is an error naming the flag.
-    fn value(&self, key: &str) -> Result<Option<&str>, String> {
-        match self.get(key) {
-            None if self.flag(key) => Err(format!("--{key} needs a value")),
-            value => Ok(value),
-        }
-    }
-
     /// Numeric value of `--key`, or `default` when the flag is absent. A
     /// value that does not parse is an error naming the flag.
     pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        self.value(key)?.map_or(Ok(default), |v| number(key, v))
+        self.get(key).map_or(Ok(default), |v| number(key, v))
     }
 
     /// Per-run time budget (`--budget-secs`, default given).
@@ -71,7 +77,7 @@ impl Args {
 
     /// Stand-in scale caps (`--caps small|default|large`).
     pub fn caps(&self) -> Result<ScaleCaps, String> {
-        match self.value("caps")? {
+        match self.get("caps") {
             None | Some("default") => Ok(ScaleCaps::default()),
             Some("small") => Ok(ScaleCaps::small()),
             Some("large") => Ok(ScaleCaps {
@@ -98,10 +104,9 @@ impl Args {
     /// Comma-separated numbers (`--sizes 64,128`), `None` when the flag is
     /// absent. An entry that does not parse is an error naming the flag.
     pub fn get_numbers<T: FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String> {
-        let list = self
-            .value(key)?
-            .map(|v| v.split(',').map(|v| number(key, v)).collect());
-        list.transpose()
+        self.get(key)
+            .map(|v| v.split(',').map(|v| number(key, v)).collect())
+            .transpose()
     }
 }
 
@@ -111,7 +116,7 @@ fn number<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("--{key}: bad number {value:?}"))
 }
 
-/// Reports a bad flag: prints `message` (which names the flag) and exits
+/// Reports a bad argument: prints `message` (which names it) and exits
 /// with status 2. The binaries read each flag with
 /// `args.seed().unwrap_or_else(exit_usage)`.
 pub fn exit_usage<T>(message: String) -> T {
@@ -123,8 +128,17 @@ pub fn exit_usage<T>(message: String) -> T {
 mod tests {
     use super::*;
 
+    /// Parses with the flags these tests read.
+    fn try_parse(s: &str) -> Result<Args, String> {
+        Args::parse(
+            s.split_whitespace().map(str::to_string),
+            &["budget-secs", "datasets", "sizes"],
+            &["full"],
+        )
+    }
+
     fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(str::to_string))
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -146,9 +160,28 @@ mod tests {
         assert!(a.seed().unwrap_err().contains("--seed"));
         assert_eq!(a.get_u64("absent", 9), Ok(9));
         // A flag whose value was left out is an error too.
-        let bare = parse("--seed --caps small");
-        assert!(bare.seed().unwrap_err().contains("--seed"));
-        assert!(parse("--caps").caps().is_err());
+        let bare = try_parse("--seed --caps small").unwrap_err();
+        assert!(bare.contains("--seed"), "{bare}");
+        assert!(try_parse("--caps").unwrap_err().contains("--caps"));
+    }
+
+    /// An argument the binary does not take is an error naming it, not
+    /// something to skip.
+    #[test]
+    fn unknown_flags_and_positionals_are_rejected() {
+        let err = try_parse("--caps small --budget-secs 2 --sed 7").unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+        let err = try_parse("--caps small --budget-secs 2 stray").unwrap_err();
+        assert!(err.contains("\"stray\""), "{err}");
+        // A bare flag takes no value, so what follows it is a positional.
+        let err = try_parse("--full 3").unwrap_err();
+        assert!(err.contains("\"3\""), "{err}");
+        // `--caps` and `--seed` are accepted by every binary; other flags
+        // only where the binary lists them.
+        let common = Args::parse(["--seed".into(), "7".into()], &[], &[]).unwrap();
+        assert_eq!(common.seed(), Ok(7));
+        let err = Args::parse(["--budget-secs".into(), "2".into()], &[], &[]).unwrap_err();
+        assert!(err.contains("--budget-secs"), "{err}");
     }
 
     #[test]

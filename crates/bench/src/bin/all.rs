@@ -6,6 +6,9 @@
 //!     [--quick] [--budget-secs N] [--caps small|default|large] [--seed N]
 //! ```
 //!
+//! `--caps` and `--seed` go to every binary, `--budget-secs` to every one
+//! but `fig7_scaling`, which takes no budget.
+//!
 //! `--quick` trades fidelity for wall time (small caps, 10 s budgets,
 //! table4 capped at 128²) — useful as a smoke pass; drop it for the
 //! numbers quoted in EXPERIMENTS.md.
@@ -28,7 +31,7 @@ const TARGETS: &[&str] = &[
 ];
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["budget-secs", "out"], &["quick"]);
     let out_dir = args.get("out").unwrap_or("results").to_string();
     let quick = args.flag("quick");
     // A malformed flag fails here, once, instead of in every child.
@@ -36,13 +39,9 @@ fn main() {
     args.caps().unwrap_or_else(exit_usage);
     std::fs::create_dir_all(&out_dir).expect("results directory is creatable");
 
-    // Arguments forwarded to every child.
+    // Arguments forwarded to every child; `--budget-secs` is added per child.
+    let budget = args.get("budget-secs").or(quick.then_some("10"));
     let mut forwarded: Vec<String> = Vec::new();
-    if let Some(budget) = args.get("budget-secs") {
-        forwarded.extend(["--budget-secs".into(), budget.into()]);
-    } else if quick {
-        forwarded.extend(["--budget-secs".into(), "10".into()]);
-    }
     if let Some(caps) = args.get("caps") {
         forwarded.extend(["--caps".into(), caps.into()]);
     } else if quick {
@@ -68,6 +67,9 @@ fn main() {
             continue;
         }
         let mut child_args = forwarded.clone();
+        if let Some(budget) = budget.filter(|_| target != "fig7_scaling") {
+            child_args.extend(["--budget-secs".into(), budget.into()]);
+        }
         if quick && target == "table4" {
             child_args.extend(["--sizes".into(), "64".into(), "--reps".into(), "1".into()]);
         }

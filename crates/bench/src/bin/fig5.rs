@@ -13,7 +13,7 @@ use mbb_core::{MbbEngine, SolverConfig};
 use mbb_datasets::{stand_in, tough_datasets};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["budget-secs"], &[]);
     let budget = args.budget(60).unwrap_or_else(exit_usage);
     let caps = args.caps().unwrap_or_else(exit_usage);
     let seed = args.seed().unwrap_or_else(exit_usage);

@@ -28,7 +28,7 @@ use mbb_bigraph::generators::{chung_lu_bipartite, ChungLuParams};
 use mbb_core::MbbEngine;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["threads"], &[]);
     let seed = args.seed().unwrap_or_else(exit_usage);
     let small = args.caps().unwrap_or_else(exit_usage).max_edges <= 50_000;
     let threads: Vec<usize> = args

@@ -9,7 +9,9 @@
 //! `--full` runs the paper's complete grid (128…2048 — slow; see
 //! EXPERIMENTS.md for why uniform dense instances are harder for this
 //! implementation than the paper's testbed numbers suggest); the default
-//! grid is 64/128/256 with a per-run budget.
+//! grid is 64/128/256 with a per-run budget. `--caps` and `--seed`, which
+//! every harness binary takes, are checked but leave the grid as it is:
+//! each cell seeds its own instances (`DenseCell::instance`).
 
 use mbb_baselines::ext_bbclq;
 use mbb_bench::{exit_usage, fmt_seconds, run_timed, Args, Table};
@@ -18,9 +20,11 @@ use mbb_core::dense_mbb_graph;
 use mbb_datasets::dense::{DenseCell, TABLE4_DENSITIES, TABLE4_SIZES};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["budget-secs", "reps", "sizes"], &["full"]);
     let budget = args.budget(60).unwrap_or_else(exit_usage);
     let reps = args.get_u64("reps", 3).unwrap_or_else(exit_usage);
+    args.caps().unwrap_or_else(exit_usage);
+    args.seed().unwrap_or_else(exit_usage);
 
     let sizes: Vec<u32> = if let Some(list) = args.get_numbers("sizes").unwrap_or_else(exit_usage) {
         list

@@ -16,7 +16,7 @@ use mbb_core::{MbbEngine, SolverConfig};
 use mbb_datasets::{catalog, stand_in};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["budget-secs", "datasets"], &[]);
     let budget = args.budget(30).unwrap_or_else(exit_usage);
     let caps = args.caps().unwrap_or_else(exit_usage);
     let seed = args.seed().unwrap_or_else(exit_usage);

@@ -6,6 +6,10 @@
 //! cargo run -p mbb-bench --release --bin table6 -- \
 //!     [--budget-secs 60] [--caps default] [--datasets jester,...]
 //! ```
+//!
+//! Every cell is the median of [`RUNS`] runs, so that two runs of the
+//! binary agree on how the columns compare; a cell in which any run
+//! exceeds the budget prints `-`.
 
 use std::sync::Arc;
 
@@ -16,15 +20,34 @@ use mbb_core::heuristic::hmbb;
 use mbb_core::{MbbEngine, SolverConfig};
 use mbb_datasets::{stand_in, tough_datasets};
 
+/// Runs behind each cell.
+const RUNS: usize = 5;
+
+/// Median seconds of [`RUNS`] calls of `run`, or `None` as soon as one
+/// returns `None` (a run past its budget).
+fn median_secs(mut run: impl FnMut() -> Option<f64>) -> Option<f64> {
+    let mut secs = (0..RUNS).map(|_| run()).collect::<Option<Vec<f64>>>()?;
+    secs.sort_by(f64::total_cmp);
+    Some(secs[RUNS / 2])
+}
+
+/// Median seconds of [`RUNS`] calls of `f`, which has no budget.
+fn median_timed<T>(mut f: impl FnMut() -> T) -> Option<f64> {
+    median_secs(|| Some(run_timed(&mut f).1))
+}
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["budget-secs", "datasets"], &[]);
     let budget = args.budget(60).unwrap_or_else(exit_usage);
     let caps = args.caps().unwrap_or_else(exit_usage);
     let seed = args.seed().unwrap_or_else(exit_usage);
     let filter = args.get_list("datasets");
 
     println!("# Table 6 — efficiency of the techniques on tough datasets\n");
-    println!("budget = {}s per run, times in seconds\n", budget.as_secs());
+    println!(
+        "budget = {}s per run, times in seconds, each the median of {RUNS} runs\n",
+        budget.as_secs()
+    );
 
     let mut table = Table::new(&[
         "Dataset",
@@ -49,10 +72,10 @@ fn main() {
         let graph = Arc::new(standin.graph);
 
         // Heuristic stage alone.
-        let (_, hmbb_secs) = run_timed(|| hmbb(&graph, 8, true));
+        let hmbb_secs = median_timed(|| hmbb(&graph, 8, true));
         // Order computations alone.
-        let (_, deg_secs) = run_timed(|| core_decomposition(&graph));
-        let (_, bdeg_secs) = run_timed(|| bicore_decomposition(&graph));
+        let deg_secs = median_timed(|| core_decomposition(&graph));
+        let bdeg_secs = median_timed(|| bicore_decomposition(&graph));
 
         let variants: [(&str, SolverConfig); 6] = [
             ("bd1", SolverConfig::bd1()),
@@ -65,23 +88,27 @@ fn main() {
         let mut cells: Vec<String> = Vec::new();
         let mut halves: Vec<String> = Vec::new();
         for (name, config) in variants {
-            let (result, seconds) = run_timed(|| {
-                let engine = MbbEngine::from_arc(Arc::clone(&graph), config);
-                engine.query().deadline(budget).solve()
+            let mut half = 0;
+            let seconds = median_secs(|| {
+                let (result, secs) = run_timed(|| {
+                    let engine = MbbEngine::from_arc(Arc::clone(&graph), config);
+                    engine.query().deadline(budget).solve()
+                });
+                half = result.value.half_size();
+                result.termination.is_complete().then_some(secs)
             });
-            let complete = result.termination.is_complete();
-            cells.push(fmt_seconds(complete.then_some(seconds)));
-            if complete {
-                halves.push(format!("{name}={}", result.value.half_size()));
+            cells.push(fmt_seconds(seconds));
+            if seconds.is_some() {
+                halves.push(format!("{name}={half}"));
             }
         }
         eprintln!("  [{}] optima: {}", spec.name, halves.join(" "));
 
         table.row(vec![
             format!("{} ({})", spec.name, spec.tough_label().unwrap_or_default()),
-            fmt_seconds(Some(hmbb_secs)),
-            fmt_seconds(Some(deg_secs)),
-            fmt_seconds(Some(bdeg_secs)),
+            fmt_seconds(hmbb_secs),
+            fmt_seconds(deg_secs),
+            fmt_seconds(bdeg_secs),
             cells[0].clone(),
             cells[1].clone(),
             cells[2].clone(),
@@ -92,5 +119,5 @@ fn main() {
     }
 
     table.print();
-    println!("\n`-` = budget exceeded.");
+    println!("\n`-` = budget exceeded in at least one of the {RUNS} runs.");
 }

@@ -17,7 +17,9 @@
 //! takes `--budget-secs N`: each solve runs on the calling thread under a
 //! deadline N seconds after it starts (the solver's own `SearchBudget`),
 //! and a run that does not complete prints `-`. `all` forwards the flag
-//! to the binaries it runs. Stand-ins come straight from
+//! to every binary it runs but `fig7_scaling`. A flag a binary does not
+//! take, or a positional argument, exits with status 2 and a message
+//! naming it before any work. Stand-ins come straight from
 //! [`mbb_datasets::stand_in`].
 
 #![warn(missing_docs)]

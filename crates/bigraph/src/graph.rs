@@ -81,9 +81,10 @@ pub enum GraphError {
         /// Declared size of that side.
         side_size: u32,
     },
-    /// Pre-built CSR arrays handed to [`BipartiteGraph::from_csr`] violate
-    /// a structural invariant (non-monotone offsets, unsorted or duplicate
-    /// rows, out-of-range ids, or left/right sides that disagree).
+    /// CSR rows handed to [`BipartiteGraph::from_left_rows`] (or decoded
+    /// from a graph cache) violate a structural invariant: offsets that do
+    /// not run from 0 to the adjacency length, unsorted or duplicate rows,
+    /// out-of-range ids.
     InvalidCsr {
         /// Which invariant failed.
         reason: &'static str,
@@ -104,8 +105,9 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// An immutable CSR bipartite graph.
-#[derive(Clone)]
+/// An immutable CSR bipartite graph. Two graphs are equal when all four
+/// CSR arrays are, which is byte identity.
+#[derive(Clone, PartialEq, Eq)]
 pub struct BipartiteGraph {
     left_offsets: Box<[usize]>,
     left_neighbors: Box<[u32]>,
@@ -129,60 +131,57 @@ impl BipartiteGraph {
         Ok(builder.build())
     }
 
-    /// Rebuilds a graph from pre-built CSR arrays, validating every
-    /// structural invariant: monotone offset arrays ending at the adjacency
-    /// length, strictly sorted (therefore deduplicated) rows, in-range ids,
-    /// and a right side that is exactly the transpose of the left side.
+    /// Builds a graph from the CSR rows of its left side and derives the
+    /// right side from them, the one place any graph's right side is made.
     ///
-    /// This is the deserialization entry point for the binary graph cache
-    /// (`mbb-store`) and the streaming edge-list reader: both construct the
-    /// same arrays [`Builder::build`] would, so a graph loaded through
-    /// either path is byte-identical to its buffered-parse twin. Corrupt or
-    /// hand-rolled arrays are rejected with [`GraphError::InvalidCsr`].
-    pub fn from_csr(
+    /// `left_offsets` must run from 0 to `left_neighbors.len()` without
+    /// decreasing, and each row must be strictly increasing (so free of
+    /// duplicates) with every id below `num_right`; anything else is a
+    /// [`GraphError::InvalidCsr`]. One counting sort over the rows, in left
+    /// order, writes every right row already sorted. Every way of building
+    /// a graph ([`Builder::build`], the edge-list readers, induced
+    /// subgraphs, the `.mbbg` cache) ends here, so equal left rows always
+    /// give byte-identical graphs.
+    pub fn from_left_rows(
+        num_right: u32,
         left_offsets: Vec<usize>,
         left_neighbors: Vec<u32>,
-        right_offsets: Vec<usize>,
-        right_neighbors: Vec<u32>,
     ) -> Result<BipartiteGraph, GraphError> {
-        let invalid = |reason: &'static str| GraphError::InvalidCsr { reason };
-        let check_side = |offsets: &[usize], neighbors: &[u32], opposite: usize| {
-            if offsets.is_empty() || offsets[0] != 0 {
-                return Err(invalid("offsets must start with 0"));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(invalid("offsets must be non-decreasing"));
-            }
-            if *offsets.last().expect("non-empty") != neighbors.len() {
-                return Err(invalid("last offset must equal the adjacency length"));
-            }
-            for w in offsets.windows(2) {
-                let row = &neighbors[w[0]..w[1]];
-                if row.windows(2).any(|p| p[0] >= p[1]) {
-                    return Err(invalid("rows must be strictly increasing"));
-                }
-                if row.last().is_some_and(|&v| v as usize >= opposite) {
-                    return Err(invalid("neighbor id out of range"));
-                }
-            }
-            Ok(())
-        };
-        let nl = left_offsets.len() - usize::from(!left_offsets.is_empty());
-        let nr = right_offsets.len() - usize::from(!right_offsets.is_empty());
-        check_side(&left_offsets, &left_neighbors, nr)?;
-        check_side(&right_offsets, &right_neighbors, nl)?;
-        if left_neighbors.len() != right_neighbors.len() {
-            return Err(invalid("left/right edge counts disagree"));
+        let invalid = |reason: &'static str| Err(GraphError::InvalidCsr { reason });
+        if left_offsets.first() != Some(&0) {
+            return invalid("offsets must start with 0");
         }
-        // The right side must be the exact transpose of the left side —
-        // rebuild it the way `Builder::build` does and compare.
-        let mut cursor: Vec<usize> = right_offsets[..nr].to_vec();
-        for u in 0..nl {
-            for &v in &left_neighbors[left_offsets[u]..left_offsets[u + 1]] {
-                let slot = cursor[v as usize];
-                if slot >= right_offsets[v as usize + 1] || right_neighbors[slot] != u as u32 {
-                    return Err(invalid("right side is not the transpose of the left"));
-                }
+        if left_offsets.len() - 1 > u32::MAX as usize {
+            return invalid("more left vertices than u32 ids");
+        }
+        if left_offsets.windows(2).any(|w| w[0] > w[1]) {
+            return invalid("offsets must be non-decreasing");
+        }
+        if left_offsets.last() != Some(&left_neighbors.len()) {
+            return invalid("last offset must equal the adjacency length");
+        }
+        let nr = num_right as usize;
+        let mut right_offsets = vec![0usize; nr + 1];
+        for w in left_offsets.windows(2) {
+            let row = &left_neighbors[w[0]..w[1]];
+            if row.windows(2).any(|p| p[0] >= p[1]) {
+                return invalid("rows must be strictly increasing");
+            }
+            if row.last().is_some_and(|&v| v >= num_right) {
+                return invalid("neighbor id out of range");
+            }
+            for &v in row {
+                right_offsets[v as usize + 1] += 1;
+            }
+        }
+        for v in 0..nr {
+            right_offsets[v + 1] += right_offsets[v];
+        }
+        let mut cursor = right_offsets[..nr].to_vec();
+        let mut right_neighbors = vec![0u32; left_neighbors.len()];
+        for (u, w) in left_offsets.windows(2).enumerate() {
+            for &v in &left_neighbors[w[0]..w[1]] {
+                right_neighbors[cursor[v as usize]] = u as u32;
                 cursor[v as usize] += 1;
             }
         }
@@ -196,9 +195,10 @@ impl BipartiteGraph {
 
     /// Raw CSR offset array of the left side (`num_left() + 1` entries).
     ///
-    /// Together with the other three raw accessors this is the complete
-    /// serialization surface of the graph: feeding the four arrays back
-    /// through [`from_csr`](Self::from_csr) reproduces it byte-identically.
+    /// With [`left_neighbors`](Self::left_neighbors) and `num_right()`
+    /// this is all a graph needs to be rebuilt byte-identically: feeding
+    /// them back through [`from_left_rows`](Self::from_left_rows)
+    /// reproduces it.
     #[inline]
     pub fn left_offsets(&self) -> &[usize] {
         &self.left_offsets
@@ -425,42 +425,17 @@ impl Builder {
     pub fn build(mut self) -> BipartiteGraph {
         self.edges.sort_unstable();
         self.edges.dedup();
-
-        let nl = self.num_left as usize;
-        let nr = self.num_right as usize;
-        let m = self.edges.len();
-
-        let mut left_offsets = vec![0usize; nl + 1];
+        let mut left_offsets = vec![0usize; self.num_left as usize + 1];
         for &(u, _) in &self.edges {
             left_offsets[u as usize + 1] += 1;
         }
-        for i in 0..nl {
-            left_offsets[i + 1] += left_offsets[i];
+        for u in 0..self.num_left as usize {
+            left_offsets[u + 1] += left_offsets[u];
         }
-        let left_neighbors: Vec<u32> = self.edges.iter().map(|&(_, v)| v).collect();
-
-        let mut right_degrees = vec![0usize; nr];
-        for &(_, v) in &self.edges {
-            right_degrees[v as usize] += 1;
-        }
-        let mut right_offsets = vec![0usize; nr + 1];
-        for v in 0..nr {
-            right_offsets[v + 1] = right_offsets[v] + right_degrees[v];
-        }
-        let mut cursor = right_offsets.clone();
-        let mut right_neighbors = vec![0u32; m];
-        for &(u, v) in &self.edges {
-            // Left-sorted insertion keeps each right adjacency sorted too.
-            right_neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-
-        BipartiteGraph {
-            left_offsets: left_offsets.into_boxed_slice(),
-            left_neighbors: left_neighbors.into_boxed_slice(),
-            right_offsets: right_offsets.into_boxed_slice(),
-            right_neighbors: right_neighbors.into_boxed_slice(),
-        }
+        let left_neighbors = self.edges.iter().map(|&(_, v)| v).collect();
+        drop(self.edges);
+        BipartiteGraph::from_left_rows(self.num_right, left_offsets, left_neighbors)
+            .expect("range-checked, sorted and deduplicated edges make valid rows")
     }
 }
 
@@ -805,60 +780,61 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_roundtrips_raw_arrays() {
+    fn from_left_rows_roundtrips_raw_arrays() {
         let g = figure_1b();
-        let back = BipartiteGraph::from_csr(
+        let back = BipartiteGraph::from_left_rows(
+            g.num_right() as u32,
             g.left_offsets().to_vec(),
             g.left_neighbors().to_vec(),
-            g.right_offsets().to_vec(),
-            g.right_neighbors().to_vec(),
         )
         .unwrap();
-        assert_eq!(back.left_offsets(), g.left_offsets());
-        assert_eq!(back.left_neighbors(), g.left_neighbors());
         assert_eq!(back.right_offsets(), g.right_offsets());
         assert_eq!(back.right_neighbors(), g.right_neighbors());
+        assert_eq!(back, g);
     }
 
     #[test]
-    fn from_csr_accepts_empty_graph() {
-        let g = BipartiteGraph::from_csr(vec![0], vec![], vec![0], vec![]).unwrap();
+    fn from_left_rows_accepts_empty_graph() {
+        let g = BipartiteGraph::from_left_rows(0, vec![0], vec![]).unwrap();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
+        let isolated = BipartiteGraph::from_left_rows(4, vec![0, 0, 0], vec![]).unwrap();
+        assert_eq!(isolated, BipartiteGraph::from_edges(2, 4, []).unwrap());
     }
 
     #[test]
-    fn from_csr_rejects_broken_invariants() {
+    fn from_left_rows_rejects_broken_invariants() {
         let g = figure_1b();
-        let parts = || {
-            (
-                g.left_offsets().to_vec(),
-                g.left_neighbors().to_vec(),
-                g.right_offsets().to_vec(),
-                g.right_neighbors().to_vec(),
-            )
+        let rows = || (g.left_offsets().to_vec(), g.left_neighbors().to_vec());
+        let reject = |offsets: Vec<usize>, neighbors: Vec<u32>| {
+            let err = BipartiteGraph::from_left_rows(6, offsets, neighbors).unwrap_err();
+            assert!(matches!(err, GraphError::InvalidCsr { .. }), "{err}");
+            err.to_string()
         };
         // Non-monotone offsets.
-        let (mut lo, ln, ro, rn) = parts();
+        let (mut lo, ln) = rows();
         lo[1] = lo[2] + 1;
-        assert!(BipartiteGraph::from_csr(lo, ln, ro, rn).is_err());
+        assert!(reject(lo, ln).contains("non-decreasing"));
         // Unsorted row.
-        let (lo, mut ln, ro, rn) = parts();
+        let (lo, mut ln) = rows();
         ln.swap(4, 5); // vertex 3's row {1,2,3} becomes {1,3,2}
-        assert!(BipartiteGraph::from_csr(lo, ln, ro, rn).is_err());
+        assert!(reject(lo, ln).contains("strictly increasing"));
+        // Duplicate id in a row.
+        let (lo, mut ln) = rows();
+        ln[5] = ln[4];
+        assert!(reject(lo, ln).contains("strictly increasing"));
         // Out-of-range neighbor.
-        let (lo, mut ln, ro, rn) = parts();
+        let (lo, mut ln) = rows();
         let last = ln.len() - 1;
         ln[last] = 99;
-        assert!(BipartiteGraph::from_csr(lo, ln, ro, rn).is_err());
-        // Right side not the transpose of the left.
-        let (lo, ln, ro, mut rn) = parts();
-        rn.swap(0, 1);
-        let err = BipartiteGraph::from_csr(lo, ln, ro, rn).unwrap_err();
-        assert!(matches!(err, GraphError::InvalidCsr { .. }), "{err}");
+        assert!(reject(lo, ln).contains("out of range"));
+        // Offsets that stop short of the adjacency.
+        let (mut lo, ln) = rows();
+        lo.pop();
+        assert!(reject(lo, ln).contains("adjacency length"));
         // Truncated offsets.
-        assert!(BipartiteGraph::from_csr(vec![], vec![], vec![0], vec![]).is_err());
-        assert!(BipartiteGraph::from_csr(vec![1], vec![0], vec![0, 1], vec![0]).is_err());
+        assert!(reject(vec![], vec![]).contains("start with 0"));
+        assert!(reject(vec![1], vec![0]).contains("start with 0"));
     }
 
     #[test]

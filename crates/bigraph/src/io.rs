@@ -148,13 +148,13 @@ pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<BipartiteGraph, IoErr
 /// producing a graph byte-identical (CSR offsets and adjacency) to
 /// [`read_edge_list`] without ever materialising the full edge `Vec`.
 ///
-/// Pass 1 counts per-vertex degrees and the edge total; pass 2 rewinds and
-/// writes each edge directly into its final CSR slot, then sorts and
-/// deduplicates each row in place and derives the right side by counting
-/// sort — exactly the construction [`crate::graph::Builder::build`] uses.
+/// Pass 1 counts left degrees, the edge total and the right side's size;
+/// pass 2 rewinds and writes each edge directly into its final left-row
+/// slot, then sorts and deduplicates each row in place and hands the rows
+/// to [`BipartiteGraph::from_left_rows`], which derives the right side.
 ///
 /// Peak transient memory is one `u32` per raw (pre-dedup) edge plus the
-/// per-side degree arrays, roughly half of what the buffered reader's
+/// left degree array, roughly half of what the buffered reader's
 /// `(u32, u32)` edge buffer costs on top of the final graph, and no global
 /// edge sort is performed (per-row sorts touch `O(d log d)` each).
 pub fn read_edge_list_streaming<R: BufRead + Seek>(
@@ -167,26 +167,23 @@ pub fn read_edge_list_streaming<R: BufRead + Seek>(
         ))
     };
 
-    // Pass 1: degree counting. Side sizes are inferred from the maxima, so
-    // the degree arrays grow on demand.
+    // Pass 1: left degrees. Side sizes are inferred from the maxima, so the
+    // degree array grows on demand.
     let mut left_deg: Vec<usize> = Vec::new();
-    let mut right_deg: Vec<usize> = Vec::new();
+    let mut num_right = 0u32;
     let mut raw_edges = 0usize;
     scan_edges(&mut reader, |u, v| {
-        let (u, v) = (u as usize, v as usize);
+        let u = u as usize;
         if u >= left_deg.len() {
             left_deg.resize(u + 1, 0);
         }
-        if v >= right_deg.len() {
-            right_deg.resize(v + 1, 0);
-        }
         left_deg[u] += 1;
-        right_deg[v] += 1;
+        // `v` is a 1-based id minus one, so `v + 1` cannot overflow.
+        num_right = num_right.max(v + 1);
         raw_edges += 1;
         Ok(())
     })?;
     let nl = left_deg.len();
-    let nr = right_deg.len();
 
     // Pass 2: place every edge into its left-row slot in file order.
     let mut left_offsets = vec![0usize; nl + 1];
@@ -199,7 +196,7 @@ pub fn read_edge_list_streaming<R: BufRead + Seek>(
     let mut seen = 0usize;
     scan_edges(&mut reader, |u, v| {
         let u = u as usize;
-        if u >= nl || v as usize >= nr || cursor[u] == left_offsets[u + 1] {
+        if u >= nl || v >= num_right || cursor[u] == left_offsets[u + 1] {
             return Err(changed());
         }
         left_neighbors[cursor[u]] = v;
@@ -231,31 +228,11 @@ pub fn read_edge_list_streaming<R: BufRead + Seek>(
         deduped_offsets[u + 1] = write;
     }
     left_neighbors.truncate(write);
-    let left_offsets = deduped_offsets;
 
-    // Right side by counting sort over the deduplicated left CSR; visiting
-    // rows in left order keeps every right row sorted.
-    let mut right_offsets = vec![0usize; nr + 1];
-    for &v in &left_neighbors {
-        right_offsets[v as usize + 1] += 1;
-    }
-    for v in 0..nr {
-        right_offsets[v + 1] += right_offsets[v];
-    }
-    let mut rcursor: Vec<usize> = right_offsets[..nr].to_vec();
-    let mut right_neighbors = vec![0u32; write];
-    for u in 0..nl {
-        for &v in &left_neighbors[left_offsets[u]..left_offsets[u + 1]] {
-            right_neighbors[rcursor[v as usize]] = u as u32;
-            rcursor[v as usize] += 1;
-        }
-    }
-
-    Ok(BipartiteGraph::from_csr(
-        left_offsets,
+    Ok(BipartiteGraph::from_left_rows(
+        num_right,
+        deduped_offsets,
         left_neighbors,
-        right_offsets,
-        right_neighbors,
     )?)
 }
 

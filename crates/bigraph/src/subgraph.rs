@@ -4,7 +4,7 @@
 //! working graph while results must be reported in original vertex ids, so
 //! every extraction carries `left_ids` / `right_ids` translation tables.
 
-use crate::graph::{BipartiteGraph, Builder};
+use crate::graph::BipartiteGraph;
 
 /// An induced subgraph plus the maps from its local indices back to the
 /// indices of the parent graph.
@@ -59,6 +59,10 @@ pub fn induce_by_mask(
 }
 
 /// Extracts the subgraph induced by explicit (sorted or unsorted) id lists.
+///
+/// Each kept left row is the parent's sorted row filtered to the kept
+/// right ids and renumbered in their (sorted) order, so it stays sorted
+/// and goes to [`BipartiteGraph::from_left_rows`] as it is.
 pub fn induce_by_ids(
     graph: &BipartiteGraph,
     mut left_ids: Vec<u32>,
@@ -73,17 +77,22 @@ pub fn induce_by_ids(
     for (j, &r) in right_ids.iter().enumerate() {
         right_map[r as usize] = j as u32;
     }
-    let mut builder = Builder::new(left_ids.len() as u32, right_ids.len() as u32);
-    for (i, &l) in left_ids.iter().enumerate() {
-        for &r in graph.neighbors_left(l) {
-            let j = right_map[r as usize];
-            if j != u32::MAX {
-                builder.add_edge(i as u32, j).expect("mapped ids in range");
-            }
-        }
+    let mut left_offsets = Vec::with_capacity(left_ids.len() + 1);
+    left_offsets.push(0);
+    let mut left_neighbors = Vec::new();
+    for &l in &left_ids {
+        let row = graph
+            .neighbors_left(l)
+            .iter()
+            .map(|&r| right_map[r as usize]);
+        left_neighbors.extend(row.filter(|&j| j != u32::MAX));
+        left_offsets.push(left_neighbors.len());
     }
+    let graph =
+        BipartiteGraph::from_left_rows(right_ids.len() as u32, left_offsets, left_neighbors)
+            .expect("a sorted parent row renumbered in sorted order stays a valid row");
     InducedSubgraph {
-        graph: builder.build(),
+        graph,
         left_ids,
         right_ids,
     }

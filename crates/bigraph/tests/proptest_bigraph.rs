@@ -13,6 +13,7 @@ use mbb_bigraph::graph::{
 use mbb_bigraph::local::LocalGraph;
 use mbb_bigraph::matching::{hopcroft_karp, minimum_vertex_cover};
 use mbb_bigraph::projection::project;
+use mbb_bigraph::subgraph::induce_by_ids;
 use mbb_bigraph::two_hop::{all_n_le2_sizes, n2_neighbors, TwoHopIndex};
 use proptest::prelude::*;
 
@@ -235,6 +236,34 @@ proptest! {
                 prop_assert_eq!(local.has_edge(i as u32, j as u32), g.has_edge(l, r));
             }
         }
+    }
+
+    // `induce_by_ids` hands filtered parent rows straight to
+    // `from_left_rows`; the result must be the graph `from_edges` builds
+    // from the parent's edges between kept ids, renumbered by rank.
+    #[test]
+    fn induce_by_ids_matches_from_edges(
+        g in bicore_family_strategy(),
+        left in proptest::collection::vec(0u32..60, 0..40),
+        right in proptest::collection::vec(0u32..60, 0..40),
+    ) {
+        let kept = |ids: &[u32], side: usize| {
+            let mut kept: Vec<u32> = ids.iter().copied().filter(|&x| (x as usize) < side).collect();
+            kept.sort_unstable();
+            kept.dedup();
+            kept
+        };
+        let (left, right) = (kept(&left, g.num_left()), kept(&right, g.num_right()));
+        let rank = |ids: &[u32], x: u32| ids.binary_search(&x).ok().map(|i| i as u32);
+        let edges = g
+            .edges()
+            .filter_map(|(u, v)| Some((rank(&left, u)?, rank(&right, v)?)));
+        let expected =
+            BipartiteGraph::from_edges(left.len() as u32, right.len() as u32, edges).unwrap();
+        let sub = induce_by_ids(&g, left.iter().rev().copied().collect(), right.clone());
+        prop_assert_eq!(&sub.graph, &expected);
+        prop_assert_eq!(sub.left_ids, left);
+        prop_assert_eq!(sub.right_ids, right);
     }
 
     #[test]

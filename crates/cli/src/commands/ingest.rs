@@ -122,11 +122,7 @@ pub fn run(options: &IngestOptions) -> Result<String, String> {
                 mbb_store::binfmt::load_graph(cache).map_err(|e| format!("{input}: {e}"))?;
             let parsed =
                 read_edge_list_file(&loaded.source).map_err(|e| format!("{input}: {e}"))?;
-            let identical = cached.left_offsets() == parsed.left_offsets()
-                && cached.left_neighbors() == parsed.left_neighbors()
-                && cached.right_offsets() == parsed.right_offsets()
-                && cached.right_neighbors() == parsed.right_neighbors();
-            if !identical {
+            if cached != parsed {
                 return Err(format!(
                     "{input}: cache does not match a fresh parse — please report"
                 ));

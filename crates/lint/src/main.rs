@@ -29,8 +29,10 @@ use rules::{Finding, LockClass};
 /// the request and routing code every admitted request runs: a panic
 /// there kills a worker serving a socket/stdin session instead of
 /// producing an error line. The `mbb` argv parser: a panic there exits
-/// with code 101 instead of printing the error.
-const WIRE_FILES: [&str; 7] = [
+/// with code 101 instead of printing the error. The readers of files a
+/// user names (edge lists and `.mbbg` caches, and the store that picks
+/// between them): a malformed file must be a typed error.
+const WIRE_FILES: [&str; 10] = [
     "crates/serve/src/jsonl.rs",
     "crates/serve/src/stream.rs",
     "crates/serve/src/socket.rs",
@@ -38,6 +40,9 @@ const WIRE_FILES: [&str; 7] = [
     "crates/serve/src/request.rs",
     "crates/serve/src/fleet.rs",
     "crates/cli/src/args.rs",
+    "crates/bigraph/src/io.rs",
+    "crates/store/src/binfmt.rs",
+    "crates/store/src/store.rs",
 ];
 
 /// Solver hot-loop files: per-node work lives here, so raw wall-clock

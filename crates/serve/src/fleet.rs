@@ -226,7 +226,7 @@ impl ShardedFleet {
             message: e.to_string(),
         })?;
         let current = self.shards[index].engine();
-        let forked = loaded.matches(current.graph());
+        let forked = *loaded.graph == *current.graph();
         let engine = if forked {
             current.fork()
         } else {

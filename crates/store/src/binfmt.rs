@@ -1,11 +1,11 @@
 //! The `.mbbg` binary graph cache format.
 //!
-//! Layout (all integers little-endian):
+//! Layout of version 2 (all integers little-endian):
 //!
 //! | offset | size          | field                                    |
 //! |--------|---------------|------------------------------------------|
 //! | 0      | 4             | magic `MBBG`                             |
-//! | 4      | 2             | format version (currently 1)             |
+//! | 4      | 2             | format version (currently 2)             |
 //! | 6      | 2             | reserved flags (must be 0)               |
 //! | 8      | 8             | source file length (bytes)               |
 //! | 16     | 8             | source mtime, seconds since epoch        |
@@ -17,8 +17,16 @@
 //! | 48     | 8·(nl+1)      | left CSR offsets (u64 each)              |
 //! | …      | 8·(nr+1)      | right CSR offsets (u64 each)             |
 //! | …      | 4·m           | left→right adjacency (u32 ids)           |
-//! | …      | 4·m           | right→left adjacency (u32 ids)           |
 //! | end−8  | 8             | FNV-1a 64 checksum of all prior bytes    |
+//!
+//! The right adjacency is not stored: [`decode_graph`] derives it from the
+//! left rows with [`BipartiteGraph::from_left_rows`], the constructor every
+//! graph goes through, and rejects a file whose stored right offsets differ
+//! from the derived ones. The right offsets stay in the file so that its
+//! length backs every allocation the decoder makes: the header's three
+//! counts must agree with the length before anything is read, so a short
+//! file cannot claim billions of vertices. Version 1 also stored the right
+//! adjacency; it is not read any more (see [`FORMAT_VERSION`]).
 //!
 //! The source stamp (length + mtime) is how [`crate::GraphStore`] decides
 //! whether a cache is still fresh without reading the source text. The
@@ -39,9 +47,10 @@ use mbb_bigraph::io::IoError;
 /// File magic: the first four bytes of every `.mbbg` file.
 pub const MAGIC: [u8; 4] = *b"MBBG";
 
-/// Current format version. Bump on any layout change; older readers
-/// reject newer files with [`StoreError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u16 = 1;
+/// Current format version. Bump on any layout change: a reader rejects
+/// every other version with [`StoreError::UnsupportedVersion`], and
+/// [`crate::GraphStore`] then rebuilds the cache from its source text.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Fixed-size header length in bytes (everything before the offset
 /// arrays).
@@ -101,7 +110,7 @@ pub enum StoreError {
     UnsupportedVersion {
         /// Version in the file.
         found: u16,
-        /// Newest version this build understands.
+        /// The one version this build reads.
         supported: u16,
     },
     /// A reserved field is non-zero — written by a future build
@@ -144,7 +153,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "graph cache version {found} is newer than supported version {supported}"
+                "graph cache version {found} is not supported (this build reads version {supported})"
             ),
             StoreError::UnsupportedFlags { found } => {
                 write!(f, "graph cache carries unsupported flag bits {found:#06x}")
@@ -195,7 +204,7 @@ impl From<IoError> for StoreError {
 
 /// 64-bit FNV-1a over a byte slice — tiny, dependency-free, stable. This
 /// is an integrity check against torn writes, not a cryptographic seal.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -218,7 +227,7 @@ pub fn encode_graph(graph: &BipartiteGraph, stamp: SourceStamp) -> Vec<u8> {
     let nl = graph.num_left();
     let nr = graph.num_right();
     let m = graph.num_edges();
-    let total = HEADER_LEN + 8 * (nl + 1 + nr + 1) + 4 * (m + m) + CHECKSUM_LEN;
+    let total = HEADER_LEN + 8 * (nl + 1 + nr + 1) + 4 * m + CHECKSUM_LEN;
     let mut buf = Vec::with_capacity(total);
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -239,67 +248,83 @@ pub fn encode_graph(graph: &BipartiteGraph, stamp: SourceStamp) -> Vec<u8> {
     for &v in graph.left_neighbors() {
         push_u32(&mut buf, v);
     }
-    for &u in graph.right_neighbors() {
-        push_u32(&mut buf, u);
-    }
     let checksum = fnv1a64(&buf);
     push_u64(&mut buf, checksum);
     debug_assert_eq!(buf.len(), total);
     buf
 }
 
+/// A cursor over `.mbbg` bytes; reading past the end is
+/// [`StoreError::Truncated`], never a panic.
 struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
+    len: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        out
+    fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader {
+            rest: bytes,
+            len: bytes.len(),
+        }
     }
 
-    fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().expect("2 bytes"))
+    fn truncated(&self, wanted: usize) -> StoreError {
+        let read = self.len - self.rest.len();
+        StoreError::Truncated {
+            expected: read.saturating_add(wanted) as u64,
+            actual: self.len as u64,
+        }
     }
 
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(N))?;
+        self.rest = rest;
+        Ok(*head)
     }
 
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
+    fn u16(&mut self) -> Result<u16, StoreError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, StoreError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, StoreError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next `count` words of `N` bytes each.
+    fn words<const N: usize>(&mut self, count: usize) -> Result<&'a [[u8; N]], StoreError> {
+        let size = count.saturating_mul(N);
+        let (head, rest) = self
+            .rest
+            .split_at_checked(size)
+            .ok_or_else(|| self.truncated(size))?;
+        self.rest = rest;
+        Ok(head.as_chunks::<N>().0)
     }
 }
 
-/// Decodes a `.mbbg` byte buffer back into a graph and the stamp of the
-/// source it was built from.
-///
-/// Validation happens outside-in: magic, version, self-declared length
-/// (truncation), checksum, then the full CSR invariants via
-/// [`BipartiteGraph::from_csr`] — so a corrupt file can never produce a
-/// structurally broken graph.
-pub fn decode_graph(bytes: &[u8]) -> Result<(BipartiteGraph, SourceStamp), StoreError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(StoreError::Truncated {
-            expected: (HEADER_LEN + CHECKSUM_LEN) as u64,
-            actual: bytes.len() as u64,
-        });
+/// The fixed header's contents, after magic, version and the reserved
+/// fields were checked.
+struct Header {
+    stamp: SourceStamp,
+    num_left: u32,
+    num_right: u32,
+    num_edges: u64,
+}
+
+fn read_header(r: &mut Reader<'_>) -> Result<Header, StoreError> {
+    let found = r.array()?;
+    if found != MAGIC {
+        return Err(StoreError::BadMagic { found });
     }
-    if bytes[..4] != MAGIC {
-        return Err(StoreError::BadMagic {
-            found: bytes[..4].try_into().expect("4 bytes"),
-        });
-    }
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(StoreError::Truncated {
-            expected: (HEADER_LEN + CHECKSUM_LEN) as u64,
-            actual: bytes.len() as u64,
-        });
-    }
-    let mut r = Reader { bytes, pos: 4 };
-    let version = r.u16();
+    let version = r.u16()?;
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: version,
@@ -308,53 +333,81 @@ pub fn decode_graph(bytes: &[u8]) -> Result<(BipartiteGraph, SourceStamp), Store
     }
     // Reserved fields must be zero: a future writer that sets them is
     // signalling a layout this build cannot interpret.
-    let flags = r.u16();
+    let flags = r.u16()?;
     if flags != 0 {
         return Err(StoreError::UnsupportedFlags {
             found: u32::from(flags),
         });
     }
     let stamp = SourceStamp {
-        len: r.u64(),
-        mtime_secs: r.u64(),
-        mtime_nanos: r.u32(),
+        len: r.u64()?,
+        mtime_secs: r.u64()?,
+        mtime_nanos: r.u32()?,
     };
-    let reserved = r.u32();
+    let reserved = r.u32()?;
     if reserved != 0 {
         return Err(StoreError::UnsupportedFlags { found: reserved });
     }
-    let nl = r.u32() as usize;
-    let nr = r.u32() as usize;
-    let m = r.u64() as usize;
+    Ok(Header {
+        stamp,
+        num_left: r.u32()?,
+        num_right: r.u32()?,
+        num_edges: r.u64()?,
+    })
+}
+
+/// Decodes a `.mbbg` byte buffer back into a graph and the stamp of the
+/// source it was built from.
+///
+/// Validation happens outside-in: magic, version, the file length the
+/// header's counts imply (so nothing is allocated that the file does not
+/// back), checksum, then [`BipartiteGraph::from_left_rows`], which checks
+/// the left rows and derives the right side, and last the stored right
+/// offsets against the derived ones — so a corrupt file can never produce
+/// a structurally broken graph.
+pub fn decode_graph(bytes: &[u8]) -> Result<(BipartiteGraph, SourceStamp), StoreError> {
+    let mut r = Reader::new(bytes);
+    let header = read_header(&mut r)?;
     // Saturating: a corrupt header must produce a mismatch, not overflow.
-    let expected = (HEADER_LEN + CHECKSUM_LEN)
-        .saturating_add(8usize.saturating_mul(nl + 1 + nr + 1))
-        .saturating_add(4usize.saturating_mul(m.saturating_mul(2)));
-    if bytes.len() != expected {
+    let offsets = 8 * (u64::from(header.num_left) + 1 + u64::from(header.num_right) + 1);
+    let expected = ((HEADER_LEN + CHECKSUM_LEN) as u64 + offsets)
+        .saturating_add(header.num_edges.saturating_mul(4));
+    if bytes.len() as u64 != expected {
         return Err(StoreError::Truncated {
-            expected: expected as u64,
+            expected,
             actual: bytes.len() as u64,
         });
     }
-    let stored = u64::from_le_bytes(
-        bytes[bytes.len() - CHECKSUM_LEN..]
-            .try_into()
-            .expect("8 bytes"),
-    );
+    // The length matched, so the counts fit in memory as `usize`.
+    let left_offsets = r.words::<8>(header.num_left as usize + 1)?;
+    let right_offsets = r.words::<8>(header.num_right as usize + 1)?;
+    let left_neighbors = r.words::<4>(header.num_edges as usize)?;
+    let stored = r.u64()?;
     let computed = fnv1a64(&bytes[..bytes.len() - CHECKSUM_LEN]);
     if stored != computed {
         return Err(StoreError::ChecksumMismatch { stored, computed });
     }
-    let read_offsets =
-        |r: &mut Reader<'_>, n: usize| -> Vec<usize> { (0..n).map(|_| r.u64() as usize).collect() };
-    let read_ids = |r: &mut Reader<'_>, n: usize| -> Vec<u32> { (0..n).map(|_| r.u32()).collect() };
-    let left_offsets = read_offsets(&mut r, nl + 1);
-    let right_offsets = read_offsets(&mut r, nr + 1);
-    let left_neighbors = read_ids(&mut r, m);
-    let right_neighbors = read_ids(&mut r, m);
-    let graph =
-        BipartiteGraph::from_csr(left_offsets, left_neighbors, right_offsets, right_neighbors)?;
-    Ok((graph, stamp))
+    // An offset beyond `usize` becomes one that fails the offset checks.
+    let offset = |w: &[u8; 8]| usize::try_from(u64::from_le_bytes(*w)).unwrap_or(usize::MAX);
+    let graph = BipartiteGraph::from_left_rows(
+        header.num_right,
+        left_offsets.iter().map(offset).collect(),
+        left_neighbors
+            .iter()
+            .map(|&w| u32::from_le_bytes(w))
+            .collect(),
+    )?;
+    if !graph
+        .right_offsets()
+        .iter()
+        .copied()
+        .eq(right_offsets.iter().map(offset))
+    {
+        return Err(StoreError::InvalidGraph(GraphError::InvalidCsr {
+            reason: "stored right offsets differ from the left rows'",
+        }));
+    }
+    Ok((graph, header.stamp))
 }
 
 /// Writes a graph to `path` in `.mbbg` format, atomically: the bytes go to
@@ -384,7 +437,7 @@ pub fn load_graph(path: &Path) -> Result<(BipartiteGraph, SourceStamp), StoreErr
 }
 
 /// Reads only the source stamp from a `.mbbg` file — the 48-byte header,
-/// with magic/version/flags validated but no checksum pass.
+/// with magic/version/reserved fields validated but no checksum pass.
 ///
 /// This is the cheap freshness probe: deciding that a multi-hundred-MB
 /// cache is stale must not cost reading and checksumming the whole file.
@@ -392,45 +445,11 @@ pub fn load_graph(path: &Path) -> Result<(BipartiteGraph, SourceStamp), StoreErr
 /// [`load_graph`] before any graph is served.
 pub fn load_stamp(path: &Path) -> Result<SourceStamp, StoreError> {
     use std::io::Read;
-    let mut header = [0u8; HEADER_LEN];
-    let mut file = fs::File::open(path)?;
-    file.read_exact(&mut header).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated {
-                expected: (HEADER_LEN + CHECKSUM_LEN) as u64,
-                actual: fs::metadata(path).map(|m| m.len()).unwrap_or(0),
-            }
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
-    if header[..4] != MAGIC {
-        return Err(StoreError::BadMagic {
-            found: header[..4].try_into().expect("4 bytes"),
-        });
-    }
-    let mut r = Reader {
-        bytes: &header,
-        pos: 4,
-    };
-    let version = r.u16();
-    if version != FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let flags = r.u16();
-    if flags != 0 {
-        return Err(StoreError::UnsupportedFlags {
-            found: u32::from(flags),
-        });
-    }
-    Ok(SourceStamp {
-        len: r.u64(),
-        mtime_secs: r.u64(),
-        mtime_nanos: r.u32(),
-    })
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    fs::File::open(path)?
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut header)?;
+    Ok(read_header(&mut Reader::new(&header))?.stamp)
 }
 
 #[cfg(test)]
@@ -510,6 +529,49 @@ mod tests {
             reject(|b| b[29] = 2),
             StoreError::UnsupportedFlags { .. }
         ));
+    }
+
+    /// Re-seals `bytes` after a patch, so that only the checks behind the
+    /// checksum can catch it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - CHECKSUM_LEN;
+        let checksum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    #[test]
+    fn rows_the_checksum_does_not_catch_are_rejected() {
+        let g = sample();
+        let clean = encode_graph(&g, stamp());
+        let right_offsets = HEADER_LEN + 8 * (g.num_left() + 1);
+        let left_neighbors = right_offsets + 8 * (g.num_right() + 1);
+        let reject = |patch: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = clean.clone();
+            patch(&mut bytes);
+            reseal(&mut bytes);
+            let err = decode_graph(&bytes).unwrap_err();
+            assert!(
+                matches!(err, StoreError::InvalidGraph(GraphError::InvalidCsr { .. })),
+                "{err}"
+            );
+            err.to_string()
+        };
+        // A stored right offset one higher than the left rows give.
+        let err = reject(&|b| {
+            let at = right_offsets + 8;
+            let moved = g.right_offsets()[1] as u64 + 1;
+            b[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+        });
+        assert!(err.contains("right offsets"), "{err}");
+        // A left row out of order: its first two ids swapped.
+        let u = (0..g.num_left()).find(|&u| g.degree_left(u as u32) >= 2);
+        let first = left_neighbors + 4 * g.left_offsets()[u.unwrap()];
+        let err = reject(&|b| {
+            for i in first..first + 4 {
+                b.swap(i, i + 4);
+            }
+        });
+        assert!(err.contains("strictly increasing"), "{err}");
     }
 
     #[test]

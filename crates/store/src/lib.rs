@@ -8,18 +8,19 @@
 //! removes it:
 //!
 //! * [`binfmt`] — the `.mbbg` on-disk format: magic + version + source
-//!   stamp + the four raw CSR arrays + checksum. Loading is a bounds-checked
-//!   memcpy plus an integrity pass; saving is atomic (temp file + rename).
+//!   stamp + both CSR offset arrays + the left adjacency + checksum.
+//!   Loading checks the length and checksum, then rebuilds the graph from
+//!   its left rows; saving is atomic (temp file + rename).
 //! * [`store`] — [`GraphStore`], the catalog front-end. It resolves a name
 //!   or path, transparently writes/refreshes the cache next to the source
 //!   file, and reports provenance ([`Provenance`]) and load timings so
 //!   callers can tell a cold parse from a warm cache hit.
 //!
 //! A graph loaded from a warm cache is **byte-identical** (CSR offsets and
-//! adjacency) to one parsed from the source text: the format serialises the
-//! exact arrays `mbb_bigraph::graph::Builder::build` produces, and
-//! `BipartiteGraph::from_csr` re-validates every structural invariant on
-//! the way back in.
+//! adjacency) to one parsed from the source text: both end in
+//! `BipartiteGraph::from_left_rows`, which validates the left rows and
+//! derives the right side from them, and the decoder also checks the
+//! derived right offsets against the stored ones.
 //!
 //! # Example
 //!

@@ -90,18 +90,6 @@ impl LoadedGraph {
         }
         out
     }
-
-    /// True when the loaded graph is byte-identical (same CSR arrays) to
-    /// `other`. This is the hot-reload probe: a serving fleet that is
-    /// asked to swap a shard compares the freshly loaded graph against
-    /// the one it is already serving, and on a match keeps the warm
-    /// session (via `MbbEngine::fork`) instead of recomputing indices.
-    pub fn matches(&self, other: &BipartiteGraph) -> bool {
-        self.graph.left_offsets() == other.left_offsets()
-            && self.graph.left_neighbors() == other.left_neighbors()
-            && self.graph.right_offsets() == other.right_offsets()
-            && self.graph.right_neighbors() == other.right_neighbors()
-    }
 }
 
 /// The graph catalog: resolves names or paths to graphs, transparently
@@ -372,6 +360,60 @@ mod tests {
         assert_eq!(a.left_neighbors(), b.left_neighbors());
         assert_eq!(a.right_offsets(), b.right_offsets());
         assert_eq!(a.right_neighbors(), b.right_neighbors());
+    }
+
+    /// The version 1 file of `g`: version 2's bytes with the right
+    /// adjacency before the checksum.
+    fn v1_bytes(g: &BipartiteGraph, stamp: SourceStamp) -> Vec<u8> {
+        let mut bytes = binfmt::encode_graph(g, stamp);
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        for &u in g.right_neighbors() {
+            bytes.extend_from_slice(&u.to_le_bytes());
+        }
+        let checksum = binfmt::fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn version_1_cache_is_rebuilt_as_version_2() {
+        let dir = TempDir::new("v1");
+        let path = dir.path("g.txt");
+        let g = write_sample(&path);
+        let cache = GraphStore::cache_path_for(&path);
+        let fresh_stamp = SourceStamp::of_path(&path).unwrap();
+        std::fs::write(&cache, v1_bytes(&g, fresh_stamp)).unwrap();
+        let store = GraphStore::new();
+        let spec = path.to_str().unwrap();
+
+        let rebuilt = store.load(spec).unwrap();
+        assert_eq!(rebuilt.provenance, Provenance::ParsedAndCached);
+        let note = rebuilt.note.unwrap();
+        assert!(note.contains("version 1"), "{note}");
+        assert_eq!(*rebuilt.graph, g);
+        let version = &std::fs::read(&cache).unwrap()[4..6];
+        assert_eq!(version, binfmt::FORMAT_VERSION.to_le_bytes());
+        assert_eq!(store.load(spec).unwrap().provenance, Provenance::CacheHit);
+    }
+
+    #[test]
+    fn bare_version_1_cache_is_unsupported() {
+        let dir = TempDir::new("v1-bare");
+        let path = dir.path("g.mbbg");
+        let g = uniform_edges(12, 10, 40, 3);
+        std::fs::write(&path, v1_bytes(&g, SourceStamp::default())).unwrap();
+        let err = GraphStore::new().load(path.to_str().unwrap()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
