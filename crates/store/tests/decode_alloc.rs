@@ -29,11 +29,19 @@ fn track(delta: isize) {
     });
 }
 
+/// Blocks above this size are refused, so a decoder that trusts a header's
+/// counts aborts this test instead of touching gigabytes.
+const REFUSE_ABOVE: usize = 256 << 20;
+
 // The default `alloc_zeroed` and `realloc` go through `alloc` and
-// `dealloc`, so they are tracked too.
-// SAFETY: every block comes from `System` and goes back to it unchanged.
+// `dealloc`, so they are tracked (and capped) too.
+// SAFETY: every block comes from `System` and goes back to it unchanged;
+// a refused block is a null pointer, which `alloc` may return.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() > REFUSE_ABOVE {
+            return std::ptr::null_mut();
+        }
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
