@@ -10,14 +10,18 @@
 //! # Construction
 //!
 //! Two same-side vertices stay 2-hop neighbours while they keep at least one
-//! surviving common neighbour, so the peel tracks exact `|N≤2|` values
-//! through one common-neighbour count per 2-hop pair. Unlike the paper we do
+//! surviving common neighbour. The peel tracks exact `|N≤2|` values by
+//! watching each 2-hop pair at one surviving common neighbour, its
+//! witness, the way SAT solvers watch literals (Moskewicz et al., "Chaff",
+//! DAC 2001): only a witness's death can end a pair. Unlike the paper we do
 //! not *rely* on Lemma 10's "loses at most 1" claim.
 //!
-//! 1. **Pair store.** [`TwoHopIndex`], built by the pair pass in
-//!    [`two_hop`](crate::two_hop), holds each pair `a < b` once, in row `b`
-//!    sorted by `a`, next to its count. The peel also copies the adjacency
-//!    in global ids, and compacts that copy as vertices die.
+//! 1. **Witness store.** [`TwoHopIndex`], built by one run of the pair
+//!    pass in [`two_hop`](crate::two_hop), keeps one bit per wedge
+//!    `a – m – b`, set where `m` is the pair's witness: at first the
+//!    common neighbour with the largest (core number, degree, id). It also
+//!    counts each vertex's `|N2|`. The peel copies the adjacency in global
+//!    ids, and compacts that copy as vertices die.
 //! 2. **Peel.** Repeatedly remove the surviving vertex with the smallest
 //!    `(|N≤2|, degree, id)`: Lemma 10's tie-break (min `|N≤2|`, then min
 //!    degree), made total by the global id. Removing `v`
@@ -25,36 +29,46 @@
 //!    * takes one from the `|N≤2|` of each surviving 2-hop neighbour `w`,
 //!      found by walking `v`'s surviving wedges `v – m – w`. Each walk drops
 //!      the dead from the rows it reads;
-//!    * takes one from the count of every pair `a < b` of `v`'s surviving
-//!      neighbours; a pair that reaches zero leaves both `N2` sets. For a
-//!      fixed `b` the partners `a` ascend, so each is found by one
-//!      galloping (exponential, then binary) search in row `b`, past the
-//!      previous partner.
+//!    * scans `v`'s triangle for the pairs it witnesses. A pair whose ends
+//!      both survive intersects their live rows. If they share a surviving
+//!      neighbour, the one with the largest heap entry becomes the witness
+//!      (its bit is found by a binary search of the ends in its row);
+//!      otherwise the pair leaves both `N2` sets.
 //!
-//!    A pair with a dead end is never read again, so no count is reset.
+//!    A pair with a dead end is never read again, so no bit is cleared.
 //!    An indexed binary min-heap holds the keys, and each decrement sifts
 //!    its vertex up at once. Sifting a removal's changed vertices only
 //!    after the removal would break the heap wherever a vertex and its
 //!    parent both dropped.
 //!
+//! The first witness is chosen by core number before degree because a
+//! vertex of a high core tends to be peeled late, and the later a witness
+//! dies the fewer pairs it hands on. Counted on the full gottron-trec
+//! stand-in of perfbench's sparse set 3 (1.46 M pairs), witnesses picked
+//! by degree alone take 38,199 re-examinations and 5.17 M merge steps;
+//! core number first takes 12,607 and 0.21 M. 5,248 of those
+//! re-examinations end in a pair's death, which no choice of witness
+//! avoids.
+//!
 //! # Cost
 //!
-//! Let `P` be the number of 2-hop pairs (`P ≤ Σ_m deg(m)² / 2`) and `d₂` the
-//! largest 2-hop degree. The build visits each wedge twice: `O(Σ deg²)`,
-//! the Lemma 9 bound (see [`two_hop`](crate::two_hop)). The peel visits
-//! each wedge at most once more: from the end that dies first while the
-//! middle survives, or as a pair of the middle's surviving neighbours, with
-//! one search in a row of at most `d₂` entries. That is
-//! `O(Σ deg² · log d₂)`, plus `O(|E|)` to drop each dead neighbour from a
-//! row once. The heap sifts once per decrement, `O((|E| + P) · log n)` in
-//! all.
+//! The build is one pass over every wedge, `O(Σ deg²)`, the Lemma 9
+//! bound (see [`two_hop`](crate::two_hop)). The peel walks each wedge at
+//! most once more, from the end that dies first while the middle
+//! survives, and reads each triangle's words once, when its middle dies:
+//! `O(Σ deg² / 64 + |E|)` beyond the walk. Each re-examination costs one
+//! intersection of two live rows and two binary searches; it happens only
+//! when a pair's witness dies, at most once per wedge. Dropping each dead
+//! neighbour from a row costs `O(|E|)` in all. The heap sifts once per
+//! decrement, `O((|E| + P) · log n)` for `P` pairs.
 //!
-//! Memory is 8 bytes per 2-hop pair (a `u32` partner and a `u32` count),
-//! plus 8 bytes per edge for the adjacency copy (4 per direction), plus
-//! `O(n)`.
+//! Memory is one bit per wedge, `Σ_m C(deg m, 2) / 8` bytes, plus 8 bytes
+//! per edge for the adjacency copy (4 per direction), plus `O(n)`. That is
+//! below the 8 bytes a pair of a partner and a count whenever pairs share
+//! fewer than 64 neighbours on average.
 
 use crate::graph::BipartiteGraph;
-use crate::two_hop::{Pair, TwoHopIndex};
+use crate::two_hop::TwoHopIndex;
 
 /// Result of a bicore decomposition.
 #[derive(Debug, Clone)]
@@ -76,20 +90,6 @@ fn neighbors_global(graph: &BipartiteGraph, g: usize) -> (&[u32], usize) {
     } else {
         (graph.neighbors_right((g - nl) as u32), 0)
     }
-}
-
-/// Smallest index `≥ from` of `row` whose partner is `≥ target` (or
-/// `row.len()`): an exponential probe, then a binary search. Successive
-/// targets of one row cost `O(log gap)` each.
-fn gallop(row: &[Pair], from: usize, target: u32) -> usize {
-    let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < row.len() && row[hi].partner < target {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let hi = hi.min(row.len());
-    lo + row[lo..hi].partition_point(|p| p.partner < target)
 }
 
 /// What one neighbour adds to a heap rank: one to `|N≤2|`, one to the
@@ -123,6 +123,11 @@ impl PeelHeap {
 
     fn is_live(&self, g: u32) -> bool {
         self.pos[g as usize] != PEELED
+    }
+
+    /// Surviving vertex `g`'s entry.
+    fn entry(&self, g: u32) -> (u64, u32) {
+        self.entries[self.pos[g as usize] as usize]
     }
 
     /// Removes the least entry and returns it.
@@ -220,6 +225,30 @@ impl LiveAdjacency {
         self.len[g] = kept as u32;
         &row[..kept]
     }
+
+    /// Row `g` as the last [`compact`](Self::compact) left it.
+    fn row(&self, g: usize) -> &[u32] {
+        &self.ids[self.start[g]..][..self.len[g] as usize]
+    }
+}
+
+/// The common entry of two ascending rows of surviving vertices with the
+/// largest heap entry, if they share one.
+fn strongest_common(heap: &PeelHeap, a: &[u32], b: &[u32]) -> Option<u32> {
+    let (mut i, mut j) = (0, 0);
+    let mut best = None;
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                best = best.max(Some(heap.entry(a[i])));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    best.map(|(_, w)| w)
 }
 
 /// Runs the bicore decomposition (Algorithm 7).
@@ -234,20 +263,15 @@ impl LiveAdjacency {
 /// ```
 pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
     let n = graph.num_vertices();
-    let mut pairs = TwoHopIndex::build(graph);
+    let mut witnesses = TwoHopIndex::build(graph);
     let mut adjacency = LiveAdjacency::new(graph);
 
-    let mut ranks: Vec<u64> = adjacency
-        .len
-        .iter()
-        .map(|&d| NEIGHBOUR * d as u64)
+    let ranks = (0..n)
+        .map(|g| {
+            let two_hop = witnesses.two_hop_degree(g) as u64;
+            NEIGHBOUR * adjacency.len[g] as u64 + TWO_HOP * two_hop
+        })
         .collect();
-    for b in 0..n {
-        for p in pairs.row(b) {
-            ranks[b] += TWO_HOP;
-            ranks[p.partner as usize] += TWO_HOP;
-        }
-    }
     let mut heap = PeelHeap::new(ranks);
 
     let mut bicore = vec![0u32; n];
@@ -271,7 +295,8 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
         }
 
         // 2. Surviving 2-hop neighbours lose v from N2(·): each w at the
-        // far end of a surviving wedge v – m – w, once.
+        // far end of a surviving wedge v – m – w, once. This also
+        // compacts the row of every surviving neighbour of v.
         for &m in &live_neighbors {
             for &w in adjacency.compact(m as usize, &heap) {
                 if reached[w as usize] != v {
@@ -281,22 +306,42 @@ pub fn bicore_decomposition(graph: &BipartiteGraph) -> BicoreDecomposition {
             }
         }
 
-        // 3. Each pair of surviving neighbours a < b loses the common
-        // neighbour v; a pair left with none falls out of both N2 sets.
-        // The pair still shares v, so a is in b's row, past b's previous
-        // partner.
-        for (j, &b) in live_neighbors.iter().enumerate() {
-            let row = pairs.row_mut(b as usize);
-            let mut from = 0;
-            for &a in &live_neighbors[..j] {
-                let at = gallop(row, from, a);
-                debug_assert_eq!(row[at].partner, a);
-                row[at].common -= 1;
-                if row[at].common == 0 {
-                    heap.decrease(a, TWO_HOP);
-                    heap.decrease(b, TWO_HOP);
+        // 3. Each pair of surviving neighbours a < b that v witnessed
+        // moves to its surviving common neighbour with the largest heap
+        // entry; a pair left with none falls out of both N2 sets. Both
+        // ends' rows were compacted in step 2.
+        let (row, offset) = neighbors_global(graph, v as usize);
+        let offset = offset as u32;
+        for (j, &b) in row.iter().enumerate() {
+            if !heap.is_live(b + offset) {
+                continue;
+            }
+            let mut column = witnesses.column(v as usize, j);
+            while let Some(i) = column.next_set(&witnesses) {
+                let a = row[i as usize];
+                if !heap.is_live(a + offset) {
+                    continue;
                 }
-                from = at + 1;
+                let (a_row, b_row) = (
+                    adjacency.row((a + offset) as usize),
+                    adjacency.row((b + offset) as usize),
+                );
+                match strongest_common(&heap, a_row, b_row) {
+                    Some(w) => {
+                        let (w_row, _) = neighbors_global(graph, w as usize);
+                        let at = |x: u32| {
+                            w_row
+                                .binary_search(&x)
+                                .expect("a witness neighbours both ends")
+                                as u32
+                        };
+                        witnesses.set(w as usize, at(a), at(b));
+                    }
+                    None => {
+                        heap.decrease(a + offset, TWO_HOP);
+                        heap.decrease(b + offset, TWO_HOP);
+                    }
+                }
             }
         }
     }

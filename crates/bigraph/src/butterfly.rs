@@ -15,7 +15,7 @@
 //! `O(min(Σ_L deg², Σ_R deg²))`.
 
 use crate::graph::{BipartiteGraph, Side};
-use crate::two_hop::for_each_pair;
+use crate::two_hop::{ascending, for_each_pair};
 
 /// Exact number of butterflies (2×2 bicliques) in `graph`.
 ///
@@ -43,7 +43,7 @@ pub fn count_butterflies(graph: &BipartiteGraph) -> u64 {
         Side::Left
     };
     let mut total = 0u64;
-    for_each_pair(graph, ends, |_, _, common| {
+    for_each_pair(graph, ends, ascending(graph, ends), |_, _, common, _| {
         let c = common as u64;
         total += c * (c - 1) / 2;
     });

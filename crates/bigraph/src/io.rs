@@ -5,6 +5,11 @@
 //! `left right` pairs, 1-based, with `%`-prefixed comment lines. This module
 //! reads and writes that format so synthetic stand-ins can be persisted and
 //! real KONECT files can be dropped in unchanged if available.
+//!
+//! Side sizes come from the largest ids, so an id is bounded by the
+//! input's length ([`max_vertex_id`]) before any per-id array is sized:
+//! the one-line file `1 4294967295` is an [`IoError::IdOutOfRange`], not a
+//! request for 32 GiB of offsets.
 
 use std::fmt;
 use std::io::{self, BufRead, Seek, SeekFrom, Write};
@@ -15,6 +20,17 @@ use crate::graph::{BipartiteGraph, Builder, GraphError};
 /// Parse-error line content is truncated to this many bytes so a bad
 /// million-column line cannot explode the error message.
 const MAX_ERROR_CONTENT: usize = 120;
+
+/// The largest vertex id an edge list of `len` bytes may use: `len`, or
+/// 65,536 if that is larger.
+///
+/// An edge list numbers its vertices from 1 with few gaps, so its ids stay
+/// below its line count, and each line takes at least 4 bytes. The bound
+/// keeps every array sized by the ids (degrees, CSR offsets, and what the
+/// solver builds on them) within a constant times the input.
+pub fn max_vertex_id(len: u64) -> u64 {
+    len.max(1 << 16)
+}
 
 /// Errors raised while parsing an edge list.
 #[derive(Debug)]
@@ -31,6 +47,15 @@ pub enum IoError {
     },
     /// An endpoint index was 0 (KONECT ids are 1-based) or out of range.
     Graph(GraphError),
+    /// A vertex id past [`max_vertex_id`] of the input's length.
+    IdOutOfRange {
+        /// 1-based line number.
+        line: usize,
+        /// The id as written (1-based).
+        id: u32,
+        /// The largest id the input's length allows.
+        max: u64,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -41,6 +66,10 @@ impl fmt::Display for IoError {
                 write!(f, "line {line}: expected `left right`, got {content:?}")
             }
             IoError::Graph(e) => write!(f, "invalid edge: {e}"),
+            IoError::IdOutOfRange { line, id, max } => write!(
+                f,
+                "line {line}: vertex id {id} is past {max}, the largest an input of this length may use"
+            ),
         }
     }
 }
@@ -50,7 +79,7 @@ impl std::error::Error for IoError {
         match self {
             IoError::Io(e) => Some(e),
             IoError::Graph(e) => Some(e),
-            IoError::Parse { .. } => None,
+            IoError::Parse { .. } | IoError::IdOutOfRange { .. } => None,
         }
     }
 }
@@ -83,22 +112,26 @@ fn parse_error(line: usize, content: &str) -> IoError {
 }
 
 /// Scans a KONECT-style edge list line by line, calling `edge` with each
-/// 0-based `(left, right)` pair. Comments (`%`/`#`) and blank lines are
-/// skipped; malformed lines abort with a per-line [`IoError::Parse`].
+/// line number and 0-based `(left, right)` pair, and returns the bytes
+/// read. Comments (`%`/`#`) and blank lines are skipped; malformed lines
+/// abort with a per-line [`IoError::Parse`].
 ///
 /// The line buffer is reused across lines, so one scan allocates O(longest
 /// line), not O(file).
 fn scan_edges<R: BufRead>(
     reader: &mut R,
-    mut edge: impl FnMut(u32, u32) -> Result<(), IoError>,
-) -> Result<(), IoError> {
+    mut edge: impl FnMut(usize, u32, u32) -> Result<(), IoError>,
+) -> Result<u64, IoError> {
     let mut line = String::new();
     let mut line_no = 0usize;
+    let mut bytes = 0u64;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
+        let read = reader.read_line(&mut line)?;
+        if read == 0 {
+            return Ok(bytes);
         }
+        bytes += read as u64;
         line_no += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('%') || trimmed.starts_with('#') {
@@ -112,15 +145,31 @@ fn scan_edges<R: BufRead>(
         let (Some(u), Some(v)) = (parse(a), parse(b)) else {
             return Err(parse_error(line_no, trimmed));
         };
-        edge(u - 1, v - 1)?;
+        edge(line_no, u - 1, v - 1)?;
     }
+}
+
+/// The [`IoError::IdOutOfRange`] for a 0-based id on `line`, if it is
+/// past [`max_vertex_id`] of an input of `len` bytes.
+fn check_id(line: usize, id: u32, len: u64) -> Result<(), IoError> {
+    let max = max_vertex_id(len);
+    // `id` is a 1-based id minus one, so `id + 1` cannot overflow.
+    if u64::from(id) < max {
+        return Ok(());
+    }
+    Err(IoError::IdOutOfRange {
+        line,
+        id: id + 1,
+        max,
+    })
 }
 
 /// Reads a KONECT-style bipartite edge list from any reader, buffering the
 /// edge list before building CSR.
 ///
 /// Lines starting with `%` or `#` are comments; blank lines are skipped.
-/// Vertex ids are 1-based and the side sizes are inferred from the maxima.
+/// Vertex ids are 1-based and the side sizes are inferred from the maxima;
+/// an id past [`max_vertex_id`] of the input's length is an error.
 ///
 /// For seekable inputs (files, cursors) prefer
 /// [`read_edge_list_streaming`], which builds the identical graph in two
@@ -130,12 +179,19 @@ pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<BipartiteGraph, IoErr
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut max_l = 0u32;
     let mut max_r = 0u32;
-    scan_edges(&mut reader, |u, v| {
+    // The largest id of either side and its line: the input's length is
+    // known only at its end.
+    let mut largest = (0u32, 0usize);
+    let len = scan_edges(&mut reader, |line, u, v| {
         max_l = max_l.max(u + 1);
         max_r = max_r.max(v + 1);
+        if u.max(v) > largest.0 {
+            largest = (u.max(v), line);
+        }
         edges.push((u, v));
         Ok(())
     })?;
+    check_id(largest.1, largest.0, len)?;
     let mut builder = Builder::new(max_l, max_r);
     builder.reserve(edges.len());
     for (u, v) in edges {
@@ -148,7 +204,9 @@ pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<BipartiteGraph, IoErr
 /// producing a graph byte-identical (CSR offsets and adjacency) to
 /// [`read_edge_list`] without ever materialising the full edge `Vec`.
 ///
-/// Pass 1 counts left degrees, the edge total and the right side's size;
+/// Pass 1 checks each id against [`max_vertex_id`] of the input's length
+/// (taken by seeking to its end) and counts left degrees, the edge total
+/// and the right side's size;
 /// pass 2 rewinds and writes each edge directly into its final left-row
 /// slot, then sorts and deduplicates each row in place and hands the rows
 /// to [`BipartiteGraph::from_left_rows`], which derives the right side.
@@ -168,11 +226,14 @@ pub fn read_edge_list_streaming<R: BufRead + Seek>(
     };
 
     // Pass 1: left degrees. Side sizes are inferred from the maxima, so the
-    // degree array grows on demand.
+    // degree array grows on demand, up to the bound the length allows.
+    let len = reader.seek(SeekFrom::End(0))?;
+    reader.seek(SeekFrom::Start(0))?;
     let mut left_deg: Vec<usize> = Vec::new();
     let mut num_right = 0u32;
     let mut raw_edges = 0usize;
-    scan_edges(&mut reader, |u, v| {
+    scan_edges(&mut reader, |line, u, v| {
+        check_id(line, u.max(v), len)?;
         let u = u as usize;
         if u >= left_deg.len() {
             left_deg.resize(u + 1, 0);
@@ -194,7 +255,7 @@ pub fn read_edge_list_streaming<R: BufRead + Seek>(
     let mut left_neighbors = vec![0u32; raw_edges];
     reader.seek(SeekFrom::Start(0))?;
     let mut seen = 0usize;
-    scan_edges(&mut reader, |u, v| {
+    scan_edges(&mut reader, |_, u, v| {
         let u = u as usize;
         if u >= nl || v >= num_right || cursor[u] == left_offsets[u + 1] {
             return Err(changed());
@@ -366,6 +427,53 @@ mod tests {
             panic!("expected parse error");
         };
         assert_eq!(content, "1 x");
+    }
+
+    /// `text` through the buffered and the streaming reader.
+    fn read_both(text: &str) -> [Result<BipartiteGraph, IoError>; 2] {
+        [
+            read_edge_list(Cursor::new(text)),
+            read_edge_list_streaming(Cursor::new(text)),
+        ]
+    }
+
+    #[test]
+    fn ids_may_reach_the_input_length() {
+        // Below the 65,536 floor any id is accepted; past it, a comment
+        // line that lengthens the input admits larger ids.
+        let long = format!("%{}\n100000 1\n", " ".repeat(99_989));
+        assert_eq!(long.len(), 100_000);
+        let fits: [(&str, usize, usize); 3] = [
+            ("65536 1\n", 65_536, 1),
+            ("1 65536\n", 1, 65_536),
+            (&long, 100_000, 1),
+        ];
+        for (text, left, right) in fits {
+            for read in read_both(text) {
+                let g = read.unwrap();
+                assert_eq!((g.num_left(), g.num_right()), (left, right));
+            }
+        }
+        // One past the bound: past the floor, and the long input without
+        // its `%`, one byte short of its id.
+        let past = [
+            ("1 1\n1 65537\n", 65_537, 65_536),
+            (&long[1..], 100_000, 99_999),
+        ];
+        for (text, id, max) in past {
+            for read in read_both(text) {
+                let err = read.unwrap_err();
+                let IoError::IdOutOfRange {
+                    line,
+                    id: got,
+                    max: bound,
+                } = err
+                else {
+                    panic!("expected an id out of range: {err}");
+                };
+                assert_eq!((line, got, bound), (2, id, max));
+            }
+        }
     }
 
     #[test]

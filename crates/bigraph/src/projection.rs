@@ -8,7 +8,7 @@
 //! projection statistics bound the MBB from above.
 
 use crate::graph::{BipartiteGraph, Side};
-use crate::two_hop::for_each_pair;
+use crate::two_hop::{ascending, for_each_pair};
 
 /// A weighted undirected graph over one side of a bipartite graph,
 /// stored as a sorted flat edge list (`u < v`).
@@ -82,7 +82,9 @@ pub fn project(graph: &BipartiteGraph, side: Side) -> Projection {
         Side::Right => graph.num_right(),
     };
     let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    for_each_pair(graph, side, |u, v, weight| edges.push((u, v, weight)));
+    for_each_pair(graph, side, ascending(graph, side), |u, v, weight, _| {
+        edges.push((u, v, weight));
+    });
     // Sources ascend; sort each source's partners.
     for run in edges.chunk_by_mut(|x, y| x.0 == y.0) {
         run.sort_unstable_by_key(|&(_, v, _)| v);

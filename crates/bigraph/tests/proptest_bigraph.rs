@@ -277,3 +277,91 @@ proptest! {
         }
     }
 }
+
+/// `p` left ends that share a hub and `r` backups on the right; the hub
+/// also has `q` private left leaves. The hub's degree, `p + q`, is the
+/// largest among the ends' common neighbours, so it is every end pair's
+/// first witness. The leaves peel early and take the hub's key down with
+/// them, so the hub can die while both ends of its pairs survive.
+fn hub_with_backups(p: u32, q: u32, r: u32) -> BipartiteGraph {
+    let ends = (0..p).flat_map(|e| (0..=r).map(move |c| (e, c)));
+    let leaves = (p..p + q).map(|l| (l, 0));
+    BipartiteGraph::from_edges(p + q, r + 1, ends.chain(leaves)).unwrap()
+}
+
+/// The 2-hop pairs of `g` whose first witness (the common neighbour with
+/// the largest core number, degree and id) dies in `order` before both
+/// ends, as `(moved, ended)`: those that then still share a surviving
+/// neighbour, and those that do not.
+fn early_witness_deaths(g: &BipartiteGraph, order: &[u32]) -> (usize, usize) {
+    let core = core_decomposition(g).core;
+    let mut died = vec![0; g.num_vertices()];
+    for (t, &v) in order.iter().enumerate() {
+        died[v as usize] = t;
+    }
+    let (mut moved, mut ended) = (0, 0);
+    for a in g.vertices() {
+        for index in n2_neighbors(g, a) {
+            let b = Vertex {
+                side: a.side,
+                index,
+            };
+            if b.index < a.index {
+                continue;
+            }
+            let common: Vec<Vertex> = sorted_intersection(g.neighbors(a), g.neighbors(b))
+                .into_iter()
+                .map(|index| Vertex {
+                    side: a.side.opposite(),
+                    index,
+                })
+                .collect();
+            let strength = |m: &Vertex| (core[g.global_id(*m)], g.degree(*m), g.global_id(*m));
+            let witness = *common.iter().max_by_key(|m| strength(m)).unwrap();
+            let witness_dies = died[g.global_id(witness)];
+            if witness_dies < died[g.global_id(a)].min(died[g.global_id(b)]) {
+                if common.iter().any(|&m| died[g.global_id(m)] > witness_dies) {
+                    moved += 1;
+                } else {
+                    ended += 1;
+                }
+            }
+        }
+    }
+    (moved, ended)
+}
+
+#[test]
+fn witnesses_that_die_early_keep_the_oracle_order() {
+    let mut graphs = Vec::new();
+    for p in 2..6 {
+        for q in 1..4 {
+            for r in 1..6 {
+                graphs.push(hub_with_backups(p, q, r));
+            }
+        }
+    }
+    // Sparse graphs, where the last common neighbour of many pairs dies
+    // before either end.
+    for seed in 0..8 {
+        let params = ChungLuParams {
+            num_left: 40,
+            num_right: 30,
+            num_edges: 120,
+            left_exponent: 0.8,
+            right_exponent: 0.7,
+        };
+        graphs.push(generators::chung_lu_bipartite(&params, seed));
+    }
+    let (mut moved, mut ended) = (0, 0);
+    for g in &graphs {
+        let fast = bicore_decomposition(g);
+        let oracle = support::hashmap_bicore_decomposition(g);
+        assert_eq!(fast.order, oracle.order);
+        assert_eq!(fast.bicore, oracle.bicore);
+        let (m, e) = early_witness_deaths(g, &oracle.order);
+        moved += m;
+        ended += e;
+    }
+    assert!(moved > 0 && ended > 0, "{moved} moved, {ended} ended");
+}
