@@ -34,18 +34,19 @@
 //! assert!(result.value.is_valid(engine.graph()));
 //! // This graph reaches stage 2, so the solve built the order; a second
 //! // query reuses it instead of recomputing it.
+//! assert_eq!(result.stats.index.orders_computed, 1);
 //! let again = engine.query().solve();
-//! assert_eq!(again.stats.index.orders_computed, 1);
-//! assert!(again.stats.index.orders_reused >= 1);
+//! assert_eq!(again.stats.index.orders_computed, 0);
+//! assert_eq!(again.stats.index.orders_reused, 1);
 //! ```
 //!
 //! All nine query kinds return a [`QueryResult`]: the typed payload, a
-//! consolidated [`SolveStats`] (including session index-reuse counters),
-//! and a [`Termination`] that replaces the old scattered `complete: bool`
-//! flags — `DeadlineExceeded` and `Cancelled` results carry the best
-//! answer found so far (anytime semantics), never a silent truncation.
+//! consolidated [`SolveStats`] (including the query's own use of the
+//! cached order), and a [`Termination`] that replaces the old scattered
+//! `complete: bool` flags — `DeadlineExceeded` and `Cancelled` results
+//! carry the best answer found so far (anytime semantics), never a
+//! silent truncation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -66,14 +67,14 @@ use crate::topk::topk_budgeted;
 use crate::weighted::{weighted_mbb_budgeted, WeightedBiclique};
 
 /// The outcome of any engine query: a typed payload, consolidated solver
-/// statistics (with session index-reuse counters), and how the query
-/// ended. Non-`Complete` terminations still carry the best answer found
-/// before the budget ran out.
+/// statistics (with the query's own use of the cached order), and how the
+/// query ended. Non-`Complete` terminations still carry the best answer
+/// found before the budget ran out.
 #[derive(Debug, Clone)]
 pub struct QueryResult<T> {
     /// The query's typed payload.
     pub value: T,
-    /// Solver + session statistics.
+    /// This query's solver statistics.
     pub stats: SolveStats,
     /// Whether the answer is exact (`Complete`) or best-so-far.
     pub termination: Termination,
@@ -99,30 +100,17 @@ pub(crate) struct OrderIndex {
     pub(crate) bidegeneracy: Option<u32>,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    orders_computed: AtomicU64,
-    orders_reused: AtomicU64,
-    preprocess_nanos: AtomicU64,
-}
-
 /// A query session over one bipartite graph. Build once per graph, run
 /// any number of queries; see the [module docs](self) for the full story.
 ///
 /// The engine is `Sync`: queries take `&self`, so one engine can serve
 /// concurrent readers (each query may additionally parallelise its own
-/// verification stage via [`QueryBuilder::threads`]). Services that want
-/// per-session counters without re-preprocessing can [`fork`](Self::fork)
-/// an engine: the cached order is `Arc`-shared, so a fork is a few
-/// pointer copies.
+/// verification stage via [`QueryBuilder::threads`]).
 #[derive(Debug)]
 pub struct MbbEngine {
     graph: Arc<BipartiteGraph>,
     config: SolverConfig,
-    // Arc-wrapped so `fork` can share an already materialised order
-    // across sessions without re-deriving it.
-    order: OnceLock<Arc<OrderIndex>>,
-    counters: Counters,
+    order: OnceLock<OrderIndex>,
 }
 
 impl MbbEngine {
@@ -144,39 +132,7 @@ impl MbbEngine {
             graph,
             config,
             order: OnceLock::new(),
-            counters: Counters::default(),
         }
-    }
-
-    /// A new engine session over the same graph, sharing the order the
-    /// parent has already materialised (the cache is `Arc`-shared, so
-    /// this is a few pointer copies — no re-peeling) but with fresh
-    /// index-reuse counters. This is the cheap per-session clone a
-    /// batching service wants: one warm parent per graph shard, one fork
-    /// per client session whose `IndexStats` should start at zero.
-    ///
-    /// An order the parent has *not* yet computed stays lazy in the fork
-    /// and is built on first use there. A pre-built order served to the
-    /// fork counts as a reuse (never a compute) in the fork's counters.
-    ///
-    /// ```
-    /// use mbb_core::engine::MbbEngine;
-    /// let graph = mbb_bigraph::generators::uniform_edges(30, 30, 140, 5);
-    /// let parent = MbbEngine::new(graph);
-    /// let warm = parent.solve();
-    /// let fork = parent.fork();
-    /// let again = fork.solve();
-    /// assert_eq!(again.value.half_size(), warm.value.half_size());
-    /// // The fork never recomputed the order: it arrived pre-built.
-    /// assert_eq!(again.stats.index.orders_computed, 0);
-    /// assert!(again.stats.index.orders_reused >= 1);
-    /// ```
-    pub fn fork(&self) -> MbbEngine {
-        let fork = MbbEngine::from_arc(Arc::clone(&self.graph), self.config);
-        if let Some(cached) = self.order.get() {
-            let _ = fork.order.set(Arc::clone(cached));
-        }
-        fork
     }
 
     /// The session graph.
@@ -187,17 +143,6 @@ impl MbbEngine {
     /// The session solver configuration.
     pub fn config(&self) -> &SolverConfig {
         &self.config
-    }
-
-    /// Snapshot of the cumulative session index-reuse counters.
-    pub fn index_stats(&self) -> IndexStats {
-        // relaxed: monotonic statistics counters, loaded for reporting
-        // only; the snapshot carries no cross-field consistency promise.
-        IndexStats {
-            orders_computed: self.counters.orders_computed.load(Ordering::Relaxed),
-            orders_reused: self.counters.orders_reused.load(Ordering::Relaxed),
-            preprocess_seconds: self.counters.preprocess_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        }
     }
 
     /// Starts a query: chain budget/thread options, then call one of the
@@ -284,14 +229,17 @@ impl MbbEngine {
 
     // ---- The cached order. ----
 
-    // Counts a reuse whenever its call did not run the build, including a
-    // call that blocked on another query's in-flight build: that query is
-    // served from the cache too, so `computed + reused` equals the number
-    // of uses under any schedule.
-    pub(crate) fn order_index(&self) -> &OrderIndex {
-        let mut built = false;
+    // The call that runs the build reports it as computed, with its
+    // seconds; every other call reports one reuse, including a call that
+    // blocked on another query's in-flight build: that query is served
+    // from the cache too, so summed over queries `computed + reused`
+    // equals the number of uses under any schedule.
+    pub(crate) fn order_index(&self) -> (&OrderIndex, IndexStats) {
+        let mut use_stats = IndexStats {
+            orders_reused: 1,
+            ..IndexStats::default()
+        };
         let index = self.order.get_or_init(|| {
-            built = true;
             let _span = mbb_obs::span(mbb_obs::Stage::PreprocessOrder);
             let start = Instant::now();
             // The bidegeneracy order *is* the bicore peel order; only the
@@ -308,32 +256,23 @@ impl MbbEngine {
             for (i, &g) in order.iter().enumerate() {
                 rank[g as usize] = i as u32;
             }
-            // relaxed: monotonic nanosecond tally, read only by index_stats
-            // reporting; no ordering contract with the work it timed.
-            self.counters
-                .preprocess_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            // relaxed: monotonic statistics counter (see below).
-            self.counters
-                .orders_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Arc::new(OrderIndex { rank, bidegeneracy })
+            use_stats = IndexStats {
+                orders_computed: 1,
+                orders_reused: 0,
+                preprocess_seconds: start.elapsed().as_secs_f64(),
+            };
+            OrderIndex { rank, bidegeneracy }
         });
-        if !built {
-            // relaxed: monotonic statistics counter; the cached index is
-            // published by OnceLock, not by this increment.
-            self.counters.orders_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        index
+        (index, use_stats)
     }
+}
 
-    fn finish<T>(&self, value: T, mut stats: SolveStats, budget: &SearchBudget) -> QueryResult<T> {
-        stats.index = self.index_stats();
-        QueryResult {
-            value,
-            stats,
-            termination: budget.termination(),
-        }
+/// Wraps a query's payload and stats with how its budget ended.
+fn finish<T>(value: T, stats: SolveStats, budget: &SearchBudget) -> QueryResult<T> {
+    QueryResult {
+        value,
+        stats,
+        termination: budget.termination(),
     }
 }
 
@@ -421,7 +360,7 @@ impl<'e> QueryBuilder<'e> {
             config.threads = threads;
         }
         let (biclique, stats) = hbv_mbb(self.engine, config, self.incumbent, &budget);
-        self.engine.finish(biclique, stats, &budget)
+        finish(biclique, stats, &budget)
     }
 
     /// The `k` maximal bicliques with the largest balanced size, best
@@ -429,8 +368,7 @@ impl<'e> QueryBuilder<'e> {
     pub fn topk(self, k: usize) -> QueryResult<Vec<MaximalBiclique>> {
         let budget = self.budget();
         let outcome = topk_budgeted(&self.engine.graph, k, &budget);
-        self.engine
-            .finish(outcome.bicliques, SolveStats::default(), &budget)
+        finish(outcome.bicliques, SolveStats::default(), &budget)
     }
 
     /// The largest balanced biclique containing `anchor` (empty only when
@@ -447,7 +385,7 @@ impl<'e> QueryBuilder<'e> {
             optimum_half: biclique.half_size(),
             ..SolveStats::default()
         };
-        self.engine.finish(biclique, stats, &budget)
+        finish(biclique, stats, &budget)
     }
 
     /// The largest balanced biclique containing edge `(u, v)` (left `u`,
@@ -464,7 +402,7 @@ impl<'e> QueryBuilder<'e> {
             optimum_half: value.as_ref().map_or(0, Biclique::half_size),
             ..SolveStats::default()
         };
-        self.engine.finish(value, stats, &budget)
+        finish(value, stats, &budget)
     }
 
     /// The heaviest balanced biclique under per-vertex `weights` (indexed
@@ -481,14 +419,14 @@ impl<'e> QueryBuilder<'e> {
             optimum_half: found.left.len(),
             ..SolveStats::default()
         };
-        self.engine.finish(found, stats, &budget)
+        finish(found, stats, &budget)
     }
 
     /// The maximum **edge** biclique (`max |A| · |B|`).
     pub fn meb(self) -> QueryResult<EdgeBiclique> {
         let budget = self.budget();
         let found = maximum_edge_biclique_budgeted(&self.engine.graph, &budget);
-        self.engine.finish(found, SolveStats::default(), &budget)
+        finish(found, SolveStats::default(), &budget)
     }
 
     /// The Pareto frontier of feasible biclique sizes. On a
@@ -497,7 +435,7 @@ impl<'e> QueryBuilder<'e> {
     pub fn frontier(self) -> QueryResult<SizeFrontier> {
         let budget = self.budget();
         let frontier = SizeFrontier::budgeted(&self.engine.graph, &budget);
-        self.engine.finish(frontier, SolveStats::default(), &budget)
+        finish(frontier, SolveStats::default(), &budget)
     }
 
     /// A witness for the size-constrained `(a, b)`-biclique problem.
@@ -510,7 +448,7 @@ impl<'e> QueryBuilder<'e> {
     ) -> QueryResult<Option<SizeConstrainedBiclique>> {
         let budget = self.budget();
         let witness = find_size_constrained_budgeted(&self.engine.graph, a, b, &budget);
-        self.engine.finish(witness, SolveStats::default(), &budget)
+        finish(witness, SolveStats::default(), &budget)
     }
 
     /// Collects every maximal biclique passing `config`'s filters. For
@@ -523,7 +461,7 @@ impl<'e> QueryBuilder<'e> {
             bicliques.push(b.clone());
             std::ops::ControlFlow::Continue(())
         });
-        self.engine.finish(
+        finish(
             Enumeration { bicliques, outcome },
             SolveStats::default(),
             &budget,
@@ -548,13 +486,14 @@ mod tests {
         assert!(solved.termination.is_complete());
         assert!(top.termination.is_complete());
         assert!(anchored.termination.is_complete());
-        // One order build serves the whole session.
-        let index = anchored.stats.index;
-        assert_eq!(index.orders_computed, 1);
+        // One order build serves the whole session; only solves read it.
+        assert_eq!(solved.stats.index.orders_computed, 1);
+        assert_eq!(top.stats.index, IndexStats::default());
+        assert_eq!(anchored.stats.index, IndexStats::default());
         // A second solve reuses the cached order.
         let again = engine.solve();
-        assert_eq!(again.stats.index.orders_computed, 1);
-        assert!(again.stats.index.orders_reused >= 1);
+        assert_eq!(again.stats.index.orders_computed, 0);
+        assert_eq!(again.stats.index.orders_reused, 1);
         assert_eq!(solved.value.half_size(), again.value.half_size());
     }
 
@@ -583,7 +522,7 @@ mod tests {
             assert_eq!(session.value, free, "edge ({u},{v})");
             assert_eq!(session.stats.index, IndexStats::default());
         }
-        assert_eq!(engine.index_stats(), IndexStats::default());
+        assert!(engine.order.get().is_none());
     }
 
     /// Reaches stage 3, so its solves build (then reuse) the order.
@@ -614,8 +553,8 @@ mod tests {
         let again = engine.solve();
         assert_eq!(again.value.half_size(), first.value.half_size());
         assert_eq!(again.stats.bidegeneracy, Some(bidegeneracy));
-        assert_eq!(again.stats.index.orders_computed, 1);
-        assert!(again.stats.index.orders_reused >= 1);
+        assert_eq!(again.stats.index.orders_computed, 0);
+        assert_eq!(again.stats.index.orders_reused, 1);
     }
 
     #[test]
@@ -624,15 +563,22 @@ mod tests {
         // losers block until it is published and must still count as
         // reuses, whatever the schedule.
         let engine = MbbEngine::new(stage3_graph());
-        let solves = 4;
-        std::thread::scope(|scope| {
-            for _ in 0..solves {
-                scope.spawn(|| assert_eq!(engine.solve().stats.stage, Stage::S3));
-            }
+        let uses: Vec<IndexStats> = std::thread::scope(|scope| {
+            let solves: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| engine.solve().stats))
+                .collect();
+            solves
+                .into_iter()
+                .map(|solve| {
+                    let stats = solve.join().expect("solve thread");
+                    assert_eq!(stats.stage, Stage::S3);
+                    stats.index
+                })
+                .collect()
         });
-        let index = engine.index_stats();
-        assert_eq!(index.orders_computed, 1);
-        assert_eq!(index.orders_computed + index.orders_reused, solves);
+        let computed: u64 = uses.iter().map(|u| u.orders_computed).sum();
+        let reused: u64 = uses.iter().map(|u| u.orders_reused).sum();
+        assert_eq!((computed, reused), (1, 3));
     }
 
     #[test]
@@ -645,37 +591,6 @@ mod tests {
         assert_eq!(result.stats.index.orders_computed, 0);
         // Unbudgeted, the same graph does need the order.
         assert_eq!(engine.solve().stats.index.orders_computed, 1);
-    }
-
-    #[test]
-    fn fork_shares_materialised_indices() {
-        let g = stage3_graph();
-        let engine = MbbEngine::new(g);
-        let warm = engine.solve();
-
-        let fork = engine.fork();
-        assert!(Arc::ptr_eq(&engine.graph, &fork.graph));
-        let again = fork.solve();
-        assert_eq!(again.value.half_size(), warm.value.half_size());
-        // The fork's counters are fresh, and everything it needed arrived
-        // pre-built from the parent: reuse only, zero computes.
-        let index = fork.index_stats();
-        assert_eq!(index.orders_computed, 0);
-        assert!(index.orders_reused >= 1);
-        // The parent's counters are unaffected by the fork's queries.
-        assert_eq!(engine.index_stats().orders_computed, 1);
-    }
-
-    #[test]
-    fn fork_of_cold_engine_stays_lazy() {
-        let g = generators::uniform_edges(15, 15, 70, 8);
-        let engine = MbbEngine::new(g);
-        let fork = engine.fork();
-        let solved = fork.solve();
-        // Nothing was materialised in the parent, so the fork computes
-        // its own order exactly once.
-        assert_eq!(solved.stats.index.orders_computed, 1);
-        assert_eq!(engine.index_stats().orders_computed, 0);
     }
 
     #[test]

@@ -132,8 +132,8 @@ impl IncrementalMbb {
 
     /// Solves the current graph, warm-starting with the cached previous
     /// optimum when it is still valid. The result is cached for the next
-    /// call; repeated calls without modifications return it without
-    /// re-solving, stats included, with only `stats.index` refreshed.
+    /// call; repeated calls without modifications return it, stats
+    /// included, without re-solving.
     ///
     /// ```
     /// use mbb_core::incremental::IncrementalMbb;
@@ -153,13 +153,7 @@ impl IncrementalMbb {
         if !self.dirty {
             if let Some(cached) = &self.cached {
                 // Nothing changed: the cache is the optimum.
-                let mut result = cached.clone();
-                result.stats.index = self
-                    .engine
-                    .as_ref()
-                    .map(MbbEngine::index_stats)
-                    .unwrap_or_default();
-                return result;
+                return cached.clone();
             }
         }
         let incumbent = self.cached.take().map(|cached| cached.value);

@@ -48,7 +48,7 @@
 //! let mbb = engine.query().deadline(Duration::from_secs(10)).solve();
 //! assert!(mbb.termination.is_complete());
 //! assert_eq!(mbb.value.half_size(), 2);
-//! // Follow-up queries on the same session reuse the cached indices.
+//! // Follow-up queries run on the same session.
 //! let top2 = engine.topk(2);
 //! assert_eq!(top2.value[0].balanced_size(), 2);
 //! # Ok::<(), mbb_bigraph::graph::GraphError>(())

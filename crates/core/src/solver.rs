@@ -250,7 +250,8 @@ impl SolverConfig {
 /// Stage 2 reads the session's cached order, building it on first use,
 /// and restricts it to the Lemma 4-reduced residual rather than peeling
 /// the residual: vertex-centred decomposition is correct under any total
-/// order. A solve that stage 1 settles never builds the order.
+/// order. `stats.index` says whether this solve built the order or
+/// reused it. A solve that stage 1 settles never builds the order.
 ///
 /// # Panics
 ///
@@ -315,7 +316,8 @@ pub(crate) fn hbv_mbb(
     // The session order is read only now that stage 1 has failed to
     // settle the solve, and before the stage-2 timestamp, so a first
     // read's `preprocess.*` build stays out of `solve.bridge`.
-    let session_order = engine.order_index();
+    let (session_order, index) = engine.order_index();
+    stats.index = index;
     // mbb-lint: allow(hot-clock) per-stage timing, taken once per solve outside the search loops
     let stage2_start = Instant::now();
     let order = project_order(&session_order.rank, graph.num_left(), &reduced);

@@ -66,17 +66,17 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// Shared-index bookkeeping of an engine session: how often the cached
-/// search order was computed versus served from the session cache, plus
-/// the wall-clock cost of the computations. Everything is zero outside an
-/// engine session.
+/// How one query used its engine's cached search order: whether it built
+/// the order or was served from the cache, and the seconds the build
+/// took. Only a solve that reaches stage 2 reads the order; every other
+/// query reports zeros. The fields add up over queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IndexStats {
-    /// Search orders computed from scratch this session.
+    /// Search orders this query computed from scratch (0 or 1).
     pub orders_computed: u64,
-    /// Queries served from the cached search order.
+    /// Times this query was served from the cached order (0 or 1).
     pub orders_reused: u64,
-    /// Total seconds spent building cached indices this session.
+    /// Seconds this query spent building the order.
     pub preprocess_seconds: f64,
 }
 
@@ -113,8 +113,8 @@ pub struct SolveStats {
     pub max_subgraph_size: usize,
     /// Aggregated exhaustive-search counters (Figure 5's depth data).
     pub search: SearchStats,
-    /// Session index-reuse counters (cumulative over the owning
-    /// `MbbEngine`; all zero outside an engine session).
+    /// This solve's use of the engine's cached order (all zero unless the
+    /// solve reached stage 2).
     pub index: IndexStats,
 }
 

@@ -19,7 +19,6 @@ use mbb_conc::sync::RwLock;
 
 use mbb_bigraph::graph::BipartiteGraph;
 use mbb_core::engine::MbbEngine;
-use mbb_core::stats::IndexStats;
 use mbb_core::SolverConfig;
 
 use crate::request::QueryRequest;
@@ -94,8 +93,8 @@ impl Shard {
         Arc::clone(&self.engine.read())
     }
 
-    /// How many times this shard's engine has been swapped since
-    /// registration.
+    /// How many reloads this shard has seen since registration, counting
+    /// a reload of an identical graph that kept the session.
     pub fn reloads(&self) -> u64 {
         // relaxed: monotonic event counter read for reporting only; no
         // other memory is ordered against it.
@@ -186,7 +185,7 @@ impl ShardedFleet {
     }
 
     /// Registers an already-built engine session as a shard — the path
-    /// for pre-warmed engines or [`MbbEngine::fork`]s.
+    /// for pre-warmed engines.
     pub fn add_engine(
         &mut self,
         id: impl Into<String>,
@@ -210,10 +209,10 @@ impl ShardedFleet {
     /// slot is swapped atomically.
     ///
     /// When the loaded graph is byte-identical to the one already being
-    /// served (a reload of an unchanged source), the new session is a
-    /// [`MbbEngine::fork`] of the current one instead — the swap then
-    /// costs no index recomputation at all. The returned flag says which
-    /// path was taken (`true` = warm fork).
+    /// served (a reload of an unchanged source), the shard keeps its
+    /// current session instead — the reload then costs no index
+    /// recomputation at all. Either way the reload counts. The returned
+    /// flag says which path was taken (`true` = session kept).
     pub fn reload_shard_from_store(
         &self,
         id: &str,
@@ -226,20 +225,18 @@ impl ShardedFleet {
             message: e.to_string(),
         })?;
         let current = self.shards[index].engine();
-        let forked = *loaded.graph == *current.graph();
-        let engine = if forked {
-            current.fork()
-        } else {
-            MbbEngine::from_arc(loaded.graph.clone(), *current.config())
-        };
-        *self.shards[index].engine.write() = Arc::new(engine);
-        // relaxed: monotonic event counter; the swap itself synchronises
+        let kept = *loaded.graph == *current.graph();
+        if !kept {
+            let engine = MbbEngine::from_arc(loaded.graph.clone(), *current.config());
+            *self.shards[index].engine.write() = Arc::new(engine);
+        }
+        // relaxed: monotonic event counter; a swap itself synchronises
         // through the RwLock above.
         self.shards[index].reloads.fetch_add(1, Ordering::Relaxed);
-        Ok((loaded, forked))
+        Ok((loaded, kept))
     }
 
-    /// Total engine swaps across all shards since fleet construction.
+    /// Total reloads across all shards since fleet construction.
     pub fn total_reloads(&self) -> u64 {
         self.shards.iter().map(Shard::reloads).sum()
     }
@@ -300,16 +297,6 @@ impl ShardedFleet {
             Some(id) => self.route_id(id),
             None => self.route_key(&request.id.to_string()),
         }
-    }
-
-    /// Per-shard snapshot of the engines' cumulative index-reuse
-    /// counters, in shard order. Serve stats diff two snapshots to
-    /// attribute reuse to one serve run or batch.
-    pub fn index_stats(&self) -> Vec<IndexStats> {
-        self.shards
-            .iter()
-            .map(|s| s.engine().index_stats())
-            .collect()
     }
 }
 
@@ -432,10 +419,10 @@ mod tests {
         let held = fleet.engine(0); // a session in flight across the swap
 
         let store = mbb_store::GraphStore::new();
-        let (loaded, forked) = fleet
+        let (loaded, kept) = fleet
             .reload_shard_from_store("a", &store, path.to_str().unwrap())
             .unwrap();
-        assert!(!forked, "different graph must build a fresh session");
+        assert!(!kept, "different graph must build a fresh session");
         assert_eq!(loaded.graph.num_edges(), new_graph.num_edges());
         // The held session still serves the old graph; new fetches see
         // the new one.
@@ -444,16 +431,18 @@ mod tests {
         assert_eq!(fleet.shards()[0].reloads(), 1);
         assert_eq!(fleet.total_reloads(), 1);
 
-        // Reloading the unchanged source forks the warm session instead.
+        // Reloading the unchanged source keeps the warm session instead.
         let warm = fleet.engine(0);
         warm.solve(); // warm the order cache
-        let (_, forked) = fleet
+        let (_, kept) = fleet
             .reload_shard_from_store("a", &store, path.to_str().unwrap())
             .unwrap();
-        assert!(forked, "identical graph must fork the warm session");
+        assert!(kept, "identical graph must keep the warm session");
+        assert!(Arc::ptr_eq(&warm, &fleet.engine(0)));
+        assert_eq!(fleet.shards()[0].reloads(), 2);
         let again = fleet.engine(0).solve();
         assert_eq!(again.stats.index.orders_computed, 0);
-        assert!(again.stats.index.orders_reused >= 1);
+        assert_eq!(again.stats.index.orders_reused, 1);
 
         // Unknown shards and unloadable sources are typed errors.
         assert!(matches!(

@@ -60,11 +60,20 @@ pub fn parse_requests(text: &str) -> Result<Vec<QueryRequest>, ServeError> {
 /// Parses one request line. `line_no` (1-based) seeds error messages and
 /// the default `id` for requests that omit one.
 pub fn parse_request_line(line: &str, line_no: usize) -> Result<QueryRequest, ServeError> {
+    let value: Value = serde_json::from_str(line).map_err(|e| ServeError::BadRequest {
+        line: line_no,
+        message: format!("invalid JSON: {e}"),
+    })?;
+    request_from_value(&value, line_no)
+}
+
+/// The request a parsed line describes; `line_no` as for
+/// [`parse_request_line`].
+fn request_from_value(value: &Value, line_no: usize) -> Result<QueryRequest, ServeError> {
     let bad = |message: String| ServeError::BadRequest {
         line: line_no,
         message,
     };
-    let value: Value = serde_json::from_str(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
     if value.get("kind").is_none() {
         return Err(bad("missing \"kind\"".into()));
     }
@@ -214,7 +223,7 @@ pub fn parse_stream_line(line: &str, line_no: usize) -> Result<StreamLine, Serve
     };
     let value: Value = serde_json::from_str(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
     let Some(control) = value.get("control") else {
-        return Ok(StreamLine::Request(parse_request_line(line, line_no)?));
+        return request_from_value(&value, line_no).map(StreamLine::Request);
     };
     let verb = control
         .as_str()

@@ -42,9 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mbb_conc::sync::atomic::{AtomicBool, Ordering};
-use mbb_conc::sync::Mutex;
 use mbb_core::resolve_threads;
-use mbb_core::IndexStats;
 
 use crate::jsonl::encode_stream_event;
 use crate::mux::{ConnRegistry, Connection};
@@ -232,7 +230,6 @@ impl BoundFrontEnd {
     /// originating connection. Returns the final stats snapshot.
     pub fn serve(mut self) -> ServeStats {
         let admission = self.server.new_admission();
-        let baselines = self.server.baselines();
         let registry: ConnRegistry<Conn> = ConnRegistry::new();
         let workers = resolve_threads(self.server.config().workers);
         let tcp = self.tcp.take();
@@ -315,13 +312,12 @@ impl BoundFrontEnd {
                     admission.note_conn_opened();
                     let pump_conn = Arc::clone(&connection);
                     conn_threads.push(scope.spawn(move || pump_conn.pump()));
-                    let reader_refs = (&admission, &baselines, &registry, &stop, &deliver);
+                    let reader_refs = (&admission, &registry, &stop, &deliver);
                     conn_threads.push(scope.spawn(move || {
-                        let (admission, baselines, registry, stop, deliver) = reader_refs;
+                        let (admission, registry, stop, deliver) = reader_refs;
                         connection_loop(
                             server,
                             admission,
-                            baselines,
                             registry,
                             &connection,
                             stream,
@@ -348,7 +344,7 @@ impl BoundFrontEnd {
             admission.close();
         });
 
-        server.snapshot(&admission, &baselines).stats
+        server.snapshot(&admission).stats
     }
 }
 
@@ -367,11 +363,9 @@ impl Drop for BoundFrontEnd {
 /// split across arbitrarily small reads; a trailing line without a
 /// final newline is still processed at EOF. Returns after the
 /// connection is fully retired (deregistered + accounted).
-#[allow(clippy::too_many_arguments)]
 fn connection_loop(
     server: &StreamServer,
     admission: &Admission,
-    baselines: &Mutex<Vec<IndexStats>>,
     registry: &ConnRegistry<Conn>,
     connection: &Arc<Connection<Conn>>,
     mut stream: Conn,
@@ -407,7 +401,6 @@ fn connection_loop(
                         line_no,
                         server,
                         admission,
-                        baselines,
                         connection,
                         deliver,
                     );
@@ -433,9 +426,7 @@ fn connection_loop(
         // A final request line the client forgot to terminate still
         // counts — half-close flushes it.
         line_no += 1;
-        handle_line(
-            &pending, line_no, server, admission, baselines, connection, deliver,
-        );
+        handle_line(&pending, line_no, server, admission, connection, deliver);
     }
     if !abrupt {
         // Clean close: wait for every response this connection is owed
@@ -467,20 +458,13 @@ fn handle_line(
     line_no: usize,
     server: &StreamServer,
     admission: &Admission,
-    baselines: &Mutex<Vec<IndexStats>>,
     connection: &Arc<Connection<Conn>>,
     deliver: &(impl Fn(u64, StreamEvent) + Sync),
 ) {
     let line = String::from_utf8_lossy(raw);
-    server.process_line(
-        &line,
-        line_no,
-        connection.id(),
-        admission,
-        baselines,
-        deliver,
-        || connection.begin(),
-    );
+    server.process_line(&line, line_no, connection.id(), admission, deliver, || {
+        connection.begin()
+    });
 }
 
 // ---------------------------------------------------------------------

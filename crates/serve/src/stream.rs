@@ -52,7 +52,6 @@ use mbb_conc::sync::{Condvar, Mutex};
 
 use mbb_core::engine::MbbEngine;
 use mbb_core::resolve_threads;
-use mbb_core::IndexStats;
 use mbb_obs as obs;
 use mbb_store::GraphStore;
 use std::sync::Arc;
@@ -101,7 +100,7 @@ pub struct ReloadOutcome {
     /// Load provenance + timing, as rendered by `LoadedGraph::describe`.
     pub detail: String,
     /// True when the loaded graph was identical to the served one and the
-    /// warm session was forked instead of rebuilt.
+    /// shard kept its warm session instead of building a new one.
     pub forked: bool,
 }
 
@@ -182,17 +181,17 @@ pub struct ShardServeStats {
     pub shed: u64,
     /// Search nodes explored by this shard's executed requests.
     pub search_nodes: u64,
-    /// Cached-order reuse hits scored on this shard's current session
-    /// (reset by a reload — a fresh session starts counting from zero).
+    /// This run's executed requests on this shard that read a cached
+    /// search order instead of building it.
     pub index_reuse_hits: u64,
-    /// Engine swaps this shard has seen.
+    /// Reloads this shard has seen.
     pub reloads: u64,
 }
 
 /// Snapshot of one serve run's counters: the `stats` control verb, the
 /// final `--stats` line, and a [`BatchReport`] all carry this, built
-/// from the same sources (engine index counters, per-request
-/// queue-wait/service timings, search-node totals).
+/// from the same sources: the run's admission queue, which counts each
+/// request as it retires, and the fleet's reload counters.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Requests admitted to the queue (excludes rejects and sheds at
@@ -206,7 +205,7 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Input lines that failed to parse.
     pub parse_errors: u64,
-    /// Shard engine swaps performed.
+    /// Shard reloads performed.
     pub reloads: u64,
     /// Requests cancelled (queued or popped, never executed) because
     /// their originating connection disconnected.
@@ -228,11 +227,9 @@ pub struct ServeStats {
     pub max_queue_wait: Duration,
     /// Sum of per-request service times (the service histogram's sum).
     pub total_service: Duration,
-    /// The sum of the per-shard [`ShardServeStats::index_reuse_hits`]:
-    /// each shard counts from server start (for
-    /// [`StreamServer::run_batch`], from the start of the call) or from
-    /// its last reload, whichever is later. A reload drops its shard's
-    /// share to zero, so this total can fall.
+    /// The run's executed requests that read a cached search order: the
+    /// sum of the per-shard [`ShardServeStats::index_reuse_hits`]. Only
+    /// this run's requests count, and the total never falls.
     pub index_reuse_hits: u64,
     /// Per-shard breakdown, in fleet shard order.
     pub per_shard: Vec<ShardServeStats>,
@@ -273,7 +270,7 @@ pub struct MetricsReport {
 /// // Both solves reach stage 2, where the first builds the session's
 /// // order and the second reuses it: that is the amortisation a batch
 /// // buys, and the report shows it.
-/// assert!(report.stats.index_reuse_hits >= 1);
+/// assert_eq!(report.stats.index_reuse_hits, 1);
 /// assert_eq!(report.stats.per_shard[0].served, 2);
 /// assert_eq!(report.stats.rejected, 0);
 /// # Ok::<(), mbb_serve::ServeError>(())
@@ -286,7 +283,6 @@ pub struct BatchReport {
     /// execution).
     pub events: Vec<StreamEvent>,
     /// The batch's counters, exactly as the `stats` verb reports them.
-    /// Index-reuse hits count from the start of this call.
     pub stats: ServeStats,
 }
 
@@ -457,7 +453,8 @@ struct QueueState {
     closed_conns: u64,
     disconnects: u64,
     max_depth: usize,
-    served: Vec<(u64, u64, u64)>, // per shard: (served, shed, search nodes)
+    /// Per shard: (served, shed, search nodes, order reuses).
+    served: Vec<(u64, u64, u64, u64)>,
 }
 
 /// How a popped job retired — applied to the queue counters by
@@ -480,6 +477,9 @@ pub enum Completion {
         shard: usize,
         /// Search nodes the solver explored.
         search_nodes: u64,
+        /// The response's `stats.index.orders_reused`: 1 when it read a
+        /// cached search order.
+        orders_reused: u64,
         /// Admission-to-dispatch wait.
         queue_wait: Duration,
         /// Dispatch-to-response time.
@@ -564,7 +564,7 @@ impl Admission {
                 closed_conns: 0,
                 disconnects: 0,
                 max_depth: 0,
-                served: vec![(0, 0, 0); shards],
+                served: vec![(0, 0, 0, 0); shards],
             }),
             space: Condvar::new(),
             work: Condvar::new(),
@@ -671,12 +671,14 @@ impl Admission {
             Completion::Executed {
                 shard,
                 search_nodes,
+                orders_reused,
                 queue_wait,
                 service,
             } => {
                 state.completed += 1;
                 state.served[shard].0 += 1;
                 state.served[shard].2 += search_nodes;
+                state.served[shard].3 += orders_reused;
                 self.hist_queue_wait.record_duration(queue_wait);
                 self.hist_service.record_duration(service);
             }
@@ -887,8 +889,8 @@ impl StreamServer {
     ) -> ServeStats {
         // Local mode: one implicit connection.
         let conn_sink = |_conn: u64, event: StreamEvent| sink(event);
-        let stats = self.run_queue(&conn_sink, |admission, baselines| {
-            self.reader_loop(input, admission, baselines, &conn_sink)
+        let stats = self.run_queue(&conn_sink, |admission| {
+            self.reader_loop(input, admission, &conn_sink)
         });
         if self.config.stats_on_exit {
             sink(StreamEvent::Stats(stats.clone()));
@@ -934,7 +936,7 @@ impl StreamServer {
                 *slot = Some(event);
             }
         };
-        let stats = self.run_queue(&sink, |admission, _| {
+        let stats = self.run_queue(&sink, |admission| {
             for (position, request) in requests.into_iter().enumerate() {
                 self.admit(request, position as u64, admission, &sink);
             }
@@ -954,32 +956,25 @@ impl StreamServer {
     fn run_queue(
         &self,
         sink: &(impl Fn(u64, StreamEvent) + Sync),
-        feed: impl FnOnce(&Admission, &Mutex<Vec<IndexStats>>),
+        feed: impl FnOnce(&Admission),
     ) -> ServeStats {
         let admission = self.new_admission();
-        let baselines = self.baselines();
         let workers = resolve_threads(self.config.workers);
         let alive = |_conn: u64| true;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| worker_loop(&admission, sink, &alive));
             }
-            feed(&admission, &baselines);
+            feed(&admission);
             admission.close();
             // Scope exit joins the workers: they drain the queue first.
         });
-        self.snapshot(&admission, &baselines).stats
+        self.snapshot(&admission).stats
     }
 
     /// The admission queue a serve loop (stdin or socket) runs over.
     pub(crate) fn new_admission(&self) -> Admission {
         Admission::new(self.fleet.len(), &self.config)
-    }
-
-    /// Index-reuse baseline per shard; refreshed on reload because a
-    /// swapped session restarts its counters at zero.
-    pub(crate) fn baselines(&self) -> Mutex<Vec<IndexStats>> {
-        Mutex::new(self.fleet.index_stats())
     }
 
     /// The admission thread: parses lines, routes/validates/sheds, and
@@ -989,7 +984,6 @@ impl StreamServer {
         &self,
         input: R,
         admission: &Admission,
-        baselines: &Mutex<Vec<IndexStats>>,
         sink: &(impl Fn(u64, StreamEvent) + Sync),
     ) {
         for (index, raw) in input.split(b'\n').enumerate() {
@@ -1004,7 +998,6 @@ impl StreamServer {
                 line_no,
                 crate::mux::LOCAL_CONN,
                 admission,
-                baselines,
                 sink,
                 || {},
             );
@@ -1018,14 +1011,12 @@ impl StreamServer {
     /// before any synchronous rejection/shed event) — the socket reader
     /// uses it to open the connection's outstanding-event bracket
     /// race-free.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_line(
         &self,
         line: &str,
         line_no: usize,
         conn: u64,
         admission: &Admission,
-        baselines: &Mutex<Vec<IndexStats>>,
         sink: &(impl Fn(u64, StreamEvent) + Sync),
         on_request: impl FnOnce(),
     ) {
@@ -1049,9 +1040,7 @@ impl StreamServer {
                     },
                 );
             }
-            Ok(StreamLine::Control(control)) => {
-                self.handle_control(control, conn, admission, baselines, sink)
-            }
+            Ok(StreamLine::Control(control)) => self.handle_control(control, conn, admission, sink),
             Ok(StreamLine::Request(request)) => {
                 on_request();
                 self.admit(request, conn, admission, sink)
@@ -1130,16 +1119,15 @@ impl StreamServer {
         control: ControlRequest,
         conn: u64,
         admission: &Admission,
-        baselines: &Mutex<Vec<IndexStats>>,
         sink: &(impl Fn(u64, StreamEvent) + Sync),
     ) {
         match control {
             ControlRequest::Stats => {
-                let stats = self.snapshot(admission, baselines).stats;
+                let stats = self.snapshot(admission).stats;
                 sink(conn, StreamEvent::Stats(stats));
             }
             ControlRequest::Metrics => {
-                let report = self.snapshot(admission, baselines);
+                let report = self.snapshot(admission);
                 sink(conn, StreamEvent::Metrics(Box::new(report)));
             }
             ControlRequest::Drain => {
@@ -1150,16 +1138,9 @@ impl StreamServer {
                 let result = self
                     .fleet
                     .reload_shard_from_store(&graph, &self.store, &source)
-                    .map(|(loaded, forked)| {
-                        if let Ok(index) = self.fleet.route_id(&graph) {
-                            // The new session counts from zero; reset its
-                            // reuse baseline so diffs stay meaningful.
-                            baselines.lock()[index] = IndexStats::default();
-                        }
-                        ReloadOutcome {
-                            detail: loaded.describe(),
-                            forked,
-                        }
+                    .map(|(loaded, forked)| ReloadOutcome {
+                        detail: loaded.describe(),
+                        forked,
                     })
                     .map_err(|e| e.to_string());
                 sink(conn, StreamEvent::ReloadAck { graph, result });
@@ -1170,16 +1151,9 @@ impl StreamServer {
     /// The counters of a `stats` answer with the two latency histograms
     /// of a `metrics` answer, all read under one admission lock, so the
     /// histograms count exactly the completed requests.
-    pub(crate) fn snapshot(
-        &self,
-        admission: &Admission,
-        baselines: &Mutex<Vec<IndexStats>>,
-    ) -> MetricsReport {
-        // Lock-order contract (docs/lock_order.txt): shard engine
-        // RwLocks strictly before the admission-queue mutex. All
-        // fleet reads — `index_stats` takes each shard's engine read
-        // lock — happen up front, before `admission.state` is held.
-        let after = self.fleet.index_stats();
+    pub(crate) fn snapshot(&self, admission: &Admission) -> MetricsReport {
+        // The fleet reads here are atomic reload counters; no engine lock
+        // is taken, so none can nest inside `admission.state`.
         let total_reloads = self.fleet.total_reloads();
         let shard_meta: Vec<(String, u64)> = self
             .fleet
@@ -1191,19 +1165,19 @@ impl StreamServer {
         // Read under the state lock: `finish` records under it too.
         let queue_wait = admission.hist_queue_wait.snapshot();
         let service = admission.hist_service.snapshot();
-        let baselines = baselines.lock();
         let per_shard: Vec<ShardServeStats> = shard_meta
             .into_iter()
-            .zip(baselines.iter().zip(&after))
             .zip(&state.served)
             .map(
-                |(((shard_id, reloads), (b, a)), &(served, shed, search_nodes))| ShardServeStats {
-                    shard: shard_id,
-                    served,
-                    shed,
-                    search_nodes,
-                    index_reuse_hits: a.orders_reused.saturating_sub(b.orders_reused),
-                    reloads,
+                |((shard, reloads), &(served, shed, search_nodes, index_reuse_hits))| {
+                    ShardServeStats {
+                        shard,
+                        served,
+                        shed,
+                        search_nodes,
+                        index_reuse_hits,
+                        reloads,
+                    }
                 },
             )
             .collect();
@@ -1299,6 +1273,7 @@ pub fn worker_loop(
         let shard = job.shard;
         let conn = job.conn;
         let search_nodes = response.search_nodes();
+        let orders_reused = response.stats.index.orders_reused;
         let service = response.service;
         // The context outlives the sink call so the encode span (taken
         // inside wire-encoding sinks) inherits the ids too.
@@ -1307,6 +1282,7 @@ pub fn worker_loop(
         admission.finish(Completion::Executed {
             shard,
             search_nodes,
+            orders_reused,
             queue_wait,
             service,
         });
@@ -1674,7 +1650,6 @@ not json\n\
     fn metrics_answer_taken_mid_run_agrees_with_itself() {
         let server = batch_server(small_fleet(), 2);
         let admission = server.new_admission();
-        let baselines = server.baselines();
         let reports = Mutex::new(Vec::new());
         let sink = |_conn: u64, event: StreamEvent| {
             if let StreamEvent::Metrics(report) = event {
@@ -1693,7 +1668,7 @@ not json\n\
                 admission.close();
             });
             for _ in 0..300 {
-                server.handle_control(ControlRequest::Metrics, 0, &admission, &baselines, &sink);
+                server.handle_control(ControlRequest::Metrics, 0, &admission, &sink);
             }
         });
         let reports = reports.into_inner();
@@ -1733,8 +1708,10 @@ not json\n\
             response(&first.events[0]).outcome.headline_size(),
             response(&second.events[0]).outcome.headline_size()
         );
-        // The second batch reused the indices the first one built.
-        assert!(second.stats.index_reuse_hits >= 1);
+        // Each batch counts only its own requests: the first built the
+        // order, the second reused it.
+        assert_eq!(first.stats.index_reuse_hits, 0);
+        assert_eq!(second.stats.index_reuse_hits, 1);
     }
 
     #[test]

@@ -280,6 +280,7 @@ fn drain_waits_for_in_flight_work() {
                     admission.finish(Completion::Executed {
                         shard: job.shard(),
                         search_nodes: 0,
+                        orders_reused: 0,
                         queue_wait: Duration::ZERO,
                         service: Duration::ZERO,
                     });

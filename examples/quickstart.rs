@@ -1,6 +1,6 @@
 //! Quickstart: build a bipartite graph, open an engine session, and ask
 //! for its maximum balanced biclique (plus a couple of sibling queries —
-//! the point of the session API is that they share the cached indices).
+//! the point of the session API is that they share one session).
 //!
 //! ```text
 //! cargo run -p mbb-examples --release --example quickstart
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("graph: {graph:?}");
 
-    // One session per graph; every query below shares its cached indices.
+    // One session per graph; every query below runs on it.
     let engine = MbbEngine::new(graph);
 
     // The full builder: deadline, threads, then the query kind.
@@ -80,12 +80,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("feasible size frontier: {:?}", frontier.value.pairs);
     assert_eq!(frontier.value.mbb_half(), 2);
 
-    // Stage 1 proves this optimum, so the session never built its search
-    // order: the peel is paid only by solves that reach stage 2, once per
-    // session. The index-reuse counters show it.
-    let index = engine.index_stats();
+    // Stage 1 proves this optimum, so the solve never built the session's
+    // search order: the peel is paid only by solves that reach stage 2,
+    // once per session. The solve's own index stats show it.
+    let index = result.stats.index;
     println!(
-        "session indices: {} order(s) computed, {} reuse(s), {:.1}ms preprocessing",
+        "search order: {} build(s), {} reuse(s), {:.1}ms preprocessing",
         index.orders_computed,
         index.orders_reused,
         index.preprocess_seconds * 1e3

@@ -99,10 +99,19 @@ fn main() {
         ControlFlow::Continue(())
     });
 
-    // The whole session computed its shared indices at most once.
-    let index = engine.index_stats();
+    // --- Cross-check: the exact maximum balanced biclique. ---
+    // Its half-size is the best balanced size top-k found. Only a solve
+    // reads the session's search order, and only once it reaches stage 2;
+    // its own index stats say whether it built the order.
+    let solved = engine.solve();
+    assert!(solved.termination.is_complete());
+    assert_eq!(solved.value.half_size(), top.value[0].balanced_size());
+    let index = solved.stats.index;
     println!(
-        "\nsession: {} order build(s), {} reuse(s)",
-        index.orders_computed, index.orders_reused
+        "\nmaximum balanced biclique: {0} x {0} (stage {1}; {2} order build(s), {3} reuse(s))",
+        solved.value.half_size(),
+        solved.stats.stage,
+        index.orders_computed,
+        index.orders_reused
     );
 }

@@ -432,10 +432,11 @@ fn reload_while_in_flight_drops_nothing_and_splits_old_from_new() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `index_reuse_hits` counts each shard from its last reload, not from
-/// server start: a reload starts a fresh session, so the total falls.
+/// `index_reuse_hits` counts the run's solves that read a cached order. A
+/// reload of an identical graph keeps the shard's session, so the count
+/// goes on rising across it.
 #[test]
-fn reload_drops_its_shards_reuse_hits() {
+fn identical_reload_keeps_the_session_and_its_reuse_hits() {
     let dir = std::env::temp_dir().join(format!("mbb-serve-stream-reuse-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     // Its solve reaches stage 2, so a second solve reuses the order the
@@ -454,6 +455,7 @@ fn reload_drops_its_shards_reuse_hits() {
         },
     )
     .with_store(mbb_store::GraphStore::new());
+    let session = server.fleet().engine(0);
 
     let solve = |id| encode_request(&QueryRequest::new(id, QueryKind::Solve).on_graph("g")) + "\n";
     let stats = "{\"control\": \"drain\"}\n{\"control\": \"stats\"}\n";
@@ -467,20 +469,60 @@ fn reload_drops_its_shards_reuse_hits() {
 
     let events = Mutex::new(Vec::new());
     server.serve_with(input.as_bytes(), |e| events.lock().unwrap().push(e));
+    let events = events.into_inner().unwrap();
     let hits: Vec<u64> = events
-        .into_inner()
-        .unwrap()
         .iter()
         .filter_map(|e| match e {
             StreamEvent::Stats(s) => Some(s.index_reuse_hits),
             _ => None,
         })
         .collect();
-    // Solve 2 reuses solve 1's order. The reload drops the shard's count
-    // to zero. The reloaded graph is identical, so the new session is a
-    // fork that starts with the order built: solves 3 and 4 both reuse it.
-    assert_eq!(hits, [1, 0, 2]);
+    // Solve 2 reuses solve 1's order. The reload keeps the session, order
+    // and all, so solves 3 and 4 reuse it too.
+    assert_eq!(hits, [1, 1, 3]);
+    assert!(events.iter().any(|e| matches!(
+        e,
+        StreamEvent::ReloadAck { result: Ok(outcome), .. } if outcome.forked
+    )));
+    assert!(std::sync::Arc::ptr_eq(&session, &server.fleet().engine(0)));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run counts only its own requests: solves made directly on the fleet
+/// while the run is open do not reach its `index_reuse_hits`.
+#[test]
+fn direct_solves_during_a_run_do_not_count_as_its_reuse() {
+    let mut fleet = ShardedFleet::new();
+    fleet
+        .add_shard("g", generators::uniform_edges(15, 15, 70, 8))
+        .unwrap();
+    let server = StreamServer::new(fleet, StreamConfig::default());
+    // Warm the shard: this solve reaches stage 2 and builds the order.
+    let warm = server.fleet().engine(0).solve();
+    assert_eq!(warm.stats.index.orders_computed, 1);
+
+    let anchored = encode_request(
+        &QueryRequest::new(
+            1,
+            QueryKind::Anchored {
+                vertex: Vertex::left(0),
+            },
+        )
+        .on_graph("g"),
+    ) + "\n";
+    let direct = Mutex::new(0);
+    let stats = server.serve_with(anchored.as_bytes(), |event| {
+        if matches!(event, StreamEvent::Response(_)) {
+            for _ in 0..3 {
+                let solved = server.fleet().engine(0).solve();
+                *direct.lock().unwrap() += solved.stats.index.orders_reused;
+            }
+        }
+    });
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.index_reuse_hits, 0);
+    assert_eq!(stats.per_shard[0].index_reuse_hits, 0);
+    assert_eq!(*direct.lock().unwrap(), 3, "the direct solves did reuse");
 }
 
 /// `{"control": "metrics"}` round trip: after a drain, the metrics
