@@ -213,6 +213,20 @@ impl BitSet {
         self.len
     }
 
+    /// Sets `self` to `(⋃ sets) ∩ mask`: ORs each set in word by word and
+    /// counts once, in the closing AND pass.
+    pub fn assign_union_in<B: Bits>(&mut self, sets: impl IntoIterator<Item = B>, mask: &BitSet) {
+        debug_assert_eq!(self.capacity, mask.capacity);
+        self.words.fill(0);
+        for set in sets {
+            debug_assert_eq!(self.capacity, set.bit_capacity());
+            for (word, &other) in self.words.iter_mut().zip(set.words()) {
+                *word |= other;
+            }
+        }
+        self.len = kernels::and_assign_count(&mut self.words, &mask.words);
+    }
+
     /// `|self ∩ other|` without materialising the intersection.
     #[inline]
     pub fn intersection_len<B: Bits + ?Sized>(&self, other: &B) -> usize {
@@ -545,6 +559,22 @@ mod tests {
         assert_eq!(s.len(), 2);
         s.remove_by_word(|_, word| word);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn assign_union_in_ors_the_sets_and_masks_once() {
+        let a: BitSet = [1usize, 64, 129].into_iter().collect();
+        let mut b = BitSet::new(130);
+        b.insert(2);
+        b.insert(64);
+        let mut mask = BitSet::full(130);
+        mask.remove(129);
+        let mut out = BitSet::full(130);
+        out.assign_union_in([a, b], &mask);
+        assert_eq!(out.to_vec(), vec![1, 2, 64]);
+        assert_eq!(out.len(), 3);
+        out.assign_union_in(std::iter::empty::<BitSet>(), &mask);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! CSR [`BipartiteGraph`], [`local_core_decomposition`] the bitset rows of
 //! a [`LocalGraph`] (bridging's centred subgraphs).
 
+use crate::bitset::BitSet;
 use crate::graph::BipartiteGraph;
 use crate::local::LocalGraph;
 
@@ -27,20 +28,33 @@ pub struct CoreDecomposition {
 }
 
 /// How the bucket peel reads a graph: its side sizes, each global id's
-/// degree, and its neighbours. Implemented by the CSR [`BipartiteGraph`]
-/// and the bitset [`LocalGraph`], so both run the one peel body; both list
-/// neighbours in ascending order, so both give the same peel order too.
+/// degree, and the neighbours of the vertex it removes. Implemented by the
+/// CSR [`BipartiteGraph`] and the bitset [`LocalGraph`], so both run the
+/// one peel body; both list neighbours in ascending order, so both give
+/// the same peel order too.
+///
+/// A source may skip the neighbours the peel has already removed: a
+/// removed vertex's degree is at most that of every vertex removed after
+/// it, so the peel would leave it alone anyway. The bitset rows skip them
+/// with one AND a word; the CSR walk visits every neighbour.
 trait PeelSource {
+    /// What the source keeps of the vertices not yet removed.
+    type Live;
     /// `(|L|, |R|)`.
     fn sides(&self) -> (usize, usize);
     /// Degree of global id `g`.
     fn degree_of(&self, g: usize) -> usize;
-    /// Calls `visit` with the other-side index of each neighbour of global
-    /// id `g`, ascending.
-    fn for_each_neighbor(&self, g: usize, visit: impl FnMut(usize));
+    /// Every vertex, before the peel removes any.
+    fn live(&self) -> Self::Live;
+    /// Removes global id `g` from `live`, then calls `visit` with the
+    /// other-side index of each of its neighbours, ascending; a source may
+    /// skip the neighbours `live` no longer holds.
+    fn remove(&self, live: &mut Self::Live, g: usize, visit: impl FnMut(usize));
 }
 
 impl PeelSource for BipartiteGraph {
+    type Live = ();
+
     #[inline]
     fn sides(&self) -> (usize, usize) {
         (self.num_left(), self.num_right())
@@ -52,7 +66,10 @@ impl PeelSource for BipartiteGraph {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, g: usize, mut visit: impl FnMut(usize)) {
+    fn live(&self) {}
+
+    #[inline]
+    fn remove(&self, _: &mut (), g: usize, mut visit: impl FnMut(usize)) {
         for &w in self.neighbors(self.vertex_of_global(g)) {
             visit(w as usize);
         }
@@ -60,6 +77,9 @@ impl PeelSource for BipartiteGraph {
 }
 
 impl PeelSource for LocalGraph {
+    /// The live vertices of each side, left then right.
+    type Live = [BitSet; 2];
+
     #[inline]
     fn sides(&self) -> (usize, usize) {
         (self.num_left(), self.num_right())
@@ -70,9 +90,19 @@ impl PeelSource for LocalGraph {
         self.row(g).len()
     }
 
+    fn live(&self) -> [BitSet; 2] {
+        [
+            BitSet::full(self.num_left()),
+            BitSet::full(self.num_right()),
+        ]
+    }
+
     #[inline]
-    fn for_each_neighbor(&self, g: usize, mut visit: impl FnMut(usize)) {
-        for w in self.row(g).iter() {
+    fn remove(&self, live: &mut [BitSet; 2], g: usize, mut visit: impl FnMut(usize)) {
+        let nl = self.num_left();
+        let (own, other, index) = if g < nl { (0, 1, g) } else { (1, 0, g - nl) };
+        live[own].remove(index);
+        for w in live[other].iter_and(&self.row(g)) {
             visit(w);
         }
     }
@@ -84,9 +114,9 @@ pub fn core_decomposition(graph: &BipartiteGraph) -> CoreDecomposition {
 }
 
 /// [`core_decomposition`] of a bitset [`LocalGraph`], in the same global
-/// ids (left `0..nl`, then right). The peel reads each row's bits, so it
-/// costs `O(n · n/64 + m)`; bridging peels its centred subgraphs this
-/// way.
+/// ids (left `0..nl`, then right). The peel reads each row's bits that
+/// are still live, so it costs `O(n · n/64 + m)`; bridging peels its
+/// centred subgraphs this way.
 pub fn local_core_decomposition(graph: &LocalGraph) -> CoreDecomposition {
     peel(graph)
 }
@@ -132,6 +162,7 @@ fn peel(graph: &impl PeelSource) -> CoreDecomposition {
 
     let mut core = vec![0u32; n];
     let mut degeneracy = 0u32;
+    let mut live = graph.live();
     for i in 0..n {
         let v = vert[i] as usize;
         let dv = degree[v];
@@ -140,7 +171,7 @@ fn peel(graph: &impl PeelSource) -> CoreDecomposition {
         // A left vertex's neighbours are right indices, whose global ids
         // start at `nl`.
         let base = if v < nl { nl } else { 0 };
-        graph.for_each_neighbor(v, |w| {
+        graph.remove(&mut live, v, |w| {
             let w = base + w;
             if degree[w] > dv {
                 // Swap w with the first vertex of its degree bucket, then

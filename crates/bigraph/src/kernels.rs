@@ -14,6 +14,7 @@
 //! | [`and_popcount_rows`] | one intersect + count per member row | `denseMBB` side recounts |
 //! | [`and_assign_count`] | in-place intersect + count | candidate inclusion |
 //! | [`first_and`] | intersect + scan, prefix-pruned | survivor row scans |
+//! | [`gather_bits`] | mask + pack, one `pext` per word | `LocalGraph::restrict` (bridging, verification) |
 //!
 //! # One implementation
 //!
@@ -25,6 +26,16 @@
 //! that choice. This is a platform selection, not a second backend: the
 //! portable copy is the only path on CPUs without POPCNT, and both run the
 //! same source.
+//!
+//! [`gather_bits`] is the same kind of choice. Its one body takes its
+//! per-word step as an argument: BMI2's `pext`, which packs a word's masked
+//! bits in one instruction, on CPUs that have BMI2 (detected once, like
+//! POPCNT), and a loop over the masked bits elsewhere
+//! ([`gather_bits_portable`]). Bridging and verification rest on it: with
+//! the portable step, gathering a centred subgraph's rows cost more than
+//! inducing it from the CSR did. AMD Zen 1 and Zen 2 report BMI2 but run
+//! `pext` in microcode, tens of cycles a word; the gather has not been
+//! measured on them.
 //!
 //! Why one: these blocked loops beat the plain iterator loops (AND +
 //! popcount at 64 words: 57 → 34 ns), and no SSE2/AVX2 path ever made a
@@ -47,6 +58,16 @@ fn has_popcnt() -> bool {
     use std::sync::OnceLock;
     static HAS: OnceLock<bool> = OnceLock::new();
     *HAS.get_or_init(|| is_x86_feature_detected!("popcnt"))
+}
+
+/// True when the CPU offers BMI2 `pext` (and POPCNT, which every BMI2
+/// CPU has); cached after the first query.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_bmi2() -> bool {
+    use std::sync::OnceLock;
+    static HAS: OnceLock<bool> = OnceLock::new();
+    *HAS.get_or_init(|| is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("popcnt"))
 }
 
 /// Four-chain unrolled popcount over `words` — the shared count tail
@@ -197,6 +218,82 @@ pub fn first_and(a: &[u64], b: &[u64]) -> Option<usize> {
         }
     }
     None
+}
+
+/// The body of [`gather_bits`], with `pext(word, mask)` as its per-word
+/// step: each word's masked bits are packed to the low end and appended
+/// to `out` at the next free bit.
+#[inline(always)]
+fn gather_with(row: &[u64], mask: &[u64], out: &mut [u64], pext: impl Fn(u64, u64) -> u64) {
+    debug_assert_eq!(row.len(), mask.len());
+    // `pending` holds the packed bits not yet stored, `filled` of them
+    // (always fewer than 64).
+    let (mut pending, mut filled, mut next) = (0u64, 0u32, 0usize);
+    for (&word, &m) in row.iter().zip(mask) {
+        let bits = pext(word, m);
+        pending |= bits << filled;
+        let total = filled + m.count_ones();
+        if total >= 64 {
+            out[next] = pending;
+            next += 1;
+            // The bits that did not fit; none when `pending` was empty.
+            pending = if filled == 0 {
+                0
+            } else {
+                bits >> (64 - filled)
+            };
+            filled = total - 64;
+        } else {
+            filled = total;
+        }
+    }
+    if filled > 0 {
+        out[next] = pending;
+        next += 1;
+    }
+    out[next..].fill(0);
+}
+
+/// Packs the bits of `row` at the positions `mask` selects: bit `i` of
+/// `out` is the bit of `row` at the `i`-th set bit of `mask`. `out` needs
+/// `popcount(mask).div_ceil(64)` words; any beyond those are zeroed. One
+/// call gathers a row of a bitset graph into the subgraph a mask induces.
+pub fn gather_bits(row: &[u64], mask: &[u64], out: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// The body with BMI2 `pext` as its step; call it only after
+        /// `has_bmi2` returned true.
+        #[target_feature(enable = "bmi2,popcnt")]
+        fn hardware(row: &[u64], mask: &[u64], out: &mut [u64]) {
+            // The closure inherits `hardware`'s target features, so the
+            // intrinsic is safe to call in it.
+            gather_with(row, mask, out, |word, m| {
+                std::arch::x86_64::_pext_u64(word, m)
+            })
+        }
+
+        if has_bmi2() {
+            // SAFETY: `has_bmi2` verified the CPU features.
+            return unsafe { hardware(row, mask, out) };
+        }
+    }
+    gather_bits_portable(row, mask, out)
+}
+
+/// [`gather_bits`] with the portable per-word step, which visits the
+/// word's masked set bits one by one: the body that CPUs without BMI2
+/// run, public so that the oracle suite checks it on CPUs that have it.
+pub fn gather_bits_portable(row: &[u64], mask: &[u64], out: &mut [u64]) {
+    gather_with(row, mask, out, |word, m| {
+        let (mut bits, mut packed) = (word & m, 0u64);
+        while bits != 0 {
+            let low = bits & bits.wrapping_neg();
+            // A set bit lands at its rank among the mask's bits.
+            packed |= 1 << (m & (low - 1)).count_ones();
+            bits ^= low;
+        }
+        packed
+    })
 }
 
 #[cfg(test)]

@@ -10,6 +10,13 @@
 //! ([`crate::core_decomp::local_core_decomposition`]) and its local greedy
 //! on the rows.
 //!
+//! A dense enough graph is copied to rows once, whole
+//! ([`LocalGraph::from_graph`]); every subgraph is then cut from that copy
+//! by two masks ([`LocalGraph::restrict`]), each row packed by one
+//! [`kernels::gather_bits`] call, without a walk of any adjacency list.
+//! Bridging and verification cut their centred subgraphs from the Lemma 4
+//! residual this way.
+//!
 //! # Cache-blocked layout
 //!
 //! Adjacency rows are stored in one contiguous arena per side
@@ -67,6 +74,38 @@ impl RowArena {
             row_capacity,
             rows,
         }
+    }
+
+    /// The arena of a CSR side: row `i` holds `neighbors(i)`.
+    fn from_csr<'g>(
+        rows: usize,
+        row_capacity: usize,
+        neighbors: impl Fn(u32) -> &'g [u32],
+    ) -> RowArena {
+        let mut arena = RowArena::new(rows, row_capacity);
+        for i in 0..rows {
+            for &bit in neighbors(i as u32) {
+                arena.insert(i, bit as usize);
+            }
+        }
+        arena
+    }
+
+    /// The rows in `rows`, each packed to the bits in `columns`: row `i`
+    /// of the result is the `i`-th member of `rows`, and its bit `j` the
+    /// `j`-th member of `columns`. One [`kernels::gather_bits`] call a
+    /// row.
+    fn gather(&self, rows: &BitSet, columns: &BitSet) -> RowArena {
+        debug_assert_eq!(rows.capacity(), self.rows);
+        debug_assert_eq!(columns.capacity(), self.row_capacity);
+        let mut out = RowArena::new(rows.len(), columns.len());
+        if out.words_per_row > 0 {
+            let packed = out.words.chunks_exact_mut(out.words_per_row);
+            for (row, i) in packed.zip(rows.iter()) {
+                kernels::gather_bits(self.row(i), columns.words(), row);
+            }
+        }
+        out
     }
 
     #[inline]
@@ -210,6 +249,28 @@ impl LocalGraph {
             }
         }
         local
+    }
+
+    /// The whole of `graph` as bitset rows, each side's arena filled from
+    /// its own CSR rows. Local ids are `graph`'s ids.
+    pub fn from_graph(graph: &BipartiteGraph) -> LocalGraph {
+        let (nl, nr) = (graph.num_left(), graph.num_right());
+        LocalGraph {
+            left_adj: RowArena::from_csr(nl, nr, |u| graph.neighbors_left(u)),
+            right_adj: RowArena::from_csr(nr, nl, |v| graph.neighbors_right(v)),
+        }
+    }
+
+    /// The subgraph induced by the left vertices in `left` and the right
+    /// vertices in `right`. Local index `i` on each side is the `i`-th
+    /// member of its mask, as in [`LocalGraph::induced`] with the masks'
+    /// members as the id lists. Each row is packed from this graph's row
+    /// by [`kernels::gather_bits`], without a walk of any adjacency list.
+    pub fn restrict(&self, left: &BitSet, right: &BitSet) -> LocalGraph {
+        LocalGraph {
+            left_adj: self.left_adj.gather(left, right),
+            right_adj: self.right_adj.gather(right, left),
+        }
     }
 
     /// Adds an edge between left `u` and right `v`.
@@ -378,6 +439,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn restrict_of_the_whole_graph_is_the_induced_subgraph() {
+        let big = generators::uniform_edges(70, 130, 2000, 5);
+        let rows = LocalGraph::from_graph(&big);
+        let left_ids = [0u32, 3, 63, 64, 65, 69];
+        let right_ids: Vec<u32> = (0..130).filter(|v| v % 3 != 1).collect();
+        let mask = |ids: &[u32], capacity| {
+            let mut mask = BitSet::new(capacity);
+            ids.iter().for_each(|&i| mask.insert(i as usize));
+            mask
+        };
+        let cut = rows.restrict(&mask(&left_ids, 70), &mask(&right_ids, 130));
+        let induced = LocalGraph::induced(&big, &left_ids, &right_ids);
+        for u in 0..left_ids.len() as u32 {
+            assert_eq!(cut.left_row(u).words, induced.left_row(u).words, "L{u}");
+        }
+        for v in 0..right_ids.len() as u32 {
+            assert_eq!(cut.right_row(v).words, induced.right_row(v).words, "R{v}");
+        }
+        // An empty side leaves rows of no words.
+        let none = rows.restrict(&mask(&left_ids, 70), &BitSet::new(130));
+        assert_eq!((none.num_left(), none.num_right()), (6, 0));
+        assert_eq!(none.num_edges(), 0);
     }
 
     #[test]

@@ -238,6 +238,49 @@ proptest! {
         }
     }
 
+    // `restrict` of the whole graph's rows gathers, row for row, the
+    // subgraph `LocalGraph::induced` builds from the CSR for the masks'
+    // members. Sides of up to 200 vertices give rows of up to four words
+    // with ragged tails.
+    #[test]
+    fn restrict_of_the_whole_rows_is_the_csr_induce(
+        sides in (1..=200u32, 1..=200u32),
+        percents in (0..=100u64, 0..=100u64, 0..=100u64),
+        seed in 0..1_000_000u64,
+    ) {
+        let ((nl, nr), (density, keep_left, keep_right)) = (sides, percents);
+        let g = generators::dense_uniform(nl, nr, density as f64 / 100.0, seed);
+        let mut pick = seed | 1;
+        let mut kept = |n: u32, pct: u64| -> Vec<u32> {
+            (0..n)
+                .filter(|_| {
+                    pick ^= pick << 13;
+                    pick ^= pick >> 7;
+                    pick ^= pick << 17;
+                    pick % 100 < pct
+                })
+                .collect()
+        };
+        let (left, right) = (kept(nl, keep_left), kept(nr, keep_right));
+        let mask = |ids: &[u32], capacity: u32| {
+            let mut mask = BitSet::new(capacity as usize);
+            ids.iter().for_each(|&i| mask.insert(i as usize));
+            mask
+        };
+        let cut = LocalGraph::from_graph(&g).restrict(&mask(&left, nl), &mask(&right, nr));
+        let induced = LocalGraph::induced(&g, &left, &right);
+        prop_assert_eq!(
+            (cut.num_left(), cut.num_right()),
+            (induced.num_left(), induced.num_right())
+        );
+        for u in 0..left.len() as u32 {
+            prop_assert_eq!(cut.left_row(u).to_bitset(), induced.left_row(u).to_bitset());
+        }
+        for v in 0..right.len() as u32 {
+            prop_assert_eq!(cut.right_row(v).to_bitset(), induced.right_row(v).to_bitset());
+        }
+    }
+
     // `induce_by_ids` hands filtered parent rows straight to
     // `from_left_rows`; the result must be the graph `from_edges` builds
     // from the parent's edges between kept ids, renumbered by rank.

@@ -16,9 +16,32 @@
 //! rows. A survivor carries its sorted id lists and core numbers to
 //! verification, which cuts its local `(|A*|+1)`-core from them instead
 //! of peeling it again.
+//!
+//! # One bitset copy of the residual
+//!
+//! Bridging runs on the Lemma 4 residual, which is small and dense: on
+//! the sparse stand-ins of perfbench it has at most a few hundred
+//! vertices a side, at density 0.3–0.8. When the residual's bitset rows
+//! take no more 8-byte words than it has edges, `residual_rows` builds
+//! them once and every centre is cut from them:
+//!
+//! * each worker keeps two `later` masks, the vertices after its current
+//!   centre in the order (a worker's centres only ascend, so the masks
+//!   only shrink);
+//! * `N(c) ∩ later` is the centre's row ANDed with the mask, and
+//!   `N≤2(c) ∩ later` the OR of the rows of all of its neighbours, ANDed
+//!   with the mask;
+//! * the survivor's id lists are the masks' members, already sorted, and
+//!   its [`LocalGraph`] is gathered from the rows
+//!   ([`LocalGraph::restrict`]).
+//!
+//! A residual whose rows would be larger than its CSR walks the CSR
+//! instead ([`n2_neighbors`] and [`LocalGraph::induced`]). Both paths give
+//! the same survivors and counters.
 
 use mbb_obs as obs;
 
+use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::core_decomp::local_core_decomposition;
 use mbb_bigraph::graph::{BipartiteGraph, Side, Vertex};
 use mbb_bigraph::local::LocalGraph;
@@ -31,7 +54,7 @@ use crate::solver::{claim_loop, resolve_threads};
 
 /// A surviving vertex-centred subgraph, in the ids of the graph the bridge
 /// ran on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CenteredSubgraph {
     /// The centre vertex.
     pub center: Vertex,
@@ -165,6 +188,10 @@ const CENTER_CHUNK: usize = 64;
 /// size and degeneracy prunes. Survivors are re-assembled in generation
 /// order.
 ///
+/// The centred subgraphs are cut from the graph's bitset rows when they
+/// take no more 8-byte words than it has edges, and from its CSR
+/// otherwise; both give the same survivors and counters.
+///
 /// [`SharedIncumbent`]: crate::solver::SharedIncumbent
 pub fn bridge_mbb_budgeted(
     graph: &BipartiteGraph,
@@ -173,11 +200,40 @@ pub fn bridge_mbb_budgeted(
     config: BridgeConfig,
     budget: &SearchBudget,
 ) -> BridgeOutcome {
+    let rows = residual_rows(graph);
+    bridge_on(graph, rows.as_ref(), order, incumbent, config, budget)
+}
+
+/// The bitset rows of a Lemma 4 residual, when they take no more 8-byte
+/// words than it has edges, so that they are never larger than the CSR
+/// they stand for; `None` otherwise. Bridging and verification cut every
+/// centred subgraph from these rows instead of walking the CSR again.
+pub(crate) fn residual_rows(graph: &BipartiteGraph) -> Option<LocalGraph> {
+    let (nl, nr) = (graph.num_left(), graph.num_right());
+    let words = nl * nr.div_ceil(64) + nr * nl.div_ceil(64);
+    (words <= graph.num_edges()).then(|| LocalGraph::from_graph(graph))
+}
+
+/// [`bridge_mbb_budgeted`] with the residual's rows chosen by the caller:
+/// each centred subgraph is gathered from `rows` when given, and induced
+/// from the CSR otherwise.
+pub(crate) fn bridge_on(
+    graph: &BipartiteGraph,
+    rows: Option<&LocalGraph>,
+    order: &[u32],
+    incumbent: Biclique,
+    config: BridgeConfig,
+    budget: &SearchBudget,
+) -> BridgeOutcome {
     let n = graph.num_vertices();
     debug_assert_eq!(order.len(), n);
-    let mut rank = vec![0u32; n];
-    for (i, &g) in order.iter().enumerate() {
-        rank[g as usize] = i as u32;
+    // The CSR path tests `later` by rank; the rows path keeps masks.
+    let mut rank = Vec::new();
+    if rows.is_none() {
+        rank = vec![0u32; n];
+        for (i, &g) in order.iter().enumerate() {
+            rank[g as usize] = i as u32;
+        }
     }
 
     let workers = if n >= PARALLEL_MIN_CENTERS {
@@ -191,24 +247,38 @@ pub fn bridge_mbb_budgeted(
         CENTER_CHUNK,
         incumbent,
         budget,
-        |(stats, survivors): &mut (BridgeStats, Vec<(usize, CenteredSubgraph)>), i, bound| {
+        |worker: &mut Worker, i, bound| {
             // One span per centre: cheap next to the per-centre induction
             // work, and the per-centre cost profile is exactly what the
             // bridging-stage analysis needs (dropped on overflow, never
             // blocking — see mbb_obs::ring).
             let _span = obs::span(obs::Stage::BridgeCentre);
-            let (survivor, improvement) =
-                process_center(graph, &rank, i, order[i], bound, config, stats);
-            survivors.extend(survivor.map(|s| (i, s)));
+            let center = graph.vertex_of_global(order[i] as usize);
+            let stats = &mut worker.stats;
+            let centred = match rows {
+                Some(rows) => {
+                    let later = worker.later.get_or_insert_with(|| Later::new(rows));
+                    later.advance(graph, order, i);
+                    later.gather(rows, graph, center, bound, stats)
+                }
+                None => induce(graph, &rank, i, center, bound, stats),
+            };
+            let (survivor, improvement) = match centred {
+                Some((left_ids, right_ids, local)) => {
+                    prune_and_grow(center, left_ids, right_ids, local, bound, config, stats)
+                }
+                None => (None, None),
+            };
+            worker.survivors.extend(survivor.map(|s| (i, s)));
             improvement
         },
     );
 
     let mut stats = BridgeStats::default();
     let mut indexed = Vec::new();
-    for (worker_stats, worker_survivors) in outputs {
-        stats.merge(&worker_stats);
-        indexed.extend(worker_survivors);
+    for worker in outputs {
+        stats.merge(&worker.stats);
+        indexed.extend(worker.survivors);
     }
     indexed.sort_by_key(|&(i, _)| i);
     // Subgraphs admitted before a later improvement may now be prunable
@@ -226,21 +296,102 @@ pub fn bridge_mbb_budgeted(
     }
 }
 
-/// Generates, measures and prunes the subgraph centred at `order[i]`
-/// against `best_half`, updating `stats` in place. Returns the surviving
-/// subgraph (if not pruned) and any incumbent improvement the local
-/// heuristic found.
-fn process_center(
+/// One bridging worker's state: its counters, its survivors by centre
+/// position, and (on the rows path) its `later` masks, built at its first
+/// centre.
+#[derive(Default)]
+struct Worker {
+    stats: BridgeStats,
+    survivors: Vec<(usize, CenteredSubgraph)>,
+    later: Option<Later>,
+}
+
+/// A worker's view of the residual's rows: the vertices after its current
+/// centre in the order, one mask per side, and the two sides of the
+/// subgraph it last gathered. A worker's centres only ascend (its chunks
+/// come from `claim_loop`'s one cursor), so the masks only shrink.
+struct Later {
+    /// Per side (left, right): the vertices after the current centre.
+    later: [BitSet; 2],
+    /// The order position of the first vertex the masks still hold.
+    next: usize,
+    /// Per side: the centred subgraph's vertices.
+    sides: [BitSet; 2],
+}
+
+/// The index of a side in `Later`'s arrays.
+fn slot(side: Side) -> usize {
+    match side {
+        Side::Left => 0,
+        Side::Right => 1,
+    }
+}
+
+impl Later {
+    fn new(rows: &LocalGraph) -> Later {
+        let (nl, nr) = (rows.num_left(), rows.num_right());
+        Later {
+            later: [BitSet::full(nl), BitSet::full(nr)],
+            next: 0,
+            sides: [BitSet::new(nl), BitSet::new(nr)],
+        }
+    }
+
+    /// Drops the vertices up to order position `i` from the masks.
+    #[inline]
+    fn advance(&mut self, graph: &BipartiteGraph, order: &[u32], i: usize) {
+        debug_assert!(i >= self.next, "a worker's centres must ascend");
+        for &g in &order[self.next..=i] {
+            let v = graph.vertex_of_global(g as usize);
+            self.later[slot(v.side)].remove(v.index as usize);
+        }
+        self.next = i + 1;
+    }
+
+    /// [`induce`] on the rows: `N(centre) ∩ later` is the centre's row
+    /// masked, and `N≤2(centre) ∩ later` the OR of the rows of all of the
+    /// centre's neighbours, masked. The id lists are the masks' members,
+    /// already sorted, and the subgraph is gathered from the rows.
+    #[inline]
+    fn gather(
+        &mut self,
+        rows: &LocalGraph,
+        graph: &BipartiteGraph,
+        center: Vertex,
+        best_half: usize,
+        stats: &mut BridgeStats,
+    ) -> Option<(Vec<u32>, Vec<u32>, LocalGraph)> {
+        let (own, other) = (slot(center.side), slot(center.side.opposite()));
+        let row = rows.row(graph.global_id(center));
+        // A neighbour `w`'s row is at global id `w` (left) or `nl + w`.
+        let other_base = if own == 0 { rows.num_left() } else { 0 };
+        self.sides[other].clone_from(&self.later[other]);
+        self.sides[other].intersect_with(&row);
+        let middles = row.iter().map(|w| rows.row(other_base + w));
+        self.sides[own].assign_union_in(middles, &self.later[own]);
+        self.sides[own].insert(center.index as usize);
+
+        let [left, right] = &self.sides;
+        if !admit(stats, left.len(), right.len(), best_half) {
+            return None;
+        }
+        Some((left.to_vec(), right.to_vec(), rows.restrict(left, right)))
+    }
+}
+
+/// Assembles `{centre} ∪ (N≤2(centre) ∩ later)` for the centre at order
+/// position `i` from the CSR, and induces it as a [`LocalGraph`] if it
+/// passes the size prune: its sorted left and right ids and the subgraph.
+/// `later` is a rank test; the residual's rows, when built, give the same
+/// result through [`Later::gather`].
+fn induce(
     graph: &BipartiteGraph,
     rank: &[u32],
     i: usize,
-    center_global: u32,
+    center: Vertex,
     best_half: usize,
-    config: BridgeConfig,
     stats: &mut BridgeStats,
-) -> (Option<CenteredSubgraph>, Option<Biclique>) {
-    let center = graph.vertex_of_global(center_global as usize);
-    // Assemble {centre} ∪ (N≤2(centre) ∩ later).
+) -> Option<(Vec<u32>, Vec<u32>, LocalGraph)> {
     let later = |side: Side, idx: u32| -> bool {
         rank[graph.global_id(Vertex { side, index: idx })] as usize > i
     };
@@ -260,23 +411,47 @@ fn process_center(
         Side::Left => (same, opposite),
         Side::Right => (opposite, same),
     };
-
-    stats.generated += 1;
-    stats.size_sum += left_ids.len() + right_ids.len();
-    stats.max_size = stats.max_size.max(left_ids.len() + right_ids.len());
-    let min_side = left_ids.len().min(right_ids.len());
-
-    // Size prune: a strictly larger balanced biclique needs
-    // best_half + 1 vertices on each side.
-    if min_side <= best_half {
-        stats.pruned_size += 1;
-        return (None, None);
+    if !admit(stats, left_ids.len(), right_ids.len(), best_half) {
+        return None;
     }
-
     // Local index i on each side is the i-th smallest id.
     left_ids.sort_unstable();
     right_ids.sort_unstable();
     let local = LocalGraph::induced(graph, &left_ids, &right_ids);
+    Some((left_ids, right_ids, local))
+}
+
+/// Counts a generated subgraph with sides of `left` and `right` vertices
+/// in `stats`, and applies the size prune: true when the subgraph
+/// survives it.
+#[inline]
+fn admit(stats: &mut BridgeStats, left: usize, right: usize, best_half: usize) -> bool {
+    stats.generated += 1;
+    stats.size_sum += left + right;
+    stats.max_size = stats.max_size.max(left + right);
+    // Size prune: a strictly larger balanced biclique needs
+    // best_half + 1 vertices on each side.
+    if left.min(right) <= best_half {
+        stats.pruned_size += 1;
+        return false;
+    }
+    true
+}
+
+/// Measures and prunes a centred subgraph that passed the size prune
+/// against `best_half`, updating `stats` in place. Returns the surviving
+/// subgraph (if not pruned) and any incumbent improvement the local
+/// heuristic found.
+#[inline]
+fn prune_and_grow(
+    center: Vertex,
+    left_ids: Vec<u32>,
+    right_ids: Vec<u32>,
+    local: LocalGraph,
+    best_half: usize,
+    config: BridgeConfig,
+    stats: &mut BridgeStats,
+) -> (Option<CenteredSubgraph>, Option<Biclique>) {
     // Both sides are non-empty past the size prune.
     stats.density_sum += local.density();
     stats.density_count += 1;
@@ -453,6 +628,132 @@ mod tests {
             let g = generators::uniform_edges(25, 25, 170, seed);
             let out = run(&g, 0);
             assert!(out.best.is_valid(&g), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn residual_rows_follow_the_words_to_edges_rule() {
+        // 64 × 64: one word a row, 128 words on the two sides.
+        let block = |edges: u32| {
+            let edges = (0..edges).map(|e| (e / 2, e % 2));
+            BipartiteGraph::from_edges(64, 64, edges).unwrap()
+        };
+        assert!(residual_rows(&block(128)).is_some());
+        assert!(residual_rows(&block(127)).is_none());
+        // A sparse residual takes the CSR path: 2 × 300 × 5 words of rows
+        // against 2,000 edges.
+        let sparse = generators::uniform_edges(300, 300, 2_000, 1);
+        assert!(residual_rows(&sparse).is_none());
+        let rows = residual_rows(&generators::dense_uniform(300, 300, 0.1, 1));
+        assert_eq!(rows.map(|r| r.num_vertices()), Some(600));
+    }
+
+    /// One run of bridging then verification on `rows` (or the CSR),
+    /// reduced to what the two paths must agree on: every survivor, the
+    /// bridged half-size, every `BridgeStats` counter, and the verified
+    /// biclique and search counters. `density_sum` comes back on its own.
+    #[allow(clippy::type_complexity)]
+    fn both_stages(
+        g: &BipartiteGraph,
+        rows: Option<&LocalGraph>,
+        order: &[u32],
+        threads: usize,
+        incumbent: &Biclique,
+        use_core_pruning: bool,
+        verify_from: Option<&Biclique>,
+    ) -> (
+        (Vec<CenteredSubgraph>, usize, [usize; 6], Biclique, [u64; 7]),
+        f64,
+    ) {
+        use crate::verify::{verify_on, VerifyConfig};
+        let unlimited = SearchBudget::unlimited();
+        let config = BridgeConfig {
+            use_core_pruning,
+            threads,
+            ..BridgeConfig::default()
+        };
+        let bridged = bridge_on(g, rows, order, incumbent.clone(), config, &unlimited);
+        let s = &bridged.stats;
+        let counters = [
+            s.generated,
+            s.pruned_size,
+            s.pruned_degeneracy,
+            s.density_count,
+            s.size_sum,
+            s.max_size,
+        ];
+        let verify_config = VerifyConfig {
+            use_core_reduction: use_core_pruning,
+            threads,
+            ..VerifyConfig::default()
+        };
+        let from = verify_from.unwrap_or(&bridged.best).clone();
+        let (verified, t) = verify_on(g, rows, &bridged.survivors, from, verify_config, &unlimited);
+        let tree = [
+            t.nodes,
+            t.bound_prunes,
+            t.poly_solves,
+            t.reduced_vertices,
+            t.max_depth,
+            t.leaf_depth_sum,
+            t.leaf_count,
+        ];
+        let half = bridged.best.half_size();
+        (
+            (bridged.survivors, half, counters, verified, tree),
+            s.density_sum,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        // The rows path and the CSR path give the same outcome, at one
+        // thread and at two. At two threads a heuristic improvement on one
+        // worker races the other's prunes, so those runs start from the
+        // optimum, which nothing beats: both paths then prune against one
+        // fixed bound. The `bd2` run (no core pruning, so no heuristic)
+        // bridges from an empty incumbent at two threads too. Workers sum
+        // their densities in whatever chunks they claimed, so at two
+        // threads `density_sum` agrees up to rounding.
+        #[test]
+        fn rows_and_csr_paths_agree(
+            sides in (100..=200u32, 100..=200u32),
+            degree in 2..=14usize,
+            seed in 0..1_000_000u64,
+        ) {
+            let (nl, nr) = sides;
+            let edges = (nl + nr) as usize * degree / 2;
+            let g = if seed % 2 == 0 {
+                generators::uniform_edges(nl, nr, edges, seed)
+            } else {
+                generators::chung_lu_bipartite(
+                    &generators::ChungLuParams {
+                        num_left: nl,
+                        num_right: nr,
+                        num_edges: edges,
+                        left_exponent: 0.6,
+                        right_exponent: 0.6,
+                    },
+                    seed,
+                )
+            };
+            let rows = LocalGraph::from_graph(&g);
+            let order = compute_order(&g, SearchOrder::Bidegeneracy);
+            let empty = Biclique::empty();
+
+            let (serial, density) = both_stages(&g, Some(&rows), &order, 1, &empty, true, None);
+            let (csr, csr_density) = both_stages(&g, None, &order, 1, &empty, true, None);
+            proptest::prop_assert_eq!(&serial, &csr);
+            proptest::prop_assert_eq!(density.to_bits(), csr_density.to_bits());
+
+            let optimum = serial.3.clone();
+            for (incumbent, use_core) in [(&optimum, true), (&empty, false)] {
+                let run = |rows| both_stages(&g, rows, &order, 2, incumbent, use_core, Some(&optimum));
+                let ((got, density), (want, csr_density)) = (run(Some(&rows)), run(None));
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert!((density - csr_density).abs() <= 1e-9 * csr_density.max(1.0));
+            }
         }
     }
 

@@ -137,6 +137,36 @@ pub(crate) fn dense_mbb_pinned(
     budget: &SearchBudget,
 ) -> (Biclique, SearchStats) {
     let local = LocalGraph::induced(graph, left_ids, right_ids);
+    dense_mbb_pinned_local(
+        &local,
+        left_ids,
+        right_ids,
+        pinned_left,
+        pinned_right,
+        initial_half,
+        config,
+        budget,
+    )
+}
+
+/// The search of [`dense_mbb_pinned`] over `local`, already built as the
+/// subgraph `left_ids × right_ids` induces (verification gathers it from
+/// the residual's bitset rows).
+#[allow(clippy::too_many_arguments)] // the seeded state plus config and budget
+pub(crate) fn dense_mbb_pinned_local(
+    local: &LocalGraph,
+    left_ids: &[u32],
+    right_ids: &[u32],
+    pinned_left: &[u32],
+    pinned_right: &[u32],
+    initial_half: usize,
+    config: DenseConfig,
+    budget: &SearchBudget,
+) -> (Biclique, SearchStats) {
+    debug_assert_eq!(
+        (local.num_left(), local.num_right()),
+        (left_ids.len(), right_ids.len())
+    );
     let mut ca = BitSet::full(local.num_left());
     let mut cb = BitSet::full(local.num_right());
     for &u in pinned_left {
@@ -148,7 +178,7 @@ pub(crate) fn dense_mbb_pinned(
         ca.intersect_with(&local.right_row(v));
     }
     let (a, b) = (pinned_left.to_vec(), pinned_right.to_vec());
-    let (found, stats) = dense_mbb_budgeted(&local, a, b, ca, cb, initial_half, config, budget);
+    let (found, stats) = dense_mbb_budgeted(local, a, b, ca, cb, initial_half, config, budget);
     let to_ids = |local: Vec<u32>, ids: &[u32]| local.iter().map(|&i| ids[i as usize]).collect();
     let found = Biclique::balanced(to_ids(found.left, left_ids), to_ids(found.right, right_ids));
     (found, stats)

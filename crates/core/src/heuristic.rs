@@ -82,15 +82,17 @@ fn grow_from_seed(graph: &BipartiteGraph, seed: Vertex, score: &[u64]) -> Bicliq
                 break;
             }
         }
-        // `max_by_key` keeps the last maximum in first-touch order.
-        let choice = touched
-            .iter()
-            .copied()
-            .max_by_key(|&w| (counter[w as usize], score[global(graph, seed_side, w)]));
+        // The largest (count, score), the last in first-touch order on a
+        // tie; the same pass clears the counters.
+        let mut choice: Option<(u32, (u32, u64))> = None;
         for &w in &touched {
+            let key = (counter[w as usize], score[global(graph, seed_side, w)]);
+            if choice.is_none_or(|(_, chosen)| key >= chosen) {
+                choice = Some((w, key));
+            }
             counter[w as usize] = 0;
         }
-        let Some(w) = choice else { break };
+        let Some((w, _)) = choice else { break };
 
         // Exact update: C ← C ∩ N(w).
         let w_v = Vertex {
@@ -192,9 +194,10 @@ fn best_of_seeds(
 }
 
 /// [`grow_from_seed`] on bitset rows, from global id `seed`. `C` and the
-/// scanned prefix of `C` are bitsets over the other side, so a
-/// candidate's count is one fused AND + popcount of its row against the
-/// prefix. The sets are allocated once per seed; no step allocates.
+/// scanned prefix of `C` are bitsets over the other side, so a step counts
+/// every candidate against the prefix in one batched AND + popcount call
+/// over their rows. The sets are allocated once per seed; no step
+/// allocates.
 #[inline] // see `greedy_balanced_local`
 fn grow_local(graph: &LocalGraph, seed: usize, score: &[u64], degree: &[usize]) -> Biclique {
     let nl = graph.num_left();
@@ -207,8 +210,10 @@ fn grow_local(graph: &LocalGraph, seed: usize, score: &[u64], degree: &[usize]) 
     };
     let mut a: Vec<u32> = Vec::with_capacity(side_len);
     a.push((seed - base) as u32);
-    let mut in_a = BitSet::new(side_len);
-    in_a.insert(seed - base);
+    // The candidates: the seed side's vertices outside A.
+    let mut outside_a = BitSet::full(side_len);
+    outside_a.remove(seed - base);
+    let mut counts = vec![0u32; side_len];
     let mut c = graph.row(seed).to_bitset();
     let mut prefix = BitSet::new(c.capacity());
     // The best snapshot so far: |A| when it was taken, and a copy of C.
@@ -228,12 +233,18 @@ fn grow_local(graph: &LocalGraph, seed: usize, score: &[u64], degree: &[usize]) 
                 break;
             }
         }
+        // Every candidate's count against the prefix, in one call.
+        if seed < nl {
+            graph.left_degrees_in(&outside_a, &prefix, &mut counts);
+        } else {
+            graph.right_degrees_in(&outside_a, &prefix, &mut counts);
+        }
         // The largest (count, score); a tie goes to the candidate the scan
         // touches last. `w` ascends, so a tied `w` wins unless its first
         // prefix neighbour comes before the current choice's.
         let mut choice: Option<(usize, (usize, u64))> = None;
-        for w in (0..side_len).filter(|&w| !in_a.contains(w)) {
-            let count = prefix.intersection_len(&graph.row(base + w));
+        for w in outside_a.iter() {
+            let count = counts[w] as usize;
             if count == 0 {
                 continue;
             }
@@ -256,7 +267,7 @@ fn grow_local(graph: &LocalGraph, seed: usize, score: &[u64], degree: &[usize]) 
         // prefix.
         c.and_assign_count(&graph.row(base + w));
         a.push(w as u32);
-        in_a.insert(w);
+        outside_a.remove(w);
         let half = a.len().min(c.len());
         if half > best_half {
             best_half = half;

@@ -6,6 +6,12 @@
 //! searched with `denseMBB` seeded with the centre vertex fixed in the
 //! result. Improvements immediately tighten the prunes of later subgraphs.
 //!
+//! The cut is gathered from the residual's bitset rows
+//! ([`LocalGraph::restrict`]) when the rows take no more words than the
+//! residual has edges, as in bridging; verification builds its own copy
+//! from its `graph` argument. A sparser residual induces each cut from
+//! its CSR.
+//!
 //! The survivors are walked by the worker loop bridging also runs on
 //! (`solver::claim_loop`). With `threads > 1` the workers split
 //! them one at a time: each searches whole subgraphs on its own thread
@@ -17,13 +23,15 @@
 //! [`LocalGraph`]: mbb_bigraph::local::LocalGraph
 //! [`SharedIncumbent`]: crate::solver::SharedIncumbent
 
+use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::graph::{BipartiteGraph, Side};
+use mbb_bigraph::local::LocalGraph;
 use mbb_obs as obs;
 
 use crate::biclique::Biclique;
-use crate::bridge::CenteredSubgraph;
+use crate::bridge::{residual_rows, CenteredSubgraph};
 use crate::budget::SearchBudget;
-use crate::dense::{dense_mbb_pinned, DenseConfig};
+use crate::dense::{dense_mbb_pinned_local, DenseConfig};
 use crate::solver::{claim_loop, resolve_threads};
 use crate::stats::SearchStats;
 
@@ -87,6 +95,21 @@ pub fn verify_mbb_budgeted(
     config: VerifyConfig,
     budget: &SearchBudget,
 ) -> (Biclique, SearchStats) {
+    let rows = residual_rows(graph);
+    verify_on(graph, rows.as_ref(), survivors, incumbent, config, budget)
+}
+
+/// [`verify_mbb_budgeted`] with the residual's rows chosen by the caller:
+/// each survivor's core cut is gathered from `rows` when given, and
+/// induced from the CSR otherwise.
+pub(crate) fn verify_on(
+    graph: &BipartiteGraph,
+    rows: Option<&LocalGraph>,
+    survivors: &[CenteredSubgraph],
+    incumbent: Biclique,
+    config: VerifyConfig,
+    budget: &SearchBudget,
+) -> (Biclique, SearchStats) {
     // A lone survivor leaves nothing to split.
     let workers = if survivors.len() > 1 {
         resolve_threads(config.threads)
@@ -102,7 +125,8 @@ pub fn verify_mbb_budgeted(
         |stats: &mut SearchStats, index, bound| {
             // One span per surviving subgraph's cut-and-search.
             let _span = obs::span(obs::Stage::DenseSearch);
-            let (found, search) = verify_one(graph, &survivors[index], bound, config, budget)?;
+            let survivor = &survivors[index];
+            let (found, search) = verify_one(graph, rows, survivor, bound, config, budget)?;
             stats.merge(&search);
             (found.half_size() > bound).then_some(found)
         },
@@ -120,6 +144,7 @@ pub fn verify_mbb_budgeted(
 /// statistics, or `None` when the cut leaves nothing to search.
 fn verify_one(
     graph: &BipartiteGraph,
+    rows: Option<&LocalGraph>,
     centered: &CenteredSubgraph,
     best_half: usize,
     config: VerifyConfig,
@@ -157,8 +182,22 @@ fn verify_one(
         Side::Left => (&pin, &[]),
         Side::Right => (&[], &pin),
     };
-    Some(dense_mbb_pinned(
-        graph,
+    let local = match rows {
+        Some(rows) => {
+            let mask = |ids: &[u32], capacity| {
+                let mut mask = BitSet::new(capacity);
+                ids.iter().for_each(|&id| mask.insert(id as usize));
+                mask
+            };
+            rows.restrict(
+                &mask(&left, rows.num_left()),
+                &mask(&right, rows.num_right()),
+            )
+        }
+        None => LocalGraph::induced(graph, &left, &right),
+    };
+    Some(dense_mbb_pinned_local(
+        &local,
         &left,
         &right,
         pinned_left,

@@ -236,11 +236,6 @@ impl ShardedFleet {
         Ok((loaded, kept))
     }
 
-    /// Total reloads across all shards since fleet construction.
-    pub fn total_reloads(&self) -> u64 {
-        self.shards.iter().map(Shard::reloads).sum()
-    }
-
     /// Number of shards.
     pub fn len(&self) -> usize {
         self.shards.len()
@@ -429,7 +424,6 @@ mod tests {
         assert_eq!(held.graph().num_edges(), old_graph.num_edges());
         assert_eq!(fleet.engine(0).graph().num_edges(), new_graph.num_edges());
         assert_eq!(fleet.shards()[0].reloads(), 1);
-        assert_eq!(fleet.total_reloads(), 1);
 
         // Reloading the unchanged source keeps the warm session instead.
         let warm = fleet.engine(0);

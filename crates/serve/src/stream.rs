@@ -184,14 +184,14 @@ pub struct ShardServeStats {
     /// This run's executed requests on this shard that read a cached
     /// search order instead of building it.
     pub index_reuse_hits: u64,
-    /// Reloads this shard has seen.
+    /// This run's successful reloads of this shard.
     pub reloads: u64,
 }
 
 /// Snapshot of one serve run's counters: the `stats` control verb, the
 /// final `--stats` line, and a [`BatchReport`] all carry this, built
-/// from the same sources: the run's admission queue, which counts each
-/// request as it retires, and the fleet's reload counters.
+/// from one source: the run's admission queue, which counts each request
+/// as it retires and each reload as it succeeds.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Requests admitted to the queue (excludes rejects and sheds at
@@ -205,7 +205,8 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Input lines that failed to parse.
     pub parse_errors: u64,
-    /// Shard reloads performed.
+    /// This run's successful shard reloads: the sum of the per-shard
+    /// [`ShardServeStats::reloads`].
     pub reloads: u64,
     /// Requests cancelled (queued or popped, never executed) because
     /// their originating connection disconnected.
@@ -453,8 +454,19 @@ struct QueueState {
     closed_conns: u64,
     disconnects: u64,
     max_depth: usize,
-    /// Per shard: (served, shed, search nodes, order reuses).
-    served: Vec<(u64, u64, u64, u64)>,
+    /// Per shard, in fleet order.
+    shards: Vec<ShardCounts>,
+}
+
+/// One shard's counters for the run: the per-shard half of a
+/// [`ShardServeStats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardCounts {
+    served: u64,
+    shed: u64,
+    search_nodes: u64,
+    orders_reused: u64,
+    reloads: u64,
 }
 
 /// How a popped job retired — applied to the queue counters by
@@ -564,7 +576,7 @@ impl Admission {
                 closed_conns: 0,
                 disconnects: 0,
                 max_depth: 0,
-                served: vec![(0, 0, 0, 0); shards],
+                shards: vec![ShardCounts::default(); shards],
             }),
             space: Condvar::new(),
             work: Condvar::new(),
@@ -666,7 +678,7 @@ impl Admission {
             Completion::Untracked => {}
             Completion::Shed { shard } => {
                 state.shed += 1;
-                state.served[shard].1 += 1;
+                state.shards[shard].shed += 1;
             }
             Completion::Executed {
                 shard,
@@ -676,9 +688,10 @@ impl Admission {
                 service,
             } => {
                 state.completed += 1;
-                state.served[shard].0 += 1;
-                state.served[shard].2 += search_nodes;
-                state.served[shard].3 += orders_reused;
+                let counts = &mut state.shards[shard];
+                counts.served += 1;
+                counts.search_nodes += search_nodes;
+                counts.orders_reused += orders_reused;
                 self.hist_queue_wait.record_duration(queue_wait);
                 self.hist_service.record_duration(service);
             }
@@ -1084,7 +1097,7 @@ impl StreamServer {
         if request.deadline.is_some_and(|d| d.is_zero()) {
             let mut state = admission.state.lock();
             state.shed += 1;
-            state.served[shard].1 += 1;
+            state.shards[shard].shed += 1;
             drop(state);
             sink(
                 conn,
@@ -1143,6 +1156,9 @@ impl StreamServer {
                         forked,
                     })
                     .map_err(|e| e.to_string());
+                if let (Ok(_), Ok(shard)) = (&result, self.fleet.route_id(&graph)) {
+                    admission.state.lock().shards[shard].reloads += 1;
+                }
                 sink(conn, StreamEvent::ReloadAck { graph, result });
             }
         }
@@ -1152,34 +1168,23 @@ impl StreamServer {
     /// of a `metrics` answer, all read under one admission lock, so the
     /// histograms count exactly the completed requests.
     pub(crate) fn snapshot(&self, admission: &Admission) -> MetricsReport {
-        // The fleet reads here are atomic reload counters; no engine lock
-        // is taken, so none can nest inside `admission.state`.
-        let total_reloads = self.fleet.total_reloads();
-        let shard_meta: Vec<(String, u64)> = self
-            .fleet
-            .shards()
-            .iter()
-            .map(|shard| (shard.id().to_string(), shard.reloads()))
-            .collect();
         let state = admission.state.lock();
         // Read under the state lock: `finish` records under it too.
         let queue_wait = admission.hist_queue_wait.snapshot();
         let service = admission.hist_service.snapshot();
-        let per_shard: Vec<ShardServeStats> = shard_meta
-            .into_iter()
-            .zip(&state.served)
-            .map(
-                |((shard, reloads), &(served, shed, search_nodes, index_reuse_hits))| {
-                    ShardServeStats {
-                        shard,
-                        served,
-                        shed,
-                        search_nodes,
-                        index_reuse_hits,
-                        reloads,
-                    }
-                },
-            )
+        let per_shard: Vec<ShardServeStats> = self
+            .fleet
+            .shards()
+            .iter()
+            .zip(&state.shards)
+            .map(|(shard, counts)| ShardServeStats {
+                shard: shard.id().to_string(),
+                served: counts.served,
+                shed: counts.shed,
+                search_nodes: counts.search_nodes,
+                index_reuse_hits: counts.orders_reused,
+                reloads: counts.reloads,
+            })
             .collect();
         let stats = ServeStats {
             admitted: state.admitted,
@@ -1187,7 +1192,7 @@ impl StreamServer {
             shed: state.shed,
             rejected: state.rejected,
             parse_errors: state.parse_errors,
-            reloads: total_reloads,
+            reloads: per_shard.iter().map(|s| s.reloads).sum(),
             disconnected: state.disconnected,
             connections: state.connections,
             active_conns: state.connections - state.closed_conns,

@@ -6,7 +6,9 @@
 //! deltas and scans through the `BitSet` surface, plus deterministic wide
 //! inputs: empty/full extremes up to 16448 bits, and random words at widths
 //! that cross the four-word unroll. The batched side counts of
-//! `LocalGraph` are checked against one count per member.
+//! `LocalGraph` are checked against one count per member. `gather_bits`
+//! is checked in both its bodies: the dispatched one, which is BMI2
+//! `pext` on CPUs that have it, and the portable one.
 
 use mbb_bigraph::bitset::BitSet;
 use mbb_bigraph::kernels;
@@ -63,6 +65,30 @@ mod reference {
             }
         }
     }
+
+    /// Bit `i` of the result is the bit of `row` at the `i`-th set bit of
+    /// `mask`, testing every position; `popcount(mask).div_ceil(64)`
+    /// words.
+    pub fn gather_bits(row: &[u64], mask: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; popcount(mask).div_ceil(64)];
+        let mut i = 0;
+        for x in 0..mask.len() * 64 {
+            if (mask[x / 64] >> (x % 64)) & 1 == 1 {
+                out[i / 64] |= ((row[x / 64] >> (x % 64)) & 1) << (i % 64);
+                i += 1;
+            }
+        }
+        out
+    }
+}
+
+/// Which body `kernels::gather_bits` dispatches to on this CPU.
+fn dispatched_gather() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("bmi2") {
+        return "pext";
+    }
+    "portable"
 }
 
 /// Rows in the `and_popcount_rows` cases: more than one member word.
@@ -156,6 +182,25 @@ fn assert_kernels_match(a: &[u64], b: &[u64]) {
         fused_out, scalar_out,
         "and_popcount_rows diverged at {n} words"
     );
+
+    // The gather: `b` selects the bits of `a`, with one spare output word
+    // that the kernel must zero.
+    let want = reference::gather_bits(a, b);
+    type Gather = fn(&[u64], &[u64], &mut [u64]);
+    let bodies: [(&str, Gather); 2] = [
+        (dispatched_gather(), kernels::gather_bits),
+        ("portable", kernels::gather_bits_portable),
+    ];
+    for (body, gather) in bodies {
+        let mut out = vec![u64::MAX; want.len() + 1];
+        gather(a, b, &mut out);
+        assert_eq!(
+            out[..want.len()],
+            want[..],
+            "gather_bits ({body}) diverged at {n} words"
+        );
+        assert_eq!(out[want.len()], 0, "gather_bits ({body}) left a spare word");
+    }
 }
 
 proptest! {

@@ -15,7 +15,9 @@ use mbb_core::budget::Termination;
 use mbb_core::engine::MbbEngine;
 use mbb_core::enumerate::EnumConfig;
 use mbb_serve::jsonl::encode_request;
-use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamEvent, StreamServer};
+use mbb_serve::{
+    QueryKind, QueryRequest, ServeStats, ShardedFleet, StreamConfig, StreamEvent, StreamServer,
+};
 use proptest::prelude::*;
 
 /// The two shard graphs of the equivalence suite; regenerating from the
@@ -485,6 +487,34 @@ fn identical_reload_keeps_the_session_and_its_reuse_hits() {
         StreamEvent::ReloadAck { result: Ok(outcome), .. } if outcome.forked
     )));
     assert!(std::sync::Arc::ptr_eq(&session, &server.fleet().engine(0)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `reloads` counts the run's own reloads: a later run on the same server
+/// starts from zero, whatever earlier runs reloaded.
+#[test]
+fn reloads_count_only_the_runs_own_reloads() {
+    let dir = std::env::temp_dir().join(format!("mbb-serve-stream-reloads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = generators::uniform_edges(15, 15, 70, 8);
+    let path = dir.join("g.txt");
+    mbb_bigraph::io::write_edge_list_file(&graph, &path).unwrap();
+
+    let mut fleet = ShardedFleet::new();
+    fleet.add_shard("g", graph).unwrap();
+    let server =
+        StreamServer::new(fleet, StreamConfig::default()).with_store(mbb_store::GraphStore::new());
+    let reload = format!(
+        "{{\"control\": \"reload\", \"graph\": \"g\", \"source\": {:?}}}\n",
+        path.to_str().unwrap()
+    );
+    let read = |stats: ServeStats| (stats.reloads, stats.per_shard[0].reloads);
+    let runs = [
+        read(server.serve_with(reload.as_bytes(), |_| {})),
+        read(server.serve_with(&b""[..], |_| {})),
+        read(server.run_batch(Vec::new()).stats),
+    ];
+    assert_eq!(runs, [(1, 1), (0, 0), (0, 0)]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
