@@ -11,18 +11,17 @@
 //! One engine is built per instance and pre-warmed, so the cached
 //! bidegeneracy order is shared by every timed solve; speedups isolate
 //! the parallel search stages rather than re-measuring preprocessing.
-//! The reported MBB size must be identical at every thread count (the
-//! workers prune only against realised bicliques; the binary exits
-//! non-zero if sizes ever disagree, which CI exercises).
+//! Each row is the median of [`RUNS`] solves. Every solve's MBB size
+//! must be identical at every thread count (the workers prune only
+//! against realised bicliques; the binary exits non-zero if sizes ever
+//! disagree, which CI exercises).
 //!
 //! ```text
 //! cargo run -p mbb-bench --release --bin fig7_scaling -- [--seed 42]
 //!     [--caps small|default|large] [--threads 1,2,4,8]
 //! ```
 
-use std::time::Instant;
-
-use mbb_bench::{exit_usage, fmt_seconds, Args, Table};
+use mbb_bench::{exit_usage, fmt_seconds, median_secs, run_timed, Args, Table, RUNS};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::generators::{chung_lu_bipartite, ChungLuParams};
 use mbb_core::MbbEngine;
@@ -72,45 +71,56 @@ fn main() {
         // Warm the session so every timed solve sees the cached indices.
         engine.solve();
 
+        // Every solve's MBB size, over all rows of this instance.
+        let mut halves = Vec::new();
+        // One row: the median seconds and nodes of `RUNS` solves at `t`
+        // threads.
         let mut row = |t: usize, baseline: Option<f64>| {
-            let start = Instant::now();
-            let result = engine.query().threads(t).solve();
-            let seconds = start.elapsed().as_secs_f64();
+            let mut nodes = Vec::with_capacity(RUNS);
+            let seconds = median_secs(|| {
+                let (result, seconds) = run_timed(|| engine.query().threads(t).solve());
+                halves.push(result.value.half_size());
+                nodes.push(result.stats.search.nodes);
+                Some(seconds)
+            })
+            .expect("a solve without a budget always completes");
+            nodes.sort_unstable();
             let speedup = baseline.map_or(1.0, |b| b / seconds.max(1e-9));
             table.row(vec![
                 n.to_string(),
                 edges.to_string(),
                 bidegeneracy.to_string(),
                 t.to_string(),
-                result.value.half_size().to_string(),
+                halves[halves.len() - 1].to_string(),
                 fmt_seconds(Some(seconds)),
                 format!("{speedup:.2}x"),
-                result.stats.search.nodes.to_string(),
+                nodes[RUNS / 2].to_string(),
             ]);
-            (result.value.half_size(), seconds, speedup)
+            (seconds, speedup)
         };
-        let (serial_half, baseline, _) = row(1, None);
+        let (baseline, _) = row(1, None);
         for &t in threads.iter().filter(|&&t| t > 1) {
-            let (half, _, speedup) = row(t, Some(baseline));
-            size_mismatch |= half != serial_half;
+            let (_, speedup) = row(t, Some(baseline));
             if best_speedup.is_none_or(|(_, s)| speedup > s) {
                 best_speedup = Some((t, speedup));
             }
         }
+        size_mismatch |= halves.iter().any(|&h| h != halves[0]);
     }
     table.print();
     println!(
         "\nReading: all rows of an instance share one pre-warmed engine session.\n\
          A row with `threads` > 1 splits bridging's centres and then the\n\
          surviving vertex-centred subgraphs across that many workers, each\n\
-         subgraph searched on one thread against a shared incumbent; the\n\
-         speedup is the serial row's seconds over the row's own. The MBB\n\
-         column must be identical in every row."
+         subgraph searched on one thread against a shared incumbent. A row's\n\
+         seconds and nodes are each the median of its {RUNS} solves; the\n\
+         speedup is the serial row's seconds over the row's own. Every solve\n\
+         must find the same MBB size, so the MBB column is identical in every row."
     );
     match best_speedup {
         Some((t, speedup)) => println!(
             "Measured here: the fastest multi-threaded row ran {speedup:.2}x the serial \
-             solve, at {t} threads on {cores} core(s); one run per row."
+             solve, at {t} threads on {cores} core(s); each row the median of {RUNS} solves."
         ),
         None => println!("Measured here: the serial rows only (no --threads value above 1)."),
     }

@@ -13,23 +13,12 @@
 
 use std::sync::Arc;
 
-use mbb_bench::{exit_usage, fmt_seconds, run_timed, Args, Table};
+use mbb_bench::{exit_usage, fmt_seconds, median_secs, run_timed, Args, Table, RUNS};
 use mbb_bigraph::bicore::bicore_decomposition;
 use mbb_bigraph::core_decomp::core_decomposition;
 use mbb_core::heuristic::hmbb;
 use mbb_core::{MbbEngine, SolverConfig};
 use mbb_datasets::{stand_in, tough_datasets};
-
-/// Runs behind each cell.
-const RUNS: usize = 5;
-
-/// Median seconds of [`RUNS`] calls of `run`, or `None` as soon as one
-/// returns `None` (a run past its budget).
-fn median_secs(mut run: impl FnMut() -> Option<f64>) -> Option<f64> {
-    let mut secs = (0..RUNS).map(|_| run()).collect::<Option<Vec<f64>>>()?;
-    secs.sort_by(f64::total_cmp);
-    Some(secs[RUNS / 2])
-}
 
 /// Median seconds of [`RUNS`] calls of `f`, which has no budget.
 fn median_timed<T>(mut f: impl FnMut() -> T) -> Option<f64> {

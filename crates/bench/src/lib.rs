@@ -25,13 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod obs;
 pub mod report;
 pub mod runner;
 
 pub use args::{exit_usage, Args};
-pub use obs::{run_obs_bench, ObsBenchOptions, MAX_OVERHEAD_PCT};
-pub use report::{fmt_seconds, ObsBenchReport, Table};
-pub use runner::run_timed;
-
-pub use mbb_datasets::ScaleCaps;
+pub use report::{fmt_seconds, Table};
+pub use runner::{median_secs, run_timed, RUNS};

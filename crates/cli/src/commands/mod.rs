@@ -5,7 +5,6 @@
 //! default command, [`SOLVE`] (the original single-command interface).
 
 pub mod anchored;
-pub mod bench_obs;
 pub mod enumerate;
 pub mod frontier;
 pub mod generate;
@@ -78,7 +77,7 @@ pub const SOLVE: Command = Command {
 };
 
 /// Every command, in the order the top-level usage lists them.
-static COMMANDS: [Command; 12] = [
+static COMMANDS: [Command; 11] = [
     SOLVE,
     Command {
         name: "stats",
@@ -143,12 +142,6 @@ static COMMANDS: [Command; 12] = [
         summary: "replay a request file with spans on, print per-stage times",
         usage: trace::USAGE,
         run: |args| Ok(trace::run(&trace::TraceOptions::parse(args)?)?),
-    },
-    Command {
-        name: "bench-obs",
-        summary: "measure span-instrumentation overhead, write BENCH_obs.json",
-        usage: bench_obs::USAGE,
-        run: |args| Ok(bench_obs::run(&bench_obs::BenchObsOptions::parse(args)?)?),
     },
 ];
 
@@ -230,7 +223,6 @@ mod tests {
             "serve-batch",
             "serve",
             "trace",
-            "bench-obs",
         ] {
             let text = dispatch(cmd, &["--help".to_string()]).unwrap();
             assert!(text.contains("usage:"), "{cmd}");

@@ -250,7 +250,7 @@ fn command_table_surface() {
         .take_while(|line| !line.is_empty())
         .filter_map(|line| line.split_whitespace().next())
         .collect();
-    assert_eq!(names.len(), 12, "{help}");
+    assert_eq!(names.len(), 11, "{help}");
     for name in &names {
         let out = mbb(&[name, "--help"]);
         assert!(out.status.success(), "{name}: {}", stderr(&out));

@@ -14,7 +14,6 @@ use std::sync::Arc;
 // Engine-slot synchronisation goes through the mbb-conc facade so the
 // reload path can be model-checked under `--cfg mbb_conc` (see
 // docs/CONCURRENCY.md).
-use mbb_conc::sync::atomic::{AtomicU64, Ordering};
 use mbb_conc::sync::RwLock;
 
 use mbb_bigraph::graph::BipartiteGraph;
@@ -78,7 +77,6 @@ impl std::error::Error for ServeError {}
 pub struct Shard {
     id: String,
     engine: RwLock<Arc<MbbEngine>>,
-    reloads: AtomicU64,
 }
 
 impl Shard {
@@ -91,14 +89,6 @@ impl Shard {
     /// the duration of one query and it survives a concurrent reload).
     pub fn engine(&self) -> Arc<MbbEngine> {
         Arc::clone(&self.engine.read())
-    }
-
-    /// How many reloads this shard has seen since registration, counting
-    /// a reload of an identical graph that kept the session.
-    pub fn reloads(&self) -> u64 {
-        // relaxed: monotonic event counter read for reporting only; no
-        // other memory is ordered against it.
-        self.reloads.load(Ordering::Relaxed)
     }
 }
 
@@ -198,7 +188,6 @@ impl ShardedFleet {
         self.shards.push(Shard {
             id,
             engine: RwLock::new(Arc::new(engine)),
-            reloads: AtomicU64::new(0),
         });
         Ok(self)
     }
@@ -211,8 +200,8 @@ impl ShardedFleet {
     /// When the loaded graph is byte-identical to the one already being
     /// served (a reload of an unchanged source), the shard keeps its
     /// current session instead — the reload then costs no index
-    /// recomputation at all. Either way the reload counts. The returned
-    /// flag says which path was taken (`true` = session kept).
+    /// recomputation at all. The returned flag says which path was taken
+    /// (`true` = session kept).
     pub fn reload_shard_from_store(
         &self,
         id: &str,
@@ -230,9 +219,6 @@ impl ShardedFleet {
             let engine = MbbEngine::from_arc(loaded.graph.clone(), *current.config());
             *self.shards[index].engine.write() = Arc::new(engine);
         }
-        // relaxed: monotonic event counter; a swap itself synchronises
-        // through the RwLock above.
-        self.shards[index].reloads.fetch_add(1, Ordering::Relaxed);
         Ok((loaded, kept))
     }
 
@@ -423,7 +409,6 @@ mod tests {
         // the new one.
         assert_eq!(held.graph().num_edges(), old_graph.num_edges());
         assert_eq!(fleet.engine(0).graph().num_edges(), new_graph.num_edges());
-        assert_eq!(fleet.shards()[0].reloads(), 1);
 
         // Reloading the unchanged source keeps the warm session instead.
         let warm = fleet.engine(0);
@@ -433,7 +418,6 @@ mod tests {
             .unwrap();
         assert!(kept, "identical graph must keep the warm session");
         assert!(Arc::ptr_eq(&warm, &fleet.engine(0)));
-        assert_eq!(fleet.shards()[0].reloads(), 2);
         let again = fleet.engine(0).solve();
         assert_eq!(again.stats.index.orders_computed, 0);
         assert_eq!(again.stats.index.orders_reused, 1);

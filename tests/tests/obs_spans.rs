@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use mbb_bigraph::generators;
 use mbb_core::engine::MbbEngine;
+use mbb_core::stats::{SolveStats, Stage};
 use mbb_obs as obs;
 use mbb_serve::jsonl::encode_request;
 use mbb_serve::{QueryKind, QueryRequest, ShardedFleet, StreamConfig, StreamServer};
@@ -119,6 +120,42 @@ fn solver_stage_spans_cover_and_fit_the_wall_clock() {
         last - first,
         wall.as_nanos()
     );
+}
+
+/// Turning spans on never changes a solve: on a graph that reaches
+/// stage 3 and on a stage-1 exit, a solve with spans on returns the same
+/// biclique, stage and subgraph and search counters as with spans off.
+#[test]
+fn spans_on_and_off_give_the_same_solve() {
+    let _guard = obs_lock();
+    let counters = |s: &SolveStats| {
+        (
+            s.stage,
+            s.subgraphs_generated,
+            s.subgraphs_verified,
+            s.search.nodes,
+            s.search.poly_solves,
+        )
+    };
+    for (graph, stage) in [
+        (generators::uniform_edges(30, 30, 260, 17), Stage::S3),
+        (generators::uniform_edges(40, 40, 200, 11), Stage::S1),
+    ] {
+        obs::disable();
+        let off = MbbEngine::new(graph.clone()).solve();
+        let (on, records) = capture(|| MbbEngine::new(graph).solve());
+        assert!(
+            !records.is_empty(),
+            "{stage}: the spans-on solve recorded nothing"
+        );
+        assert_eq!(off.stats.stage, stage);
+        assert_eq!(on.value, off.value, "{stage}: biclique");
+        assert_eq!(
+            counters(&on.stats),
+            counters(&off.stats),
+            "{stage}: counters"
+        );
+    }
 }
 
 /// A served request's timeline: parse → queue → execute, each span
