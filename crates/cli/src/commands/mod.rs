@@ -2,7 +2,9 @@
 //!
 //! `mbb` dispatches on its first argument: a command name in [`COMMANDS`]
 //! runs that command, anything else is taken as the input path of the
-//! default command, [`SOLVE`] (the original single-command interface).
+//! default command, [`SOLVE`] (the original single-command interface),
+//! unless [`misnames_command`] finds it names a command that does not
+//! exist.
 
 pub mod anchored;
 pub mod enumerate;
@@ -189,6 +191,21 @@ pub fn is_command(name: &str) -> bool {
     find(name).is_some()
 }
 
+/// True when the first of `args`, which is no command, misnames one
+/// rather than naming `solve`'s input: it is neither a flag nor an
+/// existing path, and `--help`, `-h` or a second positional follows it
+/// (`mbb stat --help`, `mbb stat g.txt`). A lone word stays `solve`'s
+/// input, so `mbb missing.txt` fails as `solve` does.
+pub fn misnames_command(args: &[String]) -> bool {
+    let Some((first, rest)) = args.split_first() else {
+        return false;
+    };
+    !first.starts_with('-')
+        && !std::path::Path::new(first).exists()
+        && (rest.iter().any(|a| a == "--help" || a == "-h")
+            || matches!(options::Options::parse(args), Err(ArgError::Extra(_))))
+}
+
 fn find(name: &str) -> Option<&'static Command> {
     COMMANDS.iter().find(|command| command.name == name)
 }
@@ -208,6 +225,23 @@ mod tests {
     #[test]
     fn unknown_command_is_an_error() {
         assert!(dispatch("quantum", &[]).is_err());
+    }
+
+    #[test]
+    fn a_misnamed_command_is_told_from_an_input_file() {
+        let args = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        assert!(misnames_command(&args("stat --help")));
+        assert!(misnames_command(&args("stat -h")));
+        assert!(misnames_command(&args("stat g.txt")));
+        assert!(misnames_command(&args("stat --threads 2 g.txt")));
+        // A flag value is no second positional, and a lone word is `solve`'s
+        // input whether or not the file exists.
+        assert!(!misnames_command(&args("g.txt --threads 2")));
+        assert!(!misnames_command(&args("/nonexistent/g.txt")));
+        assert!(!misnames_command(&args("--json g.txt")));
+        assert!(!misnames_command(&[]));
+        let dir = std::env::temp_dir().to_string_lossy().into_owned();
+        assert!(!misnames_command(&[dir, "--help".into()]));
     }
 
     #[test]

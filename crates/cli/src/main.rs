@@ -30,7 +30,9 @@ fn main() -> ExitCode {
             commands::SOLVE.name,
             commands::SOLVE.usage
         )),
-        Some(first) if commands::is_command(first) => commands::dispatch(first, &args[1..]),
+        Some(first) if commands::is_command(first) || commands::misnames_command(&args) => {
+            commands::dispatch(first, &args[1..])
+        }
         Some(_) => commands::dispatch(commands::SOLVE.name, &args),
     };
     match result {

@@ -164,6 +164,41 @@ fn topk_ranks_best_first() {
     assert!(rows[0]["balanced_size"].as_u64() >= rows[1]["balanced_size"].as_u64());
 }
 
+/// A `k` far above the number of maximal bicliques returns every one of
+/// them, best first, without reserving room for `k` results.
+#[test]
+fn topk_with_huge_k_returns_the_full_ranking() {
+    let path = temp_path("topk-huge-k");
+    let file = path.to_str().unwrap();
+    let gen = mbb(&[
+        "generate", file, "--kind", "uniform", "--left", "20", "--right", "20", "--edges", "80",
+        "--seed", "5",
+    ]);
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    let out = mbb(&["topk", file, "--k", "100000000000", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let value: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
+    assert_eq!(value["complete"], true);
+    let ranked = value["bicliques"].as_array().unwrap();
+    let sizes: Vec<u64> = ranked
+        .iter()
+        .map(|row| row["balanced_size"].as_u64().unwrap())
+        .collect();
+    assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
+    let all = mbb(&["enumerate", file, "--json"]);
+    assert!(all.status.success(), "{}", stderr(&all));
+    let sides = |row: &serde_json::Value| (row["left"].to_string(), row["right"].to_string());
+    let mut got: Vec<_> = ranked.iter().map(sides).collect();
+    let mut want: Vec<_> = stdout(&all)
+        .lines()
+        .map(|line| sides(&serde_json::from_str(line).unwrap()))
+        .collect();
+    got.sort();
+    want.sort();
+    assert!(want.len() > 1);
+    assert_eq!(got, want);
+}
+
 #[test]
 fn anchored_requires_valid_vertex() {
     let path = figure_1b("anchored");
@@ -204,11 +239,30 @@ fn malformed_edge_list_fails() {
     assert!(!out.status.success());
 }
 
+/// A first word that is no command, no flag and no file, followed by a
+/// second positional or `--help`, is an unknown command; a lone missing
+/// file is still `solve`'s input, which fails with exit code 1.
 #[test]
 fn unknown_command_exits_2() {
-    let out = mbb(&["frobnicate", "x.txt"]);
-    // "frobnicate" is not a command, so it is treated as an input path.
-    assert!(!out.status.success());
+    for (args, word) in [
+        (&["frobnicate", "x.txt"][..], "frobnicate"),
+        (&["stat", "--help"][..], "stat"),
+        (&["stat", "-h"][..], "stat"),
+    ] {
+        let out = mbb(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains(&format!("unknown command \"{word}\"")),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    let missing = "/nonexistent/mbb-cli-e2e-graph.txt";
+    for args in [&[missing][..], &["--json", missing][..]] {
+        let out = mbb(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).contains(missing), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]

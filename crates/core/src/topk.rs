@@ -94,8 +94,10 @@ pub fn topk_budgeted(graph: &BipartiteGraph, k: usize, budget: &SearchBudget) ->
         };
     }
     let floor = Rc::new(Cell::new(0usize));
-    // Min-heap of the current best k (Reverse flips the ordering).
-    let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
+    // Min-heap of the current best k (Reverse flips the ordering). It grows
+    // with the results and reserves nothing for `k`, which may be far above
+    // the graph's count of maximal bicliques.
+    let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::new();
     let config = EnumConfig::default();
     let outcome = enumerate_with_floor(graph, &config, budget, Some(Rc::clone(&floor)), |b| {
         heap.push(Reverse(Ranked {

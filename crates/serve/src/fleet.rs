@@ -44,7 +44,7 @@ pub enum ServeError {
     /// A store-resolved shard failed to load (flattened to a message so
     /// the error stays `Clone + Eq`).
     ShardLoad {
-        /// The name or path as handed to the store.
+        /// The path as handed to the store.
         source: String,
         /// The underlying `StoreError`, rendered.
         message: String,
@@ -143,7 +143,7 @@ impl ShardedFleet {
         self.add_engine(id, MbbEngine::new(graph))
     }
 
-    /// Registers a shard by resolving a name or path through a
+    /// Registers a shard by loading a path through a
     /// [`GraphStore`](mbb_store::GraphStore): warm `.mbbg` caches load
     /// without re-parsing, cold sources are parsed (and cached, per the
     /// store's mode). Returns the load provenance so callers can report

@@ -190,7 +190,7 @@ pub enum ControlRequest {
     Reload {
         /// The shard (graph id) to reload.
         graph: String,
-        /// The name or path the store resolves the new graph from.
+        /// The path the store loads the new graph from.
         source: String,
     },
 }

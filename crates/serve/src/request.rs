@@ -294,9 +294,9 @@ impl QueryResponse {
 pub const MAX_REQUEST_THREADS: usize = 256;
 
 /// A `topk` request may not ask for more than this many results. The
-/// ranker pre-allocates a heap of `k + 1` entries, so an unchecked wire
-/// value would turn one request line into a multi-gigabyte allocation
-/// (and allocation failure aborts, which `catch_unwind` cannot contain).
+/// ranker keeps up to `k` maximal bicliques and the response carries them
+/// all, and a graph can have exponentially many, so an unchecked wire
+/// value would let one request line hold and encode an unbounded answer.
 pub const MAX_REQUEST_TOPK: usize = 100_000;
 
 /// The parameter checks that would otherwise panic inside the engine

@@ -137,9 +137,9 @@ pub enum StoreError {
     InvalidGraph(GraphError),
     /// Parsing the source text (during a cache build/refresh) failed.
     Parse(IoError),
-    /// A name could not be resolved to any existing file.
+    /// No file exists at the path given.
     NotFound {
-        /// The name or path as given.
+        /// The path as given.
         spec: String,
     },
 }

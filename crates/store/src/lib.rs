@@ -1,5 +1,5 @@
 //! Graph storage layer: a versioned binary cache format and a catalog
-//! that resolves names or paths to ready-to-serve graphs.
+//! that loads graphs by path, ready to serve.
 //!
 //! The paper's sparse experiments (§6.2) run on KONECT edge lists of up to
 //! millions of edges. Text parsing — even through the streaming two-pass
@@ -11,10 +11,10 @@
 //!   stamp + both CSR offset arrays + the left adjacency + checksum.
 //!   Loading checks the length and checksum, then rebuilds the graph from
 //!   its left rows; saving is atomic (temp file + rename).
-//! * [`store`] — [`GraphStore`], the catalog front-end. It resolves a name
-//!   or path, transparently writes/refreshes the cache next to the source
-//!   file, and reports provenance ([`Provenance`]) and load timings so
-//!   callers can tell a cold parse from a warm cache hit.
+//! * [`store`] — [`GraphStore`], the catalog front-end. It loads a path,
+//!   transparently writes/refreshes the cache next to the source file,
+//!   and reports provenance ([`Provenance`]) and load timings so callers
+//!   can tell a cold parse from a warm cache hit.
 //!
 //! A graph loaded from a warm cache is **byte-identical** (CSR offsets and
 //! adjacency) to one parsed from the source text: both end in

@@ -1,5 +1,5 @@
-//! [`GraphStore`] — the catalog that resolves a name or path to a loaded
-//! graph, keeping a binary cache warm next to each source file.
+//! [`GraphStore`] — the catalog that loads a graph from its path, keeping a
+//! binary cache warm next to each source file.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -92,16 +92,14 @@ impl LoadedGraph {
     }
 }
 
-/// The graph catalog: resolves names or paths to graphs, transparently
-/// maintaining a `.mbbg` binary cache next to each source file.
+/// The graph catalog: loads graphs by path, transparently maintaining a
+/// `.mbbg` binary cache next to each source file.
 ///
-/// Resolution rules for [`load`](Self::load):
-///
-/// * an existing path is used as-is;
-/// * a path ending in `.mbbg` (or whose bytes start with the `MBBG`
-///   magic) is loaded as a binary cache directly;
-/// * otherwise the name is searched in the store's roots, trying the name
-///   itself and then `<name>.txt`, `<name>.edges`, `<name>.mbbg`.
+/// [`load`](Self::load) reads the file at the path it is given (relative
+/// paths against the working directory); no other name resolves, and a
+/// path with no file behind it is [`StoreError::NotFound`]. A path ending
+/// in `.mbbg` (or whose bytes start with the `MBBG` magic) is loaded as a
+/// binary cache directly.
 ///
 /// Freshness: a cache embeds the length and mtime of the source it was
 /// built from ([`SourceStamp`]); it is used only when both still match.
@@ -114,24 +112,18 @@ impl LoadedGraph {
 /// uses.
 #[derive(Debug, Clone, Default)]
 pub struct GraphStore {
-    roots: Vec<PathBuf>,
     mode: CacheMode,
 }
 
 impl GraphStore {
-    /// A store with the default [`CacheMode::ReadWrite`] policy and no
-    /// extra search roots (paths resolve relative to the working
-    /// directory).
+    /// A store with the default [`CacheMode::ReadWrite`] policy.
     pub fn new() -> GraphStore {
         GraphStore::default()
     }
 
     /// A store with an explicit cache policy.
     pub fn with_mode(mode: CacheMode) -> GraphStore {
-        GraphStore {
-            roots: Vec::new(),
-            mode,
-        }
+        GraphStore { mode }
     }
 
     /// A store whose mode honours the `MBB_CACHE` environment variable
@@ -143,13 +135,6 @@ impl GraphStore {
             _ => CacheMode::ReadWrite,
         };
         GraphStore::with_mode(mode)
-    }
-
-    /// Adds a directory searched when a bare name does not resolve as a
-    /// path. Roots are searched in insertion order.
-    pub fn add_root(&mut self, root: impl Into<PathBuf>) -> &mut Self {
-        self.roots.push(root.into());
-        self
     }
 
     /// The active cache policy.
@@ -166,26 +151,15 @@ impl GraphStore {
         source.with_file_name(name)
     }
 
-    /// Resolves a name or path to the file [`load`](Self::load) would
-    /// read, without loading it.
+    /// The file [`load`](Self::load) would read for `spec`, a path:
+    /// [`StoreError::NotFound`] when no file is there.
     pub fn resolve(&self, spec: &str) -> Result<PathBuf, StoreError> {
-        let direct = Path::new(spec);
-        if direct.exists() {
-            return Ok(direct.to_path_buf());
+        let path = Path::new(spec);
+        if path.exists() {
+            Ok(path.to_path_buf())
+        } else {
+            Err(StoreError::NotFound { spec: spec.into() })
         }
-        for root in &self.roots {
-            for candidate in [
-                root.join(spec),
-                root.join(format!("{spec}.txt")),
-                root.join(format!("{spec}.edges")),
-                root.join(format!("{spec}.{CACHE_EXTENSION}")),
-            ] {
-                if candidate.exists() {
-                    return Ok(candidate);
-                }
-            }
-        }
-        Err(StoreError::NotFound { spec: spec.into() })
     }
 
     /// Resolves and loads a graph, consulting/refreshing the binary cache
@@ -531,19 +505,9 @@ mod tests {
         let loaded = store.load(cache.to_str().unwrap()).unwrap();
         assert_eq!(loaded.provenance, Provenance::CacheHit);
         assert_same_csr(&loaded.graph, &g);
-    }
-
-    #[test]
-    fn named_resolution_searches_roots() {
-        let dir = TempDir::new("roots");
-        let path = dir.path("konect-sample.txt");
-        write_sample(&path);
-        let mut store = GraphStore::new();
-        store.add_root(&dir.0);
-        let loaded = store.load("konect-sample").unwrap();
-        assert_eq!(loaded.source, path);
+        // Only paths resolve, so the source's is no graph once it is gone.
         assert!(matches!(
-            store.load("no-such-graph"),
+            store.load(path.to_str().unwrap()),
             Err(StoreError::NotFound { .. })
         ));
     }
